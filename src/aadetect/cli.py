@@ -97,8 +97,11 @@ def cmd_init(args) -> int:
             raise ValueError(f"feature training file has only {len(rows)} benign rows, need >= 4")
         det = Detector(len(rows[0].features), config, mode=Mode.FEATURES,
                        online=False, init_len=len(rows))
-        for row in rows:
-            det.step(row)
+        cut = det.init_cut(len(rows))
+        if cut is not None:
+            det.initialize([row.features for row in rows[:cut]])
+            for row in rows[cut:]:  # judged, as stepping them would: only their checks matter
+                det.step(row)
     else:
         trace = load_trace(args.trace)
         benign = [p for p in trace if p.label is not True]

@@ -222,9 +222,9 @@ class Detector:
             if not time_done:
                 self._init_rows.append(raw)
                 if self._init_seconds is None and len(self._init_rows) >= self._init_len:
-                    self._finish_init()
+                    self.initialize(self._init_rows)
                 return None
-            self._finish_init()
+            self.initialize(self._init_rows)
             # fall through: this row is the first to be judged
 
         x = self.scaler.apply(raw)
@@ -240,8 +240,36 @@ class Detector:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def _finish_init(self) -> None:
-        X_raw = np.asarray(self._init_rows, dtype=float)
+    def init_cut(self, n_rows: int) -> Optional[int]:
+        """How many of ``n_rows`` rows stepped into a fresh FEATURES detector
+        its init window takes, or None if it is still open after all of them.
+
+        Feature rows are timed by the row counter (row i at i microseconds),
+        so this is ``observe``'s rule in closed form: ``init_len`` rows, or
+        with ``init_seconds`` the rows before the first one that many
+        microseconds after row 0 with at least 4 rows buffered. That row and
+        the ones after it are judged, not trained on.
+        """
+        if self._init_seconds is None:
+            return self._init_len if n_rows >= self._init_len else None
+        late = np.flatnonzero(np.arange(4, n_rows) >= self._init_seconds * 1e6)
+        return 4 + int(late[0]) if late.size else None
+
+    def initialize(self, X_raw: np.ndarray) -> None:
+        """Finish init on the init window's raw rows with one batch fit: the
+        scaler, the first model and the threshold. ``observe`` calls this when
+        its init buffer fills; a caller holding all the rows at once (see
+        ``init_cut``) calls it directly. Rows are checked as ``observe``
+        checks them."""
+        if self.phase != Phase.INIT:
+            raise LifecycleError("detector has already finished init")
+        X_raw = np.asarray(X_raw, dtype=float)
+        if X_raw.ndim != 2 or X_raw.shape[1] != self.dim:
+            raise DimensionError(f"init rows shape {X_raw.shape}, expected (n, {self.dim})")
+        if X_raw.shape[0] < 4:
+            raise ValueError(f"init needs >= 4 rows, got {X_raw.shape[0]}")
+        if not np.all(np.isfinite(X_raw)):
+            raise ValueError("non-finite raw metric value")
         if self.mode == Mode.FEATURES:
             self.scaler = min_max_fit(X_raw)
         else:

@@ -7,9 +7,21 @@ rows against the *clean* rows:
 
 Both offline and online training accumulate the same sufficient statistics
 G = sum H^T H and C = sum H^T X, so a batch fit equals any sequence of
-windowed incremental updates over the same rows. Noise draws are keyed to the
-global accepted-row counter (not to window boundaries), which is what makes
-that equivalence exact.
+windowed incremental updates over the same rows, bit for bit. Two things make
+that exact:
+
+- Noise draws are keyed to the global accepted-row counter (not to window
+  boundaries): row i is corrupted with ``noise_rng(seed, i, salt)``.
+- Rows are folded into G and C one at a time, in order. The fold is done on
+  chunks of rows as arrays, but performs the same float operations as a
+  per-row loop: the hidden forward is a stacked per-row matmul
+  (``hidden(X[:, None, :])``, one matrix-vector product per row, unlike a 2-D
+  gemm whose blocking varies with the row count), and the outer products are
+  summed with ``np.add.accumulate`` along the row axis, which adds them one
+  after another onto the running G and C.
+
+With the fold vectorised, seeding a generator per row (a SeedSequence hash
+plus a PCG64 construction) is the dominant cost of training.
 """
 
 from __future__ import annotations
@@ -80,11 +92,29 @@ def corrupt(x: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray
 
 def _corrupt_window(window: np.ndarray, start_index: int, cfg: TrainConfig,
                     salt: Optional[int]) -> np.ndarray:
-    noisy = np.empty_like(window)
+    """``corrupt`` applied to each row of a window, row j with the generator of
+    global row ``start_index + j``."""
+    if not np.all(np.isfinite(window)):
+        raise ValueError("non-finite training row")
+    if cfg.noise_sigma == 0.0:
+        return np.maximum(window, 0.0)
+    noise = np.empty_like(window)
     for j in range(window.shape[0]):
-        rng = noise_rng(cfg.seed, start_index + j, salt)
-        noisy[j] = corrupt(window[j], cfg.noise_sigma, rng)
-    return noisy
+        noise[j] = noise_rng(cfg.seed, start_index + j, salt).normal(
+            0.0, cfg.noise_sigma, size=window.shape[1])
+    return np.maximum(window + noise, 0.0)
+
+
+# Rows per vectorised fold step: bounds the (rows, d, d) outer-product buffers
+# to about a megabyte each at d = 20.
+_FOLD_CHUNK = 256
+
+
+def _fold_outer(S: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """S + outer(a_1, b_1) + outer(a_2, b_2) + ..., added one row at a time in
+    order, as ``S += np.outer(a_j, b_j)`` in a loop would."""
+    return np.add.accumulate(np.concatenate([S[None], A[:, :, None] * B[:, None, :]]),
+                             axis=0)[-1]
 
 
 def accumulate_pairs(stats: SufficientStats, noisy: np.ndarray, clean: np.ndarray,
@@ -92,18 +122,21 @@ def accumulate_pairs(stats: SufficientStats, noisy: np.ndarray, clean: np.ndarra
     """Fold explicit (noisy, clean) row pairs into the statistics, one row at a
     time in order. Row-wise accumulation performs the same float operations for
     every window partition of the same rows, so incremental training stays
-    bit-equal to the one-shot batch fit instead of drifting with gemm blocking."""
+    bit-equal to the one-shot batch fit instead of drifting with gemm blocking.
+    Chunks of rows are folded as arrays with the same operations in the same
+    order (see the module docstring)."""
     if noisy.shape != clean.shape:
         raise DimensionError(f"noisy shape {noisy.shape} != clean shape {clean.shape}")
     if noisy.ndim == 1:
         noisy = noisy.reshape(1, -1)
         clean = clean.reshape(1, -1)
-    G, C = stats.G.copy(), stats.C.copy()
-    for j in range(noisy.shape[0]):
-        h = model.hidden(noisy[j])
-        G += np.outer(h, h)
-        C += np.outer(h, clean[j])
-    return SufficientStats(G, C, stats.n + noisy.shape[0])
+    G, C = stats.G, stats.C
+    for lo in range(0, noisy.shape[0], _FOLD_CHUNK):
+        H = model.hidden(noisy[lo:lo + _FOLD_CHUNK, None, :])[:, 0, :]
+        G = _fold_outer(G, H, H)
+        C = _fold_outer(C, H, clean[lo:lo + _FOLD_CHUNK])
+    # Copies: never share stats.G, nor keep the last chunk's buffer alive.
+    return SufficientStats(G.copy(), C.copy(), stats.n + noisy.shape[0])
 
 
 def solve_readout(stats: SufficientStats, ridge_lambda: float) -> np.ndarray:
@@ -139,9 +172,11 @@ def update_incremental(stats: SufficientStats, window: np.ndarray, model: Aadrnn
     return stats, model.with_readout(solve_readout(stats, cfg.ridge_lambda))
 
 
-def fit_batch(shape: AadrnnShape, X: np.ndarray, cfg: TrainConfig,
-              salt: Optional[int] = None) -> AadrnnModel:
-    """Offline fit over a benign batch: empty statistics plus one window."""
+def fit_batch_with_stats(shape: AadrnnShape, X: np.ndarray, cfg: TrainConfig,
+                         salt: Optional[int] = None) -> Tuple[SufficientStats, AadrnnModel]:
+    """Offline fit over a benign batch: empty statistics plus one window.
+    Returns the statistics too, so online training can keep accumulating on
+    top of the initial fit."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("fit_batch needs a non-empty (n, M) matrix of benign rows")
@@ -149,17 +184,10 @@ def fit_batch(shape: AadrnnShape, X: np.ndarray, cfg: TrainConfig,
         raise DimensionError(f"rows have {X.shape[1]} values, shape expects {shape.input_dim}")
     base = AadrnnModel.initial(shape)
     stats = SufficientStats.empty(base.hidden_dim, base.input_dim)
-    _, model = update_incremental(stats, X, base, cfg, salt)
-    return model
-
-
-def fit_batch_with_stats(shape: AadrnnShape, X: np.ndarray, cfg: TrainConfig,
-                         salt: Optional[int] = None) -> Tuple[SufficientStats, AadrnnModel]:
-    """Like ``fit_batch`` but also returns the statistics so online training
-    can keep accumulating on top of the initial fit."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("fit_batch needs a non-empty (n, M) matrix of benign rows")
-    base = AadrnnModel.initial(shape)
-    stats = SufficientStats.empty(base.hidden_dim, base.input_dim)
     return update_incremental(stats, X, base, cfg, salt)
+
+
+def fit_batch(shape: AadrnnShape, X: np.ndarray, cfg: TrainConfig,
+              salt: Optional[int] = None) -> AadrnnModel:
+    """Offline fit over a benign batch; the model of ``fit_batch_with_stats``."""
+    return fit_batch_with_stats(shape, X, cfg, salt)[1]

@@ -109,13 +109,13 @@ def test_criterion_2_batch_incremental_equivalence():
     for chunk in np.split(X, cuts):
         stats, model = update_incremental(stats, chunk, model, cfg)
 
-    assert np.allclose(stats.G, batch_stats.G, rtol=1e-9)
-    assert np.allclose(stats.C, batch_stats.C, rtol=1e-9)
-    gap = float(np.max(np.abs(model.readout - batch_model.readout)))
+    assert np.array_equal(stats.G, batch_stats.G)
+    assert np.array_equal(stats.C, batch_stats.C)
+    same = np.array_equal(model.readout, batch_model.readout)
     elapsed = time.perf_counter() - started
     check("criterion 2 (batch == incremental, 2000 rows, random partition)",
-          gap <= 1e-9 and stats.n == 2000 and elapsed < 10.0,
-          f"max readout entry gap {gap:.2e} (<= 1e-9) in {elapsed:.2f}s (< 10s)")
+          same and stats.n == 2000 and elapsed < 10.0,
+          f"readouts bit-equal: {same} in {elapsed:.2f}s (< 10s)")
 
 
 # -- 3. whisker threshold math ----------------------------------------------------

@@ -10,7 +10,9 @@ import pytest
 from aadetect import cli
 from aadetect.config import (Config, apply_overrides, config_from_dict,
                              load_config)
-from aadetect.traffic import FeatureRow, load_trace, save_feature_dataset
+from aadetect.detector import Detector, LifecycleError, Mode, save_state
+from aadetect.traffic import (FeatureRow, load_feature_dataset, load_trace,
+                              save_feature_dataset)
 
 # -- config ----------------------------------------------------------------------
 
@@ -276,6 +278,51 @@ def test_feature_mode_init_and_replay(tmp_path, capsys):
     assert doc["per_attack_type"] == {"shift": 100.0}
     out = capsys.readouterr().out
     assert "per-attack-type accuracy" in out
+
+
+def stepped_feature_init(data, overrides, out):
+    """``init --features`` the long way: every benign row stepped through."""
+    rows = [r for r in load_feature_dataset(data) if r.label is not True]
+    det = Detector(len(rows[0].features), apply_overrides(Config(), overrides),
+                   mode=Mode.FEATURES, online=False, init_len=len(rows))
+    for row in rows:
+        det.step(row)
+    save_state(det, out)
+
+
+@pytest.mark.parametrize("init_seconds", [None, "0", "2e-05", "7.9e-05", "0.001"])
+def test_feature_init_equals_stepping_the_rows(tmp_path, capsys, init_seconds):
+    rng = np.random.default_rng(37)
+    rows = [FeatureRow(rng.normal(0.5, 0.05, size=5), False) for _ in range(50)]
+    rows += [FeatureRow(rng.normal(4.0, 0.1, size=5), True, "shift") for _ in range(5)]
+    rows += [FeatureRow(rng.normal(0.5, 0.05, size=5), False) for _ in range(30)]
+    data = tmp_path / "features.csv"
+    save_feature_dataset(rows, data)
+    overrides = [] if init_seconds is None else [f"train.init_seconds={init_seconds}"]
+    state, expected = tmp_path / "bulk.json", tmp_path / "stepped.json"
+    set_args = [a for o in overrides for a in ("--set", o)]
+    rc = cli.main(["init", str(data), "--features", "--out", str(state)] + set_args)
+    if init_seconds == "0.001":  # 1000 row ticks: the window never closes on 80 rows
+        assert rc == 2 and "not finished init" in capsys.readouterr().err
+        with pytest.raises(LifecycleError):
+            stepped_feature_init(data, overrides, expected)
+        return
+    assert rc == 0
+    stepped_feature_init(data, overrides, expected)
+    assert state.read_bytes() == expected.read_bytes()
+
+
+def test_feature_init_rejects_a_non_finite_row(tmp_path, capsys):
+    rng = np.random.default_rng(41)
+    lines = ["f1,f2,f3,label,attack_type"]
+    lines += [",".join(repr(float(v)) for v in rng.uniform(0, 1, size=3)) + ",0,"
+              for _ in range(20)]
+    lines[7] = "0.5,inf,0.5,0,"
+    data = tmp_path / "features.csv"
+    data.write_text("\n".join(lines) + "\n")
+    assert cli.main(["init", str(data), "--features", "--out", str(tmp_path / "s.json")]) == 2
+    assert f"{data}:8: non-finite feature value" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_replay_without_enough_packets(tmp_path, capsys):

@@ -191,6 +191,42 @@ def test_features_step_counts_rows_and_defaults_frozen():
     assert det.accepted_rows == 4  # frozen: nothing new is learned
 
 
+@pytest.mark.parametrize("init_seconds", [None, -1.0, 0.0, 3e-6, 4.5e-6, 7e-6, 1e-5, 1.0,
+                                          math.nan])
+def test_init_cut_matches_stepping_feature_rows(init_seconds):
+    rng = np.random.default_rng(103)
+    for n in range(4, 13):
+        det = Detector(2, small_config(), Mode.FEATURES, init_seconds=init_seconds)
+        for _ in range(n):
+            det.step(rng.uniform(0, 1, size=2))
+        stepped = None if det.phase == Phase.INIT else det.accepted_rows
+        fresh = Detector(2, small_config(), Mode.FEATURES, init_seconds=init_seconds)
+        assert fresh.init_cut(n) == stepped, (init_seconds, n)
+
+
+def test_initialize_checks_rows_as_observe_does():
+    rows = np.random.default_rng(101).uniform(0, 1, size=(8, 3))
+    det = Detector(3, small_config(), Mode.FEATURES)
+    with pytest.raises(DimensionError):
+        det.initialize(rows[:, :2])
+    with pytest.raises(ValueError):
+        det.initialize(rows[:3])
+    bad = rows.copy()
+    bad[5, 1] = np.inf
+    with pytest.raises(ValueError) as bulk:
+        det.initialize(bad)
+    stepped = Detector(3, small_config(), Mode.FEATURES)
+    with pytest.raises(ValueError) as per_row:
+        for row in bad:
+            stepped.step(row)
+    assert str(bulk.value) == str(per_row.value)
+    assert det.phase == Phase.INIT
+    det.initialize(rows)
+    assert det.phase == Phase.FROZEN and det.accepted_rows == 8
+    with pytest.raises(LifecycleError):
+        det.initialize(rows)
+
+
 def test_device_mode_rejects_step():
     det = Detector(6, small_config(), Mode.DEVICE)
     with pytest.raises(LifecycleError):

@@ -43,6 +43,32 @@ def random_rows(rng, n, dim):
     return rng.uniform(0.0, 2.0, size=(n, dim))
 
 
+# The per-row training fold as the library first wrote it, kept as the
+# reference the chunked fold must match bit for bit.
+
+
+def per_row_corrupt_window(window, start_index, cfg, salt):
+    noisy = np.empty_like(window)
+    for j in range(window.shape[0]):
+        rng = noise_rng(cfg.seed, start_index + j, salt)
+        noisy[j] = corrupt(window[j], cfg.noise_sigma, rng)
+    return noisy
+
+
+def per_row_accumulate_pairs(stats, noisy, clean, model):
+    if noisy.shape != clean.shape:
+        raise DimensionError(f"noisy shape {noisy.shape} != clean shape {clean.shape}")
+    if noisy.ndim == 1:
+        noisy = noisy.reshape(1, -1)
+        clean = clean.reshape(1, -1)
+    G, C = stats.G.copy(), stats.C.copy()
+    for j in range(noisy.shape[0]):
+        h = model.hidden(noisy[j])
+        G += np.outer(h, h)
+        C += np.outer(h, clean[j])
+    return SufficientStats(G, C, stats.n + noisy.shape[0])
+
+
 # -- corruption -------------------------------------------------------------------
 
 
@@ -124,21 +150,25 @@ def test_all_zero_window_with_no_noise_yields_zero_readout():
 
 def test_batch_equals_incremental_over_random_partitions():
     rng = np.random.default_rng(13)
-    shape = AadrnnShape.default(3, seed=2)
     cfg = TrainConfig(noise_sigma=0.1, ridge_lambda=1e-4, seed=3)
-    X = random_rows(rng, 200, 3)
-    batch_stats, batch_model = fit_batch_with_stats(shape, X, cfg)
-    for case in range(20):
-        cuts = np.sort(rng.choice(np.arange(1, len(X)), size=int(rng.integers(1, 12)),
-                                  replace=False))
-        stats = SufficientStats.empty(batch_model.hidden_dim, 3)
-        model = AadrnnModel.initial(shape)
-        for chunk in np.split(X, cuts):
-            stats, model = update_incremental(stats, chunk, model, cfg)
-        assert stats.n == batch_stats.n == 200
-        assert np.max(np.abs(model.readout - batch_model.readout)) <= 1e-9
-        assert np.max(np.abs(stats.G - batch_stats.G)) <= 1e-9
-        assert np.max(np.abs(stats.C - batch_stats.C)) <= 1e-9
+    for dim in (3, 6, 20):
+        shape = AadrnnShape.default(dim, seed=2)
+        X = random_rows(rng, 1500, dim)
+        batch_stats, batch_model = fit_batch_with_stats(shape, X, cfg)
+        # Window sizes on both sides of the fold's chunk of rows, then random cuts.
+        partitions = [np.cumsum([1, 7, 511, 513])]
+        for case in range(5):
+            partitions.append(np.sort(rng.choice(np.arange(1, len(X)),
+                                                 size=int(rng.integers(1, 12)), replace=False)))
+        for cuts in partitions:
+            stats = SufficientStats.empty(batch_model.hidden_dim, dim)
+            model = AadrnnModel.initial(shape)
+            for chunk in np.split(X, cuts):
+                stats, model = update_incremental(stats, chunk, model, cfg)
+            assert stats.n == batch_stats.n == 1500
+            assert np.array_equal(model.readout, batch_model.readout)
+            assert np.array_equal(stats.G, batch_stats.G)
+            assert np.array_equal(stats.C, batch_stats.C)
 
 
 def test_noise_is_keyed_to_global_row_index_not_window_position():
@@ -152,7 +182,44 @@ def test_noise_is_keyed_to_global_row_index_not_window_position():
     model = AadrnnModel.initial(shape)
     stats, model = update_incremental(stats, X[:1], model, cfg)
     stats, model = update_incremental(stats, X[1:], model, cfg)
-    assert np.max(np.abs(model.readout - whole.readout)) <= 1e-12
+    assert np.array_equal(model.readout, whole.readout)
+
+
+@pytest.mark.parametrize("dim", [3, 6, 20])
+def test_stacked_hidden_equals_per_row_hidden(dim):
+    # The chunked fold relies on a stacked (n, 1, M) forward doing one
+    # matrix-vector product per row, as the per-row call does; a 2-D (n, M)
+    # gemm blocks differently and is not bit-equal.
+    model = AadrnnModel.initial(AadrnnShape.default(dim, seed=dim))
+    X = random_rows(np.random.default_rng(dim), 600, dim)
+    per_row = np.array([model.hidden(x) for x in X])
+    assert np.array_equal(model.hidden(X[:, None, :])[:, 0], per_row)
+    for size in (1, 7, 256):
+        pieces = [model.hidden(X[i:i + size, None, :])[:, 0] for i in range(0, len(X), size)]
+        assert np.array_equal(np.concatenate(pieces), per_row)
+
+
+@pytest.mark.parametrize("dim", [3, 6, 20])
+def test_chunked_fold_equals_per_row_oracle(dim):
+    rng = np.random.default_rng(31 + dim)
+    shape = AadrnnShape.default(dim, seed=dim)
+    model = AadrnnModel.initial(shape)
+    X = random_rows(rng, 600, dim)
+    for sigma, salt in ((0.1, None), (0.1, 12345), (0.0, None)):
+        cfg = TrainConfig(noise_sigma=sigma, ridge_lambda=1e-4, seed=7)
+        empty = SufficientStats.empty(dim, dim)
+        noisy = per_row_corrupt_window(X, 0, cfg, salt)
+        expected = per_row_accumulate_pairs(empty, noisy, X, model)
+        got = accumulate_pairs(empty, noisy, X, model)
+        assert np.array_equal(got.G, expected.G) and np.array_equal(got.C, expected.C)
+        # Folding on top of existing statistics adds onto them in row order too.
+        again = per_row_accumulate_pairs(expected, noisy[:5], X[:5], model)
+        got = accumulate_pairs(expected, noisy[:5], X[:5], model)
+        assert np.array_equal(got.G, again.G) and np.array_equal(got.C, again.C)
+        stats, fitted = fit_batch_with_stats(shape, X, cfg, salt)
+        assert stats.n == expected.n == 600
+        assert np.array_equal(stats.G, expected.G) and np.array_equal(stats.C, expected.C)
+        assert np.array_equal(fitted.readout, solve_readout(expected, cfg.ridge_lambda))
 
 
 def test_accumulation_is_permutation_symmetric():
@@ -224,6 +291,10 @@ def test_fit_batch_validation():
         fit_batch(shape, np.zeros((4, 2)), TrainConfig())
     with pytest.raises(DimensionError):
         update_incremental(SufficientStats.empty(3, 3), np.zeros((2, 4)),
+                           AadrnnModel.initial(shape), TrainConfig())
+    with pytest.raises(ValueError, match="non-finite training row"):
+        update_incremental(SufficientStats.empty(3, 3),
+                           np.array([[0.5, 0.5, 0.5], [0.5, np.nan, 0.5]]),
                            AadrnnModel.initial(shape), TrainConfig())
 
 
