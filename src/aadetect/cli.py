@@ -97,11 +97,8 @@ def cmd_init(args) -> int:
             raise ValueError(f"feature training file has only {len(rows)} benign rows, need >= 4")
         det = Detector(len(rows[0].features), config, mode=Mode.FEATURES,
                        online=False, init_len=len(rows))
-        cut = det.init_cut(len(rows))
-        if cut is not None:
-            det.initialize([row.features for row in rows[:cut]])
-            for row in rows[cut:]:  # judged, as stepping them would: only their checks matter
-                det.step(row)
+        for _ in det.step_rows(rows):  # rows past the init window are judged: only their checks matter
+            pass
     else:
         trace = load_trace(args.trace)
         benign = [p for p in trace if p.label is not True]

@@ -21,12 +21,13 @@ was made.
 
 from __future__ import annotations
 
+import itertools
 import json
 import zlib
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, List, Optional, Sequence, Union
+from typing import Any, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -203,6 +204,23 @@ class Detector:
             at_us = self._row_counter
             return self.observe(feats, at_us)
         raise LifecycleError("device-mode detectors are fed by the DeviceBank")
+
+    def step_rows(self, rows: Sequence[Union[FeatureRow, np.ndarray]]
+                  ) -> Iterator[Optional[Decision]]:
+        """``step`` over feature rows, yielding one result per row. A fresh
+        FEATURES detector fits its init window with one ``initialize`` call
+        on the rows ``init_cut`` names, then steps the rest: the same
+        detector and decisions as stepping every row."""
+        start = 0
+        if self.mode == Mode.FEATURES and self.phase == Phase.INIT and self._row_counter == 0:
+            cut = self.init_cut(len(rows))
+            if cut is not None:
+                self.initialize([row.features if isinstance(row, FeatureRow) else row
+                                 for row in rows[:cut]])
+                self._row_counter = start = cut
+                yield from itertools.repeat(None, cut)
+        for row in itertools.islice(rows, start, None):
+            yield self.step(row)
 
     def observe(self, raw: np.ndarray, at_us: int) -> Optional[Decision]:
         """Consume one raw metric vector. Returns None during init."""

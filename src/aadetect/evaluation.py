@@ -184,8 +184,7 @@ def run_features(rows: Sequence[FeatureRow], config: Config, *, online: bool = F
     labels: List[Optional[bool]] = []
     attack_types: List[Optional[str]] = []
     skipped = 0
-    for row in rows:
-        decision = det.step(row)
+    for row, decision in zip(rows, det.step_rows(rows)):
         if decision is None:
             skipped += 1
             continue

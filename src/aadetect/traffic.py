@@ -138,11 +138,19 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
                              label, rec.attack_type or ""])
 
 
+# Feature rows converted to one matrix at a time: enough to amortise the numpy
+# calls, while the pending Python floats never outgrow one block.
+_FEATURE_BLOCK = 1024
+
+
 def load_feature_dataset(path: Union[str, Path]) -> List[FeatureRow]:
     """Load a feature CSV (``f1,...,fM,label,attack_type``).
 
     The trailing ``attack_type`` column is optional; inconsistent feature
-    dimension raises a parse error naming the line.
+    dimension raises a parse error naming the line. Rows are converted in
+    blocks of up to ``_FEATURE_BLOCK`` rows: each row's ``features`` is a
+    read-only row of its block's matrix. Errors are reported in line order,
+    as a row-by-row parse would report them.
     """
     path = Path(path)
     rows: List[FeatureRow] = []
@@ -157,20 +165,44 @@ def load_feature_dataset(path: Union[str, Path]) -> List[FeatureRow]:
         if label_idx < 1 or header[label_idx] != "label":
             raise TraceParseError(path, 1, "expected feature columns followed by label[,attack_type]")
         n_features = label_idx
+        values: List[float] = []  # the pending rows' features, flat
+        lines: List[int] = []
+        labels: List[Optional[bool]] = []
+        types: List[Optional[str]] = []
+
+        def convert() -> np.ndarray:
+            """The pending rows as a read-only matrix; the first row with a
+            non-finite value is an error."""
+            feats = np.array(values, dtype=float).reshape(-1, n_features)
+            finite = np.isfinite(feats).all(axis=1)
+            if not finite.all():
+                raise TraceParseError(path, lines[int(np.argmin(finite))],
+                                      "non-finite feature value")
+            feats.flags.writeable = False
+            return feats
+
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(header):
-                raise TraceParseError(path, line_no, f"expected {len(header)} columns, got {len(row)}")
             try:
-                feats = np.array([float(v) for v in row[:n_features]], dtype=float)
-            except ValueError as exc:
-                raise TraceParseError(path, line_no, f"bad feature value: {exc}") from None
-            if not np.all(np.isfinite(feats)):
-                raise TraceParseError(path, line_no, "non-finite feature value")
-            label = _parse_label(row[label_idx].strip(), path, line_no)
-            attack_type = (row[label_idx + 1].strip() or None) if has_type else None
-            rows.append(FeatureRow(feats, label, attack_type))
+                if len(row) != len(header):
+                    raise TraceParseError(path, line_no, f"expected {len(header)} columns, got {len(row)}")
+                try:
+                    values.extend([float(v) for v in row[:n_features]])
+                except ValueError as exc:
+                    raise TraceParseError(path, line_no, f"bad feature value: {exc}") from None
+                lines.append(line_no)
+                labels.append(_parse_label(row[label_idx].strip(), path, line_no))
+            except TraceParseError:
+                convert()  # a non-finite value on an earlier row, or this one, comes first
+                raise
+            types.append((row[label_idx + 1].strip() or None) if has_type else None)
+            if len(lines) == _FEATURE_BLOCK:
+                rows.extend(map(FeatureRow, convert(), labels, types))
+                for pending in (values, lines, labels, types):
+                    pending.clear()
+        if lines:
+            rows.extend(map(FeatureRow, convert(), labels, types))
     return rows
 
 

@@ -11,6 +11,7 @@ from aadetect import cli
 from aadetect.config import (Config, apply_overrides, config_from_dict,
                              load_config)
 from aadetect.detector import Detector, LifecycleError, Mode, save_state
+from aadetect.evaluation import write_decision_log
 from aadetect.traffic import (FeatureRow, load_feature_dataset, load_trace,
                               save_feature_dataset)
 
@@ -310,6 +311,31 @@ def test_feature_init_equals_stepping_the_rows(tmp_path, capsys, init_seconds):
     assert rc == 0
     stepped_feature_init(data, overrides, expected)
     assert state.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("online", [False, True])
+@pytest.mark.parametrize("override", ["train.init_len=40", "train.init_seconds=0",
+                                      "train.init_seconds=2e-05",
+                                      "train.init_seconds=7.9e-05"])
+def test_cold_start_feature_replay_equals_stepping_every_row(tmp_path, override, online):
+    rng = np.random.default_rng(43)
+    rows = [FeatureRow(rng.normal(0.5, 0.05, size=4), False) for _ in range(60)]
+    rows += [FeatureRow(rng.normal(3.0, 0.1, size=4), True, "shift") for _ in range(6)]
+    rows += [FeatureRow(rng.normal(0.5, 0.05, size=4), False) for _ in range(40)]
+    data = tmp_path / "features.csv"
+    save_feature_dataset(rows, data)
+    overrides = [override, "train.window_len=8"]
+    log, state = tmp_path / "replay.csv", tmp_path / "replay.json"
+    args = ["replay", str(data), "--features", "--cold-start", "--log", str(log),
+            "--save-state", str(state)] + ["--online"] * online
+    assert cli.main(args + [a for o in overrides for a in ("--set", o)]) == 0
+
+    det = Detector(4, apply_overrides(Config(), overrides), mode=Mode.FEATURES, online=online)
+    decisions = [d for d in map(det.step, load_feature_dataset(data)) if d is not None]
+    write_decision_log(decisions, tmp_path / "stepped.csv")
+    save_state(det, tmp_path / "stepped.json")
+    assert log.read_bytes() == (tmp_path / "stepped.csv").read_bytes()
+    assert state.read_bytes() == (tmp_path / "stepped.json").read_bytes()
 
 
 def test_feature_init_rejects_a_non_finite_row(tmp_path, capsys):

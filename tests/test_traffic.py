@@ -1,14 +1,15 @@
 """Trace/feature I/O round-trips, parse errors, and synthetic generation."""
 
+import csv
 import dataclasses
 
 import numpy as np
 import pytest
 
 from aadetect.traffic import (AttackSegment, FeatureRow, PacketRecord, Trace,
-                              TraceParseError, TraceSpec, load_feature_dataset,
-                              load_trace, save_feature_dataset, save_trace,
-                              synth_trace)
+                              TraceParseError, TraceSpec, _parse_label,
+                              load_feature_dataset, load_trace,
+                              save_feature_dataset, save_trace, synth_trace)
 
 
 def random_records(rng, n):
@@ -157,6 +158,89 @@ def test_feature_dataset_bad_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(TraceParseError):
         load_feature_dataset(path)
+
+
+def per_row_load_feature_dataset(path):
+    """The feature loader as first written, one row at a time: the reference
+    for the block loader's rows and errors."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        has_type = header[-1] == "attack_type"
+        label_idx = len(header) - (2 if has_type else 1)
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise TraceParseError(path, line_no, f"expected {len(header)} columns, got {len(row)}")
+            try:
+                feats = np.array([float(v) for v in row[:label_idx]], dtype=float)
+            except ValueError as exc:
+                raise TraceParseError(path, line_no, f"bad feature value: {exc}") from None
+            if not np.all(np.isfinite(feats)):
+                raise TraceParseError(path, line_no, "non-finite feature value")
+            label = _parse_label(row[label_idx].strip(), path, line_no)
+            attack_type = (row[label_idx + 1].strip() or None) if has_type else None
+            rows.append(FeatureRow(feats, label, attack_type))
+    return rows
+
+
+def feature_lines(n, seed=3):
+    rng = np.random.default_rng(seed)
+    lines = ["f1,f2,f3,label,attack_type"]
+    for i in range(n):
+        label, kind = ("1", "scan") if i % 7 == 0 else ("0", "")
+        lines.append(",".join(repr(float(v)) for v in rng.uniform(-1, 1, size=3))
+                     + f",{label},{kind}")
+    return lines
+
+
+def test_block_loader_equals_per_row_loader_across_blocks(tmp_path):
+    lines = feature_lines(2500)
+    lines[1500] = ""  # a blank line shifts every later line number
+    path = tmp_path / "f.csv"
+    path.write_text("\n".join(lines) + "\n")
+    got, expected = load_feature_dataset(path), per_row_load_feature_dataset(path)
+    assert len(got) == len(expected) == 2499
+    for a, b in zip(got, expected):
+        assert np.array_equal(a.features, b.features) and a.features.shape == (3,)
+        assert a.label == b.label and a.attack_type == b.attack_type
+        assert not a.features.flags.writeable
+    with pytest.raises(ValueError):
+        got[0].features[0] = 1.0
+
+
+# (line index, replacement) edits; each file reports the first error in line order.
+BAD_FEATURE_FILES = [
+    [(10, "0.1,inf,0.2,0,"), (20, "0.1,0.2,0.3,2,")],        # non-finite before a bad label
+    [(12, "0.1,nan,0.2,x,")],                                # both on one row: non-finite first
+    [(30, "0.1,0.2,0.3,0"), (25, "-inf,0.2,0.3,0,")],       # non-finite before a column count
+    [(5, "1e999,0.2,0.3,0,"), (8, "0.1,abc,0.3,0,")],        # non-finite before a bad float
+    [(1100, "0.1,0.2,inf,0,")],                              # in the second block
+    [(40, "inf,0.2,0.3,0,"), (50, "0.1,nan,0.3,0,")],        # two in one block: the first
+    [(1025, "0.1,0.2,nan,0,"), (1027, "0.1,0.2,0.3,7,")],    # last row of the first block
+    [(1026, "0.1,0.2,nan,0,")],                              # first row of the second block
+    [(1030, "0.1,0.2,0.3,0,"), (1040, "0.1,0.2,z,0,")],      # a bad float alone
+    [(3, "0.1,0.2,0.3,0,,")],                                # a column count alone
+    [(2000, "0.1,0.2,0.3,yes,")],                            # a bad label alone
+]
+
+
+@pytest.mark.parametrize("edits", BAD_FEATURE_FILES)
+def test_block_loader_reports_errors_as_the_per_row_loader(tmp_path, edits):
+    lines = feature_lines(2100)
+    lines[600] = ""  # data rows 1-1024 (the first block) are lines 2-1026
+    for idx, text in edits:
+        lines[idx] = text
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceParseError) as expected:
+        per_row_load_feature_dataset(path)
+    with pytest.raises(TraceParseError) as got:
+        load_feature_dataset(path)
+    assert str(got.value) == str(expected.value)
+    assert got.value.line_no == expected.value.line_no
 
 
 # -- synthetic traces ---------------------------------------------------------------

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from aadetect.aadrnn import AadrnnModel, AadrnnShape
+from aadetect.detector import salt_for_address
 from aadetect.metrics import DimensionError
 from aadetect.training import (SufficientStats, TrainConfig, TrainingError,
-                               accumulate_pairs, corrupt, fit_batch,
-                               fit_batch_with_stats, noise_rng, solve_readout,
-                               update_incremental)
+                               _corrupt_window, _window_noise, accumulate_pairs,
+                               corrupt, fit_batch, fit_batch_with_stats,
+                               noise_rng, solve_readout, update_incremental)
 
 
 def hand_hidden(model, x):
@@ -108,6 +109,45 @@ def test_noise_rng_is_keyed_by_seed_index_and_salt():
     assert not np.array_equal(a, noise_rng(7, 4).normal(size=4))
     assert not np.array_equal(a, noise_rng(8, 3).normal(size=4))
     assert not np.array_equal(a, noise_rng(7, 3, salt=1).normal(size=4))
+
+
+# -- window noise: seeds hashed per window, draws equal to noise_rng's ------------------
+
+
+@pytest.mark.parametrize("salt", [None, 0, salt_for_address("10.0.0.3")])
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**40, 2**70])
+def test_window_noise_equals_per_row_noise_rng(seed, salt):
+    # 2**40 and 2**70 split into 2 and 3 entropy words; with a salt, or with an
+    # index past 2**32 (which gains a second word), 2**70 gives more entropy
+    # words than SeedSequence's pool of 4.
+    cfg = TrainConfig(noise_sigma=0.25, seed=seed)
+    for start in (0, 1, 2**32 - 3):
+        for width in (3, 6, 20):
+            expected = np.array([noise_rng(seed, start + j, salt).normal(0.0, 0.25, size=width)
+                                 for j in range(1000)])
+            for n_rows in (1, 255, 1000):
+                got = _window_noise(start, n_rows, width, cfg, salt)
+                assert got.shape == (n_rows, width)
+                assert np.array_equal(got, expected[:n_rows]), (start, width, n_rows)
+
+
+def test_window_noise_rejects_a_negative_seed_as_noise_rng_does():
+    with pytest.raises(ValueError):
+        noise_rng(-1, 0)
+    with pytest.raises(ValueError):
+        _window_noise(0, 5, 3, TrainConfig(seed=-1), None)
+    with pytest.raises(ValueError):
+        fit_batch(AadrnnShape.default(3, seed=1), np.ones((5, 3)), TrainConfig(seed=-1))
+
+
+def test_corrupt_window_equals_per_row_corrupt():
+    X = random_rows(np.random.default_rng(5), 300, 4) - 0.5  # some rows clip
+    cfg = TrainConfig(noise_sigma=0.2, seed=11)
+    for salt in (None, 99):
+        assert np.array_equal(_corrupt_window(X, 2**32 - 100, cfg, salt),
+                              per_row_corrupt_window(X, 2**32 - 100, cfg, salt))
+    identity = _corrupt_window(X, 0, TrainConfig(noise_sigma=0.0, seed=11), None)
+    assert np.array_equal(identity, np.maximum(X, 0.0))
 
 
 # -- closed-form oracle ---------------------------------------------------------------
