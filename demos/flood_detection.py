@@ -10,7 +10,7 @@ seconds.
 Run:  python3 demos/flood_detection.py
 """
 
-from aadetect import AttackSegment, TraceSpec, config_from_dict, run_stream, synth_trace
+from aadetect import AttackSegment, Detector, TraceSpec, config_from_dict, run, synth_trace
 
 config = config_from_dict({"metrics": {"N": 30}})
 
@@ -24,7 +24,7 @@ trace = synth_trace(TraceSpec(
 n_attack = sum(1 for p in trace if p.label)
 print(f"trace: {len(trace)} packets, {n_attack} attack, flood starts at t=60s")
 
-result = run_stream(trace, config, online=True)
+result = run(Detector(3, config, online=True), trace)
 report = result.report(config)
 
 print(f"init consumed {result.skipped} benign packets; "

@@ -15,7 +15,7 @@ Run:  python3 demos/multi_attack_features.py
 
 import numpy as np
 
-from aadetect import Config, FeatureRow, run_features
+from aadetect import Config, Detector, FeatureRow, Mode, run
 
 rng = np.random.default_rng(42)
 DIM = 6
@@ -38,7 +38,8 @@ mixed = (rows_from(0.5, 0.08, 300, label=False)
                      transform=lambda b: b * np.array([1, 1, 1, 1, 12.0, 1])))
 rng.shuffle(mixed)
 
-result = run_features(benign_train + mixed, Config(), init_len=len(benign_train))
+detector = Detector(DIM, Config(), mode=Mode.FEATURES, init_len=len(benign_train))
+result = run(detector, benign_train + mixed)
 report = result.report()
 
 print(f"trained on {result.skipped} benign rows; judged {len(result.decisions)} rows")

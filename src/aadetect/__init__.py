@@ -8,7 +8,7 @@ Supports offline fits and windowed incremental online learning that is
 exactly equivalent to the batch fit over the same rows.
 """
 
-from .aadrnn import (ActivationParams, AadrnnModel, AadrnnShape, activation, forward,
+from .aadrnn import (ActivationParams, AadrnnModel, AadrnnShape, activation,
                      init_hidden_weights, model_from_json, model_to_json)
 from .config import Config, apply_overrides, config_from_dict, load_config
 from .detector import (Decision, Detector, LifecycleError, Mode, Phase, classify,
@@ -18,11 +18,10 @@ from .devices import (DeviceBank, DeviceRecord, DeviceReportRow, InfectionReport
                       infection_level)
 from .evaluation import (CompareResult, ConfusionCounts, EvalReport, RunResult,
                          align_with_trace, compare_online_offline, emit_plot_data,
-                         read_decision_log, run_features, run_stream, score,
-                         write_decision_log)
+                         read_decision_log, replay, run, score)
 from .metrics import (DimensionError, DirectionalMetrics, MetricConfig, MetricVector,
-                      MinMaxScaler, ScalingFactors, StreamMetrics, extract_directional,
-                      extract_raw, fit_scaling, min_max_apply, min_max_fit, normalize)
+                      MinMaxScaler, ScalingFactors, StreamMetrics, fit_scaling, min_max_fit,
+                      normalize)
 from .traffic import (AttackSegment, FeatureRow, PacketRecord, TimestampOrderError,
                       Trace, TraceParseError, TraceSpec, load_feature_dataset,
                       load_trace, save_feature_dataset, save_trace, synth_trace)

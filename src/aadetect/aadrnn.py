@@ -145,10 +145,6 @@ class AadrnnModel:
                            self.act, self.seed)
 
 
-def forward(model: AadrnnModel, x: np.ndarray) -> np.ndarray:
-    return model.forward(x)
-
-
 def model_to_json(model: AadrnnModel) -> dict:
     """Model fields as JSON-ready values; float lists round-trip bit-exactly."""
     return {

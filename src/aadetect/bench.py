@@ -24,9 +24,9 @@ from typing import List, Optional
 import numpy as np
 
 from .config import Config, config_from_dict
-from .detector import simple_threshold_baseline, whisker_threshold
+from .detector import Detector, simple_threshold_baseline, whisker_threshold
 from .devices import DeviceBank
-from .evaluation import EvalReport, compare_online_offline, run_stream, score
+from .evaluation import EvalReport, compare_online_offline, replay, score
 from .traffic import AttackSegment, Trace, TraceSpec, synth_trace
 
 
@@ -115,19 +115,23 @@ def run_flood_benchmark(seed: int = 7, config: Optional[Config] = None) -> Flood
     """
     config = config or bench_config()
     trace = flood_trace(seed)
+    det = Detector(3, config, online=True)
     started = time.perf_counter()
-    run = run_stream(trace, config, online=True, collect_values=True)
+    steps = [(pkt, decision, det.last_values) for pkt, _, decision in replay(det, trace)]
     elapsed = time.perf_counter() - started
-    report = run.report(config)
+    pkts, decisions, values = zip(*steps)
+    labels = [pkt.label for pkt in pkts]
+    types = [pkt.attack_type for pkt in pkts]
+    report = score(decisions, labels, types, config)
 
-    init_values = run.detector.init_values
+    init_values = det.init_values
     theta = np.array([whisker_threshold(init_values[:, i])
                       for i in range(init_values.shape[1])])
     baseline_decisions = [
         dec.__class__(value=dec.value, is_attack=simple_threshold_baseline(vals, theta),
                       at_us=dec.at_us, mode="baseline", threshold=dec.threshold)
-        for dec, vals in zip(run.decisions, run.values)]
-    baseline = score(baseline_decisions, run.labels, run.attack_types)
+        for dec, vals in zip(decisions, values)]
+    baseline = score(baseline_decisions, labels, types)
     return FloodBenchResult(report=report, baseline=baseline, elapsed_s=elapsed)
 
 
@@ -166,16 +170,15 @@ def run_device_benchmark(seed: int = 5, config: Optional[Config] = None) -> Devi
     started = time.perf_counter()
     flooder_decisions_after_onset = 0
     onset_decisions_to_flag = None
-    for pkt in trace:
-        for addr, decision in bank.ingest(pkt):
-            if addr != flooder or decision.at_us < onset_us:
-                continue
-            flooder_decisions_after_onset += 1
-            rec = bank.device(flooder)
-            if (onset_decisions_to_flag is None
-                    and rec.infection_level > config.device.level_threshold
-                    and bank.is_compromised(rec)):
-                onset_decisions_to_flag = flooder_decisions_after_onset
+    for _, addr, decision in replay(bank, trace):
+        if addr != flooder or decision.at_us < onset_us:
+            continue
+        flooder_decisions_after_onset += 1
+        rec = bank.device(flooder)
+        if (onset_decisions_to_flag is None
+                and rec.infection_level > config.device.level_threshold
+                and bank.is_compromised(rec)):
+            onset_decisions_to_flag = flooder_decisions_after_onset
     elapsed = time.perf_counter() - started
     report = bank.report()
     flagged = list(report.compromised)

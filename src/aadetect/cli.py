@@ -19,17 +19,14 @@ import csv
 import json
 import os
 import sys
-from pathlib import Path
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import Iterable, List, Optional, Sequence
 
 from . import bench as bench_mod
 from .config import Config, apply_overrides, load_config
 from .detector import Decision, Detector, LifecycleError, Mode, Phase, load_state, save_state
-from .devices import DeviceBank
-from .evaluation import (DECISION_LOG_FIELDS, align_with_trace, emit_plot_data,
-                         read_decision_log, run_features, score, write_decision_log)
+from .devices import DeviceBank, InfectionReport
+from .evaluation import (DECISION_LOG_FIELDS, EvalReport, align_with_trace, emit_plot_data,
+                         read_decision_log, replay, score)
 from .metrics import DimensionError
 from .traffic import (AttackSegment, TraceParseError, TraceSpec, load_feature_dataset,
                       load_trace, save_trace, synth_trace)
@@ -86,6 +83,16 @@ class _DecisionLogWriter:
             self._fh.close()
 
 
+def write_decision_log(decisions: Iterable[Decision], path: str) -> None:
+    """A whole decision log at once, written by ``_DecisionLogWriter``."""
+    log = _DecisionLogWriter(path)
+    try:
+        for d in decisions:
+            log.write(d)
+    finally:
+        log.close()
+
+
 # -- init ---------------------------------------------------------------------
 
 
@@ -125,52 +132,32 @@ def cmd_replay(args) -> int:
         raise ValueError("--devices and --features are mutually exclusive")
     if args.state and args.cold_start:
         raise ValueError("--state and --cold-start are mutually exclusive")
+    if args.devices:
+        for flag, given in (("--state", args.state), ("--save-state", args.save_state),
+                            ("--frozen", args.frozen)):
+            if given:
+                raise ValueError(f"--devices does not take {flag}: "
+                                 "a device bank cannot be loaded, saved or frozen")
     log_path = args.log or config.io.decision_log
     alerts_spec = args.alerts or config.io.alerts
 
-    if args.devices:
-        return _replay_devices(args, config, log_path, alerts_spec)
     if args.features:
-        return _replay_features(args, config, log_path, alerts_spec)
-    return _replay_stream(args, config, log_path, alerts_spec)
-
-
-def _score_and_report(args, config, decisions, labels, types, extra_print=None) -> None:
-    report = None
-    if decisions and all(lab is not None for lab in labels):
-        report = score(decisions, labels, types, config)
-        print(report.summary())
-        if report.per_attack_type:
-            print("per-attack-type accuracy:")
-            for name, acc in report.per_attack_type.items():
-                print(f"  {name:24s} {acc:8.2f}")
+        items, kind, source = load_feature_dataset(args.trace), Mode.FEATURES, "feature file"
+        if not items:
+            raise ValueError("no feature rows to replay")
     else:
-        print(f"{len(decisions)} decisions (trace unlabeled; no scoring)")
-    if extra_print:
-        extra_print()
-    if args.report:
-        if report is None:
-            raise ValueError("--report needs a fully labeled input")
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    if args.plots:
-        if report is None:
-            raise ValueError("--plots needs a fully labeled input")
-        for path in emit_plot_data(report, args.plots):
-            print(f"wrote {path}")
-
-
-def _replay_stream(args, config, log_path, alerts_spec) -> int:
-    trace = load_trace(args.trace)
-    if args.state:
-        online = bool(args.online)  # loaded detectors stay frozen unless asked
-        det = load_state(args.state, config, online=online)
-        if det.mode != Mode.BOTNET:
-            raise ValueError(f"state file holds a {det.mode.value} detector, expected botnet")
-    else:
-        online = not args.frozen  # cold start defaults to online learning
-        det = Detector(3, config, mode=Mode.BOTNET, online=online)
+        items, kind, source = load_trace(args.trace), Mode.BOTNET, "trace"
+    if args.devices:
+        engine = DeviceBank(config)
+    elif args.state:
+        engine = load_state(args.state, config, online=bool(args.online))  # stays frozen unless asked
+        if engine.mode != kind:
+            raise ValueError(f"state file holds a {engine.mode.value} detector, "
+                             f"expected {kind.value}")
+    elif args.features:  # a cold feature start defaults to frozen
+        engine = Detector(len(items[0].features), config, mode=kind, online=bool(args.online))
+    else:  # a cold packet start defaults to online learning
+        engine = Detector(3, config, mode=kind, online=not args.frozen)
 
     log = _DecisionLogWriter(log_path)
     alerts = _open_alerts(alerts_spec)
@@ -178,76 +165,62 @@ def _replay_stream(args, config, log_path, alerts_spec) -> int:
     labels: List[Optional[bool]] = []
     types: List[Optional[str]] = []
     try:
-        for pkt in trace:
-            decision = det.step(pkt)
-            if decision is None:
-                continue
-            decisions.append(decision)
-            labels.append(pkt.label)
-            types.append(pkt.attack_type)
+        for item, addr, decision in replay(engine, items):
             log.write(decision)
             if alerts is not None and decision.is_attack:
-                _emit_alert(alerts, decision)
+                _emit_alert(alerts, decision, addr=addr)
+            if addr is None:
+                decisions.append(decision)
+                labels.append(item.label)
+                types.append(item.attack_type)
     finally:
         log.close()
         if alerts is not None and alerts is not sys.stdout:
             alerts.close()
 
+    if args.devices:
+        _report_devices(args, config, engine.report())
+        return 0
     if not decisions:
-        raise ValueError("trace ended before init completed; no decisions were made")
-    _score_and_report(args, config, decisions, labels, types)
-    if args.save_state:
-        save_state(det, args.save_state)
-        print(f"saved state -> {args.save_state}")
-    return 0
-
-
-def _replay_features(args, config, log_path, alerts_spec) -> int:
-    rows = load_feature_dataset(args.trace)
-    if args.state:
-        det = load_state(args.state, config, online=bool(args.online))
-        if det.mode != Mode.FEATURES:
-            raise ValueError(f"state file holds a {det.mode.value} detector, expected features")
-        result = run_features(rows, config, detector=det)
+        raise ValueError(f"{source} ended before init completed; no decisions were made")
+    if all(lab is not None for lab in labels):
+        _print_report(args, score(decisions, labels, types, config))
     else:
-        result = run_features(rows, config, online=bool(args.online))
-    if not result.decisions:
-        raise ValueError("feature file ended before init completed; no decisions were made")
-    if log_path:
-        write_decision_log(result.decisions, log_path)
-    if alerts_spec:
-        alerts = _open_alerts(alerts_spec)
-        try:
-            for decision in result.decisions:
-                if decision.is_attack:
-                    _emit_alert(alerts, decision)
-        finally:
-            if alerts is not sys.stdout:
-                alerts.close()
-    _score_and_report(args, config, result.decisions, result.labels, result.attack_types)
+        print(f"{len(decisions)} decisions (trace unlabeled; no scoring)")
+        _print_report(args, None)
     if args.save_state:
-        save_state(result.detector, args.save_state)
+        save_state(engine, args.save_state)
         print(f"saved state -> {args.save_state}")
     return 0
 
 
-def _replay_devices(args, config, log_path, alerts_spec) -> int:
-    trace = load_trace(args.trace)
-    bank = DeviceBank(config)
-    log = _DecisionLogWriter(log_path)
-    alerts = _open_alerts(alerts_spec)
-    try:
-        for pkt in trace:
-            for addr, decision in bank.ingest(pkt):
-                log.write(decision)
-                if alerts is not None and decision.is_attack:
-                    _emit_alert(alerts, decision, addr=addr)
-    finally:
-        log.close()
-        if alerts is not None and alerts is not sys.stdout:
-            alerts.close()
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
-    report = bank.report()
+
+def _print_report(args, report: Optional[EvalReport]) -> None:
+    """Print a scored run and write its ``--report`` and ``--plots``; None
+    (an unlabeled replay) allows neither."""
+    if report is not None:
+        print(report.summary())
+        if report.per_attack_type:
+            print("per-attack-type accuracy:")
+            for name, acc in report.per_attack_type.items():
+                print(f"  {name:24s} {acc:8.2f}")
+    if args.report:
+        if report is None:
+            raise ValueError("--report needs a fully labeled input")
+        _write_json(args.report, report.to_dict())
+    if args.plots:
+        if report is None:
+            raise ValueError("--plots needs a fully labeled input")
+        for path in emit_plot_data(report, args.plots):
+            print(f"wrote {path}")
+
+
+def _report_devices(args, config, report: InfectionReport) -> None:
     print(f"{report.packets} packets, {len(report.devices)} devices, "
           f"{len(report.compromised)} compromised")
     for row in report.devices[:10]:
@@ -255,15 +228,10 @@ def _replay_devices(args, config, log_path, alerts_spec) -> int:
         print(f"  {row.addr:18s} level {row.infection_level:.3f} "
               f"peak {row.peak_level:.3f} decisions {row.decisions_count} {flag}")
     if args.report:
-        doc = report.to_dict()
-        doc["config"] = config.to_dict()
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.report, dict(report.to_dict(), config=config.to_dict()))
     if args.plots:
         for path in emit_plot_data(report, args.plots):
             print(f"wrote {path}")
-    return 0
 
 
 # -- eval ---------------------------------------------------------------------
@@ -303,18 +271,7 @@ def cmd_eval(args) -> int:
     trace = load_trace(args.trace)
     labels, types = align_with_trace(decisions, trace)
     report = score(decisions, labels, types, config)
-    print(report.summary())
-    if report.per_attack_type:
-        print("per-attack-type accuracy:")
-        for name, acc in report.per_attack_type.items():
-            print(f"  {name:24s} {acc:8.2f}")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    if args.plots:
-        for path in emit_plot_data(report, args.plots):
-            print(f"wrote {path}")
+    _print_report(args, report)
     if args.assertions:
         failed = False
         for name, op, expected in _parse_assertions(args.assertions):

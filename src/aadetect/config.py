@@ -59,7 +59,6 @@ class DeviceSection:
 class IoSection:
     decision_log: Optional[str] = None
     alerts: Optional[str] = None
-    reports_dir: Optional[str] = None
 
 
 _SECTIONS = {
@@ -121,11 +120,6 @@ class Config:
                            window_len=self.train.window_len,
                            window_seconds=self.train.window_seconds,
                            seed=self.train.seed)
-
-    def device_train_config(self) -> TrainConfig:
-        return dataclasses.replace(self.train_config(),
-                                   window_len=self.device.window_len,
-                                   window_seconds=self.device.window_seconds)
 
     def to_dict(self) -> Dict[str, Dict[str, Any]]:
         return {name: dataclasses.asdict(getattr(self, name)) for name in _SECTIONS}

@@ -205,12 +205,12 @@ class Detector:
             return self.observe(feats, at_us)
         raise LifecycleError("device-mode detectors are fed by the DeviceBank")
 
-    def step_rows(self, rows: Sequence[Union[FeatureRow, np.ndarray]]
+    def step_rows(self, rows: Sequence[Union[PacketRecord, FeatureRow, np.ndarray]]
                   ) -> Iterator[Optional[Decision]]:
-        """``step`` over feature rows, yielding one result per row. A fresh
-        FEATURES detector fits its init window with one ``initialize`` call
-        on the rows ``init_cut`` names, then steps the rest: the same
-        detector and decisions as stepping every row."""
+        """``step`` over packets or feature rows, yielding one result per
+        item. A fresh FEATURES detector fits its init window with one
+        ``initialize`` call on the rows ``init_cut`` names, then steps the
+        rest: the same detector and decisions as stepping every row."""
         start = 0
         if self.mode == Mode.FEATURES and self.phase == Phase.INIT and self._row_counter == 0:
             cut = self.init_cut(len(rows))

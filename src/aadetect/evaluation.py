@@ -1,4 +1,8 @@
-"""Scoring, replay drivers, and report emission.
+"""The replay driver, scoring, decision logs and plot data.
+
+``replay`` is the one loop that feeds packets or feature rows to a detector
+or a device bank; ``run`` keeps a single detector's decisions with their
+ground truth, and the CLI streams them to the decision log and alerts.
 
 Rates follow the usual confusion-matrix definitions, reported as percentages:
 accuracy, TPR (recall on attacks), FNR, TNR, FPR. Per-attack-type accuracy is
@@ -9,17 +13,14 @@ denominator is zero are reported as None.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .config import Config
-from .detector import Decision, Detector, Mode, Phase
-from .devices import InfectionReport
-from .traffic import FeatureRow, Trace
+from .detector import Decision, Detector
+from .devices import DeviceBank, InfectionReport
+from .traffic import FeatureRow, PacketRecord, Trace
 
 DECISION_LOG_FIELDS = ("timestamp_us", "decision_value", "threshold", "is_attack", "mode")
 
@@ -130,7 +131,27 @@ def score(decisions: Sequence[Decision], labels: Sequence[Optional[bool]],
 
 
 # ---------------------------------------------------------------------------
-# Replay drivers
+# The replay driver
+
+
+def replay(engine: Union[Detector, DeviceBank],
+           items: Sequence[Union[PacketRecord, FeatureRow]]
+           ) -> Iterator[Tuple[Union[PacketRecord, FeatureRow], Optional[str], Decision]]:
+    """Feed packets or feature rows to one detector or a device bank and
+    yield ``(item, addr, decision)`` for every decision, in order.
+
+    ``addr`` is the device a bank's decision is about, None for a single
+    detector. Items that only fed init yield nothing. A fresh FEATURES
+    detector fits its init window in one go (``Detector.step_rows``).
+    """
+    if isinstance(engine, DeviceBank):
+        for pkt in items:
+            for addr, decision in engine.ingest(pkt):
+                yield pkt, addr, decision
+        return
+    for item, decision in zip(items, engine.step_rows(items)):
+        if decision is not None:
+            yield item, None, decision
 
 
 @dataclass
@@ -142,56 +163,22 @@ class RunResult:
     attack_types: List[Optional[str]]
     detector: Detector
     skipped: int  # rows consumed by init
-    values: Optional[np.ndarray] = None  # normalized vectors per decision
 
     def report(self, config: Optional[Config] = None) -> EvalReport:
         return score(self.decisions, self.labels, self.attack_types, config)
 
 
-def run_stream(trace: Trace, config: Config, *, online: bool = True,
-               detector: Optional[Detector] = None, collect_values: bool = False) -> RunResult:
-    """Replay a packet trace through a single-stream detector."""
-    det = detector or Detector(3, config, mode=Mode.BOTNET, online=online)
+def run(detector: Detector, items: Sequence[Union[PacketRecord, FeatureRow]]) -> RunResult:
+    """Replay packets or feature rows through one detector, keeping every
+    decision with its item's ground truth."""
     decisions: List[Decision] = []
     labels: List[Optional[bool]] = []
     attack_types: List[Optional[str]] = []
-    values: List[np.ndarray] = []
-    skipped = 0
-    for pkt in trace:
-        decision = det.step(pkt)
-        if decision is None:
-            skipped += 1
-            continue
+    for item, _, decision in replay(detector, items):
         decisions.append(decision)
-        labels.append(pkt.label)
-        attack_types.append(pkt.attack_type)
-        if collect_values:
-            values.append(det.last_values)
-    return RunResult(decisions, labels, attack_types, det, skipped,
-                     np.asarray(values) if collect_values else None)
-
-
-def run_features(rows: Sequence[FeatureRow], config: Config, *, online: bool = False,
-                 detector: Optional[Detector] = None,
-                 init_len: Optional[int] = None) -> RunResult:
-    """Replay feature rows through a feature-mode detector."""
-    if not rows:
-        raise ValueError("no feature rows to replay")
-    dim = len(rows[0].features)
-    det = detector or Detector(dim, config, mode=Mode.FEATURES, online=online,
-                               init_len=init_len)
-    decisions: List[Decision] = []
-    labels: List[Optional[bool]] = []
-    attack_types: List[Optional[str]] = []
-    skipped = 0
-    for row, decision in zip(rows, det.step_rows(rows)):
-        if decision is None:
-            skipped += 1
-            continue
-        decisions.append(decision)
-        labels.append(row.label)
-        attack_types.append(row.attack_type)
-    return RunResult(decisions, labels, attack_types, det, skipped)
+        labels.append(item.label)
+        attack_types.append(item.attack_type)
+    return RunResult(decisions, labels, attack_types, detector, len(items) - len(decisions))
 
 
 def check_benign_prefix(trace: Trace, init_len: int) -> None:
@@ -220,23 +207,13 @@ def compare_online_offline(trace: Trace, config: Config) -> CompareResult:
     """Run the same labeled trace twice — init then frozen, versus init then
     windowed incremental updates — and score both runs."""
     check_benign_prefix(trace, config.train.init_len)
-    offline = run_stream(trace, config, online=False)
-    online = run_stream(trace, config, online=True)
+    offline = run(Detector(3, config, online=False), trace)
+    online = run(Detector(3, config, online=True), trace)
     return CompareResult(offline=offline.report(config), online=online.report(config))
 
 
 # ---------------------------------------------------------------------------
 # Decision logs and plot data
-
-
-def write_decision_log(decisions: Sequence[Decision], path: Union[str, Path]) -> None:
-    path = Path(path)
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DECISION_LOG_FIELDS)
-        for d in decisions:
-            writer.writerow([d.at_us, repr(d.value), repr(d.threshold),
-                             int(d.is_attack), d.mode])
 
 
 def read_decision_log(path: Union[str, Path]) -> List[Decision]:

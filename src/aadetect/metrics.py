@@ -137,11 +137,6 @@ class StreamMetrics:
         return np.array([m1, m2, m3])
 
 
-def extract_raw(state: StreamMetrics, pkt: PacketRecord) -> np.ndarray:
-    """Advance a stream's window state with one packet; return its raw triple."""
-    return state.update(pkt.timestamp_us, pkt.size_bytes)
-
-
 class DirectionalMetrics:
     """Per-address transmitted/received substream metrics (6 values each).
 
@@ -186,11 +181,6 @@ class DirectionalMetrics:
         """Forget an address's substream state (device eviction)."""
         for store in (self._tx, self._rx, self._tx_last, self._rx_last):
             store.pop(addr, None)
-
-
-def extract_directional(state: DirectionalMetrics, pkt: PacketRecord) -> Dict[str, np.ndarray]:
-    """Advance per-address substreams with one packet; return updated vectors."""
-    return state.update(pkt)
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +264,6 @@ def min_max_fit(rows: Iterable[np.ndarray]) -> MinMaxScaler:
     lo.flags.writeable = False
     hi.flags.writeable = False
     return MinMaxScaler(lo, hi)
-
-
-def min_max_apply(scaler: MinMaxScaler, features: np.ndarray) -> np.ndarray:
-    return scaler.apply(features)
 
 
 def scaler_from_json(doc: dict):

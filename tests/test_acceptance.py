@@ -17,7 +17,7 @@ from aadetect.bench import (run_device_benchmark, run_drift_benchmark,
 from aadetect.config import Config, config_from_dict
 from aadetect.detector import Decision, Detector, Mode, whisker_threshold
 from aadetect.devices import DeviceBank, infection_level
-from aadetect.evaluation import run_features, score
+from aadetect.evaluation import run, score
 from aadetect.metrics import (DirectionalMetrics, MetricConfig, ScalingFactors,
                               StreamMetrics, normalize)
 from aadetect.traffic import PacketRecord, load_feature_dataset
@@ -200,7 +200,7 @@ def test_criterion_7_real_dataset_accuracy():
                    online=False, init_len=len(benign))
     for row in benign:
         det.step(row)
-    result = run_features(rows, config, detector=det)
+    result = run(det, rows)
     report = result.report()
     elapsed = time.perf_counter() - started
     ok = (report.accuracy >= 99.0 and report.tpr is not None and report.tpr >= 99.0

@@ -11,7 +11,7 @@ from aadetect import cli
 from aadetect.config import (Config, apply_overrides, config_from_dict,
                              load_config)
 from aadetect.detector import Detector, LifecycleError, Mode, save_state
-from aadetect.evaluation import write_decision_log
+from aadetect.evaluation import read_decision_log
 from aadetect.traffic import (FeatureRow, load_feature_dataset, load_trace,
                               save_feature_dataset)
 
@@ -239,6 +239,45 @@ def test_replay_usage_errors(flood_trace_file, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 3
+    # A device bank cannot be loaded, saved or frozen.
+    for flags in (["--state", "s.json"], ["--save-state", str(tmp_path / "out.json")],
+                  ["--frozen"]):
+        log = tmp_path / "never.csv"
+        assert cli.main(["replay", str(flood_trace_file), "--devices", "--log", str(log)]
+                        + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --devices does not take {flags[0]}")
+        assert not log.exists() and not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["packets", "features", "devices"])
+def test_alerts_are_the_attack_rows_of_the_decision_log(tmp_path, mode):
+    if mode == "features":
+        rng = np.random.default_rng(47)
+        rows = [FeatureRow(rng.normal(0.5, 0.05, size=4), False) for _ in range(60)]
+        rows += [FeatureRow(rng.normal(3.0, 0.1, size=4), True, "shift") for _ in range(6)]
+        rows += [FeatureRow(rng.normal(0.5, 0.05, size=4), False) for _ in range(40)]
+        data = tmp_path / "features.csv"
+        save_feature_dataset(rows, data)
+        args = [str(data), "--features", "--cold-start", "--set", "train.init_len=40"]
+    else:
+        data = tmp_path / "trace.csv"
+        assert cli.main(["synth", "--out", str(data), "--duration", "20", "--rate", "30",
+                         "--seed", "3", "--hosts", "10.0.0.1,10.0.0.2,10.0.0.3",
+                         "--flood", "12:20:20", "--attacker", "10.0.0.3"]) == 0
+        args = [str(data), "--cold-start", "--set", "train.init_len=64"]
+        if mode == "devices":
+            args += ["--devices", "--set", "device.init_len=6", "--set", "metrics.N=5",
+                     "--set", "metrics.T_seconds=1.0"]
+    log, alerts = tmp_path / "log.csv", tmp_path / "alerts.jsonl"
+    assert cli.main(["replay"] + args + ["--log", str(log), "--alerts", str(alerts)]) == 0
+    flagged = [d for d in read_decision_log(log) if d.is_attack]
+    docs = [json.loads(line) for line in alerts.read_text().splitlines()]
+    assert flagged and len(docs) == len(flagged)
+    for doc, d in zip(docs, flagged):
+        assert (doc["timestamp_us"], doc["decision_value"], doc["threshold"], doc["mode"]) == \
+            (d.at_us, d.value, d.threshold, d.mode)
+        assert ("addr" in doc) == (mode == "devices")
 
 
 def test_replay_devices_writes_report(tmp_path, capsys):
@@ -332,7 +371,7 @@ def test_cold_start_feature_replay_equals_stepping_every_row(tmp_path, override,
 
     det = Detector(4, apply_overrides(Config(), overrides), mode=Mode.FEATURES, online=online)
     decisions = [d for d in map(det.step, load_feature_dataset(data)) if d is not None]
-    write_decision_log(decisions, tmp_path / "stepped.csv")
+    cli.write_decision_log(decisions, tmp_path / "stepped.csv")
     save_state(det, tmp_path / "stepped.json")
     assert log.read_bytes() == (tmp_path / "stepped.csv").read_bytes()
     assert state.read_bytes() == (tmp_path / "stepped.json").read_bytes()
@@ -349,6 +388,39 @@ def test_feature_init_rejects_a_non_finite_row(tmp_path, capsys):
     assert cli.main(["init", str(data), "--features", "--out", str(tmp_path / "s.json")]) == 2
     assert f"{data}:8: non-finite feature value" in capsys.readouterr().err
     assert not (tmp_path / "s.json").exists()
+
+
+def test_eval_rejects_an_unlabeled_trace(flood_trace_file, tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    assert cli.main(["replay", str(flood_trace_file), "--cold-start",
+                     "--set", "train.init_len=64", "--log", str(log)]) == 0
+    lines = flood_trace_file.read_text().splitlines()
+    unlabeled = tmp_path / "unlabeled.csv"
+    unlabeled.write_text("\n".join([lines[0]] + [",".join(line.split(",")[:4]) + ",,"
+                                                  for line in lines[1:]]) + "\n")
+    capsys.readouterr()
+    rc = cli.main(["eval", "--log", str(log), "--trace", str(unlabeled)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error: rows without ground-truth labels" in captured.err
+    assert captured.out == ""
+
+
+def test_replay_of_a_feature_file_without_rows(tmp_path, capsys):
+    data = tmp_path / "features.csv"
+    data.write_text("f1,f2,label,attack_type\n")
+    assert cli.main(["replay", str(data), "--features"]) == 2
+    assert "error: no feature rows to replay" in capsys.readouterr().err
+
+
+def test_feature_replay_ending_in_init_leaves_a_header_only_log(tmp_path, capsys):
+    rng = np.random.default_rng(53)
+    data, log = tmp_path / "features.csv", tmp_path / "log.csv"
+    save_feature_dataset([FeatureRow(rng.uniform(0, 1, size=3), False) for _ in range(20)], data)
+    assert cli.main(["replay", str(data), "--features", "--log", str(log),
+                     "--set", "train.init_len=30"]) == 2
+    assert "feature file ended before init completed" in capsys.readouterr().err
+    assert log.read_text() == "timestamp_us,decision_value,threshold,is_attack,mode\n"
 
 
 def test_replay_without_enough_packets(tmp_path, capsys):

@@ -1,15 +1,16 @@
-"""Scoring against brute-force confusion counts, replay drivers, decision-log
-round-trips, and plot-data emission."""
+"""Scoring against brute-force confusion counts, the replay driver,
+decision-log round-trips, and plot-data emission."""
 
 import numpy as np
 import pytest
 
+from aadetect.cli import write_decision_log
 from aadetect.config import Config, config_from_dict
-from aadetect.detector import Decision
+from aadetect.detector import Decision, Detector, Mode
+from aadetect.devices import DeviceBank
 from aadetect.evaluation import (align_with_trace, check_benign_prefix,
                                  compare_online_offline, emit_plot_data,
-                                 read_decision_log, run_features, run_stream,
-                                 score, write_decision_log)
+                                 read_decision_log, replay, run, score)
 from aadetect.traffic import (AttackSegment, FeatureRow, Trace, TraceSpec,
                               synth_trace)
 
@@ -129,7 +130,7 @@ def test_report_summary_and_to_dict():
     assert with_cfg.to_dict()["config"]["train"]["init_len"] == 1000
 
 
-# -- replay drivers ----------------------------------------------------------------------
+# -- the replay driver -------------------------------------------------------------------
 
 
 def benign_trace(seed=21, duration=6.0):
@@ -137,9 +138,9 @@ def benign_trace(seed=21, duration=6.0):
                                  hosts=("10.0.0.1", "10.0.0.2")), seed=seed)
 
 
-def test_run_stream_skips_init_and_aligns_ground_truth():
+def test_run_skips_init_and_aligns_ground_truth():
     trace = benign_trace()
-    result = run_stream(trace, stream_config(), online=True)
+    result = run(Detector(3, stream_config(), online=True), trace)
     assert result.skipped == 8
     assert len(result.decisions) == len(trace) - 8
     assert result.labels == [r.label for r in trace[8:]]
@@ -148,21 +149,70 @@ def test_run_stream_skips_init_and_aligns_ground_truth():
     assert report.fpr is not None and report.tpr is None  # all-benign trace
 
 
-def test_run_stream_collect_values_shape():
+def test_replay_leaves_each_decisions_values_on_the_detector():
     trace = benign_trace()
-    result = run_stream(trace, stream_config(), collect_values=True)
-    assert result.values.shape == (len(trace) - 8, 3)
-    assert np.all(result.values >= 0.0)
+    det = Detector(3, stream_config())
+    values = np.array([det.last_values for _ in replay(det, trace)])
+    assert values.shape == (len(trace) - 8, 3)
+    assert np.all(values >= 0.0)
 
 
-def test_run_features_offline_by_default():
+def test_run_feature_rows_offline_by_default():
     rng = np.random.default_rng(313)
     rows = [FeatureRow(rng.uniform(0, 1, size=3), False) for _ in range(30)]
-    result = run_features(rows, stream_config(), init_len=10)
+    result = run(Detector(3, stream_config(), mode=Mode.FEATURES, init_len=10), rows)
     assert result.skipped == 10 and len(result.decisions) == 20
     assert result.detector.phase.value == "frozen"
-    with pytest.raises(ValueError):
-        run_features([], stream_config())
+    empty = run(Detector(3, stream_config(), mode=Mode.FEATURES), [])
+    assert empty.decisions == [] and empty.skipped == 0
+
+
+def test_replay_of_a_bank_equals_ingesting_packet_by_packet():
+    hosts = ("10.0.0.1", "10.0.0.2", "10.0.0.3")
+    seg = AttackSegment(3.0, 6.0, 10.0, attackers=("10.0.0.3",), spray=16,
+                        size_mean=80.0, size_sigma=10.0)
+    trace = synth_trace(TraceSpec(duration_s=6.0, rate_pps=60.0, hosts=hosts,
+                                  attacks=(seg,)), seed=31)
+    config = config_from_dict({"device": {"init_len": 6, "window_seconds": 1.0},
+                               "metrics": {"N": 5, "T_seconds": 1.0}})
+    stepped = DeviceBank(config)
+    expected = [(pkt, addr, d) for pkt in trace for addr, d in stepped.ingest(pkt)]
+    bank = DeviceBank(config)
+    got = list(replay(bank, trace))
+    assert len(got) > len(trace) // 2 and any(d.is_attack for _, _, d in got)
+    assert got == expected
+    assert bank.report() == stepped.report()
+
+
+def stepped(det, items):
+    return [(item, None, d) for item, d in zip(items, map(det.step, items)) if d is not None]
+
+
+def test_replay_of_a_detector_equals_stepping_packets():
+    trace = attack_trace()
+    for online in (False, True):
+        config = stream_config(init_len=64, window_len=16)
+        ref, det = Detector(3, config, online=online), Detector(3, config, online=online)
+        expected = stepped(ref, trace)
+        assert list(replay(det, trace)) == expected
+        assert len(expected) == len(trace) - 64
+        assert det.threshold == ref.threshold and np.array_equal(det.stats.G, ref.stats.G)
+
+
+@pytest.mark.parametrize("train", [{"init_len": 12}, {"init_seconds": 0.0},
+                                   {"init_seconds": 2e-05}, {"init_seconds": 7.9e-05}])
+def test_replay_of_a_detector_equals_stepping_feature_rows(train):
+    rng = np.random.default_rng(331)
+    rows = [FeatureRow(rng.normal(0.5, 0.05, size=4), False) for _ in range(100)]
+    rows[85:91] = [FeatureRow(rng.normal(3.0, 0.1, size=4), True, "shift") for _ in range(6)]
+    for online in (False, True):
+        config = stream_config(window_len=8, **train)
+        ref = Detector(4, config, mode=Mode.FEATURES, online=online)
+        det = Detector(4, config, mode=Mode.FEATURES, online=online)
+        expected = stepped(ref, rows)
+        assert list(replay(det, rows)) == expected
+        assert any(d.is_attack for _, _, d in expected)
+        assert det.threshold == ref.threshold and np.array_equal(det.stats.G, ref.stats.G)
 
 
 def test_check_benign_prefix():
@@ -240,7 +290,7 @@ def test_decision_log_rejects_malformed_files(tmp_path):
 
 def test_align_with_trace_suffix_and_errors():
     trace = benign_trace()
-    result = run_stream(trace, stream_config())
+    result = run(Detector(3, stream_config()), trace)
     labels, types = align_with_trace(result.decisions, trace)
     assert labels == result.labels and types == result.attack_types
 

@@ -5,7 +5,7 @@ import pytest
 
 from aadetect.metrics import (DimensionError, DirectionalMetrics, MetricConfig,
                               MinMaxScaler, ScalingFactors, StreamMetrics,
-                              fit_scaling, min_max_apply, min_max_fit, normalize,
+                              fit_scaling, min_max_fit, normalize,
                               scaler_from_json)
 from aadetect.traffic import PacketRecord, TimestampOrderError
 
@@ -271,8 +271,8 @@ def test_scaling_dimension_mismatch():
 
 def test_min_max_fit_apply_worked_example():
     scaler = min_max_fit([np.array([0.0, 10.0]), np.array([4.0, 30.0])])
-    assert np.array_equal(min_max_apply(scaler, np.array([2.0, 20.0])), [0.5, 0.5])
-    assert np.array_equal(min_max_apply(scaler, np.array([8.0, 50.0])), [2.0, 2.0])
+    assert np.array_equal(scaler.apply(np.array([2.0, 20.0])), [0.5, 0.5])
+    assert np.array_equal(scaler.apply(np.array([8.0, 50.0])), [2.0, 2.0])
 
 
 def test_min_max_constant_column_maps_to_zero():
