@@ -13,6 +13,8 @@ pre-extracted flow statistics; real deployments read them from a CSV via
 Run:  python3 demos/multi_attack_features.py
 """
 
+import dataclasses
+
 import numpy as np
 
 from aadetect import Config, Detector, FeatureRow, Mode, run
@@ -38,7 +40,9 @@ mixed = (rows_from(0.5, 0.08, 300, label=False)
                      transform=lambda b: b * np.array([1, 1, 1, 1, 12.0, 1])))
 rng.shuffle(mixed)
 
-detector = Detector(DIM, Config(), mode=Mode.FEATURES, init_len=len(benign_train))
+config = Config()
+train = dataclasses.replace(config.train, init_len=len(benign_train))  # init on every benign row
+detector = Detector(DIM, dataclasses.replace(config, train=train), mode=Mode.FEATURES)
 result = run(detector, benign_train + mixed)
 report = result.report()
 

@@ -139,11 +139,6 @@ class AadrnnModel:
         readout.flags.writeable = False
         return cls(weights, readout, shape.act, shape.input_dim, shape.seed)
 
-    def shape(self) -> AadrnnShape:
-        return AadrnnShape(self.input_dim,
-                           tuple(w.shape[0] for w in self.hidden_weights),
-                           self.act, self.seed)
-
 
 def model_to_json(model: AadrnnModel) -> dict:
     """Model fields as JSON-ready values; float lists round-trip bit-exactly."""

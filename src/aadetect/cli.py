@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -102,8 +103,9 @@ def cmd_init(args) -> int:
         rows = [r for r in load_feature_dataset(args.trace) if r.label is not True]
         if len(rows) < 4:
             raise ValueError(f"feature training file has only {len(rows)} benign rows, need >= 4")
-        det = Detector(len(rows[0].features), config, mode=Mode.FEATURES,
-                       online=False, init_len=len(rows))
+        train = dataclasses.replace(config.train, init_len=len(rows))  # fit every benign row
+        det = Detector(len(rows[0].features), dataclasses.replace(config, train=train),
+                       mode=Mode.FEATURES, online=False)
         for _ in det.step_rows(rows):  # rows past the init window are judged: only their checks matter
             pass
     else:

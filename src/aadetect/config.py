@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -82,16 +83,25 @@ class Config:
         self.validate()
 
     def validate(self) -> None:
+        for name in _SECTIONS:
+            for key, value in vars(getattr(self, name)).items():
+                for v in value if isinstance(value, (list, tuple)) else (value,):
+                    if isinstance(v, float) and not math.isfinite(v):
+                        raise ValueError(f"{name}.{key} must be finite, got {v!r}")
         if self.threshold.mode not in ("whisker", "fixed"):
             raise ValueError(f"threshold.mode must be 'whisker' or 'fixed', got {self.threshold.mode!r}")
         if self.threshold.mode == "fixed" and self.threshold.value is None:
             raise ValueError("threshold.mode 'fixed' requires threshold.value")
         if self.threshold.value is not None and self.threshold.value <= 0:
             raise ValueError("threshold.value must be positive")
-        if self.train.init_len < 4:
-            raise ValueError("train.init_len must be >= 4")
-        if self.device.init_len < 4:
-            raise ValueError("device.init_len must be >= 4")
+        for name in ("train", "device"):  # the two sources of detector policy
+            policy = getattr(self, name)
+            if policy.init_len < 4:
+                raise ValueError(f"{name}.init_len must be >= 4")
+            if policy.window_len is not None and policy.window_len < 1:
+                raise ValueError(f"{name}.window_len must be >= 1")
+            if policy.window_seconds is not None and policy.window_seconds <= 0:
+                raise ValueError(f"{name}.window_seconds must be positive")
         if not (0.0 < self.device.alpha <= 1.0):
             raise ValueError("device.alpha must be in (0, 1]")
         if not (0.0 < self.device.level_threshold < 1.0):
@@ -102,10 +112,6 @@ class Config:
             raise ValueError("device.ttl_seconds must be positive")
         if self.device.threshold_scale <= 0:
             raise ValueError("device.threshold_scale must be positive")
-        if self.device.window_len is not None and self.device.window_len < 1:
-            raise ValueError("device.window_len must be >= 1")
-        if self.device.window_seconds is not None and self.device.window_seconds <= 0:
-            raise ValueError("device.window_seconds must be positive")
         # Delegated validation: these constructors reject bad values.
         self.metric_config()
         self.train_config()
@@ -116,10 +122,7 @@ class Config:
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(noise_sigma=self.train.noise_sigma,
-                           ridge_lambda=self.train.ridge_lambda,
-                           window_len=self.train.window_len,
-                           window_seconds=self.train.window_seconds,
-                           seed=self.train.seed)
+                           ridge_lambda=self.train.ridge_lambda, seed=self.train.seed)
 
     def to_dict(self) -> Dict[str, Dict[str, Any]]:
         return {name: dataclasses.asdict(getattr(self, name)) for name in _SECTIONS}

@@ -27,21 +27,18 @@ import zlib
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .aadrnn import (ActivationParams, AadrnnModel, AadrnnShape, model_from_json,
-                     model_to_json)
+from .aadrnn import AadrnnModel, AadrnnShape, model_from_json, model_to_json
 from .config import Config
-from .metrics import (DimensionError, MetricVector, MinMaxScaler, ScalingFactors,
-                      StreamMetrics, fit_scaling, min_max_fit, scaler_from_json)
+from .metrics import (DimensionError, StreamMetrics, fit_scaling, min_max_fit,
+                      scaler_from_json)
 from .traffic import FeatureRow, PacketRecord
 from .training import SufficientStats, fit_batch_with_stats, update_incremental
 
 STATE_VERSION = 1
-
-_UNSET = object()  # distinguishes "use the config value" from an explicit None
 
 
 class Mode(str, Enum):
@@ -69,30 +66,6 @@ class Decision:
     at_us: int
     mode: str
     threshold: float
-
-
-def decision_value(x: np.ndarray, x_hat: np.ndarray, gamma: np.ndarray) -> float:
-    """Weighted L1 gap between a vector and its reconstruction.
-
-    Zero weights are allowed here (they ignore a coordinate); configured
-    weights are validated as strictly positive where they are resolved.
-    """
-    x = np.asarray(x, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    if x.shape != x_hat.shape or x.shape != gamma.shape:
-        raise DimensionError(
-            f"mismatched shapes: x {x.shape}, x_hat {x_hat.shape}, gamma {gamma.shape}")
-    if np.any(gamma < 0) or abs(float(gamma.sum()) - 1.0) > 1e-9:
-        raise ValueError("gamma weights must be nonnegative and sum to 1")
-    return float(np.abs(x - x_hat) @ gamma)
-
-
-def classify(d: float, threshold: float) -> bool:
-    """Attack iff the decision value strictly exceeds the threshold."""
-    if not np.isfinite(threshold) or threshold <= 0:
-        raise ValueError(f"invalid threshold: {threshold!r}")
-    return d > threshold
 
 
 def whisker_threshold(train_values: Sequence[float]) -> float:
@@ -124,8 +97,9 @@ def simple_threshold_baseline(values: np.ndarray, theta: np.ndarray) -> bool:
     return bool(np.any(values > theta))
 
 
-def _weighted_errors(X: np.ndarray, X_hat: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    return np.abs(X - X_hat) @ gamma
+def _weighted_gap(x: np.ndarray, x_hat: np.ndarray, gamma: np.ndarray):
+    """The decision value of a row, or of each row of a matrix."""
+    return np.abs(x - x_hat) @ gamma
 
 
 class Detector:
@@ -138,42 +112,34 @@ class Detector:
     """
 
     def __init__(self, dim: int, config: Config, mode: Union[Mode, str] = Mode.BOTNET, *,
-                 online: Optional[bool] = None, shape: Optional[AadrnnShape] = None,
-                 threshold_scale: float = 1.0, init_len: Optional[int] = None,
-                 init_seconds: Any = _UNSET, window_len: Any = _UNSET,
-                 window_seconds: Any = _UNSET, noise_salt: Optional[int] = None,
-                 strict: bool = True):
+                 online: Optional[bool] = None, noise_salt: Optional[int] = None):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = dim
         self.config = config
         self.mode = Mode(mode)
         self.phase = Phase.INIT
-        self._metric_cfg = config.metric_config()
-        self._train_cfg = config.train_config()
-        self.gamma = self._metric_cfg.resolve_gamma(dim)
-        if threshold_scale <= 0:
-            raise ValueError("threshold_scale must be positive")
-        self._threshold_scale = threshold_scale
-        self._init_len = config.train.init_len if init_len is None else init_len
-        if self._init_len < 4:
-            raise ValueError("init_len must be >= 4")
-        self._init_seconds = (config.train.init_seconds if init_seconds is _UNSET
-                              else init_seconds)
-        self._window_len = (self._train_cfg.window_len if window_len is _UNSET
-                            else window_len)
-        self._window_seconds = (self._train_cfg.window_seconds if window_seconds is _UNSET
-                                else window_seconds)
+        metric_cfg = config.metric_config()
+        self.gamma = metric_cfg.resolve_gamma(dim)
+        # The one place config becomes init, window and threshold policy.
+        # Device init is count-based (see the devices module docstring).
+        if self.mode == Mode.DEVICE:
+            policy = config.device
+            self._init_seconds = None
+            self._threshold_scale = policy.threshold_scale
+        else:
+            policy = config.train
+            self._init_seconds = policy.init_seconds
+            self._threshold_scale = 1.0
+        self._init_len = policy.init_len
+        self._window_len = policy.window_len
+        self._window_seconds = policy.window_seconds
         self._noise_salt = noise_salt
-        self._shape = shape or AadrnnShape.default(dim, seed=self._train_cfg.seed)
-        if self._shape.input_dim != dim:
-            raise DimensionError(f"shape input_dim {self._shape.input_dim} != dim {dim}")
         if online is None:
             online = self.mode != Mode.FEATURES
         self._online_after_init = online
 
-        self._extractor = (StreamMetrics(self._metric_cfg, strict)
-                           if self.mode == Mode.BOTNET else None)
+        self._extractor = StreamMetrics(metric_cfg) if self.mode == Mode.BOTNET else None
         self._row_counter = 0
         self._init_rows: List[np.ndarray] = []
         self._init_first_us: Optional[int] = None
@@ -183,7 +149,6 @@ class Detector:
         self.stats: Optional[SufficientStats] = None
         self.threshold: Optional[float] = None
         self.init_values: Optional[np.ndarray] = None
-        self.init_decision_values: Optional[np.ndarray] = None
         self.last_values: Optional[np.ndarray] = None
 
         self._pending: List[np.ndarray] = []
@@ -247,7 +212,7 @@ class Detector:
 
         x = self.scaler.apply(raw)
         x_hat = self.model.forward(x)
-        d = float(np.abs(x - x_hat) @ self.gamma)
+        d = float(_weighted_gap(x, x_hat, self.gamma))
         is_attack = d > self.threshold
         self.last_values = x
         decision = Decision(value=d, is_attack=is_attack, at_us=at_us,
@@ -293,16 +258,16 @@ class Detector:
         else:
             self.scaler = fit_scaling(X_raw)
         X = self.scaler.apply(X_raw)
-        self.stats, self.model = fit_batch_with_stats(self._shape, X, self._train_cfg,
+        shape = AadrnnShape.default(self.dim, seed=self.config.train.seed)
+        self.stats, self.model = fit_batch_with_stats(shape, X, self.config.train_config(),
                                                       salt=self._noise_salt)
-        d_init = _weighted_errors(X, self.model.forward(X), self.gamma)
+        d_init = _weighted_gap(X, self.model.forward(X), self.gamma)
         if self.config.threshold.mode == "fixed":
             self.threshold = float(self.config.threshold.value)
         else:
             self.threshold = whisker_threshold(d_init) * self._threshold_scale
         X.flags.writeable = False
         self.init_values = X
-        self.init_decision_values = d_init
         self._init_rows = []
         self.phase = Phase.ONLINE if self._online_after_init else Phase.FROZEN
 
@@ -322,7 +287,8 @@ class Detector:
     def _finish_window(self) -> None:
         window = np.asarray(self._pending, dtype=float)
         self.stats, self.model = update_incremental(self.stats, window, self.model,
-                                                    self._train_cfg, salt=self._noise_salt)
+                                                    self.config.train_config(),
+                                                    salt=self._noise_salt)
         if (self.config.threshold.mode == "whisker"
                 and not self.config.threshold.freeze_after_init
                 and len(self._pending_d) >= 4):
@@ -373,7 +339,7 @@ def save_state(detector: Detector, path: Union[str, Path]) -> None:
 
 
 def load_state(path: Union[str, Path], config: Optional[Config] = None, *,
-               online: bool = False, strict: bool = True) -> Detector:
+               online: bool = False) -> Detector:
     """Rebuild a detector from a state file; it decides immediately, with no
     re-training (phase ``frozen``, or ``online`` to continue learning)."""
     with open(path, encoding="utf-8") as fh:
@@ -383,8 +349,7 @@ def load_state(path: Union[str, Path], config: Optional[Config] = None, *,
         raise ValueError(f"state file version {version} not supported (max {STATE_VERSION})")
     config = config or Config()
     model = model_from_json(doc)
-    detector = Detector(model.input_dim, config, mode=doc["mode"], online=online,
-                        shape=model.shape(), strict=strict)
+    detector = Detector(model.input_dim, config, mode=doc["mode"], online=online)
     detector.model = model
     detector.scaler = scaler_from_json(doc["scaling_factors"])
     detector.threshold = float(doc["threshold"])

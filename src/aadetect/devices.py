@@ -96,10 +96,9 @@ class InfectionReport:
 class DeviceBank:
     """The set of per-address detectors over one packet stream."""
 
-    def __init__(self, config: Config, strict: bool = True):
+    def __init__(self, config: Config):
         self.config = config
-        self._strict = strict
-        self._metrics = DirectionalMetrics(config.metric_config(), strict)
+        self._metrics = DirectionalMetrics(config.metric_config())
         self._devices: Dict[str, DeviceRecord] = {}
         self._evicted: List[DeviceReportRow] = []
         self._packets = 0
@@ -115,12 +114,8 @@ class DeviceBank:
         return self._devices.get(addr)
 
     def _new_device(self, addr: str) -> DeviceRecord:
-        dev = self.config.device
         det = Detector(DEVICE_DIM, self.config, mode=Mode.DEVICE, online=True,
-                       threshold_scale=dev.threshold_scale,
-                       init_len=dev.init_len, init_seconds=None,
-                       window_len=dev.window_len, window_seconds=dev.window_seconds,
-                       noise_salt=salt_for_address(addr), strict=self._strict)
+                       noise_salt=salt_for_address(addr))
         return DeviceRecord(addr=addr, detector=det)
 
     def ingest(self, pkt: PacketRecord) -> List[Tuple[str, Decision]]:

@@ -25,7 +25,7 @@ post-init traffic may legitimately exceed the observed range.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,15 +81,6 @@ class MetricConfig:
         return np.asarray(self.gamma, dtype=float)
 
 
-@dataclass(frozen=True)
-class MetricVector:
-    """A normalized metric vector paired with its raw values and timestamp."""
-
-    values: np.ndarray
-    raw: np.ndarray
-    at_us: int
-
-
 class StreamMetrics:
     """Streaming computation of (m1, m2, m3) for one packet stream.
 
@@ -97,9 +88,8 @@ class StreamMetrics:
     timestamps inside the trailing ``T`` window. Each update is O(1) amortized.
     """
 
-    def __init__(self, cfg: MetricConfig, strict: bool = True):
+    def __init__(self, cfg: MetricConfig):
         self.cfg = cfg
-        self.strict = strict
         self._recent: Deque[Tuple[int, int]] = deque()
         self._recent_bytes = 0
         self._window: Deque[int] = deque()
@@ -108,11 +98,8 @@ class StreamMetrics:
     def update(self, ts_us: int, size_bytes: int) -> np.ndarray:
         """Advance the buffers with one packet and return its metric triple."""
         if self._last_ts is not None and ts_us < self._last_ts:
-            if self.strict:
-                raise TimestampOrderError(
-                    f"timestamp {ts_us} precedes previous {self._last_ts}")
-        else:
-            self._last_ts = ts_us
+            raise TimestampOrderError(f"timestamp {ts_us} precedes previous {self._last_ts}")
+        self._last_ts = ts_us
 
         self._recent.append((ts_us, size_bytes))
         self._recent_bytes += size_bytes
@@ -145,9 +132,8 @@ class DirectionalMetrics:
     when that substream sees a packet, and is zero before its first one.
     """
 
-    def __init__(self, cfg: MetricConfig, strict: bool = True):
+    def __init__(self, cfg: MetricConfig):
         self.cfg = cfg
-        self.strict = strict
         self._tx: Dict[str, StreamMetrics] = {}
         self._rx: Dict[str, StreamMetrics] = {}
         self._tx_last: Dict[str, np.ndarray] = {}
@@ -158,12 +144,12 @@ class DirectionalMetrics:
         updated 6-value vectors keyed by address (one entry if src == dst)."""
         tx = self._tx.get(pkt.src)
         if tx is None:
-            tx = self._tx[pkt.src] = StreamMetrics(self.cfg, self.strict)
+            tx = self._tx[pkt.src] = StreamMetrics(self.cfg)
         self._tx_last[pkt.src] = tx.update(pkt.timestamp_us, pkt.size_bytes)
 
         rx = self._rx.get(pkt.dst)
         if rx is None:
-            rx = self._rx[pkt.dst] = StreamMetrics(self.cfg, self.strict)
+            rx = self._rx[pkt.dst] = StreamMetrics(self.cfg)
         self._rx_last[pkt.dst] = rx.update(pkt.timestamp_us, pkt.size_bytes)
 
         zeros = np.zeros(3)
@@ -216,13 +202,6 @@ def fit_scaling(raws: Iterable[np.ndarray]) -> ScalingFactors:
     scale = np.where(scale == 0.0, 1.0, scale)
     scale.flags.writeable = False
     return ScalingFactors(scale)
-
-
-def normalize(raw: np.ndarray, scaling: ScalingFactors, at_us: int = 0) -> MetricVector:
-    """Divide raw metrics by their scale factors. Values above 1 are kept:
-    out-of-range traffic is exactly what detection must see."""
-    raw = np.asarray(raw, dtype=float)
-    return MetricVector(values=scaling.apply(raw), raw=raw, at_us=at_us)
 
 
 @dataclass(frozen=True)

@@ -49,12 +49,10 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs of the denoising regression and the online window policy."""
+    """Knobs of the denoising regression."""
 
     noise_sigma: float = 0.1
     ridge_lambda: float = 1e-4
-    window_len: Optional[int] = 500
-    window_seconds: Optional[float] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -62,10 +60,6 @@ class TrainConfig:
             raise ValueError("noise_sigma must be >= 0")
         if self.ridge_lambda <= 0:
             raise ValueError("ridge_lambda must be positive")
-        if self.window_len is not None and self.window_len < 1:
-            raise ValueError("window_len must be >= 1 (or None for no updates)")
-        if self.window_seconds is not None and self.window_seconds <= 0:
-            raise ValueError("window_seconds must be positive when set")
 
 
 @dataclass(frozen=True)
@@ -314,15 +308,10 @@ def fit_batch_with_stats(shape: AadrnnShape, X: np.ndarray, cfg: TrainConfig,
     top of the initial fit."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("fit_batch needs a non-empty (n, M) matrix of benign rows")
+        raise ValueError("a batch fit needs a non-empty (n, M) matrix of benign rows")
     if X.shape[1] != shape.input_dim:
         raise DimensionError(f"rows have {X.shape[1]} values, shape expects {shape.input_dim}")
     base = AadrnnModel.initial(shape)
     stats = SufficientStats.empty(base.hidden_dim, base.input_dim)
     return update_incremental(stats, X, base, cfg, salt)
 
-
-def fit_batch(shape: AadrnnShape, X: np.ndarray, cfg: TrainConfig,
-              salt: Optional[int] = None) -> AadrnnModel:
-    """Offline fit over a benign batch; the model of ``fit_batch_with_stats``."""
-    return fit_batch_with_stats(shape, X, cfg, salt)[1]

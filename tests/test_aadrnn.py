@@ -163,7 +163,8 @@ def test_with_readout_shape_check_and_immutability():
         model.with_readout(np.zeros((3, 3)))
     fitted = model.with_readout(np.ones((4, 3)))
     assert not fitted.readout.flags.writeable
-    assert fitted.shape() == AadrnnShape(3, (5, 4))
+    assert fitted.hidden_weights is model.hidden_weights  # the same geometry, shared
+    assert (fitted.act, fitted.input_dim, fitted.seed) == (model.act, 3, model.seed)
 
 
 # -- serialization --------------------------------------------------------------------

@@ -14,12 +14,12 @@ import pytest
 from aadetect.aadrnn import ActivationParams, AadrnnModel, AadrnnShape, activation
 from aadetect.bench import (run_device_benchmark, run_drift_benchmark,
                             run_flood_benchmark)
-from aadetect.config import Config, config_from_dict
+from aadetect.config import config_from_dict
 from aadetect.detector import Decision, Detector, Mode, whisker_threshold
 from aadetect.devices import DeviceBank, infection_level
 from aadetect.evaluation import run, score
 from aadetect.metrics import (DirectionalMetrics, MetricConfig, ScalingFactors,
-                              StreamMetrics, normalize)
+                              StreamMetrics)
 from aadetect.traffic import PacketRecord, load_feature_dataset
 from aadetect.training import (SufficientStats, TrainConfig,
                                fit_batch_with_stats, update_incremental)
@@ -195,9 +195,8 @@ def test_criterion_7_real_dataset_accuracy():
     started = time.perf_counter()
     rows = load_feature_dataset(os.environ["AADETECT_DATASET"])
     benign = [r for r in rows if r.label is not True]
-    config = Config()
-    det = Detector(len(rows[0].features), config, mode=Mode.FEATURES,
-                   online=False, init_len=len(benign))
+    config = config_from_dict({"train": {"init_len": len(benign)}})
+    det = Detector(len(rows[0].features), config, mode=Mode.FEATURES, online=False)
     for row in benign:
         det.step(row)
     result = run(det, rows)
@@ -228,8 +227,8 @@ def suite_scaling_invariance(rng):
         raw = rng.uniform(0.1, 50.0, size=dim)
         scale = rng.uniform(0.5, 20.0, size=dim)
         c = float(rng.uniform(0.01, 100.0))
-        x1 = normalize(raw, ScalingFactors(scale)).values
-        x2 = normalize(c * raw, ScalingFactors(c * scale)).values
+        x1 = ScalingFactors(scale).apply(raw)
+        x2 = ScalingFactors(c * scale).apply(c * raw)
         assert np.allclose(x1, x2, rtol=1e-12, atol=0.0)
     return "scaling-pipeline invariance"
 

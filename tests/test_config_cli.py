@@ -3,10 +3,13 @@ in-process through ``cli.main``."""
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aadetect
 from aadetect import cli
 from aadetect.config import (Config, apply_overrides, config_from_dict,
                              load_config)
@@ -51,6 +54,10 @@ def test_config_validation_rules():
         config_from_dict({"threshold": {"mode": "magic"}})
     with pytest.raises(ValueError):
         config_from_dict({"train": {"init_len": 3}})
+    with pytest.raises(ValueError):
+        config_from_dict({"device": {"init_len": 3}})
+    with pytest.raises(ValueError):
+        config_from_dict({"device": {"threshold_scale": 0.0}})
     with pytest.raises(ValueError):
         config_from_dict({"device": {"alpha": 0.0}})
     with pytest.raises(ValueError):
@@ -97,6 +104,17 @@ def test_apply_overrides_errors():
         apply_overrides(Config(), ["nope.x=1"])
     with pytest.raises(ValueError):
         apply_overrides(Config(), ["train.nope=1"])
+
+
+@pytest.mark.parametrize("override", [
+    "threshold.value=NaN", "train.window_seconds=NaN", "train.noise_sigma=NaN",
+    "train.ridge_lambda=NaN", "train.init_seconds=NaN", "device.window_seconds=NaN",
+    "device.threshold_scale=NaN", "device.ttl_seconds=Infinity", "metrics.T_seconds=-Infinity",
+    "metrics.gamma=[NaN,0.5,0.5]"])
+def test_apply_overrides_rejects_non_finite_numbers(override):
+    key = override.split("=")[0]
+    with pytest.raises(ValueError, match=re.escape(f"{key} must be finite")):
+        apply_overrides(Config(), [override])
 
 
 def test_load_config(tmp_path):
@@ -250,6 +268,20 @@ def test_replay_usage_errors(flood_trace_file, tmp_path, capsys):
         assert not log.exists() and not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("override", ["threshold.value=NaN", "train.window_seconds=NaN"])
+def test_non_finite_config_value_exits_2(flood_trace_file, tmp_path, capsys, override):
+    # Before the check, a NaN fixed threshold judged nothing an attack and a
+    # NaN time window never closed, so its pending rows grew with the input.
+    log = tmp_path / "never.csv"
+    rc = cli.main(["replay", str(flood_trace_file), "--cold-start", "--log", str(log),
+                   "--set", "threshold.mode=fixed", "--set", "threshold.value=0.5",
+                   "--set", "train.window_len=null", "--set", override])
+    assert rc == 2
+    key = override.split("=")[0]
+    assert capsys.readouterr().err == f"error: {key} must be finite, got nan\n"
+    assert not log.exists()
+
+
 @pytest.mark.parametrize("mode", ["packets", "features", "devices"])
 def test_alerts_are_the_attack_rows_of_the_decision_log(tmp_path, mode):
     if mode == "features":
@@ -323,11 +355,29 @@ def test_feature_mode_init_and_replay(tmp_path, capsys):
 def stepped_feature_init(data, overrides, out):
     """``init --features`` the long way: every benign row stepped through."""
     rows = [r for r in load_feature_dataset(data) if r.label is not True]
-    det = Detector(len(rows[0].features), apply_overrides(Config(), overrides),
-                   mode=Mode.FEATURES, online=False, init_len=len(rows))
+    config = apply_overrides(Config(), overrides + [f"train.init_len={len(rows)}"])
+    det = Detector(len(rows[0].features), config, mode=Mode.FEATURES, online=False)
     for row in rows:
         det.step(row)
     save_state(det, out)
+
+
+def test_feature_init_fits_every_benign_row_whatever_train_init_len(tmp_path, capsys):
+    rng = np.random.default_rng(41)
+    rows = [FeatureRow(rng.normal(0.5, 0.05, size=4), False) for _ in range(20)]
+    rows += [FeatureRow(rng.normal(4.0, 0.1, size=4), True, "shift") for _ in range(3)]
+    rows += [FeatureRow(rng.normal(0.5, 0.05, size=4), False) for _ in range(10)]
+    data = tmp_path / "features.csv"
+    save_feature_dataset(rows, data)
+    states = []
+    for init_len in (None, 4, 29, 31, 100000):
+        state = tmp_path / f"state-{init_len}.json"
+        set_args = [] if init_len is None else ["--set", f"train.init_len={init_len}"]
+        assert cli.main(["init", str(data), "--features", "--out", str(state)] + set_args) == 0
+        assert "30 training rows" in capsys.readouterr().out
+        assert json.loads(state.read_text())["stats"]["n"] == 30
+        states.append(state.read_bytes())
+    assert all(s == states[0] for s in states)
 
 
 @pytest.mark.parametrize("init_seconds", [None, "0", "2e-05", "7.9e-05", "0.001"])
@@ -439,3 +489,16 @@ def test_bench_command_smoke(capsys):
     assert "checks passed" in out
     assert all(line.startswith(("PASS", "FAIL")) or "checks passed" in line
                for line in out.splitlines() if line.strip())
+
+
+def test_readme_api_matches_exports():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    imported = set()
+    for names in re.findall(r"from aadetect import (\([^)]*\)|[\w, ]+)", readme):
+        imported.update(re.findall(r"\w+", names))
+    assert imported and all(hasattr(aadetect, name) for name in imported), imported
+    code = "\n".join(re.findall(r"```.*?```|`[^`]+`", readme, flags=re.S))
+    exported = {name for name, value in vars(aadetect).items()
+                if not name.startswith("_") and not isinstance(value, type(aadetect))}
+    unmentioned = {name for name in exported if not re.search(rf"\b{name}\b", code)}
+    assert not unmentioned, f"exported but not in the README: {sorted(unmentioned)}"

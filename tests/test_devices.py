@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from aadetect.config import config_from_dict
+from aadetect.detector import whisker_threshold
 from aadetect.devices import (DEVICE_DIM, DeviceBank, InfectionReport,
                               infection_level)
 from aadetect.traffic import PacketRecord
@@ -113,6 +114,27 @@ def test_decisions_start_after_per_device_init():
             assert dec.value >= 0.0 and dec.mode == "device"
     # Every packet involves both hosts, so each sees 40 vectors: 6 for init.
     assert counts == {"a": 34, "b": 34}
+
+
+def test_device_policy_comes_from_the_device_section():
+    # Followed by a device, the train section's time-based init would end
+    # after 4 vectors and its count window would refit every 2 accepted rows.
+    cfg = config_from_dict({"device": {"init_len": 6, "threshold_scale": 4.0},
+                            "train": {"init_seconds": 0.5, "window_len": 2},
+                            "metrics": {"N": 5, "T_seconds": 1.0}})
+    trace = benign_device_trace(np.random.default_rng(263), 40, ["a", "b"],
+                                mean_gap_us=200_000)
+    bank = DeviceBank(cfg)
+    for pkt in trace[:6]:
+        assert bank.ingest(pkt) == []
+    first = dict(bank.ingest(trace[6]))["a"]
+    det = bank.device("a").detector
+    X = det.init_values
+    assert X.shape[0] == 6
+    assert first.threshold == whisker_threshold(np.abs(X - det.model.forward(X)) @ det.gamma) * 4
+    for pkt in trace[7:]:
+        bank.ingest(pkt)
+    assert det.accepted_rows == 6 and det.pending_rows > 2
 
 
 def test_receive_only_device_is_still_monitored():

@@ -160,7 +160,7 @@ def test_replay_leaves_each_decisions_values_on_the_detector():
 def test_run_feature_rows_offline_by_default():
     rng = np.random.default_rng(313)
     rows = [FeatureRow(rng.uniform(0, 1, size=3), False) for _ in range(30)]
-    result = run(Detector(3, stream_config(), mode=Mode.FEATURES, init_len=10), rows)
+    result = run(Detector(3, stream_config(init_len=10), mode=Mode.FEATURES), rows)
     assert result.skipped == 10 and len(result.decisions) == 20
     assert result.detector.phase.value == "frozen"
     empty = run(Detector(3, stream_config(), mode=Mode.FEATURES), [])

@@ -5,7 +5,7 @@ import pytest
 
 from aadetect.metrics import (DimensionError, DirectionalMetrics, MetricConfig,
                               MinMaxScaler, ScalingFactors, StreamMetrics,
-                              fit_scaling, min_max_fit, normalize,
+                              fit_scaling, min_max_fit,
                               scaler_from_json)
 from aadetect.traffic import PacketRecord, TimestampOrderError
 
@@ -109,14 +109,15 @@ def test_m3_at_least_one_everywhere():
             assert sm.update(ts, size)[2] >= 1.0
 
 
-def test_out_of_order_strict_raises_lenient_does_not():
-    sm = StreamMetrics(MetricConfig(N=5, T_us=1_000_000), strict=True)
+def test_out_of_order_timestamp_raises():
+    sm = StreamMetrics(MetricConfig(N=5, T_us=1_000_000))
     sm.update(10, 1)
     with pytest.raises(TimestampOrderError):
         sm.update(9, 1)
-    lenient = StreamMetrics(MetricConfig(N=5, T_us=1_000_000), strict=False)
-    lenient.update(10, 1)
-    lenient.update(9, 1)  # tolerated
+    dm = DirectionalMetrics(MetricConfig(N=5, T_us=1_000_000))
+    dm.update(PacketRecord(10, "a", "b", 1))
+    with pytest.raises(TimestampOrderError):
+        dm.update(PacketRecord(9, "a", "c", 1))
 
 
 # -- directional 6-metric extension -------------------------------------------
@@ -243,21 +244,21 @@ def test_fit_scaling_rejects_empty_and_non_finite():
 
 def test_normalize_endpoints_and_homogeneity():
     s = ScalingFactors(np.array([200.0, 2.0, 4.0]))
-    assert np.array_equal(normalize(np.array([200.0, 2.0, 4.0]), s).values, [1, 1, 1])
-    assert np.array_equal(normalize(np.zeros(3), s).values, [0, 0, 0])
-    assert np.array_equal(normalize(np.array([400.0, 4.0, 8.0]), s).values, [2, 2, 2])
+    assert np.array_equal(s.apply(np.array([200.0, 2.0, 4.0])), [1, 1, 1])
+    assert np.array_equal(s.apply(np.zeros(3)), [0, 0, 0])
+    assert np.array_equal(s.apply(np.array([400.0, 4.0, 8.0])), [2, 2, 2])
     rng = np.random.default_rng(5)
     for case in range(100):
         raw = rng.uniform(0, 100, size=3)
         c = float(rng.uniform(0.1, 10))
-        assert np.allclose(normalize(c * raw, s).values,
-                           c * normalize(raw, s).values, rtol=1e-12)
+        assert np.allclose(s.apply(c * raw), c * s.apply(raw), rtol=1e-12)
 
 
-def test_normalize_keeps_raw_and_timestamp():
+def test_scaling_apply_keeps_the_raw_vector():
     s = ScalingFactors(np.array([2.0]))
-    mv = normalize(np.array([4.0]), s, at_us=123)
-    assert mv.at_us == 123 and mv.raw[0] == 4.0 and mv.values[0] == 2.0
+    raw = np.array([4.0])
+    x = s.apply(raw)
+    assert raw[0] == 4.0 and x[0] == 2.0 and x is not raw
 
 
 def test_scaling_dimension_mismatch():

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from aadetect.aadrnn import AadrnnModel, AadrnnShape
+from aadetect.config import config_from_dict
 from aadetect.detector import salt_for_address
 from aadetect.metrics import DimensionError
 from aadetect.training import (SufficientStats, TrainConfig, TrainingError,
                                _corrupt_window, _window_noise, accumulate_pairs,
-                               corrupt, fit_batch, fit_batch_with_stats,
+                               corrupt, fit_batch_with_stats,
                                noise_rng, solve_readout, update_incremental)
 
 
@@ -137,7 +138,8 @@ def test_window_noise_rejects_a_negative_seed_as_noise_rng_does():
     with pytest.raises(ValueError):
         _window_noise(0, 5, 3, TrainConfig(seed=-1), None)
     with pytest.raises(ValueError):
-        fit_batch(AadrnnShape.default(3, seed=1), np.ones((5, 3)), TrainConfig(seed=-1))
+        fit_batch_with_stats(AadrnnShape.default(3, seed=1), np.ones((5, 3)),
+                             TrainConfig(seed=-1))
 
 
 def test_corrupt_window_equals_per_row_corrupt():
@@ -162,7 +164,7 @@ def test_fit_batch_matches_closed_form_oracle():
         cfg = TrainConfig(noise_sigma=0.1, ridge_lambda=1e-4, seed=int(rng.integers(1000)))
         X = random_rows(rng, int(rng.integers(5, 30)), dim)
         salt = int(rng.integers(1 << 16)) if case % 2 else None
-        model = fit_batch(shape, X, cfg, salt)
+        model = fit_batch_with_stats(shape, X, cfg, salt)[1]
         expected = oracle_readout(shape, X, cfg, salt)
         assert np.allclose(model.readout, expected, rtol=1e-9, atol=1e-11)
 
@@ -174,14 +176,14 @@ def test_constant_rows_become_a_near_fixed_point():
     x_star = np.array([0.6, 0.3, 0.9])
     X = np.tile(x_star, (50, 1))
     cfg = TrainConfig(noise_sigma=0.0, ridge_lambda=1e-8)
-    model = fit_batch(shape, X, cfg)
+    model = fit_batch_with_stats(shape, X, cfg)[1]
     assert np.max(np.abs(model.forward(x_star) - x_star)) <= 1e-4
 
 
 def test_all_zero_window_with_no_noise_yields_zero_readout():
     shape = AadrnnShape.default(3)
     cfg = TrainConfig(noise_sigma=0.0, ridge_lambda=1e-4)
-    model = fit_batch(shape, np.zeros((10, 3)), cfg)
+    model = fit_batch_with_stats(shape, np.zeros((10, 3)), cfg)[1]
     assert np.array_equal(model.readout, np.zeros((3, 3)))
 
 
@@ -217,7 +219,7 @@ def test_noise_is_keyed_to_global_row_index_not_window_position():
     shape = AadrnnShape.default(2, seed=9)
     cfg = TrainConfig(noise_sigma=0.3, ridge_lambda=1e-4, seed=1)
     X = random_rows(np.random.default_rng(17), 6, 2)
-    whole = fit_batch(shape, X, cfg)
+    whole = fit_batch_with_stats(shape, X, cfg)[1]
     stats = SufficientStats.empty(whole.hidden_dim, 2)
     model = AadrnnModel.initial(shape)
     stats, model = update_incremental(stats, X[:1], model, cfg)
@@ -316,19 +318,20 @@ def test_train_config_validation():
         TrainConfig(noise_sigma=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(ridge_lambda=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(window_len=0)
-    with pytest.raises(ValueError):
-        TrainConfig(window_seconds=0.0)
-    TrainConfig(window_len=None, window_seconds=None)  # both off: no online updates
+    # The window policy is checked with the rest of the config.
+    with pytest.raises(ValueError, match="train.window_len"):
+        config_from_dict({"train": {"window_len": 0}})
+    with pytest.raises(ValueError, match="train.window_seconds"):
+        config_from_dict({"train": {"window_seconds": 0.0}})
+    config_from_dict({"train": {"window_len": None, "window_seconds": None}})  # no online updates
 
 
 def test_fit_batch_validation():
     shape = AadrnnShape.default(3)
     with pytest.raises(ValueError):
-        fit_batch(shape, np.empty((0, 3)), TrainConfig())
+        fit_batch_with_stats(shape, np.empty((0, 3)), TrainConfig())
     with pytest.raises(DimensionError):
-        fit_batch(shape, np.zeros((4, 2)), TrainConfig())
+        fit_batch_with_stats(shape, np.zeros((4, 2)), TrainConfig())
     with pytest.raises(DimensionError):
         update_incremental(SufficientStats.empty(3, 3), np.zeros((2, 4)),
                            AadrnnModel.initial(shape), TrainConfig())
