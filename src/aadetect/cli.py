@@ -110,15 +110,18 @@ def cmd_init(args) -> int:
             pass
     else:
         trace = load_trace(args.trace)
-        benign = [p for p in trace if p.label is not True]
+        benign = [i for i, label in enumerate(trace.label) if label is not True]
         det = Detector(3, config, mode=Mode.BOTNET, online=False)
-        for pkt in benign:
-            det.step(pkt)
+        for i in benign:  # a record is built only for each packet stepped
+            det.step(trace[i])
             if det.phase != Phase.INIT:
                 break
         if det.phase == Phase.INIT:
+            window = (f"train.init_seconds={config.train.init_seconds:g}"
+                      if config.train.init_seconds is not None
+                      else f"train.init_len={config.train.init_len}")
             raise ValueError(f"trace has only {len(benign)} usable benign packets, "
-                             f"init needs {config.train.init_len}")
+                             f"init needs {window}")
     save_state(det, args.out)
     print(f"initialized {det.mode.value} detector: {det.accepted_rows} training rows, "
           f"threshold {det.threshold:.6g} -> {args.out}")

@@ -1,4 +1,4 @@
-"""Run configuration: one JSON file, five sections, strict keys.
+"""Run configuration: one JSON file, five sections, strict keys and types.
 
 Defaults apply for absent keys; unknown sections or keys are rejected.
 ``--set section.key=value`` overrides parse values as JSON where possible
@@ -13,7 +13,8 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Dict, List, Optional, Sequence, Tuple, Union, get_args,
+                    get_origin, get_type_hints)
 
 from .metrics import MetricConfig
 from .training import TrainConfig
@@ -71,6 +72,34 @@ _SECTIONS = {
 }
 
 
+# Each key's annotation, e.g. Optional[float]: what validate accepts.
+_HINTS = {name: get_type_hints(cls) for name, cls in _SECTIONS.items()}
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _is_kind(value: Any, kind: type) -> bool:
+    """An int stands for a float; a bool is no number."""
+    if kind is not bool and isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_type(key: str, value: Any, hint: Any) -> None:
+    """Reject a value of the wrong type, naming the key."""
+    optional = type(None) in get_args(hint)
+    if value is None and optional:
+        return
+    kind = get_args(hint)[0] if optional else hint
+    if get_origin(kind) is list:  # gamma, the one list key: List[float]
+        ok = isinstance(value, (list, tuple)) and all(_is_kind(v, float) for v in value)
+        wanted = "a list of numbers"
+    else:
+        ok = _is_kind(value, kind)
+        wanted = _KIND_NAMES[kind]
+    if not ok:
+        raise ValueError(f"{key} must be {wanted}{' or null' if optional else ''}, got {value!r}")
+
+
 @dataclass
 class Config:
     metrics: MetricsSection = field(default_factory=MetricsSection)
@@ -83,8 +112,9 @@ class Config:
         self.validate()
 
     def validate(self) -> None:
-        for name in _SECTIONS:
+        for name, hints in _HINTS.items():
             for key, value in vars(getattr(self, name)).items():
+                _check_type(f"{name}.{key}", value, hints[key])
                 for v in value if isinstance(value, (list, tuple)) else (value,):
                     if isinstance(v, float) and not math.isfinite(v):
                         raise ValueError(f"{name}.{key} must be finite, got {v!r}")

@@ -27,7 +27,7 @@ import zlib
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -171,21 +171,24 @@ class Detector:
         raise LifecycleError("device-mode detectors are fed by the DeviceBank")
 
     def step_rows(self, rows: Sequence[Union[PacketRecord, FeatureRow, np.ndarray]]
-                  ) -> Iterator[Optional[Decision]]:
-        """``step`` over packets or feature rows, yielding one result per
-        item. A fresh FEATURES detector fits its init window with one
-        ``initialize`` call on the rows ``init_cut`` names, then steps the
-        rest: the same detector and decisions as stepping every row."""
+                  ) -> Iterator[Tuple[Union[PacketRecord, FeatureRow, np.ndarray],
+                                      Optional[Decision]]]:
+        """``step`` over packets or feature rows, yielding each item with its
+        result; ``rows`` is iterated once. A fresh FEATURES detector fits its
+        init window with one ``initialize`` call on the rows ``init_cut``
+        names, then steps the rest: the same detector and decisions as
+        stepping every row."""
         start = 0
         if self.mode == Mode.FEATURES and self.phase == Phase.INIT and self._row_counter == 0:
             cut = self.init_cut(len(rows))
             if cut is not None:
+                head = rows[:cut]
                 self.initialize([row.features if isinstance(row, FeatureRow) else row
-                                 for row in rows[:cut]])
+                                 for row in head])
                 self._row_counter = start = cut
-                yield from itertools.repeat(None, cut)
+                yield from zip(head, itertools.repeat(None))
         for row in itertools.islice(rows, start, None):
-            yield self.step(row)
+            yield row, self.step(row)
 
     def observe(self, raw: np.ndarray, at_us: int) -> Optional[Decision]:
         """Consume one raw metric vector. Returns None during init."""

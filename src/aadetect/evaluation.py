@@ -149,7 +149,7 @@ def replay(engine: Union[Detector, DeviceBank],
             for addr, decision in engine.ingest(pkt):
                 yield pkt, addr, decision
         return
-    for item, decision in zip(items, engine.step_rows(items)):
+    for item, decision in engine.step_rows(items):
         if decision is not None:
             yield item, None, decision
 
@@ -185,8 +185,8 @@ def check_benign_prefix(trace: Trace, init_len: int) -> None:
     """The first ``init_len`` packets must be labeled benign."""
     if len(trace) < init_len:
         raise ValueError(f"trace has {len(trace)} packets, init needs {init_len}")
-    for i in range(init_len):
-        if trace[i].label is not False:
+    for i, label in enumerate(trace.label[:init_len]):
+        if label is not False:
             raise ValueError(
                 f"benign prefix shorter than init_len: packet {i} is not labeled benign")
 
@@ -246,15 +246,14 @@ def align_with_trace(decisions: Sequence[Decision], trace: Trace
     offset = len(trace) - len(decisions)
     if offset < 0:
         raise ValueError(f"{len(decisions)} decisions but only {len(trace)} trace rows")
-    for i, dec in enumerate(decisions):
-        rec = trace[offset + i]
-        if dec.at_us != rec.timestamp_us:
-            raise ValueError(
-                f"log/trace misalignment at decision row {i}: "
-                f"decision timestamp {dec.at_us} != trace timestamp {rec.timestamp_us}")
-    labels = [trace[offset + i].label for i in range(len(decisions))]
-    types = [trace[offset + i].attack_type for i in range(len(decisions))]
-    return labels, types
+    logged = [dec.at_us for dec in decisions]
+    expected = trace.timestamp_us[offset:].tolist()
+    if logged != expected:
+        i = next(i for i, (got, want) in enumerate(zip(logged, expected)) if got != want)
+        raise ValueError(
+            f"log/trace misalignment at decision row {i}: "
+            f"decision timestamp {logged[i]} != trace timestamp {expected[i]}")
+    return list(trace.label[offset:]), list(trace.attack_type[offset:])
 
 
 def emit_plot_data(report: Union[EvalReport, InfectionReport],

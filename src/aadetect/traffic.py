@@ -4,15 +4,25 @@ Canonical trace CSV: header ``timestamp_us,src,dst,size_bytes,label,attack_type`
 with ``label`` in {0, 1, empty} and ``attack_type`` free text (empty when absent).
 Feature CSV: header ``f1,...,fM,label,attack_type``. Timestamps are integer
 microseconds so inter-arrival arithmetic stays exact.
+
+A ``Trace`` holds its packets as columns, not as one ``PacketRecord`` per
+row. ``load_trace`` splits ``_TRACE_BLOCK`` lines at a time into those
+columns and checks each block at once. A block that fails a check, or that
+``str.split`` could read differently from ``csv.reader`` (a quote, a
+carriage return, a NUL, a line without exactly six fields or an over-long
+line), goes through ``_parse_rows``, the row-by-row loop, which names the
+first bad line exactly as a row-by-row parse would. Feature files are read
+in blocks too.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,21 +59,67 @@ class PacketRecord:
             raise ValueError(f"negative packet size: {self.size_bytes}")
 
 
-@dataclass(frozen=True)
-class Trace:
-    """An ordered packet sequence."""
+# Lines that load_trace splits into columns at once, and packets built per
+# slice when a trace is iterated: enough to amortise the numpy calls, while a
+# block's temporary strings stay small next to the trace itself.
+_TRACE_BLOCK = 1024
 
-    records: Tuple[PacketRecord, ...]
-    name: str = ""
+
+class Trace:
+    """An ordered packet sequence, held as columns.
+
+    ``timestamp_us`` and ``size_bytes`` are read-only int64 arrays; ``src``,
+    ``dst``, ``label`` and ``attack_type`` are tuples, with each distinct
+    address and type string stored once when the trace was loaded from a
+    file. ``len``, indexing and iteration give ``PacketRecord`` objects with
+    plain ``int`` fields, built one at a time; a slice is a ``Trace``.
+    ``Trace(records)`` builds the columns from packet records.
+    """
+
+    __slots__ = TRACE_FIELDS + ("name",)
+
+    def __init__(self, records: Iterable[PacketRecord] = (), name: str = ""):
+        rows = [(r.timestamp_us, r.src, r.dst, r.size_bytes, r.label, r.attack_type)
+                for r in records]
+        self._fill(*(zip(*rows) if rows else [()] * len(TRACE_FIELDS)), name=name)
+
+    @classmethod
+    def _from_columns(cls, *columns, name: str = "") -> "Trace":
+        trace = cls.__new__(cls)
+        trace._fill(*columns, name=name)
+        return trace
+
+    def _fill(self, timestamp_us, src, dst, size_bytes, label, attack_type, name: str) -> None:
+        self.timestamp_us = np.asarray(timestamp_us, dtype=np.int64)
+        self.size_bytes = np.asarray(size_bytes, dtype=np.int64)
+        self.timestamp_us.flags.writeable = self.size_bytes.flags.writeable = False
+        self.src, self.dst = tuple(src), tuple(dst)
+        self.label, self.attack_type = tuple(label), tuple(attack_type)
+        self.name = name
+
+    @property
+    def records(self) -> Tuple[PacketRecord, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.timestamp_us)
 
     def __iter__(self) -> Iterator[PacketRecord]:
-        return iter(self.records)
+        for start in range(0, len(self), _TRACE_BLOCK):
+            part = slice(start, start + _TRACE_BLOCK)
+            yield from map(PacketRecord, self.timestamp_us[part].tolist(), self.src[part],
+                           self.dst[part], self.size_bytes[part].tolist(), self.label[part],
+                           self.attack_type[part])
 
     def __getitem__(self, idx):
-        return self.records[idx]
+        if isinstance(idx, slice):
+            return Trace._from_columns(*(getattr(self, f)[idx] for f in TRACE_FIELDS),
+                                       name=self.name)
+        return PacketRecord(int(self.timestamp_us[idx]), self.src[idx], self.dst[idx],
+                            int(self.size_bytes[idx]), self.label[idx], self.attack_type[idx])
+
+    def __repr__(self) -> str:
+        return f"Trace({self.name!r}, {len(self)} packets)"
 
 
 @dataclass(frozen=True)
@@ -75,35 +131,70 @@ class FeatureRow:
     attack_type: Optional[str] = None
 
 
+_LABELS = {"": None, "0": False, "1": True}
+_BAD_LABEL = object()
+_INT64 = np.iinfo(np.int64)
+
+
 def _parse_label(text: str, path, line_no: int) -> Optional[bool]:
-    if text == "":
+    label = _LABELS.get(text, _BAD_LABEL)
+    if label is _BAD_LABEL:
+        raise TraceParseError(path, line_no, f"label must be 0, 1 or empty, got {text!r}")
+    return label
+
+
+def _split_block(lines: List[str]) -> Optional[List[List[str]]]:
+    """A block of trace lines as six columns of field strings, or None when
+    ``csv.reader`` could read them otherwise: a quote, a carriage return, a
+    NUL, a line without exactly six fields (a blank line has one) or a line
+    longer than csv's field size limit."""
+    text = "".join(lines)
+    if '"' in text or "\r" in text or "\0" in text:
         return None
-    if text == "0":
-        return False
-    if text == "1":
-        return True
-    raise TraceParseError(path, line_no, f"label must be 0, 1 or empty, got {text!r}")
+    rows = text.split("\n")
+    if rows[-1] == "":  # the block's last line ended with a newline
+        rows.pop()
+    if set(map(str.count, rows, repeat(","))) != {5}:
+        return None
+    if len(text) > csv.field_size_limit() and max(map(len, rows)) > csv.field_size_limit():
+        return None
+    fields = ",".join(rows).split(",")
+    return [fields[k::6] for k in range(6)]
 
 
-def load_trace(path: Union[str, Path], on_unsorted: str = "error") -> Trace:
-    """Load a canonical trace CSV.
+def _block_columns(columns: List[List[str]], prev_ts: Optional[int]):
+    """Convert a split block, checking it all at once: ``(timestamps, sizes,
+    labels)``, or None if any row is bad (the row loop then names it)."""
+    n = len(columns[0])
+    try:
+        ts = np.fromiter(map(int, columns[0]), np.int64, n)
+        size = np.fromiter(map(int, columns[3]), np.int64, n)
+    except (ValueError, OverflowError):
+        return None
+    labels = list(map(_LABELS.get, columns[4], repeat(_BAD_LABEL)))
+    if (_BAD_LABEL in labels or (size < 0).any() or (ts[1:] < ts[:-1]).any()
+            or (prev_ts is not None and ts[0] < prev_ts)):
+        return None
+    return ts, size, labels
 
-    ``on_unsorted`` is "error" (reject a backwards timestamp, naming the line)
-    or "sort" (stable-sort by timestamp, preserving file order on ties).
-    """
-    if on_unsorted not in ("error", "sort"):
-        raise ValueError(f"on_unsorted must be 'error' or 'sort', got {on_unsorted!r}")
-    path = Path(path)
-    records: List[PacketRecord] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != list(TRACE_FIELDS):
-            raise TraceParseError(path, 1, f"expected header {','.join(TRACE_FIELDS)}")
-        prev_ts = None
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
+
+def _parse_rows(path: Path, lines: List[str], fh, line_no: int, prev_ts: Optional[int]):
+    """The row-by-row parse of a block with ``csv.reader``: the exact reference
+    for every row and the first error. A quoted field that runs past the
+    block's last line is finished from ``fh``. Returns the block's columns
+    ``(timestamps, src, dst, sizes, labels, raw attack types)`` and the line
+    number of the next csv record (blank records count too)."""
+    pulled = 0
+
+    def feed():
+        nonlocal pulled
+        for line in chain(lines, fh):
+            pulled += 1
+            yield line
+
+    out: Tuple[list, ...] = ([], [], [], [], [], [])
+    for line_no, row in enumerate(csv.reader(feed()), start=line_no):
+        if row:
             if len(row) != len(TRACE_FIELDS):
                 raise TraceParseError(path, line_no, f"expected {len(TRACE_FIELDS)} columns, got {len(row)}")
             try:
@@ -112,18 +203,68 @@ def load_trace(path: Union[str, Path], on_unsorted: str = "error") -> Trace:
             except ValueError as exc:
                 raise TraceParseError(path, line_no, f"bad integer field: {exc}") from None
             label = _parse_label(row[4].strip(), path, line_no)
-            attack_type = row[5].strip() or None
-            try:
-                rec = PacketRecord(ts, row[1], row[2], size, label, attack_type)
-            except ValueError as exc:
-                raise TraceParseError(path, line_no, str(exc)) from None
-            if prev_ts is not None and ts < prev_ts and on_unsorted == "error":
+            if size < 0:
+                raise TraceParseError(path, line_no, f"negative packet size: {size}")
+            if prev_ts is not None and ts < prev_ts:
                 raise TraceParseError(path, line_no, f"timestamp {ts} goes backwards (previous {prev_ts})")
+            if not (_INT64.min <= ts <= _INT64.max and size <= _INT64.max):
+                raise TraceParseError(path, line_no, "integer field does not fit in 64 bits")
             prev_ts = ts
-            records.append(rec)
-    if on_unsorted == "sort":
-        records.sort(key=lambda r: r.timestamp_us)  # list.sort is stable
-    return Trace(tuple(records), name=path.stem)
+            for column, value in zip(out, (ts, row[1], row[2], size, label, row[5])):
+                column.append(value)
+        if pulled >= len(lines):
+            break
+    return out, line_no + 1
+
+
+def load_trace(path: Union[str, Path]) -> Trace:
+    """Load a canonical trace CSV. A timestamp that goes backwards is an error
+    naming its line, as is any other bad row.
+
+    Lines are split into columns ``_TRACE_BLOCK`` at a time (see the module
+    docstring); the row-by-row ``_parse_rows`` takes any block the fast split
+    cannot read exactly or that fails a check. Address and attack-type
+    strings are stored once each.
+    """
+    path = Path(path)
+    ts_blocks, size_blocks = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    src: List[str] = []
+    dst: List[str] = []
+    labels: List[Optional[bool]] = []
+    types: List[Optional[str]] = []
+    addresses: dict = {}
+    type_of: dict = {}  # raw field -> attack type
+    prev_ts: Optional[int] = None
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None or [h.strip() for h in header] != list(TRACE_FIELDS):
+            raise TraceParseError(path, 1, f"expected header {','.join(TRACE_FIELDS)}")
+        line_no = 2
+        while True:
+            lines = list(islice(fh, _TRACE_BLOCK))
+            if not lines:
+                break
+            columns = _split_block(lines)
+            checked = _block_columns(columns, prev_ts) if columns is not None else None
+            if checked is not None:
+                ts, size, block_labels = checked
+                line_no += len(block_labels)
+            else:
+                columns, line_no = _parse_rows(path, lines, fh, line_no, prev_ts)
+                ts, size, block_labels = (np.array(columns[0], np.int64),
+                                          np.array(columns[3], np.int64), columns[4])
+            if len(ts):
+                prev_ts = int(ts[-1])
+            for raw in set(columns[5]).difference(type_of):
+                type_of[raw] = raw.strip() or None
+            ts_blocks.append(ts)
+            size_blocks.append(size)
+            src.extend(map(addresses.setdefault, columns[1], columns[1]))
+            dst.extend(map(addresses.setdefault, columns[2], columns[2]))
+            labels.extend(block_labels)
+            types.extend(map(type_of.__getitem__, columns[5]))
+    return Trace._from_columns(np.concatenate(ts_blocks), src, dst, np.concatenate(size_blocks),
+                               labels, types, name=path.stem)
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:

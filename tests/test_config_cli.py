@@ -3,7 +3,10 @@ in-process through ``cli.main``."""
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +283,72 @@ def test_non_finite_config_value_exits_2(flood_trace_file, tmp_path, capsys, ove
     key = override.split("=")[0]
     assert capsys.readouterr().err == f"error: {key} must be finite, got nan\n"
     assert not log.exists()
+
+
+NUMERIC_KEYS = ["metrics.N", "metrics.T_seconds", "train.noise_sigma", "train.ridge_lambda",
+                "train.window_len", "train.window_seconds", "train.seed", "train.init_len",
+                "train.init_seconds", "threshold.value", "device.alpha",
+                "device.level_threshold", "device.hysteresis_k", "device.ttl_seconds",
+                "device.init_len", "device.window_len", "device.window_seconds",
+                "device.threshold_scale"]
+
+
+def test_numeric_keys_are_every_number_in_the_config():
+    numbers = {f"{section}.{key}" for section, body in Config().to_dict().items()
+               for key, value in body.items()
+               if isinstance(value, (int, float)) and not isinstance(value, bool)}
+    assert numbers <= set(NUMERIC_KEYS)
+    assert set(NUMERIC_KEYS) - numbers == {"train.window_seconds", "train.init_seconds",
+                                           "threshold.value", "device.window_len"}  # None by default
+
+
+@pytest.mark.parametrize("override", [f"{key}=abc" for key in NUMERIC_KEYS]
+                         + ["threshold.value=nan", "metrics.N=2.5", "train.init_len=true"])
+def test_a_wrong_type_in_a_numeric_key_exits_2(flood_trace_file, tmp_path, capsys, override):
+    # Before the check, a string reached a comparison or TrainConfig and ended
+    # in a TypeError traceback; "nan" in lowercase is not JSON, so it is a string.
+    log = tmp_path / "never.csv"
+    rc = cli.main(["replay", str(flood_trace_file), "--cold-start", "--log", str(log),
+                   "--set", "threshold.mode=fixed", "--set", "threshold.value=0.5",
+                   "--set", override])
+    assert rc == 2
+    key, value = override.split("=")
+    try:
+        value = json.loads(value)  # as --set reads it
+    except json.JSONDecodeError:
+        pass
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {re.escape(key)} must be (a number|an integer)( or null)?, "
+                        rf"got {re.escape(repr(value))}\n", err), err
+    assert not log.exists()
+
+
+def test_short_init_names_the_window_key_in_force(tmp_path, capsys):
+    benign = tmp_path / "benign.csv"
+    assert cli.main(["synth", "--out", str(benign), "--duration", "5", "--rate", "50",
+                     "--seed", "1"]) == 0
+    assert "wrote 254 packets (0 attack)" in capsys.readouterr().out
+    state = tmp_path / "s.json"
+    rc = cli.main(["init", str(benign), "--out", str(state),
+                   "--set", "train.init_seconds=100", "--set", "train.init_len=50"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: trace has only 254 usable benign packets, "
+                                       "init needs train.init_seconds=100\n")
+    rc = cli.main(["init", str(benign), "--out", str(state), "--set", "train.init_len=300"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: trace has only 254 usable benign packets, "
+                                       "init needs train.init_len=300\n")
+    assert not state.exists()
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # The set-up time of a replay without init is import time, and numpy.random
+    # takes about 14 ms to import: training imports it on first use.
+    code = "import sys, aadetect.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(aadetect.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("mode", ["packets", "features", "devices"])

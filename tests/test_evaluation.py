@@ -300,6 +300,15 @@ def test_align_with_trace_suffix_and_errors():
         align_with_trace(shifted, trace)
     assert "decision row 0" in str(err.value)
 
+    bumped = list(result.decisions)
+    k = len(bumped) // 2
+    d = bumped[k]
+    bumped[k] = Decision(d.value, d.is_attack, d.at_us + 7, d.mode, d.threshold)
+    with pytest.raises(ValueError) as err:
+        align_with_trace(bumped, trace)
+    assert str(err.value) == (f"log/trace misalignment at decision row {k}: "
+                              f"decision timestamp {d.at_us + 7} != trace timestamp {d.at_us}")
+
     with pytest.raises(ValueError):
         align_with_trace(result.decisions * 2, trace)
 

@@ -2,11 +2,13 @@
 
 import csv
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aadetect.traffic import (AttackSegment, FeatureRow, PacketRecord, Trace,
+from aadetect import traffic
+from aadetect.traffic import (TRACE_FIELDS, AttackSegment, FeatureRow, PacketRecord, Trace,
                               TraceParseError, TraceSpec, _parse_label,
                               load_feature_dataset, load_trace,
                               save_feature_dataset, save_trace, synth_trace)
@@ -99,7 +101,7 @@ def test_trace_parse_errors_name_the_line(tmp_path):
     assert "negative" in str(err.value)
 
 
-def test_trace_unsorted_error_or_stable_sort(tmp_path):
+def test_trace_backwards_timestamp_is_an_error(tmp_path):
     path = tmp_path / "u.csv"
     path.write_text(
         "timestamp_us,src,dst,size_bytes,label,attack_type\n"
@@ -108,12 +110,7 @@ def test_trace_unsorted_error_or_stable_sort(tmp_path):
         "10,e,f,3,0,\n")
     with pytest.raises(TraceParseError) as err:
         load_trace(path)
-    assert "backwards" in str(err.value)
-    t = load_trace(path, on_unsorted="sort")
-    assert [r.timestamp_us for r in t] == [5, 10, 10]
-    assert [r.src for r in t] == ["c", "a", "e"]  # ties keep file order
-    with pytest.raises(ValueError):
-        load_trace(path, on_unsorted="shuffle")
+    assert "backwards" in str(err.value) and err.value.line_no == 3
 
 
 def test_trace_blank_lines_are_skipped(tmp_path):
@@ -124,6 +121,196 @@ def test_trace_blank_lines_are_skipped(tmp_path):
         "0,a,b,10,0,\n"
         "\n")
     assert len(load_trace(path)) == 1
+
+
+def per_row_load_trace(path):
+    """The trace loader as first written, one PacketRecord per csv row: the
+    reference for the column loader's packets and errors."""
+    path = Path(path)
+    records = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != list(TRACE_FIELDS):
+            raise TraceParseError(path, 1, f"expected header {','.join(TRACE_FIELDS)}")
+        prev_ts = None
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(TRACE_FIELDS):
+                raise TraceParseError(path, line_no, f"expected {len(TRACE_FIELDS)} columns, got {len(row)}")
+            try:
+                ts = int(row[0])
+                size = int(row[3])
+            except ValueError as exc:
+                raise TraceParseError(path, line_no, f"bad integer field: {exc}") from None
+            label = _parse_label(row[4].strip(), path, line_no)
+            attack_type = row[5].strip() or None
+            try:
+                rec = PacketRecord(ts, row[1], row[2], size, label, attack_type)
+            except ValueError as exc:
+                raise TraceParseError(path, line_no, str(exc)) from None
+            if prev_ts is not None and ts < prev_ts:
+                raise TraceParseError(path, line_no, f"timestamp {ts} goes backwards (previous {prev_ts})")
+            prev_ts = ts
+            records.append(rec)
+    return tuple(records)
+
+
+def trace_lines(n, seed=4):
+    """A header and ``n`` canonical rows; the timestamps repeat now and then."""
+    rng = np.random.default_rng(seed)
+    ts = np.cumsum(rng.integers(0, 3, size=n))
+    lines = ["timestamp_us,src,dst,size_bytes,label,attack_type"]
+    for i in range(n):
+        label, kind = [("0", ""), ("1", "flood"), ("", ""), ("1", " scan ")][int(rng.integers(4))]
+        lines.append(f"{ts[i]},10.0.0.{int(rng.integers(1, 9))},10.0.1.{int(rng.integers(1, 9))},"
+                     f"{int(rng.integers(0, 1500))},{label},{kind}")
+    return lines
+
+
+def assert_loads_as_per_row(path):
+    got, expected = load_trace(path), per_row_load_trace(path)
+    assert got.records == expected and got.name == Path(path).stem
+    assert len(got) == len(expected)
+    assert got.timestamp_us.dtype == got.size_bytes.dtype == np.int64
+    for rec in got:
+        assert type(rec.timestamp_us) is int and type(rec.size_bytes) is int
+    if len(got):
+        assert type(got[-1].timestamp_us) is int and type(got[0].size_bytes) is int
+    return got
+
+
+@pytest.mark.parametrize("block", [1024, 7])
+def test_column_loader_equals_per_row_loader_across_blocks(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(traffic, "_TRACE_BLOCK", block)
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(trace_lines(2500)) + "\n")
+    got = assert_loads_as_per_row(path)
+    assert len(got) == 2500
+    assert len(set(map(id, got.src + got.dst))) <= 16  # each address is stored once
+    assert {t for t in got.attack_type} == {None, "flood", "scan"}
+
+
+# Whole-file edits (line index, replacement, or None to delete the line) that
+# csv.reader reads differently from a plain split, or that end the file oddly.
+ODD_FILES = {
+    "quoted fields": [(3, '"7",10.0.0.1,"10.0.1.2",5,"0",'), (9, '24,"a,b",c,1,1,"x,y"')],
+    "a quoted newline across a block edge": [(6, '20,a,b,1,1,"multi'), (7, 'line"')],
+    "a quote inside a field": [(5, '15,a"b,c,1,0,')],
+    "NUL in an address": [(4, "12,a\0b,c,1,0,")],
+    "blank lines": [(2, ""), (8, ""), (9, "")],
+    "a spaced label": [(4, "12,a,b,1, 1 ,x")],
+    "an underscored integer": [(4, "1_2,a,b,3,0,")],
+}
+
+
+def odd_lines(edits, n=40):
+    lines = [f"{i * 3},a,b,{i},0," for i in range(n)]
+    lines.insert(0, "timestamp_us,src,dst,size_bytes,label,attack_type")
+    for idx, text in sorted(edits, reverse=True):
+        lines[idx] = text
+    return lines
+
+
+@pytest.mark.parametrize("name", sorted(ODD_FILES))
+@pytest.mark.parametrize("block", [1024, 6, 1])
+def test_column_loader_reads_odd_files_as_csv_does(tmp_path, monkeypatch, name, block):
+    monkeypatch.setattr(traffic, "_TRACE_BLOCK", block)
+    path = tmp_path / "odd.csv"
+    path.write_text("\n".join(odd_lines(ODD_FILES[name])) + "\n")
+    assert_loads_as_per_row(path)
+
+
+@pytest.mark.parametrize("block", [1024, 3])
+def test_column_loader_line_endings_and_empty_bodies(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(traffic, "_TRACE_BLOCK", block)
+    lines = trace_lines(20)
+    path = tmp_path / "t.csv"
+    for body in ["\r\n".join(lines) + "\r\n",       # CRLF line endings
+                 "\n".join(lines),                    # no trailing newline
+                 "\n".join(lines[:8]) + "\r\n" + "\n".join(lines[8:]) + "\n",
+                 lines[0] + "\n",                     # an empty body
+                 lines[0],                             # a header without a newline
+                 lines[0] + "\n\n\n"]:                 # only blank lines
+        path.write_bytes(body.encode())
+        assert_loads_as_per_row(path)
+
+
+# (line index, replacement) edits to a 60-row file; each must report the
+# first bad line as the per-row loader does.
+BAD_TRACE_FILES = [
+    [(12, "x,a,b,1,0,")],                                  # bad integer timestamp
+    [(30, "90,a,b,1.5,0,")],                               # bad integer size
+    [(7, "21,a,b,1,2,")],                                  # bad label
+    [(44, "132,a,b,-3,0,")],                               # negative size
+    [(20, "1,a,b,1,0,")],                                  # backwards timestamp
+    [(33, "99,a,b,1,0")],                                  # five columns
+    [(33, "99,a,b,1,0,,")],                                # seven columns
+    [(0, "timestamp_us,src,dst,size,label,attack_type")],  # bad header
+    [(25, "75,a,b,-1,0,"), (27, "81,a,b,1,yes,")],         # two errors in one block
+    [(27, "81,a,b,1,yes,"), (25, "75,a,b,-1,0,")],         # the same, in the other order
+    [(17, "51,a,b,1,0,"), (18, "50,a,b,1,0,")],            # backwards by one
+    [(40, '120,"a\n",b,1,0,'), (41, "1,a,b,1,0,")],        # after a quoted newline
+    [(50, "150,a,b,-7,0,")],                               # in the last block
+    [(16, "48,a,b,1,0,x,")],                               # column count on a block edge
+    [(33, "99,a,b,1,0"), (34, "0,102,a,b,1,0,x")],         # five then seven: the commas balance
+    [(22, "66,a\rb,c,1,0,")],                              # a carriage return ends a csv row
+    [(9, "27,a,b,1,0\r,")],                                # ... also before the last field
+]
+
+
+@pytest.mark.parametrize("block", [1024, 8])
+@pytest.mark.parametrize("edits", BAD_TRACE_FILES)
+def test_column_loader_reports_errors_as_the_per_row_loader(tmp_path, monkeypatch, edits, block):
+    monkeypatch.setattr(traffic, "_TRACE_BLOCK", block)
+    lines = [f"{i * 3},a,b,{i},0," for i in range(60)]
+    lines.insert(0, "timestamp_us,src,dst,size_bytes,label,attack_type")
+    for idx, text in edits:
+        lines[idx] = text
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceParseError) as expected:
+        per_row_load_trace(path)
+    with pytest.raises(TraceParseError) as got:
+        load_trace(path)
+    assert str(got.value) == str(expected.value)
+    assert got.value.line_no == expected.value.line_no
+
+
+def test_column_loader_keeps_csvs_field_size_limit(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("timestamp_us,src,dst,size_bytes,label,attack_type\n"
+                    f"0,{'a' * (csv.field_size_limit() + 1)},b,1,0,\n")
+    with pytest.raises(csv.Error) as expected:
+        per_row_load_trace(path)
+    with pytest.raises(csv.Error) as got:
+        load_trace(path)
+    assert str(got.value) == str(expected.value)
+
+
+def test_column_loader_rejects_integers_past_64_bits(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("timestamp_us,src,dst,size_bytes,label,attack_type\n"
+                    "0,a,b,1,0,\n"
+                    f"{2 ** 63},a,b,1,0,\n")
+    assert len(per_row_load_trace(path)) == 2  # Python ints never overflow
+    with pytest.raises(TraceParseError) as err:
+        load_trace(path)
+    assert err.value.line_no == 3 and "64 bits" in str(err.value)
+
+
+def test_trace_from_records_indexes_slices_and_iterates():
+    recs = random_records(np.random.default_rng(5), 30)
+    trace = Trace(tuple(recs), name="r")
+    assert trace.records == tuple(recs) and len(trace) == 30
+    assert trace[0] == recs[0] and trace[-1] == recs[-1]
+    part = trace[5:12]
+    assert isinstance(part, Trace) and part.records == tuple(recs[5:12]) and part.name == "r"
+    assert list(trace.label) == [r.label for r in recs]
+    with pytest.raises(ValueError):
+        trace.timestamp_us[0] = 1  # the columns are read-only
+    assert len(Trace()) == 0 and Trace().records == ()
 
 
 # -- feature CSV ------------------------------------------------------------------
