@@ -153,12 +153,22 @@ def model_to_json(model: AadrnnModel) -> dict:
 
 
 def model_from_json(doc: dict) -> AadrnnModel:
+    """Rebuild a model from ``model_to_json``'s fields, checking that the
+    weights chain from ``M`` inputs through each layer and back to ``M``."""
     weights = []
+    width = int(doc["M"])
     for w in doc["hidden_weights"]:
         arr = np.asarray(w, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != width:
+            raise DimensionError(
+                f"hidden weight {len(weights)} has shape {arr.shape}, expected (n, {width})")
         arr.flags.writeable = False
         weights.append(arr)
+        width = arr.shape[0]
     readout = np.asarray(doc["readout"], dtype=float)
+    if not weights or readout.shape != (width, int(doc["M"])):
+        raise DimensionError(f"readout shape {readout.shape} does not fit "
+                             f"{len(weights)} hidden layers ending at width {width}")
     readout.flags.writeable = False
     act = ActivationParams(float(doc["act"]["r"]), float(doc["act"]["c"]))
     model = AadrnnModel(tuple(weights), readout, act, int(doc["M"]), int(doc["seed"]))

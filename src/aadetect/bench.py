@@ -17,7 +17,6 @@ Three seeded synthetic scenarios exercise the headline claims end to end:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -95,7 +94,6 @@ def device_trace(seed: int = 5) -> Trace:
 class FloodBenchResult:
     report: EvalReport
     baseline: EvalReport
-    elapsed_s: float
 
     @property
     def tpr(self) -> float:
@@ -116,9 +114,7 @@ def run_flood_benchmark(seed: int = 7, config: Optional[Config] = None) -> Flood
     config = config or bench_config()
     trace = flood_trace(seed)
     det = Detector(3, config, online=True)
-    started = time.perf_counter()
     steps = [(pkt, decision, det.last_values) for pkt, _, decision in replay(det, trace)]
-    elapsed = time.perf_counter() - started
     pkts, decisions, values = zip(*steps)
     labels = [pkt.label for pkt in pkts]
     types = [pkt.attack_type for pkt in pkts]
@@ -132,23 +128,20 @@ def run_flood_benchmark(seed: int = 7, config: Optional[Config] = None) -> Flood
                       at_us=dec.at_us, mode="baseline", threshold=dec.threshold)
         for dec, vals in zip(decisions, values)]
     baseline = score(baseline_decisions, labels, types)
-    return FloodBenchResult(report=report, baseline=baseline, elapsed_s=elapsed)
+    return FloodBenchResult(report=report, baseline=baseline)
 
 
 @dataclass
 class DriftBenchResult:
     offline: EvalReport
     online: EvalReport
-    elapsed_s: float
 
 
 def run_drift_benchmark(seed: int = 11, config: Optional[Config] = None) -> DriftBenchResult:
     config = config or bench_config()
     trace = drift_trace(seed)
-    started = time.perf_counter()
     pair = compare_online_offline(trace, config)
-    elapsed = time.perf_counter() - started
-    return DriftBenchResult(offline=pair.offline, online=pair.online, elapsed_s=elapsed)
+    return DriftBenchResult(offline=pair.offline, online=pair.online)
 
 
 @dataclass
@@ -157,7 +150,6 @@ class DeviceBenchResult:
     flagged: List[str]
     onset_decisions_to_flag: Optional[int]
     clean_peaks: dict
-    elapsed_s: float
 
 
 def run_device_benchmark(seed: int = 5, config: Optional[Config] = None) -> DeviceBenchResult:
@@ -167,7 +159,6 @@ def run_device_benchmark(seed: int = 5, config: Optional[Config] = None) -> Devi
     flooder = "10.0.0.3"
     onset_us = 60_000_000
     bank = DeviceBank(config)
-    started = time.perf_counter()
     flooder_decisions_after_onset = 0
     onset_decisions_to_flag = None
     for _, addr, decision in replay(bank, trace):
@@ -179,14 +170,13 @@ def run_device_benchmark(seed: int = 5, config: Optional[Config] = None) -> Devi
                 and rec.infection_level > config.device.level_threshold
                 and bank.is_compromised(rec)):
             onset_decisions_to_flag = flooder_decisions_after_onset
-    elapsed = time.perf_counter() - started
     report = bank.report()
     flagged = list(report.compromised)
     clean_peaks = {row.addr: row.peak_level for row in report.devices
                    if row.addr.startswith("10.0.0.") and row.addr != flooder}
     return DeviceBenchResult(flooder=flooder, flagged=flagged,
                              onset_decisions_to_flag=onset_decisions_to_flag,
-                             clean_peaks=clean_peaks, elapsed_s=elapsed)
+                             clean_peaks=clean_peaks)
 
 
 # -- the full desk suite ----------------------------------------------------

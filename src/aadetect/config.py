@@ -13,11 +13,8 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import (Any, Dict, List, Optional, Sequence, Tuple, Union, get_args,
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple, Union, get_args,
                     get_origin, get_type_hints)
-
-from .metrics import MetricConfig
-from .training import TrainConfig
 
 
 @dataclass
@@ -25,6 +22,11 @@ class MetricsSection:
     N: int = 10
     T_seconds: float = 10.0
     gamma: Optional[List[float]] = None
+
+    @property
+    def T_us(self) -> int:
+        """The T window in whole microseconds, the unit the metrics count in."""
+        return int(round(self.T_seconds * 1e6))
 
 
 @dataclass
@@ -77,6 +79,34 @@ _HINTS = {name: get_type_hints(cls) for name, cls in _SECTIONS.items()}
 _KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
+def _at_least(bound: int) -> Tuple[Callable[[Any], bool], str]:
+    return (lambda v: v >= bound), f"be >= {bound}"
+
+
+_POSITIVE = (lambda v: v > 0), "be positive"
+# What a key's value must also be once its type is right (null always passes).
+_RULES: Dict[str, Tuple[Callable[[Any], bool], str]] = {
+    "metrics.N": _at_least(2),
+    "metrics.gamma": ((lambda v: all(g > 0 for g in v)), "hold positive weights"),
+    "train.noise_sigma": _at_least(0),
+    "train.ridge_lambda": _POSITIVE,
+    "train.window_len": _at_least(1),
+    "train.window_seconds": _POSITIVE,
+    "train.seed": _at_least(0),
+    "train.init_len": _at_least(4),
+    "threshold.mode": ((lambda v: v in ("whisker", "fixed")), "be 'whisker' or 'fixed'"),
+    "threshold.value": _POSITIVE,
+    "device.alpha": ((lambda v: 0 < v <= 1), "be in (0, 1]"),
+    "device.level_threshold": ((lambda v: 0 < v < 1), "be in (0, 1)"),
+    "device.hysteresis_k": _at_least(1),
+    "device.ttl_seconds": _POSITIVE,
+    "device.init_len": _at_least(4),
+    "device.window_len": _at_least(1),
+    "device.window_seconds": _POSITIVE,
+    "device.threshold_scale": _POSITIVE,
+}
+
+
 def _is_kind(value: Any, kind: type) -> bool:
     """An int stands for a float; a bool is no number."""
     if kind is not bool and isinstance(value, bool):
@@ -113,52 +143,26 @@ class Config:
 
     def validate(self) -> None:
         for name, hints in _HINTS.items():
-            for key, value in vars(getattr(self, name)).items():
-                _check_type(f"{name}.{key}", value, hints[key])
+            for attr, value in vars(getattr(self, name)).items():
+                key = f"{name}.{attr}"
+                _check_type(key, value, hints[attr])
                 for v in value if isinstance(value, (list, tuple)) else (value,):
                     if isinstance(v, float) and not math.isfinite(v):
-                        raise ValueError(f"{name}.{key} must be finite, got {v!r}")
-        if self.threshold.mode not in ("whisker", "fixed"):
-            raise ValueError(f"threshold.mode must be 'whisker' or 'fixed', got {self.threshold.mode!r}")
+                        raise ValueError(f"{key} must be finite, got {v!r}")
+                if value is not None and key in _RULES and not _RULES[key][0](value):
+                    raise ValueError(f"{key} must {_RULES[key][1]}, got {value!r}")
+        if self.metrics.T_us < 1:
+            raise ValueError("metrics.T_seconds must round to at least 1 microsecond, "
+                             f"got {self.metrics.T_seconds!r}")
+        if self.metrics.gamma is not None:
+            total = math.fsum(self.metrics.gamma)
+            if abs(total - 1.0) > 1e-9:
+                raise ValueError(f"metrics.gamma must sum to 1, got {total!r}")
         if self.threshold.mode == "fixed" and self.threshold.value is None:
             raise ValueError("threshold.mode 'fixed' requires threshold.value")
-        if self.threshold.value is not None and self.threshold.value <= 0:
-            raise ValueError("threshold.value must be positive")
-        for name in ("train", "device"):  # the two sources of detector policy
-            policy = getattr(self, name)
-            if policy.init_len < 4:
-                raise ValueError(f"{name}.init_len must be >= 4")
-            if policy.window_len is not None and policy.window_len < 1:
-                raise ValueError(f"{name}.window_len must be >= 1")
-            if policy.window_seconds is not None and policy.window_seconds <= 0:
-                raise ValueError(f"{name}.window_seconds must be positive")
-        if not (0.0 < self.device.alpha <= 1.0):
-            raise ValueError("device.alpha must be in (0, 1]")
-        if not (0.0 < self.device.level_threshold < 1.0):
-            raise ValueError("device.level_threshold must be in (0, 1)")
-        if self.device.hysteresis_k < 1:
-            raise ValueError("device.hysteresis_k must be >= 1")
-        if self.device.ttl_seconds <= 0:
-            raise ValueError("device.ttl_seconds must be positive")
-        if self.device.threshold_scale <= 0:
-            raise ValueError("device.threshold_scale must be positive")
-        # Delegated validation: these constructors reject bad values.
-        self.metric_config()
-        self.train_config()
-
-    def metric_config(self) -> MetricConfig:
-        return MetricConfig.from_seconds(self.metrics.N, self.metrics.T_seconds,
-                                         self.metrics.gamma)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(noise_sigma=self.train.noise_sigma,
-                           ridge_lambda=self.train.ridge_lambda, seed=self.train.seed)
 
     def to_dict(self) -> Dict[str, Dict[str, Any]]:
         return {name: dataclasses.asdict(getattr(self, name)) for name in _SECTIONS}
-
-    def copy(self) -> "Config":
-        return config_from_dict(self.to_dict())
 
 
 def config_from_dict(doc: Dict[str, Any]) -> Config:
@@ -210,10 +214,5 @@ def apply_overrides(config: Config, overrides: Sequence[str]) -> Config:
         if key.count(".") != 1:
             raise ValueError(f"override key must be section.key, got {key!r}")
         section, name = key.split(".")
-        if section not in _SECTIONS:
-            raise ValueError(f"unknown config section: {section!r}")
-        allowed = {f.name for f in fields(_SECTIONS[section])}
-        if name not in allowed:
-            raise ValueError(f"unknown key {name!r} in section {section!r}")
-        doc[section][name] = _coerce(value)
-    return config_from_dict(doc)
+        doc.setdefault(section, {})[name] = _coerce(value)
+    return config_from_dict(doc)  # which rejects an unknown section or key

@@ -119,8 +119,11 @@ class Detector:
         self.config = config
         self.mode = Mode(mode)
         self.phase = Phase.INIT
-        metric_cfg = config.metric_config()
-        self.gamma = metric_cfg.resolve_gamma(dim)
+        gamma = config.metrics.gamma or [1.0 / dim] * dim  # validate rejects an empty list
+        if len(gamma) != dim:
+            raise DimensionError(f"metrics.gamma has {len(gamma)} weights, "
+                                 f"a {self.mode.value} detector needs {dim}")
+        self.gamma = np.asarray(gamma, dtype=float)
         # The one place config becomes init, window and threshold policy.
         # Device init is count-based (see the devices module docstring).
         if self.mode == Mode.DEVICE:
@@ -139,7 +142,8 @@ class Detector:
             online = self.mode != Mode.FEATURES
         self._online_after_init = online
 
-        self._extractor = StreamMetrics(metric_cfg) if self.mode == Mode.BOTNET else None
+        self._extractor = (StreamMetrics(config.metrics.N, config.metrics.T_us)
+                           if self.mode == Mode.BOTNET else None)
         self._row_counter = 0
         self._init_rows: List[np.ndarray] = []
         self._init_first_us: Optional[int] = None
@@ -262,7 +266,7 @@ class Detector:
             self.scaler = fit_scaling(X_raw)
         X = self.scaler.apply(X_raw)
         shape = AadrnnShape.default(self.dim, seed=self.config.train.seed)
-        self.stats, self.model = fit_batch_with_stats(shape, X, self.config.train_config(),
+        self.stats, self.model = fit_batch_with_stats(shape, X, self.config.train,
                                                       salt=self._noise_salt)
         d_init = _weighted_gap(X, self.model.forward(X), self.gamma)
         if self.config.threshold.mode == "fixed":
@@ -290,8 +294,7 @@ class Detector:
     def _finish_window(self) -> None:
         window = np.asarray(self._pending, dtype=float)
         self.stats, self.model = update_incremental(self.stats, window, self.model,
-                                                    self.config.train_config(),
-                                                    salt=self._noise_salt)
+                                                    self.config.train, salt=self._noise_salt)
         if (self.config.threshold.mode == "whisker"
                 and not self.config.threshold.freeze_after_init
                 and len(self._pending_d) >= 4):
@@ -344,32 +347,52 @@ def save_state(detector: Detector, path: Union[str, Path]) -> None:
 def load_state(path: Union[str, Path], config: Optional[Config] = None, *,
                online: bool = False) -> Detector:
     """Rebuild a detector from a state file; it decides immediately, with no
-    re-training (phase ``frozen``, or ``online`` to continue learning)."""
+    re-training (phase ``frozen``, or ``online`` to continue learning). A
+    file that is not a well-formed state, with every array shaped for the
+    model it holds, is rejected here with an error that names it."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        text = fh.read()
+    try:
+        return _detector_from_state(json.loads(text), config or Config(), online)
+    except KeyError as exc:
+        raise ValueError(f"state file {path} has no key {exc}") from None
+    except DimensionError as exc:
+        raise DimensionError(f"state file {path}: {exc}") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ValueError(f"state file {path}: {exc}") from None
+
+
+def _detector_from_state(doc: dict, config: Config, online: bool) -> Detector:
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
     version = int(doc.get("version", -1))
     if version < 1 or version > STATE_VERSION:
-        raise ValueError(f"state file version {version} not supported (max {STATE_VERSION})")
-    config = config or Config()
+        raise ValueError(f"version {version} not supported (max {STATE_VERSION})")
     model = model_from_json(doc)
     detector = Detector(model.input_dim, config, mode=doc["mode"], online=online)
     detector.model = model
     detector.scaler = scaler_from_json(doc["scaling_factors"])
+    detector.scaler.apply(np.zeros(model.input_dim))  # raises unless it scales M values
     detector.threshold = float(doc["threshold"])
-    if doc["threshold"] <= 0 or not np.isfinite(detector.threshold):
-        raise ValueError(f"state file threshold must be positive, got {doc['threshold']!r}")
+    if not (detector.threshold > 0 and np.isfinite(detector.threshold)):
+        raise ValueError(f"threshold must be positive, got {doc['threshold']!r}")
     if "gamma" in doc:
         gamma = np.asarray(doc["gamma"], dtype=float)
         if gamma.shape != (model.input_dim,):
-            raise DimensionError("state gamma length does not match model dimension")
+            raise DimensionError("gamma length does not match model dimension")
         detector.gamma = gamma
     stats = doc.get("stats")
-    if stats is not None:
-        detector.stats = SufficientStats(np.asarray(stats["G"], dtype=float),
-                                         np.asarray(stats["C"], dtype=float),
-                                         int(stats["n"]))
+    h, m = model.hidden_dim, model.input_dim
+    if stats is None:
+        detector.stats = SufficientStats.empty(h, m)
     else:
-        detector.stats = SufficientStats.empty(model.hidden_dim, model.input_dim)
+        G = np.asarray(stats["G"], dtype=float)
+        C = np.asarray(stats["C"], dtype=float)
+        n = int(stats["n"])
+        if G.shape != (h, h) or C.shape != (h, m) or n < 0:
+            raise ValueError(f"stats G {G.shape}, C {C.shape} and n {n} do not fit the "
+                             f"model: expected G {(h, h)}, C {(h, m)} and n >= 0")
+        detector.stats = SufficientStats(G, C, n)
     detector.phase = Phase.ONLINE if online else Phase.FROZEN
     return detector
 

@@ -98,7 +98,7 @@ class DeviceBank:
 
     def __init__(self, config: Config):
         self.config = config
-        self._metrics = DirectionalMetrics(config.metric_config())
+        self._metrics = DirectionalMetrics(config.metrics.N, config.metrics.T_us)
         self._devices: Dict[str, DeviceRecord] = {}
         self._evicted: List[DeviceReportRow] = []
         self._packets = 0

@@ -56,15 +56,14 @@ class EvalReport:
     decision_series: List[Tuple[int, float, float]]
     config: Optional[dict] = None
 
-    def to_dict(self, include_series: bool = True) -> dict:
+    def to_dict(self) -> dict:
         doc = {
             "counts": self.counts.to_dict(),
             "rates": {"accuracy": self.accuracy, "tpr": self.tpr, "fnr": self.fnr,
                       "tnr": self.tnr, "fpr": self.fpr},
             "per_attack_type": dict(self.per_attack_type),
+            "decision_series": [[ts, v, thr] for ts, v, thr in self.decision_series],
         }
-        if include_series:
-            doc["decision_series"] = [[ts, v, thr] for ts, v, thr in self.decision_series]
         if self.config is not None:
             doc["config"] = self.config
         return doc
@@ -195,12 +194,6 @@ def check_benign_prefix(trace: Trace, init_len: int) -> None:
 class CompareResult:
     offline: EvalReport
     online: EvalReport
-
-    def to_dict(self) -> dict:
-        return {"offline": self.offline.to_dict(include_series=False),
-                "online": self.online.to_dict(include_series=False),
-                "offline_series": [[t, v, thr] for t, v, thr in self.offline.decision_series],
-                "online_series": [[t, v, thr] for t, v, thr in self.online.decision_series]}
 
 
 def compare_online_offline(trace: Trace, config: Config) -> CompareResult:

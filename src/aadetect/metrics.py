@@ -11,6 +11,10 @@ to:
   m3  number of packets whose timestamp falls in the half-open window
       ``(t - T, t]`` ending at the new packet
 
+``StreamMetrics`` and ``DirectionalMetrics`` take the windows as ``(N, T_us)``,
+T in whole microseconds: a run passes ``config.metrics.N`` and
+``config.metrics.T_us``, which ``Config.validate`` has checked.
+
 The per-address extension keeps two independent substreams per address
 (packets it sent, packets it received) and concatenates their metric triples
 into a 6-value vector, so a device's metric stream depends only on packets
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -44,43 +48,6 @@ def _as_matrix(rows: Iterable[np.ndarray]) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
-class MetricConfig:
-    """Window sizes for metric extraction plus the decision weights that ride
-    along with the metric dimension."""
-
-    N: int = 10
-    T_us: int = 10_000_000
-    gamma: Optional[Tuple[float, ...]] = None
-
-    def __post_init__(self):
-        if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N}")
-        if self.T_us <= 0:
-            raise ValueError(f"T_us must be positive, got {self.T_us}")
-        if self.gamma is not None:
-            g = np.asarray(self.gamma, dtype=float)
-            if np.any(g <= 0):
-                raise ValueError("gamma weights must be positive")
-            if abs(float(g.sum()) - 1.0) > 1e-9:
-                raise ValueError(f"gamma must sum to 1, got {g.sum()!r}")
-            object.__setattr__(self, "gamma", tuple(float(v) for v in g))
-
-    @classmethod
-    def from_seconds(cls, N: int = 10, T_seconds: float = 10.0,
-                     gamma: Optional[Sequence[float]] = None) -> "MetricConfig":
-        return cls(N=N, T_us=int(round(T_seconds * 1e6)),
-                   gamma=tuple(gamma) if gamma is not None else None)
-
-    def resolve_gamma(self, dim: int) -> np.ndarray:
-        """Weights for a ``dim``-metric decision; uniform when unset."""
-        if self.gamma is None:
-            return np.full(dim, 1.0 / dim)
-        if len(self.gamma) != dim:
-            raise DimensionError(f"gamma has {len(self.gamma)} weights, need {dim}")
-        return np.asarray(self.gamma, dtype=float)
-
-
 class StreamMetrics:
     """Streaming computation of (m1, m2, m3) for one packet stream.
 
@@ -88,8 +55,9 @@ class StreamMetrics:
     timestamps inside the trailing ``T`` window. Each update is O(1) amortized.
     """
 
-    def __init__(self, cfg: MetricConfig):
-        self.cfg = cfg
+    def __init__(self, N: int, T_us: int):
+        self.N = N
+        self.T_us = T_us
         self._recent: Deque[Tuple[int, int]] = deque()
         self._recent_bytes = 0
         self._window: Deque[int] = deque()
@@ -103,7 +71,7 @@ class StreamMetrics:
 
         self._recent.append((ts_us, size_bytes))
         self._recent_bytes += size_bytes
-        if len(self._recent) > self.cfg.N:
+        if len(self._recent) > self.N:
             _, old_size = self._recent.popleft()
             self._recent_bytes -= old_size
 
@@ -116,7 +84,7 @@ class StreamMetrics:
             m2 = 0.0
 
         self._window.append(ts_us)
-        cutoff = ts_us - self.cfg.T_us
+        cutoff = ts_us - self.T_us
         while self._window[0] <= cutoff:
             self._window.popleft()
         m3 = float(len(self._window))
@@ -132,8 +100,9 @@ class DirectionalMetrics:
     when that substream sees a packet, and is zero before its first one.
     """
 
-    def __init__(self, cfg: MetricConfig):
-        self.cfg = cfg
+    def __init__(self, N: int, T_us: int):
+        self.N = N
+        self.T_us = T_us
         self._tx: Dict[str, StreamMetrics] = {}
         self._rx: Dict[str, StreamMetrics] = {}
         self._tx_last: Dict[str, np.ndarray] = {}
@@ -144,12 +113,12 @@ class DirectionalMetrics:
         updated 6-value vectors keyed by address (one entry if src == dst)."""
         tx = self._tx.get(pkt.src)
         if tx is None:
-            tx = self._tx[pkt.src] = StreamMetrics(self.cfg)
+            tx = self._tx[pkt.src] = StreamMetrics(self.N, self.T_us)
         self._tx_last[pkt.src] = tx.update(pkt.timestamp_us, pkt.size_bytes)
 
         rx = self._rx.get(pkt.dst)
         if rx is None:
-            rx = self._rx[pkt.dst] = StreamMetrics(self.cfg)
+            rx = self._rx[pkt.dst] = StreamMetrics(self.N, self.T_us)
         self._rx_last[pkt.dst] = rx.update(pkt.timestamp_us, pkt.size_bytes)
 
         zeros = np.zeros(3)

@@ -5,6 +5,10 @@ rows against the *clean* rows:
 
     W_out = (H^T H + lambda I)^{-1} H^T X,   H = hidden(max(0, X + noise))
 
+``fit_batch_with_stats`` and ``update_incremental`` take the run's
+``config.train``, checked by ``Config.validate``, and read its ``noise_sigma``
+(the noise's standard deviation), ``ridge_lambda`` (lambda) and ``seed``.
+
 Both offline and online training accumulate the same sufficient statistics
 G = sum H^T H and C = sum H^T X, so a batch fit equals any sequence of
 windowed incremental updates over the same rows, bit for bit. Two things make
@@ -40,26 +44,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .aadrnn import AadrnnModel, AadrnnShape
+from .config import TrainSection
 from .metrics import DimensionError
 
 
 class TrainingError(RuntimeError):
     """The readout system could not be solved."""
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Knobs of the denoising regression."""
-
-    noise_sigma: float = 0.1
-    ridge_lambda: float = 1e-4
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.ridge_lambda <= 0:
-            raise ValueError("ridge_lambda must be positive")
 
 
 @dataclass(frozen=True)
@@ -208,29 +198,29 @@ def _row_seed_type() -> type:
     return RowSeed
 
 
-def _window_noise(start_index: int, n_rows: int, width: int, cfg: TrainConfig,
+def _window_noise(start_index: int, n_rows: int, width: int, train: TrainSection,
                   salt: Optional[int]) -> np.ndarray:
-    """Row j is ``noise_rng(cfg.seed, start_index + j, salt).normal(0, sigma,
-    width)``. The seeds of all rows are hashed at once; each row's PCG64 then
-    starts from the state ``noise_rng`` would give it."""
-    states = _row_seed_states(cfg.seed, start_index, n_rows, salt)
+    """Row j is ``noise_rng(train.seed, start_index + j, salt).normal(0,
+    train.noise_sigma, width)``. The seeds of all rows are hashed at once; each
+    row's PCG64 then starts from the state ``noise_rng`` would give it."""
+    states = _row_seed_states(train.seed, start_index, n_rows, salt)
     row_seed = _row_seed_type()
     noise = np.empty((n_rows, width))
     for j, state in enumerate(states):
         noise[j] = np.random.Generator(np.random.PCG64(row_seed(state))).normal(
-            0.0, cfg.noise_sigma, size=width)
+            0.0, train.noise_sigma, size=width)
     return noise
 
 
-def _corrupt_window(window: np.ndarray, start_index: int, cfg: TrainConfig,
+def _corrupt_window(window: np.ndarray, start_index: int, train: TrainSection,
                     salt: Optional[int]) -> np.ndarray:
     """``corrupt`` applied to each row of a window, row j with the generator of
     global row ``start_index + j``."""
     if not np.all(np.isfinite(window)):
         raise ValueError("non-finite training row")
-    if cfg.noise_sigma == 0.0:
+    if train.noise_sigma == 0.0:
         return np.maximum(window, 0.0)
-    noise = _window_noise(start_index, window.shape[0], window.shape[1], cfg, salt)
+    noise = _window_noise(start_index, window.shape[0], window.shape[1], train, salt)
     return np.maximum(window + noise, 0.0)
 
 
@@ -284,7 +274,7 @@ def solve_readout(stats: SufficientStats, ridge_lambda: float) -> np.ndarray:
 
 
 def update_incremental(stats: SufficientStats, window: np.ndarray, model: AadrnnModel,
-                       cfg: TrainConfig, salt: Optional[int] = None
+                       train: TrainSection, salt: Optional[int] = None
                        ) -> Tuple[SufficientStats, AadrnnModel]:
     """Fold one window of accepted benign rows into the statistics and return
     (updated stats, refreshed model snapshot). The previous snapshot is not
@@ -296,12 +286,12 @@ def update_incremental(stats: SufficientStats, window: np.ndarray, model: Aadrnn
         raise DimensionError(f"window rows have {window.shape[1]} values, model expects {model.input_dim}")
     if window.shape[0] == 0:
         return stats, model
-    noisy = _corrupt_window(window, stats.n, cfg, salt)
+    noisy = _corrupt_window(window, stats.n, train, salt)
     stats = accumulate_pairs(stats, noisy, window, model)
-    return stats, model.with_readout(solve_readout(stats, cfg.ridge_lambda))
+    return stats, model.with_readout(solve_readout(stats, train.ridge_lambda))
 
 
-def fit_batch_with_stats(shape: AadrnnShape, X: np.ndarray, cfg: TrainConfig,
+def fit_batch_with_stats(shape: AadrnnShape, X: np.ndarray, train: TrainSection,
                          salt: Optional[int] = None) -> Tuple[SufficientStats, AadrnnModel]:
     """Offline fit over a benign batch: empty statistics plus one window.
     Returns the statistics too, so online training can keep accumulating on
@@ -313,5 +303,5 @@ def fit_batch_with_stats(shape: AadrnnShape, X: np.ndarray, cfg: TrainConfig,
         raise DimensionError(f"rows have {X.shape[1]} values, shape expects {shape.input_dim}")
     base = AadrnnModel.initial(shape)
     stats = SufficientStats.empty(base.hidden_dim, base.input_dim)
-    return update_incremental(stats, X, base, cfg, salt)
+    return update_incremental(stats, X, base, train, salt)
 

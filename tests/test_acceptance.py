@@ -14,15 +14,13 @@ import pytest
 from aadetect.aadrnn import ActivationParams, AadrnnModel, AadrnnShape, activation
 from aadetect.bench import (run_device_benchmark, run_drift_benchmark,
                             run_flood_benchmark)
-from aadetect.config import config_from_dict
+from aadetect.config import TrainSection, config_from_dict
 from aadetect.detector import Decision, Detector, Mode, whisker_threshold
 from aadetect.devices import DeviceBank, infection_level
 from aadetect.evaluation import run, score
-from aadetect.metrics import (DirectionalMetrics, MetricConfig, ScalingFactors,
-                              StreamMetrics)
+from aadetect.metrics import DirectionalMetrics, ScalingFactors, StreamMetrics
 from aadetect.traffic import PacketRecord, load_feature_dataset
-from aadetect.training import (SufficientStats, TrainConfig,
-                               fit_batch_with_stats, update_incremental)
+from aadetect.training import SufficientStats, fit_batch_with_stats, update_incremental
 
 
 def check(name, ok, detail):
@@ -52,7 +50,7 @@ def test_criterion_1_metric_oracle_equivalence():
     ts = np.cumsum(rng.integers(0, 400_000, size=1000))
     sizes = rng.integers(1, 1500, size=1000)
     packets = [(int(t), int(s)) for t, s in zip(ts, sizes)]
-    sm = StreamMetrics(MetricConfig(N=N, T_us=T_us))
+    sm = StreamMetrics(N, T_us)
     exact = approx = 0
     for i, (t, s) in enumerate(packets):
         m1, m2, m3 = sm.update(t, s)
@@ -64,7 +62,7 @@ def test_criterion_1_metric_oracle_equivalence():
 
     hosts = ["h1", "h2", "h3", "h4"]
     tx, rx, tx_last, rx_last = {}, {}, {}, {}
-    dm = DirectionalMetrics(MetricConfig(N=N, T_us=T_us))
+    dm = DirectionalMetrics(N, T_us)
     t = 0
     for _ in range(1000):
         t += int(rng.integers(0, 300_000))
@@ -98,7 +96,7 @@ def test_criterion_2_batch_incremental_equivalence():
     started = time.perf_counter()
     rng = np.random.default_rng(2000)
     shape = AadrnnShape.default(3, seed=4)
-    cfg = TrainConfig(noise_sigma=0.1, ridge_lambda=1e-4, seed=11)
+    cfg = TrainSection(noise_sigma=0.1, ridge_lambda=1e-4, seed=11)
     X = rng.uniform(0.0, 2.0, size=(2000, 3))
 
     batch_stats, batch_model = fit_batch_with_stats(shape, X, cfg)

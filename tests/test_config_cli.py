@@ -68,17 +68,42 @@ def test_config_validation_rules():
     with pytest.raises(ValueError):
         config_from_dict({"device": {"hysteresis_k": 0}})
     with pytest.raises(ValueError):
-        config_from_dict({"metrics": {"N": 1}})  # delegated to MetricConfig
+        config_from_dict({"metrics": {"N": 1}})
     with pytest.raises(ValueError):
         config_from_dict({"train": {"window_len": 0}})
 
 
-def test_config_round_trip_and_copy_independence():
+def test_config_round_trip():
     cfg = config_from_dict({"train": {"init_len": 64}, "metrics": {"N": 4}})
     assert config_from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
-    clone = cfg.copy()
-    clone.train.init_len = 128
-    assert cfg.train.init_len == 64
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("metrics", "N", 1, "metrics.N must be >= 2, got 1"),
+    ("metrics", "T_seconds", 1e-7,
+     "metrics.T_seconds must round to at least 1 microsecond, got 1e-07"),
+    ("metrics", "gamma", [1.0, -0.5, 0.5],
+     "metrics.gamma must hold positive weights, got [1.0, -0.5, 0.5]"),
+    ("metrics", "gamma", [0.5, 0.0, 0.5],
+     "metrics.gamma must hold positive weights, got [0.5, 0.0, 0.5]"),
+    ("metrics", "gamma", [1, 2.5], "metrics.gamma must sum to 1, got 3.5"),
+    ("metrics", "gamma", [0.5, 0.6], "metrics.gamma must sum to 1, got 1.1"),
+    ("train", "noise_sigma", -0.1, "train.noise_sigma must be >= 0, got -0.1"),
+    ("train", "ridge_lambda", 0, "train.ridge_lambda must be positive, got 0"),
+    ("train", "seed", -1, "train.seed must be >= 0, got -1"),
+])
+def test_metric_and_train_rules_name_their_key(section, key, value, message):
+    with pytest.raises(ValueError) as err:
+        config_from_dict({section: {key: value}})
+    assert str(err.value) == message
+    assert "np." not in str(err.value)
+
+
+def test_metric_and_train_rules_edges_pass():
+    cfg = config_from_dict({"metrics": {"N": 2, "T_seconds": 6e-7,
+                                        "gamma": [0.1, 0.2, 0.7 + 5e-10]},
+                            "train": {"noise_sigma": 0.0, "ridge_lambda": 1e-300, "seed": 0}})
+    assert cfg.metrics.T_us == 1 and cfg.train.noise_sigma == 0.0
 
 
 def test_apply_overrides_coercion():
@@ -305,8 +330,8 @@ def test_numeric_keys_are_every_number_in_the_config():
 @pytest.mark.parametrize("override", [f"{key}=abc" for key in NUMERIC_KEYS]
                          + ["threshold.value=nan", "metrics.N=2.5", "train.init_len=true"])
 def test_a_wrong_type_in_a_numeric_key_exits_2(flood_trace_file, tmp_path, capsys, override):
-    # Before the check, a string reached a comparison or TrainConfig and ended
-    # in a TypeError traceback; "nan" in lowercase is not JSON, so it is a string.
+    # Each value's type is checked before any rule compares it; "nan" in
+    # lowercase is not JSON, so --set reads it as a string.
     log = tmp_path / "never.csv"
     rc = cli.main(["replay", str(flood_trace_file), "--cold-start", "--log", str(log),
                    "--set", "threshold.mode=fixed", "--set", "threshold.value=0.5",
@@ -320,6 +345,69 @@ def test_a_wrong_type_in_a_numeric_key_exits_2(flood_trace_file, tmp_path, capsy
     err = capsys.readouterr().err
     assert re.fullmatch(rf"error: {re.escape(key)} must be (a number|an integer)( or null)?, "
                         rf"got {re.escape(repr(value))}\n", err), err
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("metrics.gamma=[1,2.5]", "metrics.gamma must sum to 1, got 3.5"),
+    ("metrics.T_seconds=1e-7", "metrics.T_seconds must round to at least 1 microsecond, "
+                               "got 1e-07"),
+    ("metrics.gamma=[0.5,0.5]", "metrics.gamma has 2 weights, a botnet detector needs 3"),
+    ("train.seed=-1", "train.seed must be >= 0, got -1"),
+])
+def test_a_value_that_breaks_its_rule_exits_2_naming_the_key(flood_trace_file, tmp_path,
+                                                             capsys, override, message):
+    log = tmp_path / "never.csv"
+    rc = cli.main(["replay", str(flood_trace_file), "--cold-start", "--log", str(log),
+                   "--set", override])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not log.exists()
+
+
+def test_init_checks_the_config_before_reading_the_input(tmp_path, capsys):
+    rc = cli.main(["init", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "s.json"),
+                   "--set", "train.seed=-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: train.seed must be >= 0, got -1\n"
+
+
+def _drop_last(rows):
+    return rows[:-1]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: dict(doc, threshold=None),
+    lambda doc: dict(doc, stats=5),
+    lambda doc: dict(doc, hidden_weights=None),
+    lambda doc: dict(doc, act=None),
+    lambda doc: [1, 2],
+    lambda doc: dict(doc, readout=_drop_last(doc["readout"])),
+    lambda doc: dict(doc, hidden_weights=[_drop_last(doc["hidden_weights"][0])]
+                     + doc["hidden_weights"][1:]),
+    lambda doc: dict(doc, hidden_weights=[[row[:-1] for row in doc["hidden_weights"][0]]]
+                     + doc["hidden_weights"][1:]),
+    lambda doc: dict(doc, stats=dict(doc["stats"], G=_drop_last(doc["stats"]["G"]))),
+    lambda doc: dict(doc, stats=dict(doc["stats"], C=[row[:-1] for row in doc["stats"]["C"]])),
+    lambda doc: dict(doc, stats=dict(doc["stats"], n=-1)),
+    lambda doc: dict(doc, scaling_factors={"kind": "max", "scale": [1.0, 2.0]}),
+], ids=["threshold-null", "stats-5", "hidden-null", "act-null", "top-level-list",
+        "readout-rows", "hidden-rows", "hidden-columns", "stats-G", "stats-C", "stats-n",
+        "scale-length"])
+def test_a_malformed_state_file_exits_2_naming_it_before_any_log(flood_trace_file, tmp_path,
+                                                                 capsys, mutate):
+    state = tmp_path / "state.json"
+    assert cli.main(["init", str(flood_trace_file), "--out", str(state),
+                     "--set", "train.init_len=100"]) == 0
+    bad = tmp_path / "bad-state.json"
+    bad.write_text(json.dumps(mutate(json.loads(state.read_text()))))
+    capsys.readouterr()
+    log = tmp_path / "never.csv"
+    rc = cli.main(["replay", str(flood_trace_file), "--state", str(bad), "--online",
+                   "--log", str(log)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: state file {bad}") and "Traceback" not in err, err
     assert not log.exists()
 
 

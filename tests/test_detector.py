@@ -101,6 +101,15 @@ def test_decision_value_validation():
         config_from_dict({"metrics": {"gamma": [1.5, -0.25, -0.25]}})
 
 
+def test_detector_gamma_uniform_explicit_and_length():
+    assert np.array_equal(Detector(3, Config()).gamma, np.full(3, 1 / 3))
+    cfg = config_from_dict({"metrics": {"gamma": [0.2, 0.3, 0.5]}})
+    assert np.array_equal(Detector(3, cfg).gamma, [0.2, 0.3, 0.5])
+    with pytest.raises(DimensionError, match=r"^metrics.gamma has 3 weights, "
+                                             r"a device detector needs 6$"):
+        Detector(6, cfg, Mode.DEVICE)
+
+
 # -- classification ------------------------------------------------------------------
 
 

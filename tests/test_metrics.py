@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from aadetect.metrics import (DimensionError, DirectionalMetrics, MetricConfig,
+from aadetect.config import MetricsSection, config_from_dict
+from aadetect.metrics import (DimensionError, DirectionalMetrics,
                               MinMaxScaler, ScalingFactors, StreamMetrics,
                               fit_scaling, min_max_fit,
                               scaler_from_json)
@@ -37,14 +38,14 @@ def random_packets(rng, n, max_gap_us=2_000_000):
 
 
 def test_first_packet_is_degenerate_window():
-    sm = StreamMetrics(MetricConfig(N=10, T_us=10_000_000))
+    sm = StreamMetrics(10, 10_000_000)
     assert np.array_equal(sm.update(0, 100), [100.0, 0.0, 1.0])
 
 
 def test_three_packet_worked_example():
     # sizes 50/60/70 at t = 0s, 1s, 2s with N=3, T=1.5s: the 1.5s window
     # ending at 2s is (0.5s, 2s], which contains the packets at 1s and 2s.
-    sm = StreamMetrics(MetricConfig(N=3, T_us=1_500_000))
+    sm = StreamMetrics(3, 1_500_000)
     sm.update(0, 50)
     sm.update(1_000_000, 60)
     m1, m2, m3 = sm.update(2_000_000, 70)
@@ -59,7 +60,7 @@ def test_streaming_equals_oracle_on_random_streams():
         N = int(rng.integers(2, 20))
         T_us = int(rng.integers(100_000, 20_000_000))
         packets = random_packets(rng, 300)
-        sm = StreamMetrics(MetricConfig(N=N, T_us=T_us))
+        sm = StreamMetrics(N, T_us)
         for i, (ts, size) in enumerate(packets):
             m1, m2, m3 = sm.update(ts, size)
             e1, e2, e3 = oracle_triple(packets, i, N, T_us)
@@ -70,16 +71,16 @@ def test_streaming_equals_oracle_on_random_streams():
 
 def test_m3_counts_half_open_window_boundary():
     # A packet exactly T older than the current one falls outside (t-T, t].
-    sm = StreamMetrics(MetricConfig(N=10, T_us=1_000_000))
+    sm = StreamMetrics(10, 1_000_000)
     sm.update(0, 10)
     assert sm.update(1_000_000, 10)[2] == 1.0
-    sm2 = StreamMetrics(MetricConfig(N=10, T_us=1_000_000))
+    sm2 = StreamMetrics(10, 1_000_000)
     sm2.update(1, 10)
     assert sm2.update(1_000_000, 10)[2] == 2.0
 
 
 def test_equal_timestamps_are_allowed():
-    sm = StreamMetrics(MetricConfig(N=4, T_us=1_000_000))
+    sm = StreamMetrics(4, 1_000_000)
     sm.update(5, 10)
     m1, m2, m3 = sm.update(5, 20)
     assert (m1, m2, m3) == (30.0, 0.0, 2.0)
@@ -92,8 +93,8 @@ def test_m1_monotone_in_any_single_packet_size():
         j = int(rng.integers(len(packets)))
         bumped = list(packets)
         bumped[j] = (packets[j][0], packets[j][1] + int(rng.integers(1, 500)))
-        cfg = MetricConfig(N=int(rng.integers(2, 12)), T_us=1_000_000)
-        a, b = StreamMetrics(cfg), StreamMetrics(cfg)
+        N = int(rng.integers(2, 12))
+        a, b = StreamMetrics(N, 1_000_000), StreamMetrics(N, 1_000_000)
         for (ts1, s1), (ts2, s2) in zip(packets, bumped):
             m = a.update(ts1, s1)
             mb = b.update(ts2, s2)
@@ -104,17 +105,17 @@ def test_m3_at_least_one_everywhere():
     rng = np.random.default_rng(11)
     for case in range(100):
         packets = random_packets(rng, 30)
-        sm = StreamMetrics(MetricConfig(N=5, T_us=int(rng.integers(1, 500_000))))
+        sm = StreamMetrics(5, int(rng.integers(1, 500_000)))
         for ts, size in packets:
             assert sm.update(ts, size)[2] >= 1.0
 
 
 def test_out_of_order_timestamp_raises():
-    sm = StreamMetrics(MetricConfig(N=5, T_us=1_000_000))
+    sm = StreamMetrics(5, 1_000_000)
     sm.update(10, 1)
     with pytest.raises(TimestampOrderError):
         sm.update(9, 1)
-    dm = DirectionalMetrics(MetricConfig(N=5, T_us=1_000_000))
+    dm = DirectionalMetrics(5, 1_000_000)
     dm.update(PacketRecord(10, "a", "b", 1))
     with pytest.raises(TimestampOrderError):
         dm.update(PacketRecord(9, "a", "c", 1))
@@ -123,7 +124,7 @@ def test_out_of_order_timestamp_raises():
 # -- directional 6-metric extension -------------------------------------------
 
 
-def oracle_directional(trace, cfg):
+def oracle_directional(trace, N, T_us):
     """Reference per-address vectors: recompute each substream from scratch."""
     tx, rx = {}, {}
     tx_last, rx_last = {}, {}
@@ -131,9 +132,9 @@ def oracle_directional(trace, cfg):
     zeros = (0.0, 0.0, 0.0)
     for pkt in trace:
         tx.setdefault(pkt.src, []).append((pkt.timestamp_us, pkt.size_bytes))
-        tx_last[pkt.src] = oracle_triple(tx[pkt.src], len(tx[pkt.src]) - 1, cfg.N, cfg.T_us)
+        tx_last[pkt.src] = oracle_triple(tx[pkt.src], len(tx[pkt.src]) - 1, N, T_us)
         rx.setdefault(pkt.dst, []).append((pkt.timestamp_us, pkt.size_bytes))
-        rx_last[pkt.dst] = oracle_triple(rx[pkt.dst], len(rx[pkt.dst]) - 1, cfg.N, cfg.T_us)
+        rx_last[pkt.dst] = oracle_triple(rx[pkt.dst], len(rx[pkt.dst]) - 1, N, T_us)
         vecs = {}
         for addr in dict.fromkeys((pkt.src, pkt.dst)):
             vecs[addr] = tx_last.get(addr, zeros) + rx_last.get(addr, zeros)
@@ -152,7 +153,7 @@ def random_trace(rng, n, hosts):
 
 
 def test_single_packet_directional_vectors():
-    dm = DirectionalMetrics(MetricConfig(N=10, T_us=10_000_000))
+    dm = DirectionalMetrics(10, 10_000_000)
     vecs = dm.update(PacketRecord(0, "A", "B", 100))
     assert np.array_equal(vecs["A"], [100, 0, 1, 0, 0, 0])
     assert np.array_equal(vecs["B"], [0, 0, 0, 100, 0, 1])
@@ -163,10 +164,10 @@ def test_directional_equals_per_substream_oracle():
     rng = np.random.default_rng(3)
     hosts = ["h1", "h2", "h3", "h4"]
     for case in range(4):
-        cfg = MetricConfig(N=int(rng.integers(2, 8)), T_us=int(rng.integers(200_000, 3_000_000)))
+        N, T_us = int(rng.integers(2, 8)), int(rng.integers(200_000, 3_000_000))
         trace = random_trace(rng, 500, hosts)
-        dm = DirectionalMetrics(cfg)
-        expected = oracle_directional(trace, cfg)
+        dm = DirectionalMetrics(N, T_us)
+        expected = oracle_directional(trace, N, T_us)
         for pkt, exp in zip(trace, expected):
             got = dm.update(pkt)
             assert set(got) == set(exp)
@@ -192,8 +193,7 @@ def test_directional_isolation_under_other_hosts_permutation():
                 swap = {"b": "c", "c": "d", "d": "b"}
                 swapped.append(PacketRecord(pkt.timestamp_us, swap[pkt.src],
                                             swap[pkt.dst], pkt.size_bytes))
-        cfg = MetricConfig(N=5, T_us=1_000_000)
-        d1, d2 = DirectionalMetrics(cfg), DirectionalMetrics(cfg)
+        d1, d2 = DirectionalMetrics(5, 1_000_000), DirectionalMetrics(5, 1_000_000)
         for p1, p2 in zip(trace, swapped):
             v1, v2 = d1.update(p1), d2.update(p2)
             if watched in v1:
@@ -202,14 +202,14 @@ def test_directional_isolation_under_other_hosts_permutation():
 
 
 def test_self_addressed_packet_yields_one_vector():
-    dm = DirectionalMetrics(MetricConfig(N=4, T_us=1_000_000))
+    dm = DirectionalMetrics(4, 1_000_000)
     vecs = dm.update(PacketRecord(0, "A", "A", 60))
     assert list(vecs) == ["A"]
     assert np.array_equal(vecs["A"], [60, 0, 1, 60, 0, 1])
 
 
 def test_drop_forgets_an_address():
-    dm = DirectionalMetrics(MetricConfig(N=4, T_us=1_000_000))
+    dm = DirectionalMetrics(4, 1_000_000)
     dm.update(PacketRecord(0, "A", "B", 60))
     dm.drop("A")
     assert dm.addresses() == ("B",)
@@ -300,24 +300,13 @@ def test_min_max_dimension_mismatch():
 
 
 def test_metric_config_validation():
-    with pytest.raises(ValueError):
-        MetricConfig(N=1)
-    with pytest.raises(ValueError):
-        MetricConfig(T_us=0)
-    with pytest.raises(ValueError):
-        MetricConfig(gamma=(0.5, 0.6))
-    with pytest.raises(ValueError):
-        MetricConfig(gamma=(1.0, -0.5, 0.5))
-    cfg = MetricConfig.from_seconds(N=4, T_seconds=2.5)
-    assert cfg.T_us == 2_500_000
-
-
-def test_resolve_gamma_uniform_and_explicit():
-    assert np.allclose(MetricConfig().resolve_gamma(3), [1 / 3] * 3)
-    cfg = MetricConfig(gamma=(0.2, 0.3, 0.5))
-    assert np.array_equal(cfg.resolve_gamma(3), [0.2, 0.3, 0.5])
-    with pytest.raises(DimensionError):
-        cfg.resolve_gamma(6)
+    # The rules of metrics.N, metrics.T_seconds and metrics.gamma are checked
+    # with the rest of the config (tests/test_config_cli.py); here, T_us.
+    assert MetricsSection(N=4, T_seconds=2.5).T_us == 2_500_000
+    assert MetricsSection(T_seconds=6e-7).T_us == 1  # rounds up to 1 us: accepted
+    assert config_from_dict({"metrics": {"T_seconds": 1e-6}}).metrics.T_us == 1
+    with pytest.raises(ValueError, match="metrics.T_seconds"):
+        config_from_dict({"metrics": {"T_seconds": 4e-7}})
 
 
 def test_scaler_json_round_trips_both_kinds():

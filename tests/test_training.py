@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from aadetect.aadrnn import AadrnnModel, AadrnnShape
-from aadetect.config import config_from_dict
+from aadetect.config import TrainSection, config_from_dict
 from aadetect.detector import salt_for_address
 from aadetect.metrics import DimensionError
-from aadetect.training import (SufficientStats, TrainConfig, TrainingError,
+from aadetect.training import (SufficientStats, TrainingError,
                                _corrupt_window, _window_noise, accumulate_pairs,
                                corrupt, fit_batch_with_stats,
                                noise_rng, solve_readout, update_incremental)
@@ -121,7 +121,7 @@ def test_window_noise_equals_per_row_noise_rng(seed, salt):
     # 2**40 and 2**70 split into 2 and 3 entropy words; with a salt, or with an
     # index past 2**32 (which gains a second word), 2**70 gives more entropy
     # words than SeedSequence's pool of 4.
-    cfg = TrainConfig(noise_sigma=0.25, seed=seed)
+    cfg = TrainSection(noise_sigma=0.25, seed=seed)
     for start in (0, 1, 2**32 - 3):
         for width in (3, 6, 20):
             expected = np.array([noise_rng(seed, start + j, salt).normal(0.0, 0.25, size=width)
@@ -136,19 +136,19 @@ def test_window_noise_rejects_a_negative_seed_as_noise_rng_does():
     with pytest.raises(ValueError):
         noise_rng(-1, 0)
     with pytest.raises(ValueError):
-        _window_noise(0, 5, 3, TrainConfig(seed=-1), None)
+        _window_noise(0, 5, 3, TrainSection(seed=-1), None)
     with pytest.raises(ValueError):
         fit_batch_with_stats(AadrnnShape.default(3, seed=1), np.ones((5, 3)),
-                             TrainConfig(seed=-1))
+                             TrainSection(seed=-1))
 
 
 def test_corrupt_window_equals_per_row_corrupt():
     X = random_rows(np.random.default_rng(5), 300, 4) - 0.5  # some rows clip
-    cfg = TrainConfig(noise_sigma=0.2, seed=11)
+    cfg = TrainSection(noise_sigma=0.2, seed=11)
     for salt in (None, 99):
         assert np.array_equal(_corrupt_window(X, 2**32 - 100, cfg, salt),
                               per_row_corrupt_window(X, 2**32 - 100, cfg, salt))
-    identity = _corrupt_window(X, 0, TrainConfig(noise_sigma=0.0, seed=11), None)
+    identity = _corrupt_window(X, 0, TrainSection(noise_sigma=0.0, seed=11), None)
     assert np.array_equal(identity, np.maximum(X, 0.0))
 
 
@@ -161,7 +161,7 @@ def test_fit_batch_matches_closed_form_oracle():
         dim = int(rng.integers(2, 5))
         shape = AadrnnShape(dim, (dim,) * int(rng.integers(1, 4)),
                             seed=int(rng.integers(1000)))
-        cfg = TrainConfig(noise_sigma=0.1, ridge_lambda=1e-4, seed=int(rng.integers(1000)))
+        cfg = TrainSection(noise_sigma=0.1, ridge_lambda=1e-4, seed=int(rng.integers(1000)))
         X = random_rows(rng, int(rng.integers(5, 30)), dim)
         salt = int(rng.integers(1 << 16)) if case % 2 else None
         model = fit_batch_with_stats(shape, X, cfg, salt)[1]
@@ -175,14 +175,14 @@ def test_constant_rows_become_a_near_fixed_point():
     shape = AadrnnShape(3, (3, 3, 3), seed=5)
     x_star = np.array([0.6, 0.3, 0.9])
     X = np.tile(x_star, (50, 1))
-    cfg = TrainConfig(noise_sigma=0.0, ridge_lambda=1e-8)
+    cfg = TrainSection(noise_sigma=0.0, ridge_lambda=1e-8)
     model = fit_batch_with_stats(shape, X, cfg)[1]
     assert np.max(np.abs(model.forward(x_star) - x_star)) <= 1e-4
 
 
 def test_all_zero_window_with_no_noise_yields_zero_readout():
     shape = AadrnnShape.default(3)
-    cfg = TrainConfig(noise_sigma=0.0, ridge_lambda=1e-4)
+    cfg = TrainSection(noise_sigma=0.0, ridge_lambda=1e-4)
     model = fit_batch_with_stats(shape, np.zeros((10, 3)), cfg)[1]
     assert np.array_equal(model.readout, np.zeros((3, 3)))
 
@@ -192,7 +192,7 @@ def test_all_zero_window_with_no_noise_yields_zero_readout():
 
 def test_batch_equals_incremental_over_random_partitions():
     rng = np.random.default_rng(13)
-    cfg = TrainConfig(noise_sigma=0.1, ridge_lambda=1e-4, seed=3)
+    cfg = TrainSection(noise_sigma=0.1, ridge_lambda=1e-4, seed=3)
     for dim in (3, 6, 20):
         shape = AadrnnShape.default(dim, seed=2)
         X = random_rows(rng, 1500, dim)
@@ -217,7 +217,7 @@ def test_noise_is_keyed_to_global_row_index_not_window_position():
     # Splitting after row k must corrupt row k+1 identically to the batch fit;
     # a window-local index would break this.
     shape = AadrnnShape.default(2, seed=9)
-    cfg = TrainConfig(noise_sigma=0.3, ridge_lambda=1e-4, seed=1)
+    cfg = TrainSection(noise_sigma=0.3, ridge_lambda=1e-4, seed=1)
     X = random_rows(np.random.default_rng(17), 6, 2)
     whole = fit_batch_with_stats(shape, X, cfg)[1]
     stats = SufficientStats.empty(whole.hidden_dim, 2)
@@ -248,7 +248,7 @@ def test_chunked_fold_equals_per_row_oracle(dim):
     model = AadrnnModel.initial(shape)
     X = random_rows(rng, 600, dim)
     for sigma, salt in ((0.1, None), (0.1, 12345), (0.0, None)):
-        cfg = TrainConfig(noise_sigma=sigma, ridge_lambda=1e-4, seed=7)
+        cfg = TrainSection(noise_sigma=sigma, ridge_lambda=1e-4, seed=7)
         empty = SufficientStats.empty(dim, dim)
         noisy = per_row_corrupt_window(X, 0, cfg, salt)
         expected = per_row_accumulate_pairs(empty, noisy, X, model)
@@ -286,7 +286,7 @@ def test_gram_matrix_is_symmetric_psd():
         shape = AadrnnShape.default(3, seed=int(rng.integers(100)))
         model = AadrnnModel.initial(shape)
         stats = SufficientStats.empty(3, 3)
-        cfg = TrainConfig(seed=int(rng.integers(100)))
+        cfg = TrainSection(seed=int(rng.integers(100)))
         for _ in range(int(rng.integers(1, 4))):
             stats, model = update_incremental(
                 stats, random_rows(rng, int(rng.integers(1, 8)), 3), model, cfg)
@@ -298,7 +298,7 @@ def test_empty_window_is_a_no_op():
     shape = AadrnnShape.default(3)
     model = AadrnnModel.initial(shape)
     stats = SufficientStats.empty(3, 3)
-    out_stats, out_model = update_incremental(stats, np.empty((0, 3)), model, TrainConfig())
+    out_stats, out_model = update_incremental(stats, np.empty((0, 3)), model, TrainSection())
     assert out_stats is stats and out_model is model
 
 
@@ -306,7 +306,7 @@ def test_one_row_window_is_reshaped():
     shape = AadrnnShape.default(3)
     model = AadrnnModel.initial(shape)
     stats = SufficientStats.empty(3, 3)
-    stats, model = update_incremental(stats, np.array([0.5, 0.25, 1.0]), model, TrainConfig())
+    stats, model = update_incremental(stats, np.array([0.5, 0.25, 1.0]), model, TrainSection())
     assert stats.n == 1 and model.readout.shape == (3, 3)
 
 
@@ -314,11 +314,8 @@ def test_one_row_window_is_reshaped():
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(noise_sigma=-0.1)
-    with pytest.raises(ValueError):
-        TrainConfig(ridge_lambda=0.0)
-    # The window policy is checked with the rest of the config.
+    # noise_sigma, ridge_lambda and seed are checked with the rest of the config
+    # (tests/test_config_cli.py); so is the window policy.
     with pytest.raises(ValueError, match="train.window_len"):
         config_from_dict({"train": {"window_len": 0}})
     with pytest.raises(ValueError, match="train.window_seconds"):
@@ -329,16 +326,16 @@ def test_train_config_validation():
 def test_fit_batch_validation():
     shape = AadrnnShape.default(3)
     with pytest.raises(ValueError):
-        fit_batch_with_stats(shape, np.empty((0, 3)), TrainConfig())
+        fit_batch_with_stats(shape, np.empty((0, 3)), TrainSection())
     with pytest.raises(DimensionError):
-        fit_batch_with_stats(shape, np.zeros((4, 2)), TrainConfig())
+        fit_batch_with_stats(shape, np.zeros((4, 2)), TrainSection())
     with pytest.raises(DimensionError):
         update_incremental(SufficientStats.empty(3, 3), np.zeros((2, 4)),
-                           AadrnnModel.initial(shape), TrainConfig())
+                           AadrnnModel.initial(shape), TrainSection())
     with pytest.raises(ValueError, match="non-finite training row"):
         update_incremental(SufficientStats.empty(3, 3),
                            np.array([[0.5, 0.5, 0.5], [0.5, np.nan, 0.5]]),
-                           AadrnnModel.initial(shape), TrainConfig())
+                           AadrnnModel.initial(shape), TrainSection())
 
 
 def test_accumulate_pairs_shape_mismatch():
