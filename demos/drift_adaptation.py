@@ -31,7 +31,7 @@ result = compare_online_offline(trace, config)
 
 for name, report in (("offline (frozen after init)", result.offline),
                      ("online (incremental)", result.online)):
-    thresholds = {thr for _, _, thr in report.decision_series}
+    thresholds = {d.threshold for d in report.decisions}
     print(f"{name}:")
     print(f"  {report.summary()}")
     print(f"  threshold values used: {len(thresholds)}")

@@ -25,7 +25,7 @@ n_attack = sum(1 for p in trace if p.label)
 print(f"trace: {len(trace)} packets, {n_attack} attack, flood starts at t=60s")
 
 result = run(Detector(3, config, online=True), trace)
-report = result.report(config)
+report = result.report()
 
 print(f"init consumed {result.skipped} benign packets; "
       f"{len(result.decisions)} packets judged")

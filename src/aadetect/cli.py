@@ -20,7 +20,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Union
 
 from . import bench as bench_mod
 from .config import Config, apply_overrides, load_config
@@ -159,10 +159,10 @@ def cmd_replay(args) -> int:
         if engine.mode != kind:
             raise ValueError(f"state file holds a {engine.mode.value} detector, "
                              f"expected {kind.value}")
-    elif args.features:  # a cold feature start defaults to frozen
-        engine = Detector(len(items[0].features), config, mode=kind, online=bool(args.online))
-    else:  # a cold packet start defaults to online learning
-        engine = Detector(3, config, mode=kind, online=not args.frozen)
+    else:  # without --online or --frozen the Detector picks the cold-start default
+        online = args.online if args.online or args.frozen else None
+        engine = Detector(len(items[0].features) if args.features else 3, config, mode=kind,
+                          online=online)
 
     log = _DecisionLogWriter(log_path)
     alerts = _open_alerts(alerts_spec)
@@ -189,54 +189,52 @@ def cmd_replay(args) -> int:
     if not decisions:
         raise ValueError(f"{source} ended before init completed; no decisions were made")
     if all(lab is not None for lab in labels):
-        _print_report(args, score(decisions, labels, types, config))
+        _print_report(args, config, score(decisions, labels, types))
     else:
         print(f"{len(decisions)} decisions (trace unlabeled; no scoring)")
-        _print_report(args, None)
+        _print_report(args, config, None)
     if args.save_state:
         save_state(engine, args.save_state)
         print(f"saved state -> {args.save_state}")
     return 0
 
 
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def _print_report(args, report: Optional[EvalReport]) -> None:
-    """Print a scored run and write its ``--report`` and ``--plots``; None
-    (an unlabeled replay) allows neither."""
-    if report is not None:
-        print(report.summary())
-        if report.per_attack_type:
-            print("per-attack-type accuracy:")
-            for name, acc in report.per_attack_type.items():
-                print(f"  {name:24s} {acc:8.2f}")
+def _write_outputs(args, config: Config, report: Union[EvalReport, InfectionReport]) -> None:
+    """Write a report's ``--report`` JSON, with the config attached, and its ``--plots``."""
     if args.report:
-        if report is None:
-            raise ValueError("--report needs a fully labeled input")
-        _write_json(args.report, report.to_dict())
+        with open(args.report, "w", encoding="utf-8") as fh:
+            json.dump(dict(report.to_dict(), config=config.to_dict()), fh, indent=1,
+                      sort_keys=True)
+            fh.write("\n")
     if args.plots:
-        if report is None:
-            raise ValueError("--plots needs a fully labeled input")
         for path in emit_plot_data(report, args.plots):
             print(f"wrote {path}")
 
 
-def _report_devices(args, config, report: InfectionReport) -> None:
+def _print_report(args, config: Config, report: Optional[EvalReport]) -> None:
+    """Print a scored run and write its outputs; None (an unlabeled replay)
+    allows neither ``--report`` nor ``--plots``."""
+    if report is None:
+        if args.report or args.plots:
+            raise ValueError(f"{'--report' if args.report else '--plots'} "
+                             "needs a fully labeled input")
+        return
+    print(report.summary())
+    if report.per_attack_type:
+        print("per-attack-type accuracy:")
+        for name, acc in report.per_attack_type.items():
+            print(f"  {name:24s} {acc:8.2f}")
+    _write_outputs(args, config, report)
+
+
+def _report_devices(args, config: Config, report: InfectionReport) -> None:
     print(f"{report.packets} packets, {len(report.devices)} devices, "
           f"{len(report.compromised)} compromised")
     for row in report.devices[:10]:
         flag = "COMPROMISED" if row.is_compromised else ""
         print(f"  {row.addr:18s} level {row.infection_level:.3f} "
               f"peak {row.peak_level:.3f} decisions {row.decisions_count} {flag}")
-    if args.report:
-        _write_json(args.report, dict(report.to_dict(), config=config.to_dict()))
-    if args.plots:
-        for path in emit_plot_data(report, args.plots):
-            print(f"wrote {path}")
+    _write_outputs(args, config, report)
 
 
 # -- eval ---------------------------------------------------------------------
@@ -275,8 +273,8 @@ def cmd_eval(args) -> int:
     decisions = read_decision_log(args.log)
     trace = load_trace(args.trace)
     labels, types = align_with_trace(decisions, trace)
-    report = score(decisions, labels, types, config)
-    _print_report(args, report)
+    report = score(decisions, labels, types)
+    _print_report(args, config, report)
     if args.assertions:
         failed = False
         for name, op, expected in _parse_assertions(args.assertions):

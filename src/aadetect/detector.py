@@ -369,7 +369,12 @@ def _detector_from_state(doc: dict, config: Config, online: bool) -> Detector:
     if version < 1 or version > STATE_VERSION:
         raise ValueError(f"version {version} not supported (max {STATE_VERSION})")
     model = model_from_json(doc)
-    detector = Detector(model.input_dim, config, mode=doc["mode"], online=online)
+    mode = Mode(doc["mode"])
+    want = {Mode.BOTNET: 3, Mode.DEVICE: 6}.get(mode, model.input_dim)  # features: any width
+    if model.input_dim != want:
+        raise ValueError(f"a {mode.value} state needs a model of {want} metrics, "
+                         f"this one takes {model.input_dim}")
+    detector = Detector(model.input_dim, config, mode=mode, online=online)
     detector.model = model
     detector.scaler = scaler_from_json(doc["scaling_factors"])
     detector.scaler.apply(np.zeros(model.input_dim))  # raises unless it scales M values

@@ -24,7 +24,7 @@ learning until it looks benign again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -71,12 +71,6 @@ class DeviceReportRow:
     last_seen_us: int
     evicted: bool = False
 
-    def to_dict(self) -> dict:
-        return {"addr": self.addr, "infection_level": self.infection_level,
-                "peak_level": self.peak_level, "is_compromised": self.is_compromised,
-                "decisions_count": self.decisions_count, "last_seen_us": self.last_seen_us,
-                "evicted": self.evicted}
-
 
 @dataclass(frozen=True)
 class InfectionReport:
@@ -87,7 +81,7 @@ class InfectionReport:
     compromised: Tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {"devices": [row.to_dict() for row in self.devices],
+        return {"devices": [asdict(row) for row in self.devices],
                 "summary": {"packets": self.packets,
                             "devices": len(self.devices),
                             "compromised": list(self.compromised)}}

@@ -13,7 +13,7 @@ denominator is zero are reported as None.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -36,9 +36,6 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.fn + self.tn + self.fp
 
-    def to_dict(self) -> dict:
-        return {"tp": self.tp, "fn": self.fn, "tn": self.tn, "fp": self.fp}
-
 
 def _pct(num: int, den: int) -> Optional[float]:
     return None if den == 0 else 100.0 * num / den
@@ -46,6 +43,8 @@ def _pct(num: int, den: int) -> Optional[float]:
 
 @dataclass
 class EvalReport:
+    """Rates over ``decisions``, the very sequence ``score`` was given."""
+
     counts: ConfusionCounts
     accuracy: float
     tpr: Optional[float]
@@ -53,20 +52,16 @@ class EvalReport:
     tnr: Optional[float]
     fpr: Optional[float]
     per_attack_type: Dict[str, float]
-    decision_series: List[Tuple[int, float, float]]
-    config: Optional[dict] = None
+    decisions: Sequence[Decision]
 
     def to_dict(self) -> dict:
-        doc = {
-            "counts": self.counts.to_dict(),
+        return {
+            "counts": asdict(self.counts),
             "rates": {"accuracy": self.accuracy, "tpr": self.tpr, "fnr": self.fnr,
                       "tnr": self.tnr, "fpr": self.fpr},
             "per_attack_type": dict(self.per_attack_type),
-            "decision_series": [[ts, v, thr] for ts, v, thr in self.decision_series],
+            "decision_series": [[d.at_us, d.value, d.threshold] for d in self.decisions],
         }
-        if self.config is not None:
-            doc["config"] = self.config
-        return doc
 
     def summary(self) -> str:
         def fmt(v):
@@ -78,8 +73,7 @@ class EvalReport:
 
 
 def score(decisions: Sequence[Decision], labels: Sequence[Optional[bool]],
-          attack_types: Optional[Sequence[Optional[str]]] = None,
-          config: Optional[Config] = None) -> EvalReport:
+          attack_types: Optional[Sequence[Optional[str]]] = None) -> EvalReport:
     """Score decisions against ground truth.
 
     Every decision must have a label; offending row indices are listed
@@ -124,8 +118,7 @@ def score(decisions: Sequence[Decision], labels: Sequence[Optional[bool]],
         tpr=_pct(tp, tp + fn), fnr=_pct(fn, tp + fn),
         tnr=_pct(tn, tn + fp), fpr=_pct(fp, tn + fp),
         per_attack_type=per_type,
-        decision_series=[(d.at_us, d.value, d.threshold) for d in decisions],
-        config=config.to_dict() if config is not None else None,
+        decisions=decisions,
     )
 
 
@@ -160,11 +153,10 @@ class RunResult:
     decisions: List[Decision]
     labels: List[Optional[bool]]
     attack_types: List[Optional[str]]
-    detector: Detector
     skipped: int  # rows consumed by init
 
-    def report(self, config: Optional[Config] = None) -> EvalReport:
-        return score(self.decisions, self.labels, self.attack_types, config)
+    def report(self) -> EvalReport:
+        return score(self.decisions, self.labels, self.attack_types)
 
 
 def run(detector: Detector, items: Sequence[Union[PacketRecord, FeatureRow]]) -> RunResult:
@@ -177,17 +169,7 @@ def run(detector: Detector, items: Sequence[Union[PacketRecord, FeatureRow]]) ->
         decisions.append(decision)
         labels.append(item.label)
         attack_types.append(item.attack_type)
-    return RunResult(decisions, labels, attack_types, detector, len(items) - len(decisions))
-
-
-def check_benign_prefix(trace: Trace, init_len: int) -> None:
-    """The first ``init_len`` packets must be labeled benign."""
-    if len(trace) < init_len:
-        raise ValueError(f"trace has {len(trace)} packets, init needs {init_len}")
-    for i, label in enumerate(trace.label[:init_len]):
-        if label is not False:
-            raise ValueError(
-                f"benign prefix shorter than init_len: packet {i} is not labeled benign")
+    return RunResult(decisions, labels, attack_types, len(items) - len(decisions))
 
 
 @dataclass
@@ -198,11 +180,16 @@ class CompareResult:
 
 def compare_online_offline(trace: Trace, config: Config) -> CompareResult:
     """Run the same labeled trace twice — init then frozen, versus init then
-    windowed incremental updates — and score both runs."""
-    check_benign_prefix(trace, config.train.init_len)
+    windowed incremental updates — and score both runs. Every packet that
+    init consumed must be labeled benign."""
     offline = run(Detector(3, config, online=False), trace)
+    if not offline.decisions:
+        raise ValueError(f"trace has {len(trace)} packets and init never completed")
+    for i, label in enumerate(trace.label[:offline.skipped]):
+        if label is not False:
+            raise ValueError(f"packet {i} fed init but is not labeled benign")
     online = run(Detector(3, config, online=True), trace)
-    return CompareResult(offline=offline.report(config), online=online.report(config))
+    return CompareResult(offline=offline.report(), online=online.report())
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +258,8 @@ def emit_plot_data(report: Union[EvalReport, InfectionReport],
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["timestamp_us", "decision_value", "threshold"])
-        for ts, value, thr in report.decision_series:
-            writer.writerow([ts, repr(value), repr(thr)])
+        for d in report.decisions:
+            writer.writerow([d.at_us, repr(d.value), repr(d.threshold)])
     written.append(path)
 
     path = out_dir / "per_type_accuracy.csv"

@@ -139,12 +139,13 @@ def test_criterion_4_flood_detection():
     started = time.perf_counter()
     result = run_flood_benchmark(seed=7)
     elapsed = time.perf_counter() - started
-    ok = (result.tpr is not None and result.tpr >= 95.0
-          and result.fpr is not None and result.fpr <= 2.0
+    tpr, fpr = result.report.tpr, result.report.fpr
+    ok = (tpr is not None and tpr >= 95.0
+          and fpr is not None and fpr <= 2.0
           and result.report.accuracy > result.baseline.accuracy
           and elapsed < 30.0)
     check("criterion 4 (flood: TPR >= 95, FPR <= 2, beats per-metric baseline)", ok,
-          f"tpr {result.tpr:.2f} fpr {result.fpr:.2f} "
+          f"tpr {tpr:.2f} fpr {fpr:.2f} "
           f"model acc {result.report.accuracy:.2f} vs baseline "
           f"{result.baseline.accuracy:.2f} in {elapsed:.1f}s (< 30s)")
 

@@ -411,6 +411,55 @@ def test_a_malformed_state_file_exits_2_naming_it_before_any_log(flood_trace_fil
     assert not log.exists()
 
 
+@pytest.mark.parametrize("mode, metrics", [("botnet", 3), ("device", 6)])
+def test_a_state_whose_mode_does_not_fit_its_model_exits_2_before_any_log(
+        flood_trace_file, tmp_path, capsys, mode, metrics):
+    rng = np.random.default_rng(53)
+    data = tmp_path / "features.csv"
+    save_feature_dataset([FeatureRow(rng.normal(0.5, 0.05, size=4), False)
+                          for _ in range(40)], data)
+    state = tmp_path / "fstate.json"
+    assert cli.main(["init", str(data), "--features", "--out", str(state)]) == 0
+    bad = tmp_path / "relabelled.json"
+    bad.write_text(json.dumps(dict(json.loads(state.read_text()), mode=mode)))
+    capsys.readouterr()
+    log = tmp_path / "never.csv"
+    rc = cli.main(["replay", str(flood_trace_file), "--state", str(bad), "--log", str(log)])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: state file {bad}: a {mode} state needs a "
+                                       f"model of {metrics} metrics, this one takes 4\n")
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("kind", ["packets", "features"])
+def test_the_report_decision_series_is_the_decision_log(tmp_path, kind):
+    if kind == "features":
+        rng = np.random.default_rng(59)
+        rows = [FeatureRow(rng.normal(0.5, 0.05, size=4), False) for _ in range(60)]
+        rows += [FeatureRow(rng.normal(3.0, 0.1, size=4), True, "shift") for _ in range(6)]
+        data = tmp_path / "features.csv"
+        save_feature_dataset(rows, data)
+        args = [str(data), "--features", "--online", "--set", "train.init_len=40",
+                "--set", "train.window_len=8"]
+    else:
+        data = tmp_path / "trace.csv"
+        assert cli.main(["synth", "--out", str(data), "--duration", "20", "--rate", "30",
+                         "--seed", "3", "--flood", "15:20:10"]) == 0
+        args = [str(data), "--set", "train.init_len=100", "--set", "train.window_len=50",
+                "--set", "metrics.T_seconds=1.0"]
+    log, report, plots = tmp_path / "log.csv", tmp_path / "report.json", tmp_path / "plots"
+    assert cli.main(["replay"] + args + ["--log", str(log), "--report", str(report),
+                                         "--plots", str(plots)]) == 0
+    logged = log.read_text().splitlines()[1:]
+    expected = [row.split(",")[:3] for row in logged]
+    assert len(expected) > 20 and len({thr for _, _, thr in expected}) > 1
+    series = json.loads(report.read_text())["decision_series"]
+    assert [[str(ts), repr(v), repr(thr)] for ts, v, thr in series] == expected
+    csv_rows = (plots / "decision_series.csv").read_text().splitlines()
+    assert csv_rows[0] == "timestamp_us,decision_value,threshold"
+    assert [row.split(",") for row in csv_rows[1:]] == expected
+
+
 def test_short_init_names_the_window_key_in_force(tmp_path, capsys):
     benign = tmp_path / "benign.csv"
     assert cli.main(["synth", "--out", str(benign), "--duration", "5", "--rate", "50",

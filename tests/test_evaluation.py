@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from aadetect.cli import write_decision_log
-from aadetect.config import Config, config_from_dict
+from aadetect.config import config_from_dict
 from aadetect.detector import Decision, Detector, Mode
 from aadetect.devices import DeviceBank
-from aadetect.evaluation import (align_with_trace, check_benign_prefix,
-                                 compare_online_offline, emit_plot_data,
-                                 read_decision_log, replay, run, score)
+from aadetect.evaluation import (align_with_trace, compare_online_offline,
+                                 emit_plot_data, read_decision_log, replay, run,
+                                 score)
 from aadetect.traffic import (AttackSegment, FeatureRow, Trace, TraceSpec,
                               synth_trace)
 
@@ -119,14 +119,15 @@ def test_score_per_type_accuracy_buckets():
 
 
 def test_report_summary_and_to_dict():
-    report = score([mk_decision(True), mk_decision(False)], [True, True])
+    decisions = [mk_decision(True, at_us=3, threshold=0.4), mk_decision(False, at_us=4)]
+    report = score(decisions, [True, True])
+    assert report.decisions is decisions  # kept, not copied
     s = report.summary()
     assert "accuracy 50.00" in s and "tpr 50.00" in s and "n/a" in s  # no benign rows
     doc = report.to_dict()
     assert doc["counts"] == {"tp": 1, "fn": 1, "tn": 0, "fp": 0}
-    assert "decision_series" in doc
-    with_cfg = score([mk_decision(True)], [True], config=Config())
-    assert with_cfg.to_dict()["config"]["train"]["init_len"] == 1000
+    assert doc["decision_series"] == [[3, 0.9, 0.4], [4, 0.1, 0.5]]
+    assert "config" not in doc
 
 
 # -- the replay driver -------------------------------------------------------------------
@@ -159,9 +160,10 @@ def test_replay_leaves_each_decisions_values_on_the_detector():
 def test_run_feature_rows_offline_by_default():
     rng = np.random.default_rng(313)
     rows = [FeatureRow(rng.uniform(0, 1, size=3), False) for _ in range(30)]
-    result = run(Detector(3, stream_config(init_len=10), mode=Mode.FEATURES), rows)
+    det = Detector(3, stream_config(init_len=10), mode=Mode.FEATURES)
+    result = run(det, rows)
     assert result.skipped == 10 and len(result.decisions) == 20
-    assert result.detector.phase.value == "frozen"
+    assert det.phase.value == "frozen"
     empty = run(Detector(3, stream_config(), mode=Mode.FEATURES), [])
     assert empty.decisions == [] and empty.skipped == 0
 
@@ -214,19 +216,6 @@ def test_replay_of_a_detector_equals_stepping_feature_rows(train):
         assert det.threshold == ref.threshold and np.array_equal(det.stats.G, ref.stats.G)
 
 
-def test_check_benign_prefix():
-    trace = benign_trace()
-    check_benign_prefix(trace, 8)
-    with pytest.raises(ValueError):
-        check_benign_prefix(trace, len(trace) + 1)
-    poisoned = Trace((trace[0],) + (
-        type(trace[1])(trace[1].timestamp_us, "a", "b", 7, True, "flood"),
-    ) + trace.records[2:])
-    with pytest.raises(ValueError) as err:
-        check_benign_prefix(poisoned, 8)
-    assert "packet 1" in str(err.value)
-
-
 def attack_trace(seed=23):
     seg = AttackSegment(4.0, 6.0, 30.0, attackers=("198.51.100.66",),
                         victims=("10.0.0.1",), size_mean=80.0, size_sigma=10.0)
@@ -244,8 +233,8 @@ def test_compare_online_offline_is_deterministic():
     assert r1.online.to_dict() == r2.online.to_dict()
     # The offline pass keeps its init threshold; the online pass re-estimates
     # it at every completed window.
-    assert len({thr for _, _, thr in r1.offline.decision_series}) == 1
-    assert len({thr for _, _, thr in r1.online.decision_series}) > 1
+    assert len({d.threshold for d in r1.offline.decisions}) == 1
+    assert len({d.threshold for d in r1.online.decisions}) > 1
 
 
 def test_compare_without_update_policy_degenerates_to_offline():
@@ -262,6 +251,33 @@ def test_compare_rejects_attacks_inside_the_init_prefix():
     trace = synth_trace(TraceSpec(duration_s=3.0, rate_pps=50.0, attacks=(seg,)), seed=1)
     with pytest.raises(ValueError):
         compare_online_offline(trace, stream_config())
+
+
+def test_compare_checks_every_packet_init_consumed_is_benign():
+    trace = benign_trace()
+    result = compare_online_offline(trace, stream_config())
+    assert result.offline.counts.total == len(trace) - 8
+    with pytest.raises(ValueError) as err:
+        compare_online_offline(trace, stream_config(init_len=len(trace) + 1))
+    assert str(err.value) == f"trace has {len(trace)} packets and init never completed"
+    poisoned = Trace((trace[0],) + (
+        type(trace[1])(trace[1].timestamp_us, "a", "b", 7, True, "flood"),
+    ) + trace.records[2:])
+    with pytest.raises(ValueError) as err:
+        compare_online_offline(poisoned, stream_config())
+    assert str(err.value) == "packet 1 fed init but is not labeled benign"
+
+
+def test_compare_checks_the_init_seconds_window_not_init_len():
+    # init_len keeps its default of 1000, past the first attack packet (408);
+    # the 2 s window takes only the first 97 packets.
+    seg = AttackSegment(8, 10, 10, ("1.2.3.4",), victims=("10.0.0.1",))
+    trace = synth_trace(TraceSpec(duration_s=10, rate_pps=50, benign_until=8,
+                                  attacks=(seg,)), seed=1)
+    assert len(trace) == 1445 and trace.label[408] and not any(trace.label[:408])
+    config = config_from_dict({"train": {"init_seconds": 2.0}})
+    result = compare_online_offline(trace, config)
+    assert result.offline.counts.total == result.online.counts.total == len(trace) - 97
 
 
 # -- decision logs -----------------------------------------------------------------------
