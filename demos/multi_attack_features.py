@@ -17,33 +17,36 @@ import dataclasses
 
 import numpy as np
 
-from aadetect import Config, Detector, FeatureRow, Mode, run
+from aadetect import Config, Detector, FeatureTable, Mode, run
 
 rng = np.random.default_rng(42)
 DIM = 6
 
 
-def rows_from(center, spread, n, label, attack_type=None, transform=None):
+def rows_from(center, spread, n, transform=None):
     block = np.abs(rng.normal(center, spread, size=(n, DIM)))
-    if transform is not None:
-        block = transform(block)
-    return [FeatureRow(features=tuple(row), label=label, attack_type=attack_type)
-            for row in block]
+    return block if transform is None else transform(block)
 
 
-benign_train = rows_from(0.5, 0.08, 400, label=False)
-mixed = (rows_from(0.5, 0.08, 300, label=False)
-         + rows_from(3.0, 0.15, 60, True, "flood")  # loud on every feature
-         + rows_from(0.5, 0.08, 60, True, "slowloris",
-                     transform=lambda b: 0.02 * b)  # starved, near-zero activity
-         + rows_from(0.5, 0.08, 60, True, "exfil",
-                     transform=lambda b: b * np.array([1, 1, 1, 1, 12.0, 1])))
-rng.shuffle(mixed)
+benign_train = rows_from(0.5, 0.08, 400)
+families = [(rows_from(0.5, 0.08, 300), None),
+            (rows_from(3.0, 0.15, 60), "flood"),  # loud on every feature
+            (rows_from(0.5, 0.08, 60, transform=lambda b: 0.02 * b),
+             "slowloris"),  # starved, near-zero activity
+            (rows_from(0.5, 0.08, 60, transform=lambda b: b * np.array([1, 1, 1, 1, 12.0, 1])),
+             "exfil")]
+mixed = np.vstack([block for block, _ in families])
+kinds = [kind for block, kind in families for _ in block]
+order = list(range(len(mixed)))
+rng.shuffle(order)
+table = FeatureTable(np.vstack([benign_train, mixed[order]]),
+                     [False] * len(benign_train) + [kinds[i] is not None for i in order],
+                     [None] * len(benign_train) + [kinds[i] for i in order])
 
 config = Config()
 train = dataclasses.replace(config.train, init_len=len(benign_train))  # init on every benign row
 detector = Detector(DIM, dataclasses.replace(config, train=train), mode=Mode.FEATURES)
-result = run(detector, benign_train + mixed)
+result = run(detector, table)
 report = result.report()
 
 print(f"trained on {result.skipped} benign rows; judged {len(result.decisions)} rows")

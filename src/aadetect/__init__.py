@@ -16,7 +16,7 @@ from .detector import Detector, Mode, load_state, save_state
 from .devices import DeviceBank
 from .evaluation import compare_online_offline, replay, run
 from .metrics import DirectionalMetrics, StreamMetrics
-from .traffic import AttackSegment, FeatureRow, TraceSpec, synth_trace
+from .traffic import AttackSegment, FeatureTable, TraceSpec, synth_trace
 from .training import fit_batch_with_stats, update_incremental
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ Three seeded synthetic scenarios exercise the headline claims end to end:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -25,7 +25,8 @@ import numpy as np
 from .config import Config, config_from_dict
 from .detector import Detector, simple_threshold_baseline, whisker_threshold
 from .devices import DeviceBank
-from .evaluation import CompareResult, EvalReport, compare_online_offline, replay, score
+from .evaluation import (CompareResult, EvalReport, compare_online_offline, ground_truth,
+                         replay, score)
 from .traffic import AttackSegment, Trace, TraceSpec, synth_trace
 
 
@@ -106,19 +107,14 @@ def run_flood_benchmark(seed: int = 7, config: Optional[Config] = None) -> Flood
     config = config or bench_config()
     trace = flood_trace(seed)
     det = Detector(3, config, online=True)
-    steps = [(pkt, decision, det.last_values) for pkt, _, decision in replay(det, trace)]
-    pkts, decisions, values = zip(*steps)
-    labels = [pkt.label for pkt in pkts]
-    types = [pkt.attack_type for pkt in pkts]
+    steps = [(decision, det.last_values) for _, decision in replay(det, trace)]
+    decisions, values = zip(*steps)
+    labels, types = ground_truth(trace, len(decisions))
     report = score(decisions, labels, types)
 
-    init_values = det.init_values
-    theta = np.array([whisker_threshold(init_values[:, i])
-                      for i in range(init_values.shape[1])])
-    baseline_decisions = [
-        dec.__class__(value=dec.value, is_attack=simple_threshold_baseline(vals, theta),
-                      at_us=dec.at_us, mode="baseline", threshold=dec.threshold)
-        for dec, vals in zip(decisions, values)]
+    theta = np.array([whisker_threshold(column) for column in det.init_values.T])
+    baseline_decisions = [replace(dec, is_attack=simple_threshold_baseline(vals, theta),
+                                  mode="baseline") for dec, vals in zip(decisions, values)]
     baseline = score(baseline_decisions, labels, types)
     return FloodBenchResult(report=report, baseline=baseline)
 
@@ -144,7 +140,7 @@ def run_device_benchmark(seed: int = 5, config: Optional[Config] = None) -> Devi
     bank = DeviceBank(config)
     flooder_decisions_after_onset = 0
     onset_decisions_to_flag = None
-    for _, addr, decision in replay(bank, trace):
+    for addr, decision in replay(bank, trace):
         if addr != flooder or decision.at_us < onset_us:
             continue
         flooder_decisions_after_onset += 1

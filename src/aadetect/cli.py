@@ -18,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import operator
 import os
 import sys
 from typing import Iterable, List, Optional, Sequence, Union
@@ -27,13 +28,14 @@ from .config import Config, apply_overrides, load_config
 from .detector import Decision, Detector, LifecycleError, Mode, Phase, load_state, save_state
 from .devices import DeviceBank, InfectionReport
 from .evaluation import (DECISION_LOG_FIELDS, EvalReport, align_with_trace, emit_plot_data,
-                         read_decision_log, replay, score)
+                         ground_truth, read_decision_log, replay, score)
 from .metrics import DimensionError
 from .traffic import (AttackSegment, TraceParseError, TraceSpec, load_feature_dataset,
                       load_trace, save_trace, synth_trace)
 
 _ASSERT_METRICS = ("accuracy", "tpr", "fnr", "tnr", "fpr")
-_ASSERT_OPS = ("<=", ">=", "==", "<", ">")
+_ASSERT_OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq,  # "<=" before "<"
+               "<": operator.lt, ">": operator.gt}
 
 
 def _build_config(args) -> Config:
@@ -100,11 +102,12 @@ def write_decision_log(decisions: Iterable[Decision], path: str) -> None:
 def cmd_init(args) -> int:
     config = _build_config(args)
     if args.features:
-        rows = [r for r in load_feature_dataset(args.trace) if r.label is not True]
+        table = load_feature_dataset(args.trace)
+        rows = table.features[[label is not True for label in table.label]]  # a boolean mask
         if len(rows) < 4:
             raise ValueError(f"feature training file has only {len(rows)} benign rows, need >= 4")
         train = dataclasses.replace(config.train, init_len=len(rows))  # fit every benign row
-        det = Detector(len(rows[0].features), dataclasses.replace(config, train=train),
+        det = Detector(rows.shape[1], dataclasses.replace(config, train=train),
                        mode=Mode.FEATURES, online=False)
         for _ in det.step_rows(rows):  # rows past the init window are judged: only their checks matter
             pass
@@ -143,8 +146,6 @@ def cmd_replay(args) -> int:
             if given:
                 raise ValueError(f"--devices does not take {flag}: "
                                  "a device bank cannot be loaded, saved or frozen")
-    log_path = args.log or config.io.decision_log
-    alerts_spec = args.alerts or config.io.alerts
 
     if args.features:
         items, kind, source = load_feature_dataset(args.trace), Mode.FEATURES, "feature file"
@@ -161,23 +162,19 @@ def cmd_replay(args) -> int:
                              f"expected {kind.value}")
     else:  # without --online or --frozen the Detector picks the cold-start default
         online = args.online if args.online or args.frozen else None
-        engine = Detector(len(items[0].features) if args.features else 3, config, mode=kind,
+        engine = Detector(items.features.shape[1] if args.features else 3, config, mode=kind,
                           online=online)
 
-    log = _DecisionLogWriter(log_path)
-    alerts = _open_alerts(alerts_spec)
+    log = _DecisionLogWriter(args.log)
+    alerts = _open_alerts(args.alerts)
     decisions: List[Decision] = []
-    labels: List[Optional[bool]] = []
-    types: List[Optional[str]] = []
     try:
-        for item, addr, decision in replay(engine, items):
+        for addr, decision in replay(engine, items):
             log.write(decision)
             if alerts is not None and decision.is_attack:
                 _emit_alert(alerts, decision, addr=addr)
             if addr is None:
                 decisions.append(decision)
-                labels.append(item.label)
-                types.append(item.attack_type)
     finally:
         log.close()
         if alerts is not None and alerts is not sys.stdout:
@@ -188,7 +185,8 @@ def cmd_replay(args) -> int:
         return 0
     if not decisions:
         raise ValueError(f"{source} ended before init completed; no decisions were made")
-    if all(lab is not None for lab in labels):
+    labels, types = ground_truth(items, len(decisions))
+    if None not in labels:
         _print_report(args, config, score(decisions, labels, types))
     else:
         print(f"{len(decisions)} decisions (trace unlabeled; no scoring)")
@@ -252,7 +250,10 @@ def _parse_assertions(spec: str) -> List[tuple]:
                 name = name.strip().lower()
                 if name not in _ASSERT_METRICS:
                     raise ValueError(f"unknown metric in assertion: {name!r}")
-                out.append((name, op, float(value)))
+                try:
+                    out.append((name, op, float(value)))
+                except ValueError:
+                    raise ValueError(f"bad number in assertion clause {clause!r}") from None
                 break
         else:
             raise ValueError(f"cannot parse assertion clause: {clause!r}")
@@ -261,31 +262,22 @@ def _parse_assertions(spec: str) -> List[tuple]:
     return out
 
 
-def _check_assertion(actual: Optional[float], op: str, expected: float) -> bool:
-    if actual is None:
-        return False
-    return {"<=": actual <= expected, ">=": actual >= expected, "==": actual == expected,
-            "<": actual < expected, ">": actual > expected}[op]
-
-
 def cmd_eval(args) -> int:
+    assertions = _parse_assertions(args.assertions) if args.assertions else []
     config = _build_config(args)
     decisions = read_decision_log(args.log)
     trace = load_trace(args.trace)
     labels, types = align_with_trace(decisions, trace)
     report = score(decisions, labels, types)
     _print_report(args, config, report)
-    if args.assertions:
-        failed = False
-        for name, op, expected in _parse_assertions(args.assertions):
-            actual = getattr(report, name)
-            ok = _check_assertion(actual, op, expected)
-            shown = "n/a" if actual is None else f"{actual:.2f}"
-            print(f"assert {name} {op} {expected:g}: {shown} -> {'ok' if ok else 'VIOLATED'}")
-            failed = failed or not ok
-        if failed:
-            return 1
-    return 0
+    failed = False
+    for name, op, expected in assertions:
+        actual = getattr(report, name)
+        ok = actual is not None and _ASSERT_OPS[op](actual, expected)
+        shown = "n/a" if actual is None else f"{actual:.2f}"
+        print(f"assert {name} {op} {expected:g}: {shown} -> {'ok' if ok else 'VIOLATED'}")
+        failed = failed or not ok
+    return 1 if failed else 0
 
 
 # -- synth ----------------------------------------------------------------------
@@ -309,7 +301,7 @@ def cmd_synth(args) -> int:
                      rate_ramp=args.ramp, attacks=tuple(attacks))
     trace = synth_trace(spec, args.seed)
     save_trace(trace, args.out)
-    n_attack = sum(1 for p in trace if p.label)
+    n_attack = trace.label.count(True)
     print(f"wrote {len(trace)} packets ({n_attack} attack) -> {args.out}")
     return 0
 

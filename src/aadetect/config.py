@@ -1,4 +1,4 @@
-"""Run configuration: one JSON file, five sections, strict keys and types.
+"""Run configuration: one JSON file, four sections, strict keys and types.
 
 Defaults apply for absent keys; unknown sections or keys are rejected.
 ``--set section.key=value`` overrides parse values as JSON where possible
@@ -59,23 +59,6 @@ class DeviceSection:
     threshold_scale: float = 8.0
 
 
-@dataclass
-class IoSection:
-    decision_log: Optional[str] = None
-    alerts: Optional[str] = None
-
-
-_SECTIONS = {
-    "metrics": MetricsSection,
-    "train": TrainSection,
-    "threshold": ThresholdSection,
-    "device": DeviceSection,
-    "io": IoSection,
-}
-
-
-# Each key's annotation, e.g. Optional[float]: what validate accepts.
-_HINTS = {name: get_type_hints(cls) for name, cls in _SECTIONS.items()}
 _KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
@@ -136,7 +119,6 @@ class Config:
     train: TrainSection = field(default_factory=TrainSection)
     threshold: ThresholdSection = field(default_factory=ThresholdSection)
     device: DeviceSection = field(default_factory=DeviceSection)
-    io: IoSection = field(default_factory=IoSection)
 
     def __post_init__(self):
         self.validate()
@@ -162,7 +144,13 @@ class Config:
             raise ValueError("threshold.mode 'fixed' requires threshold.value")
 
     def to_dict(self) -> Dict[str, Dict[str, Any]]:
-        return {name: dataclasses.asdict(getattr(self, name)) for name in _SECTIONS}
+        return dataclasses.asdict(self)
+
+
+# Each section's class, then each key's annotation, e.g. Optional[float]: what
+# validate accepts.
+_SECTIONS = get_type_hints(Config)
+_HINTS = {name: get_type_hints(cls) for name, cls in _SECTIONS.items()}
 
 
 def config_from_dict(doc: Dict[str, Any]) -> Config:

@@ -27,7 +27,7 @@ import zlib
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .aadrnn import AadrnnModel, AadrnnShape, model_from_json, model_to_json
 from .config import Config
 from .metrics import (DimensionError, StreamMetrics, fit_scaling, min_max_fit,
                       scaler_from_json)
-from .traffic import FeatureRow, PacketRecord
+from .traffic import PacketRecord
 from .training import SufficientStats, fit_batch_with_stats, update_incremental
 
 STATE_VERSION = 1
@@ -45,6 +45,10 @@ class Mode(str, Enum):
     BOTNET = "botnet"      # single aggregate packet stream, 3 metrics
     FEATURES = "features"  # pre-extracted feature rows, min-max normalized
     DEVICE = "device"      # one per-address stream, 6 directional metrics
+
+
+# The metric count a mode fixes; a FEATURES detector takes any width.
+MODE_DIM = {Mode.BOTNET: 3, Mode.DEVICE: 6}
 
 
 class Phase(str, Enum):
@@ -115,9 +119,12 @@ class Detector:
                  online: Optional[bool] = None, noise_salt: Optional[int] = None):
         if dim < 1:
             raise ValueError("dim must be >= 1")
+        self.mode = Mode(mode)
+        if MODE_DIM.get(self.mode, dim) != dim:
+            raise DimensionError(f"a {self.mode.value} detector takes "
+                                 f"{MODE_DIM[self.mode]} metrics, not {dim}")
         self.dim = dim
         self.config = config
-        self.mode = Mode(mode)
         self.phase = Phase.INIT
         gamma = config.metrics.gamma or [1.0 / dim] * dim  # validate rejects an empty list
         if len(gamma) != dim:
@@ -161,38 +168,32 @@ class Detector:
 
     # -- feeding ------------------------------------------------------------
 
-    def step(self, item: Union[PacketRecord, FeatureRow, np.ndarray]) -> Optional[Decision]:
-        """Consume one packet (BOTNET) or one feature row (FEATURES)."""
+    def step(self, item: Union[PacketRecord, np.ndarray]) -> Optional[Decision]:
+        """Consume one packet (BOTNET) or one feature row array (FEATURES)."""
         if self.mode == Mode.BOTNET:
             if not isinstance(item, PacketRecord):
                 raise TypeError("botnet-mode detectors consume PacketRecord items")
             raw = self._extractor.update(item.timestamp_us, item.size_bytes)
             return self.observe(raw, item.timestamp_us)
         if self.mode == Mode.FEATURES:
-            feats = item.features if isinstance(item, FeatureRow) else np.asarray(item, dtype=float)
-            at_us = self._row_counter
-            return self.observe(feats, at_us)
+            return self.observe(item, self._row_counter)
         raise LifecycleError("device-mode detectors are fed by the DeviceBank")
 
-    def step_rows(self, rows: Sequence[Union[PacketRecord, FeatureRow, np.ndarray]]
-                  ) -> Iterator[Tuple[Union[PacketRecord, FeatureRow, np.ndarray],
-                                      Optional[Decision]]]:
-        """``step`` over packets or feature rows, yielding each item with its
-        result; ``rows`` is iterated once. A fresh FEATURES detector fits its
-        init window with one ``initialize`` call on the rows ``init_cut``
-        names, then steps the rest: the same detector and decisions as
-        stepping every row."""
+    def step_rows(self, rows: Sequence[Union[PacketRecord, np.ndarray]]
+                  ) -> Iterator[Optional[Decision]]:
+        """``step`` over a ``Trace``, a ``FeatureTable`` or a matrix, yielding
+        each row's result; ``rows`` is iterated once. A fresh FEATURES detector
+        fits its init window with one ``initialize`` call on ``rows[:cut]`` (see
+        ``init_cut``), then steps the rest: the same detector and decisions."""
         start = 0
         if self.mode == Mode.FEATURES and self.phase == Phase.INIT and self._row_counter == 0:
             cut = self.init_cut(len(rows))
             if cut is not None:
-                head = rows[:cut]
-                self.initialize([row.features if isinstance(row, FeatureRow) else row
-                                 for row in head])
+                self.initialize(rows[:cut])
                 self._row_counter = start = cut
-                yield from zip(head, itertools.repeat(None))
+                yield from itertools.repeat(None, cut)
         for row in itertools.islice(rows, start, None):
-            yield row, self.step(row)
+            yield self.step(row)
 
     def observe(self, raw: np.ndarray, at_us: int) -> Optional[Decision]:
         """Consume one raw metric vector. Returns None during init."""
@@ -369,12 +370,8 @@ def _detector_from_state(doc: dict, config: Config, online: bool) -> Detector:
     if version < 1 or version > STATE_VERSION:
         raise ValueError(f"version {version} not supported (max {STATE_VERSION})")
     model = model_from_json(doc)
-    mode = Mode(doc["mode"])
-    want = {Mode.BOTNET: 3, Mode.DEVICE: 6}.get(mode, model.input_dim)  # features: any width
-    if model.input_dim != want:
-        raise ValueError(f"a {mode.value} state needs a model of {want} metrics, "
-                         f"this one takes {model.input_dim}")
-    detector = Detector(model.input_dim, config, mode=mode, online=online)
+    # The Detector rejects a model width that the state's mode does not take.
+    detector = Detector(model.input_dim, config, mode=Mode(doc["mode"]), online=online)
     detector.model = model
     detector.scaler = scaler_from_json(doc["scaling_factors"])
     detector.scaler.apply(np.zeros(model.input_dim))  # raises unless it scales M values

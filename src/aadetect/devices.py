@@ -30,11 +30,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .config import Config
-from .detector import Decision, Detector, Mode, salt_for_address
+from .detector import MODE_DIM, Decision, Detector, Mode, salt_for_address
 from .metrics import DirectionalMetrics
 from .traffic import PacketRecord
 
-DEVICE_DIM = 6
+DEVICE_DIM = MODE_DIM[Mode.DEVICE]
 _EVICTION_CHECK_EVERY = 512
 
 

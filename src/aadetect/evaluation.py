@@ -1,8 +1,8 @@
 """The replay driver, scoring, decision logs and plot data.
 
-``replay`` is the one loop that feeds packets or feature rows to a detector
-or a device bank; ``run`` keeps a single detector's decisions with their
-ground truth, and the CLI streams them to the decision log and alerts.
+``replay`` is the one loop that feeds a ``Trace`` or a ``FeatureTable`` to a
+detector or a device bank. ``ground_truth`` slices the labels and attack
+types of a detector's decisions from its input's columns (see ``replay``).
 
 Rates follow the usual confusion-matrix definitions, reported as percentages:
 accuracy, TPR (recall on attacks), FNR, TNR, FPR. Per-attack-type accuracy is
@@ -20,7 +20,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from .config import Config
 from .detector import Decision, Detector
 from .devices import DeviceBank, InfectionReport
-from .traffic import FeatureRow, PacketRecord, Trace
+from .traffic import FeatureTable, Trace
 
 DECISION_LOG_FIELDS = ("timestamp_us", "decision_value", "threshold", "is_attack", "mode")
 
@@ -126,24 +126,32 @@ def score(decisions: Sequence[Decision], labels: Sequence[Optional[bool]],
 # The replay driver
 
 
-def replay(engine: Union[Detector, DeviceBank],
-           items: Sequence[Union[PacketRecord, FeatureRow]]
-           ) -> Iterator[Tuple[Union[PacketRecord, FeatureRow], Optional[str], Decision]]:
-    """Feed packets or feature rows to one detector or a device bank and
-    yield ``(item, addr, decision)`` for every decision, in order.
+def replay(engine: Union[Detector, DeviceBank], items: Union[Trace, FeatureTable]
+           ) -> Iterator[Tuple[Optional[str], Decision]]:
+    """Feed a trace or a feature table to one detector or a device bank and
+    yield ``(addr, decision)`` for every decision, in order.
 
     ``addr`` is the device a bank's decision is about, None for a single
-    detector. Items that only fed init yield nothing. A fresh FEATURES
-    detector fits its init window in one go (``Detector.step_rows``).
+    detector. A fresh FEATURES detector fits its init window in one go
+    (``Detector.step_rows``). For a single detector, the items that feed
+    init form a prefix of ``items`` and every later item yields exactly one
+    decision, so n decisions belong to the last n items (``ground_truth``).
     """
     if isinstance(engine, DeviceBank):
         for pkt in items:
             for addr, decision in engine.ingest(pkt):
-                yield pkt, addr, decision
+                yield addr, decision
         return
-    for item, decision in engine.step_rows(items):
+    for decision in engine.step_rows(items):
         if decision is not None:
-            yield item, None, decision
+            yield None, decision
+
+
+def ground_truth(items: Union[Trace, FeatureTable], n: int) -> Tuple[tuple, tuple]:
+    """The labels and attack types of a single detector's ``n`` decisions on
+    ``items``: the columns past ``len(items) - n`` (see ``replay``)."""
+    start = len(items) - n  # not [-n:], which is every item when n is 0
+    return items.label[start:], items.attack_type[start:]
 
 
 @dataclass
@@ -151,25 +159,20 @@ class RunResult:
     """Decisions plus the ground truth for the rows that produced them."""
 
     decisions: List[Decision]
-    labels: List[Optional[bool]]
-    attack_types: List[Optional[str]]
+    labels: Sequence[Optional[bool]]
+    attack_types: Sequence[Optional[str]]
     skipped: int  # rows consumed by init
 
     def report(self) -> EvalReport:
         return score(self.decisions, self.labels, self.attack_types)
 
 
-def run(detector: Detector, items: Sequence[Union[PacketRecord, FeatureRow]]) -> RunResult:
-    """Replay packets or feature rows through one detector, keeping every
+def run(detector: Detector, items: Union[Trace, FeatureTable]) -> RunResult:
+    """Replay a trace or a feature table through one detector, keeping every
     decision with its item's ground truth."""
-    decisions: List[Decision] = []
-    labels: List[Optional[bool]] = []
-    attack_types: List[Optional[str]] = []
-    for item, _, decision in replay(detector, items):
-        decisions.append(decision)
-        labels.append(item.label)
-        attack_types.append(item.attack_type)
-    return RunResult(decisions, labels, attack_types, len(items) - len(decisions))
+    decisions = [decision for _, decision in replay(detector, items)]
+    return RunResult(decisions, *ground_truth(items, len(decisions)),
+                     len(items) - len(decisions))
 
 
 @dataclass
@@ -197,6 +200,8 @@ def compare_online_offline(trace: Trace, config: Config) -> CompareResult:
 
 
 def read_decision_log(path: Union[str, Path]) -> List[Decision]:
+    """Read a decision log back; a malformed row is an error naming its
+    ``path:line``."""
     path = Path(path)
     decisions: List[Decision] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -209,15 +214,19 @@ def read_decision_log(path: Union[str, Path]) -> List[Decision]:
                 continue
             if len(row) != len(DECISION_LOG_FIELDS):
                 raise ValueError(f"{path}:{line_no}: expected {len(DECISION_LOG_FIELDS)} columns")
-            decisions.append(Decision(at_us=int(row[0]), value=float(row[1]),
-                                      threshold=float(row[2]), is_attack=bool(int(row[3])),
-                                      mode=row[4]))
+            try:
+                at_us, value, threshold = int(row[0]), float(row[1]), float(row[2])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+            if row[3].strip() not in ("0", "1"):
+                raise ValueError(f"{path}:{line_no}: is_attack must be 0 or 1, got {row[3]!r}")
+            decisions.append(Decision(at_us=at_us, value=value, threshold=threshold,
+                                      is_attack=row[3].strip() == "1", mode=row[4]))
     return decisions
 
 
-def align_with_trace(decisions: Sequence[Decision], trace: Trace
-                     ) -> Tuple[List[Optional[bool]], List[Optional[str]]]:
-    """Pair logged decisions with trace ground truth.
+def align_with_trace(decisions: Sequence[Decision], trace: Trace) -> Tuple[tuple, tuple]:
+    """Pair logged decisions with trace ground truth (``ground_truth``).
 
     Decisions correspond to the trailing packets of the trace (the leading
     ones fed init). Timestamps must match row for row; the first mismatch is
@@ -233,7 +242,7 @@ def align_with_trace(decisions: Sequence[Decision], trace: Trace
         raise ValueError(
             f"log/trace misalignment at decision row {i}: "
             f"decision timestamp {logged[i]} != trace timestamp {expected[i]}")
-    return list(trace.label[offset:]), list(trace.attack_type[offset:])
+    return ground_truth(trace, len(decisions))
 
 
 def emit_plot_data(report: Union[EvalReport, InfectionReport],

@@ -11,8 +11,11 @@ columns and checks each block at once. A block that fails a check, or that
 ``str.split`` could read differently from ``csv.reader`` (a quote, a
 carriage return, a NUL, a line without exactly six fields or an over-long
 line), goes through ``_parse_rows``, the row-by-row loop, which names the
-first bad line exactly as a row-by-row parse would. Feature files are read
-in blocks too.
+first bad line exactly as a row-by-row parse would.
+
+A ``FeatureTable`` holds a feature file the same way: one read-only matrix
+of features plus label and attack-type tuples. ``load_feature_dataset``
+converts ``_FEATURE_BLOCK`` rows at a time and joins the blocks once.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -73,7 +76,8 @@ class Trace:
     address and type string stored once when the trace was loaded from a
     file. ``len``, indexing and iteration give ``PacketRecord`` objects with
     plain ``int`` fields, built one at a time; a slice is a ``Trace``.
-    ``Trace(records)`` builds the columns from packet records.
+    ``Trace(records)`` builds the columns from packet records, and
+    ``tuple(trace)`` gives them back.
     """
 
     __slots__ = TRACE_FIELDS + ("name",)
@@ -97,10 +101,6 @@ class Trace:
         self.label, self.attack_type = tuple(label), tuple(attack_type)
         self.name = name
 
-    @property
-    def records(self) -> Tuple[PacketRecord, ...]:
-        return tuple(self)
-
     def __len__(self) -> int:
         return len(self.timestamp_us)
 
@@ -122,16 +122,39 @@ class Trace:
         return f"Trace({self.name!r}, {len(self)} packets)"
 
 
-@dataclass(frozen=True)
-class FeatureRow:
-    """One pre-extracted feature vector with optional ground truth."""
+class FeatureTable:
+    """A feature file held as columns, as ``Trace`` holds packets: ``features``
+    is a read-only (n, M) float64 matrix (a view, not a copy, of the one
+    given); ``label`` and ``attack_type`` are tuples, all None when not
+    given. ``len``, iteration and indexing go to the matrix rows, so a
+    detector steps a table directly and a slice is a matrix slice."""
 
-    features: np.ndarray
-    label: Optional[bool] = None
-    attack_type: Optional[str] = None
+    __slots__ = ("features", "label", "attack_type")
+
+    def __init__(self, features, label=None, attack_type=None):
+        self.features = np.asarray(features, dtype=float).view()
+        if self.features.ndim != 2:
+            raise ValueError(f"features must be an (n, M) matrix, got shape {self.features.shape}")
+        self.features.flags.writeable = False
+        n = len(self.features)
+        self.label = (None,) * n if label is None else tuple(label)
+        self.attack_type = (None,) * n if attack_type is None else tuple(attack_type)
+        if not len(self.label) == len(self.attack_type) == n:
+            raise ValueError(f"{n} feature rows but {len(self.label)} labels "
+                             f"and {len(self.attack_type)} attack types")
+
+    def __len__(self) -> int:
+        return len(self.features)
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return iter(self.features)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return self.features[idx]
 
 
 _LABELS = {"": None, "0": False, "1": True}
+_LABEL_TEXT = {label: text for text, label in _LABELS.items()}
 _BAD_LABEL = object()
 _INT64 = np.iinfo(np.int64)
 
@@ -273,10 +296,9 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_FIELDS)
-        for rec in trace:
-            label = "" if rec.label is None else ("1" if rec.label else "0")
-            writer.writerow([rec.timestamp_us, rec.src, rec.dst, rec.size_bytes,
-                             label, rec.attack_type or ""])
+        writer.writerows(zip(trace.timestamp_us.tolist(), trace.src, trace.dst,
+                             trace.size_bytes.tolist(), map(_LABEL_TEXT.__getitem__, trace.label),
+                             [kind or "" for kind in trace.attack_type]))
 
 
 # Feature rows converted to one matrix at a time: enough to amortise the numpy
@@ -284,17 +306,16 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
 _FEATURE_BLOCK = 1024
 
 
-def load_feature_dataset(path: Union[str, Path]) -> List[FeatureRow]:
-    """Load a feature CSV (``f1,...,fM,label,attack_type``).
+def load_feature_dataset(path: Union[str, Path]) -> FeatureTable:
+    """Load a feature CSV (``f1,...,fM,label,attack_type``) as a table.
 
     The trailing ``attack_type`` column is optional; inconsistent feature
-    dimension raises a parse error naming the line. Rows are converted in
-    blocks of up to ``_FEATURE_BLOCK`` rows: each row's ``features`` is a
-    read-only row of its block's matrix. Errors are reported in line order,
-    as a row-by-row parse would report them.
+    dimension raises a parse error naming the line. Rows are converted to a
+    matrix in blocks of up to ``_FEATURE_BLOCK`` rows, and the blocks are
+    joined once at the end. Errors are reported in line order, as a
+    row-by-row parse would report them.
     """
     path = Path(path)
-    rows: List[FeatureRow] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -306,20 +327,21 @@ def load_feature_dataset(path: Union[str, Path]) -> List[FeatureRow]:
         if label_idx < 1 or header[label_idx] != "label":
             raise TraceParseError(path, 1, "expected feature columns followed by label[,attack_type]")
         n_features = label_idx
+        blocks: List[np.ndarray] = []  # converted rows; the last block may be empty
         values: List[float] = []  # the pending rows' features, flat
         lines: List[int] = []
         labels: List[Optional[bool]] = []
         types: List[Optional[str]] = []
 
         def convert() -> np.ndarray:
-            """The pending rows as a read-only matrix; the first row with a
-            non-finite value is an error."""
+            """The pending rows as a matrix; the first non-finite row is an error."""
             feats = np.array(values, dtype=float).reshape(-1, n_features)
             finite = np.isfinite(feats).all(axis=1)
             if not finite.all():
                 raise TraceParseError(path, lines[int(np.argmin(finite))],
                                       "non-finite feature value")
-            feats.flags.writeable = False
+            values.clear()
+            lines.clear()
             return feats
 
         for line_no, row in enumerate(reader, start=2):
@@ -339,28 +361,22 @@ def load_feature_dataset(path: Union[str, Path]) -> List[FeatureRow]:
                 raise
             types.append((row[label_idx + 1].strip() or None) if has_type else None)
             if len(lines) == _FEATURE_BLOCK:
-                rows.extend(map(FeatureRow, convert(), labels, types))
-                for pending in (values, lines, labels, types):
-                    pending.clear()
-        if lines:
-            rows.extend(map(FeatureRow, convert(), labels, types))
-    return rows
+                blocks.append(convert())
+        blocks.append(convert())
+    return FeatureTable(np.concatenate(blocks), labels, types)
 
 
-def save_feature_dataset(rows: Sequence[FeatureRow], path: Union[str, Path]) -> None:
-    """Write feature rows as ``f1,...,fM,label,attack_type``."""
+def save_feature_dataset(table: FeatureTable, path: Union[str, Path]) -> None:
+    """Write a feature table as ``f1,...,fM,label,attack_type``."""
     path = Path(path)
-    if not rows:
+    if not len(table):
         raise ValueError("no feature rows to write")
-    n = len(rows[0].features)
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"f{i + 1}" for i in range(n)] + ["label", "attack_type"])
-        for row in rows:
-            if len(row.features) != n:
-                raise ValueError("inconsistent feature dimension")
-            label = "" if row.label is None else ("1" if row.label else "0")
-            writer.writerow([repr(float(v)) for v in row.features] + [label, row.attack_type or ""])
+        writer.writerow([f"f{i + 1}" for i in range(table.features.shape[1])]
+                        + ["label", "attack_type"])
+        for feats, label, kind in zip(table.features.tolist(), table.label, table.attack_type):
+            writer.writerow(list(map(repr, feats)) + [_LABEL_TEXT[label], kind or ""])
 
 
 # ---------------------------------------------------------------------------

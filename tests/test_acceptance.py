@@ -193,9 +193,9 @@ def test_criterion_6_device_identification():
 def test_criterion_7_real_dataset_accuracy():
     started = time.perf_counter()
     rows = load_feature_dataset(os.environ["AADETECT_DATASET"])
-    benign = [r for r in rows if r.label is not True]
+    benign = rows.features[[label is not True for label in rows.label]]
     config = config_from_dict({"train": {"init_len": len(benign)}})
-    det = Detector(len(rows[0].features), config, mode=Mode.FEATURES, online=False)
+    det = Detector(rows.features.shape[1], config, mode=Mode.FEATURES, online=False)
     for row in benign:
         det.step(row)
     result = run(det, rows)

@@ -18,8 +18,17 @@ from aadetect.config import (Config, apply_overrides, config_from_dict,
                              load_config)
 from aadetect.detector import Detector, LifecycleError, Mode, save_state
 from aadetect.evaluation import read_decision_log
-from aadetect.traffic import (FeatureRow, load_feature_dataset, load_trace,
+from aadetect.traffic import (FeatureTable, load_feature_dataset, load_trace,
                               save_feature_dataset)
+
+
+def feature_table(rng, dim, *blocks):
+    """A FeatureTable of ``(n, center, spread, attack_type)`` blocks of normal
+    rows, drawn in order; a block with an attack type is labelled attack."""
+    feats = np.vstack([rng.normal(center, spread, size=(n, dim))
+                       for n, center, spread, _ in blocks])
+    kinds = [kind for n, _, _, kind in blocks for _ in range(n)]
+    return FeatureTable(feats, [kind is not None for kind in kinds], kinds)
 
 # -- config ----------------------------------------------------------------------
 
@@ -275,6 +284,51 @@ def test_eval_detects_misaligned_log(flood_trace_file, tmp_path, capsys):
     assert "misalignment" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["tpr>=abc", "accuracy>=90, fpr<=1%"])
+def test_eval_rejects_a_bad_assertion_before_printing_anything(flood_trace_file, tmp_path,
+                                                              capsys, spec):
+    log = tmp_path / "log.csv"
+    assert cli.main(["replay", str(flood_trace_file), "--cold-start",
+                     "--set", "train.init_len=64", "--log", str(log)]) == 0
+    capsys.readouterr()
+    rc = cli.main(["eval", "--log", str(log), "--trace", str(flood_trace_file),
+                   "--assert", spec])
+    bad = spec.split(",")[-1].strip()
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: bad number in assertion clause {bad!r}\n")
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (1, "abc", "could not convert string to float: 'abc'"),
+    (3, "7", "is_attack must be 0 or 1, got '7'"),
+])
+def test_eval_names_the_log_line_of_a_bad_value(flood_trace_file, tmp_path, capsys,
+                                                column, value, message):
+    log = tmp_path / "log.csv"
+    assert cli.main(["replay", str(flood_trace_file), "--cold-start",
+                     "--set", "train.init_len=64", "--log", str(log)]) == 0
+    lines = log.read_text().splitlines()
+    row = lines[5].split(",")
+    row[column] = value
+    lines[5] = ",".join(row)
+    log.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["eval", "--log", str(log), "--trace", str(flood_trace_file)]) == 2
+    assert capsys.readouterr() == ("", f"error: {log}:6: {message}\n")
+
+
+def test_the_io_section_is_unknown(flood_trace_file, tmp_path, capsys):
+    with pytest.raises(ValueError, match=r"^unknown config section\(s\): io$"):
+        config_from_dict({"io": {"decision_log": "log.csv"}})
+    assert "io" not in Config().to_dict()
+    alerts = tmp_path / "alerts.jsonl"
+    rc = cli.main(["replay", str(flood_trace_file), "--cold-start",
+                   "--set", "train.init_len=64", "--set", f"io.alerts={alerts}"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: unknown config section(s): io\n"
+    assert not alerts.exists()
+
+
 def test_replay_usage_errors(flood_trace_file, tmp_path, capsys):
     rc = cli.main(["replay", str(flood_trace_file), "--devices", "--features"])
     assert rc == 2
@@ -416,8 +470,7 @@ def test_a_state_whose_mode_does_not_fit_its_model_exits_2_before_any_log(
         flood_trace_file, tmp_path, capsys, mode, metrics):
     rng = np.random.default_rng(53)
     data = tmp_path / "features.csv"
-    save_feature_dataset([FeatureRow(rng.normal(0.5, 0.05, size=4), False)
-                          for _ in range(40)], data)
+    save_feature_dataset(feature_table(rng, 4, (40, 0.5, 0.05, None)), data)
     state = tmp_path / "fstate.json"
     assert cli.main(["init", str(data), "--features", "--out", str(state)]) == 0
     bad = tmp_path / "relabelled.json"
@@ -426,8 +479,8 @@ def test_a_state_whose_mode_does_not_fit_its_model_exits_2_before_any_log(
     log = tmp_path / "never.csv"
     rc = cli.main(["replay", str(flood_trace_file), "--state", str(bad), "--log", str(log)])
     assert rc == 2
-    assert capsys.readouterr().err == (f"error: state file {bad}: a {mode} state needs a "
-                                       f"model of {metrics} metrics, this one takes 4\n")
+    assert capsys.readouterr().err == (f"error: state file {bad}: a {mode} detector takes "
+                                       f"{metrics} metrics, not 4\n")
     assert not log.exists()
 
 
@@ -435,8 +488,7 @@ def test_a_state_whose_mode_does_not_fit_its_model_exits_2_before_any_log(
 def test_the_report_decision_series_is_the_decision_log(tmp_path, kind):
     if kind == "features":
         rng = np.random.default_rng(59)
-        rows = [FeatureRow(rng.normal(0.5, 0.05, size=4), False) for _ in range(60)]
-        rows += [FeatureRow(rng.normal(3.0, 0.1, size=4), True, "shift") for _ in range(6)]
+        rows = feature_table(rng, 4, (60, 0.5, 0.05, None), (6, 3.0, 0.1, "shift"))
         data = tmp_path / "features.csv"
         save_feature_dataset(rows, data)
         args = [str(data), "--features", "--online", "--set", "train.init_len=40",
@@ -492,9 +544,8 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
 def test_alerts_are_the_attack_rows_of_the_decision_log(tmp_path, mode):
     if mode == "features":
         rng = np.random.default_rng(47)
-        rows = [FeatureRow(rng.normal(0.5, 0.05, size=4), False) for _ in range(60)]
-        rows += [FeatureRow(rng.normal(3.0, 0.1, size=4), True, "shift") for _ in range(6)]
-        rows += [FeatureRow(rng.normal(0.5, 0.05, size=4), False) for _ in range(40)]
+        rows = feature_table(rng, 4, (60, 0.5, 0.05, None), (6, 3.0, 0.1, "shift"),
+                             (40, 0.5, 0.05, None))
         data = tmp_path / "features.csv"
         save_feature_dataset(rows, data)
         args = [str(data), "--features", "--cold-start", "--set", "train.init_len=40"]
@@ -536,8 +587,7 @@ def test_replay_devices_writes_report(tmp_path, capsys):
 
 def test_feature_mode_init_and_replay(tmp_path, capsys):
     rng = np.random.default_rng(29)
-    rows = [FeatureRow(rng.normal(0.5, 0.05, size=4), False) for _ in range(80)]
-    rows += [FeatureRow(rng.normal(4.0, 0.1, size=4), True, "shift") for _ in range(20)]
+    rows = feature_table(rng, 4, (80, 0.5, 0.05, None), (20, 4.0, 0.1, "shift"))
     data = tmp_path / "features.csv"
     save_feature_dataset(rows, data)
 
@@ -560,9 +610,10 @@ def test_feature_mode_init_and_replay(tmp_path, capsys):
 
 def stepped_feature_init(data, overrides, out):
     """``init --features`` the long way: every benign row stepped through."""
-    rows = [r for r in load_feature_dataset(data) if r.label is not True]
+    table = load_feature_dataset(data)
+    rows = [row for row, label in zip(table, table.label) if label is not True]
     config = apply_overrides(Config(), overrides + [f"train.init_len={len(rows)}"])
-    det = Detector(len(rows[0].features), config, mode=Mode.FEATURES, online=False)
+    det = Detector(len(rows[0]), config, mode=Mode.FEATURES, online=False)
     for row in rows:
         det.step(row)
     save_state(det, out)
@@ -570,9 +621,8 @@ def stepped_feature_init(data, overrides, out):
 
 def test_feature_init_fits_every_benign_row_whatever_train_init_len(tmp_path, capsys):
     rng = np.random.default_rng(41)
-    rows = [FeatureRow(rng.normal(0.5, 0.05, size=4), False) for _ in range(20)]
-    rows += [FeatureRow(rng.normal(4.0, 0.1, size=4), True, "shift") for _ in range(3)]
-    rows += [FeatureRow(rng.normal(0.5, 0.05, size=4), False) for _ in range(10)]
+    rows = feature_table(rng, 4, (20, 0.5, 0.05, None), (3, 4.0, 0.1, "shift"),
+                         (10, 0.5, 0.05, None))
     data = tmp_path / "features.csv"
     save_feature_dataset(rows, data)
     states = []
@@ -589,9 +639,8 @@ def test_feature_init_fits_every_benign_row_whatever_train_init_len(tmp_path, ca
 @pytest.mark.parametrize("init_seconds", [None, "0", "2e-05", "7.9e-05", "0.001"])
 def test_feature_init_equals_stepping_the_rows(tmp_path, capsys, init_seconds):
     rng = np.random.default_rng(37)
-    rows = [FeatureRow(rng.normal(0.5, 0.05, size=5), False) for _ in range(50)]
-    rows += [FeatureRow(rng.normal(4.0, 0.1, size=5), True, "shift") for _ in range(5)]
-    rows += [FeatureRow(rng.normal(0.5, 0.05, size=5), False) for _ in range(30)]
+    rows = feature_table(rng, 5, (50, 0.5, 0.05, None), (5, 4.0, 0.1, "shift"),
+                         (30, 0.5, 0.05, None))
     data = tmp_path / "features.csv"
     save_feature_dataset(rows, data)
     overrides = [] if init_seconds is None else [f"train.init_seconds={init_seconds}"]
@@ -614,9 +663,8 @@ def test_feature_init_equals_stepping_the_rows(tmp_path, capsys, init_seconds):
                                       "train.init_seconds=7.9e-05"])
 def test_cold_start_feature_replay_equals_stepping_every_row(tmp_path, override, online):
     rng = np.random.default_rng(43)
-    rows = [FeatureRow(rng.normal(0.5, 0.05, size=4), False) for _ in range(60)]
-    rows += [FeatureRow(rng.normal(3.0, 0.1, size=4), True, "shift") for _ in range(6)]
-    rows += [FeatureRow(rng.normal(0.5, 0.05, size=4), False) for _ in range(40)]
+    rows = feature_table(rng, 4, (60, 0.5, 0.05, None), (6, 3.0, 0.1, "shift"),
+                         (40, 0.5, 0.05, None))
     data = tmp_path / "features.csv"
     save_feature_dataset(rows, data)
     overrides = [override, "train.window_len=8"]
@@ -672,7 +720,7 @@ def test_replay_of_a_feature_file_without_rows(tmp_path, capsys):
 def test_feature_replay_ending_in_init_leaves_a_header_only_log(tmp_path, capsys):
     rng = np.random.default_rng(53)
     data, log = tmp_path / "features.csv", tmp_path / "log.csv"
-    save_feature_dataset([FeatureRow(rng.uniform(0, 1, size=3), False) for _ in range(20)], data)
+    save_feature_dataset(FeatureTable(rng.uniform(0, 1, size=(20, 3)), [False] * 20), data)
     assert cli.main(["replay", str(data), "--features", "--log", str(log),
                      "--set", "train.init_len=30"]) == 2
     assert "feature file ended before init completed" in capsys.readouterr().err

@@ -13,7 +13,7 @@ from aadetect.detector import (Decision, Detector, LifecycleError, Mode, Phase,
                                load_state, salt_for_address, save_state,
                                simple_threshold_baseline, whisker_threshold)
 from aadetect.metrics import DimensionError, ScalingFactors
-from aadetect.traffic import FeatureRow, PacketRecord
+from aadetect.traffic import FeatureTable, PacketRecord
 
 
 def small_config(**train_overrides):
@@ -52,7 +52,7 @@ class Reconstructs:
 def judge(x, x_hat, gamma, threshold=1.0):
     """A frozen detector's decision on raw vector ``x`` under unit scaling,
     weights ``gamma`` and ``threshold``, with ``x_hat`` as the reconstruction."""
-    det = Detector(len(gamma), small_config(), Mode.DEVICE)
+    det = Detector(len(gamma), small_config(), Mode.FEATURES)  # the mode that takes any width
     det.scaler = ScalingFactors(np.ones(len(gamma)))
     det.model = Reconstructs(x_hat)
     det.gamma = np.asarray(gamma, dtype=float)
@@ -94,7 +94,7 @@ def test_decision_value_validation():
     with pytest.raises(DimensionError):
         judge(np.zeros(2), np.zeros(3), g)
     with pytest.raises(DimensionError):
-        Detector(2, config_from_dict({"metrics": {"gamma": list(g)}}))
+        Detector(2, config_from_dict({"metrics": {"gamma": list(g)}}), Mode.FEATURES)
     with pytest.raises(ValueError):
         config_from_dict({"metrics": {"gamma": [0.5, 0.5, 0.5]}})
     with pytest.raises(ValueError):
@@ -222,7 +222,7 @@ def test_features_step_counts_rows_and_defaults_frozen():
     det = Detector(2, small_config(init_len=4), Mode.FEATURES)
     rng = np.random.default_rng(97)
     for i in range(4):
-        assert det.step(FeatureRow(rng.uniform(0, 1, size=2))) is None
+        assert det.step(rng.uniform(0, 1, size=2)) is None
     assert det.phase == Phase.FROZEN  # feature mode defaults to offline
     dec = det.step(np.array([0.5, 0.5]))
     assert dec.at_us == 4  # row index stands in for a timestamp
@@ -282,6 +282,24 @@ def test_observe_validation():
 def test_constructor_validation():
     with pytest.raises(ValueError):
         Detector(0, small_config())
+
+
+@pytest.mark.parametrize("mode, fixed, dim", [(Mode.BOTNET, 3, 4), (Mode.DEVICE, 6, 3)])
+def test_a_mode_that_fixes_the_width_rejects_another_at_construction(mode, fixed, dim):
+    with pytest.raises(DimensionError) as err:
+        Detector(dim, Config(), mode)
+    assert str(err.value) == f"a {mode.value} detector takes {fixed} metrics, not {dim}"
+    assert Detector(fixed, Config(), mode).dim == fixed
+    assert Detector(dim, Config(), Mode.FEATURES).dim == dim
+
+
+def test_step_rows_steps_a_feature_table_and_yields_results_only():
+    rng = np.random.default_rng(107)
+    table = FeatureTable(rng.uniform(0, 1, size=(12, 2)))
+    bulk, stepped = (Detector(2, small_config(init_len=5), Mode.FEATURES) for _ in range(2))
+    results = list(bulk.step_rows(table))
+    assert results[:5] == [None] * 5
+    assert results == [stepped.step(row) for row in table.features]
 
 
 def test_freeze_stops_learning_but_not_deciding():

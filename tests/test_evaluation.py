@@ -9,9 +9,9 @@ from aadetect.config import config_from_dict
 from aadetect.detector import Decision, Detector, Mode
 from aadetect.devices import DeviceBank
 from aadetect.evaluation import (align_with_trace, compare_online_offline,
-                                 emit_plot_data, read_decision_log, replay, run,
-                                 score)
-from aadetect.traffic import (AttackSegment, FeatureRow, Trace, TraceSpec,
+                                 emit_plot_data, ground_truth, read_decision_log, replay,
+                                 run, score)
+from aadetect.traffic import (AttackSegment, FeatureTable, Trace, TraceSpec,
                               synth_trace)
 
 
@@ -143,7 +143,7 @@ def test_run_skips_init_and_aligns_ground_truth():
     result = run(Detector(3, stream_config(), online=True), trace)
     assert result.skipped == 8
     assert len(result.decisions) == len(trace) - 8
-    assert result.labels == [r.label for r in trace[8:]]
+    assert list(result.labels) == [r.label for r in trace[8:]]
     assert [d.at_us for d in result.decisions] == [r.timestamp_us for r in trace[8:]]
     report = result.report()
     assert report.fpr is not None and report.tpr is None  # all-benign trace
@@ -159,13 +159,27 @@ def test_replay_leaves_each_decisions_values_on_the_detector():
 
 def test_run_feature_rows_offline_by_default():
     rng = np.random.default_rng(313)
-    rows = [FeatureRow(rng.uniform(0, 1, size=3), False) for _ in range(30)]
+    rows = FeatureTable(rng.uniform(0, 1, size=(30, 3)), [False] * 30)
     det = Detector(3, stream_config(init_len=10), mode=Mode.FEATURES)
     result = run(det, rows)
     assert result.skipped == 10 and len(result.decisions) == 20
+    assert result.labels == (False,) * 20
     assert det.phase.value == "frozen"
-    empty = run(Detector(3, stream_config(), mode=Mode.FEATURES), [])
-    assert empty.decisions == [] and empty.skipped == 0
+    empty = run(Detector(3, stream_config(), mode=Mode.FEATURES), FeatureTable(np.empty((0, 3))))
+    assert empty.decisions == [] and empty.skipped == 0 and empty.labels == ()
+
+
+def test_ground_truth_is_the_input_suffix_at_every_n():
+    trace = attack_trace()
+    n = len(trace)
+    assert trace.label[-0:] == trace.label  # why the helper does not slice [-n:]
+    assert ground_truth(trace, 0) == ((), ())
+    assert ground_truth(trace, n) == (trace.label, trace.attack_type)
+    assert ground_truth(trace, 5) == (trace.label[n - 5:], trace.attack_type[n - 5:])
+    table = FeatureTable(np.zeros((3, 2)), [False, True, None], [None, "x", None])
+    assert ground_truth(table, 0) == ((), ())
+    assert ground_truth(table, 3) == (table.label, table.attack_type)
+    assert ground_truth(table, 2) == ((True, None), ("x", None))
 
 
 def test_replay_of_a_bank_equals_ingesting_packet_by_packet():
@@ -177,16 +191,16 @@ def test_replay_of_a_bank_equals_ingesting_packet_by_packet():
     config = config_from_dict({"device": {"init_len": 6, "window_seconds": 1.0},
                                "metrics": {"N": 5, "T_seconds": 1.0}})
     stepped = DeviceBank(config)
-    expected = [(pkt, addr, d) for pkt in trace for addr, d in stepped.ingest(pkt)]
+    expected = [(addr, d) for pkt in trace for addr, d in stepped.ingest(pkt)]
     bank = DeviceBank(config)
     got = list(replay(bank, trace))
-    assert len(got) > len(trace) // 2 and any(d.is_attack for _, _, d in got)
+    assert len(got) > len(trace) // 2 and any(d.is_attack for _, d in got)
     assert got == expected
     assert bank.report() == stepped.report()
 
 
 def stepped(det, items):
-    return [(item, None, d) for item, d in zip(items, map(det.step, items)) if d is not None]
+    return [(None, d) for d in map(det.step, items) if d is not None]
 
 
 def test_replay_of_a_detector_equals_stepping_packets():
@@ -204,15 +218,17 @@ def test_replay_of_a_detector_equals_stepping_packets():
                                    {"init_seconds": 2e-05}, {"init_seconds": 7.9e-05}])
 def test_replay_of_a_detector_equals_stepping_feature_rows(train):
     rng = np.random.default_rng(331)
-    rows = [FeatureRow(rng.normal(0.5, 0.05, size=4), False) for _ in range(100)]
-    rows[85:91] = [FeatureRow(rng.normal(3.0, 0.1, size=4), True, "shift") for _ in range(6)]
+    feats = rng.normal(0.5, 0.05, size=(100, 4))
+    feats[85:91] = rng.normal(3.0, 0.1, size=(6, 4))
+    rows = FeatureTable(feats, [85 <= i < 91 for i in range(100)],
+                        ["shift" if 85 <= i < 91 else None for i in range(100)])
     for online in (False, True):
         config = stream_config(window_len=8, **train)
         ref = Detector(4, config, mode=Mode.FEATURES, online=online)
         det = Detector(4, config, mode=Mode.FEATURES, online=online)
         expected = stepped(ref, rows)
         assert list(replay(det, rows)) == expected
-        assert any(d.is_attack for _, _, d in expected)
+        assert any(d.is_attack for _, d in expected)
         assert det.threshold == ref.threshold and np.array_equal(det.stats.G, ref.stats.G)
 
 
@@ -262,7 +278,7 @@ def test_compare_checks_every_packet_init_consumed_is_benign():
     assert str(err.value) == f"trace has {len(trace)} packets and init never completed"
     poisoned = Trace((trace[0],) + (
         type(trace[1])(trace[1].timestamp_us, "a", "b", 7, True, "flood"),
-    ) + trace.records[2:])
+    ) + tuple(trace)[2:])
     with pytest.raises(ValueError) as err:
         compare_online_offline(poisoned, stream_config())
     assert str(err.value) == "packet 1 fed init but is not labeled benign"
@@ -302,6 +318,21 @@ def test_decision_log_rejects_malformed_files(tmp_path):
     path.write_text("timestamp_us,decision_value,threshold,is_attack,mode\n1,0.5,0.4\n")
     with pytest.raises(ValueError):
         read_decision_log(path)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("2,abc,0.4,0,botnet", "could not convert string to float: 'abc'"),
+    ("2.5,0.5,0.4,0,botnet", "invalid literal for int() with base 10: '2.5'"),
+    ("2,0.5,0.4,7,botnet", "is_attack must be 0 or 1, got '7'"),
+    ("2,0.5,0.4,true,botnet", "is_attack must be 0 or 1, got 'true'"),
+])
+def test_decision_log_names_the_line_of_a_bad_value(tmp_path, row, message):
+    path = tmp_path / "log.csv"
+    path.write_text("timestamp_us,decision_value,threshold,is_attack,mode\n"
+                    "1,0.5,0.4,1,botnet\n\n" + row + "\n")
+    with pytest.raises(ValueError) as err:
+        read_decision_log(path)
+    assert str(err.value) == f"{path}:4: {message}"
 
 
 def test_align_with_trace_suffix_and_errors():

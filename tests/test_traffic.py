@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from aadetect import traffic
-from aadetect.traffic import (TRACE_FIELDS, AttackSegment, FeatureRow, PacketRecord, Trace,
+from aadetect.traffic import (TRACE_FIELDS, AttackSegment, FeatureTable, PacketRecord, Trace,
                               TraceParseError, TraceSpec, _parse_label,
                               load_feature_dataset, load_trace,
                               save_feature_dataset, save_trace, synth_trace)
@@ -55,7 +55,7 @@ def test_trace_round_trip_identity(tmp_path):
     path = tmp_path / "t.csv"
     save_trace(Trace(tuple(recs)), path)
     loaded = load_trace(path)
-    assert loaded.records == tuple(recs)
+    assert tuple(loaded) == tuple(recs)
     # A second save of the loaded trace is byte-identical.
     path2 = tmp_path / "t2.csv"
     save_trace(loaded, path2)
@@ -171,7 +171,7 @@ def trace_lines(n, seed=4):
 
 def assert_loads_as_per_row(path):
     got, expected = load_trace(path), per_row_load_trace(path)
-    assert got.records == expected and got.name == Path(path).stem
+    assert tuple(got) == expected and got.name == Path(path).stem
     assert len(got) == len(expected)
     assert got.timestamp_us.dtype == got.size_bytes.dtype == np.int64
     for rec in got:
@@ -303,14 +303,14 @@ def test_column_loader_rejects_integers_past_64_bits(tmp_path):
 def test_trace_from_records_indexes_slices_and_iterates():
     recs = random_records(np.random.default_rng(5), 30)
     trace = Trace(tuple(recs), name="r")
-    assert trace.records == tuple(recs) and len(trace) == 30
+    assert tuple(trace) == tuple(recs) and len(trace) == 30
     assert trace[0] == recs[0] and trace[-1] == recs[-1]
     part = trace[5:12]
-    assert isinstance(part, Trace) and part.records == tuple(recs[5:12]) and part.name == "r"
+    assert isinstance(part, Trace) and tuple(part) == tuple(recs[5:12]) and part.name == "r"
     assert list(trace.label) == [r.label for r in recs]
     with pytest.raises(ValueError):
         trace.timestamp_us[0] = 1  # the columns are read-only
-    assert len(Trace()) == 0 and Trace().records == ()
+    assert len(Trace()) == 0 and tuple(Trace()) == ()
 
 
 # -- feature CSV ------------------------------------------------------------------
@@ -318,26 +318,46 @@ def test_trace_from_records_indexes_slices_and_iterates():
 
 def test_feature_dataset_round_trip(tmp_path):
     rng = np.random.default_rng(2)
-    rows = [FeatureRow(rng.uniform(-5, 5, size=4),
-                       bool(rng.integers(2)),
-                       "scan" if rng.integers(2) else None)
-            for _ in range(100)]
+    table = FeatureTable(rng.uniform(-5, 5, size=(100, 4)),
+                         [bool(b) for b in rng.integers(2, size=100)],
+                         ["scan" if b else None for b in rng.integers(2, size=100)])
     path = tmp_path / "f.csv"
-    save_feature_dataset(rows, path)
+    save_feature_dataset(table, path)
     loaded = load_feature_dataset(path)
-    assert len(loaded) == len(rows)
-    for got, exp in zip(loaded, rows):
-        assert np.array_equal(got.features, exp.features)  # repr() round-trips floats
-        assert got.label == exp.label and got.attack_type == exp.attack_type
+    assert len(loaded) == len(table) == 100
+    assert np.array_equal(loaded.features, table.features)  # repr() round-trips floats
+    assert loaded.label == table.label and loaded.attack_type == table.attack_type
+    with pytest.raises(ValueError):
+        save_feature_dataset(FeatureTable(np.empty((0, 4))), path)
 
 
 def test_feature_dataset_header_without_type_column(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("f1,f2,label\n0.5,1.5,1\n-2.0,0.0,\n")
-    rows = load_feature_dataset(path)
-    assert np.array_equal(rows[0].features, [0.5, 1.5])
-    assert rows[0].label is True and rows[0].attack_type is None
-    assert rows[1].label is None
+    table = load_feature_dataset(path)
+    assert np.array_equal(table[0], [0.5, 1.5])
+    assert table.label == (True, None) and table.attack_type == (None, None)
+
+
+def test_feature_table_rows_are_its_matrix_rows(tmp_path):
+    matrix = np.arange(12.0).reshape(4, 3)
+    table = FeatureTable(matrix, [False, True, None, False], [None, "scan", None, None])
+    assert len(table) == 4 and table.features.shape == (4, 3)
+    assert [row.tolist() for row in table] == matrix.tolist()
+    assert np.array_equal(table[1], matrix[1]) and np.array_equal(table[1:3], matrix[1:3])
+    with pytest.raises(ValueError):
+        table.features[0, 0] = 1.0
+    assert matrix.flags.writeable  # the table's view is read-only, the caller's matrix is not
+    bare = FeatureTable(matrix)
+    assert bare.label == bare.attack_type == (None,) * 4
+    with pytest.raises(ValueError):
+        FeatureTable(matrix, [False] * 3)
+    with pytest.raises(ValueError):
+        FeatureTable(np.zeros(3))
+    path = tmp_path / "empty.csv"
+    path.write_text("f1,f2,label,attack_type\n")
+    empty = load_feature_dataset(path)
+    assert len(empty) == 0 and empty.features.shape == (0, 2)
 
 
 def test_feature_dataset_bad_header(tmp_path):
@@ -349,7 +369,8 @@ def test_feature_dataset_bad_header(tmp_path):
 
 def per_row_load_feature_dataset(path):
     """The feature loader as first written, one row at a time: the reference
-    for the block loader's rows and errors."""
+    for the block loader's table and errors. Returns ``(features, label,
+    attack_type)`` per row."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -369,7 +390,7 @@ def per_row_load_feature_dataset(path):
                 raise TraceParseError(path, line_no, "non-finite feature value")
             label = _parse_label(row[label_idx].strip(), path, line_no)
             attack_type = (row[label_idx + 1].strip() or None) if has_type else None
-            rows.append(FeatureRow(feats, label, attack_type))
+            rows.append((feats, label, attack_type))
     return rows
 
 
@@ -389,13 +410,14 @@ def test_block_loader_equals_per_row_loader_across_blocks(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("\n".join(lines) + "\n")
     got, expected = load_feature_dataset(path), per_row_load_feature_dataset(path)
-    assert len(got) == len(expected) == 2499
-    for a, b in zip(got, expected):
-        assert np.array_equal(a.features, b.features) and a.features.shape == (3,)
-        assert a.label == b.label and a.attack_type == b.attack_type
-        assert not a.features.flags.writeable
+    assert isinstance(got, FeatureTable) and len(got) == len(expected) == 2499
+    feats, labels, types = zip(*expected)
+    assert got.features.shape == (2499, 3) and got.features.dtype == np.float64
+    assert np.array_equal(got.features, np.vstack(feats))
+    assert got.label == labels and got.attack_type == types
+    assert not got.features.flags.writeable
     with pytest.raises(ValueError):
-        got[0].features[0] = 1.0
+        got[0][0] = 1.0
 
 
 # (line index, replacement) edits; each file reports the first error in line order.
@@ -437,8 +459,8 @@ def test_synth_is_deterministic_and_pure():
     spec = TraceSpec(duration_s=5.0, rate_pps=40.0, hosts=("a", "b", "c"))
     t1 = synth_trace(spec, seed=9)
     t2 = synth_trace(spec, seed=9)
-    assert t1.records == t2.records
-    assert synth_trace(spec, seed=10).records != t1.records
+    assert tuple(t1) == tuple(t2)
+    assert tuple(synth_trace(spec, seed=10)) != tuple(t1)
 
 
 def test_synth_is_sorted_labeled_and_in_range():
@@ -526,4 +548,4 @@ def test_synth_trace_round_trips_through_csv(tmp_path):
     trace = synth_trace(spec, seed=12)
     path = tmp_path / "s.csv"
     save_trace(trace, path)
-    assert load_trace(path).records == trace.records
+    assert tuple(load_trace(path)) == tuple(trace)
