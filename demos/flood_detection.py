@@ -21,7 +21,7 @@ trace = synth_trace(TraceSpec(
                            attackers=("198.51.100.66",), victims=("10.0.0.1",)),),
     benign_until=60.0,
 ), seed=7)
-n_attack = sum(1 for p in trace if p.label)
+n_attack = trace.label.count(True)
 print(f"trace: {len(trace)} packets, {n_attack} attack, flood starts at t=60s")
 
 result = run(Detector(3, config, online=True), trace)

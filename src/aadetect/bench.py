@@ -62,7 +62,7 @@ def flood_trace(seed: int = 7) -> Trace:
         attacks=(AttackSegment(start_s=60.0, end_s=70.0, rate_multiplier=100.0,
                                attackers=("198.51.100.66",), victims=("10.0.0.1",),
                                size_mean=80.0, size_sigma=10.0),),
-        benign_until=60.0, name="flood-bench")
+        benign_until=60.0)
     return synth_trace(spec, seed)
 
 
@@ -73,7 +73,7 @@ def drift_trace(seed: int = 11) -> Trace:
         attacks=(AttackSegment(start_s=115.0, end_s=125.0, rate_multiplier=50.0,
                                attackers=("198.51.100.66",), victims=("10.0.0.1",),
                                size_mean=80.0, size_sigma=10.0),),
-        benign_until=115.0, name="drift-bench")
+        benign_until=115.0)
     return synth_trace(spec, seed)
 
 
@@ -83,8 +83,7 @@ def device_trace(seed: int = 5) -> Trace:
         hosts=("10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4"),
         attacks=(AttackSegment(start_s=60.0, end_s=120.0, rate_multiplier=50.0,
                                attackers=("10.0.0.3",), spray=1024,
-                               size_mean=80.0, size_sigma=10.0),),
-        name="device-bench")
+                               size_mean=80.0, size_sigma=10.0),))
     return synth_trace(spec, seed)
 
 

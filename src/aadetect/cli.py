@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 failed assertion or benchmark, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -47,10 +48,8 @@ def _build_config(args) -> Config:
 
 
 def _open_alerts(spec: Optional[str]):
-    if spec is None:
-        return None
-    if spec == "-":
-        return sys.stdout
+    if spec is None or spec == "-":
+        return contextlib.nullcontext(sys.stdout if spec else None)
     return open(spec, "w", encoding="utf-8")
 
 
@@ -81,19 +80,19 @@ class _DecisionLogWriter:
                                int(d.is_attack), d.mode])
         self._fh.flush()
 
-    def close(self) -> None:
+    def __enter__(self) -> "_DecisionLogWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
         if self._fh:
             self._fh.close()
 
 
 def write_decision_log(decisions: Iterable[Decision], path: str) -> None:
     """A whole decision log at once, written by ``_DecisionLogWriter``."""
-    log = _DecisionLogWriter(path)
-    try:
+    with _DecisionLogWriter(path) as log:
         for d in decisions:
             log.write(d)
-    finally:
-        log.close()
 
 
 # -- init ---------------------------------------------------------------------
@@ -113,18 +112,18 @@ def cmd_init(args) -> int:
             pass
     else:
         trace = load_trace(args.trace)
-        benign = [i for i, label in enumerate(trace.label) if label is not True]
         det = Detector(3, config, mode=Mode.BOTNET, online=False)
-        for i in benign:  # a record is built only for each packet stepped
-            det.step(trace[i])
-            if det.phase != Phase.INIT:
-                break
+        for pkt, label in zip(trace, trace.label):
+            if label is not True:
+                det.step(pkt)
+                if det.phase != Phase.INIT:
+                    break
         if det.phase == Phase.INIT:
             window = (f"train.init_seconds={config.train.init_seconds:g}"
                       if config.train.init_seconds is not None
                       else f"train.init_len={config.train.init_len}")
-            raise ValueError(f"trace has only {len(benign)} usable benign packets, "
-                             f"init needs {window}")
+            raise ValueError(f"trace has only {len(trace) - trace.label.count(True)} usable "
+                             f"benign packets, init needs {window}")
     save_state(det, args.out)
     print(f"initialized {det.mode.value} detector: {det.accepted_rows} training rows, "
           f"threshold {det.threshold:.6g} -> {args.out}")
@@ -160,25 +159,24 @@ def cmd_replay(args) -> int:
         if engine.mode != kind:
             raise ValueError(f"state file holds a {engine.mode.value} detector, "
                              f"expected {kind.value}")
+        if args.features and engine.dim != items.features.shape[1]:
+            raise ValueError(f"state file {args.state} holds a {engine.dim}-feature detector, "
+                             f"but feature file {args.trace} has "
+                             f"{items.features.shape[1]} features")
     else:  # without --online or --frozen the Detector picks the cold-start default
         online = args.online if args.online or args.frozen else None
         engine = Detector(items.features.shape[1] if args.features else 3, config, mode=kind,
                           online=online)
 
-    log = _DecisionLogWriter(args.log)
-    alerts = _open_alerts(args.alerts)
     decisions: List[Decision] = []
-    try:
+    # Alerts first: a path that cannot be opened then leaves no log behind.
+    with _open_alerts(args.alerts) as alerts, _DecisionLogWriter(args.log) as log:
         for addr, decision in replay(engine, items):
             log.write(decision)
             if alerts is not None and decision.is_attack:
                 _emit_alert(alerts, decision, addr=addr)
             if addr is None:
                 decisions.append(decision)
-    finally:
-        log.close()
-        if alerts is not None and alerts is not sys.stdout:
-            alerts.close()
 
     if args.devices:
         _report_devices(args, config, engine.report())
@@ -284,6 +282,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if not args.flood and (args.attacker or args.victim or args.spray):
+        flag = "--attacker" if args.attacker else "--victim" if args.victim else "--spray"
+        raise ValueError(f"{flag} needs a --flood segment to apply to")
+    if args.victim and args.spray:
+        raise ValueError("--victim does not apply with --spray: a spray sends to its own pool")
     attacks = []
     for flood in args.flood or []:
         parts = flood.split(":")

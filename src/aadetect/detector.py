@@ -35,7 +35,7 @@ from .aadrnn import AadrnnModel, AadrnnShape, model_from_json, model_to_json
 from .config import Config
 from .metrics import (DimensionError, StreamMetrics, fit_scaling, min_max_fit,
                       scaler_from_json)
-from .traffic import PacketRecord
+from .traffic import Packet
 from .training import SufficientStats, fit_batch_with_stats, update_incremental
 
 STATE_VERSION = 1
@@ -168,18 +168,19 @@ class Detector:
 
     # -- feeding ------------------------------------------------------------
 
-    def step(self, item: Union[PacketRecord, np.ndarray]) -> Optional[Decision]:
-        """Consume one packet (BOTNET) or one feature row array (FEATURES)."""
+    def step(self, item: Union[Packet, np.ndarray]) -> Optional[Decision]:
+        """Consume one packet tuple ``(timestamp_us, src, dst, size_bytes)``
+        (BOTNET) or one feature row array (FEATURES)."""
         if self.mode == Mode.BOTNET:
-            if not isinstance(item, PacketRecord):
-                raise TypeError("botnet-mode detectors consume PacketRecord items")
-            raw = self._extractor.update(item.timestamp_us, item.size_bytes)
-            return self.observe(raw, item.timestamp_us)
+            if not isinstance(item, tuple):
+                raise TypeError(f"a botnet detector takes packet tuples, not {type(item).__name__}")
+            ts_us, _, _, size_bytes = item
+            return self.observe(self._extractor.update(ts_us, size_bytes), ts_us)
         if self.mode == Mode.FEATURES:
             return self.observe(item, self._row_counter)
         raise LifecycleError("device-mode detectors are fed by the DeviceBank")
 
-    def step_rows(self, rows: Sequence[Union[PacketRecord, np.ndarray]]
+    def step_rows(self, rows: Sequence[Union[Packet, np.ndarray]]
                   ) -> Iterator[Optional[Decision]]:
         """``step`` over a ``Trace``, a ``FeatureTable`` or a matrix, yielding
         each row's result; ``rows`` is iterated once. A fresh FEATURES detector

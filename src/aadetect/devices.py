@@ -1,10 +1,10 @@
 """Per-device compromise monitoring.
 
 Every address seen on the link gets its own 6-metric detector (transmitted
-and received substreams). Each time a device is involved in a packet its
-detector judges the device's current directional vector, and the device's
-infection level moves by an exponential moving average of the decision value
-relative to the device's threshold:
+and received substreams). ``DeviceBank.ingest`` takes one packet tuple. For
+each device in it, its detector judges the device's directional vector, and
+the device's infection level moves by an exponential moving average of the
+decision value relative to the device's threshold:
 
     level' = (1 - alpha) * level + alpha * min(d / theta_dev, 1)
 
@@ -32,7 +32,7 @@ import numpy as np
 from .config import Config
 from .detector import MODE_DIM, Decision, Detector, Mode, salt_for_address
 from .metrics import DirectionalMetrics
-from .traffic import PacketRecord
+from .traffic import Packet
 
 DEVICE_DIM = MODE_DIM[Mode.DEVICE]
 _EVICTION_CHECK_EVERY = 512
@@ -112,20 +112,21 @@ class DeviceBank:
                        noise_salt=salt_for_address(addr))
         return DeviceRecord(addr=addr, detector=det)
 
-    def ingest(self, pkt: PacketRecord) -> List[Tuple[str, Decision]]:
-        """Feed one packet; returns the (address, Decision) pairs it produced.
+    def ingest(self, pkt: Packet) -> List[Tuple[str, Decision]]:
+        """Feed one ``Packet`` tuple; returns the (address, Decision) pairs it produced.
 
         The packet's src and dst each get a DeviceRecord on first sight; a
         device only starts producing decisions once its own init completes.
         """
-        vectors = self._metrics.update(pkt)
+        ts_us, src, dst, size_bytes = pkt
+        vectors = self._metrics.update(ts_us, src, dst, size_bytes)
         out: List[Tuple[str, Decision]] = []
         for addr, raw in vectors.items():
             rec = self._devices.get(addr)
             if rec is None:
                 rec = self._devices[addr] = self._new_device(addr)
-            rec.last_seen_us = pkt.timestamp_us
-            decision = rec.detector.observe(raw, pkt.timestamp_us)
+            rec.last_seen_us = ts_us
+            decision = rec.detector.observe(raw, ts_us)
             if decision is None:
                 continue
             rec.decisions_count += 1
@@ -140,7 +141,7 @@ class DeviceBank:
             out.append((addr, decision))
         self._packets += 1
         if self._packets % _EVICTION_CHECK_EVERY == 0:
-            self._evict_idle(pkt.timestamp_us)
+            self._evict_idle(ts_us)
         return out
 
     def is_compromised(self, rec: DeviceRecord) -> bool:

@@ -139,8 +139,7 @@ def replay(engine: Union[Detector, DeviceBank], items: Union[Trace, FeatureTable
     """
     if isinstance(engine, DeviceBank):
         for pkt in items:
-            for addr, decision in engine.ingest(pkt):
-                yield addr, decision
+            yield from engine.ingest(pkt)
         return
     for decision in engine.step_rows(items):
         if decision is not None:

@@ -12,8 +12,8 @@ to:
       ``(t - T, t]`` ending at the new packet
 
 ``StreamMetrics`` and ``DirectionalMetrics`` take the windows as ``(N, T_us)``,
-T in whole microseconds: a run passes ``config.metrics.N`` and
-``config.metrics.T_us``, which ``Config.validate`` has checked.
+T in whole microseconds (a run passes the checked ``config.metrics.N`` and
+``.T_us``). Their ``update`` takes a packet's plain values, not a packet object.
 
 The per-address extension keeps two independent substreams per address
 (packets it sent, packets it received) and concatenates their metric triples
@@ -34,7 +34,7 @@ from typing import Deque, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .traffic import PacketRecord, TimestampOrderError
+from .traffic import TimestampOrderError
 
 
 class DimensionError(ValueError):
@@ -108,22 +108,22 @@ class DirectionalMetrics:
         self._tx_last: Dict[str, np.ndarray] = {}
         self._rx_last: Dict[str, np.ndarray] = {}
 
-    def update(self, pkt: PacketRecord) -> Dict[str, np.ndarray]:
-        """Advance src's tx substream and dst's rx substream; return the
+    def update(self, ts_us: int, src: str, dst: str, size_bytes: int) -> Dict[str, np.ndarray]:
+        """Advance src's tx and dst's rx substream with one packet; return the
         updated 6-value vectors keyed by address (one entry if src == dst)."""
-        tx = self._tx.get(pkt.src)
+        tx = self._tx.get(src)
         if tx is None:
-            tx = self._tx[pkt.src] = StreamMetrics(self.N, self.T_us)
-        self._tx_last[pkt.src] = tx.update(pkt.timestamp_us, pkt.size_bytes)
+            tx = self._tx[src] = StreamMetrics(self.N, self.T_us)
+        self._tx_last[src] = tx.update(ts_us, size_bytes)
 
-        rx = self._rx.get(pkt.dst)
+        rx = self._rx.get(dst)
         if rx is None:
-            rx = self._rx[pkt.dst] = StreamMetrics(self.N, self.T_us)
-        self._rx_last[pkt.dst] = rx.update(pkt.timestamp_us, pkt.size_bytes)
+            rx = self._rx[dst] = StreamMetrics(self.N, self.T_us)
+        self._rx_last[dst] = rx.update(ts_us, size_bytes)
 
         zeros = np.zeros(3)
         out: Dict[str, np.ndarray] = {}
-        for addr in (pkt.src, pkt.dst):
+        for addr in (src, dst):
             if addr not in out:
                 out[addr] = np.concatenate([self._tx_last.get(addr, zeros),
                                             self._rx_last.get(addr, zeros)])

@@ -1,14 +1,15 @@
-"""Packet records, trace files, feature datasets, and a synthetic trace generator.
+"""Packet traces, feature datasets, their CSV files, and a synthetic trace generator.
 
 Canonical trace CSV: header ``timestamp_us,src,dst,size_bytes,label,attack_type``
 with ``label`` in {0, 1, empty} and ``attack_type`` free text (empty when absent).
 Feature CSV: header ``f1,...,fM,label,attack_type``. Timestamps are integer
 microseconds so inter-arrival arithmetic stays exact.
 
-A ``Trace`` holds its packets as columns, not as one ``PacketRecord`` per
-row. ``load_trace`` splits ``_TRACE_BLOCK`` lines at a time into those
-columns and checks each block at once. A block that fails a check, or that
-``str.split`` could read differently from ``csv.reader`` (a quote, a
+A ``Trace`` is its six columns; a packet in flight is the plain tuple
+``(timestamp_us, src, dst, size_bytes)`` (a ``Packet``) that iterating a
+trace yields. ``load_trace`` splits ``_TRACE_BLOCK`` lines at a time into
+the columns and checks each block at once. A block that fails a check, or
+that ``str.split`` could read differently from ``csv.reader`` (a quote, a
 carriage return, a NUL, a line without exactly six fields or an over-long
 line), goes through ``_parse_rows``, the row-by-row loop, which names the
 first bad line exactly as a row-by-row parse would.
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -45,81 +46,54 @@ class TimestampOrderError(ValueError):
     """Packet timestamps went backwards where ordering is required."""
 
 
-@dataclass(frozen=True)
-class PacketRecord:
-    """One observed packet. ``label`` is True for attack, False for benign,
-    None when ground truth is unknown."""
-
-    timestamp_us: int
-    src: str
-    dst: str
-    size_bytes: int
-    label: Optional[bool] = None
-    attack_type: Optional[str] = None
-
-    def __post_init__(self):
-        if self.size_bytes < 0:
-            raise ValueError(f"negative packet size: {self.size_bytes}")
-
-
 # Lines that load_trace splits into columns at once, and packets built per
 # slice when a trace is iterated: enough to amortise the numpy calls, while a
 # block's temporary strings stay small next to the trace itself.
 _TRACE_BLOCK = 1024
 
+Packet = Tuple[int, str, str, int]  # a packet in flight: (timestamp_us, src, dst, size_bytes)
+
 
 class Trace:
-    """An ordered packet sequence, held as columns.
+    """An ordered packet sequence: its six columns and nothing else.
 
     ``timestamp_us`` and ``size_bytes`` are read-only int64 arrays; ``src``,
-    ``dst``, ``label`` and ``attack_type`` are tuples, with each distinct
-    address and type string stored once when the trace was loaded from a
-    file. ``len``, indexing and iteration give ``PacketRecord`` objects with
-    plain ``int`` fields, built one at a time; a slice is a ``Trace``.
-    ``Trace(records)`` builds the columns from packet records, and
-    ``tuple(trace)`` gives them back.
-    """
+    ``dst``, ``label`` (True for attack, False for benign, None if unknown)
+    and ``attack_type`` are tuples, the last two all None when not given, as
+    in ``FeatureTable``. Iteration yields ``Packet`` tuples with plain
+    ``int`` fields, one ``_TRACE_BLOCK`` slice at a time; a slice is a
+    ``Trace``, and an int index is a ``TypeError``."""
 
-    __slots__ = TRACE_FIELDS + ("name",)
+    __slots__ = TRACE_FIELDS
 
-    def __init__(self, records: Iterable[PacketRecord] = (), name: str = ""):
-        rows = [(r.timestamp_us, r.src, r.dst, r.size_bytes, r.label, r.attack_type)
-                for r in records]
-        self._fill(*(zip(*rows) if rows else [()] * len(TRACE_FIELDS)), name=name)
-
-    @classmethod
-    def _from_columns(cls, *columns, name: str = "") -> "Trace":
-        trace = cls.__new__(cls)
-        trace._fill(*columns, name=name)
-        return trace
-
-    def _fill(self, timestamp_us, src, dst, size_bytes, label, attack_type, name: str) -> None:
-        self.timestamp_us = np.asarray(timestamp_us, dtype=np.int64)
-        self.size_bytes = np.asarray(size_bytes, dtype=np.int64)
+    def __init__(self, timestamp_us=(), src=(), dst=(), size_bytes=(), label=None,
+                 attack_type=None):
+        self.timestamp_us = np.asarray(timestamp_us, dtype=np.int64).view()
+        self.size_bytes = np.asarray(size_bytes, dtype=np.int64).view()
         self.timestamp_us.flags.writeable = self.size_bytes.flags.writeable = False
         self.src, self.dst = tuple(src), tuple(dst)
-        self.label, self.attack_type = tuple(label), tuple(attack_type)
-        self.name = name
+        n = len(self.timestamp_us)
+        self.label = (None,) * n if label is None else tuple(label)
+        self.attack_type = (None,) * n if attack_type is None else tuple(attack_type)
+        lengths = {field: len(getattr(self, field)) for field in TRACE_FIELDS}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"trace columns differ in length: {lengths}")
+        if n and self.size_bytes.min() < 0:
+            raise ValueError(f"negative packet size: {self.size_bytes.min()}")
 
     def __len__(self) -> int:
         return len(self.timestamp_us)
 
-    def __iter__(self) -> Iterator[PacketRecord]:
+    def __iter__(self) -> Iterator[Packet]:
         for start in range(0, len(self), _TRACE_BLOCK):
             part = slice(start, start + _TRACE_BLOCK)
-            yield from map(PacketRecord, self.timestamp_us[part].tolist(), self.src[part],
-                           self.dst[part], self.size_bytes[part].tolist(), self.label[part],
-                           self.attack_type[part])
+            yield from zip(self.timestamp_us[part].tolist(), self.src[part], self.dst[part],
+                           self.size_bytes[part].tolist())
 
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return Trace._from_columns(*(getattr(self, f)[idx] for f in TRACE_FIELDS),
-                                       name=self.name)
-        return PacketRecord(int(self.timestamp_us[idx]), self.src[idx], self.dst[idx],
-                            int(self.size_bytes[idx]), self.label[idx], self.attack_type[idx])
-
-    def __repr__(self) -> str:
-        return f"Trace({self.name!r}, {len(self)} packets)"
+    def __getitem__(self, idx: slice) -> "Trace":
+        if not isinstance(idx, slice):
+            raise TypeError(f"a Trace takes slices, not {type(idx).__name__}")
+        return Trace(*(getattr(self, field)[idx] for field in TRACE_FIELDS))
 
 
 class FeatureTable:
@@ -286,8 +260,7 @@ def load_trace(path: Union[str, Path]) -> Trace:
             dst.extend(map(addresses.setdefault, columns[2], columns[2]))
             labels.extend(block_labels)
             types.extend(map(type_of.__getitem__, columns[5]))
-    return Trace._from_columns(np.concatenate(ts_blocks), src, dst, np.concatenate(size_blocks),
-                               labels, types, name=path.stem)
+    return Trace(np.concatenate(ts_blocks), src, dst, np.concatenate(size_blocks), labels, types)
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:
@@ -414,7 +387,6 @@ class TraceSpec:
     rate_ramp: float = 1.0
     attacks: Tuple[AttackSegment, ...] = ()
     benign_until: Optional[float] = None  # benign process stops here (default: full run)
-    name: str = "synth"
 
 
 def _validate_spec(spec: TraceSpec) -> None:
@@ -483,7 +455,7 @@ def synth_trace(spec: TraceSpec, seed: int) -> Trace:
     benign_end = spec.benign_until if spec.benign_until is not None else spec.duration_s
     benign_t = _arrival_times(spec, rng, 0.0, benign_end, 1.0)
     benign_sizes = _sizes(rng, len(benign_t), spec.size_mean, spec.size_sigma)
-    entries: List[Tuple[float, PacketRecord]] = []
+    rows: List[tuple] = []  # (arrival time, then the six trace columns)
     for t, size in zip(benign_t, benign_sizes):
         src = hosts[rng.integers(len(hosts))]
         if len(hosts) > 1:
@@ -491,7 +463,7 @@ def synth_trace(spec: TraceSpec, seed: int) -> Trace:
             dst = others[rng.integers(len(others))]
         else:
             dst = "0.0.0.0"
-        entries.append((t, PacketRecord(int(round(t * 1e6)), src, dst, int(size), False, None)))
+        rows.append((t, int(round(t * 1e6)), src, dst, int(size), False, None))
 
     for seg in spec.attacks:
         attack_t = _arrival_times(spec, rng, seg.start_s, seg.end_s, seg.rate_multiplier)
@@ -503,8 +475,7 @@ def synth_trace(spec: TraceSpec, seed: int) -> Trace:
         for t, size in zip(attack_t, attack_sizes):
             src = seg.attackers[rng.integers(len(seg.attackers))]
             dst = pool[rng.integers(len(pool))]
-            entries.append((t, PacketRecord(int(round(t * 1e6)), src, dst, int(size),
-                                            True, seg.attack_type)))
+            rows.append((t, int(round(t * 1e6)), src, dst, int(size), True, seg.attack_type))
 
-    entries.sort(key=lambda e: e[0])  # stable: benign before attack on exact ties
-    return Trace(tuple(rec for _, rec in entries), name=spec.name)
+    rows.sort(key=lambda row: row[0])  # stable: benign before attack on exact ties
+    return Trace(*list(zip(*rows))[1:])

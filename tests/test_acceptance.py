@@ -19,7 +19,7 @@ from aadetect.detector import Decision, Detector, Mode, whisker_threshold
 from aadetect.devices import DeviceBank, infection_level
 from aadetect.evaluation import run, score
 from aadetect.metrics import DirectionalMetrics, ScalingFactors, StreamMetrics
-from aadetect.traffic import PacketRecord, load_feature_dataset
+from aadetect.traffic import load_feature_dataset
 from aadetect.training import SufficientStats, fit_batch_with_stats, update_incremental
 
 
@@ -67,13 +67,13 @@ def test_criterion_1_metric_oracle_equivalence():
     for _ in range(1000):
         t += int(rng.integers(0, 300_000))
         i, j = rng.choice(4, size=2, replace=False)
-        pkt = PacketRecord(t, hosts[i], hosts[j], int(rng.integers(1, 1500)))
-        got = dm.update(pkt)
-        tx.setdefault(pkt.src, []).append((t, pkt.size_bytes))
-        tx_last[pkt.src] = brute_triple(tx[pkt.src], len(tx[pkt.src]) - 1, N, T_us)
-        rx.setdefault(pkt.dst, []).append((t, pkt.size_bytes))
-        rx_last[pkt.dst] = brute_triple(rx[pkt.dst], len(rx[pkt.dst]) - 1, N, T_us)
-        for addr in (pkt.src, pkt.dst):
+        src, dst, size = hosts[i], hosts[j], int(rng.integers(1, 1500))
+        got = dm.update(t, src, dst, size)
+        tx.setdefault(src, []).append((t, size))
+        tx_last[src] = brute_triple(tx[src], len(tx[src]) - 1, N, T_us)
+        rx.setdefault(dst, []).append((t, size))
+        rx_last[dst] = brute_triple(rx[dst], len(rx[dst]) - 1, N, T_us)
+        for addr in (src, dst):
             exp = tx_last.get(addr, (0, 0, 0)) + rx_last.get(addr, (0, 0, 0))
             vec = got[addr]
             assert vec[0] == exp[0] and vec[2] == exp[2]
@@ -242,14 +242,13 @@ def suite_device_isolation(rng):
         for _ in range(60):
             t += int(rng.integers(1, 60_000))
             i, j = rng.choice(3, size=2, replace=False)
-            trace.append(PacketRecord(t, hosts[i], hosts[j],
-                                      int(rng.integers(60, 1400))))
+            trace.append((t, hosts[i], hosts[j], int(rng.integers(60, 1400))))
         watched = hosts[case % 3]
         full, only = DeviceBank(cfg), DeviceBank(cfg)
         fd, od = [], []
         for pkt in trace:
             fd.extend(d for a, d in full.ingest(pkt) if a == watched)
-            if watched in (pkt.src, pkt.dst):
+            if watched in pkt[1:3]:
                 od.extend(d for a, d in only.ingest(pkt) if a == watched)
         assert [(d.value, d.is_attack) for d in fd] == [(d.value, d.is_attack) for d in od]
         assert full.device(watched).infection_level == only.device(watched).infection_level

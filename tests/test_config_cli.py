@@ -1,12 +1,14 @@
 """Configuration loading/validation/overrides and end-to-end CLI flows run
 in-process through ``cli.main``."""
 
+import gc
 import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -190,7 +192,7 @@ def test_synth_is_deterministic_on_disk(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "wrote" in out and "attack" in out
     trace = load_trace(a)
-    assert any(r.label for r in trace) and any(not r.label for r in trace)
+    assert True in trace.label and False in trace.label
 
 
 def test_synth_rejects_malformed_flood_spec(tmp_path, capsys):
@@ -198,6 +200,22 @@ def test_synth_rejects_malformed_flood_spec(tmp_path, capsys):
                    "--rate", "10", "--flood", "1:2"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--flood", "20:30:10", "--spray", "4", "--victim", "10.9.9.9"], "--victim"),
+    (["--attacker", "1.2.3.4"], "--attacker"),
+    (["--victim", "10.9.9.9"], "--victim"),
+    (["--spray", "4"], "--spray"),
+])
+def test_synth_rejects_attack_flags_it_would_ignore(tmp_path, capsys, flags, named):
+    out = tmp_path / "t.csv"
+    rc = cli.main(["synth", "--out", str(out), "--duration", "30", "--rate", "50",
+                   "--seed", "1"] + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named} ") and "Traceback" not in err, err
+    assert not out.exists()
 
 
 def test_init_writes_deterministic_state(flood_trace_file, tmp_path, capsys):
@@ -482,6 +500,50 @@ def test_a_state_whose_mode_does_not_fit_its_model_exits_2_before_any_log(
     assert capsys.readouterr().err == (f"error: state file {bad}: a {mode} detector takes "
                                        f"{metrics} metrics, not 4\n")
     assert not log.exists()
+
+
+def main_closing_every_file(argv):
+    """``cli.main(argv)``, failing if the run leaves a file unclosed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        rc = cli.main(argv)
+        gc.collect()
+    unclosed = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not unclosed, unclosed
+    return rc
+
+
+def test_a_state_of_another_feature_width_exits_2_naming_both_files_before_any_log(
+        tmp_path, capsys):
+    rng = np.random.default_rng(61)
+    wide, narrow = tmp_path / "wide.csv", tmp_path / "narrow.csv"
+    save_feature_dataset(feature_table(rng, 20, (40, 0.5, 0.05, None)), wide)
+    save_feature_dataset(feature_table(rng, 4, (40, 0.5, 0.05, None)), narrow)
+    state = tmp_path / "st.json"
+    assert cli.main(["init", str(wide), "--features", "--out", str(state)]) == 0
+    capsys.readouterr()
+    log = tmp_path / "never.csv"
+    rc = main_closing_every_file(["replay", str(narrow), "--features", "--state", str(state),
+                                  "--log", str(log)])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: state file {state} holds a 20-feature "
+                                       f"detector, but feature file {narrow} has 4 features\n")
+    assert not log.exists()
+
+
+def test_an_alerts_path_that_cannot_be_opened_exits_2_leaving_no_log(flood_trace_file,
+                                                                      tmp_path, capsys):
+    log = tmp_path / "never.csv"
+    alerts = tmp_path / "no-such-dir" / "a.jsonl"
+    rc = main_closing_every_file(["replay", str(flood_trace_file), "--log", str(log),
+                                  "--alerts", str(alerts)])
+    assert rc == 2
+    assert str(alerts) in capsys.readouterr().err
+    assert not log.exists() and not alerts.exists()
+    bad_log = tmp_path / "no-such-dir" / "d.csv"
+    rc = main_closing_every_file(["replay", str(flood_trace_file), "--log", str(bad_log),
+                                  "--alerts", str(tmp_path / "a.jsonl")])
+    assert rc == 2 and str(bad_log) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["packets", "features"])

@@ -13,7 +13,7 @@ from aadetect.detector import (Decision, Detector, LifecycleError, Mode, Phase,
                                load_state, salt_for_address, save_state,
                                simple_threshold_baseline, whisker_threshold)
 from aadetect.metrics import DimensionError, ScalingFactors
-from aadetect.traffic import FeatureTable, PacketRecord
+from aadetect.traffic import FeatureTable, Trace
 
 
 def small_config(**train_overrides):
@@ -213,9 +213,12 @@ def test_init_by_time_still_needs_four_rows():
 
 def test_botnet_step_consumes_packets_only():
     det = Detector(3, small_config(), Mode.BOTNET)
-    assert det.step(PacketRecord(0, "a", "b", 100)) is None
-    with pytest.raises(TypeError):
-        det.step(np.zeros(3))
+    assert det.step((0, "a", "b", 100)) is None
+    trace = Trace([1, 2], ["a", "b"], ["b", "a"], [60, 70])
+    assert [det.step(pkt) for pkt in trace] == [None, None]  # a trace yields packet tuples
+    for item in (np.zeros(3), [3, "a", "b", 100], trace[:1]):
+        with pytest.raises(TypeError):
+            det.step(item)
 
 
 def test_features_step_counts_rows_and_defaults_frozen():
@@ -268,7 +271,7 @@ def test_initialize_checks_rows_as_observe_does():
 def test_device_mode_rejects_step():
     det = Detector(6, small_config(), Mode.DEVICE)
     with pytest.raises(LifecycleError):
-        det.step(PacketRecord(0, "a", "b", 1))
+        det.step((0, "a", "b", 1))
 
 
 def test_observe_validation():

@@ -8,7 +8,7 @@ from aadetect.config import config_from_dict
 from aadetect.detector import whisker_threshold
 from aadetect.devices import (DEVICE_DIM, DeviceBank, InfectionReport,
                               infection_level)
-from aadetect.traffic import PacketRecord
+from aadetect.traffic import Trace
 
 
 def device_config(**overrides):
@@ -23,8 +23,7 @@ def benign_device_trace(rng, n, hosts, mean_gap_us=50_000):
     for _ in range(n):
         t += int(rng.exponential(mean_gap_us)) + 1
         src, dst = rng.choice(len(hosts), size=2, replace=False)
-        out.append(PacketRecord(t, hosts[src], hosts[dst],
-                                int(max(1, rng.normal(500, 150)))))
+        out.append((t, hosts[src], hosts[dst], int(max(1, rng.normal(500, 150)))))
     return out
 
 
@@ -88,10 +87,22 @@ def test_infection_level_validation():
 
 def test_first_packet_creates_exactly_two_devices():
     bank = DeviceBank(device_config())
-    out = bank.ingest(PacketRecord(0, "A", "B", 100))
+    out = bank.ingest((0, "A", "B", 100))
     assert len(bank) == 2 and "A" in bank and "B" in bank
     assert out == []  # both devices are still initializing
     assert bank.device("A").decisions_count == 0
+
+
+def test_ingest_takes_one_packet_tuple_as_a_trace_yields_it():
+    rng = np.random.default_rng(271)
+    packets = benign_device_trace(rng, 60, ["a", "b", "c"])
+    trace = Trace(*zip(*packets))
+    by_tuple, by_trace = DeviceBank(device_config()), DeviceBank(device_config())
+    got = [by_tuple.ingest(pkt) for pkt in packets]
+    assert got == [by_trace.ingest(pkt) for pkt in trace] and any(got)
+    assert by_tuple.device("a").last_seen_us == max(t for t, s, d, _ in packets if "a" in (s, d))
+    with pytest.raises(TypeError):
+        by_tuple.ingest(*packets[0])  # one packet argument, not its four fields
 
 
 def test_device_count_is_bounded_by_distinct_addresses():
@@ -144,7 +155,7 @@ def test_receive_only_device_is_still_monitored():
     senders = ["s1", "s2", "s3"]
     for i in range(30):
         t += 20_000
-        bank.ingest(PacketRecord(t, senders[i % 3], "sink", 200 + i))
+        bank.ingest((t, senders[i % 3], "sink", 200 + i))
     rec = bank.device("sink")
     assert rec is not None and rec.decisions_count > 0
     # The sink never transmits: its fitted init window is all-zero on the
@@ -166,7 +177,7 @@ def test_infection_level_and_peak_track_decisions():
 
 def test_hysteresis_requires_consecutive_exceedances():
     bank = DeviceBank(device_config())  # hysteresis_k = 3
-    bank.ingest(PacketRecord(0, "a", "b", 100))
+    bank.ingest((0, "a", "b", 100))
     rec = bank.device("a")
     rec.consecutive_above = 2
     assert not bank.is_compromised(rec)
@@ -202,7 +213,7 @@ def test_device_state_depends_only_on_its_own_packets():
         only = DeviceBank(device_config())
         only_decisions = []
         for pkt in trace:
-            if watched in (pkt.src, pkt.dst):
+            if watched in pkt[1:3]:
                 only_decisions.extend(d for addr, d in only.ingest(pkt) if addr == watched)
         assert len(full_decisions) == len(only_decisions)
         for a, b in zip(full_decisions, only_decisions):
@@ -224,10 +235,10 @@ def test_idle_devices_are_evicted_and_reported():
     t = 0
     for i in range(5):
         t += 20_000
-        bank.ingest(PacketRecord(t, "ghost", "a", 100))
+        bank.ingest((t, "ghost", "a", 100))
     for i in range(600):  # ghost goes silent; time marches past the TTL
         t += 10_000
-        bank.ingest(PacketRecord(t, "a", "b", 100))
+        bank.ingest((t, "a", "b", 100))
     assert "ghost" not in bank
     report = bank.report()
     ghost_rows = [r for r in report.devices if r.addr == "ghost"]
@@ -241,12 +252,12 @@ def test_reappearing_device_restarts_fresh():
     t = 0
     for i in range(10):
         t += 20_000
-        bank.ingest(PacketRecord(t, "ghost", "a", 100))
+        bank.ingest((t, "ghost", "a", 100))
     for i in range(600):
         t += 10_000
-        bank.ingest(PacketRecord(t, "a", "b", 100))
+        bank.ingest((t, "a", "b", 100))
     assert "ghost" not in bank
-    bank.ingest(PacketRecord(t + 1, "ghost", "a", 100))
+    bank.ingest((t + 1, "ghost", "a", 100))
     rec = bank.device("ghost")
     assert rec is not None and rec.decisions_count == 0
     rows = [r for r in bank.report().devices if r.addr == "ghost"]
@@ -274,5 +285,5 @@ def test_report_is_pure_and_sorted():
 def test_device_vector_dimension_is_six():
     assert DEVICE_DIM == 6
     bank = DeviceBank(device_config())
-    bank.ingest(PacketRecord(0, "a", "b", 100))
+    bank.ingest((0, "a", "b", 100))
     assert bank.device("a").detector.dim == 6

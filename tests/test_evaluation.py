@@ -143,8 +143,8 @@ def test_run_skips_init_and_aligns_ground_truth():
     result = run(Detector(3, stream_config(), online=True), trace)
     assert result.skipped == 8
     assert len(result.decisions) == len(trace) - 8
-    assert list(result.labels) == [r.label for r in trace[8:]]
-    assert [d.at_us for d in result.decisions] == [r.timestamp_us for r in trace[8:]]
+    assert result.labels == trace.label[8:] == trace[8:].label
+    assert [d.at_us for d in result.decisions] == [pkt[0] for pkt in trace[8:]]
     report = result.report()
     assert report.fpr is not None and report.tpr is None  # all-benign trace
 
@@ -276,9 +276,10 @@ def test_compare_checks_every_packet_init_consumed_is_benign():
     with pytest.raises(ValueError) as err:
         compare_online_offline(trace, stream_config(init_len=len(trace) + 1))
     assert str(err.value) == f"trace has {len(trace)} packets and init never completed"
-    poisoned = Trace((trace[0],) + (
-        type(trace[1])(trace[1].timestamp_us, "a", "b", 7, True, "flood"),
-    ) + tuple(trace)[2:])
+    label, attack_type = list(trace.label), list(trace.attack_type)
+    label[1], attack_type[1] = True, "flood"
+    poisoned = Trace(trace.timestamp_us, trace.src, trace.dst, trace.size_bytes,
+                     label, attack_type)
     with pytest.raises(ValueError) as err:
         compare_online_offline(poisoned, stream_config())
     assert str(err.value) == "packet 1 fed init but is not labeled benign"
@@ -386,12 +387,11 @@ def test_emit_plot_data_empty_type_map_is_header_only(tmp_path):
 
 def test_emit_plot_data_for_infection_report(tmp_path):
     from aadetect.devices import DeviceBank
-    from aadetect.traffic import PacketRecord
     bank = DeviceBank(config_from_dict({"device": {"init_len": 6}}))
     t = 0
     for i in range(30):
         t += 10_000
-        bank.ingest(PacketRecord(t, "a", "b", 400 + i))
+        bank.ingest((t, "a", "b", 400 + i))
     files = emit_plot_data(bank.report(), tmp_path)
     assert [p.name for p in files] == ["infection_levels.csv"]
     lines = (tmp_path / "infection_levels.csv").read_text().splitlines()

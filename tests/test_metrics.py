@@ -8,7 +8,7 @@ from aadetect.metrics import (DimensionError, DirectionalMetrics,
                               MinMaxScaler, ScalingFactors, StreamMetrics,
                               fit_scaling, min_max_fit,
                               scaler_from_json)
-from aadetect.traffic import PacketRecord, TimestampOrderError
+from aadetect.traffic import TimestampOrderError, Trace
 
 
 def oracle_triple(packets, i, N, T_us):
@@ -116,9 +116,9 @@ def test_out_of_order_timestamp_raises():
     with pytest.raises(TimestampOrderError):
         sm.update(9, 1)
     dm = DirectionalMetrics(5, 1_000_000)
-    dm.update(PacketRecord(10, "a", "b", 1))
+    dm.update(10, "a", "b", 1)
     with pytest.raises(TimestampOrderError):
-        dm.update(PacketRecord(9, "a", "c", 1))
+        dm.update(9, "a", "c", 1)
 
 
 # -- directional 6-metric extension -------------------------------------------
@@ -130,13 +130,13 @@ def oracle_directional(trace, N, T_us):
     tx_last, rx_last = {}, {}
     out = []
     zeros = (0.0, 0.0, 0.0)
-    for pkt in trace:
-        tx.setdefault(pkt.src, []).append((pkt.timestamp_us, pkt.size_bytes))
-        tx_last[pkt.src] = oracle_triple(tx[pkt.src], len(tx[pkt.src]) - 1, N, T_us)
-        rx.setdefault(pkt.dst, []).append((pkt.timestamp_us, pkt.size_bytes))
-        rx_last[pkt.dst] = oracle_triple(rx[pkt.dst], len(rx[pkt.dst]) - 1, N, T_us)
+    for t, src, dst, size in trace:
+        tx.setdefault(src, []).append((t, size))
+        tx_last[src] = oracle_triple(tx[src], len(tx[src]) - 1, N, T_us)
+        rx.setdefault(dst, []).append((t, size))
+        rx_last[dst] = oracle_triple(rx[dst], len(rx[dst]) - 1, N, T_us)
         vecs = {}
-        for addr in dict.fromkeys((pkt.src, pkt.dst)):
+        for addr in dict.fromkeys((src, dst)):
             vecs[addr] = tx_last.get(addr, zeros) + rx_last.get(addr, zeros)
         out.append(vecs)
     return out
@@ -148,13 +148,13 @@ def random_trace(rng, n, hosts):
     for _ in range(n):
         t += int(rng.integers(0, 500_000))
         src, dst = rng.choice(len(hosts), size=2, replace=False)
-        packets.append(PacketRecord(t, hosts[src], hosts[dst], int(rng.integers(1, 1500))))
+        packets.append((t, hosts[src], hosts[dst], int(rng.integers(1, 1500))))
     return packets
 
 
 def test_single_packet_directional_vectors():
     dm = DirectionalMetrics(10, 10_000_000)
-    vecs = dm.update(PacketRecord(0, "A", "B", 100))
+    vecs = dm.update(0, "A", "B", 100)
     assert np.array_equal(vecs["A"], [100, 0, 1, 0, 0, 0])
     assert np.array_equal(vecs["B"], [0, 0, 0, 100, 0, 1])
     assert dm.addresses() == ("A", "B")
@@ -169,12 +169,24 @@ def test_directional_equals_per_substream_oracle():
         dm = DirectionalMetrics(N, T_us)
         expected = oracle_directional(trace, N, T_us)
         for pkt, exp in zip(trace, expected):
-            got = dm.update(pkt)
+            got = dm.update(*pkt)
             assert set(got) == set(exp)
             for addr in got:
                 assert np.allclose(got[addr], exp[addr], rtol=1e-12, atol=0.0)
                 assert got[addr][0] == exp[addr][0] and got[addr][2] == exp[addr][2]
                 assert got[addr][3] == exp[addr][3] and got[addr][5] == exp[addr][5]
+
+
+def test_directional_update_takes_a_packets_plain_values():
+    packets = random_trace(np.random.default_rng(29), 50, ["h1", "h2", "h3"])
+    trace = Trace(*zip(*packets))
+    by_value, by_trace = DirectionalMetrics(4, 1_000_000), DirectionalMetrics(4, 1_000_000)
+    for (t, src, dst, size), pkt in zip(packets, trace):
+        got, want = by_trace.update(*pkt), by_value.update(t, src, dst, size)
+        assert list(got) == list(want)
+        assert all(np.array_equal(got[addr], want[addr]) for addr in got)
+    with pytest.raises(TypeError):
+        by_value.update(packets[0])  # four values, not one packet
 
 
 def test_directional_isolation_under_other_hosts_permutation():
@@ -186,16 +198,15 @@ def test_directional_isolation_under_other_hosts_permutation():
         trace = random_trace(rng, 60, hosts)
         watched = "a"
         swapped = []
-        for pkt in trace:
-            if watched in (pkt.src, pkt.dst):
-                swapped.append(pkt)
+        for t, src, dst, size in trace:
+            if watched in (src, dst):
+                swapped.append((t, src, dst, size))
             else:
                 swap = {"b": "c", "c": "d", "d": "b"}
-                swapped.append(PacketRecord(pkt.timestamp_us, swap[pkt.src],
-                                            swap[pkt.dst], pkt.size_bytes))
+                swapped.append((t, swap[src], swap[dst], size))
         d1, d2 = DirectionalMetrics(5, 1_000_000), DirectionalMetrics(5, 1_000_000)
         for p1, p2 in zip(trace, swapped):
-            v1, v2 = d1.update(p1), d2.update(p2)
+            v1, v2 = d1.update(*p1), d2.update(*p2)
             if watched in v1:
                 assert watched in v2
                 assert np.array_equal(v1[watched], v2[watched])
@@ -203,17 +214,17 @@ def test_directional_isolation_under_other_hosts_permutation():
 
 def test_self_addressed_packet_yields_one_vector():
     dm = DirectionalMetrics(4, 1_000_000)
-    vecs = dm.update(PacketRecord(0, "A", "A", 60))
+    vecs = dm.update(0, "A", "A", 60)
     assert list(vecs) == ["A"]
     assert np.array_equal(vecs["A"], [60, 0, 1, 60, 0, 1])
 
 
 def test_drop_forgets_an_address():
     dm = DirectionalMetrics(4, 1_000_000)
-    dm.update(PacketRecord(0, "A", "B", 60))
+    dm.update(0, "A", "B", 60)
     dm.drop("A")
     assert dm.addresses() == ("B",)
-    vecs = dm.update(PacketRecord(1, "A", "B", 60))
+    vecs = dm.update(1, "A", "B", 60)
     assert np.array_equal(vecs["A"], [60, 0, 1, 0, 0, 0])  # state restarted
 
 

@@ -1,27 +1,27 @@
 """Trace/feature I/O round-trips, parse errors, and synthetic generation."""
 
 import csv
-import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aadetect import traffic
-from aadetect.traffic import (TRACE_FIELDS, AttackSegment, FeatureTable, PacketRecord, Trace,
+from aadetect.traffic import (TRACE_FIELDS, AttackSegment, FeatureTable, Trace,
                               TraceParseError, TraceSpec, _parse_label,
                               load_feature_dataset, load_trace,
                               save_feature_dataset, save_trace, synth_trace)
 
 
-def random_records(rng, n):
+def random_rows(rng, n):
+    """``n`` packets as six-column rows, in ``TRACE_FIELDS`` order."""
     ts = np.cumsum(rng.integers(0, 300_000, size=n))
     labels = [None, False, True]
     types = [None, "flood", "mirai", "scan"]
-    recs = []
+    rows = []
     for i in range(n):
         label = labels[int(rng.integers(3))]
-        recs.append(PacketRecord(
+        rows.append((
             int(ts[i]),
             f"10.0.0.{int(rng.integers(1, 6))}",
             f"10.0.1.{int(rng.integers(1, 6))}",
@@ -29,21 +29,52 @@ def random_records(rng, n):
             label,
             types[int(rng.integers(1, 4))] if label else None,
         ))
-    return recs
+    return rows
 
 
-# -- packet records -------------------------------------------------------------
+def trace_of(rows):
+    """The trace whose packets are ``rows`` (six-column tuples)."""
+    return Trace(*zip(*rows))
+
+
+def columns(trace):
+    """A trace's six columns as tuples of plain values, for comparisons."""
+    return (tuple(trace.timestamp_us.tolist()), trace.src, trace.dst,
+            tuple(trace.size_bytes.tolist()), trace.label, trace.attack_type)
+
+
+# -- the Trace type -------------------------------------------------------------
 
 
 def test_packet_record_rejects_negative_size():
-    with pytest.raises(ValueError):
-        PacketRecord(0, "a", "b", -1)
+    with pytest.raises(ValueError, match="negative packet size: -1"):
+        Trace([0, 1], ["a", "a"], ["b", "b"], [10, -1])
+    assert len(Trace([0], ["a"], ["b"], [0])) == 1  # a zero-byte packet is fine
 
 
-def test_packet_record_is_immutable():
-    rec = PacketRecord(0, "a", "b", 10)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        rec.size_bytes = 20
+def test_trace_constructor_rejects_columns_of_unequal_length():
+    with pytest.raises(ValueError) as err:
+        Trace([0, 1, 2], ["a", "a"], ["b", "b", "b"], [1, 2, 3])
+    assert "'timestamp_us': 3" in str(err.value) and "'src': 2" in str(err.value)
+    with pytest.raises(ValueError, match="'label': 1"):
+        Trace([0, 1], ["a", "a"], ["b", "b"], [1, 2], label=[True])
+    with pytest.raises(ValueError, match="'attack_type': 3"):
+        Trace([0], ["a"], ["b"], [1], attack_type=["x", "y", "z"])
+    bare = Trace([0, 5], ["a", "c"], ["b", "d"], [1, 2])
+    assert bare.label == bare.attack_type == (None, None)  # as in FeatureTable
+    assert Trace.__slots__ == TRACE_FIELDS
+
+
+def test_trace_iterates_as_the_zip_of_its_four_columns():
+    rows = random_rows(np.random.default_rng(6), 2500)  # past two _TRACE_BLOCK edges
+    trace = trace_of(rows)
+    assert traffic._TRACE_BLOCK == 1024
+    got = list(trace)
+    assert got == list(zip(trace.timestamp_us.tolist(), trace.src, trace.dst,
+                           trace.size_bytes.tolist()))
+    assert got == [row[:4] for row in rows]
+    assert all(type(p) is tuple and type(p[0]) is int and type(p[3]) is int for p in got)
+    assert list(trace) == got  # iterating again starts over
 
 
 # -- trace CSV round-trip ---------------------------------------------------------
@@ -51,11 +82,11 @@ def test_packet_record_is_immutable():
 
 def test_trace_round_trip_identity(tmp_path):
     rng = np.random.default_rng(1)
-    recs = random_records(rng, 100)
+    rows = random_rows(rng, 100)
     path = tmp_path / "t.csv"
-    save_trace(Trace(tuple(recs)), path)
+    save_trace(trace_of(rows), path)
     loaded = load_trace(path)
-    assert tuple(loaded) == tuple(recs)
+    assert columns(loaded) == columns(trace_of(rows)) == tuple(zip(*rows))
     # A second save of the loaded trace is byte-identical.
     path2 = tmp_path / "t2.csv"
     save_trace(loaded, path2)
@@ -70,8 +101,8 @@ def test_trace_labels_and_blank_fields(tmp_path):
         "5,a,b,10,0,\n"
         "9,a,b,10,1,flood\n")
     t = load_trace(path)
-    assert [r.label for r in t] == [None, False, True]
-    assert [r.attack_type for r in t] == [None, None, "flood"]
+    assert t.label == (None, False, True)
+    assert t.attack_type == (None, None, "flood")
 
 
 def test_trace_parse_errors_name_the_line(tmp_path):
@@ -124,8 +155,9 @@ def test_trace_blank_lines_are_skipped(tmp_path):
 
 
 def per_row_load_trace(path):
-    """The trace loader as first written, one PacketRecord per csv row: the
-    reference for the column loader's packets and errors."""
+    """The trace loader as first written, one csv row at a time: the
+    reference for the column loader's columns and errors. Returns the rows
+    as six-column tuples."""
     path = Path(path)
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -146,14 +178,12 @@ def per_row_load_trace(path):
                 raise TraceParseError(path, line_no, f"bad integer field: {exc}") from None
             label = _parse_label(row[4].strip(), path, line_no)
             attack_type = row[5].strip() or None
-            try:
-                rec = PacketRecord(ts, row[1], row[2], size, label, attack_type)
-            except ValueError as exc:
-                raise TraceParseError(path, line_no, str(exc)) from None
+            if size < 0:
+                raise TraceParseError(path, line_no, f"negative packet size: {size}")
             if prev_ts is not None and ts < prev_ts:
                 raise TraceParseError(path, line_no, f"timestamp {ts} goes backwards (previous {prev_ts})")
             prev_ts = ts
-            records.append(rec)
+            records.append((ts, row[1], row[2], size, label, attack_type))
     return tuple(records)
 
 
@@ -171,13 +201,12 @@ def trace_lines(n, seed=4):
 
 def assert_loads_as_per_row(path):
     got, expected = load_trace(path), per_row_load_trace(path)
-    assert tuple(got) == expected and got.name == Path(path).stem
+    assert columns(got) == columns(trace_of(expected))
+    assert tuple(got) == tuple(row[:4] for row in expected)
     assert len(got) == len(expected)
     assert got.timestamp_us.dtype == got.size_bytes.dtype == np.int64
-    for rec in got:
-        assert type(rec.timestamp_us) is int and type(rec.size_bytes) is int
-    if len(got):
-        assert type(got[-1].timestamp_us) is int and type(got[0].size_bytes) is int
+    for pkt in got:
+        assert type(pkt[0]) is int and type(pkt[3]) is int
     return got
 
 
@@ -301,16 +330,22 @@ def test_column_loader_rejects_integers_past_64_bits(tmp_path):
 
 
 def test_trace_from_records_indexes_slices_and_iterates():
-    recs = random_records(np.random.default_rng(5), 30)
-    trace = Trace(tuple(recs), name="r")
-    assert tuple(trace) == tuple(recs) and len(trace) == 30
-    assert trace[0] == recs[0] and trace[-1] == recs[-1]
+    rows = random_rows(np.random.default_rng(5), 30)
+    trace = trace_of(rows)
+    assert tuple(trace) == tuple(row[:4] for row in rows) and len(trace) == 30
     part = trace[5:12]
-    assert isinstance(part, Trace) and tuple(part) == tuple(recs[5:12]) and part.name == "r"
-    assert list(trace.label) == [r.label for r in recs]
+    assert isinstance(part, Trace) and columns(part) == columns(trace_of(rows[5:12]))
+    assert columns(trace[::-1][:3]) == columns(trace_of(rows[:-4:-1]))
+    for idx in (0, -1, np.int64(3)):
+        with pytest.raises(TypeError):
+            trace[idx]  # a single packet is read from the columns
+    assert list(trace.label) == [row[4] for row in rows]
     with pytest.raises(ValueError):
         trace.timestamp_us[0] = 1  # the columns are read-only
-    assert len(Trace()) == 0 and tuple(Trace()) == ()
+    ts = np.arange(30, dtype=np.int64)
+    Trace(ts, trace.src, trace.dst, ts)
+    assert ts.flags.writeable  # the trace's view is read-only, the caller's array is not
+    assert len(Trace()) == 0 and tuple(Trace()) == () and columns(Trace()) == ((),) * 6
 
 
 # -- feature CSV ------------------------------------------------------------------
@@ -459,7 +494,7 @@ def test_synth_is_deterministic_and_pure():
     spec = TraceSpec(duration_s=5.0, rate_pps=40.0, hosts=("a", "b", "c"))
     t1 = synth_trace(spec, seed=9)
     t2 = synth_trace(spec, seed=9)
-    assert tuple(t1) == tuple(t2)
+    assert columns(t1) == columns(t2)
     assert tuple(synth_trace(spec, seed=10)) != tuple(t1)
 
 
@@ -467,26 +502,26 @@ def test_synth_is_sorted_labeled_and_in_range():
     seg = AttackSegment(2.0, 4.0, 10.0, attackers=("evil",), victims=("a",))
     spec = TraceSpec(duration_s=6.0, rate_pps=30.0, hosts=("a", "b"), attacks=(seg,))
     trace = synth_trace(spec, seed=3)
-    ts = [r.timestamp_us for r in trace]
+    ts = trace.timestamp_us.tolist()
     assert ts == sorted(ts)
     assert all(0 <= t <= 6_000_000 for t in ts)
-    for rec in trace:
-        assert rec.label in (True, False)
-        if rec.label:
-            assert rec.src == "evil" and rec.dst == "a"
-            assert rec.attack_type == "flood"
-            assert 2_000_000 <= rec.timestamp_us <= 4_000_000
+    for (t, src, dst, _), label, kind in zip(trace, trace.label, trace.attack_type):
+        assert label in (True, False)
+        if label:
+            assert src == "evil" and dst == "a"
+            assert kind == "flood"
+            assert 2_000_000 <= t <= 4_000_000
         else:
-            assert rec.src in ("a", "b") and rec.dst in ("a", "b")
-            assert rec.src != rec.dst
+            assert src in ("a", "b") and dst in ("a", "b")
+            assert src != dst and kind is None
 
 
 def test_synth_attack_rate_multiplier_scales_counts():
     seg = AttackSegment(0.0, 50.0, 20.0, attackers=("evil",), victims=("a",))
     spec = TraceSpec(duration_s=50.0, rate_pps=20.0, hosts=("a", "b"), attacks=(seg,))
     trace = synth_trace(spec, seed=0)
-    n_attack = sum(1 for r in trace if r.label)
-    n_benign = sum(1 for r in trace if not r.label)
+    n_attack = trace.label.count(True)
+    n_benign = trace.label.count(False)
     # Expected 20x the benign count over the same interval; Poisson noise only.
     assert 15.0 < n_attack / n_benign < 25.0
 
@@ -494,7 +529,7 @@ def test_synth_attack_rate_multiplier_scales_counts():
 def test_synth_ramp_increases_late_arrivals():
     spec = TraceSpec(duration_s=100.0, rate_pps=20.0, rate_ramp=3.0)
     trace = synth_trace(spec, seed=4)
-    first = sum(1 for r in trace if r.timestamp_us < 50_000_000)
+    first = int((trace.timestamp_us < 50_000_000).sum())
     second = len(trace) - first
     # Linear ramp to 3x: expected second/first = 2500/1500 = 5/3.
     assert 1.45 < second / first < 1.9
@@ -505,15 +540,15 @@ def test_synth_benign_until_truncates_background():
     spec = TraceSpec(duration_s=10.0, rate_pps=50.0, hosts=("a", "b"),
                      attacks=(seg,), benign_until=8.0)
     trace = synth_trace(spec, seed=6)
-    assert all(r.label for r in trace if r.timestamp_us > 8_000_000)
-    assert any(not r.label for r in trace)
+    assert all(label for t, label in zip(trace.timestamp_us, trace.label) if t > 8_000_000)
+    assert False in trace.label
 
 
 def test_synth_spray_pool_addresses():
     seg = AttackSegment(0.0, 2.0, 50.0, attackers=("evil",), spray=300)
     spec = TraceSpec(duration_s=2.0, rate_pps=10.0, attacks=(seg,))
     trace = synth_trace(spec, seed=8)
-    sprayed = {r.dst for r in trace if r.label}
+    sprayed = {dst for dst, label in zip(trace.dst, trace.label) if label}
     pool = {f"198.51.{i // 256}.{i % 256}" for i in range(300)}
     assert sprayed and sprayed <= pool
     assert "198.51.1.43" in pool  # the third octet wraps past .0.255
@@ -522,7 +557,7 @@ def test_synth_spray_pool_addresses():
 def test_synth_single_host_uses_placeholder_dst():
     spec = TraceSpec(duration_s=2.0, rate_pps=30.0, hosts=("only",))
     trace = synth_trace(spec, seed=1)
-    assert all(r.src == "only" and r.dst == "0.0.0.0" for r in trace)
+    assert set(trace.src) == {"only"} and set(trace.dst) == {"0.0.0.0"}
 
 
 def test_synth_spec_validation():
@@ -548,4 +583,4 @@ def test_synth_trace_round_trips_through_csv(tmp_path):
     trace = synth_trace(spec, seed=12)
     path = tmp_path / "s.csv"
     save_trace(trace, path)
-    assert tuple(load_trace(path)) == tuple(trace)
+    assert columns(load_trace(path)) == columns(trace)
