@@ -62,23 +62,28 @@ def _emit_alert(fh, decision: Decision, addr: Optional[str] = None) -> None:
     fh.flush()
 
 
+_LOG_FLUSH_EVERY = 1024
+
+
 class _DecisionLogWriter:
-    """Streams decision-log rows, flushing per decision so logs can be tailed."""
+    """Streams decision-log rows, flushed every ``_LOG_FLUSH_EVERY`` rows and at close."""
 
     def __init__(self, path: Optional[str]):
         self._fh = open(path, "w", newline="\n", encoding="utf-8") if path else None
         self._writer = None
+        self._rows = 0
         if self._fh:
             self._writer = csv.writer(self._fh, lineterminator="\n")
             self._writer.writerow(DECISION_LOG_FIELDS)
-            self._fh.flush()
 
     def write(self, d: Decision) -> None:
         if self._writer is None:
             return
         self._writer.writerow([d.at_us, repr(d.value), repr(d.threshold),
                                int(d.is_attack), d.mode])
-        self._fh.flush()
+        self._rows += 1
+        if self._rows % _LOG_FLUSH_EVERY == 0:
+            self._fh.flush()
 
     def __enter__(self) -> "_DecisionLogWriter":
         return self
@@ -145,6 +150,12 @@ def cmd_replay(args) -> int:
             if given:
                 raise ValueError(f"--devices does not take {flag}: "
                                  "a device bank cannot be loaded, saved or frozen")
+    # Outputs written after the replay are checked before it starts.
+    for flag, path in (("--report", args.report), ("--save-state", args.save_state)):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{flag} {path}: directory {os.path.dirname(path)} does not exist")
+    if args.plots and os.path.exists(args.plots) and not os.path.isdir(args.plots):
+        raise ValueError(f"--plots {args.plots}: not a directory")
 
     if args.features:
         items, kind, source = load_feature_dataset(args.trace), Mode.FEATURES, "feature file"

@@ -1,10 +1,13 @@
 """Per-device compromise monitoring.
 
 Every address seen on the link gets its own 6-metric detector (transmitted
-and received substreams). ``DeviceBank.ingest`` takes one packet tuple. For
-each device in it, its detector judges the device's directional vector, and
-the device's infection level moves by an exponential moving average of the
-decision value relative to the device's threshold:
+and received substreams). ``DeviceBank.ingest`` takes one packet tuple.
+Until a device's init completes it is its substream metrics and a record of
+its vectors packed as doubles (48 bytes each), with no ``Detector``: the
+``device.init_len``-th vector builds the detector, fits it on them and is
+not judged. From then on its detector judges each of the device's vectors,
+and the device's infection level moves by an exponential moving average of
+the decision value relative to the device's threshold:
 
     level' = (1 - alpha) * level + alpha * min(d / theta_dev, 1)
 
@@ -24,14 +27,14 @@ learning until it looks benign again.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .config import Config
 from .detector import MODE_DIM, Decision, Detector, Mode, salt_for_address
-from .metrics import DirectionalMetrics
+from .metrics import DimensionError, DirectionalMetrics
 from .traffic import Packet
 
 DEVICE_DIM = MODE_DIM[Mode.DEVICE]
@@ -48,12 +51,14 @@ def infection_level(prev: float, d: float, alpha: float, threshold: float) -> fl
     return (1.0 - alpha) * prev + alpha * ratio
 
 
-@dataclass
+@dataclass(slots=True)
 class DeviceRecord:
-    """Mutable per-address monitoring state."""
+    """Mutable per-address monitoring state: ``init_rows`` until init
+    completes, then ``detector``."""
 
     addr: str
-    detector: Detector
+    detector: Optional[Detector] = None
+    init_rows: Optional[bytearray] = field(default_factory=bytearray)
     infection_level: float = 0.0
     peak_level: float = 0.0
     last_seen_us: int = 0
@@ -97,6 +102,11 @@ class DeviceBank:
         self._evicted: List[DeviceReportRow] = []
         self._packets = 0
         self._ttl_us = int(round(config.device.ttl_seconds * 1e6))
+        self._init_bytes = config.device.init_len * DEVICE_DIM * 8
+        gamma = config.metrics.gamma  # Detector's check, made before any device has one
+        if gamma and len(gamma) != DEVICE_DIM:
+            raise DimensionError(f"metrics.gamma has {len(gamma)} weights, "
+                                 f"a device detector needs {DEVICE_DIM}")
 
     def __len__(self) -> int:
         return len(self._devices)
@@ -106,11 +116,6 @@ class DeviceBank:
 
     def device(self, addr: str) -> Optional[DeviceRecord]:
         return self._devices.get(addr)
-
-    def _new_device(self, addr: str) -> DeviceRecord:
-        det = Detector(DEVICE_DIM, self.config, mode=Mode.DEVICE, online=True,
-                       noise_salt=salt_for_address(addr))
-        return DeviceRecord(addr=addr, detector=det)
 
     def ingest(self, pkt: Packet) -> List[Tuple[str, Decision]]:
         """Feed one ``Packet`` tuple; returns the (address, Decision) pairs it produced.
@@ -124,15 +129,21 @@ class DeviceBank:
         for addr, raw in vectors.items():
             rec = self._devices.get(addr)
             if rec is None:
-                rec = self._devices[addr] = self._new_device(addr)
+                rec = self._devices[addr] = DeviceRecord(addr)
             rec.last_seen_us = ts_us
-            decision = rec.detector.observe(raw, ts_us)
-            if decision is None:
+            det = rec.detector
+            if det is None:
+                rec.init_rows += raw.tobytes()
+                if len(rec.init_rows) >= self._init_bytes:
+                    det = rec.detector = Detector(DEVICE_DIM, self.config, mode=Mode.DEVICE,
+                                                  online=True, noise_salt=salt_for_address(addr))
+                    det.initialize(np.frombuffer(rec.init_rows).reshape(-1, DEVICE_DIM))
+                    rec.init_rows = None
                 continue
+            decision = det.observe(raw, ts_us)
             rec.decisions_count += 1
             rec.infection_level = infection_level(rec.infection_level, decision.value,
-                                                  self.config.device.alpha,
-                                                  rec.detector.threshold)
+                                                  self.config.device.alpha, det.threshold)
             rec.peak_level = max(rec.peak_level, rec.infection_level)
             if rec.infection_level > self.config.device.level_threshold:
                 rec.consecutive_above += 1

@@ -14,6 +14,8 @@ to:
 ``StreamMetrics`` and ``DirectionalMetrics`` take the windows as ``(N, T_us)``,
 T in whole microseconds (a run passes the checked ``config.metrics.N`` and
 ``.T_us``). Their ``update`` takes a packet's plain values, not a packet object.
+A stream's state grows with the stream (see ``StreamMetrics``), so a stream
+of one packet costs a few hundred bytes.
 
 The per-address extension keeps two independent substreams per address
 (packets it sent, packets it received) and concatenates their metric triples
@@ -28,9 +30,8 @@ post-init traffic may legitimately exceed the observed range.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -51,45 +52,56 @@ def _as_matrix(rows: Iterable[np.ndarray]) -> np.ndarray:
 class StreamMetrics:
     """Streaming computation of (m1, m2, m3) for one packet stream.
 
-    State is two buffers: the last ``N`` (timestamp, size) pairs and the
-    timestamps inside the trailing ``T`` window. Each update is O(1) amortized.
+    State is two lists that grow with the stream. ``_recent`` holds the last
+    ``min(n, N)`` packets as flat ``ts, size`` pairs, a ring from ``_pos`` once
+    full. ``_window[_head:]`` are the timestamps in the trailing ``T`` window;
+    the expired ones before ``_head`` are deleted once they make up an eighth
+    of the list. Each update is O(1) amortized. ``last`` is the latest triple.
     """
+
+    __slots__ = ("N", "T_us", "_recent", "_pos", "_recent_bytes", "_window", "_head", "last")
 
     def __init__(self, N: int, T_us: int):
         self.N = N
         self.T_us = T_us
-        self._recent: Deque[Tuple[int, int]] = deque()
+        self._recent: List[int] = []
+        self._pos = 0
         self._recent_bytes = 0
-        self._window: Deque[int] = deque()
-        self._last_ts: Optional[int] = None
+        self._window: List[int] = []
+        self._head = 0
+        self.last: Optional[np.ndarray] = None
 
     def update(self, ts_us: int, size_bytes: int) -> np.ndarray:
         """Advance the buffers with one packet and return its metric triple."""
-        if self._last_ts is not None and ts_us < self._last_ts:
-            raise TimestampOrderError(f"timestamp {ts_us} precedes previous {self._last_ts}")
-        self._last_ts = ts_us
+        window = self._window
+        if window and ts_us < window[-1]:
+            raise TimestampOrderError(f"timestamp {ts_us} precedes previous {window[-1]}")
 
-        self._recent.append((ts_us, size_bytes))
-        self._recent_bytes += size_bytes
-        if len(self._recent) > self.N:
-            _, old_size = self._recent.popleft()
-            self._recent_bytes -= old_size
-
-        n = len(self._recent)
-        m1 = float(self._recent_bytes)
-        if n >= 2:
-            span_us = ts_us - self._recent[0][0]
-            m2 = max(span_us, 0) / (n - 1) / 1e6
+        recent, pos = self._recent, self._pos
+        if len(recent) == 2 * self.N:  # full: the new pair replaces the oldest
+            self._recent_bytes -= recent[pos + 1]
+            recent[pos:pos + 2] = ts_us, size_bytes
+            self._pos = pos = (pos + 2) % len(recent)
         else:
-            m2 = 0.0
+            recent += (ts_us, size_bytes)
+        self._recent_bytes += size_bytes
+        n = len(recent) // 2
+        m1 = float(self._recent_bytes)
+        m2 = max(ts_us - recent[pos], 0) / (n - 1) / 1e6 if n >= 2 else 0.0
 
-        self._window.append(ts_us)
+        window.append(ts_us)
+        head = self._head
         cutoff = ts_us - self.T_us
-        while self._window[0] <= cutoff:
-            self._window.popleft()
-        m3 = float(len(self._window))
+        while window[head] <= cutoff:
+            head += 1
+        if head > len(window) >> 3:
+            del window[:head]
+            head = 0
+        self._head = head
+        m3 = float(len(window) - head)
 
-        return np.array([m1, m2, m3])
+        self.last = np.array([m1, m2, m3])
+        return self.last
 
 
 class DirectionalMetrics:
@@ -105,8 +117,6 @@ class DirectionalMetrics:
         self.T_us = T_us
         self._tx: Dict[str, StreamMetrics] = {}
         self._rx: Dict[str, StreamMetrics] = {}
-        self._tx_last: Dict[str, np.ndarray] = {}
-        self._rx_last: Dict[str, np.ndarray] = {}
 
     def update(self, ts_us: int, src: str, dst: str, size_bytes: int) -> Dict[str, np.ndarray]:
         """Advance src's tx and dst's rx substream with one packet; return the
@@ -114,27 +124,25 @@ class DirectionalMetrics:
         tx = self._tx.get(src)
         if tx is None:
             tx = self._tx[src] = StreamMetrics(self.N, self.T_us)
-        self._tx_last[src] = tx.update(ts_us, size_bytes)
+        tx.update(ts_us, size_bytes)
 
         rx = self._rx.get(dst)
         if rx is None:
             rx = self._rx[dst] = StreamMetrics(self.N, self.T_us)
-        self._rx_last[dst] = rx.update(ts_us, size_bytes)
+        rx.update(ts_us, size_bytes)
 
         zeros = np.zeros(3)
         out: Dict[str, np.ndarray] = {}
         for addr in (src, dst):
             if addr not in out:
-                out[addr] = np.concatenate([self._tx_last.get(addr, zeros),
-                                            self._rx_last.get(addr, zeros)])
+                tx, rx = self._tx.get(addr), self._rx.get(addr)
+                out[addr] = np.concatenate([zeros if tx is None else tx.last,
+                                            zeros if rx is None else rx.last])
         return out
-
-    def addresses(self) -> Tuple[str, ...]:
-        return tuple(dict.fromkeys(list(self._tx) + list(self._rx)))
 
     def drop(self, addr: str) -> None:
         """Forget an address's substream state (device eviction)."""
-        for store in (self._tx, self._rx, self._tx_last, self._rx_last):
+        for store in (self._tx, self._rx):
             store.pop(addr, None)
 
 

@@ -18,7 +18,7 @@ import aadetect
 from aadetect import cli
 from aadetect.config import (Config, apply_overrides, config_from_dict,
                              load_config)
-from aadetect.detector import Detector, LifecycleError, Mode, save_state
+from aadetect.detector import Decision, Detector, LifecycleError, Mode, save_state
 from aadetect.evaluation import read_decision_log
 from aadetect.traffic import (FeatureTable, load_feature_dataset, load_trace,
                               save_feature_dataset)
@@ -544,6 +544,55 @@ def test_an_alerts_path_that_cannot_be_opened_exits_2_leaving_no_log(flood_trace
     rc = main_closing_every_file(["replay", str(flood_trace_file), "--log", str(bad_log),
                                   "--alerts", str(tmp_path / "a.jsonl")])
     assert rc == 2 and str(bad_log) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--report", "R.json", "--save-state", "missing/s.json"], "--save-state missing/s.json"),
+    (["--report", "missing/R.json"], "--report missing/R.json"),
+    (["--report", "missing/R.json", "--devices"], "--report missing/R.json"),
+    (["--plots", "flood.csv"], "--plots flood.csv: not a directory"),
+])
+def test_an_output_written_after_the_replay_is_checked_before_it(flood_trace_file, tmp_path,
+                                                                  capsys, monkeypatch, flags,
+                                                                  named):
+    monkeypatch.chdir(tmp_path)
+    rc = main_closing_every_file(["replay", str(flood_trace_file), "--log", "L.csv"] + flags)
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {named}")
+    assert sorted(os.listdir(tmp_path)) == ["flood.csv"]  # no log, report or state
+
+
+def test_the_decision_log_is_flushed_every_1024_rows(tmp_path):
+    path = tmp_path / "log.csv"
+    decision = Decision(value=0.5, is_attack=False, at_us=7, mode="botnet", threshold=1.0)
+    with cli._DecisionLogWriter(str(path)) as log:
+        for _ in range(1024):
+            log.write(decision)
+        assert path.read_text().count("\n") == 1025  # the header and every row
+        log.write(decision)
+        assert path.read_text().count("\n") == 1025  # not flushed per row
+    assert path.read_text().count("\n") == 1026  # closing flushes the rest
+
+
+def test_a_replay_that_fails_part_way_keeps_every_row_judged_before(flood_trace_file,
+                                                                   tmp_path, monkeypatch):
+    full, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
+    argv = ["replay", str(flood_trace_file), "--set", "train.init_len=64"]
+    assert cli.main(argv + ["--log", str(full)]) == 0
+    rows = full.read_text().splitlines(keepends=True)
+    assert len(rows) > 1501
+    whole_replay = cli.replay
+
+    def replay_lost_after_1500(engine, items):
+        for i, pair in enumerate(whole_replay(engine, items)):
+            if i == 1500:
+                raise OSError("input device lost")
+            yield pair
+
+    monkeypatch.setattr(cli, "replay", replay_lost_after_1500)
+    assert main_closing_every_file(argv + ["--log", str(cut)]) == 2
+    assert cut.read_text() == "".join(rows[:1501])  # the header and 1500 judged rows
 
 
 @pytest.mark.parametrize("kind", ["packets", "features"])

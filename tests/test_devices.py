@@ -1,14 +1,21 @@
 """Per-device monitoring: infection-level EMA against closed forms, isolation
-between devices, eviction, and report semantics."""
+between devices, eviction, report semantics, and the bank against an oracle
+bank that gives every device a detector from its first vector, with the heap
+an address spray costs."""
+
+import tracemalloc
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
 
-from aadetect.config import config_from_dict
-from aadetect.detector import whisker_threshold
-from aadetect.devices import (DEVICE_DIM, DeviceBank, InfectionReport,
+from aadetect.config import Config, config_from_dict
+from aadetect.detector import Decision, Detector, Mode, Phase, salt_for_address, whisker_threshold
+from aadetect.devices import (DEVICE_DIM, DeviceBank, DeviceReportRow, InfectionReport,
                               infection_level)
-from aadetect.traffic import Trace
+from aadetect.metrics import DimensionError, DirectionalMetrics
+from aadetect.traffic import Packet, Trace
 
 
 def device_config(**overrides):
@@ -284,6 +291,191 @@ def test_report_is_pure_and_sorted():
 
 def test_device_vector_dimension_is_six():
     assert DEVICE_DIM == 6
-    bank = DeviceBank(device_config())
-    bank.ingest((0, "a", "b", 100))
+    bank = DeviceBank(device_config())  # device init_len = 6
+    for pkt in benign_device_trace(np.random.default_rng(281), 6, ["a", "b"]):
+        bank.ingest(pkt)
     assert bank.device("a").detector.dim == 6
+
+
+# -- no detector before init ----------------------------------------------------------
+
+
+def test_a_device_has_no_detector_until_its_init_completes():
+    bank = DeviceBank(device_config())  # device init_len = 6
+    trace = benign_device_trace(np.random.default_rng(283), 7, ["a", "b"])
+    for pkt in trace[:5]:
+        assert bank.ingest(pkt) == []
+        assert bank.device("a").detector is None and bank.device("b").detector is None
+    assert bank.ingest(trace[5]) == []  # the sixth vector fits the detector, unjudged
+    rec = bank.device("a")
+    assert rec.init_rows is None
+    assert rec.detector.phase == Phase.ONLINE and rec.detector.init_values.shape == (6, 6)
+    assert sorted(addr for addr, _ in bank.ingest(trace[6])) == ["a", "b"]
+
+
+def test_a_gamma_the_device_detector_cannot_take_fails_at_the_bank():
+    cfg = config_from_dict({"metrics": {"gamma": [0.5, 0.25, 0.25]}})
+    with pytest.raises(DimensionError, match="metrics.gamma has 3 weights, a device"):
+        DeviceBank(cfg)
+
+
+@dataclass
+class OracleRecord:
+    addr: str
+    detector: Detector
+    infection_level: float = 0.0
+    peak_level: float = 0.0
+    last_seen_us: int = 0
+    decisions_count: int = 0
+    consecutive_above: int = 0
+
+
+class OracleBank:
+    """The device bank as it was before devices in init lost their detector,
+    kept verbatim as an oracle: every device steps its own DEVICE ``Detector``
+    from its first vector."""
+
+    def __init__(self, config: Config):
+        self.config = config
+        self._metrics = DirectionalMetrics(config.metrics.N, config.metrics.T_us)
+        self._devices: Dict[str, OracleRecord] = {}
+        self._evicted: List[DeviceReportRow] = []
+        self._packets = 0
+        self._ttl_us = int(round(config.device.ttl_seconds * 1e6))
+
+    def device(self, addr: str) -> Optional[OracleRecord]:
+        return self._devices.get(addr)
+
+    def _new_device(self, addr: str) -> OracleRecord:
+        det = Detector(DEVICE_DIM, self.config, mode=Mode.DEVICE, online=True,
+                       noise_salt=salt_for_address(addr))
+        return OracleRecord(addr=addr, detector=det)
+
+    def ingest(self, pkt: Packet) -> List[Tuple[str, Decision]]:
+        ts_us, src, dst, size_bytes = pkt
+        vectors = self._metrics.update(ts_us, src, dst, size_bytes)
+        out: List[Tuple[str, Decision]] = []
+        for addr, raw in vectors.items():
+            rec = self._devices.get(addr)
+            if rec is None:
+                rec = self._devices[addr] = self._new_device(addr)
+            rec.last_seen_us = ts_us
+            decision = rec.detector.observe(raw, ts_us)
+            if decision is None:
+                continue
+            rec.decisions_count += 1
+            rec.infection_level = infection_level(rec.infection_level, decision.value,
+                                                  self.config.device.alpha,
+                                                  rec.detector.threshold)
+            rec.peak_level = max(rec.peak_level, rec.infection_level)
+            if rec.infection_level > self.config.device.level_threshold:
+                rec.consecutive_above += 1
+            else:
+                rec.consecutive_above = 0
+            out.append((addr, decision))
+        self._packets += 1
+        if self._packets % 512 == 0:
+            self._evict_idle(ts_us)
+        return out
+
+    def is_compromised(self, rec: OracleRecord) -> bool:
+        return rec.consecutive_above >= self.config.device.hysteresis_k
+
+    def _evict_idle(self, now_us: int) -> None:
+        idle = [addr for addr, rec in self._devices.items()
+                if now_us - rec.last_seen_us >= self._ttl_us]
+        for addr in idle:
+            rec = self._devices.pop(addr)
+            self._metrics.drop(addr)
+            self._evicted.append(self._row(rec, evicted=True))
+
+    def _row(self, rec: OracleRecord, evicted: bool = False) -> DeviceReportRow:
+        return DeviceReportRow(addr=rec.addr,
+                               infection_level=rec.infection_level,
+                               peak_level=rec.peak_level,
+                               is_compromised=self.is_compromised(rec),
+                               decisions_count=rec.decisions_count,
+                               last_seen_us=rec.last_seen_us,
+                               evicted=evicted)
+
+    def report(self) -> InfectionReport:
+        rows = [self._row(rec) for rec in self._devices.values()]
+        rows.extend(self._evicted)
+        rows.sort(key=lambda r: (-r.infection_level, r.addr))
+        compromised = tuple(r.addr for r in rows if r.is_compromised)
+        return InfectionReport(devices=tuple(rows), packets=self._packets,
+                               compromised=compromised)
+
+
+def churn_trace(rng, init_len):
+    """LAN hosts a-d and f, plus "e" and one-packet outside addresses; then
+    e and f fall silent past the TTL (e inside init, f past it) while a-d go
+    on; then both return and host a floods b."""
+    lan = ["a", "b", "c", "d", "f"]
+    out, t = [], 0
+
+    def send(n, hosts, gap_us, size=None):
+        nonlocal t
+        for _ in range(n):
+            t += int(rng.exponential(gap_us)) + 1
+            src, dst = rng.choice(len(hosts), size=2, replace=False)
+            out.append((t, hosts[src], hosts[dst],
+                        size or int(max(1, rng.normal(500, 150)))))
+
+    for i in range(4):
+        send(init_len, lan, 20_000)
+        if i < 3:  # three vectors: e never finishes an init of 4 or more
+            send(1, ["e", "a"], 20_000)
+        for k in range(40):
+            t += 1000
+            out.append((t, "c", f"198.51.100.{40 * i + k}", 90))
+    send(1200, lan[:4], 20_000)  # > TTL of stream time and two eviction checks
+    send(6 * init_len, lan + ["e"], 20_000)
+    for _ in range(600):
+        t += 1000
+        out.append((t, "a", "b", 60))
+    return out
+
+
+@pytest.mark.parametrize("init_len", [4, 6, 200])
+def test_bank_matches_the_bank_that_gave_every_device_a_detector(init_len):
+    cfg = config_from_dict({"device": {"init_len": init_len, "window_seconds": 2.0,
+                                       "ttl_seconds": 5.0},
+                            "metrics": {"N": 5, "T_seconds": 1.0}})
+    trace = churn_trace(np.random.default_rng(290 + init_len), init_len)
+    bank, oracle = DeviceBank(cfg), OracleBank(cfg)
+    for pkt in trace:
+        assert bank.ingest(pkt) == oracle.ingest(pkt)
+        for addr in pkt[1:3]:
+            rec, want = bank.device(addr), oracle.device(addr)
+            assert (rec.infection_level, rec.peak_level, rec.consecutive_above) == \
+                (want.infection_level, want.peak_level, want.consecutive_above)
+    report = bank.report()
+    assert report == oracle.report()
+    evicted = {row.addr: row.decisions_count for row in report.devices if row.evicted}
+    assert evicted["e"] == 0 and evicted["f"] > 0  # evicted inside and past init
+    assert "198.51.100.0" in evicted and "a" in report.compromised
+    assert min(bank.device(a).decisions_count for a in "ef") > 0  # back, past a fresh init
+
+
+def test_a_spray_costs_a_bounded_heap_per_address():
+    # 20k outside addresses that see 1-3 packets each, none of which finishes
+    # init: each costs its record, its receive substream and its init vectors.
+    rng = np.random.default_rng(293)
+    n_addr = 20_000
+    addrs = [f"198.18.{i >> 8}.{i & 255}" for i in range(n_addr)]
+    targets = np.repeat(np.arange(n_addr), rng.integers(1, 4, size=n_addr))
+    rng.shuffle(targets)
+    packets = [(1000 * i, "10.0.0.9", addrs[k], 80) for i, k in enumerate(targets.tolist())]
+    bank = DeviceBank(config_from_dict({"metrics": {"N": 30},
+                                        "device": {"init_len": len(packets) + 1}}))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for pkt in packets:
+            bank.ingest(pkt)
+        per_addr = (tracemalloc.get_traced_memory()[0] - before) / n_addr
+    finally:
+        tracemalloc.stop()
+    assert len(bank) == n_addr + 1
+    assert per_addr < 2000, f"{per_addr:.0f} bytes per address"

@@ -1,4 +1,7 @@
-"""Metric extraction against brute-force oracles, plus scaling behavior."""
+"""Metric extraction against brute-force oracles and the deque-backed extractor
+it replaced, plus scaling behavior."""
+
+from collections import deque
 
 import numpy as np
 import pytest
@@ -67,6 +70,79 @@ def test_streaming_equals_oracle_on_random_streams():
             assert m1 == e1  # integer byte sum: exact
             assert m3 == e3  # integer count: exact
             assert m2 == pytest.approx(e2, rel=1e-12, abs=0.0)
+
+
+class DequeStreamMetrics:
+    """The deque-backed extractor that ``StreamMetrics`` replaced, kept
+    verbatim as an oracle: the list-backed one must give bit-equal triples."""
+
+    def __init__(self, N: int, T_us: int):
+        self.N = N
+        self.T_us = T_us
+        self._recent = deque()
+        self._recent_bytes = 0
+        self._window = deque()
+        self._last_ts = None
+
+    def update(self, ts_us: int, size_bytes: int) -> np.ndarray:
+        """Advance the buffers with one packet and return its metric triple."""
+        if self._last_ts is not None and ts_us < self._last_ts:
+            raise TimestampOrderError(f"timestamp {ts_us} precedes previous {self._last_ts}")
+        self._last_ts = ts_us
+
+        self._recent.append((ts_us, size_bytes))
+        self._recent_bytes += size_bytes
+        if len(self._recent) > self.N:
+            _, old_size = self._recent.popleft()
+            self._recent_bytes -= old_size
+
+        n = len(self._recent)
+        m1 = float(self._recent_bytes)
+        if n >= 2:
+            span_us = ts_us - self._recent[0][0]
+            m2 = max(span_us, 0) / (n - 1) / 1e6
+        else:
+            m2 = 0.0
+
+        self._window.append(ts_us)
+        cutoff = ts_us - self.T_us
+        while self._window[0] <= cutoff:
+            self._window.popleft()
+        m3 = float(len(self._window))
+
+        return np.array([m1, m2, m3])
+
+
+def bursty_packets(rng, n, T_us):
+    """Packets whose gaps are a mix of zero (bursts of equal timestamps),
+    short gaps that fill the T window, and gaps longer than T that empty it."""
+    kind = rng.choice(3, size=n, p=[0.3, 0.65, 0.05])
+    gaps = np.where(kind == 0, 0,
+                    np.where(kind == 1, rng.integers(1, T_us // 20, size=n),
+                             rng.integers(T_us + 1, 3 * T_us, size=n)))
+    ts = np.cumsum(gaps)
+    sizes = rng.integers(1, 1500, size=n)
+    return [(int(t), int(s)) for t, s in zip(ts, sizes)]
+
+
+@pytest.mark.parametrize("T_us", [1_000_000, 10_000_000])
+@pytest.mark.parametrize("N", [2, 10, 30])
+def test_streaming_is_bit_equal_to_the_deque_extractor(N, T_us):
+    rng = np.random.default_rng(1000 * N + T_us // 1_000_000)
+    packets = bursty_packets(rng, 6000, T_us)
+    sm, oracle = StreamMetrics(N, T_us), DequeStreamMetrics(N, T_us)
+    compactions = 0
+    for ts, size in packets:
+        held = len(sm._window)
+        got = sm.update(ts, size)
+        assert np.array_equal(got, oracle.update(ts, size))
+        compactions += len(sm._window) <= held
+        # The expired prefix kept ahead of the T window never passes an eighth.
+        assert sm._head <= len(sm._window) >> 3
+        assert len(sm._window) - sm._head == got[2]
+    assert compactions > 100
+    with pytest.raises(TimestampOrderError):
+        sm.update(packets[-1][0] - 1, 10)
 
 
 def test_m3_counts_half_open_window_boundary():
@@ -157,7 +233,11 @@ def test_single_packet_directional_vectors():
     vecs = dm.update(0, "A", "B", 100)
     assert np.array_equal(vecs["A"], [100, 0, 1, 0, 0, 0])
     assert np.array_equal(vecs["B"], [0, 0, 0, 100, 0, 1])
-    assert dm.addresses() == ("A", "B")
+    assert list(vecs) == ["A", "B"]
+    # Both addresses keep their substream: the reply extends each one.
+    vecs = dm.update(1_000_000, "B", "A", 50)
+    assert np.array_equal(vecs["B"], [50, 0, 1, 100, 0, 1])
+    assert np.array_equal(vecs["A"], [100, 0, 1, 50, 0, 1])
 
 
 def test_directional_equals_per_substream_oracle():
@@ -223,9 +303,9 @@ def test_drop_forgets_an_address():
     dm = DirectionalMetrics(4, 1_000_000)
     dm.update(0, "A", "B", 60)
     dm.drop("A")
-    assert dm.addresses() == ("B",)
     vecs = dm.update(1, "A", "B", 60)
     assert np.array_equal(vecs["A"], [60, 0, 1, 0, 0, 0])  # state restarted
+    assert np.array_equal(vecs["B"], [0, 0, 0, 120, 1e-6, 2])  # B's state kept
 
 
 # -- scaling -------------------------------------------------------------------
