@@ -32,7 +32,7 @@ from .evaluation import (DECISION_LOG_FIELDS, EvalReport, align_with_trace, emit
                          ground_truth, read_decision_log, replay, score)
 from .metrics import DimensionError
 from .traffic import (AttackSegment, TraceParseError, TraceSpec, load_feature_dataset,
-                      load_trace, save_trace, synth_trace)
+                      load_trace, save_trace, synth_trace, trace_blocks)
 
 _ASSERT_METRICS = ("accuracy", "tpr", "fnr", "tnr", "fpr")
 _ASSERT_OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq,  # "<=" before "<"
@@ -116,10 +116,14 @@ def cmd_init(args) -> int:
         for _ in det.step_rows(rows):  # rows past the init window are judged: only their checks matter
             pass
     else:
-        trace = load_trace(args.trace)
         det = Detector(3, config, mode=Mode.BOTNET, online=False)
-        for pkt, label in zip(trace, trace.label):
-            if label is not True:
+        seen = 0  # non-attack packets stepped
+        # Blocks are parsed only up to the one in which the window completes;
+        # the rest of the file is never read.
+        with contextlib.closing(trace_blocks(args.trace)) as blocks:
+            benign = (pkt for block in blocks
+                      for pkt, label in zip(block, block.label) if label is not True)
+            for seen, pkt in enumerate(benign, start=1):
                 det.step(pkt)
                 if det.phase != Phase.INIT:
                     break
@@ -127,8 +131,7 @@ def cmd_init(args) -> int:
             window = (f"train.init_seconds={config.train.init_seconds:g}"
                       if config.train.init_seconds is not None
                       else f"train.init_len={config.train.init_len}")
-            raise ValueError(f"trace has only {len(trace) - trace.label.count(True)} usable "
-                             f"benign packets, init needs {window}")
+            raise ValueError(f"trace has only {seen} usable benign packets, init needs {window}")
     save_state(det, args.out)
     print(f"initialized {det.mode.value} detector: {det.accepted_rows} training rows, "
           f"threshold {det.threshold:.6g} -> {args.out}")
@@ -136,6 +139,18 @@ def cmd_init(args) -> int:
 
 
 # -- replay -------------------------------------------------------------------
+
+
+def _check_outputs(report: Optional[str], plots: Optional[str],
+                   save_state: Optional[str] = None) -> None:
+    """Outputs written after the input is read are checked before it is: the
+    directories of ``--report`` and ``--save-state`` exist, and ``--plots``
+    is not an existing non-directory."""
+    for flag, path in (("--report", report), ("--save-state", save_state)):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{flag} {path}: directory {os.path.dirname(path)} does not exist")
+    if plots and os.path.exists(plots) and not os.path.isdir(plots):
+        raise ValueError(f"--plots {plots}: not a directory")
 
 
 def cmd_replay(args) -> int:
@@ -150,12 +165,7 @@ def cmd_replay(args) -> int:
             if given:
                 raise ValueError(f"--devices does not take {flag}: "
                                  "a device bank cannot be loaded, saved or frozen")
-    # Outputs written after the replay are checked before it starts.
-    for flag, path in (("--report", args.report), ("--save-state", args.save_state)):
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
-            raise ValueError(f"{flag} {path}: directory {os.path.dirname(path)} does not exist")
-    if args.plots and os.path.exists(args.plots) and not os.path.isdir(args.plots):
-        raise ValueError(f"--plots {args.plots}: not a directory")
+    _check_outputs(args.report, args.plots, args.save_state)
 
     if args.features:
         items, kind, source = load_feature_dataset(args.trace), Mode.FEATURES, "feature file"
@@ -274,6 +284,7 @@ def _parse_assertions(spec: str) -> List[tuple]:
 def cmd_eval(args) -> int:
     assertions = _parse_assertions(args.assertions) if args.assertions else []
     config = _build_config(args)
+    _check_outputs(args.report, args.plots)
     decisions = read_decision_log(args.log)
     trace = load_trace(args.trace)
     labels, types = align_with_trace(decisions, trace)

@@ -72,6 +72,19 @@ class Decision:
     threshold: float
 
 
+def _linear_quantile(ordered: np.ndarray, q: float) -> float:
+    """The q-quantile of sorted values by numpy's "linear" rule, bit for bit
+    as ``np.percentile`` computes it. ``np.percentile`` is not called because
+    under numpy 2 it imports ``numpy.ma`` on first use, a cost every ``init``
+    would pay."""
+    n = len(ordered)
+    v = (n - 1) * q  # exact for q of 0.25 and 0.75
+    i = int(v)
+    t = v - i
+    a, b = float(ordered[i]), float(ordered[min(i + 1, n - 1)])
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+
+
 def whisker_threshold(train_values: Sequence[float]) -> float:
     """Tukey upper whisker Q3 + 1.5 * IQR of benign decision values.
 
@@ -83,8 +96,9 @@ def whisker_threshold(train_values: Sequence[float]) -> float:
         raise ValueError(f"whisker threshold needs >= 4 values, got {vals.size}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite decision value")
-    q1, q3 = np.percentile(vals, [25.0, 75.0])
-    whisker = float(q3 + 1.5 * (q3 - q1))
+    ordered = np.sort(vals)
+    q1, q3 = _linear_quantile(ordered, 0.25), _linear_quantile(ordered, 0.75)
+    whisker = q3 + 1.5 * (q3 - q1)
     if whisker <= 0:
         whisker = float(vals.max())
     if whisker <= 0:

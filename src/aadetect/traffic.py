@@ -7,9 +7,12 @@ microseconds so inter-arrival arithmetic stays exact.
 
 A ``Trace`` is its six columns; a packet in flight is the plain tuple
 ``(timestamp_us, src, dst, size_bytes)`` (a ``Packet``) that iterating a
-trace yields. ``load_trace`` splits ``_TRACE_BLOCK`` lines at a time into
-the columns and checks each block at once. A block that fails a check, or
-that ``str.split`` could read differently from ``csv.reader`` (a quote, a
+trace yields. One parser reads trace files: ``trace_blocks`` splits
+``_TRACE_BLOCK`` lines at a time into the columns, checks each block at once
+and yields it as a ``Trace``, reading the file no further than it is asked
+to. ``load_trace`` drains it into one ``Trace``; ``init`` stops pulling
+blocks once its window is complete. A block that fails a check, or that
+``str.split`` could read differently from ``csv.reader`` (a quote, a
 carriage return, a NUL, a line without exactly six fields or an over-long
 line), goes through ``_parse_rows``, the row-by-row loop, which names the
 first bad line exactly as a row-by-row parse would.
@@ -46,7 +49,7 @@ class TimestampOrderError(ValueError):
     """Packet timestamps went backwards where ordering is required."""
 
 
-# Lines that load_trace splits into columns at once, and packets built per
+# Lines that trace_blocks splits into columns at once, and packets built per
 # slice when a trace is iterated: enough to amortise the numpy calls, while a
 # block's temporary strings stay small next to the trace itself.
 _TRACE_BLOCK = 1024
@@ -214,21 +217,20 @@ def _parse_rows(path: Path, lines: List[str], fh, line_no: int, prev_ts: Optiona
     return out, line_no + 1
 
 
-def load_trace(path: Union[str, Path]) -> Trace:
-    """Load a canonical trace CSV. A timestamp that goes backwards is an error
-    naming its line, as is any other bad row.
+def trace_blocks(path: Union[str, Path]) -> Iterator[Trace]:
+    """Parse a canonical trace CSV one block at a time: a ``Trace`` of up to
+    ``_TRACE_BLOCK`` rows per block, read from the file only as it is asked
+    for (a block whose lines are all blank yields nothing). A timestamp that
+    goes backwards, within a block or across two, is an error naming its
+    line, as is any other bad row.
 
-    Lines are split into columns ``_TRACE_BLOCK`` at a time (see the module
+    Lines are split into columns a block at a time (see the module
     docstring); the row-by-row ``_parse_rows`` takes any block the fast split
     cannot read exactly or that fails a check. Address and attack-type
-    strings are stored once each.
+    strings are stored once each across the blocks. The file stays open
+    until the generator is exhausted or closed.
     """
     path = Path(path)
-    ts_blocks, size_blocks = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    src: List[str] = []
-    dst: List[str] = []
-    labels: List[Optional[bool]] = []
-    types: List[Optional[str]] = []
     addresses: dict = {}
     type_of: dict = {}  # raw field -> attack type
     prev_ts: Optional[int] = None
@@ -240,26 +242,40 @@ def load_trace(path: Union[str, Path]) -> Trace:
         while True:
             lines = list(islice(fh, _TRACE_BLOCK))
             if not lines:
-                break
+                return
             columns = _split_block(lines)
             checked = _block_columns(columns, prev_ts) if columns is not None else None
             if checked is not None:
-                ts, size, block_labels = checked
-                line_no += len(block_labels)
+                ts, size, labels = checked
+                line_no += len(labels)
             else:
                 columns, line_no = _parse_rows(path, lines, fh, line_no, prev_ts)
-                ts, size, block_labels = (np.array(columns[0], np.int64),
-                                          np.array(columns[3], np.int64), columns[4])
-            if len(ts):
-                prev_ts = int(ts[-1])
+                ts, size, labels = columns[0], columns[3], columns[4]
+            if not len(ts):
+                continue
+            prev_ts = int(ts[-1])
             for raw in set(columns[5]).difference(type_of):
                 type_of[raw] = raw.strip() or None
-            ts_blocks.append(ts)
-            size_blocks.append(size)
-            src.extend(map(addresses.setdefault, columns[1], columns[1]))
-            dst.extend(map(addresses.setdefault, columns[2], columns[2]))
-            labels.extend(block_labels)
-            types.extend(map(type_of.__getitem__, columns[5]))
+            yield Trace(ts, map(addresses.setdefault, columns[1], columns[1]),
+                        map(addresses.setdefault, columns[2], columns[2]), size, labels,
+                        map(type_of.__getitem__, columns[5]))
+
+
+def load_trace(path: Union[str, Path]) -> Trace:
+    """Load a whole canonical trace CSV: ``trace_blocks`` drained into one
+    ``Trace``, each block's columns appended as it is parsed."""
+    ts_blocks, size_blocks = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    src: List[str] = []
+    dst: List[str] = []
+    labels: List[Optional[bool]] = []
+    types: List[Optional[str]] = []
+    for block in trace_blocks(path):
+        ts_blocks.append(block.timestamp_us)
+        size_blocks.append(block.size_bytes)
+        src.extend(block.src)
+        dst.extend(block.dst)
+        labels.extend(block.label)
+        types.extend(block.attack_type)
     return Trace(np.concatenate(ts_blocks), src, dst, np.concatenate(size_blocks), labels, types)
 
 

@@ -18,10 +18,10 @@ import aadetect
 from aadetect import cli
 from aadetect.config import (Config, apply_overrides, config_from_dict,
                              load_config)
-from aadetect.detector import Decision, Detector, LifecycleError, Mode, save_state
+from aadetect.detector import Decision, Detector, LifecycleError, Mode, Phase, save_state
 from aadetect.evaluation import read_decision_log
-from aadetect.traffic import (FeatureTable, load_feature_dataset, load_trace,
-                              save_feature_dataset)
+from aadetect.traffic import (AttackSegment, FeatureTable, TraceSpec, load_feature_dataset,
+                              load_trace, save_feature_dataset, save_trace, synth_trace)
 
 
 def feature_table(rng, dim, *blocks):
@@ -563,6 +563,24 @@ def test_an_output_written_after_the_replay_is_checked_before_it(flood_trace_fil
     assert sorted(os.listdir(tmp_path)) == ["flood.csv"]  # no log, report or state
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--report", "missing/R.json"], "--report missing/R.json"),
+    (["--plots", "flood.csv"], "--plots flood.csv: not a directory"),
+])
+def test_eval_checks_its_outputs_before_reading_the_log(flood_trace_file, tmp_path, capsys,
+                                                        monkeypatch, flags, named):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["replay", str(flood_trace_file), "--log", "L.csv"]) == 0
+    capsys.readouterr()
+    rc = main_closing_every_file(["eval", "--log", "L.csv", "--trace", "flood.csv"] + flags)
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {named}")
+    assert sorted(os.listdir(tmp_path)) == ["L.csv", "flood.csv"]
+    rc = cli.main(["eval", "--log", "never.csv", "--trace", "flood.csv"] + flags)
+    assert rc == 2 and capsys.readouterr().err.startswith(f"error: {named}")  # not the log
+
+
 def test_the_decision_log_is_flushed_every_1024_rows(tmp_path):
     path = tmp_path / "log.csv"
     decision = Decision(value=0.5, is_attack=False, at_us=7, mode="botnet", threshold=1.0)
@@ -639,6 +657,91 @@ def test_short_init_names_the_window_key_in_force(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: trace has only 254 usable benign packets, "
                                        "init needs train.init_len=300\n")
     assert not state.exists()
+
+
+def stepped_packet_init(path, overrides, out):
+    """Packet ``init`` as it was: the whole trace loaded, then each non-attack
+    packet stepped until init ends."""
+    trace = load_trace(path)
+    det = Detector(3, apply_overrides(Config(), overrides), mode=Mode.BOTNET, online=False)
+    for pkt, label in zip(trace, trace.label):
+        if label is not True:
+            det.step(pkt)
+            if det.phase != Phase.INIT:
+                break
+    save_state(det, out)
+
+
+def packet_trace_lines(tmp_path, kind):
+    """The lines of a 60 s, 50 pps trace of ``kind``: "benign"; "flood", with
+    attack packets from 2 s to 4 s; or "quoted", the benign one with quoted
+    timestamps in rows 40 and 1025 (the first row of the second block),
+    which csv reads as the plain ones."""
+    flood = AttackSegment(2.0, 4.0, 10.0, ("10.0.0.9",), ("10.0.0.1",))
+    attacks = (flood,) if kind == "flood" else ()
+    path = tmp_path / "made.csv"
+    save_trace(synth_trace(TraceSpec(60.0, 50.0, attacks=attacks), seed=3), path)
+    lines = path.read_text().splitlines(keepends=True)
+    if kind == "quoted":
+        for row in (40, 1025):
+            ts, rest = lines[row].split(",", 1)
+            lines[row] = f'"{ts}",{rest}'
+    return lines
+
+
+@pytest.mark.parametrize("window", ["train.init_len=64", "train.init_len=1024",
+                                    "train.init_len=1025", "train.init_seconds=25"])
+@pytest.mark.parametrize("kind", ["benign", "flood", "quoted"])
+def test_packet_init_equals_stepping_the_loaded_trace(tmp_path, kind, window):
+    path = tmp_path / "trace.csv"
+    path.write_text("".join(packet_trace_lines(tmp_path, kind)))
+    state, expected = tmp_path / "state.json", tmp_path / "stepped.json"
+    assert main_closing_every_file(["init", str(path), "--out", str(state),
+                                    "--set", window]) == 0
+    stepped_packet_init(path, [window], expected)
+    assert state.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("init_len, row", [(64, 2000), (1024, 1025), (1025, 2049)])
+def test_packet_init_reads_no_further_than_the_block_its_window_ends_in(tmp_path, capsys,
+                                                                         init_len, row):
+    # Rows are read in blocks of 1024; the window's last packet is row
+    # init_len, so a bad row past that row's block is never read.
+    lines = packet_trace_lines(tmp_path, "benign")
+    window = f"train.init_len={init_len}"
+    head, expected = tmp_path / "head.csv", tmp_path / "expected.json"
+    head.write_text("".join(lines[:init_len + 1]))
+    assert cli.main(["init", str(head), "--out", str(expected), "--set", window]) == 0
+    lines[row] = "x,a,b,1,0,\n"
+    path, state = tmp_path / "trace.csv", tmp_path / "state.json"
+    path.write_text("".join(lines))
+    assert main_closing_every_file(["init", str(path), "--out", str(state),
+                                    "--set", window]) == 0
+    assert state.read_bytes() == expected.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["replay", str(path), "--set", window]) == 2  # replay reads every row
+    assert capsys.readouterr().err.startswith(f"error: {path}:{row + 1}: bad integer field")
+    for bad in (init_len // 2, init_len, 1024 * ((init_len - 1) // 1024 + 1)):
+        lines = packet_trace_lines(tmp_path, "benign")
+        lines[bad] = "x,a,b,1,0,\n"
+        path.write_text("".join(lines))  # a bad row in the window, or in its last block
+        assert main_closing_every_file(["init", str(path), "--out", str(state),
+                                        "--set", window]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:{bad + 1}: bad integer field")
+
+
+def test_a_packet_init_leaves_numpy_ma_unloaded(tmp_path):
+    # np.percentile imports numpy.ma on first use under numpy 2; every init
+    # would pay for it in its whisker threshold.
+    trace, state = tmp_path / "t.csv", tmp_path / "s.json"
+    save_trace(synth_trace(TraceSpec(5.0, 50.0), seed=1), trace)
+    argv = ["init", str(trace), "--out", str(state), "--set", "train.init_len=64"]
+    code = ("import sys, aadetect.cli; imported = 'numpy.ma' in sys.modules; "
+            f"rc = aadetect.cli.main({argv!r}); print(imported, rc, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(aadetect.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == "False 0 False"
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
