@@ -17,7 +17,7 @@ Three seeded synthetic scenarios exercise the headline claims end to end:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -25,8 +25,8 @@ import numpy as np
 from .config import Config, config_from_dict
 from .detector import Detector, simple_threshold_baseline, whisker_threshold
 from .devices import DeviceBank
-from .evaluation import (CompareResult, EvalReport, compare_online_offline, ground_truth,
-                         replay, score)
+from .evaluation import CompareResult, EvalReport, compare_online_offline, replay, run, score
+from .metrics import StreamMetrics
 from .traffic import AttackSegment, Trace, TraceSpec, synth_trace
 
 
@@ -106,16 +106,18 @@ def run_flood_benchmark(seed: int = 7, config: Optional[Config] = None) -> Flood
     config = config or bench_config()
     trace = flood_trace(seed)
     det = Detector(3, config, online=True)
-    steps = [(decision, det.last_values) for _, decision in replay(det, trace)]
-    decisions, values = zip(*steps)
-    labels, types = ground_truth(trace, len(decisions))
-    report = score(decisions, labels, types)
+    result = run(det, trace)
+    # The scored rows again: the scaler is fixed once init ends, so this is
+    # bit-equal to what the detector judged.
+    metrics = StreamMetrics(config.metrics.N, config.metrics.T_us)
+    raw = np.array([metrics.update(ts_us, size) for ts_us, _, _, size in trace])
+    values = det.scaler.apply(raw[result.skipped:])
 
     theta = np.array([whisker_threshold(column) for column in det.init_values.T])
-    baseline_decisions = [replace(dec, is_attack=simple_threshold_baseline(vals, theta),
-                                  mode="baseline") for dec, vals in zip(decisions, values)]
-    baseline = score(baseline_decisions, labels, types)
-    return FloodBenchResult(report=report, baseline=baseline)
+    baseline = score([dec._replace(is_attack=simple_threshold_baseline(x, theta))
+                      for dec, x in zip(result.decisions, values)],
+                     result.labels, result.attack_types)
+    return FloodBenchResult(report=result.report(), baseline=baseline)
 
 
 def run_drift_benchmark(seed: int = 11, config: Optional[Config] = None) -> CompareResult:

@@ -53,9 +53,9 @@ def _open_alerts(spec: Optional[str]):
     return open(spec, "w", encoding="utf-8")
 
 
-def _emit_alert(fh, decision: Decision, addr: Optional[str] = None) -> None:
+def _emit_alert(fh, decision: Decision, mode: str, addr: Optional[str]) -> None:
     doc = {"timestamp_us": decision.at_us, "decision_value": decision.value,
-           "threshold": decision.threshold, "mode": decision.mode}
+           "threshold": decision.threshold, "mode": mode}
     if addr is not None:
         doc["addr"] = addr
     fh.write(json.dumps(doc, sort_keys=True) + "\n")
@@ -66,10 +66,11 @@ _LOG_FLUSH_EVERY = 1024
 
 
 class _DecisionLogWriter:
-    """Streams decision-log rows, flushed every ``_LOG_FLUSH_EVERY`` rows and at close."""
+    """Streams a run's decision-log rows, flushed every ``_LOG_FLUSH_EVERY`` rows and at close."""
 
-    def __init__(self, path: Optional[str]):
+    def __init__(self, path: Optional[str], mode: str):
         self._fh = open(path, "w", newline="\n", encoding="utf-8") if path else None
+        self._mode = mode
         self._writer = None
         self._rows = 0
         if self._fh:
@@ -80,7 +81,7 @@ class _DecisionLogWriter:
         if self._writer is None:
             return
         self._writer.writerow([d.at_us, repr(d.value), repr(d.threshold),
-                               int(d.is_attack), d.mode])
+                               int(d.is_attack), self._mode])
         self._rows += 1
         if self._rows % _LOG_FLUSH_EVERY == 0:
             self._fh.flush()
@@ -93,9 +94,9 @@ class _DecisionLogWriter:
             self._fh.close()
 
 
-def write_decision_log(decisions: Iterable[Decision], path: str) -> None:
-    """A whole decision log at once, written by ``_DecisionLogWriter``."""
-    with _DecisionLogWriter(path) as log:
+def write_decision_log(decisions: Iterable[Decision], mode: str, path: str) -> None:
+    """A whole decision log of one run at once, written by ``_DecisionLogWriter``."""
+    with _DecisionLogWriter(path, mode) as log:
         for d in decisions:
             log.write(d)
 
@@ -169,10 +170,10 @@ def cmd_replay(args) -> int:
 
     if args.features:
         items, kind, source = load_feature_dataset(args.trace), Mode.FEATURES, "feature file"
-        if not items:
-            raise ValueError("no feature rows to replay")
     else:
         items, kind, source = load_trace(args.trace), Mode.BOTNET, "trace"
+    if not items:
+        raise ValueError(f"no {'feature rows' if args.features else 'packets'} to replay")
     if args.devices:
         engine = DeviceBank(config)
     elif args.state:
@@ -189,13 +190,14 @@ def cmd_replay(args) -> int:
         engine = Detector(items.features.shape[1] if args.features else 3, config, mode=kind,
                           online=online)
 
+    mode = (Mode.DEVICE if args.devices else kind).value
     decisions: List[Decision] = []
     # Alerts first: a path that cannot be opened then leaves no log behind.
-    with _open_alerts(args.alerts) as alerts, _DecisionLogWriter(args.log) as log:
+    with _open_alerts(args.alerts) as alerts, _DecisionLogWriter(args.log, mode) as log:
         for addr, decision in replay(engine, items):
             log.write(decision)
             if alerts is not None and decision.is_attack:
-                _emit_alert(alerts, decision, addr=addr)
+                _emit_alert(alerts, decision, mode, addr)
             if addr is None:
                 decisions.append(decision)
 

@@ -24,14 +24,13 @@ from __future__ import annotations
 import itertools
 import json
 import zlib
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .aadrnn import AadrnnModel, AadrnnShape, model_from_json, model_to_json
+from .aadrnn import AadrnnModel, model_from_json, model_to_json
 from .config import Config
 from .metrics import (DimensionError, StreamMetrics, fit_scaling, min_max_fit,
                       scaler_from_json)
@@ -61,15 +60,14 @@ class LifecycleError(RuntimeError):
     """An operation that is invalid for the detector's current phase."""
 
 
-@dataclass(frozen=True)
-class Decision:
-    """One per-packet (or per-row) verdict."""
+class Decision(NamedTuple):
+    """One per-packet (or per-row) verdict, in the decision log's column
+    order. The mode belongs to the run, not to each row."""
 
-    value: float
-    is_attack: bool
     at_us: int
-    mode: str
+    value: float
     threshold: float
+    is_attack: bool
 
 
 def _linear_quantile(ordered: np.ndarray, q: float) -> float:
@@ -174,7 +172,6 @@ class Detector:
         self.stats: Optional[SufficientStats] = None
         self.threshold: Optional[float] = None
         self.init_values: Optional[np.ndarray] = None
-        self.last_values: Optional[np.ndarray] = None
 
         self._pending: List[np.ndarray] = []
         self._pending_d: List[float] = []
@@ -237,9 +234,7 @@ class Detector:
         x_hat = self.model.forward(x)
         d = float(_weighted_gap(x, x_hat, self.gamma))
         is_attack = d > self.threshold
-        self.last_values = x
-        decision = Decision(value=d, is_attack=is_attack, at_us=at_us,
-                            mode=self.mode.value, threshold=self.threshold)
+        decision = Decision(at_us, d, self.threshold, is_attack)  # before a refit moves it
         if self.phase == Phase.ONLINE and not is_attack:
             self._accept(x, d, at_us)
         return decision
@@ -281,9 +276,9 @@ class Detector:
         else:
             self.scaler = fit_scaling(X_raw)
         X = self.scaler.apply(X_raw)
-        shape = AadrnnShape.default(self.dim, seed=self.config.train.seed)
-        self.stats, self.model = fit_batch_with_stats(shape, X, self.config.train,
-                                                      salt=self._noise_salt)
+        self.stats, self.model = fit_batch_with_stats(
+            AadrnnModel.initial(self.dim, self.config.train.seed), X, self.config.train,
+            salt=self._noise_salt)
         d_init = _weighted_gap(X, self.model.forward(X), self.gamma)
         if self.config.threshold.mode == "fixed":
             self.threshold = float(self.config.threshold.value)
@@ -385,31 +380,26 @@ def _detector_from_state(doc: dict, config: Config, online: bool) -> Detector:
     if version < 1 or version > STATE_VERSION:
         raise ValueError(f"version {version} not supported (max {STATE_VERSION})")
     model = model_from_json(doc)
+    m = model.input_dim
     # The Detector rejects a model width that the state's mode does not take.
-    detector = Detector(model.input_dim, config, mode=Mode(doc["mode"]), online=online)
+    detector = Detector(m, config, mode=Mode(doc["mode"]), online=online)
     detector.model = model
     detector.scaler = scaler_from_json(doc["scaling_factors"])
-    detector.scaler.apply(np.zeros(model.input_dim))  # raises unless it scales M values
+    detector.scaler.apply(np.zeros(m))  # raises unless it scales M values
     detector.threshold = float(doc["threshold"])
     if not (detector.threshold > 0 and np.isfinite(detector.threshold)):
         raise ValueError(f"threshold must be positive, got {doc['threshold']!r}")
-    if "gamma" in doc:
-        gamma = np.asarray(doc["gamma"], dtype=float)
-        if gamma.shape != (model.input_dim,):
-            raise DimensionError("gamma length does not match model dimension")
-        detector.gamma = gamma
-    stats = doc.get("stats")
-    h, m = model.hidden_dim, model.input_dim
-    if stats is None:
-        detector.stats = SufficientStats.empty(h, m)
-    else:
-        G = np.asarray(stats["G"], dtype=float)
-        C = np.asarray(stats["C"], dtype=float)
-        n = int(stats["n"])
-        if G.shape != (h, h) or C.shape != (h, m) or n < 0:
-            raise ValueError(f"stats G {G.shape}, C {C.shape} and n {n} do not fit the "
-                             f"model: expected G {(h, h)}, C {(h, m)} and n >= 0")
-        detector.stats = SufficientStats(G, C, n)
+    detector.gamma = np.asarray(doc["gamma"], dtype=float)
+    if detector.gamma.shape != (m,):
+        raise DimensionError("gamma length does not match model dimension")
+    stats = doc["stats"]
+    G = np.asarray(stats["G"], dtype=float)
+    C = np.asarray(stats["C"], dtype=float)
+    n = int(stats["n"])
+    if G.shape != (m, m) or C.shape != (m, m) or n < 0:
+        raise ValueError(f"stats G {G.shape}, C {C.shape} and n {n} do not fit the "
+                         f"model: expected G {(m, m)}, C {(m, m)} and n >= 0")
+    detector.stats = SufficientStats(G, C, n)
     detector.phase = Phase.ONLINE if online else Phase.FROZEN
     return detector
 

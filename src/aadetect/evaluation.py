@@ -219,8 +219,7 @@ def read_decision_log(path: Union[str, Path]) -> List[Decision]:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
             if row[3].strip() not in ("0", "1"):
                 raise ValueError(f"{path}:{line_no}: is_attack must be 0 or 1, got {row[3]!r}")
-            decisions.append(Decision(at_us=at_us, value=value, threshold=threshold,
-                                      is_attack=row[3].strip() == "1", mode=row[4]))
+            decisions.append(Decision(at_us, value, threshold, row[3].strip() == "1"))
     return decisions
 
 

@@ -43,7 +43,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .aadrnn import AadrnnModel, AadrnnShape
+from .aadrnn import AadrnnModel
 from .config import TrainSection
 from .metrics import DimensionError
 
@@ -61,8 +61,9 @@ class SufficientStats:
     n: int = 0
 
     @classmethod
-    def empty(cls, hidden_dim: int, out_dim: int) -> "SufficientStats":
-        return cls(np.zeros((hidden_dim, hidden_dim)), np.zeros((hidden_dim, out_dim)), 0)
+    def empty(cls, dim: int) -> "SufficientStats":
+        """No rows yet, for a model of input width ``dim``."""
+        return cls(np.zeros((dim, dim)), np.zeros((dim, dim)), 0)
 
 
 def noise_rng(seed: int, index: int, salt: Optional[int] = None) -> np.random.Generator:
@@ -291,17 +292,12 @@ def update_incremental(stats: SufficientStats, window: np.ndarray, model: Aadrnn
     return stats, model.with_readout(solve_readout(stats, train.ridge_lambda))
 
 
-def fit_batch_with_stats(shape: AadrnnShape, X: np.ndarray, train: TrainSection,
+def fit_batch_with_stats(model: AadrnnModel, X: np.ndarray, train: TrainSection,
                          salt: Optional[int] = None) -> Tuple[SufficientStats, AadrnnModel]:
-    """Offline fit over a benign batch: empty statistics plus one window.
-    Returns the statistics too, so online training can keep accumulating on
-    top of the initial fit."""
+    """Offline fit of an initial ``model`` (``AadrnnModel.initial``) over a
+    benign batch: empty statistics plus one window. Returns the statistics
+    too, so online training can keep accumulating on top of the initial fit."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("a batch fit needs a non-empty (n, M) matrix of benign rows")
-    if X.shape[1] != shape.input_dim:
-        raise DimensionError(f"rows have {X.shape[1]} values, shape expects {shape.input_dim}")
-    base = AadrnnModel.initial(shape)
-    stats = SufficientStats.empty(base.hidden_dim, base.input_dim)
-    return update_incremental(stats, X, base, train, salt)
-
+    return update_incremental(SufficientStats.empty(model.input_dim), X, model, train, salt)

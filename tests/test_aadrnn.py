@@ -1,14 +1,13 @@
-"""Random-network forward pass against hand-written loops, activation laws,
-weight initialization, and serialization."""
+"""The stock network's forward pass against hand-written loops, activation
+laws, weight initialization, and serialization."""
 
 import json
 
 import numpy as np
 import pytest
 
-from aadetect.aadrnn import (ActivationParams, AadrnnModel, AadrnnShape,
-                             activation, init_hidden_weights, model_from_json,
-                             model_to_json)
+from aadetect.aadrnn import (LAYERS, AadrnnModel, activation, init_hidden_weights,
+                             model_from_json, model_to_json)
 from aadetect.metrics import DimensionError
 
 
@@ -20,7 +19,7 @@ def hand_forward(model, x):
         for i in range(w.shape[0]):
             pre = sum(w[i, j] * h[j] for j in range(w.shape[1]))
             pre = max(pre, 0.0)
-            nxt.append(pre / (model.act.r + model.act.c * pre))
+            nxt.append(pre / (1.0 + pre))
         h = nxt
     out = []
     for j in range(model.readout.shape[1]):
@@ -28,12 +27,10 @@ def hand_forward(model, x):
     return np.array(out)
 
 
-def random_model(rng, dim=None, layers=None):
-    dim = dim or int(rng.integers(2, 6))
-    layers = layers or int(rng.integers(1, 4))
-    act = ActivationParams(float(rng.uniform(0.5, 2.0)), float(rng.uniform(1.0, 2.0)))
-    shape = AadrnnShape(dim, (dim,) * layers, act, seed=int(rng.integers(10_000)))
-    model = AadrnnModel.initial(shape)
+def random_model(rng, dim=None):
+    """A stock model of a width from 1 to 20 and a random seed, with a random readout."""
+    dim = dim or int(rng.choice([1, 2, 3, 5, 6, 20]))
+    model = AadrnnModel.initial(dim, int(rng.integers(10_000)))
     return model.with_readout(rng.normal(0, 1, size=(dim, dim)))
 
 
@@ -42,58 +39,51 @@ def random_model(rng, dim=None, layers=None):
 
 def test_activation_fixed_points():
     assert activation(np.array([0.0]))[0] == 0.0
-    assert activation(np.array([1.0]), ActivationParams(1.0, 1.0))[0] == 0.5
+    assert activation(np.array([1.0]), 1.0, 1.0)[0] == 0.5
     assert activation(np.array([-7.0]))[0] == 0.0  # clipped before the rational map
 
 
 def test_activation_monotone_and_bounded():
     rng = np.random.default_rng(31)
     for case in range(100):
-        params = ActivationParams(float(rng.uniform(0.2, 3.0)), float(rng.uniform(1.0, 3.0)))
+        r, c = float(rng.uniform(0.2, 3.0)), float(rng.uniform(1.0, 3.0))
         a, b = sorted(rng.uniform(0, 1e6, size=2))
-        ya, yb = activation(np.array([a, b]), params)
+        ya, yb = activation(np.array([a, b]), r, c)
         assert ya <= yb
         assert 0.0 <= ya < 1.0 and 0.0 <= yb < 1.0
-        assert yb < 1.0 / params.c + 1e-15
+        assert yb < 1.0 / c + 1e-15
 
 
 def test_activation_bound_is_general_one_over_c():
-    params = ActivationParams(0.5, 0.25)  # c < 1: bound is 1/c = 4, not 1
-    y = activation(np.array([1e12]), params)[0]
+    y = activation(np.array([1e12]), 0.5, 0.25)[0]  # c < 1: bound is 1/c = 4, not 1
     assert 3.9 < y < 4.0
 
 
-def test_activation_params_must_be_positive():
-    with pytest.raises(ValueError):
-        ActivationParams(0.0, 1.0)
-    with pytest.raises(ValueError):
-        ActivationParams(1.0, -1.0)
+# -- geometry and weights ------------------------------------------------------------
 
 
-# -- shapes and weights ------------------------------------------------------------
-
-
-def test_shape_validation_and_default_geometry():
-    with pytest.raises(ValueError):
-        AadrnnShape(0, (3,))
-    with pytest.raises(ValueError):
-        AadrnnShape(3, ())
-    with pytest.raises(ValueError):
-        AadrnnShape(3, (3, 0))
-    shape = AadrnnShape.default(6)
-    assert shape.hidden_widths == (6, 6, 6)
+def test_initial_model_is_the_stock_geometry():
+    for dim, seed in ((1, 0), (3, 5), (6, 17), (20, 2**40)):
+        model = AadrnnModel.initial(dim, seed)
+        assert LAYERS == 3 and len(model.hidden_weights) == LAYERS
+        assert all(w.shape == (dim, dim) for w in model.hidden_weights)
+        assert model.input_dim == dim and model.seed == seed
+        assert np.array_equal(model.readout, np.zeros((dim, dim)))
+        assert not model.readout.flags.writeable
 
 
 def test_hidden_weights_distribution_and_determinism():
-    shape = AadrnnShape(4, (8, 4), seed=17)
-    w1, w2 = init_hidden_weights(shape), init_hidden_weights(shape)
-    assert all(np.array_equal(a, b) for a, b in zip(w1, w2))
-    assert w1[0].shape == (8, 4) and w1[1].shape == (4, 8)
-    assert np.all(w1[0] >= 0) and np.all(w1[0] < 1 / 4)
-    assert np.all(w1[1] >= 0) and np.all(w1[1] < 1 / 8)
-    assert not w1[0].flags.writeable
-    other = init_hidden_weights(AadrnnShape(4, (8, 4), seed=18))
-    assert not np.array_equal(w1[0], other[0])
+    for dim, seed in ((4, 17), (3, 0), (20, 412)):
+        w1, w2 = init_hidden_weights(dim, seed), init_hidden_weights(dim, seed)
+        assert all(np.array_equal(a, b) for a, b in zip(w1, w2))
+        # Layer after layer from one generator: the draws every saved state holds.
+        rng = np.random.default_rng(seed)
+        for w in w1:
+            assert np.array_equal(w, rng.uniform(0.0, 1.0 / dim, size=(dim, dim)))
+            assert np.all(w >= 0) and np.all(w < 1 / dim)
+            assert not w.flags.writeable
+        other = init_hidden_weights(dim, seed + 1)
+        assert not np.array_equal(w1[0], other[0])
 
 
 # -- forward pass --------------------------------------------------------------------
@@ -125,23 +115,27 @@ def test_hidden_activations_in_unit_interval():
 
 
 def test_first_layer_perturbation_bound():
-    # zeta has slope at most 1/r, so each first-layer entry moves by at most
-    # max_i sum_j |W1[i,j]| * delta / r under an inf-norm input perturbation.
+    # zeta has slope at most 1, so each first-layer entry moves by at most
+    # max_i sum_j |W1[i,j]| * delta under an inf-norm input perturbation, and
+    # each later layer multiplies that bound by its own largest row sum.
     rng = np.random.default_rng(53)
     for case in range(100):
-        model = random_model(rng, layers=1)
+        model = random_model(rng)
         w1 = model.hidden_weights[0]
         x = rng.uniform(0, 5, size=model.input_dim)
         delta = float(rng.uniform(0, 1))
         x2 = x + rng.uniform(-delta, delta, size=model.input_dim)
-        h1, h2 = model.hidden(x), model.hidden(x2)
-        bound = np.abs(w1).sum(axis=1).max() * delta / model.act.r
-        assert np.max(np.abs(h1 - h2)) <= bound + 1e-12
+        first = np.abs(activation(x @ w1.T) - activation(x2 @ w1.T))
+        bound = np.abs(w1).sum(axis=1).max() * delta
+        assert np.max(first) <= bound + 1e-12
+        for w in model.hidden_weights[1:]:
+            bound *= np.abs(w).sum(axis=1).max()
+        assert np.max(np.abs(model.hidden(x) - model.hidden(x2))) <= bound + 1e-12
 
 
 def test_hidden_accepts_matrix_of_rows():
     rng = np.random.default_rng(59)
-    model = random_model(rng, dim=3, layers=2)
+    model = random_model(rng, dim=3)
     rows = rng.uniform(0, 2, size=(5, 3))
     batch = model.hidden(rows)
     for i in range(5):
@@ -149,7 +143,7 @@ def test_hidden_accepts_matrix_of_rows():
 
 
 def test_forward_input_validation():
-    model = AadrnnModel.initial(AadrnnShape.default(3))
+    model = AadrnnModel.initial(3, 0)
     with pytest.raises(DimensionError):
         model.forward(np.zeros(4))
     with pytest.raises(ValueError):
@@ -157,14 +151,15 @@ def test_forward_input_validation():
 
 
 def test_with_readout_shape_check_and_immutability():
-    model = AadrnnModel.initial(AadrnnShape(3, (5, 4)))
-    assert model.hidden_dim == 4 and model.layers == 2
-    with pytest.raises(DimensionError):
-        model.with_readout(np.zeros((3, 3)))
-    fitted = model.with_readout(np.ones((4, 3)))
-    assert not fitted.readout.flags.writeable
+    model = AadrnnModel.initial(3, 9)
+    for shape in ((3, 4), (4, 3), (3,)):
+        with pytest.raises(DimensionError):
+            model.with_readout(np.zeros(shape))
+    readout = np.ones((3, 3))
+    fitted = model.with_readout(readout)
+    assert not fitted.readout.flags.writeable and readout.flags.writeable  # a copy
     assert fitted.hidden_weights is model.hidden_weights  # the same geometry, shared
-    assert (fitted.act, fitted.input_dim, fitted.seed) == (model.act, 3, model.seed)
+    assert (fitted.input_dim, fitted.seed) == (3, 9)
 
 
 # -- serialization --------------------------------------------------------------------
@@ -177,7 +172,7 @@ def test_model_json_round_trip_is_exact():
         doc = json.loads(json.dumps(model_to_json(model)))
         back = model_from_json(doc)
         assert back.input_dim == model.input_dim and back.seed == model.seed
-        assert back.act == model.act
+        assert (doc["L"], doc["act"]) == (3, {"r": 1.0, "c": 1.0})
         assert all(np.array_equal(a, b)
                    for a, b in zip(back.hidden_weights, model.hidden_weights))
         assert np.array_equal(back.readout, model.readout)
@@ -186,8 +181,31 @@ def test_model_json_round_trip_is_exact():
 
 
 def test_model_json_layer_count_mismatch():
-    model = AadrnnModel.initial(AadrnnShape.default(3))
+    model = AadrnnModel.initial(3, 0)
     doc = model_to_json(model)
     doc["L"] = 5
     with pytest.raises(ValueError):
         model_from_json(doc)
+
+
+def test_model_json_rejects_every_network_but_the_stock_one():
+    doc = json.loads(json.dumps(model_to_json(AadrnnModel.initial(3, 1))))
+    weights = doc["hidden_weights"]
+    wide = [row + [0.0] for row in weights[0]]  # (M, M + 1)
+    for bad, error in [
+            (dict(doc, L=2), r"L=2: only the stock 3-layer network"),
+            (dict(doc, L=2, hidden_weights=weights[:2]), r"L=2"),
+            (dict(doc, act={"r": 2.0, "c": 1.0}), r"only the stock activation r=1, c=1"),
+            (dict(doc, act={"r": 1.0, "c": 1.0, "k": 1.0}), r"only the stock activation"),
+            (dict(doc, hidden_weights=weights[:2]), r"2 hidden weights, expected L=3"),
+            (dict(doc, hidden_weights=weights + weights[:1]), r"4 hidden weights"),
+            (dict(doc, hidden_weights=[wide] + weights[1:]),
+             r"hidden weight 0 has shape \(3, 4\), expected \(3, 3\)"),
+            (dict(doc, hidden_weights=weights[:2] + [weights[2][:2]]),
+             r"hidden weight 2 has shape \(2, 3\)"),
+            (dict(doc, readout=[row + [0.0] for row in doc["readout"]]),
+             r"readout has shape \(3, 4\)"),
+            (dict(doc, M=4), r"hidden weight 0 has shape \(3, 3\), expected \(4, 4\)")]:
+        with pytest.raises(ValueError, match=error):
+            model_from_json(bad)
+    assert model_from_json(dict(doc, act={"c": 1, "r": 1})).input_dim == 3  # ints are fine

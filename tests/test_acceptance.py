@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from aadetect.aadrnn import ActivationParams, AadrnnModel, AadrnnShape, activation
+from aadetect.aadrnn import AadrnnModel, activation
 from aadetect.bench import (run_device_benchmark, run_drift_benchmark,
                             run_flood_benchmark)
 from aadetect.config import TrainSection, config_from_dict
@@ -95,15 +95,14 @@ def test_criterion_1_metric_oracle_equivalence():
 def test_criterion_2_batch_incremental_equivalence():
     started = time.perf_counter()
     rng = np.random.default_rng(2000)
-    shape = AadrnnShape.default(3, seed=4)
+    initial = AadrnnModel.initial(3, 4)
     cfg = TrainSection(noise_sigma=0.1, ridge_lambda=1e-4, seed=11)
     X = rng.uniform(0.0, 2.0, size=(2000, 3))
 
-    batch_stats, batch_model = fit_batch_with_stats(shape, X, cfg)
+    batch_stats, batch_model = fit_batch_with_stats(initial, X, cfg)
 
     cuts = np.sort(rng.choice(np.arange(1, 2000), size=17, replace=False))
-    stats = SufficientStats.empty(batch_model.hidden_dim, 3)
-    model = AadrnnModel.initial(shape)
+    stats, model = SufficientStats.empty(3), initial
     for chunk in np.split(X, cuts):
         stats, model = update_incremental(stats, chunk, model, cfg)
 
@@ -212,10 +211,9 @@ def test_criterion_7_real_dataset_accuracy():
 
 def suite_activation(rng):
     for _ in range(100):
-        params = ActivationParams(float(rng.uniform(0.2, 3.0)),
-                                  float(rng.uniform(1.0, 3.0)))
+        r, c = float(rng.uniform(0.2, 3.0)), float(rng.uniform(1.0, 3.0))
         a, b = sorted(rng.uniform(0, 1e6, size=2))
-        ya, yb = activation(np.array([a, b]), params)
+        ya, yb = activation(np.array([a, b]), r, c)
         assert 0.0 <= ya <= yb < 1.0
     return "activation bounds/monotonicity"
 
@@ -293,8 +291,8 @@ def suite_score_identities(rng):
         n = int(rng.integers(1, 50))
         flags = rng.integers(2, size=n).astype(bool)
         labels = list(rng.integers(2, size=n).astype(bool))
-        decisions = [Decision(value=0.9 if f else 0.1, is_attack=bool(f), at_us=i,
-                              mode="botnet", threshold=0.5)
+        decisions = [Decision(at_us=i, value=0.9 if f else 0.1, threshold=0.5,
+                              is_attack=bool(f))
                      for i, f in enumerate(flags)]
         report = score(decisions, labels)
         if report.tpr is not None:

@@ -463,9 +463,17 @@ def _drop_last(rows):
     lambda doc: dict(doc, stats=dict(doc["stats"], C=[row[:-1] for row in doc["stats"]["C"]])),
     lambda doc: dict(doc, stats=dict(doc["stats"], n=-1)),
     lambda doc: dict(doc, scaling_factors={"kind": "max", "scale": [1.0, 2.0]}),
+    # Only the stock network loads, and a state holds everything save_state writes.
+    lambda doc: dict(doc, L=2),
+    lambda doc: dict(doc, act=dict(doc["act"], r=2.0)),
+    lambda doc: dict(doc, hidden_weights=doc["hidden_weights"][:1]
+                     + [[row + [0.0] for row in doc["hidden_weights"][1]]]
+                     + doc["hidden_weights"][2:]),
+    lambda doc: {k: v for k, v in doc.items() if k != "stats"},
+    lambda doc: {k: v for k, v in doc.items() if k != "gamma"},
 ], ids=["threshold-null", "stats-5", "hidden-null", "act-null", "top-level-list",
         "readout-rows", "hidden-rows", "hidden-columns", "stats-G", "stats-C", "stats-n",
-        "scale-length"])
+        "scale-length", "L-2", "act-r-2", "hidden-M-by-M+1", "no-stats", "no-gamma"])
 def test_a_malformed_state_file_exits_2_naming_it_before_any_log(flood_trace_file, tmp_path,
                                                                  capsys, mutate):
     state = tmp_path / "state.json"
@@ -481,6 +489,25 @@ def test_a_malformed_state_file_exits_2_naming_it_before_any_log(flood_trace_fil
     err = capsys.readouterr().err
     assert err.startswith(f"error: state file {bad}") and "Traceback" not in err, err
     assert not log.exists()
+
+
+@pytest.mark.parametrize("flags", [["--state", "s.json"], ["--cold-start"], ["--devices"]],
+                         ids=["state", "cold-start", "devices"])
+def test_a_header_only_trace_exits_2_before_any_output(flood_trace_file, tmp_path, capsys,
+                                                         monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["init", str(flood_trace_file), "--out", "s.json",
+                     "--set", "train.init_len=100"]) == 0
+    Path("empty.csv").write_text(flood_trace_file.read_text().splitlines()[0] + "\n")
+    before = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    rc = main_closing_every_file(["replay", "empty.csv", "--log", "L.csv", "--alerts", "A.jsonl",
+                                  "--report", "R.json", "--plots", "P"] + flags
+                                 + (["--save-state", "S.json"] if "--devices" not in flags
+                                    else []))
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: no packets to replay\n")
+    assert sorted(os.listdir(tmp_path)) == before  # no log, alerts, report, plots or state
 
 
 @pytest.mark.parametrize("mode, metrics", [("botnet", 3), ("device", 6)])
@@ -583,8 +610,8 @@ def test_eval_checks_its_outputs_before_reading_the_log(flood_trace_file, tmp_pa
 
 def test_the_decision_log_is_flushed_every_1024_rows(tmp_path):
     path = tmp_path / "log.csv"
-    decision = Decision(value=0.5, is_attack=False, at_us=7, mode="botnet", threshold=1.0)
-    with cli._DecisionLogWriter(str(path)) as log:
+    decision = Decision(at_us=7, value=0.5, threshold=1.0, is_attack=False)
+    with cli._DecisionLogWriter(str(path), "botnet") as log:
         for _ in range(1024):
             log.write(decision)
         assert path.read_text().count("\n") == 1025  # the header and every row
@@ -777,9 +804,11 @@ def test_alerts_are_the_attack_rows_of_the_decision_log(tmp_path, mode):
     flagged = [d for d in read_decision_log(log) if d.is_attack]
     docs = [json.loads(line) for line in alerts.read_text().splitlines()]
     assert flagged and len(docs) == len(flagged)
+    run_mode = {"packets": "botnet", "features": "features", "devices": "device"}[mode]
+    assert {line.rsplit(",", 1)[1] for line in log.read_text().splitlines()[1:]} == {run_mode}
     for doc, d in zip(docs, flagged):
         assert (doc["timestamp_us"], doc["decision_value"], doc["threshold"], doc["mode"]) == \
-            (d.at_us, d.value, d.threshold, d.mode)
+            (d.at_us, d.value, d.threshold, run_mode)
         assert ("addr" in doc) == (mode == "devices")
 
 
@@ -889,7 +918,7 @@ def test_cold_start_feature_replay_equals_stepping_every_row(tmp_path, override,
 
     det = Detector(4, apply_overrides(Config(), overrides), mode=Mode.FEATURES, online=online)
     decisions = [d for d in map(det.step, load_feature_dataset(data)) if d is not None]
-    cli.write_decision_log(decisions, tmp_path / "stepped.csv")
+    cli.write_decision_log(decisions, "features", tmp_path / "stepped.csv")
     save_state(det, tmp_path / "stepped.json")
     assert log.read_bytes() == (tmp_path / "stepped.csv").read_bytes()
     assert state.read_bytes() == (tmp_path / "stepped.json").read_bytes()

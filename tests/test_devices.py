@@ -129,7 +129,7 @@ def test_decisions_start_after_per_device_init():
     for pkt in benign_device_trace(rng, 40, ["a", "b"]):
         for addr, dec in bank.ingest(pkt):
             counts[addr] = counts.get(addr, 0) + 1
-            assert dec.value >= 0.0 and dec.mode == "device"
+            assert dec.value >= 0.0 and dec.at_us == pkt[0]
     # Every packet involves both hosts, so each sees 40 vectors: 6 for init.
     assert counts == {"a": 34, "b": 34}
 

@@ -4,22 +4,24 @@ decision-log round-trips, and plot-data emission."""
 import numpy as np
 import pytest
 
+from aadetect.bench import run_flood_benchmark
 from aadetect.cli import write_decision_log
 from aadetect.config import config_from_dict
-from aadetect.detector import Decision, Detector, Mode
+from aadetect.detector import (Decision, Detector, Mode, simple_threshold_baseline,
+                               whisker_threshold)
 from aadetect.devices import DeviceBank
 from aadetect.evaluation import (align_with_trace, compare_online_offline,
                                  emit_plot_data, ground_truth, read_decision_log, replay,
                                  run, score)
+from aadetect.metrics import ScalingFactors
 from aadetect.traffic import (AttackSegment, FeatureTable, Trace, TraceSpec,
                               synth_trace)
 
 
-def mk_decision(is_attack, at_us=0, value=None, threshold=0.5, mode="botnet"):
+def mk_decision(is_attack, at_us=0, value=None, threshold=0.5):
     if value is None:
         value = 0.9 if is_attack else 0.1
-    return Decision(value=value, is_attack=is_attack, at_us=at_us,
-                    mode=mode, threshold=threshold)
+    return Decision(at_us=at_us, value=value, threshold=threshold, is_attack=is_attack)
 
 
 def stream_config(**train_overrides):
@@ -149,12 +151,26 @@ def test_run_skips_init_and_aligns_ground_truth():
     assert report.fpr is not None and report.tpr is None  # all-benign trace
 
 
-def test_replay_leaves_each_decisions_values_on_the_detector():
-    trace = benign_trace()
-    det = Detector(3, stream_config())
-    values = np.array([det.last_values for _ in replay(det, trace)])
-    assert values.shape == (len(trace) - 8, 3)
-    assert np.all(values >= 0.0)
+def test_the_flood_baseline_judges_the_rows_the_detector_judged(monkeypatch):
+    # The bench rebuilds the scored rows from a fresh metric pass over the
+    # trace; they must be, bit for bit, the rows the detector scaled and judged.
+    calls = []
+    apply = ScalingFactors.apply
+
+    def recording(self, raw):
+        calls.append(apply(self, raw))
+        return calls[-1]
+
+    monkeypatch.setattr(ScalingFactors, "apply", recording)
+    result = run_flood_benchmark(seed=7)
+    init_rows, *judged, rebuilt = calls  # init's batch, one row per decision, the rebuild
+    assert init_rows.ndim == rebuilt.ndim == 2 and {x.ndim for x in judged} == {1}
+    assert len(judged) == len(result.report.decisions) == len(result.baseline.decisions)
+    assert np.array_equal(rebuilt, np.array(judged))
+    theta = np.array([whisker_threshold(column) for column in init_rows.T])
+    assert [d.is_attack for d in result.baseline.decisions] == \
+        [simple_threshold_baseline(x, theta) for x in judged]
+    assert [d[:3] for d in result.baseline.decisions] == [d[:3] for d in result.report.decisions]
 
 
 def test_run_feature_rows_offline_by_default():
@@ -307,7 +323,7 @@ def test_decision_log_round_trip_is_exact(tmp_path):
                              threshold=float(rng.uniform(0.1, 2)))
                  for _ in range(100)]
     path = tmp_path / "log.csv"
-    write_decision_log(decisions, path)
+    write_decision_log(decisions, "botnet", path)
     assert read_decision_log(path) == decisions
 
 
@@ -342,8 +358,7 @@ def test_align_with_trace_suffix_and_errors():
     labels, types = align_with_trace(result.decisions, trace)
     assert labels == result.labels and types == result.attack_types
 
-    shifted = [Decision(d.value, d.is_attack, d.at_us + 1, d.mode, d.threshold)
-               for d in result.decisions]
+    shifted = [d._replace(at_us=d.at_us + 1) for d in result.decisions]
     with pytest.raises(ValueError) as err:
         align_with_trace(shifted, trace)
     assert "decision row 0" in str(err.value)
@@ -351,7 +366,7 @@ def test_align_with_trace_suffix_and_errors():
     bumped = list(result.decisions)
     k = len(bumped) // 2
     d = bumped[k]
-    bumped[k] = Decision(d.value, d.is_attack, d.at_us + 7, d.mode, d.threshold)
+    bumped[k] = d._replace(at_us=d.at_us + 7)
     with pytest.raises(ValueError) as err:
         align_with_trace(bumped, trace)
     assert str(err.value) == (f"log/trace misalignment at decision row {k}: "

@@ -4,7 +4,7 @@ batch/incremental equivalence."""
 import numpy as np
 import pytest
 
-from aadetect.aadrnn import AadrnnModel, AadrnnShape
+from aadetect.aadrnn import AadrnnModel
 from aadetect.config import TrainSection, config_from_dict
 from aadetect.detector import salt_for_address
 from aadetect.metrics import DimensionError
@@ -21,15 +21,14 @@ def hand_hidden(model, x):
         nxt = []
         for i in range(w.shape[0]):
             pre = max(sum(w[i, j] * h[j] for j in range(w.shape[1])), 0.0)
-            nxt.append(pre / (model.act.r + model.act.c * pre))
+            nxt.append(pre / (1.0 + pre))
         h = nxt
     return np.array(h)
 
 
-def oracle_readout(shape, X, cfg, salt=None):
+def oracle_readout(model, X, cfg, salt=None):
     """Closed-form (H^T H + lambda I)^{-1} H^T X with H rebuilt from scratch:
     per-row keyed noise, scalar-loop hidden activations, explicit inverse."""
-    model = AadrnnModel.initial(shape)
     H = []
     for i, row in enumerate(X):
         entropy = [cfg.seed, i] if salt is None else [cfg.seed, salt, i]
@@ -138,7 +137,7 @@ def test_window_noise_rejects_a_negative_seed_as_noise_rng_does():
     with pytest.raises(ValueError):
         _window_noise(0, 5, 3, TrainSection(seed=-1), None)
     with pytest.raises(ValueError):
-        fit_batch_with_stats(AadrnnShape.default(3, seed=1), np.ones((5, 3)),
+        fit_batch_with_stats(AadrnnModel.initial(3, 1), np.ones((5, 3)),
                              TrainSection(seed=-1))
 
 
@@ -157,33 +156,29 @@ def test_corrupt_window_equals_per_row_corrupt():
 
 def test_fit_batch_matches_closed_form_oracle():
     rng = np.random.default_rng(11)
-    for case in range(10):
-        dim = int(rng.integers(2, 5))
-        shape = AadrnnShape(dim, (dim,) * int(rng.integers(1, 4)),
-                            seed=int(rng.integers(1000)))
+    for case, dim in enumerate((1, 2, 3, 4, 6, 2, 3, 4, 6, 8)):
+        initial = AadrnnModel.initial(dim, int(rng.integers(1000)))
         cfg = TrainSection(noise_sigma=0.1, ridge_lambda=1e-4, seed=int(rng.integers(1000)))
         X = random_rows(rng, int(rng.integers(5, 30)), dim)
         salt = int(rng.integers(1 << 16)) if case % 2 else None
-        model = fit_batch_with_stats(shape, X, cfg, salt)[1]
-        expected = oracle_readout(shape, X, cfg, salt)
+        model = fit_batch_with_stats(initial, X, cfg, salt)[1]
+        expected = oracle_readout(initial, X, cfg, salt)
         assert np.allclose(model.readout, expected, rtol=1e-9, atol=1e-11)
 
 
 def test_constant_rows_become_a_near_fixed_point():
     # Training on identical rows with no noise and a tiny ridge reproduces the
     # row almost exactly.
-    shape = AadrnnShape(3, (3, 3, 3), seed=5)
     x_star = np.array([0.6, 0.3, 0.9])
     X = np.tile(x_star, (50, 1))
     cfg = TrainSection(noise_sigma=0.0, ridge_lambda=1e-8)
-    model = fit_batch_with_stats(shape, X, cfg)[1]
+    model = fit_batch_with_stats(AadrnnModel.initial(3, 5), X, cfg)[1]
     assert np.max(np.abs(model.forward(x_star) - x_star)) <= 1e-4
 
 
 def test_all_zero_window_with_no_noise_yields_zero_readout():
-    shape = AadrnnShape.default(3)
     cfg = TrainSection(noise_sigma=0.0, ridge_lambda=1e-4)
-    model = fit_batch_with_stats(shape, np.zeros((10, 3)), cfg)[1]
+    model = fit_batch_with_stats(AadrnnModel.initial(3, 0), np.zeros((10, 3)), cfg)[1]
     assert np.array_equal(model.readout, np.zeros((3, 3)))
 
 
@@ -194,17 +189,16 @@ def test_batch_equals_incremental_over_random_partitions():
     rng = np.random.default_rng(13)
     cfg = TrainSection(noise_sigma=0.1, ridge_lambda=1e-4, seed=3)
     for dim in (3, 6, 20):
-        shape = AadrnnShape.default(dim, seed=2)
+        initial = AadrnnModel.initial(dim, 2)
         X = random_rows(rng, 1500, dim)
-        batch_stats, batch_model = fit_batch_with_stats(shape, X, cfg)
+        batch_stats, batch_model = fit_batch_with_stats(initial, X, cfg)
         # Window sizes on both sides of the fold's chunk of rows, then random cuts.
         partitions = [np.cumsum([1, 7, 511, 513])]
         for case in range(5):
             partitions.append(np.sort(rng.choice(np.arange(1, len(X)),
                                                  size=int(rng.integers(1, 12)), replace=False)))
         for cuts in partitions:
-            stats = SufficientStats.empty(batch_model.hidden_dim, dim)
-            model = AadrnnModel.initial(shape)
+            stats, model = SufficientStats.empty(dim), initial
             for chunk in np.split(X, cuts):
                 stats, model = update_incremental(stats, chunk, model, cfg)
             assert stats.n == batch_stats.n == 1500
@@ -216,12 +210,11 @@ def test_batch_equals_incremental_over_random_partitions():
 def test_noise_is_keyed_to_global_row_index_not_window_position():
     # Splitting after row k must corrupt row k+1 identically to the batch fit;
     # a window-local index would break this.
-    shape = AadrnnShape.default(2, seed=9)
+    initial = AadrnnModel.initial(2, 9)
     cfg = TrainSection(noise_sigma=0.3, ridge_lambda=1e-4, seed=1)
     X = random_rows(np.random.default_rng(17), 6, 2)
-    whole = fit_batch_with_stats(shape, X, cfg)[1]
-    stats = SufficientStats.empty(whole.hidden_dim, 2)
-    model = AadrnnModel.initial(shape)
+    whole = fit_batch_with_stats(initial, X, cfg)[1]
+    stats, model = SufficientStats.empty(2), initial
     stats, model = update_incremental(stats, X[:1], model, cfg)
     stats, model = update_incremental(stats, X[1:], model, cfg)
     assert np.array_equal(model.readout, whole.readout)
@@ -232,7 +225,7 @@ def test_stacked_hidden_equals_per_row_hidden(dim):
     # The chunked fold relies on a stacked (n, 1, M) forward doing one
     # matrix-vector product per row, as the per-row call does; a 2-D (n, M)
     # gemm blocks differently and is not bit-equal.
-    model = AadrnnModel.initial(AadrnnShape.default(dim, seed=dim))
+    model = AadrnnModel.initial(dim, dim)
     X = random_rows(np.random.default_rng(dim), 600, dim)
     per_row = np.array([model.hidden(x) for x in X])
     assert np.array_equal(model.hidden(X[:, None, :])[:, 0], per_row)
@@ -244,12 +237,11 @@ def test_stacked_hidden_equals_per_row_hidden(dim):
 @pytest.mark.parametrize("dim", [3, 6, 20])
 def test_chunked_fold_equals_per_row_oracle(dim):
     rng = np.random.default_rng(31 + dim)
-    shape = AadrnnShape.default(dim, seed=dim)
-    model = AadrnnModel.initial(shape)
+    model = AadrnnModel.initial(dim, dim)
     X = random_rows(rng, 600, dim)
     for sigma, salt in ((0.1, None), (0.1, 12345), (0.0, None)):
         cfg = TrainSection(noise_sigma=sigma, ridge_lambda=1e-4, seed=7)
-        empty = SufficientStats.empty(dim, dim)
+        empty = SufficientStats.empty(dim)
         noisy = per_row_corrupt_window(X, 0, cfg, salt)
         expected = per_row_accumulate_pairs(empty, noisy, X, model)
         got = accumulate_pairs(empty, noisy, X, model)
@@ -258,7 +250,7 @@ def test_chunked_fold_equals_per_row_oracle(dim):
         again = per_row_accumulate_pairs(expected, noisy[:5], X[:5], model)
         got = accumulate_pairs(expected, noisy[:5], X[:5], model)
         assert np.array_equal(got.G, again.G) and np.array_equal(got.C, again.C)
-        stats, fitted = fit_batch_with_stats(shape, X, cfg, salt)
+        stats, fitted = fit_batch_with_stats(model, X, cfg, salt)
         assert stats.n == expected.n == 600
         assert np.array_equal(stats.G, expected.G) and np.array_equal(stats.C, expected.C)
         assert np.array_equal(fitted.readout, solve_readout(expected, cfg.ridge_lambda))
@@ -268,13 +260,12 @@ def test_accumulation_is_permutation_symmetric():
     # G and C are sums over rows, so folding the same (noisy, clean) pairs in
     # any order gives the same readout.
     rng = np.random.default_rng(19)
-    shape = AadrnnShape.default(3, seed=4)
-    model = AadrnnModel.initial(shape)
+    model = AadrnnModel.initial(3, 4)
     clean = random_rows(rng, 40, 3)
     noisy = np.maximum(clean + rng.normal(0, 0.1, size=clean.shape), 0)
-    stats_fwd = accumulate_pairs(SufficientStats.empty(3, 3), noisy, clean, model)
+    stats_fwd = accumulate_pairs(SufficientStats.empty(3), noisy, clean, model)
     perm = rng.permutation(len(clean))
-    stats_perm = accumulate_pairs(SufficientStats.empty(3, 3), noisy[perm], clean[perm], model)
+    stats_perm = accumulate_pairs(SufficientStats.empty(3), noisy[perm], clean[perm], model)
     assert np.allclose(stats_fwd.G, stats_perm.G, rtol=1e-12, atol=1e-12)
     assert np.allclose(solve_readout(stats_fwd, 1e-4), solve_readout(stats_perm, 1e-4),
                        rtol=1e-9, atol=1e-12)
@@ -283,9 +274,8 @@ def test_accumulation_is_permutation_symmetric():
 def test_gram_matrix_is_symmetric_psd():
     rng = np.random.default_rng(23)
     for case in range(100):
-        shape = AadrnnShape.default(3, seed=int(rng.integers(100)))
-        model = AadrnnModel.initial(shape)
-        stats = SufficientStats.empty(3, 3)
+        model = AadrnnModel.initial(3, int(rng.integers(100)))
+        stats = SufficientStats.empty(3)
         cfg = TrainSection(seed=int(rng.integers(100)))
         for _ in range(int(rng.integers(1, 4))):
             stats, model = update_incremental(
@@ -295,17 +285,15 @@ def test_gram_matrix_is_symmetric_psd():
 
 
 def test_empty_window_is_a_no_op():
-    shape = AadrnnShape.default(3)
-    model = AadrnnModel.initial(shape)
-    stats = SufficientStats.empty(3, 3)
+    model = AadrnnModel.initial(3, 0)
+    stats = SufficientStats.empty(3)
     out_stats, out_model = update_incremental(stats, np.empty((0, 3)), model, TrainSection())
     assert out_stats is stats and out_model is model
 
 
 def test_one_row_window_is_reshaped():
-    shape = AadrnnShape.default(3)
-    model = AadrnnModel.initial(shape)
-    stats = SufficientStats.empty(3, 3)
+    model = AadrnnModel.initial(3, 0)
+    stats = SufficientStats.empty(3)
     stats, model = update_incremental(stats, np.array([0.5, 0.25, 1.0]), model, TrainSection())
     assert stats.n == 1 and model.readout.shape == (3, 3)
 
@@ -324,30 +312,30 @@ def test_train_config_validation():
 
 
 def test_fit_batch_validation():
-    shape = AadrnnShape.default(3)
+    model = AadrnnModel.initial(3, 0)
     with pytest.raises(ValueError):
-        fit_batch_with_stats(shape, np.empty((0, 3)), TrainSection())
+        fit_batch_with_stats(model, np.empty((0, 3)), TrainSection())
     with pytest.raises(DimensionError):
-        fit_batch_with_stats(shape, np.zeros((4, 2)), TrainSection())
+        fit_batch_with_stats(model, np.zeros((4, 2)), TrainSection())
     with pytest.raises(DimensionError):
-        update_incremental(SufficientStats.empty(3, 3), np.zeros((2, 4)),
-                           AadrnnModel.initial(shape), TrainSection())
+        update_incremental(SufficientStats.empty(3), np.zeros((2, 4)),
+                           model, TrainSection())
     with pytest.raises(ValueError, match="non-finite training row"):
-        update_incremental(SufficientStats.empty(3, 3),
+        update_incremental(SufficientStats.empty(3),
                            np.array([[0.5, 0.5, 0.5], [0.5, np.nan, 0.5]]),
-                           AadrnnModel.initial(shape), TrainSection())
+                           model, TrainSection())
 
 
 def test_accumulate_pairs_shape_mismatch():
-    model = AadrnnModel.initial(AadrnnShape.default(3))
+    model = AadrnnModel.initial(3, 0)
     with pytest.raises(DimensionError):
-        accumulate_pairs(SufficientStats.empty(3, 3), np.zeros((2, 3)),
+        accumulate_pairs(SufficientStats.empty(3), np.zeros((2, 3)),
                          np.zeros((3, 3)), model)
 
 
 def test_solve_readout_validation_and_failure():
     with pytest.raises(ValueError):
-        solve_readout(SufficientStats.empty(3, 3), 0.0)
+        solve_readout(SufficientStats.empty(3), 0.0)
     bad = SufficientStats(np.full((2, 2), np.nan), np.zeros((2, 2)), 1)
     with pytest.raises(TrainingError):
         solve_readout(bad, 1e-4)
