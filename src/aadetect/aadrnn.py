@@ -72,10 +72,13 @@ class AadrnnModel:
         return x
 
     def hidden(self, x: np.ndarray) -> np.ndarray:
-        """Top hidden activations for a vector or a (n, M) matrix of rows."""
+        """Top hidden activations for a vector or a (n, M) matrix of rows; zeta
+        is applied in place, bit-equal to ``activation(h @ w.T)`` (1.0 * v == v)."""
         h = self._check_input(x)
         for w in self.hidden_weights:
-            h = activation(h @ w.T)
+            h = h @ w.T
+            np.maximum(h, 0.0, out=h)
+            np.divide(h, h + 1.0, out=h)
         return h
 
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -287,7 +287,7 @@ def cmd_eval(args) -> int:
     assertions = _parse_assertions(args.assertions) if args.assertions else []
     config = _build_config(args)
     _check_outputs(args.report, args.plots)
-    decisions = read_decision_log(args.log)
+    decisions = read_decision_log(args.log, Mode.BOTNET.value)
     trace = load_trace(args.trace)
     labels, types = align_with_trace(decisions, trace)
     report = score(decisions, labels, types)

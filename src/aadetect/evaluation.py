@@ -198,11 +198,13 @@ def compare_online_offline(trace: Trace, config: Config) -> CompareResult:
 # Decision logs and plot data
 
 
-def read_decision_log(path: Union[str, Path]) -> List[Decision]:
-    """Read a decision log back; a malformed row is an error naming its
-    ``path:line``."""
+def read_decision_log(path: Union[str, Path], mode: Optional[str] = None) -> List[Decision]:
+    """Read a decision log back; a malformed row, or one whose mode differs
+    from the first row's, is an error naming its ``path:line``. With ``mode``,
+    a log of any other mode is an error naming it."""
     path = Path(path)
     decisions: List[Decision] = []
+    log_mode = None
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -219,7 +221,12 @@ def read_decision_log(path: Union[str, Path]) -> List[Decision]:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
             if row[3].strip() not in ("0", "1"):
                 raise ValueError(f"{path}:{line_no}: is_attack must be 0 or 1, got {row[3]!r}")
+            if log_mode not in (None, row[4].strip()):
+                raise ValueError(f"{path}:{line_no}: mode {row[4]!r} in a {log_mode} log")
+            log_mode = row[4].strip()
             decisions.append(Decision(at_us, value, threshold, row[3].strip() == "1"))
+    if mode is not None and log_mode not in (None, mode):
+        raise ValueError(f"{path}: a {log_mode} decision log, expected a {mode} log")
     return decisions
 
 

@@ -7,19 +7,19 @@ microseconds so inter-arrival arithmetic stays exact.
 
 A ``Trace`` is its six columns; a packet in flight is the plain tuple
 ``(timestamp_us, src, dst, size_bytes)`` (a ``Packet``) that iterating a
-trace yields. One parser reads trace files: ``trace_blocks`` splits
-``_TRACE_BLOCK`` lines at a time into the columns, checks each block at once
-and yields it as a ``Trace``, reading the file no further than it is asked
-to. ``load_trace`` drains it into one ``Trace``; ``init`` stops pulling
-blocks once its window is complete. A block that fails a check, or that
-``str.split`` could read differently from ``csv.reader`` (a quote, a
-carriage return, a NUL, a line without exactly six fields or an over-long
-line), goes through ``_parse_rows``, the row-by-row loop, which names the
-first bad line exactly as a row-by-row parse would.
+trace yields. A ``FeatureTable`` holds a feature file the same way: one
+read-only matrix of features plus label and attack-type tuples.
 
-A ``FeatureTable`` holds a feature file the same way: one read-only matrix
-of features plus label and attack-type tuples. ``load_feature_dataset``
-converts ``_FEATURE_BLOCK`` rows at a time and joins the blocks once.
+Both files are parsed a block of lines at a time. ``_split_block`` splits a
+block into columns with ``str.split`` unless ``csv.reader`` could read it
+differently (see its docstring); a split block is converted and checked at
+once, trace integers by ``int`` and features by ``np.loadtxt``. Any other
+block goes through a row-by-row ``csv.reader`` loop (``_parse_rows``,
+``_parse_feature_rows``), which names the first bad line exactly as a
+row-by-row parse would. ``trace_blocks`` yields each block as a ``Trace``,
+reading the file no further than it is asked to, and ``init`` stops pulling
+blocks once its window is complete; ``load_trace`` and
+``load_feature_dataset`` join the blocks once.
 """
 
 from __future__ import annotations
@@ -143,23 +143,27 @@ def _parse_label(text: str, path, line_no: int) -> Optional[bool]:
     return label
 
 
-def _split_block(lines: List[str]) -> Optional[List[List[str]]]:
-    """A block of trace lines as six columns of field strings, or None when
-    ``csv.reader`` could read them otherwise: a quote, a carriage return, a
-    NUL, a line without exactly six fields (a blank line has one) or a line
-    longer than csv's field size limit."""
+def _split_block(lines: List[str], n_fields: int, tail: Optional[int] = None) -> Optional[list]:
+    """A block of lines as ``n_fields`` columns of field strings (the last
+    ``tail`` only, when given), or None when ``csv.reader`` or ``float`` could
+    read a field otherwise: a quote, a carriage return, a NUL, a character
+    from ``\\x1c`` to ``\\x1f`` (``np.loadtxt`` strips these, ``float`` does
+    not), a line without exactly ``n_fields`` fields (a blank line has one)
+    or a line longer than csv's field size limit."""
     text = "".join(lines)
-    if '"' in text or "\r" in text or "\0" in text:
+    if any(char in text for char in '"\r\0\x1c\x1d\x1e\x1f'):
         return None
     rows = text.split("\n")
     if rows[-1] == "":  # the block's last line ended with a newline
         rows.pop()
-    if set(map(str.count, rows, repeat(","))) != {5}:
+    if set(map(str.count, rows, repeat(","))) != {n_fields - 1}:
         return None
     if len(text) > csv.field_size_limit() and max(map(len, rows)) > csv.field_size_limit():
         return None
+    if tail is not None:
+        return list(zip(*[row.rsplit(",", tail) for row in rows]))[1:]
     fields = ",".join(rows).split(",")
-    return [fields[k::6] for k in range(6)]
+    return [fields[k::n_fields] for k in range(n_fields)]
 
 
 def _block_columns(columns: List[List[str]], prev_ts: Optional[int]):
@@ -178,22 +182,23 @@ def _block_columns(columns: List[List[str]], prev_ts: Optional[int]):
     return ts, size, labels
 
 
+def _records(lines: List[str], fh, line_no: int) -> Iterator[Tuple[int, List[str]]]:
+    """``csv.reader``'s records of a block, numbered from ``line_no`` (blank
+    records count too): the exact reference for every row. A quoted field
+    that runs past the block's last line is finished from ``fh``."""
+    reader = csv.reader(chain(lines, fh))
+    for record in enumerate(reader, start=line_no):
+        yield record
+        if reader.line_num >= len(lines):  # lines pulled from the iterator
+            return
+
+
 def _parse_rows(path: Path, lines: List[str], fh, line_no: int, prev_ts: Optional[int]):
-    """The row-by-row parse of a block with ``csv.reader``: the exact reference
-    for every row and the first error. A quoted field that runs past the
-    block's last line is finished from ``fh``. Returns the block's columns
-    ``(timestamps, src, dst, sizes, labels, raw attack types)`` and the line
-    number of the next csv record (blank records count too)."""
-    pulled = 0
-
-    def feed():
-        nonlocal pulled
-        for line in chain(lines, fh):
-            pulled += 1
-            yield line
-
+    """The row-by-row parse of a trace block, which names its first bad line.
+    Returns the block's columns ``(timestamps, src, dst, sizes, labels, raw
+    attack types)`` and the line number of the next csv record."""
     out: Tuple[list, ...] = ([], [], [], [], [], [])
-    for line_no, row in enumerate(csv.reader(feed()), start=line_no):
+    for line_no, row in _records(lines, fh, line_no):
         if row:
             if len(row) != len(TRACE_FIELDS):
                 raise TraceParseError(path, line_no, f"expected {len(TRACE_FIELDS)} columns, got {len(row)}")
@@ -212,8 +217,6 @@ def _parse_rows(path: Path, lines: List[str], fh, line_no: int, prev_ts: Optiona
             prev_ts = ts
             for column, value in zip(out, (ts, row[1], row[2], size, label, row[5])):
                 column.append(value)
-        if pulled >= len(lines):
-            break
     return out, line_no + 1
 
 
@@ -243,7 +246,7 @@ def trace_blocks(path: Union[str, Path]) -> Iterator[Trace]:
             lines = list(islice(fh, _TRACE_BLOCK))
             if not lines:
                 return
-            columns = _split_block(lines)
+            columns = _split_block(lines, len(TRACE_FIELDS))
             checked = _block_columns(columns, prev_ts) if columns is not None else None
             if checked is not None:
                 ts, size, labels = checked
@@ -290,69 +293,80 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
                              [kind or "" for kind in trace.attack_type]))
 
 
-# Feature rows converted to one matrix at a time: enough to amortise the numpy
-# calls, while the pending Python floats never outgrow one block.
+# Feature lines parsed per block: enough to amortise the numpy calls, while a
+# block's strings stay small next to the matrix.
 _FEATURE_BLOCK = 1024
+
+
+def _parse_feature_rows(path: Path, lines: List[str], fh, line_no: int, header: List[str],
+                        n_features: int):
+    """The row-by-row parse of a feature block, which names its first bad
+    line: ``(features, labels, raw attack types, next line number)``."""
+    feats, labels, types = [], [], []
+    for line_no, row in _records(lines, fh, line_no):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise TraceParseError(path, line_no, f"expected {len(header)} columns, got {len(row)}")
+        try:
+            feats.append([float(v) for v in row[:n_features]])
+        except ValueError as exc:
+            raise TraceParseError(path, line_no, f"bad feature value: {exc}") from None
+        if not all(map(math.isfinite, feats[-1])):
+            raise TraceParseError(path, line_no, "non-finite feature value")
+        labels.append(_parse_label(row[n_features].strip(), path, line_no))
+        types.append(row[-1])
+    return np.array(feats, dtype=float).reshape(-1, n_features), labels, types, line_no + 1
 
 
 def load_feature_dataset(path: Union[str, Path]) -> FeatureTable:
     """Load a feature CSV (``f1,...,fM,label,attack_type``) as a table.
 
     The trailing ``attack_type`` column is optional; inconsistent feature
-    dimension raises a parse error naming the line. Rows are converted to a
-    matrix in blocks of up to ``_FEATURE_BLOCK`` rows, and the blocks are
-    joined once at the end. Errors are reported in line order, as a
-    row-by-row parse would report them.
+    dimension raises a parse error naming the line. The file is read
+    ``_FEATURE_BLOCK`` lines at a time. A block that ``_split_block`` splits
+    is converted by one ``np.loadtxt`` call (it and ``float`` both end in
+    ``PyOS_string_to_double``, and what loadtxt rejects, such as ``1_0`` or
+    non-ASCII digits, ``float`` reads in the fallback) and kept if every
+    value is finite and every label valid. Any other block goes through
+    ``_parse_feature_rows``. The blocks are joined once at the end.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise TraceParseError(path, 1, "empty file")
         header = [h.strip() for h in header]
         has_type = header and header[-1] == "attack_type"
-        label_idx = len(header) - (2 if has_type else 1)
-        if label_idx < 1 or header[label_idx] != "label":
+        n_features = len(header) - (2 if has_type else 1)
+        if n_features < 1 or header[n_features] != "label":
             raise TraceParseError(path, 1, "expected feature columns followed by label[,attack_type]")
-        n_features = label_idx
-        blocks: List[np.ndarray] = []  # converted rows; the last block may be empty
-        values: List[float] = []  # the pending rows' features, flat
-        lines: List[int] = []
-        labels: List[Optional[bool]] = []
-        types: List[Optional[str]] = []
-
-        def convert() -> np.ndarray:
-            """The pending rows as a matrix; the first non-finite row is an error."""
-            feats = np.array(values, dtype=float).reshape(-1, n_features)
-            finite = np.isfinite(feats).all(axis=1)
-            if not finite.all():
-                raise TraceParseError(path, lines[int(np.argmin(finite))],
-                                      "non-finite feature value")
-            values.clear()
-            lines.clear()
-            return feats
-
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                if len(row) != len(header):
-                    raise TraceParseError(path, line_no, f"expected {len(header)} columns, got {len(row)}")
-                try:
-                    values.extend([float(v) for v in row[:n_features]])
-                except ValueError as exc:
-                    raise TraceParseError(path, line_no, f"bad feature value: {exc}") from None
-                lines.append(line_no)
-                labels.append(_parse_label(row[label_idx].strip(), path, line_no))
-            except TraceParseError:
-                convert()  # a non-finite value on an earlier row, or this one, comes first
-                raise
-            types.append((row[label_idx + 1].strip() or None) if has_type else None)
-            if len(lines) == _FEATURE_BLOCK:
-                blocks.append(convert())
-        blocks.append(convert())
-    return FeatureTable(np.concatenate(blocks), labels, types)
+        blocks, labels, raw_types = [np.empty((0, n_features))], [], []
+        line_no = 2
+        while True:
+            lines = list(islice(fh, _FEATURE_BLOCK))
+            if not lines:
+                break
+            columns = _split_block(lines, len(header), len(header) - n_features)
+            try:  # the block at once, else the row loop, which names the bad line
+                if columns is None:
+                    raise ValueError("not a plain block")
+                # comments=None: the default "#" would cut "1.0#x" short.
+                feats = np.loadtxt(lines, delimiter=",", usecols=range(n_features),
+                                   comments=None, ndmin=2)
+                block_labels = [_LABELS[text.strip()] for text in columns[0]]
+                if not np.isfinite(feats).all():
+                    raise ValueError("non-finite feature value")
+                block_types, line_no = columns[-1], line_no + len(lines)
+            except (ValueError, KeyError):
+                feats, block_labels, block_types, line_no = _parse_feature_rows(
+                    path, lines, fh, line_no, header, n_features)
+            blocks.append(feats)
+            labels += block_labels
+            raw_types += block_types
+    type_of = {raw: raw.strip() or None for raw in set(raw_types)}
+    return FeatureTable(np.concatenate(blocks), labels,
+                        map(type_of.__getitem__, raw_types) if has_type else None)
 
 
 def save_feature_dataset(table: FeatureTable, path: Union[str, Path]) -> None:

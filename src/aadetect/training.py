@@ -16,13 +16,15 @@ that exact:
 
 - Noise draws are keyed to the global accepted-row counter (not to window
   boundaries): row i is corrupted with ``noise_rng(seed, i, salt)``.
-- Rows are folded into G and C one at a time, in order. The fold is done on
-  chunks of rows as arrays, but performs the same float operations as a
-  per-row loop: the hidden forward is a stacked per-row matmul
-  (``hidden(X[:, None, :])``, one matrix-vector product per row, unlike a 2-D
-  gemm whose blocking varies with the row count), and the outer products are
-  summed with ``np.add.accumulate`` along the row axis, which adds them one
-  after another onto the running G and C.
+- Rows are folded into G and C one at a time, in order. The fold makes one
+  pass over chunks of rows (corrupt, hidden forward, fold) as arrays, but
+  performs the same float operations as a per-row loop: the hidden forward is
+  a stacked per-row matmul (``hidden(X[:, None, :])``, one matrix-vector
+  product per row, unlike a 2-D gemm whose blocking varies with the row
+  count), and ``np.add.reduce`` sums a C-contiguous (k + 1, M, 2M) buffer of
+  ``[G | C]`` and the chunk's outer products over its first axis, which adds
+  them one after another onto ``[G | C]``; pairwise summation applies only
+  along the contiguous axis.
 
 ``noise_rng`` is the key of the noise stream, but a window does not call it
 per row. The SeedSequence hash of every row's entropy ``[seed, (salt,) i]`` is
@@ -225,38 +227,40 @@ def _corrupt_window(window: np.ndarray, start_index: int, train: TrainSection,
     return np.maximum(window + noise, 0.0)
 
 
-# Rows per vectorised fold step: bounds the (rows, d, d) outer-product buffers
-# to about a megabyte each at d = 20.
+# Rows per fold step: bounds the (rows + 1, M, 2M) fold buffer to about 1.6 MB
+# at M = 20; it is reused, so later chunks fault in no new pages.
 _FOLD_CHUNK = 256
 
 
-def _fold_outer(S: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """S + outer(a_1, b_1) + outer(a_2, b_2) + ..., added one row at a time in
-    order, as ``S += np.outer(a_j, b_j)`` in a loop would."""
-    return np.add.accumulate(np.concatenate([S[None], A[:, :, None] * B[:, None, :]]),
-                             axis=0)[-1]
+def _fold(stats: SufficientStats, clean: np.ndarray, model: AadrnnModel,
+          noisy_chunk) -> SufficientStats:
+    """Fold ``clean`` into the statistics ``_FOLD_CHUNK`` rows at a time, in
+    order, ``noisy_chunk(lo, rows)`` giving the noisy rows of the chunk at
+    ``lo``. Row 0 of one reused buffer holds ``[G | C]`` and rows 1..k the
+    chunk's ``H (x) [H | clean]``; ``np.add.reduce`` over its axis 0 adds them
+    one after another onto row 0 (see the module docstring)."""
+    m = clean.shape[1]
+    acc = np.concatenate([stats.G, stats.C], axis=1)
+    buf = np.empty((min(len(clean), _FOLD_CHUNK) + 1, m, 2 * m))
+    for lo in range(0, len(clean), _FOLD_CHUNK):
+        rows = clean[lo:lo + _FOLD_CHUNK]
+        H = model.hidden(noisy_chunk(lo, rows)[:, None, :])[:, 0, :]
+        part = buf[:len(rows) + 1]
+        part[0] = acc
+        np.multiply(H[:, :, None], np.concatenate([H, rows], axis=1)[:, None, :], out=part[1:])
+        acc = np.add.reduce(part, axis=0)
+    return SufficientStats(acc[:, :m].copy(), acc[:, m:].copy(), stats.n + len(clean))
 
 
 def accumulate_pairs(stats: SufficientStats, noisy: np.ndarray, clean: np.ndarray,
                      model: AadrnnModel) -> SufficientStats:
     """Fold explicit (noisy, clean) row pairs into the statistics, one row at a
-    time in order. Row-wise accumulation performs the same float operations for
-    every window partition of the same rows, so incremental training stays
-    bit-equal to the one-shot batch fit instead of drifting with gemm blocking.
-    Chunks of rows are folded as arrays with the same operations in the same
-    order (see the module docstring)."""
+    time in order, so that every window partition of the same rows gives the
+    same bits as the one-shot batch fit (``_fold``)."""
     if noisy.shape != clean.shape:
         raise DimensionError(f"noisy shape {noisy.shape} != clean shape {clean.shape}")
-    if noisy.ndim == 1:
-        noisy = noisy.reshape(1, -1)
-        clean = clean.reshape(1, -1)
-    G, C = stats.G, stats.C
-    for lo in range(0, noisy.shape[0], _FOLD_CHUNK):
-        H = model.hidden(noisy[lo:lo + _FOLD_CHUNK, None, :])[:, 0, :]
-        G = _fold_outer(G, H, H)
-        C = _fold_outer(C, H, clean[lo:lo + _FOLD_CHUNK])
-    # Copies: never share stats.G, nor keep the last chunk's buffer alive.
-    return SufficientStats(G.copy(), C.copy(), stats.n + noisy.shape[0])
+    noisy, clean = np.atleast_2d(noisy, clean)
+    return _fold(stats, clean, model, lambda lo, rows: noisy[lo:lo + len(rows)])
 
 
 def solve_readout(stats: SufficientStats, ridge_lambda: float) -> np.ndarray:
@@ -287,8 +291,9 @@ def update_incremental(stats: SufficientStats, window: np.ndarray, model: Aadrnn
         raise DimensionError(f"window rows have {window.shape[1]} values, model expects {model.input_dim}")
     if window.shape[0] == 0:
         return stats, model
-    noisy = _corrupt_window(window, stats.n, train, salt)
-    stats = accumulate_pairs(stats, noisy, window, model)
+    start = stats.n
+    stats = _fold(stats, window, model,
+                  lambda lo, rows: _corrupt_window(rows, start + lo, train, salt))
     return stats, model.with_readout(solve_readout(stats, train.ridge_lambda))
 
 

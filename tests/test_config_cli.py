@@ -335,6 +335,41 @@ def test_eval_names_the_log_line_of_a_bad_value(flood_trace_file, tmp_path, caps
     assert capsys.readouterr() == ("", f"error: {log}:6: {message}\n")
 
 
+@pytest.mark.parametrize("mode", ["device", "features"])
+def test_eval_rejects_a_log_of_another_mode_before_reading_the_trace(flood_trace_file, tmp_path,
+                                                                    capsys, mode):
+    # Only a botnet log has one row per trace packet; a device or feature log
+    # is named with its mode, and the trace (here missing) is never opened.
+    log = tmp_path / "log.csv"
+    if mode == "device":
+        args = [str(flood_trace_file), "--devices", "--set", "device.init_len=6",
+                "--set", "metrics.N=5", "--set", "metrics.T_seconds=1.0"]
+    else:
+        data = tmp_path / "features.csv"
+        save_feature_dataset(feature_table(np.random.default_rng(5), 3, (80, 0.5, 0.05, None)),
+                             data)
+        args = [str(data), "--features", "--cold-start", "--set", "train.init_len=40"]
+    assert cli.main(["replay"] + args + ["--log", str(log)]) == 0
+    assert {line.rsplit(",", 1)[1] for line in log.read_text().splitlines()[1:]} == {mode}
+    capsys.readouterr()
+    rc = cli.main(["eval", "--log", str(log), "--trace", str(tmp_path / "missing.csv")])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: {log}: a {mode} decision log, "
+                                       f"expected a botnet log\n")
+
+
+def test_eval_names_the_line_where_a_log_changes_mode(flood_trace_file, tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    assert cli.main(["replay", str(flood_trace_file), "--cold-start",
+                     "--set", "train.init_len=64", "--log", str(log)]) == 0
+    lines = log.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",device"
+    log.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["eval", "--log", str(log), "--trace", str(flood_trace_file)]) == 2
+    assert capsys.readouterr() == ("", f"error: {log}:6: mode 'device' in a botnet log\n")
+
+
 def test_the_io_section_is_unknown(flood_trace_file, tmp_path, capsys):
     with pytest.raises(ValueError, match=r"^unknown config section\(s\): io$"):
         config_from_dict({"io": {"decision_log": "log.csv"}})

@@ -487,6 +487,94 @@ def test_block_loader_reports_errors_as_the_per_row_loader(tmp_path, edits):
     assert got.value.line_no == expected.value.line_no
 
 
+def feature_files(st):
+    """Feature CSV texts that mix rows both loaders must read alike with rows
+    that each must reject alike: odd floats, bad labels, blank and quoted
+    lines, stray columns and carriage returns."""
+    number = st.floats(allow_nan=False, allow_infinity=False)
+    good_field = st.one_of(
+        number.map(repr), number.map(lambda v: "%.3e" % v), number.map(lambda v: f"+{abs(v)!r}"),
+        st.tuples(st.sampled_from(["", " ", "  "]), number, st.sampled_from(["", " ", "\t"])).map(
+            lambda t: f"{t[0]}{t[1]!r}{t[2]}"))
+    odd_field = st.sampled_from([
+        "1_0", "inf", "-inf", "nan", "1e999", "-1e999", "Infinity", "\u0661\u0662",
+        "\u0663.\u0665", "", " ", "#", "1.0#x", "0x10", "1.0\x1c", "\x1f2", "\u00a01.5",
+        "1.5\u2028", "\x0c2\x0b", "1,5", '"1.5"', '"2'])
+    odd_line = st.sampled_from([
+        lambda line: "", lambda line: "  ", lambda line: line + ",x",
+        lambda line: line.split(",", 1)[1], lambda line: '"' + line.replace(",", '",', 1),
+        lambda line: '"' + line, lambda line: '"1,\n2"' + line[line.index(","):]])
+
+    @st.composite
+    def text(draw):
+        width, typed = draw(st.integers(1, 3)), draw(st.booleans())
+        odd_in_100 = draw(st.sampled_from([0, 2, 15]))
+
+        def pick(good, odd):
+            return draw(odd if draw(st.integers(0, 99)) < odd_in_100 else good)
+
+        lines = [",".join([f"f{i + 1}" for i in range(width)] + ["label"]
+                          + ["attack_type"] * typed) + "\n"]
+        for _ in range(draw(st.integers(0, 40))):
+            fields = [pick(good_field, odd_field) for _ in range(width)]
+            fields.append(pick(st.sampled_from(["0", "1", " 1 ", ""]),
+                               st.sampled_from(["2", "yes", "#"])))
+            if typed:
+                fields.append(draw(st.sampled_from(["", "scan", " flood ", "a#b"])))
+            line = pick(st.just(lambda line: line), odd_line)(",".join(fields))
+            lines.append(line + pick(st.just("\n"), st.sampled_from(["\r\n", "\r"])))
+        if draw(st.booleans()):
+            lines[-1] = lines[-1].rstrip("\r\n")
+        return "".join(lines)
+
+    return text()
+
+
+def load_both(path):
+    """``(table, None)`` from the block loader and ``(rows, None)`` from the
+    per-row one, or ``(None, error)`` for a loader that raised."""
+    out = []
+    for load in (load_feature_dataset, per_row_load_feature_dataset):
+        try:
+            out.append((load(path), None))
+        except (TraceParseError, csv.Error) as exc:
+            out.append((None, exc))
+    return out
+
+
+@pytest.mark.parametrize("block", [1024, 7])
+def test_block_loader_equals_per_row_loader_on_generated_files(tmp_path, monkeypatch, block):
+    # Every block either goes through np.loadtxt at once or falls back to the
+    # row loop; either way the table, or the error and its line, must be the
+    # per-row loader's, bit for bit.
+    hypothesis = pytest.importorskip("hypothesis")
+    monkeypatch.setattr(traffic, "_FEATURE_BLOCK", block)
+    path = tmp_path / "generated.csv"
+
+    @hypothesis.settings(deadline=None)  # a slow example on a loaded box is not a failure
+    @hypothesis.given(feature_files(hypothesis.strategies))
+    @hypothesis.example("f1,label\n1.0\x1c,0\n")  # loadtxt strips \x1c, float does not
+    @hypothesis.example("f1,label\n1.0#x,0\n")  # "#" starts no comment
+    @hypothesis.example("f1,f2,label,attack_type\n" + "0.5,0.25,0,\n" * 20 + "1_0,2,1,scan\n")
+    def check(text):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        (table, got_err), (rows, want_err) = load_both(path)
+        if want_err is not None:
+            assert type(got_err) is type(want_err) and str(got_err) == str(want_err)
+            assert getattr(got_err, "line_no", None) == getattr(want_err, "line_no", None)
+            return
+        assert got_err is None
+        width = table.features.shape[1]
+        expected = np.array([feats for feats, _, _ in rows], dtype=float).reshape(-1, width)
+        assert table.features.tobytes() == expected.tobytes()
+        assert table.features.shape == expected.shape
+        assert table.label == tuple(label for _, label, _ in rows)
+        assert table.attack_type == tuple(kind for _, _, kind in rows)
+
+    check()
+
+
 # -- synthetic traces ---------------------------------------------------------------
 
 

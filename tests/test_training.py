@@ -4,7 +4,7 @@ batch/incremental equivalence."""
 import numpy as np
 import pytest
 
-from aadetect.aadrnn import AadrnnModel
+from aadetect.aadrnn import AadrnnModel, activation
 from aadetect.config import TrainSection, config_from_dict
 from aadetect.detector import salt_for_address
 from aadetect.metrics import DimensionError
@@ -254,6 +254,58 @@ def test_chunked_fold_equals_per_row_oracle(dim):
         assert stats.n == expected.n == 600
         assert np.array_equal(stats.G, expected.G) and np.array_equal(stats.C, expected.C)
         assert np.array_equal(fitted.readout, solve_readout(expected, cfg.ridge_lambda))
+
+
+def same_bits(a, b):
+    """Equal shapes and bytes: -0.0 and 0.0 differ here, unlike under ==."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 20])
+def test_one_chunk_pass_equals_the_per_row_oracles_at_chunk_edges(dim):
+    # 255, 256, 257 and 513 rows end just before, on and just after a
+    # _FOLD_CHUNK boundary; each is folded onto empty statistics and onto
+    # statistics the per-row oracle built from other rows.
+    model = AadrnnModel.initial(dim, 50 + dim)
+    rng = np.random.default_rng(60 + dim)
+    head = random_rows(rng, 37, dim)
+    for salt in (None, 4321):
+        cfg = TrainSection(noise_sigma=0.1, ridge_lambda=1e-4, seed=11)
+        empty = SufficientStats.empty(dim)
+        earlier = per_row_accumulate_pairs(empty, per_row_corrupt_window(head, 0, cfg, salt),
+                                           head, model)
+        for n in (1, 255, 256, 257, 513):
+            X = random_rows(rng, n, dim)
+            for stats in (empty, earlier):
+                noisy = per_row_corrupt_window(X, stats.n, cfg, salt)
+                expected = per_row_accumulate_pairs(stats, noisy, X, model)
+                got = accumulate_pairs(stats, noisy, X, model)
+                assert same_bits(got.G, expected.G) and same_bits(got.C, expected.C)
+                assert got.n == expected.n == stats.n + n
+                got, fitted = update_incremental(stats, X, model, cfg, salt)
+                assert same_bits(got.G, expected.G) and same_bits(got.C, expected.C)
+                assert got.n == expected.n
+                assert same_bits(fitted.readout, solve_readout(expected, cfg.ridge_lambda))
+
+
+@pytest.mark.parametrize("dim", [1, 3, 20])
+def test_hidden_equals_the_layer_by_layer_activation_and_leaves_its_input(dim):
+    model = AadrnnModel.initial(dim, 70 + dim)
+    X = np.random.default_rng(dim).uniform(-1.0, 3.0, size=(40, dim))
+    X[0] = 0.0
+    X[1] = -0.0  # a signed-zero row: bits are compared, not values
+
+    def reference(x):
+        h = np.asarray(x, dtype=float)
+        for w in model.hidden_weights:
+            h = activation(h @ w.T)
+        return h
+
+    for x in (X[5], X, X[:, None, :], X[:1]):
+        before = x.copy()
+        assert same_bits(model.hidden(x), reference(x))
+        assert same_bits(x, before)
 
 
 def test_accumulation_is_permutation_symmetric():
