@@ -9,14 +9,13 @@
     aadetect synth  --out TRACE --duration S --rate PPS [--seed N] [...]
     aadetect bench  [--seed N]
 
-Exit codes: 0 success, 1 failed assertion or benchmark, 2 usage or I/O error.
+Exit codes: 0 success, 1 failed assertion or benchmark, 2 usage, I/O or training error.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import json
 import operator
@@ -30,9 +29,9 @@ from .detector import Decision, Detector, LifecycleError, Mode, Phase, load_stat
 from .devices import DeviceBank, InfectionReport
 from .evaluation import (DECISION_LOG_FIELDS, EvalReport, align_with_trace, emit_plot_data,
                          ground_truth, read_decision_log, replay, score)
-from .metrics import DimensionError
-from .traffic import (AttackSegment, TraceParseError, TraceSpec, load_feature_dataset,
-                      load_trace, save_trace, synth_trace, trace_blocks)
+from .traffic import (AttackSegment, TraceSpec, load_feature_dataset, load_trace, save_trace,
+                      synth_trace, trace_blocks)
+from .training import TrainingError
 
 _ASSERT_METRICS = ("accuracy", "tpr", "fnr", "tnr", "fpr")
 _ASSERT_OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq,  # "<=" before "<"
@@ -66,22 +65,20 @@ _LOG_FLUSH_EVERY = 1024
 
 
 class _DecisionLogWriter:
-    """Streams a run's decision-log rows, flushed every ``_LOG_FLUSH_EVERY`` rows and at close."""
+    """Streams a run's decision-log rows, flushed every ``_LOG_FLUSH_EVERY`` rows and at close.
+    Rows are plain lines: an int, two float reprs, 0 or 1 and a mode name never need csv quoting."""
 
     def __init__(self, path: Optional[str], mode: str):
         self._fh = open(path, "w", newline="\n", encoding="utf-8") if path else None
         self._mode = mode
-        self._writer = None
         self._rows = 0
         if self._fh:
-            self._writer = csv.writer(self._fh, lineterminator="\n")
-            self._writer.writerow(DECISION_LOG_FIELDS)
+            self._fh.write(",".join(DECISION_LOG_FIELDS) + "\n")
 
     def write(self, d: Decision) -> None:
-        if self._writer is None:
+        if self._fh is None:
             return
-        self._writer.writerow([d.at_us, repr(d.value), repr(d.threshold),
-                               int(d.is_attack), self._mode])
+        self._fh.write(f"{d.at_us},{d.value!r},{d.threshold!r},{int(d.is_attack)},{self._mode}\n")
         self._rows += 1
         if self._rows % _LOG_FLUSH_EVERY == 0:
             self._fh.flush()
@@ -432,8 +429,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Point stdout at devnull so interpreter shutdown does not complain.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, the conventional shell status
-    except (ValueError, OSError, LifecycleError, DimensionError, TraceParseError,
-            KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, LifecycleError, TrainingError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

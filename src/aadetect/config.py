@@ -54,7 +54,6 @@ class DeviceSection:
     hysteresis_k: int = 3
     ttl_seconds: float = 3600.0
     init_len: int = 200
-    window_len: Optional[int] = None
     window_seconds: Optional[float] = 30.0
     threshold_scale: float = 8.0
 
@@ -84,7 +83,6 @@ _RULES: Dict[str, Tuple[Callable[[Any], bool], str]] = {
     "device.hysteresis_k": _at_least(1),
     "device.ttl_seconds": _POSITIVE,
     "device.init_len": _at_least(4),
-    "device.window_len": _at_least(1),
     "device.window_seconds": _POSITIVE,
     "device.threshold_scale": _POSITIVE,
 }

@@ -143,18 +143,17 @@ class Detector:
             raise DimensionError(f"metrics.gamma has {len(gamma)} weights, "
                                  f"a {self.mode.value} detector needs {dim}")
         self.gamma = np.asarray(gamma, dtype=float)
-        # The one place config becomes init, window and threshold policy.
-        # Device init is count-based (see the devices module docstring).
+        # The one place config becomes init, window and threshold policy. Device
+        # init counts rows; device retraining is time-paced (devices docstring).
         if self.mode == Mode.DEVICE:
             policy = config.device
-            self._init_seconds = None
+            self._init_seconds = self._window_len = None
             self._threshold_scale = policy.threshold_scale
         else:
             policy = config.train
-            self._init_seconds = policy.init_seconds
+            self._init_seconds, self._window_len = policy.init_seconds, policy.window_len
             self._threshold_scale = 1.0
         self._init_len = policy.init_len
-        self._window_len = policy.window_len
         self._window_seconds = policy.window_seconds
         self._noise_salt = noise_salt
         if online is None:

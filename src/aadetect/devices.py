@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import Config
 from .detector import MODE_DIM, Decision, Detector, Mode, salt_for_address
-from .metrics import DimensionError, DirectionalMetrics
+from .metrics import DirectionalMetrics
 from .traffic import Packet
 
 DEVICE_DIM = MODE_DIM[Mode.DEVICE]
@@ -103,10 +103,7 @@ class DeviceBank:
         self._packets = 0
         self._ttl_us = int(round(config.device.ttl_seconds * 1e6))
         self._init_bytes = config.device.init_len * DEVICE_DIM * 8
-        gamma = config.metrics.gamma  # Detector's check, made before any device has one
-        if gamma and len(gamma) != DEVICE_DIM:
-            raise DimensionError(f"metrics.gamma has {len(gamma)} weights, "
-                                 f"a device detector needs {DEVICE_DIM}")
+        Detector(DEVICE_DIM, config, mode=Mode.DEVICE)  # rejects a config no device could take
 
     def __len__(self) -> int:
         return len(self._devices)

@@ -20,7 +20,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from .config import Config
 from .detector import Decision, Detector
 from .devices import DeviceBank, InfectionReport
-from .traffic import FeatureTable, Trace
+from .traffic import FeatureTable, Trace, write_csv
 
 DECISION_LOG_FIELDS = ("timestamp_us", "decision_value", "threshold", "is_attack", "mode")
 
@@ -255,32 +255,17 @@ def emit_plot_data(report: Union[EvalReport, InfectionReport],
     """Write plottable CSV series for a report; returns the files written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
     if isinstance(report, InfectionReport):
-        path = out_dir / "infection_levels.csv"
-        with open(path, "w", newline="\n", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["addr", "infection_level", "peak_level", "is_compromised",
-                             "decisions_count"])
-            for row in report.devices:
-                writer.writerow([row.addr, repr(row.infection_level), repr(row.peak_level),
-                                 int(row.is_compromised), row.decisions_count])
-        written.append(path)
-        return written
-
-    path = out_dir / "decision_series.csv"
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp_us", "decision_value", "threshold"])
-        for d in report.decisions:
-            writer.writerow([d.at_us, repr(d.value), repr(d.threshold)])
-    written.append(path)
-
-    path = out_dir / "per_type_accuracy.csv"
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["attack_type", "accuracy_pct"])
-        for name, acc in report.per_attack_type.items():
-            writer.writerow([name, repr(acc)])
-    written.append(path)
-    return written
+        tables = {"infection_levels.csv": (
+            ("addr", "infection_level", "peak_level", "is_compromised", "decisions_count"),
+            ((row.addr, repr(row.infection_level), repr(row.peak_level),
+              int(row.is_compromised), row.decisions_count) for row in report.devices))}
+    else:
+        tables = {
+            "decision_series.csv": (("timestamp_us", "decision_value", "threshold"),
+                                    ((d.at_us, repr(d.value), repr(d.threshold))
+                                     for d in report.decisions)),
+            "per_type_accuracy.csv": (("attack_type", "accuracy_pct"),
+                                      ((name, repr(acc))
+                                       for name, acc in report.per_attack_type.items()))}
+    return [write_csv(out_dir / name, header, rows) for name, (header, rows) in tables.items()]

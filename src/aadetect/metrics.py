@@ -197,10 +197,7 @@ class MinMaxScaler:
         span = self.hi - self.lo
         safe = np.where(span == 0.0, 1.0, span)
         out = (features - self.lo) / safe
-        if features.ndim == 1:
-            out[span == 0.0] = 0.0
-        else:
-            out[:, span == 0.0] = 0.0
+        out[..., span == 0.0] = 0.0
         return out
 
     def to_json(self) -> dict:

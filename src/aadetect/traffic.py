@@ -3,7 +3,8 @@
 Canonical trace CSV: header ``timestamp_us,src,dst,size_bytes,label,attack_type``
 with ``label`` in {0, 1, empty} and ``attack_type`` free text (empty when absent).
 Feature CSV: header ``f1,...,fM,label,attack_type``. Timestamps are integer
-microseconds so inter-arrival arithmetic stays exact.
+microseconds so inter-arrival arithmetic stays exact. ``write_csv`` writes
+every whole CSV file the package makes: traces, feature tables, plot data.
 
 A ``Trace`` is its six columns; a packet in flight is the plain tuple
 ``(timestamp_us, src, dst, size_bytes)`` (a ``Packet``) that iterating a
@@ -29,7 +30,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -282,15 +283,22 @@ def load_trace(path: Union[str, Path]) -> Trace:
     return Trace(np.concatenate(ts_blocks), src, dst, np.concatenate(size_blocks), labels, types)
 
 
-def save_trace(trace: Trace, path: Union[str, Path]) -> None:
-    """Write a trace back to canonical CSV (UTF-8, LF line endings)."""
+def write_csv(path: Union[str, Path], header: Sequence, rows: Iterable[Sequence]) -> Path:
+    """Write a whole CSV file: UTF-8, LF line endings, the header, then the
+    rows, quoted by ``csv.writer`` only where a field needs it. Returns the path."""
     path = Path(path)
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_FIELDS)
-        writer.writerows(zip(trace.timestamp_us.tolist(), trace.src, trace.dst,
-                             trace.size_bytes.tolist(), map(_LABEL_TEXT.__getitem__, trace.label),
-                             [kind or "" for kind in trace.attack_type]))
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def save_trace(trace: Trace, path: Union[str, Path]) -> None:
+    """Write a trace back to canonical CSV (``write_csv``)."""
+    write_csv(path, TRACE_FIELDS, zip(
+        trace.timestamp_us.tolist(), trace.src, trace.dst, trace.size_bytes.tolist(),
+        map(_LABEL_TEXT.__getitem__, trace.label), [kind or "" for kind in trace.attack_type]))
 
 
 # Feature lines parsed per block: enough to amortise the numpy calls, while a
@@ -370,16 +378,13 @@ def load_feature_dataset(path: Union[str, Path]) -> FeatureTable:
 
 
 def save_feature_dataset(table: FeatureTable, path: Union[str, Path]) -> None:
-    """Write a feature table as ``f1,...,fM,label,attack_type``."""
-    path = Path(path)
+    """Write a feature table as ``f1,...,fM,label,attack_type`` (``write_csv``)."""
     if not len(table):
         raise ValueError("no feature rows to write")
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"f{i + 1}" for i in range(table.features.shape[1])]
-                        + ["label", "attack_type"])
-        for feats, label, kind in zip(table.features.tolist(), table.label, table.attack_type):
-            writer.writerow(list(map(repr, feats)) + [_LABEL_TEXT[label], kind or ""])
+    header = [f"f{i + 1}" for i in range(table.features.shape[1])] + ["label", "attack_type"]
+    rows = zip(table.features.tolist(), table.label, table.attack_type)
+    write_csv(path, header, (list(map(repr, feats)) + [_LABEL_TEXT[label], kind or ""]
+                             for feats, label, kind in rows))
 
 
 # ---------------------------------------------------------------------------

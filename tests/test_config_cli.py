@@ -43,7 +43,7 @@ def test_default_config_values():
     assert cfg.threshold.mode == "whisker"
     assert cfg.device.alpha == 0.1 and cfg.device.level_threshold == 0.5
     assert cfg.device.hysteresis_k == 3
-    assert cfg.device.window_seconds == 30.0 and cfg.device.window_len is None
+    assert cfg.device.window_seconds == 30.0 and not hasattr(cfg.device, "window_len")
 
 
 def test_config_from_dict_rejects_unknown_names():
@@ -421,8 +421,7 @@ NUMERIC_KEYS = ["metrics.N", "metrics.T_seconds", "train.noise_sigma", "train.ri
                 "train.window_len", "train.window_seconds", "train.seed", "train.init_len",
                 "train.init_seconds", "threshold.value", "device.alpha",
                 "device.level_threshold", "device.hysteresis_k", "device.ttl_seconds",
-                "device.init_len", "device.window_len", "device.window_seconds",
-                "device.threshold_scale"]
+                "device.init_len", "device.window_seconds", "device.threshold_scale"]
 
 
 def test_numeric_keys_are_every_number_in_the_config():
@@ -431,7 +430,7 @@ def test_numeric_keys_are_every_number_in_the_config():
                if isinstance(value, (int, float)) and not isinstance(value, bool)}
     assert numbers <= set(NUMERIC_KEYS)
     assert set(NUMERIC_KEYS) - numbers == {"train.window_seconds", "train.init_seconds",
-                                           "threshold.value", "device.window_len"}  # None by default
+                                           "threshold.value"}  # None by default
 
 
 @pytest.mark.parametrize("override", [f"{key}=abc" for key in NUMERIC_KEYS]
@@ -452,6 +451,19 @@ def test_a_wrong_type_in_a_numeric_key_exits_2(flood_trace_file, tmp_path, capsy
     err = capsys.readouterr().err
     assert re.fullmatch(rf"error: {re.escape(key)} must be (a number|an integer)( or null)?, "
                         rf"got {re.escape(repr(value))}\n", err), err
+    assert not log.exists()
+
+
+def test_device_retraining_has_no_count_window(flood_trace_file, tmp_path, capsys):
+    # Device retraining is paced by stream time only: device.window_len is
+    # an unknown key, in a config file and on the command line alike.
+    with pytest.raises(ValueError, match="unknown key.*'device': window_len"):
+        config_from_dict({"device": {"window_len": 5}})
+    log = tmp_path / "never.csv"
+    rc = cli.main(["replay", str(flood_trace_file), "--devices", "--log", str(log),
+                   "--set", "device.window_len=5"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: unknown key(s) in section 'device': window_len\n"
     assert not log.exists()
 
 
@@ -673,6 +685,30 @@ def test_a_replay_that_fails_part_way_keeps_every_row_judged_before(flood_trace_
     monkeypatch.setattr(cli, "replay", replay_lost_after_1500)
     assert main_closing_every_file(argv + ["--log", str(cut)]) == 2
     assert cut.read_text() == "".join(rows[:1501])  # the header and 1500 judged rows
+
+
+def test_a_failed_readout_solve_exits_2_and_keeps_every_row_judged_before(tmp_path, capsys):
+    # Feature values near the float limit are judged benign under a huge fixed
+    # threshold, so the fourth of them completes a window whose readout solve
+    # overflows. The log of the failed run is that of the same replay stopped
+    # just before that row.
+    rng = np.random.default_rng(67)
+    table = FeatureTable(np.vstack([rng.random((60, 2)), np.full((10, 2), 1.5e308)]),
+                         [False] * 70)
+    full, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
+    save_feature_dataset(table, full)
+    save_feature_dataset(FeatureTable(table.features[:63], table.label[:63]), cut)
+    flags = ["--features", "--online", "--set", "train.init_len=40", "--set",
+             "train.window_len=4", "--set", "threshold.mode=fixed",
+             "--set", "threshold.value=1.7e308"]
+    assert cli.main(["replay", str(cut), "--log", str(tmp_path / "cut.log")] + flags) == 0
+    capsys.readouterr()
+    rc = main_closing_every_file(["replay", str(full), "--log", str(tmp_path / "full.log")]
+                                 + flags)
+    assert rc == 2
+    assert capsys.readouterr().err == "error: readout solve produced non-finite values\n"
+    logged = (tmp_path / "full.log").read_text()
+    assert logged == (tmp_path / "cut.log").read_text() and logged.count("\n") == 1 + 23
 
 
 @pytest.mark.parametrize("kind", ["packets", "features"])

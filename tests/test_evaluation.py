@@ -9,13 +9,13 @@ from aadetect.cli import write_decision_log
 from aadetect.config import config_from_dict
 from aadetect.detector import (Decision, Detector, Mode, simple_threshold_baseline,
                                whisker_threshold)
-from aadetect.devices import DeviceBank
+from aadetect.devices import DeviceBank, DeviceReportRow, InfectionReport
 from aadetect.evaluation import (align_with_trace, compare_online_offline,
                                  emit_plot_data, ground_truth, read_decision_log, replay,
                                  run, score)
 from aadetect.metrics import ScalingFactors
 from aadetect.traffic import (AttackSegment, FeatureTable, Trace, TraceSpec,
-                              synth_trace)
+                              save_feature_dataset, save_trace, synth_trace)
 
 
 def mk_decision(is_attack, at_us=0, value=None, threshold=0.5):
@@ -412,3 +412,40 @@ def test_emit_plot_data_for_infection_report(tmp_path):
     lines = (tmp_path / "infection_levels.csv").read_text().splitlines()
     assert lines[0] == "addr,infection_level,peak_level,is_compromised,decisions_count"
     assert len(lines) == 3  # two devices
+
+
+def test_every_csv_the_package_writes_has_exact_bytes(tmp_path):
+    # Signed zero, the smallest subnormal and a huge value keep their repr;
+    # a comma or a quote in a field is csv-quoted; every line ends in LF.
+    types = [None, "a,b", 'say "hi"']
+    save_trace(Trace([0, 5, 7], ["10.0.0.1", "10.0.0.3", "10.0.0.1"],
+                     ["10.0.0.2", "10.0.0.1", "10.0.0.3"], [60, 0, 1500],
+                     [None, True, False], types), tmp_path / "trace.csv")
+    save_feature_dataset(FeatureTable([[-0.0, 5e-324], [1e300, 0.5], [0.25, -1e300]],
+                                      [False, True, None], types), tmp_path / "features.csv")
+    decisions = [Decision(0, -0.0, 5e-324, False), Decision(5, 1e300, 0.5, True),
+                 Decision(7, 5e-324, 1e300, False)]
+    emit_plot_data(score(decisions, [False, True, True], types), tmp_path)
+    emit_plot_data(InfectionReport((DeviceReportRow("10.0.0.1", -0.0, 5e-324, True, 3, 7),
+                                    DeviceReportRow("10.0.0.2", 0.5, 1e300, False, 0, 5)),
+                                   packets=3, compromised=("10.0.0.1",)), tmp_path)
+    write_decision_log(decisions, "botnet", tmp_path / "log.csv")
+    expected = {
+        "trace.csv": b'timestamp_us,src,dst,size_bytes,label,attack_type\n'
+                     b'0,10.0.0.1,10.0.0.2,60,,\n'
+                     b'5,10.0.0.3,10.0.0.1,0,1,"a,b"\n'
+                     b'7,10.0.0.1,10.0.0.3,1500,0,"say ""hi"""\n',
+        "features.csv": b'f1,f2,label,attack_type\n'
+                        b'-0.0,5e-324,0,\n'
+                        b'1e+300,0.5,1,"a,b"\n'
+                        b'0.25,-1e+300,,"say ""hi"""\n',
+        "decision_series.csv": b"timestamp_us,decision_value,threshold\n"
+                               b"0,-0.0,5e-324\n5,1e+300,0.5\n7,5e-324,1e+300\n",
+        "per_type_accuracy.csv": b'attack_type,accuracy_pct\n"a,b",100.0\n"say ""hi""",0.0\n',
+        "infection_levels.csv": b"addr,infection_level,peak_level,is_compromised,"
+                                b"decisions_count\n"
+                                b"10.0.0.1,-0.0,5e-324,1,3\n10.0.0.2,0.5,1e+300,0,0\n",
+        "log.csv": b"timestamp_us,decision_value,threshold,is_attack,mode\n"
+                   b"0,-0.0,5e-324,0,botnet\n5,1e+300,0.5,1,botnet\n7,5e-324,1e+300,0,botnet\n",
+    }
+    assert {name: (tmp_path / name).read_bytes() for name in expected} == expected
