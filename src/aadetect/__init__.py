@@ -11,6 +11,18 @@ The names below are the ones the README documents; everything else is
 imported from its module.
 """
 
+import os as _os
+
+# Every product here is M x M (M = 3, 6 or the feature width), so OpenBLAS
+# worker threads only cost start-up and hand-off. OpenBLAS reads this variable
+# once, as numpy loads it; a caller's value or an already loaded numpy is kept.
+if "OPENBLAS_NUM_THREADS" not in _os.environ:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .config import Config, config_from_dict
 from .detector import Detector, Mode, load_state, save_state
 from .devices import DeviceBank

@@ -23,7 +23,6 @@ import os
 import sys
 from typing import Iterable, List, Optional, Sequence, Union
 
-from . import bench as bench_mod
 from .config import Config, apply_overrides, load_config
 from .detector import Decision, Detector, LifecycleError, Mode, Phase, load_state, save_state
 from .devices import DeviceBank, InfectionReport
@@ -334,7 +333,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    checks = bench_mod.run_all(seed=args.seed)
+    from .bench import run_all  # only this command needs it: no other start pays its import
+
+    checks = run_all(seed=args.seed)
     for check in checks:
         print(check.line())
     failed = sum(1 for c in checks if not c.passed)

@@ -21,12 +21,14 @@ was made.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import os
 import zlib
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, List, NamedTuple, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -35,7 +37,8 @@ from .config import Config
 from .metrics import (DimensionError, StreamMetrics, fit_scaling, min_max_fit,
                       scaler_from_json)
 from .traffic import Packet
-from .training import SufficientStats, fit_batch_with_stats, update_incremental
+from .training import (SufficientStats, TrainingError, fit_batch_with_stats,
+                       update_incremental)
 
 STATE_VERSION = 1
 
@@ -235,7 +238,11 @@ class Detector:
         is_attack = d > self.threshold
         decision = Decision(at_us, d, self.threshold, is_attack)  # before a refit moves it
         if self.phase == Phase.ONLINE and not is_attack:
-            self._accept(x, d, at_us)
+            try:
+                self._accept(x, d, at_us)
+            except (TrainingError, ValueError) as exc:
+                exc.decision = decision  # judged before its refit failed: ``replay`` hands it out
+                raise
         return decision
 
     # -- lifecycle ----------------------------------------------------------
@@ -337,7 +344,8 @@ def save_state(detector: Detector, path: Union[str, Path]) -> None:
     """Persist a detector's model, scaler, threshold, and training statistics.
 
     The file is deterministic for a deterministic run (sorted keys, exact
-    float round-trip via repr).
+    float round-trip via repr). It is written through ``_replace_file``, so a
+    failed save leaves the previous file whole.
     """
     if detector.phase == Phase.INIT:
         raise LifecycleError("cannot save a detector that has not finished init")
@@ -349,9 +357,28 @@ def save_state(detector: Detector, path: Union[str, Path]) -> None:
     doc["gamma"] = [float(g) for g in detector.gamma]
     doc["stats"] = {"G": detector.stats.G.tolist(), "C": detector.stats.C.tolist(),
                     "n": detector.stats.n}
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replace_file(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+@contextlib.contextmanager
+def _replace_file(path: Union[str, Path]) -> Iterator[TextIO]:
+    """A text file that replaces ``path`` only once it is written in full:
+    the text goes to a temporary file in the same directory, which is fsynced
+    and then ``os.replace``d over ``path``. If the write raises, ``path`` is
+    left as it was and the temporary file is removed."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_state(path: Union[str, Path], config: Optional[Config] = None, *,

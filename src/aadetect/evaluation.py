@@ -21,6 +21,7 @@ from .config import Config
 from .detector import Decision, Detector
 from .devices import DeviceBank, InfectionReport
 from .traffic import FeatureTable, Trace, write_csv
+from .training import TrainingError
 
 DECISION_LOG_FIELDS = ("timestamp_us", "decision_value", "threshold", "is_attack", "mode")
 
@@ -136,14 +137,21 @@ def replay(engine: Union[Detector, DeviceBank], items: Union[Trace, FeatureTable
     (``Detector.step_rows``). For a single detector, the items that feed
     init form a prefix of ``items`` and every later item yields exactly one
     decision, so n decisions belong to the last n items (``ground_truth``).
+    A row whose window refit raises was judged first: its decision is
+    yielded before the error propagates.
     """
     if isinstance(engine, DeviceBank):
         for pkt in items:
             yield from engine.ingest(pkt)
         return
-    for decision in engine.step_rows(items):
-        if decision is not None:
-            yield None, decision
+    try:
+        for decision in engine.step_rows(items):
+            if decision is not None:
+                yield None, decision
+    except (TrainingError, ValueError) as exc:
+        if hasattr(exc, "decision"):
+            yield None, exc.decision
+        raise
 
 
 def ground_truth(items: Union[Trace, FeatureTable], n: int) -> Tuple[tuple, tuple]:

@@ -691,7 +691,8 @@ def test_a_failed_readout_solve_exits_2_and_keeps_every_row_judged_before(tmp_pa
     # Feature values near the float limit are judged benign under a huge fixed
     # threshold, so the fourth of them completes a window whose readout solve
     # overflows. The log of the failed run is that of the same replay stopped
-    # just before that row.
+    # just before that row, plus the row itself: it was judged before its
+    # refit raised.
     rng = np.random.default_rng(67)
     table = FeatureTable(np.vstack([rng.random((60, 2)), np.full((10, 2), 1.5e308)]),
                          [False] * 70)
@@ -708,7 +709,9 @@ def test_a_failed_readout_solve_exits_2_and_keeps_every_row_judged_before(tmp_pa
     assert rc == 2
     assert capsys.readouterr().err == "error: readout solve produced non-finite values\n"
     logged = (tmp_path / "full.log").read_text()
-    assert logged == (tmp_path / "cut.log").read_text() and logged.count("\n") == 1 + 23
+    assert logged.startswith((tmp_path / "cut.log").read_text())
+    assert logged.count("\n") == 1 + 24
+    assert logged.splitlines()[-1].startswith("63,") and logged.endswith(",0,features\n")
 
 
 @pytest.mark.parametrize("kind", ["packets", "features"])
@@ -850,6 +853,73 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout == "[]\n"
+
+
+def python_env(**set_vars):
+    """The environment for a fresh interpreter that imports this aadetect,
+    with ``OPENBLAS_NUM_THREADS`` set only as given."""
+    env = dict(os.environ, PYTHONPATH=str(Path(aadetect.__file__).resolve().parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(set_vars)
+    return env
+
+
+@pytest.mark.parametrize("set_threads", [None, "2"])
+def test_aadetect_loads_numpy_with_one_openblas_thread_unless_the_caller_sets_it(set_threads):
+    # Test modules load numpy before aadetect, so only a fresh interpreter shows it.
+    if set_threads and (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS starts no second thread on one core")
+    code = ("import os, sys, aadetect, numpy as np; np.ones((256, 64)) @ np.ones((64, 64)); "
+            "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), tasks)")
+    env = python_env() if set_threads is None else python_env(OPENBLAS_NUM_THREADS=set_threads)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    variable, tasks = out.stdout.split()
+    assert variable == str(set_threads)  # unset again, or the caller's value kept
+    if sys.platform != "linux":
+        pytest.skip("/proc/self/task counts threads on Linux only")
+    assert tasks == (set_threads or "1")
+
+
+def test_every_output_is_the_same_under_one_and_two_openblas_threads(tmp_path):
+    # OpenBLAS splits a product over output blocks, never over its inner sum,
+    # so the thread count must not move a bit of any state, log, alert or report.
+    rng = np.random.default_rng(83)
+    assert cli.main(["synth", "--out", str(tmp_path / "trace.csv"), "--duration", "40",
+                     "--rate", "30", "--seed", "5", "--hosts", "10.0.0.1,10.0.0.2,10.0.0.3",
+                     "--flood", "30:40:20", "--attacker", "10.0.0.3"]) == 0
+    save_feature_dataset(feature_table(rng, 20, (3000, 0.5, 0.05, None)),
+                         tmp_path / "train.csv")  # an init forward big enough to thread
+    save_feature_dataset(feature_table(rng, 20, (200, 0.5, 0.05, None), (20, 3.0, 0.1, "shift")),
+                         tmp_path / "test.csv")
+    packet = ["--set", "train.init_len=300", "--set", "train.window_len=100"]
+    devices = ["--set", "device.init_len=6", "--set", "metrics.N=5",
+               "--set", "metrics.T_seconds=1.0"]
+    runs = [["init", "trace.csv", "--out", "packet.json"] + packet,
+            ["replay", "trace.csv", "--state", "packet.json", "--online", "--log", "packet.log",
+             "--alerts", "packet.jsonl", "--report", "packet.report.json",
+             "--save-state", "packet.after.json"] + packet,
+            ["init", "train.csv", "--features", "--out", "features.json"],
+            ["replay", "test.csv", "--features", "--state", "features.json", "--frozen",
+             "--log", "features.log", "--alerts", "features.jsonl",
+             "--report", "features.report.json"],
+            ["replay", "trace.csv", "--devices", "--log", "devices.log",
+             "--alerts", "devices.jsonl", "--report", "devices.report.json"] + devices]
+    code = f"import aadetect.cli\nfor argv in {runs!r}:\n    assert aadetect.cli.main(argv) == 0"
+    outputs = {}
+    for threads in ("1", "2"):
+        work = tmp_path / f"threads{threads}"
+        work.mkdir()
+        for name in ("trace.csv", "train.csv", "test.csv"):
+            (work / name).write_bytes((tmp_path / name).read_bytes())
+        out = subprocess.run([sys.executable, "-c", code], cwd=work, capture_output=True,
+                             env=python_env(OPENBLAS_NUM_THREADS=threads), check=True,
+                             timeout=120)
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+        outputs[threads]["stdout"] = out.stdout
+    assert len(outputs["1"]) == 3 + 12 + 1
+    assert outputs["1"] == outputs["2"]
 
 
 @pytest.mark.parametrize("mode", ["packets", "features", "devices"])

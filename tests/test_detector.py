@@ -1,8 +1,10 @@
 """Decision math against order-statistic oracles, the detector lifecycle, the
 semi-supervised training gate, and state persistence."""
 
+import errno
 import json
 import math
+import os
 import zlib
 
 import numpy as np
@@ -533,6 +535,30 @@ def test_interrupted_run_equals_uninterrupted(tmp_path):
 
     for a, b in zip(straight_vals[cut:], resumed_vals):
         assert a.value == b.value and a.is_attack == b.is_attack
+
+
+def test_a_save_that_fails_part_way_leaves_the_old_state_whole(tmp_path, monkeypatch):
+    # Resuming in place (replay --state S --save-state S) has only this copy.
+    rng = np.random.default_rng(179)
+    det, t = warmed_detector(rng)
+    path = tmp_path / "state.json"
+    save_state(det, path)
+    old = path.read_bytes()
+    for i in range(6):
+        det.observe(benign_row(rng), t + (i + 1) * 100_000)
+
+    def dump_then_fail(doc, fh, **kwargs):
+        fh.write(json.dumps(doc, **kwargs)[:100])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(OSError):
+        save_state(det, path)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["state.json"]
+    monkeypatch.undo()
+    save_state(det, path)
+    assert path.read_bytes() != old and os.listdir(tmp_path) == ["state.json"]
 
 
 def test_save_during_init_is_an_error(tmp_path):
