@@ -7,13 +7,17 @@ the final linear readout is ever fitted. Layer l computes
 ``zeta(v) = v / (1 + v)``, and the readout reconstructs the input:
 ``x_hat = h_L @ W_out``. There are no bias terms.
 
-Hidden weights are drawn i.i.d. Uniform(0, 1/M) from a generator seeded by
-``train.seed``, which keeps every pre-activation nonnegative for nonnegative
-inputs and every hidden activation in [0, 1).
+Hidden weights are drawn i.i.d. Uniform(0, 1/M), which keeps every
+pre-activation nonnegative for nonnegative inputs and every hidden activation
+in [0, 1). They are the draws ``np.random.default_rng(train.seed).uniform(0,
+1/M, (M, M))`` makes for each layer in turn, computed with Python ints (NumPy's
+SeedSequence, then PCG64), so ``numpy.random`` is never imported; NumPy keeps
+both streams unchanged across releases (NEP 19).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -35,12 +39,59 @@ def activation(v: np.ndarray, r: float = 1.0, c: float = 1.0) -> np.ndarray:
     return v / (r + c * v)
 
 
+# NumPy's SeedSequence hash and PCG64 multiplier (numpy/random/bit_generator.pyx,
+# numpy/random/src/pcg64/pcg64.h).
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(const: int, mult: int):
+    """SeedSequence's hash with its running constant, advanced on each call."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
 def init_hidden_weights(input_dim: int, seed: int) -> Tuple[np.ndarray, ...]:
-    """Draw the ``LAYERS`` frozen (M, M) hidden weights. Deterministic per seed."""
-    rng = np.random.default_rng(seed)
+    """Draw the ``LAYERS`` frozen (M, M) hidden weights: bit for bit the
+    ``default_rng(seed).uniform(0, 1/M, (M, M))`` draws, layer after layer
+    from one generator (see the module docstring)."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    hash_a = _hashmix(_INIT_A, _MULT_A)
+    pool = [hash_a(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+
+    def mix_in(dst: int, value: int) -> None:
+        mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * hash_a(value)) & _MASK32
+        pool[dst] = mixed ^ mixed >> 16
+    for src in range(4):  # every pool word into every other, then the rest of the entropy
+        for dst in range(4):
+            if src != dst:
+                mix_in(dst, pool[src])
+    for word in entropy[4:]:
+        for dst in range(4):
+            mix_in(dst, word)
+    hash_b = _hashmix(_INIT_B, _MULT_B)
+    words = [hash_b(pool[i % 4]) for i in range(8)]  # generate_state(4, np.uint64)
+    init_state = words[0] << 64 | words[1] << 96 | words[2] | words[3] << 32
+    inc = ((words[4] << 64 | words[5] << 96 | words[6] | words[7] << 32) << 1 | 1) & _MASK128
+    state = ((inc + init_state) * _PCG_MULT + inc) & _MASK128  # pcg64_set_seed
     weights = []
     for _ in range(LAYERS):
-        w = rng.uniform(0.0, 1.0 / input_dim, size=(input_dim, input_dim))
+        draws = []
+        for _ in range(input_dim * input_dim):
+            state = (state * _PCG_MULT + inc) & _MASK128
+            x, rot = ((state >> 64) ^ state) & _MASK64, state >> 122
+            x = (x >> rot | x << (64 - rot)) & _MASK64
+            draws.append((1.0 / input_dim) * ((x >> 11) * (1.0 / 9007199254740992.0)))
+        w = np.array(draws).reshape(input_dim, input_dim)
         w.flags.writeable = False
         weights.append(w)
     return tuple(weights)

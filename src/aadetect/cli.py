@@ -24,7 +24,8 @@ import sys
 from typing import Iterable, List, Optional, Sequence, Union
 
 from .config import Config, apply_overrides, load_config
-from .detector import Decision, Detector, LifecycleError, Mode, Phase, load_state, save_state
+from .detector import (STATE_VERSION, Decision, Detector, LifecycleError, Mode, Phase,
+                       load_state, save_state)
 from .devices import DeviceBank, InfectionReport
 from .evaluation import (DECISION_LOG_FIELDS, EvalReport, align_with_trace, emit_plot_data,
                          ground_truth, read_decision_log, replay, score)
@@ -174,6 +175,9 @@ def cmd_replay(args) -> int:
         engine = DeviceBank(config)
     elif args.state:
         engine = load_state(args.state, config, online=bool(args.online))  # stays frozen unless asked
+        if args.save_state and engine.state_version != STATE_VERSION:
+            raise ValueError(f"--save-state: {args.state} is a version {engine.state_version} "
+                             "state, which replays frozen only")
         if engine.mode != kind:
             raise ValueError(f"state file holds a {engine.mode.value} detector, "
                              f"expected {kind.value}")

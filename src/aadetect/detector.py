@@ -40,7 +40,10 @@ from .traffic import Packet
 from .training import (SufficientStats, TrainingError, fit_batch_with_stats,
                        update_incremental)
 
-STATE_VERSION = 1
+# Version 2: the readout statistics are trained on the keyed counter noise
+# (``training``). A version-1 state, trained on per-row PCG64 noise, still
+# decides as it did, but cannot be trained on or saved again.
+STATE_VERSION = 2
 
 
 class Mode(str, Enum):
@@ -129,6 +132,8 @@ class Detector:
     rows (min-max scaling); DEVICE detectors are fed 6-value vectors by the
     device bank via ``observe``.
     """
+
+    state_version = STATE_VERSION  # a detector loaded from an older state says so
 
     def __init__(self, dim: int, config: Config, mode: Union[Mode, str] = Mode.BOTNET, *,
                  online: Optional[bool] = None, noise_salt: Optional[int] = None):
@@ -241,7 +246,7 @@ class Detector:
             try:
                 self._accept(x, d, at_us)
             except (TrainingError, ValueError) as exc:
-                exc.decision = decision  # judged before its refit failed: ``replay`` hands it out
+                exc.decisions = [(None, decision)]  # judged before the refit failed: see ``replay``
                 raise
         return decision
 
@@ -349,6 +354,8 @@ def save_state(detector: Detector, path: Union[str, Path]) -> None:
     """
     if detector.phase == Phase.INIT:
         raise LifecycleError("cannot save a detector that has not finished init")
+    if detector.state_version != STATE_VERSION:
+        raise ValueError(_frozen_only(detector.state_version))
     doc = {"version": STATE_VERSION}
     doc.update(model_to_json(detector.model))
     doc["scaling_factors"] = detector.scaler.to_json()
@@ -405,6 +412,8 @@ def _detector_from_state(doc: dict, config: Config, online: bool) -> Detector:
     version = int(doc.get("version", -1))
     if version < 1 or version > STATE_VERSION:
         raise ValueError(f"version {version} not supported (max {STATE_VERSION})")
+    if version < STATE_VERSION and online:
+        raise ValueError(_frozen_only(version))
     model = model_from_json(doc)
     m = model.input_dim
     # The Detector rejects a model width that the state's mode does not take.
@@ -427,7 +436,13 @@ def _detector_from_state(doc: dict, config: Config, online: bool) -> Detector:
                          f"model: expected G {(m, m)}, C {(m, m)} and n >= 0")
     detector.stats = SufficientStats(G, C, n)
     detector.phase = Phase.ONLINE if online else Phase.FROZEN
+    detector.state_version = version
     return detector
+
+
+def _frozen_only(version: int) -> str:
+    return (f"a version {version} state replays frozen only: its training statistics "
+            f"come from an older noise stream, so it cannot be trained on or saved")
 
 
 def salt_for_address(addr: str) -> int:

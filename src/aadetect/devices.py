@@ -36,6 +36,7 @@ from .config import Config
 from .detector import MODE_DIM, Decision, Detector, Mode, salt_for_address
 from .metrics import DirectionalMetrics
 from .traffic import Packet
+from .training import TrainingError
 
 DEVICE_DIM = MODE_DIM[Mode.DEVICE]
 _EVICTION_CHECK_EVERY = 512
@@ -137,7 +138,11 @@ class DeviceBank:
                     det.initialize(np.frombuffer(rec.init_rows).reshape(-1, DEVICE_DIM))
                     rec.init_rows = None
                 continue
-            decision = det.observe(raw, ts_us)
+            try:
+                decision = det.observe(raw, ts_us)
+            except (TrainingError, ValueError) as exc:  # hand out what this packet judged
+                exc.decisions = out + [(addr, d) for _, d in getattr(exc, "decisions", ())]
+                raise
             rec.decisions_count += 1
             rec.infection_level = infection_level(rec.infection_level, decision.value,
                                                   self.config.device.alpha, det.threshold)

@@ -137,20 +137,20 @@ def replay(engine: Union[Detector, DeviceBank], items: Union[Trace, FeatureTable
     (``Detector.step_rows``). For a single detector, the items that feed
     init form a prefix of ``items`` and every later item yields exactly one
     decision, so n decisions belong to the last n items (``ground_truth``).
-    A row whose window refit raises was judged first: its decision is
-    yielded before the error propagates.
+    A row whose window refit raises was judged first: its decision, and a
+    device bank's other decisions on that packet, are yielded before the
+    error propagates.
     """
-    if isinstance(engine, DeviceBank):
-        for pkt in items:
-            yield from engine.ingest(pkt)
-        return
     try:
-        for decision in engine.step_rows(items):
-            if decision is not None:
-                yield None, decision
+        if isinstance(engine, DeviceBank):
+            for pkt in items:
+                yield from engine.ingest(pkt)
+        else:
+            for decision in engine.step_rows(items):
+                if decision is not None:
+                    yield None, decision
     except (TrainingError, ValueError) as exc:
-        if hasattr(exc, "decision"):
-            yield None, exc.decision
+        yield from getattr(exc, "decisions", ())
         raise
 
 

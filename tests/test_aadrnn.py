@@ -86,6 +86,24 @@ def test_hidden_weights_distribution_and_determinism():
         assert not np.array_equal(w1[0], other[0])
 
 
+@pytest.mark.parametrize("dim", [3, 6, 20])
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**40, 2**64 - 1, 2**70])
+def test_hidden_weights_equal_numpys_pcg64_draws(seed, dim):
+    # The package computes SeedSequence and PCG64 itself, without numpy.random;
+    # 2**64 - 1 and 2**70 are 2 and 3 entropy words.
+    rng = np.random.default_rng(seed)
+    for w in init_hidden_weights(dim, seed):
+        expected = rng.uniform(0.0, 1.0 / dim, size=(dim, dim))
+        assert w.dtype == expected.dtype and w.tobytes() == expected.tobytes()
+
+
+def test_hidden_weights_reject_a_negative_seed_as_numpy_does():
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError):
+        init_hidden_weights(3, -1)
+
+
 # -- forward pass --------------------------------------------------------------------
 
 

@@ -16,12 +16,15 @@ import pytest
 
 import aadetect
 from aadetect import cli
+from aadetect import detector as detector_module
 from aadetect.config import (Config, apply_overrides, config_from_dict,
                              load_config)
-from aadetect.detector import Decision, Detector, LifecycleError, Mode, Phase, save_state
+from aadetect.detector import (Decision, Detector, LifecycleError, Mode, Phase, load_state,
+                               save_state)
 from aadetect.evaluation import read_decision_log
 from aadetect.traffic import (AttackSegment, FeatureTable, TraceSpec, load_feature_dataset,
                               load_trace, save_feature_dataset, save_trace, synth_trace)
+from aadetect.training import TrainingError
 
 
 def feature_table(rng, dim, *blocks):
@@ -853,6 +856,98 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout == "[]\n"
+
+
+def test_init_and_replay_leave_numpy_random_unloaded(tmp_path):
+    # Training draws its noise from a counter hash and its hidden weights from
+    # the package's own PCG64, so no init or replay path imports numpy.random.
+    rng = np.random.default_rng(89)
+    assert cli.main(["synth", "--out", str(tmp_path / "trace.csv"), "--duration", "30",
+                     "--rate", "30", "--seed", "5", "--hosts", "10.0.0.1,10.0.0.2,10.0.0.3",
+                     "--flood", "25:30:20", "--attacker", "10.0.0.3"]) == 0
+    save_feature_dataset(feature_table(rng, 20, (600, 0.5, 0.05, None)), tmp_path / "train.csv")
+    packet = ["--set", "train.init_len=300", "--set", "train.window_len=100"]
+    runs = [["init", "trace.csv", "--out", "packet.json"] + packet,
+            ["init", "train.csv", "--features", "--out", "features.json"],
+            ["replay", "trace.csv", "--state", "packet.json", "--online", "--log", "p.log",
+             "--save-state", "after.json"] + packet,
+            ["replay", "trace.csv", "--devices", "--log", "d.log", "--set", "device.init_len=6",
+             "--set", "metrics.N=5", "--set", "metrics.T_seconds=1.0",
+             "--set", "device.window_seconds=2.0"]]
+    code = ("import sys, aadetect.cli\n"
+            f"for argv in {runs!r}:\n"
+            "    rc = aadetect.cli.main(argv)\n"
+            "    print('run', argv[0], rc, [m for m in sys.modules if m.startswith('numpy.random')])")
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=python_env(),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert [line for line in out.stdout.splitlines() if line.startswith("run ")] \
+        == ["run init 0 []", "run init 0 []", "run replay 0 []", "run replay 0 []"]
+
+
+def version_1_state(tmp_path, trace):
+    """A packet state as a version-1 file holds it: the fields are the same."""
+    state, old = tmp_path / "s.json", tmp_path / "v1.json"
+    assert cli.main(["init", str(trace), "--out", str(state), "--set", "train.init_len=100"]) == 0
+    doc = json.loads(state.read_text())
+    assert doc["version"] == 2
+    old.write_text(json.dumps(dict(doc, version=1), sort_keys=True, indent=1) + "\n")
+    return state, old
+
+
+def test_a_version_1_state_replays_frozen_only(flood_trace_file, tmp_path, capsys):
+    state, old = version_1_state(tmp_path, flood_trace_file)
+    for path in (state, old):
+        assert cli.main(["replay", str(flood_trace_file), "--state", str(path), "--frozen",
+                         "--log", str(path.with_suffix(".log"))]) == 0
+    assert (tmp_path / "v1.log").read_bytes() == (tmp_path / "s.log").read_bytes()
+    capsys.readouterr()
+    for flags in (["--online"], ["--frozen", "--save-state", str(tmp_path / "new.json")]):
+        log = tmp_path / "refused.log"
+        rc = main_closing_every_file(["replay", str(flood_trace_file), "--state", str(old),
+                                      "--log", str(log)] + flags)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "version 1" in err and "frozen only" in err
+        assert not log.exists() and not (tmp_path / "new.json").exists()
+    assert load_state(old).state_version == 1
+    with pytest.raises(ValueError, match="version 1 state replays frozen only"):
+        save_state(load_state(old), tmp_path / "new.json")
+    with pytest.raises(ValueError, match="version 1 state replays frozen only"):
+        load_state(old, online=True)
+
+
+def test_a_failed_device_refit_exits_2_and_logs_every_decision_judged(tmp_path, monkeypatch,
+                                                                        capsys):
+    # A device's first window refit raises; the log must hold every decision
+    # judged up to and including the row whose acceptance started that refit,
+    # and each must be the decision the run that does not fail makes.
+    trace = tmp_path / "trace.csv"
+    assert cli.main(["synth", "--out", str(trace), "--duration", "20", "--rate", "30",
+                     "--seed", "3", "--hosts", "10.0.0.1,10.0.0.2,10.0.0.3"]) == 0
+    flags = ["--devices", "--set", "device.init_len=6", "--set", "metrics.N=5",
+             "--set", "metrics.T_seconds=1.0", "--set", "device.window_seconds=2.0"]
+    assert cli.main(["replay", str(trace), "--log", str(tmp_path / "full.log")] + flags) == 0
+    capsys.readouterr()
+    judged = []
+    weighted_gap = detector_module._weighted_gap
+
+    def counting_gap(x, x_hat, gamma):
+        judged.extend([None] * (np.ndim(x) == 1))  # one call per judged row
+        return weighted_gap(x, x_hat, gamma)
+
+    def failing_refit(*args, **kwargs):
+        raise TrainingError("injected refit failure")
+
+    monkeypatch.setattr(detector_module, "_weighted_gap", counting_gap)
+    monkeypatch.setattr(detector_module, "update_incremental", failing_refit)
+    rc = main_closing_every_file(["replay", str(trace), "--log", str(tmp_path / "cut.log")]
+                                 + flags)
+    assert rc == 2
+    assert capsys.readouterr().err == "error: injected refit failure\n"
+    logged = (tmp_path / "cut.log").read_text().splitlines(keepends=True)
+    full = (tmp_path / "full.log").read_text().splitlines(keepends=True)
+    assert 1 < len(logged) == 1 + len(judged) < len(full)
+    assert logged == full[:len(logged)]
 
 
 def python_env(**set_vars):

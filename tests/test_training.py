@@ -3,15 +3,50 @@ batch/incremental equivalence."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from aadetect import training
 from aadetect.aadrnn import AadrnnModel, activation
 from aadetect.config import TrainSection, config_from_dict
 from aadetect.detector import salt_for_address
 from aadetect.metrics import DimensionError
-from aadetect.training import (SufficientStats, TrainingError,
-                               _corrupt_window, _window_noise, accumulate_pairs,
+from aadetect.training import (SufficientStats, TrainingError, accumulate_pairs,
                                corrupt, fit_batch_with_stats,
                                noise_rng, solve_readout, update_incremental)
+
+# The training noise written out with Python ints, one value at a time, from
+# the definition in the training module's docstring; nothing here calls the
+# package.
+MASK64 = (1 << 64) - 1
+
+
+def oracle_splitmix(key, counter):
+    z = (key + (counter + 1) * 0x9E3779B97F4A7C15) % 2**64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
+
+
+def oracle_key(seed, salt):
+    key = 0
+    for value in [seed] if salt is None else [seed, salt]:
+        words = [value % 2**64]
+        while value >= 2**64:
+            value //= 2**64
+            words.append(value % 2**64)
+        for word in [len(words)] + words:
+            key = oracle_splitmix(key ^ word, 0)
+    return key
+
+
+def oracle_noise(seed, salt, row, col, width, sigma):
+    """Value (row, col) of the width-``width`` noise field of (seed, salt)."""
+    key, lanes = oracle_key(seed, salt), 0
+    for k in range(3):
+        word = oracle_splitmix(key, 3 * (row * width + col) + k)
+        lanes += sum((word >> (16 * lane)) & 0xFFFF for lane in range(4))
+    return (lanes - 6 * 65536) * (sigma / 65536)
 
 
 def hand_hidden(model, x):
@@ -28,12 +63,13 @@ def hand_hidden(model, x):
 
 def oracle_readout(model, X, cfg, salt=None):
     """Closed-form (H^T H + lambda I)^{-1} H^T X with H rebuilt from scratch:
-    per-row keyed noise, scalar-loop hidden activations, explicit inverse."""
+    the per-value noise oracle, scalar-loop hidden activations, explicit
+    inverse."""
     H = []
     for i, row in enumerate(X):
-        entropy = [cfg.seed, i] if salt is None else [cfg.seed, salt, i]
-        rng = np.random.default_rng(entropy)
-        noisy = np.maximum(row + rng.normal(0.0, cfg.noise_sigma, size=row.shape), 0.0)
+        noise = [oracle_noise(cfg.seed, salt, i, j, len(row), cfg.noise_sigma)
+                 for j in range(len(row))]
+        noisy = np.maximum(row + np.array(noise), 0.0)
         H.append(hand_hidden(model, noisy))
     H = np.array(H)
     A = H.T @ H + cfg.ridge_lambda * np.eye(H.shape[1])
@@ -111,31 +147,33 @@ def test_noise_rng_is_keyed_by_seed_index_and_salt():
     assert not np.array_equal(a, noise_rng(7, 3, salt=1).normal(size=4))
 
 
-# -- window noise: seeds hashed per window, draws equal to noise_rng's ------------------
+# -- keyed noise: a chunk's draw is the rows' draws, value by value the oracle's -------
 
 
 @pytest.mark.parametrize("salt", [None, 0, salt_for_address("10.0.0.3")])
 @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**40, 2**70])
 def test_window_noise_equals_per_row_noise_rng(seed, salt):
-    # 2**40 and 2**70 split into 2 and 3 entropy words; with a salt, or with an
-    # index past 2**32 (which gains a second word), 2**70 gives more entropy
-    # words than SeedSequence's pool of 4.
-    cfg = TrainSection(noise_sigma=0.25, seed=seed)
+    # A window's draw from the stream at its first row equals each row's draw
+    # from the stream at that row, at any start and width.
     for start in (0, 1, 2**32 - 3):
         for width in (3, 6, 20):
             expected = np.array([noise_rng(seed, start + j, salt).normal(0.0, 0.25, size=width)
-                                 for j in range(1000)])
-            for n_rows in (1, 255, 1000):
-                got = _window_noise(start, n_rows, width, cfg, salt)
+                                 for j in range(300)])
+            for n_rows in (1, 255, 300):
+                got = noise_rng(seed, start, salt).normal(0.0, 0.25, size=(n_rows, width))
                 assert got.shape == (n_rows, width)
                 assert np.array_equal(got, expected[:n_rows]), (start, width, n_rows)
+    row = noise_rng(seed, 2**32 - 3, salt).normal(0.0, 0.25, size=3)
+    assert row.tolist() == [oracle_noise(seed, salt, 2**32 - 3, j, 3, 0.25) for j in range(3)]
 
 
 def test_window_noise_rejects_a_negative_seed_as_noise_rng_does():
     with pytest.raises(ValueError):
         noise_rng(-1, 0)
     with pytest.raises(ValueError):
-        _window_noise(0, 5, 3, TrainSection(seed=-1), None)
+        noise_rng(0, 0, salt=-1)
+    with pytest.raises(ValueError):
+        noise_rng(0, -1)
     with pytest.raises(ValueError):
         fit_batch_with_stats(AadrnnModel.initial(3, 1), np.ones((5, 3)),
                              TrainSection(seed=-1))
@@ -145,10 +183,54 @@ def test_corrupt_window_equals_per_row_corrupt():
     X = random_rows(np.random.default_rng(5), 300, 4) - 0.5  # some rows clip
     cfg = TrainSection(noise_sigma=0.2, seed=11)
     for salt in (None, 99):
-        assert np.array_equal(_corrupt_window(X, 2**32 - 100, cfg, salt),
-                              per_row_corrupt_window(X, 2**32 - 100, cfg, salt))
-    identity = _corrupt_window(X, 0, TrainSection(noise_sigma=0.0, seed=11), None)
+        window = corrupt(X, cfg.noise_sigma, noise_rng(cfg.seed, 2**32 - 100, salt))
+        assert np.array_equal(window, per_row_corrupt_window(X, 2**32 - 100, cfg, salt))
+    identity = corrupt(X, 0.0, noise_rng(11, 0))
     assert np.array_equal(identity, np.maximum(X, 0.0))
+
+
+@given(seed=st.integers(0, 2**66), salt=st.sampled_from([None, 0, 2**32 - 1]),
+       index=st.integers(0, 2**40), width=st.integers(1, 20), rows=st.integers(1, 3),
+       sigma=st.sampled_from([0.1, 0.25, 1.0, 3e-7]))
+def test_noise_equals_the_per_value_oracle(seed, salt, index, width, rows, sigma):
+    got = noise_rng(seed, index, salt).normal(0.0, sigma, size=(rows, width))
+    expected = [[oracle_noise(seed, salt, index + i, j, width, sigma) for j in range(width)]
+                for i in range(rows)]
+    assert got.tolist() == expected
+
+
+def test_noise_moments_over_30000_rows_of_20():
+    sigma = 0.1
+    values = noise_rng(5, 0).normal(0.0, sigma, size=(30_000, 20))
+    assert abs(values.mean()) < 0.01 * sigma
+    assert abs(values.std() - sigma) < 0.01 * sigma
+    assert np.abs(values).max() <= 6 * sigma
+
+
+def test_training_draws_noise_once_per_fold_chunk_through_the_module_attributes(monkeypatch):
+    # The benchmark's tracer times training.noise_rng and training.corrupt by
+    # replacing them on the module; the fold must call them there, once a chunk.
+    calls = {"noise_rng": 0, "corrupt": 0}
+
+    def counted(name):
+        original = getattr(training, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    model = AadrnnModel.initial(4, 3)
+    X = random_rows(np.random.default_rng(7), 600, 4)
+    cfg = TrainSection(seed=2)
+    expected = fit_batch_with_stats(model, X, cfg)[0]
+    for name in calls:
+        monkeypatch.setattr(training, name, counted(name))
+    stats = fit_batch_with_stats(model, X, cfg)[0]  # chunks of 256, 256 and 88 rows
+    assert calls == {"noise_rng": 3, "corrupt": 3}
+    assert np.array_equal(stats.G, expected.G) and np.array_equal(stats.C, expected.C)
+    update_incremental(stats, X[:257], model, cfg)
+    assert calls == {"noise_rng": 5, "corrupt": 5}
 
 
 # -- closed-form oracle ---------------------------------------------------------------
