@@ -28,17 +28,6 @@ from .metrics import DimensionError
 LAYERS = 3
 
 
-def activation(v: np.ndarray, r: float = 1.0, c: float = 1.0) -> np.ndarray:
-    """Apply zeta(v) = v / (r + c * v) elementwise; negative pre-activations
-    are clipped to 0 first. The network uses r = c = 1.
-
-    For positive r and c: monotone increasing on [0, inf), zero at zero, and
-    bounded by 1/c (strictly below 1 whenever c >= 1).
-    """
-    v = np.maximum(np.asarray(v, dtype=float), 0.0)
-    return v / (r + c * v)
-
-
 # NumPy's SeedSequence hash and PCG64 multiplier (numpy/random/bit_generator.pyx,
 # numpy/random/src/pcg64/pcg64.h).
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
@@ -124,7 +113,7 @@ class AadrnnModel:
 
     def hidden(self, x: np.ndarray) -> np.ndarray:
         """Top hidden activations for a vector or a (n, M) matrix of rows; zeta
-        is applied in place, bit-equal to ``activation(h @ w.T)`` (1.0 * v == v)."""
+        is applied in place, bit-equal to the ``zeta`` of ``tests/oracles.py``."""
         h = self._check_input(x)
         for w in self.hidden_weights:
             h = h @ w.T

@@ -23,7 +23,7 @@ from typing import List, Optional
 import numpy as np
 
 from .config import Config, config_from_dict
-from .detector import Detector, simple_threshold_baseline, whisker_threshold
+from .detector import Detector, whisker_threshold
 from .devices import DeviceBank
 from .evaluation import CompareResult, EvalReport, compare_online_offline, replay, run, score
 from .metrics import StreamMetrics
@@ -114,8 +114,8 @@ def run_flood_benchmark(seed: int = 7, config: Optional[Config] = None) -> Flood
     values = det.scaler.apply(raw[result.skipped:])
 
     theta = np.array([whisker_threshold(column) for column in det.init_values.T])
-    baseline = score([dec._replace(is_attack=simple_threshold_baseline(x, theta))
-                      for dec, x in zip(result.decisions, values)],
+    flags = (values > theta).any(axis=1).tolist()  # attack iff any metric exceeds its theta
+    baseline = score([dec._replace(is_attack=flag) for dec, flag in zip(result.decisions, flags)],
                      result.labels, result.attack_types)
     return FloodBenchResult(report=result.report(), baseline=baseline)
 

@@ -1,7 +1,7 @@
 """Command-line interface.
 
     aadetect init   TRACE --out STATE [--features] [--config C] [--set k=v]
-    aadetect replay TRACE [--state STATE | --cold-start] [--online | --frozen]
+    aadetect replay TRACE [--state STATE] [--online | --frozen]
                     [--devices | --features] [--log CSV] [--alerts PATH|-]
                     [--report JSON] [--plots DIR] [--save-state STATE]
     aadetect eval   --log CSV --trace TRACE [--report JSON] [--plots DIR]
@@ -21,7 +21,7 @@ import json
 import operator
 import os
 import sys
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .config import Config, apply_overrides, load_config
 from .detector import (STATE_VERSION, Decision, Detector, LifecycleError, Mode, Phase,
@@ -139,12 +139,11 @@ def cmd_init(args) -> int:
 # -- replay -------------------------------------------------------------------
 
 
-def _check_outputs(report: Optional[str], plots: Optional[str],
-                   save_state: Optional[str] = None) -> None:
+def _check_outputs(plots: Optional[str], *outputs: Tuple[str, Optional[str]]) -> None:
     """Outputs written after the input is read are checked before it is: the
-    directories of ``--report`` and ``--save-state`` exist, and ``--plots``
-    is not an existing non-directory."""
-    for flag, path in (("--report", report), ("--save-state", save_state)):
+    directory of each ``(flag, path)`` output exists (``--alerts -``, stdout,
+    passes as a file in ``.``), and ``--plots`` is not an existing non-directory."""
+    for flag, path in outputs:
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"{flag} {path}: directory {os.path.dirname(path)} does not exist")
     if plots and os.path.exists(plots) and not os.path.isdir(plots):
@@ -155,15 +154,14 @@ def cmd_replay(args) -> int:
     config = _build_config(args)
     if args.devices and args.features:
         raise ValueError("--devices and --features are mutually exclusive")
-    if args.state and args.cold_start:
-        raise ValueError("--state and --cold-start are mutually exclusive")
     if args.devices:
         for flag, given in (("--state", args.state), ("--save-state", args.save_state),
                             ("--frozen", args.frozen)):
             if given:
                 raise ValueError(f"--devices does not take {flag}: "
                                  "a device bank cannot be loaded, saved or frozen")
-    _check_outputs(args.report, args.plots, args.save_state)
+    _check_outputs(args.plots, ("--log", args.log), ("--alerts", args.alerts),
+                   ("--report", args.report), ("--save-state", args.save_state))
 
     if args.features:
         items, kind, source = load_feature_dataset(args.trace), Mode.FEATURES, "feature file"
@@ -286,7 +284,7 @@ def _parse_assertions(spec: str) -> List[tuple]:
 def cmd_eval(args) -> int:
     assertions = _parse_assertions(args.assertions) if args.assertions else []
     config = _build_config(args)
-    _check_outputs(args.report, args.plots)
+    _check_outputs(args.plots, ("--report", args.report))
     decisions = read_decision_log(args.log, Mode.BOTNET.value)
     trace = load_trace(args.trace)
     labels, types = align_with_trace(decisions, trace)
@@ -371,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="run detection over a trace or feature file")
     p.add_argument("trace", help="trace CSV (or feature CSV with --features)")
     p.add_argument("--state", help="start from a saved state file")
-    p.add_argument("--cold-start", action="store_true",
-                   help="initialize from the head of the input (default without --state)")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--online", action="store_true",
                       help="keep learning on windows of benign-judged rows")

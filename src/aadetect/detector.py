@@ -22,8 +22,10 @@ was made.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import itertools
 import json
+import math
 import os
 import zlib
 from enum import Enum
@@ -108,15 +110,6 @@ def whisker_threshold(train_values: Sequence[float]) -> float:
     if whisker <= 0:
         whisker = 1e-6
     return whisker
-
-
-def simple_threshold_baseline(values: np.ndarray, theta: np.ndarray) -> bool:
-    """Metric-wise thresholding: attack iff any value exceeds its theta."""
-    values = np.asarray(values, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if values.shape != theta.shape:
-        raise DimensionError(f"values shape {values.shape} != theta shape {theta.shape}")
-    return bool(np.any(values > theta))
 
 
 def _weighted_gap(x: np.ndarray, x_hat: np.ndarray, gamma: np.ndarray):
@@ -325,12 +318,6 @@ class Detector:
         self._pending_d = []
         self._window_start_us = None
 
-    def freeze(self) -> None:
-        """Stop learning; keep deciding with the current snapshot."""
-        if self.phase == Phase.INIT:
-            raise LifecycleError("cannot freeze a detector that has not finished init")
-        self.phase = Phase.FROZEN
-
     @property
     def accepted_rows(self) -> int:
         """Rows folded into training so far (init rows plus accepted windows)."""
@@ -393,17 +380,27 @@ def load_state(path: Union[str, Path], config: Optional[Config] = None, *,
     """Rebuild a detector from a state file; it decides immediately, with no
     re-training (phase ``frozen``, or ``online`` to continue learning). A
     file that is not a well-formed state, with every array shaped for the
-    model it holds, is rejected here with an error that names it."""
+    model it holds and every value one that ``save_state`` could write, is
+    rejected here with an error that names it."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
-        return _detector_from_state(json.loads(text), config or Config(), online)
+        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
+        return _detector_from_state(doc, config or Config(), online)
     except KeyError as exc:
         raise ValueError(f"state file {path} has no key {exc}") from None
     except DimensionError as exc:
         raise DimensionError(f"state file {path}: {exc}") from None
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"state file {path}: {exc}") from None
+
+
+def _finite(text: str) -> float:
+    """A JSON number (or ``NaN``, ``Infinity``) as a float, unless it is not finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
 
 
 def _detector_from_state(doc: dict, config: Config, online: bool) -> Detector:
@@ -416,17 +413,17 @@ def _detector_from_state(doc: dict, config: Config, online: bool) -> Detector:
         raise ValueError(_frozen_only(version))
     model = model_from_json(doc)
     m = model.input_dim
-    # The Detector rejects a model width that the state's mode does not take.
-    detector = Detector(m, config, mode=Mode(doc["mode"]), online=online)
+    # The state's gamma is checked as a metrics.gamma is: by Config.validate, then
+    # by the Detector, which also rejects a model width the state's mode does not take.
+    metrics = dataclasses.replace(config.metrics, gamma=list(doc["gamma"]))
+    detector = Detector(m, dataclasses.replace(config, metrics=metrics),
+                        mode=Mode(doc["mode"]), online=online)
     detector.model = model
     detector.scaler = scaler_from_json(doc["scaling_factors"])
     detector.scaler.apply(np.zeros(m))  # raises unless it scales M values
     detector.threshold = float(doc["threshold"])
-    if not (detector.threshold > 0 and np.isfinite(detector.threshold)):
+    if not 0 < detector.threshold < math.inf:
         raise ValueError(f"threshold must be positive, got {doc['threshold']!r}")
-    detector.gamma = np.asarray(doc["gamma"], dtype=float)
-    if detector.gamma.shape != (m,):
-        raise DimensionError("gamma length does not match model dimension")
     stats = doc["stats"]
     G = np.asarray(stats["G"], dtype=float)
     C = np.asarray(stats["C"], dtype=float)

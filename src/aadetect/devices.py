@@ -109,9 +109,6 @@ class DeviceBank:
     def __len__(self) -> int:
         return len(self._devices)
 
-    def __contains__(self, addr: str) -> bool:
-        return addr in self._devices
-
     def device(self, addr: str) -> Optional[DeviceRecord]:
         return self._devices.get(addr)
 

@@ -31,7 +31,7 @@ post-init traffic may legitimately exceed the observed range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -40,13 +40,6 @@ from .traffic import TimestampOrderError
 
 class DimensionError(ValueError):
     """A vector's dimension does not match what the operation expects."""
-
-
-def _as_matrix(rows: Iterable[np.ndarray]) -> np.ndarray:
-    mat = np.asarray(list(rows) if not isinstance(rows, np.ndarray) else rows, dtype=float)
-    if mat.ndim == 1:
-        mat = mat.reshape(1, -1)
-    return mat
 
 
 class StreamMetrics:
@@ -168,9 +161,9 @@ class ScalingFactors:
         return {"kind": "max", "scale": [float(v) for v in self.scale]}
 
 
-def fit_scaling(raws: Iterable[np.ndarray]) -> ScalingFactors:
+def fit_scaling(raws: Sequence[np.ndarray]) -> ScalingFactors:
     """Fit max-based scale factors over an initialization window of raw vectors."""
-    mat = _as_matrix(raws)
+    mat = np.atleast_2d(np.asarray(raws, dtype=float))
     if mat.size == 0:
         raise ValueError("cannot fit scaling on an empty window")
     if not np.all(np.isfinite(mat)):
@@ -205,9 +198,9 @@ class MinMaxScaler:
                 "hi": [float(v) for v in self.hi]}
 
 
-def min_max_fit(rows: Iterable[np.ndarray]) -> MinMaxScaler:
+def min_max_fit(rows: Sequence[np.ndarray]) -> MinMaxScaler:
     """Fit per-column min/max over (benign) training rows."""
-    mat = _as_matrix(rows)
+    mat = np.atleast_2d(np.asarray(rows, dtype=float))
     if mat.size == 0:
         raise ValueError("cannot fit min-max on an empty dataset")
     if not np.all(np.isfinite(mat)):
@@ -224,11 +217,15 @@ def scaler_from_json(doc: dict):
     kind = doc.get("kind")
     if kind == "max":
         scale = np.asarray(doc["scale"], dtype=float)
+        if not (scale > 0).all():
+            raise ValueError("max scale factors must be positive")
         scale.flags.writeable = False
         return ScalingFactors(scale)
     if kind == "minmax":
         lo = np.asarray(doc["lo"], dtype=float)
         hi = np.asarray(doc["hi"], dtype=float)
+        if (hi < lo).any():
+            raise ValueError("min-max hi is below lo")
         lo.flags.writeable = False
         hi.flags.writeable = False
         return MinMaxScaler(lo, hi)

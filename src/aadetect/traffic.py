@@ -4,7 +4,7 @@ Canonical trace CSV: header ``timestamp_us,src,dst,size_bytes,label,attack_type`
 with ``label`` in {0, 1, empty} and ``attack_type`` free text (empty when absent).
 Feature CSV: header ``f1,...,fM,label,attack_type``. Timestamps are integer
 microseconds so inter-arrival arithmetic stays exact. ``write_csv`` writes
-every whole CSV file the package makes: traces, feature tables, plot data.
+every whole CSV file the package makes: traces and plot data.
 
 A ``Trace`` is its six columns; a packet in flight is the plain tuple
 ``(timestamp_us, src, dst, size_bytes)`` (a ``Packet``) that iterating a
@@ -375,16 +375,6 @@ def load_feature_dataset(path: Union[str, Path]) -> FeatureTable:
     type_of = {raw: raw.strip() or None for raw in set(raw_types)}
     return FeatureTable(np.concatenate(blocks), labels,
                         map(type_of.__getitem__, raw_types) if has_type else None)
-
-
-def save_feature_dataset(table: FeatureTable, path: Union[str, Path]) -> None:
-    """Write a feature table as ``f1,...,fM,label,attack_type`` (``write_csv``)."""
-    if not len(table):
-        raise ValueError("no feature rows to write")
-    header = [f"f{i + 1}" for i in range(table.features.shape[1])] + ["label", "attack_type"]
-    rows = zip(table.features.tolist(), table.label, table.attack_type)
-    write_csv(path, header, (list(map(repr, feats)) + [_LABEL_TEXT[label], kind or ""]
-                             for feats, label, kind in rows))
 
 
 # ---------------------------------------------------------------------------

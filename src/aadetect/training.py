@@ -147,39 +147,6 @@ def corrupt(x: np.ndarray, sigma: float, rng: NoiseStream) -> np.ndarray:
 _FOLD_CHUNK = 256
 
 
-def _fold(stats: SufficientStats, clean: np.ndarray, model: AadrnnModel,
-          noisy_chunk) -> SufficientStats:
-    """Fold ``clean`` into the statistics ``_FOLD_CHUNK`` rows at a time, in
-    order, ``noisy_chunk(lo, rows)`` giving the noisy rows of the chunk at
-    ``lo``. Row 0 of one reused buffer holds ``[G | C]`` and rows 1..k the
-    chunk's ``H (x) [H | clean]``; ``np.add.reduce`` over its axis 0 adds them
-    one after another onto row 0 (see the module docstring). ``np.einsum``
-    stores a -0.0 product as 0.0 (it adds it to 0.0), which moves no bit of
-    sums that start at +0.0: a round-to-nearest sum never returns to -0.0."""
-    m = clean.shape[1]
-    acc = np.concatenate([stats.G, stats.C], axis=1)
-    buf = np.empty((min(len(clean), _FOLD_CHUNK) + 1, m, 2 * m))
-    for lo in range(0, len(clean), _FOLD_CHUNK):
-        rows = clean[lo:lo + _FOLD_CHUNK]
-        H = model.hidden(noisy_chunk(lo, rows)[:, None, :])[:, 0, :]
-        part = buf[:len(rows) + 1]
-        part[0] = acc
-        np.einsum("ij,ik->ijk", H, np.concatenate([H, rows], axis=1), out=part[1:])
-        acc = np.add.reduce(part, axis=0)
-    return SufficientStats(acc[:, :m].copy(), acc[:, m:].copy(), stats.n + len(clean))
-
-
-def accumulate_pairs(stats: SufficientStats, noisy: np.ndarray, clean: np.ndarray,
-                     model: AadrnnModel) -> SufficientStats:
-    """Fold explicit (noisy, clean) row pairs into the statistics, one row at a
-    time in order, so that every window partition of the same rows gives the
-    same bits as the one-shot batch fit (``_fold``)."""
-    if noisy.shape != clean.shape:
-        raise DimensionError(f"noisy shape {noisy.shape} != clean shape {clean.shape}")
-    noisy, clean = np.atleast_2d(noisy, clean)
-    return _fold(stats, clean, model, lambda lo, rows: noisy[lo:lo + len(rows)])
-
-
 def solve_readout(stats: SufficientStats, ridge_lambda: float) -> np.ndarray:
     """W_out = (G + lambda I)^{-1} C."""
     if ridge_lambda <= 0:
@@ -200,17 +167,34 @@ def update_incremental(stats: SufficientStats, window: np.ndarray, model: Aadrnn
                        ) -> Tuple[SufficientStats, AadrnnModel]:
     """Fold one window of accepted benign rows into the statistics and return
     (updated stats, refreshed model snapshot). The previous snapshot is not
-    touched; callers may keep serving it until they swap."""
+    touched; callers may keep serving it until they swap.
+
+    The window is folded ``_FOLD_CHUNK`` rows at a time, in order, each chunk
+    corrupted by ``corrupt`` with the noise of its global rows. Row 0 of one
+    reused buffer holds ``[G | C]`` and rows 1..k the chunk's
+    ``H (x) [H | clean]``; ``np.add.reduce`` over its axis 0 adds them one
+    after another onto row 0 (see the module docstring). ``np.einsum`` stores
+    a -0.0 product as 0.0 (it adds it to 0.0), which moves no bit of sums
+    that start at +0.0: a round-to-nearest sum never returns to -0.0."""
     window = np.asarray(window, dtype=float)
     if window.ndim == 1:
         window = window.reshape(1, -1)
-    if window.shape[1] != model.input_dim:
-        raise DimensionError(f"window rows have {window.shape[1]} values, model expects {model.input_dim}")
+    m = model.input_dim
+    if window.shape[1] != m:
+        raise DimensionError(f"window rows have {window.shape[1]} values, model expects {m}")
     if window.shape[0] == 0:
         return stats, model
-    start = stats.n
-    stats = _fold(stats, window, model, lambda lo, rows: corrupt(
-        rows, train.noise_sigma, noise_rng(train.seed, start + lo, salt)))
+    acc = np.concatenate([stats.G, stats.C], axis=1)
+    buf = np.empty((min(len(window), _FOLD_CHUNK) + 1, m, 2 * m))
+    for lo in range(0, len(window), _FOLD_CHUNK):
+        clean = window[lo:lo + _FOLD_CHUNK]
+        noisy = corrupt(clean, train.noise_sigma, noise_rng(train.seed, stats.n + lo, salt))
+        H = model.hidden(noisy[:, None, :])[:, 0, :]
+        part = buf[:len(clean) + 1]
+        part[0] = acc
+        np.einsum("ij,ik->ijk", H, np.concatenate([H, clean], axis=1), out=part[1:])
+        acc = np.add.reduce(part, axis=0)
+    stats = SufficientStats(acc[:, :m].copy(), acc[:, m:].copy(), stats.n + len(window))
     return stats, model.with_readout(solve_readout(stats, train.ridge_lambda))
 
 

@@ -6,25 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from aadetect.aadrnn import (LAYERS, AadrnnModel, activation, init_hidden_weights,
-                             model_from_json, model_to_json)
+from aadetect.aadrnn import (LAYERS, AadrnnModel, init_hidden_weights, model_from_json,
+                             model_to_json)
 from aadetect.metrics import DimensionError
-
-
-def hand_forward(model, x):
-    """Reconstruction computed with nothing but Python loops and scalar math."""
-    h = list(map(float, x))
-    for w in model.hidden_weights:
-        nxt = []
-        for i in range(w.shape[0]):
-            pre = sum(w[i, j] * h[j] for j in range(w.shape[1]))
-            pre = max(pre, 0.0)
-            nxt.append(pre / (1.0 + pre))
-        h = nxt
-    out = []
-    for j in range(model.readout.shape[1]):
-        out.append(sum(h[i] * model.readout[i, j] for i in range(len(h))))
-    return np.array(out)
+from oracles import hand_forward, layer_by_layer_hidden, zeta
 
 
 def random_model(rng, dim=None):
@@ -37,26 +22,33 @@ def random_model(rng, dim=None):
 # -- activation -----------------------------------------------------------------
 
 
+def zeta_layer(dim):
+    """A one-layer network whose only weight is the identity: its ``hidden`` is
+    the package's zeta on its own."""
+    return AadrnnModel((np.eye(dim),), np.zeros((dim, dim)), 0)
+
+
 def test_activation_fixed_points():
-    assert activation(np.array([0.0]))[0] == 0.0
-    assert activation(np.array([1.0]), 1.0, 1.0)[0] == 0.5
-    assert activation(np.array([-7.0]))[0] == 0.0  # clipped before the rational map
+    v = np.array([0.0, 1.0, -7.0])  # -7 is clipped to 0 before the rational map
+    assert zeta_layer(3).hidden(v).tolist() == zeta(v).tolist() == [0.0, 0.5, 0.0]
 
 
 def test_activation_monotone_and_bounded():
     rng = np.random.default_rng(31)
+    layer = zeta_layer(2)
     for case in range(100):
-        r, c = float(rng.uniform(0.2, 3.0)), float(rng.uniform(1.0, 3.0))
         a, b = sorted(rng.uniform(0, 1e6, size=2))
-        ya, yb = activation(np.array([a, b]), r, c)
-        assert ya <= yb
-        assert 0.0 <= ya < 1.0 and 0.0 <= yb < 1.0
-        assert yb < 1.0 / c + 1e-15
-
-
-def test_activation_bound_is_general_one_over_c():
-    y = activation(np.array([1e12]), 0.5, 0.25)[0]  # c < 1: bound is 1/c = 4, not 1
-    assert 3.9 < y < 4.0
+        ya, yb = layer.hidden(np.array([a, b]))
+        assert 0.0 <= ya <= yb < 1.0
+        assert [ya, yb] == zeta([a, b]).tolist()
+        # The stock network's hidden outputs inherit the laws: nonnegative
+        # weights keep them monotone in each input, and below 1.
+        model = random_model(rng)
+        x = rng.uniform(0, 1e6, size=model.input_dim)
+        lo, hi = model.hidden(x), model.hidden(x + rng.uniform(0, 1e6, size=model.input_dim))
+        assert np.all(0.0 <= lo) and np.all(lo <= hi) and np.all(hi < 1.0)
+        assert np.array_equal(lo, layer_by_layer_hidden(model, x))
+        assert np.array_equal(model.hidden(-x), np.zeros(model.input_dim))
 
 
 # -- geometry and weights ------------------------------------------------------------
@@ -143,7 +135,7 @@ def test_first_layer_perturbation_bound():
         x = rng.uniform(0, 5, size=model.input_dim)
         delta = float(rng.uniform(0, 1))
         x2 = x + rng.uniform(-delta, delta, size=model.input_dim)
-        first = np.abs(activation(x @ w1.T) - activation(x2 @ w1.T))
+        first = np.abs(zeta(x @ w1.T) - zeta(x2 @ w1.T))
         bound = np.abs(w1).sum(axis=1).max() * delta
         assert np.max(first) <= bound + 1e-12
         for w in model.hidden_weights[1:]:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from aadetect.aadrnn import AadrnnModel, activation
+from aadetect.aadrnn import AadrnnModel
 from aadetect.bench import (run_device_benchmark, run_drift_benchmark,
                             run_flood_benchmark)
 from aadetect.config import TrainSection, config_from_dict
@@ -21,6 +21,7 @@ from aadetect.evaluation import run, score
 from aadetect.metrics import DirectionalMetrics, ScalingFactors, StreamMetrics
 from aadetect.traffic import load_feature_dataset
 from aadetect.training import SufficientStats, fit_batch_with_stats, update_incremental
+from oracles import layer_by_layer_hidden, oracle_directional, oracle_triple
 
 
 def check(name, ok, detail):
@@ -30,16 +31,6 @@ def check(name, ok, detail):
 
 
 # -- 1. metric extraction against a brute-force oracle ---------------------------
-
-
-def brute_triple(packets, i, N, T_us):
-    window = packets[max(0, i - N + 1): i + 1]
-    m1 = sum(size for _, size in window)
-    m2 = ((window[-1][0] - window[0][0]) / (len(window) - 1) / 1e6
-          if len(window) >= 2 else 0.0)
-    t = packets[i][0]
-    m3 = sum(1 for ts, _ in packets[: i + 1] if t - T_us < ts <= t)
-    return m1, m2, m3
 
 
 def test_criterion_1_metric_oracle_equivalence():
@@ -54,27 +45,24 @@ def test_criterion_1_metric_oracle_equivalence():
     exact = approx = 0
     for i, (t, s) in enumerate(packets):
         m1, m2, m3 = sm.update(t, s)
-        e1, e2, e3 = brute_triple(packets, i, N, T_us)
+        e1, e2, e3 = oracle_triple(packets, i, N, T_us)
         assert m1 == e1 and m3 == e3
         assert m2 == pytest.approx(e2, rel=1e-12, abs=0.0)
         exact += 2
         approx += 1
 
     hosts = ["h1", "h2", "h3", "h4"]
-    tx, rx, tx_last, rx_last = {}, {}, {}, {}
-    dm = DirectionalMetrics(N, T_us)
+    trace = []
     t = 0
     for _ in range(1000):
         t += int(rng.integers(0, 300_000))
         i, j = rng.choice(4, size=2, replace=False)
-        src, dst, size = hosts[i], hosts[j], int(rng.integers(1, 1500))
-        got = dm.update(t, src, dst, size)
-        tx.setdefault(src, []).append((t, size))
-        tx_last[src] = brute_triple(tx[src], len(tx[src]) - 1, N, T_us)
-        rx.setdefault(dst, []).append((t, size))
-        rx_last[dst] = brute_triple(rx[dst], len(rx[dst]) - 1, N, T_us)
-        for addr in (src, dst):
-            exp = tx_last.get(addr, (0, 0, 0)) + rx_last.get(addr, (0, 0, 0))
+        trace.append((t, hosts[i], hosts[j], int(rng.integers(1, 1500))))
+    dm = DirectionalMetrics(N, T_us)
+    for pkt, expected in zip(trace, oracle_directional(trace, N, T_us)):
+        got = dm.update(*pkt)
+        assert list(got) == list(expected)
+        for addr, exp in expected.items():
             vec = got[addr]
             assert vec[0] == exp[0] and vec[2] == exp[2]
             assert vec[3] == exp[3] and vec[5] == exp[5]
@@ -210,11 +198,17 @@ def test_criterion_7_real_dataset_accuracy():
 
 
 def suite_activation(rng):
+    # zeta's laws, seen on the stock network's hidden outputs: nonnegative
+    # weights carry them through every layer.
     for _ in range(100):
-        r, c = float(rng.uniform(0.2, 3.0)), float(rng.uniform(1.0, 3.0))
-        a, b = sorted(rng.uniform(0, 1e6, size=2))
-        ya, yb = activation(np.array([a, b]), r, c)
-        assert 0.0 <= ya <= yb < 1.0
+        model = AadrnnModel.initial(3, int(rng.integers(10_000)))
+        lo = rng.uniform(0, 1e6, size=3)
+        hi = lo + rng.uniform(0, 1e6, size=3)
+        ylo, yhi = model.hidden(lo), model.hidden(hi)
+        assert np.all(0.0 <= ylo) and np.all(ylo <= yhi) and np.all(yhi < 1.0)
+        assert np.array_equal(yhi, layer_by_layer_hidden(model, hi))
+        assert np.array_equal(model.hidden(-lo), np.zeros(3))  # negatives clip to zeta(0) = 0
+    assert np.array_equal(model.hidden(np.zeros(3)), np.zeros(3))
     return "activation bounds/monotonicity"
 
 

@@ -4,6 +4,7 @@ in-process through ``cli.main``."""
 import gc
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -19,12 +20,12 @@ from aadetect import cli
 from aadetect import detector as detector_module
 from aadetect.config import (Config, apply_overrides, config_from_dict,
                              load_config)
-from aadetect.detector import (Decision, Detector, LifecycleError, Mode, Phase, load_state,
-                               save_state)
+from aadetect.detector import Decision, Detector, LifecycleError, Mode, load_state, save_state
 from aadetect.evaluation import read_decision_log
 from aadetect.traffic import (AttackSegment, FeatureTable, TraceSpec, load_feature_dataset,
-                              load_trace, save_feature_dataset, save_trace, synth_trace)
+                              load_trace, save_trace, synth_trace)
 from aadetect.training import TrainingError
+from oracles import stepped, stepped_feature_init, stepped_packet_init, write_feature_file
 
 
 def feature_table(rng, dim, *blocks):
@@ -268,7 +269,7 @@ def test_replay_from_state_and_eval_assertions(flood_trace_file, tmp_path, capsy
 def test_replay_logs_are_reproducible(flood_trace_file, tmp_path):
     l1, l2 = tmp_path / "l1.csv", tmp_path / "l2.csv"
     s1, s2 = tmp_path / "s1.json", tmp_path / "s2.json"
-    base = ["replay", str(flood_trace_file), "--cold-start", "--online",
+    base = ["replay", str(flood_trace_file), "--online",
             "--set", "train.init_len=64", "--set", "train.window_len=32"]
     assert cli.main(base + ["--log", str(l1), "--save-state", str(s1)]) == 0
     assert cli.main(base + ["--log", str(l2), "--save-state", str(s2)]) == 0
@@ -278,8 +279,8 @@ def test_replay_logs_are_reproducible(flood_trace_file, tmp_path):
 
 def test_replay_alerts_stream(flood_trace_file, tmp_path):
     alerts = tmp_path / "alerts.jsonl"
-    assert cli.main(["replay", str(flood_trace_file), "--cold-start",
-                     "--set", "train.init_len=64", "--alerts", str(alerts)]) == 0
+    assert cli.main(["replay", str(flood_trace_file), "--set", "train.init_len=64",
+                     "--alerts", str(alerts)]) == 0
     lines = alerts.read_text().splitlines()
     assert lines
     for line in lines:
@@ -309,8 +310,8 @@ def test_eval_detects_misaligned_log(flood_trace_file, tmp_path, capsys):
 def test_eval_rejects_a_bad_assertion_before_printing_anything(flood_trace_file, tmp_path,
                                                               capsys, spec):
     log = tmp_path / "log.csv"
-    assert cli.main(["replay", str(flood_trace_file), "--cold-start",
-                     "--set", "train.init_len=64", "--log", str(log)]) == 0
+    assert cli.main(["replay", str(flood_trace_file), "--set", "train.init_len=64",
+                     "--log", str(log)]) == 0
     capsys.readouterr()
     rc = cli.main(["eval", "--log", str(log), "--trace", str(flood_trace_file),
                    "--assert", spec])
@@ -326,8 +327,8 @@ def test_eval_rejects_a_bad_assertion_before_printing_anything(flood_trace_file,
 def test_eval_names_the_log_line_of_a_bad_value(flood_trace_file, tmp_path, capsys,
                                                 column, value, message):
     log = tmp_path / "log.csv"
-    assert cli.main(["replay", str(flood_trace_file), "--cold-start",
-                     "--set", "train.init_len=64", "--log", str(log)]) == 0
+    assert cli.main(["replay", str(flood_trace_file), "--set", "train.init_len=64",
+                     "--log", str(log)]) == 0
     lines = log.read_text().splitlines()
     row = lines[5].split(",")
     row[column] = value
@@ -349,9 +350,9 @@ def test_eval_rejects_a_log_of_another_mode_before_reading_the_trace(flood_trace
                 "--set", "metrics.N=5", "--set", "metrics.T_seconds=1.0"]
     else:
         data = tmp_path / "features.csv"
-        save_feature_dataset(feature_table(np.random.default_rng(5), 3, (80, 0.5, 0.05, None)),
-                             data)
-        args = [str(data), "--features", "--cold-start", "--set", "train.init_len=40"]
+        write_feature_file(feature_table(np.random.default_rng(5), 3, (80, 0.5, 0.05, None)),
+                           data)
+        args = [str(data), "--features", "--set", "train.init_len=40"]
     assert cli.main(["replay"] + args + ["--log", str(log)]) == 0
     assert {line.rsplit(",", 1)[1] for line in log.read_text().splitlines()[1:]} == {mode}
     capsys.readouterr()
@@ -363,8 +364,8 @@ def test_eval_rejects_a_log_of_another_mode_before_reading_the_trace(flood_trace
 
 def test_eval_names_the_line_where_a_log_changes_mode(flood_trace_file, tmp_path, capsys):
     log = tmp_path / "log.csv"
-    assert cli.main(["replay", str(flood_trace_file), "--cold-start",
-                     "--set", "train.init_len=64", "--log", str(log)]) == 0
+    assert cli.main(["replay", str(flood_trace_file), "--set", "train.init_len=64",
+                     "--log", str(log)]) == 0
     lines = log.read_text().splitlines()
     lines[5] = lines[5].rsplit(",", 1)[0] + ",device"
     log.write_text("\n".join(lines) + "\n")
@@ -378,8 +379,8 @@ def test_the_io_section_is_unknown(flood_trace_file, tmp_path, capsys):
         config_from_dict({"io": {"decision_log": "log.csv"}})
     assert "io" not in Config().to_dict()
     alerts = tmp_path / "alerts.jsonl"
-    rc = cli.main(["replay", str(flood_trace_file), "--cold-start",
-                   "--set", "train.init_len=64", "--set", f"io.alerts={alerts}"])
+    rc = cli.main(["replay", str(flood_trace_file), "--set", "train.init_len=64",
+                   "--set", f"io.alerts={alerts}"])
     assert rc == 2
     assert capsys.readouterr().err == "error: unknown config section(s): io\n"
     assert not alerts.exists()
@@ -388,13 +389,10 @@ def test_the_io_section_is_unknown(flood_trace_file, tmp_path, capsys):
 def test_replay_usage_errors(flood_trace_file, tmp_path, capsys):
     rc = cli.main(["replay", str(flood_trace_file), "--devices", "--features"])
     assert rc == 2
-    rc = cli.main(["replay", str(flood_trace_file), "--state", "s.json", "--cold-start"])
-    assert rc == 2
-    rc = cli.main(["replay", str(flood_trace_file), "--cold-start",
-                   "--set", "train.bogus=1"])
+    rc = cli.main(["replay", str(flood_trace_file), "--set", "train.bogus=1"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 3
+    assert err.count("error:") == 2
     # A device bank cannot be loaded, saved or frozen.
     for flags in (["--state", "s.json"], ["--save-state", str(tmp_path / "out.json")],
                   ["--frozen"]):
@@ -411,7 +409,7 @@ def test_non_finite_config_value_exits_2(flood_trace_file, tmp_path, capsys, ove
     # Before the check, a NaN fixed threshold judged nothing an attack and a
     # NaN time window never closed, so its pending rows grew with the input.
     log = tmp_path / "never.csv"
-    rc = cli.main(["replay", str(flood_trace_file), "--cold-start", "--log", str(log),
+    rc = cli.main(["replay", str(flood_trace_file), "--log", str(log),
                    "--set", "threshold.mode=fixed", "--set", "threshold.value=0.5",
                    "--set", "train.window_len=null", "--set", override])
     assert rc == 2
@@ -442,7 +440,7 @@ def test_a_wrong_type_in_a_numeric_key_exits_2(flood_trace_file, tmp_path, capsy
     # Each value's type is checked before any rule compares it; "nan" in
     # lowercase is not JSON, so --set reads it as a string.
     log = tmp_path / "never.csv"
-    rc = cli.main(["replay", str(flood_trace_file), "--cold-start", "--log", str(log),
+    rc = cli.main(["replay", str(flood_trace_file), "--log", str(log),
                    "--set", "threshold.mode=fixed", "--set", "threshold.value=0.5",
                    "--set", override])
     assert rc == 2
@@ -480,7 +478,7 @@ def test_device_retraining_has_no_count_window(flood_trace_file, tmp_path, capsy
 def test_a_value_that_breaks_its_rule_exits_2_naming_the_key(flood_trace_file, tmp_path,
                                                              capsys, override, message):
     log = tmp_path / "never.csv"
-    rc = cli.main(["replay", str(flood_trace_file), "--cold-start", "--log", str(log),
+    rc = cli.main(["replay", str(flood_trace_file), "--log", str(log),
                    "--set", override])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -541,7 +539,48 @@ def test_a_malformed_state_file_exits_2_naming_it_before_any_log(flood_trace_fil
     assert not log.exists()
 
 
-@pytest.mark.parametrize("flags", [["--state", "s.json"], ["--cold-start"], ["--devices"]],
+def _first_readout_entry(doc, text):
+    return dict(doc, readout=[[text, *doc["readout"][0][1:]], *doc["readout"][1:]])
+
+
+@pytest.mark.parametrize("kind, mutate, reason", [
+    ("packets", lambda doc: dict(doc, gamma=[math.nan] * 3), "non-finite number NaN"),
+    ("packets", lambda doc: _first_readout_entry(doc, "1e999"), "non-finite number 1e999"),
+    ("packets", lambda doc: dict(doc, threshold=math.inf), "non-finite number Infinity"),
+    ("packets", lambda doc: dict(doc, scaling_factors={"kind": "max", "scale": [0.0] * 3}),
+     "max scale factors must be positive"),
+    ("packets", lambda doc: dict(doc, gamma=[0.5, 0.5, 0.5]), "metrics.gamma must sum to 1"),
+    ("packets", lambda doc: dict(doc, gamma=[1.5, -0.25, -0.25]),
+     "metrics.gamma must hold positive weights"),
+    ("features", lambda doc: dict(doc, scaling_factors=dict(
+        doc["scaling_factors"], hi=[lo - 1.0 for lo in doc["scaling_factors"]["lo"]])),
+     "min-max hi is below lo"),
+], ids=["gamma-nan", "readout-1e999", "threshold-inf", "scale-zero", "gamma-sum",
+        "gamma-negative", "minmax-hi-below-lo"])
+def test_a_state_that_save_state_cannot_write_exits_2_naming_it_before_any_log(
+        flood_trace_file, tmp_path, capsys, kind, mutate, reason):
+    # Such a state used to load: a NaN gamma judged nothing an attack, an
+    # infinite readout entry everything, and a zero scale only warned.
+    state, bad, log = tmp_path / "state.json", tmp_path / "bad.json", tmp_path / "never.csv"
+    if kind == "features":
+        data = tmp_path / "features.csv"
+        write_feature_file(feature_table(np.random.default_rng(7), 3, (40, 0.5, 0.05, None)),
+                           data)
+        flags = ["--features"]
+    else:
+        data, flags = flood_trace_file, ["--set", "train.init_len=100"]
+    assert cli.main(["init", str(data), "--out", str(state)] + flags) == 0
+    text = json.dumps(mutate(json.loads(state.read_text())))
+    bad.write_text(text.replace('"1e999"', "1e999"))
+    capsys.readouterr()
+    rc = cli.main(["replay", str(data), "--state", str(bad), "--log", str(log)] + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: state file {bad}: ") and reason in err, err
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("flags", [["--state", "s.json"], [], ["--devices"]],
                          ids=["state", "cold-start", "devices"])
 def test_a_header_only_trace_exits_2_before_any_output(flood_trace_file, tmp_path, capsys,
                                                          monkeypatch, flags):
@@ -565,7 +604,7 @@ def test_a_state_whose_mode_does_not_fit_its_model_exits_2_before_any_log(
         flood_trace_file, tmp_path, capsys, mode, metrics):
     rng = np.random.default_rng(53)
     data = tmp_path / "features.csv"
-    save_feature_dataset(feature_table(rng, 4, (40, 0.5, 0.05, None)), data)
+    write_feature_file(feature_table(rng, 4, (40, 0.5, 0.05, None)), data)
     state = tmp_path / "fstate.json"
     assert cli.main(["init", str(data), "--features", "--out", str(state)]) == 0
     bad = tmp_path / "relabelled.json"
@@ -594,8 +633,8 @@ def test_a_state_of_another_feature_width_exits_2_naming_both_files_before_any_l
         tmp_path, capsys):
     rng = np.random.default_rng(61)
     wide, narrow = tmp_path / "wide.csv", tmp_path / "narrow.csv"
-    save_feature_dataset(feature_table(rng, 20, (40, 0.5, 0.05, None)), wide)
-    save_feature_dataset(feature_table(rng, 4, (40, 0.5, 0.05, None)), narrow)
+    write_feature_file(feature_table(rng, 20, (40, 0.5, 0.05, None)), wide)
+    write_feature_file(feature_table(rng, 4, (40, 0.5, 0.05, None)), narrow)
     state = tmp_path / "st.json"
     assert cli.main(["init", str(wide), "--features", "--out", str(state)]) == 0
     capsys.readouterr()
@@ -628,6 +667,9 @@ def test_an_alerts_path_that_cannot_be_opened_exits_2_leaving_no_log(flood_trace
     (["--report", "missing/R.json"], "--report missing/R.json"),
     (["--report", "missing/R.json", "--devices"], "--report missing/R.json"),
     (["--plots", "flood.csv"], "--plots flood.csv: not a directory"),
+    (["--alerts", "A.jsonl", "--log", "nodir/L.csv"],
+     "--log nodir/L.csv: directory nodir does not exist"),
+    (["--alerts", "nodir/A.jsonl"], "--alerts nodir/A.jsonl: directory nodir does not exist"),
 ])
 def test_an_output_written_after_the_replay_is_checked_before_it(flood_trace_file, tmp_path,
                                                                   capsys, monkeypatch, flags,
@@ -637,7 +679,7 @@ def test_an_output_written_after_the_replay_is_checked_before_it(flood_trace_fil
     assert rc == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {named}")
-    assert sorted(os.listdir(tmp_path)) == ["flood.csv"]  # no log, report or state
+    assert sorted(os.listdir(tmp_path)) == ["flood.csv"]  # no log, alerts, report or state
 
 
 @pytest.mark.parametrize("flags, named", [
@@ -700,8 +742,8 @@ def test_a_failed_readout_solve_exits_2_and_keeps_every_row_judged_before(tmp_pa
     table = FeatureTable(np.vstack([rng.random((60, 2)), np.full((10, 2), 1.5e308)]),
                          [False] * 70)
     full, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
-    save_feature_dataset(table, full)
-    save_feature_dataset(FeatureTable(table.features[:63], table.label[:63]), cut)
+    write_feature_file(table, full)
+    write_feature_file(FeatureTable(table.features[:63], table.label[:63]), cut)
     flags = ["--features", "--online", "--set", "train.init_len=40", "--set",
              "train.window_len=4", "--set", "threshold.mode=fixed",
              "--set", "threshold.value=1.7e308"]
@@ -723,7 +765,7 @@ def test_the_report_decision_series_is_the_decision_log(tmp_path, kind):
         rng = np.random.default_rng(59)
         rows = feature_table(rng, 4, (60, 0.5, 0.05, None), (6, 3.0, 0.1, "shift"))
         data = tmp_path / "features.csv"
-        save_feature_dataset(rows, data)
+        write_feature_file(rows, data)
         args = [str(data), "--features", "--online", "--set", "train.init_len=40",
                 "--set", "train.window_len=8"]
     else:
@@ -761,19 +803,6 @@ def test_short_init_names_the_window_key_in_force(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: trace has only 254 usable benign packets, "
                                        "init needs train.init_len=300\n")
     assert not state.exists()
-
-
-def stepped_packet_init(path, overrides, out):
-    """Packet ``init`` as it was: the whole trace loaded, then each non-attack
-    packet stepped until init ends."""
-    trace = load_trace(path)
-    det = Detector(3, apply_overrides(Config(), overrides), mode=Mode.BOTNET, online=False)
-    for pkt, label in zip(trace, trace.label):
-        if label is not True:
-            det.step(pkt)
-            if det.phase != Phase.INIT:
-                break
-    save_state(det, out)
 
 
 def packet_trace_lines(tmp_path, kind):
@@ -865,7 +894,7 @@ def test_init_and_replay_leave_numpy_random_unloaded(tmp_path):
     assert cli.main(["synth", "--out", str(tmp_path / "trace.csv"), "--duration", "30",
                      "--rate", "30", "--seed", "5", "--hosts", "10.0.0.1,10.0.0.2,10.0.0.3",
                      "--flood", "25:30:20", "--attacker", "10.0.0.3"]) == 0
-    save_feature_dataset(feature_table(rng, 20, (600, 0.5, 0.05, None)), tmp_path / "train.csv")
+    write_feature_file(feature_table(rng, 20, (600, 0.5, 0.05, None)), tmp_path / "train.csv")
     packet = ["--set", "train.init_len=300", "--set", "train.window_len=100"]
     runs = [["init", "trace.csv", "--out", "packet.json"] + packet,
             ["init", "train.csv", "--features", "--out", "features.json"],
@@ -984,10 +1013,10 @@ def test_every_output_is_the_same_under_one_and_two_openblas_threads(tmp_path):
     assert cli.main(["synth", "--out", str(tmp_path / "trace.csv"), "--duration", "40",
                      "--rate", "30", "--seed", "5", "--hosts", "10.0.0.1,10.0.0.2,10.0.0.3",
                      "--flood", "30:40:20", "--attacker", "10.0.0.3"]) == 0
-    save_feature_dataset(feature_table(rng, 20, (3000, 0.5, 0.05, None)),
-                         tmp_path / "train.csv")  # an init forward big enough to thread
-    save_feature_dataset(feature_table(rng, 20, (200, 0.5, 0.05, None), (20, 3.0, 0.1, "shift")),
-                         tmp_path / "test.csv")
+    write_feature_file(feature_table(rng, 20, (3000, 0.5, 0.05, None)),
+                       tmp_path / "train.csv")  # an init forward big enough to thread
+    write_feature_file(feature_table(rng, 20, (200, 0.5, 0.05, None), (20, 3.0, 0.1, "shift")),
+                       tmp_path / "test.csv")
     packet = ["--set", "train.init_len=300", "--set", "train.window_len=100"]
     devices = ["--set", "device.init_len=6", "--set", "metrics.N=5",
                "--set", "metrics.T_seconds=1.0"]
@@ -1024,14 +1053,14 @@ def test_alerts_are_the_attack_rows_of_the_decision_log(tmp_path, mode):
         rows = feature_table(rng, 4, (60, 0.5, 0.05, None), (6, 3.0, 0.1, "shift"),
                              (40, 0.5, 0.05, None))
         data = tmp_path / "features.csv"
-        save_feature_dataset(rows, data)
-        args = [str(data), "--features", "--cold-start", "--set", "train.init_len=40"]
+        write_feature_file(rows, data)
+        args = [str(data), "--features", "--set", "train.init_len=40"]
     else:
         data = tmp_path / "trace.csv"
         assert cli.main(["synth", "--out", str(data), "--duration", "20", "--rate", "30",
                          "--seed", "3", "--hosts", "10.0.0.1,10.0.0.2,10.0.0.3",
                          "--flood", "12:20:20", "--attacker", "10.0.0.3"]) == 0
-        args = [str(data), "--cold-start", "--set", "train.init_len=64"]
+        args = [str(data), "--set", "train.init_len=64"]
         if mode == "devices":
             args += ["--devices", "--set", "device.init_len=6", "--set", "metrics.N=5",
                      "--set", "metrics.T_seconds=1.0"]
@@ -1068,7 +1097,7 @@ def test_feature_mode_init_and_replay(tmp_path, capsys):
     rng = np.random.default_rng(29)
     rows = feature_table(rng, 4, (80, 0.5, 0.05, None), (20, 4.0, 0.1, "shift"))
     data = tmp_path / "features.csv"
-    save_feature_dataset(rows, data)
+    write_feature_file(rows, data)
 
     state = tmp_path / "fstate.json"
     assert cli.main(["init", str(data), "--features", "--out", str(state)]) == 0
@@ -1087,23 +1116,12 @@ def test_feature_mode_init_and_replay(tmp_path, capsys):
     assert "per-attack-type accuracy" in out
 
 
-def stepped_feature_init(data, overrides, out):
-    """``init --features`` the long way: every benign row stepped through."""
-    table = load_feature_dataset(data)
-    rows = [row for row, label in zip(table, table.label) if label is not True]
-    config = apply_overrides(Config(), overrides + [f"train.init_len={len(rows)}"])
-    det = Detector(len(rows[0]), config, mode=Mode.FEATURES, online=False)
-    for row in rows:
-        det.step(row)
-    save_state(det, out)
-
-
 def test_feature_init_fits_every_benign_row_whatever_train_init_len(tmp_path, capsys):
     rng = np.random.default_rng(41)
     rows = feature_table(rng, 4, (20, 0.5, 0.05, None), (3, 4.0, 0.1, "shift"),
                          (10, 0.5, 0.05, None))
     data = tmp_path / "features.csv"
-    save_feature_dataset(rows, data)
+    write_feature_file(rows, data)
     states = []
     for init_len in (None, 4, 29, 31, 100000):
         state = tmp_path / f"state-{init_len}.json"
@@ -1121,7 +1139,7 @@ def test_feature_init_equals_stepping_the_rows(tmp_path, capsys, init_seconds):
     rows = feature_table(rng, 5, (50, 0.5, 0.05, None), (5, 4.0, 0.1, "shift"),
                          (30, 0.5, 0.05, None))
     data = tmp_path / "features.csv"
-    save_feature_dataset(rows, data)
+    write_feature_file(rows, data)
     overrides = [] if init_seconds is None else [f"train.init_seconds={init_seconds}"]
     state, expected = tmp_path / "bulk.json", tmp_path / "stepped.json"
     set_args = [a for o in overrides for a in ("--set", o)]
@@ -1145,15 +1163,15 @@ def test_cold_start_feature_replay_equals_stepping_every_row(tmp_path, override,
     rows = feature_table(rng, 4, (60, 0.5, 0.05, None), (6, 3.0, 0.1, "shift"),
                          (40, 0.5, 0.05, None))
     data = tmp_path / "features.csv"
-    save_feature_dataset(rows, data)
+    write_feature_file(rows, data)
     overrides = [override, "train.window_len=8"]
     log, state = tmp_path / "replay.csv", tmp_path / "replay.json"
-    args = ["replay", str(data), "--features", "--cold-start", "--log", str(log),
+    args = ["replay", str(data), "--features", "--log", str(log),
             "--save-state", str(state)] + ["--online"] * online
     assert cli.main(args + [a for o in overrides for a in ("--set", o)]) == 0
 
     det = Detector(4, apply_overrides(Config(), overrides), mode=Mode.FEATURES, online=online)
-    decisions = [d for d in map(det.step, load_feature_dataset(data)) if d is not None]
+    decisions = [d for _, d in stepped(det, load_feature_dataset(data))]
     cli.write_decision_log(decisions, "features", tmp_path / "stepped.csv")
     save_state(det, tmp_path / "stepped.json")
     assert log.read_bytes() == (tmp_path / "stepped.csv").read_bytes()
@@ -1175,8 +1193,8 @@ def test_feature_init_rejects_a_non_finite_row(tmp_path, capsys):
 
 def test_eval_rejects_an_unlabeled_trace(flood_trace_file, tmp_path, capsys):
     log = tmp_path / "log.csv"
-    assert cli.main(["replay", str(flood_trace_file), "--cold-start",
-                     "--set", "train.init_len=64", "--log", str(log)]) == 0
+    assert cli.main(["replay", str(flood_trace_file), "--set", "train.init_len=64",
+                     "--log", str(log)]) == 0
     lines = flood_trace_file.read_text().splitlines()
     unlabeled = tmp_path / "unlabeled.csv"
     unlabeled.write_text("\n".join([lines[0]] + [",".join(line.split(",")[:4]) + ",,"
@@ -1199,7 +1217,7 @@ def test_replay_of_a_feature_file_without_rows(tmp_path, capsys):
 def test_feature_replay_ending_in_init_leaves_a_header_only_log(tmp_path, capsys):
     rng = np.random.default_rng(53)
     data, log = tmp_path / "features.csv", tmp_path / "log.csv"
-    save_feature_dataset(FeatureTable(rng.uniform(0, 1, size=(20, 3)), [False] * 20), data)
+    write_feature_file(FeatureTable(rng.uniform(0, 1, size=(20, 3)), [False] * 20), data)
     assert cli.main(["replay", str(data), "--features", "--log", str(log),
                      "--set", "train.init_len=30"]) == 2
     assert "feature file ended before init completed" in capsys.readouterr().err
@@ -1209,7 +1227,7 @@ def test_feature_replay_ending_in_init_leaves_a_header_only_log(tmp_path, capsys
 def test_replay_without_enough_packets(tmp_path, capsys):
     short = tmp_path / "short.csv"
     assert cli.main(["synth", "--out", str(short), "--duration", "1", "--rate", "20"]) == 0
-    rc = cli.main(["replay", str(short), "--cold-start"])
+    rc = cli.main(["replay", str(short)])
     assert rc == 2
     assert "no decisions" in capsys.readouterr().err
 

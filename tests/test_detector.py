@@ -3,7 +3,6 @@ semi-supervised training gate, and state persistence."""
 
 import errno
 import json
-import math
 import os
 import zlib
 
@@ -12,10 +11,10 @@ import pytest
 
 from aadetect.config import Config, config_from_dict
 from aadetect.detector import (Decision, Detector, LifecycleError, Mode, Phase,
-                               load_state, salt_for_address, save_state,
-                               simple_threshold_baseline, whisker_threshold)
+                               load_state, salt_for_address, save_state, whisker_threshold)
 from aadetect.metrics import DimensionError, ScalingFactors
 from aadetect.traffic import FeatureTable, Trace
+from oracles import oracle_whisker
 
 
 def small_config(**train_overrides):
@@ -135,29 +134,7 @@ def test_classify_rejects_bad_thresholds(tmp_path):
             load_state(path)
 
 
-def test_simple_threshold_baseline_any_metric_exceeds():
-    theta = np.array([1.0, 2.0, 3.0])
-    assert simple_threshold_baseline(np.array([0.5, 1.5, 2.5]), theta) is False
-    assert simple_threshold_baseline(np.array([0.5, 2.5, 2.5]), theta) is True
-    assert simple_threshold_baseline(theta.copy(), theta) is False  # strict
-    with pytest.raises(DimensionError):
-        simple_threshold_baseline(np.zeros(2), theta)
-
-
 # -- whisker threshold ------------------------------------------------------------------
-
-
-def oracle_whisker(vals):
-    """Textbook Q3 + 1.5*IQR with quartiles interpolated at q * (n - 1)."""
-    s = sorted(vals)
-
-    def quartile(q):
-        pos = q * (len(s) - 1)
-        lo, hi = math.floor(pos), math.ceil(pos)
-        return s[lo] + (pos - lo) * (s[hi] - s[lo])
-
-    q1, q3 = quartile(0.25), quartile(0.75)
-    return q3 + 1.5 * (q3 - q1)
 
 
 def test_whisker_worked_example():
@@ -307,19 +284,22 @@ def test_step_rows_steps_a_feature_table_and_yields_results_only():
     assert results == [stepped.step(row) for row in table.features]
 
 
-def test_freeze_stops_learning_but_not_deciding():
+def test_freeze_stops_learning_but_not_deciding(tmp_path):
+    # A running detector is frozen by saving it and loading it back frozen: it
+    # decides as the running one does until that one's first refit (a window
+    # holds 4 rows), and learns nothing itself.
     rng = np.random.default_rng(101)
     det, t = warmed_detector(rng)
-    det.freeze()
-    n = det.accepted_rows
-    dec = det.observe(benign_row(rng), t + 1)
-    assert dec is not None and det.accepted_rows == n
-
-
-def test_freeze_during_init_is_an_error():
-    det = Detector(3, small_config(), Mode.BOTNET)
-    with pytest.raises(LifecycleError):
-        det.freeze()
+    save_state(det, tmp_path / "state.json")
+    frozen = load_state(tmp_path / "state.json", det.config)
+    assert frozen.phase == Phase.FROZEN
+    n = frozen.accepted_rows
+    for i in range(12):
+        t += 100_000
+        row = benign_row(rng)
+        dec, running = frozen.observe(row, t), det.observe(row, t)
+        assert dec is not None and (i >= 4 or dec == running)
+    assert frozen.accepted_rows == n < det.accepted_rows
 
 
 # -- the semi-supervised gate -------------------------------------------------------

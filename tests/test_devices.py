@@ -4,18 +4,16 @@ bank that gives every device a detector from its first vector, with the heap
 an address spray costs."""
 
 import tracemalloc
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
 
-from aadetect.config import Config, config_from_dict
-from aadetect.detector import Decision, Detector, Mode, Phase, salt_for_address, whisker_threshold
-from aadetect.devices import (DEVICE_DIM, DeviceBank, DeviceReportRow, InfectionReport,
-                              infection_level)
-from aadetect.metrics import DimensionError, DirectionalMetrics
-from aadetect.traffic import Packet, Trace
+from aadetect.config import config_from_dict
+from aadetect.detector import Phase, whisker_threshold
+from aadetect.devices import DEVICE_DIM, DeviceBank, InfectionReport, infection_level
+from aadetect.metrics import DimensionError
+from aadetect.traffic import Trace
+from oracles import OracleBank
 
 
 def device_config(**overrides):
@@ -95,7 +93,7 @@ def test_infection_level_validation():
 def test_first_packet_creates_exactly_two_devices():
     bank = DeviceBank(device_config())
     out = bank.ingest((0, "A", "B", 100))
-    assert len(bank) == 2 and "A" in bank and "B" in bank
+    assert len(bank) == 2 and None not in (bank.device("A"), bank.device("B"))
     assert out == []  # both devices are still initializing
     assert bank.device("A").decisions_count == 0
 
@@ -246,7 +244,7 @@ def test_idle_devices_are_evicted_and_reported():
     for i in range(600):  # ghost goes silent; time marches past the TTL
         t += 10_000
         bank.ingest((t, "a", "b", 100))
-    assert "ghost" not in bank
+    assert bank.device("ghost") is None
     report = bank.report()
     ghost_rows = [r for r in report.devices if r.addr == "ghost"]
     assert len(ghost_rows) == 1 and ghost_rows[0].evicted
@@ -263,7 +261,7 @@ def test_reappearing_device_restarts_fresh():
     for i in range(600):
         t += 10_000
         bank.ingest((t, "a", "b", 100))
-    assert "ghost" not in bank
+    assert bank.device("ghost") is None
     bank.ingest((t + 1, "ghost", "a", 100))
     rec = bank.device("ghost")
     assert rec is not None and rec.decisions_count == 0
@@ -317,94 +315,6 @@ def test_a_gamma_the_device_detector_cannot_take_fails_at_the_bank():
     cfg = config_from_dict({"metrics": {"gamma": [0.5, 0.25, 0.25]}})
     with pytest.raises(DimensionError, match="metrics.gamma has 3 weights, a device"):
         DeviceBank(cfg)
-
-
-@dataclass
-class OracleRecord:
-    addr: str
-    detector: Detector
-    infection_level: float = 0.0
-    peak_level: float = 0.0
-    last_seen_us: int = 0
-    decisions_count: int = 0
-    consecutive_above: int = 0
-
-
-class OracleBank:
-    """The device bank as it was before devices in init lost their detector,
-    kept verbatim as an oracle: every device steps its own DEVICE ``Detector``
-    from its first vector."""
-
-    def __init__(self, config: Config):
-        self.config = config
-        self._metrics = DirectionalMetrics(config.metrics.N, config.metrics.T_us)
-        self._devices: Dict[str, OracleRecord] = {}
-        self._evicted: List[DeviceReportRow] = []
-        self._packets = 0
-        self._ttl_us = int(round(config.device.ttl_seconds * 1e6))
-
-    def device(self, addr: str) -> Optional[OracleRecord]:
-        return self._devices.get(addr)
-
-    def _new_device(self, addr: str) -> OracleRecord:
-        det = Detector(DEVICE_DIM, self.config, mode=Mode.DEVICE, online=True,
-                       noise_salt=salt_for_address(addr))
-        return OracleRecord(addr=addr, detector=det)
-
-    def ingest(self, pkt: Packet) -> List[Tuple[str, Decision]]:
-        ts_us, src, dst, size_bytes = pkt
-        vectors = self._metrics.update(ts_us, src, dst, size_bytes)
-        out: List[Tuple[str, Decision]] = []
-        for addr, raw in vectors.items():
-            rec = self._devices.get(addr)
-            if rec is None:
-                rec = self._devices[addr] = self._new_device(addr)
-            rec.last_seen_us = ts_us
-            decision = rec.detector.observe(raw, ts_us)
-            if decision is None:
-                continue
-            rec.decisions_count += 1
-            rec.infection_level = infection_level(rec.infection_level, decision.value,
-                                                  self.config.device.alpha,
-                                                  rec.detector.threshold)
-            rec.peak_level = max(rec.peak_level, rec.infection_level)
-            if rec.infection_level > self.config.device.level_threshold:
-                rec.consecutive_above += 1
-            else:
-                rec.consecutive_above = 0
-            out.append((addr, decision))
-        self._packets += 1
-        if self._packets % 512 == 0:
-            self._evict_idle(ts_us)
-        return out
-
-    def is_compromised(self, rec: OracleRecord) -> bool:
-        return rec.consecutive_above >= self.config.device.hysteresis_k
-
-    def _evict_idle(self, now_us: int) -> None:
-        idle = [addr for addr, rec in self._devices.items()
-                if now_us - rec.last_seen_us >= self._ttl_us]
-        for addr in idle:
-            rec = self._devices.pop(addr)
-            self._metrics.drop(addr)
-            self._evicted.append(self._row(rec, evicted=True))
-
-    def _row(self, rec: OracleRecord, evicted: bool = False) -> DeviceReportRow:
-        return DeviceReportRow(addr=rec.addr,
-                               infection_level=rec.infection_level,
-                               peak_level=rec.peak_level,
-                               is_compromised=self.is_compromised(rec),
-                               decisions_count=rec.decisions_count,
-                               last_seen_us=rec.last_seen_us,
-                               evicted=evicted)
-
-    def report(self) -> InfectionReport:
-        rows = [self._row(rec) for rec in self._devices.values()]
-        rows.extend(self._evicted)
-        rows.sort(key=lambda r: (-r.infection_level, r.addr))
-        compromised = tuple(r.addr for r in rows if r.is_compromised)
-        return InfectionReport(devices=tuple(rows), packets=self._packets,
-                               compromised=compromised)
 
 
 def churn_trace(rng, init_len):

@@ -1,8 +1,6 @@
 """Metric extraction against brute-force oracles and the deque-backed extractor
 it replaced, plus scaling behavior."""
 
-from collections import deque
-
 import numpy as np
 import pytest
 
@@ -12,23 +10,7 @@ from aadetect.metrics import (DimensionError, DirectionalMetrics,
                               fit_scaling, min_max_fit,
                               scaler_from_json)
 from aadetect.traffic import TimestampOrderError, Trace
-
-
-def oracle_triple(packets, i, N, T_us):
-    """Recompute (m1, m2, m3) for packet i from the full packet list.
-
-    O(n) per packet, no incremental state: the reference the streaming
-    implementation must match exactly.
-    """
-    window = packets[max(0, i - N + 1): i + 1]
-    m1 = sum(size for _, size in window)
-    if len(window) >= 2:
-        m2 = (window[-1][0] - window[0][0]) / (len(window) - 1) / 1e6
-    else:
-        m2 = 0.0
-    t = packets[i][0]
-    m3 = sum(1 for ts, _ in packets[: i + 1] if t - T_us < ts <= t)
-    return m1, m2, m3
+from oracles import DequeStreamMetrics, oracle_directional, oracle_triple
 
 
 def random_packets(rng, n, max_gap_us=2_000_000):
@@ -70,47 +52,6 @@ def test_streaming_equals_oracle_on_random_streams():
             assert m1 == e1  # integer byte sum: exact
             assert m3 == e3  # integer count: exact
             assert m2 == pytest.approx(e2, rel=1e-12, abs=0.0)
-
-
-class DequeStreamMetrics:
-    """The deque-backed extractor that ``StreamMetrics`` replaced, kept
-    verbatim as an oracle: the list-backed one must give bit-equal triples."""
-
-    def __init__(self, N: int, T_us: int):
-        self.N = N
-        self.T_us = T_us
-        self._recent = deque()
-        self._recent_bytes = 0
-        self._window = deque()
-        self._last_ts = None
-
-    def update(self, ts_us: int, size_bytes: int) -> np.ndarray:
-        """Advance the buffers with one packet and return its metric triple."""
-        if self._last_ts is not None and ts_us < self._last_ts:
-            raise TimestampOrderError(f"timestamp {ts_us} precedes previous {self._last_ts}")
-        self._last_ts = ts_us
-
-        self._recent.append((ts_us, size_bytes))
-        self._recent_bytes += size_bytes
-        if len(self._recent) > self.N:
-            _, old_size = self._recent.popleft()
-            self._recent_bytes -= old_size
-
-        n = len(self._recent)
-        m1 = float(self._recent_bytes)
-        if n >= 2:
-            span_us = ts_us - self._recent[0][0]
-            m2 = max(span_us, 0) / (n - 1) / 1e6
-        else:
-            m2 = 0.0
-
-        self._window.append(ts_us)
-        cutoff = ts_us - self.T_us
-        while self._window[0] <= cutoff:
-            self._window.popleft()
-        m3 = float(len(self._window))
-
-        return np.array([m1, m2, m3])
 
 
 def bursty_packets(rng, n, T_us):
@@ -198,24 +139,6 @@ def test_out_of_order_timestamp_raises():
 
 
 # -- directional 6-metric extension -------------------------------------------
-
-
-def oracle_directional(trace, N, T_us):
-    """Reference per-address vectors: recompute each substream from scratch."""
-    tx, rx = {}, {}
-    tx_last, rx_last = {}, {}
-    out = []
-    zeros = (0.0, 0.0, 0.0)
-    for t, src, dst, size in trace:
-        tx.setdefault(src, []).append((t, size))
-        tx_last[src] = oracle_triple(tx[src], len(tx[src]) - 1, N, T_us)
-        rx.setdefault(dst, []).append((t, size))
-        rx_last[dst] = oracle_triple(rx[dst], len(rx[dst]) - 1, N, T_us)
-        vecs = {}
-        for addr in dict.fromkeys((src, dst)):
-            vecs[addr] = tx_last.get(addr, zeros) + rx_last.get(addr, zeros)
-        out.append(vecs)
-    return out
 
 
 def random_trace(rng, n, hosts):

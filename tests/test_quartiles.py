@@ -14,6 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from aadetect.detector import _linear_quantile, whisker_threshold  # noqa: E402
+from oracles import percentile_whisker  # noqa: E402
 
 # Bounded so that Q3 + 1.5 * IQR stays finite; subnormals are drawn too.
 finite = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False)
@@ -26,15 +27,6 @@ SUBNORMAL = 5e-324
 
 def bits(x) -> bytes:
     return struct.pack("<d", float(x))
-
-
-def percentile_whisker(vals):
-    """The whisker as it was computed with ``np.percentile``."""
-    q1, q3 = np.percentile(vals, [25.0, 75.0])
-    whisker = float(q3 + 1.5 * (q3 - q1))
-    if whisker <= 0:
-        whisker = float(np.max(vals))
-    return whisker if whisker > 0 else 1e-6
 
 
 @settings(max_examples=300, deadline=None)

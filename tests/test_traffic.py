@@ -1,16 +1,15 @@
 """Trace/feature I/O round-trips, parse errors, and synthetic generation."""
 
 import csv
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aadetect import traffic
 from aadetect.traffic import (TRACE_FIELDS, AttackSegment, FeatureTable, Trace,
-                              TraceParseError, TraceSpec, _parse_label,
-                              load_feature_dataset, load_trace,
-                              save_feature_dataset, save_trace, synth_trace)
+                              TraceParseError, TraceSpec, load_feature_dataset, load_trace,
+                              save_trace, synth_trace)
+from oracles import per_row_load_feature_dataset, per_row_load_trace, write_feature_file
 
 
 def random_rows(rng, n):
@@ -152,39 +151,6 @@ def test_trace_blank_lines_are_skipped(tmp_path):
         "0,a,b,10,0,\n"
         "\n")
     assert len(load_trace(path)) == 1
-
-
-def per_row_load_trace(path):
-    """The trace loader as first written, one csv row at a time: the
-    reference for the column loader's columns and errors. Returns the rows
-    as six-column tuples."""
-    path = Path(path)
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != list(TRACE_FIELDS):
-            raise TraceParseError(path, 1, f"expected header {','.join(TRACE_FIELDS)}")
-        prev_ts = None
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(TRACE_FIELDS):
-                raise TraceParseError(path, line_no, f"expected {len(TRACE_FIELDS)} columns, got {len(row)}")
-            try:
-                ts = int(row[0])
-                size = int(row[3])
-            except ValueError as exc:
-                raise TraceParseError(path, line_no, f"bad integer field: {exc}") from None
-            label = _parse_label(row[4].strip(), path, line_no)
-            attack_type = row[5].strip() or None
-            if size < 0:
-                raise TraceParseError(path, line_no, f"negative packet size: {size}")
-            if prev_ts is not None and ts < prev_ts:
-                raise TraceParseError(path, line_no, f"timestamp {ts} goes backwards (previous {prev_ts})")
-            prev_ts = ts
-            records.append((ts, row[1], row[2], size, label, attack_type))
-    return tuple(records)
 
 
 def trace_lines(n, seed=4):
@@ -357,13 +323,11 @@ def test_feature_dataset_round_trip(tmp_path):
                          [bool(b) for b in rng.integers(2, size=100)],
                          ["scan" if b else None for b in rng.integers(2, size=100)])
     path = tmp_path / "f.csv"
-    save_feature_dataset(table, path)
+    write_feature_file(table, path)
     loaded = load_feature_dataset(path)
     assert len(loaded) == len(table) == 100
     assert np.array_equal(loaded.features, table.features)  # repr() round-trips floats
     assert loaded.label == table.label and loaded.attack_type == table.attack_type
-    with pytest.raises(ValueError):
-        save_feature_dataset(FeatureTable(np.empty((0, 4))), path)
 
 
 def test_feature_dataset_header_without_type_column(tmp_path):
@@ -400,33 +364,6 @@ def test_feature_dataset_bad_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(TraceParseError):
         load_feature_dataset(path)
-
-
-def per_row_load_feature_dataset(path):
-    """The feature loader as first written, one row at a time: the reference
-    for the block loader's table and errors. Returns ``(features, label,
-    attack_type)`` per row."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        has_type = header[-1] == "attack_type"
-        label_idx = len(header) - (2 if has_type else 1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise TraceParseError(path, line_no, f"expected {len(header)} columns, got {len(row)}")
-            try:
-                feats = np.array([float(v) for v in row[:label_idx]], dtype=float)
-            except ValueError as exc:
-                raise TraceParseError(path, line_no, f"bad feature value: {exc}") from None
-            if not np.all(np.isfinite(feats)):
-                raise TraceParseError(path, line_no, "non-finite feature value")
-            label = _parse_label(row[label_idx].strip(), path, line_no)
-            attack_type = (row[label_idx + 1].strip() or None) if has_type else None
-            rows.append((feats, label, attack_type))
-    return rows
 
 
 def feature_lines(n, seed=3):

@@ -7,103 +7,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aadetect import training
-from aadetect.aadrnn import AadrnnModel, activation
+from aadetect.aadrnn import AadrnnModel
 from aadetect.config import TrainSection, config_from_dict
 from aadetect.detector import salt_for_address
 from aadetect.metrics import DimensionError
-from aadetect.training import (SufficientStats, TrainingError, accumulate_pairs,
-                               corrupt, fit_batch_with_stats,
+from aadetect.training import (SufficientStats, TrainingError, corrupt, fit_batch_with_stats,
                                noise_rng, solve_readout, update_incremental)
-
-# The training noise written out with Python ints, one value at a time, from
-# the definition in the training module's docstring; nothing here calls the
-# package.
-MASK64 = (1 << 64) - 1
-
-
-def oracle_splitmix(key, counter):
-    z = (key + (counter + 1) * 0x9E3779B97F4A7C15) % 2**64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
-    return z ^ (z >> 31)
-
-
-def oracle_key(seed, salt):
-    key = 0
-    for value in [seed] if salt is None else [seed, salt]:
-        words = [value % 2**64]
-        while value >= 2**64:
-            value //= 2**64
-            words.append(value % 2**64)
-        for word in [len(words)] + words:
-            key = oracle_splitmix(key ^ word, 0)
-    return key
-
-
-def oracle_noise(seed, salt, row, col, width, sigma):
-    """Value (row, col) of the width-``width`` noise field of (seed, salt)."""
-    key, lanes = oracle_key(seed, salt), 0
-    for k in range(3):
-        word = oracle_splitmix(key, 3 * (row * width + col) + k)
-        lanes += sum((word >> (16 * lane)) & 0xFFFF for lane in range(4))
-    return (lanes - 6 * 65536) * (sigma / 65536)
-
-
-def hand_hidden(model, x):
-    """Hidden activations via scalar loops only (independent of the library)."""
-    h = list(map(float, x))
-    for w in model.hidden_weights:
-        nxt = []
-        for i in range(w.shape[0]):
-            pre = max(sum(w[i, j] * h[j] for j in range(w.shape[1])), 0.0)
-            nxt.append(pre / (1.0 + pre))
-        h = nxt
-    return np.array(h)
-
-
-def oracle_readout(model, X, cfg, salt=None):
-    """Closed-form (H^T H + lambda I)^{-1} H^T X with H rebuilt from scratch:
-    the per-value noise oracle, scalar-loop hidden activations, explicit
-    inverse."""
-    H = []
-    for i, row in enumerate(X):
-        noise = [oracle_noise(cfg.seed, salt, i, j, len(row), cfg.noise_sigma)
-                 for j in range(len(row))]
-        noisy = np.maximum(row + np.array(noise), 0.0)
-        H.append(hand_hidden(model, noisy))
-    H = np.array(H)
-    A = H.T @ H + cfg.ridge_lambda * np.eye(H.shape[1])
-    return np.linalg.inv(A) @ (H.T @ np.asarray(X, dtype=float))
-
+from oracles import (layer_by_layer_hidden, oracle_noise, oracle_readout,
+                     per_row_accumulate_pairs, per_row_corrupt_window)
 
 def random_rows(rng, n, dim):
     return rng.uniform(0.0, 2.0, size=(n, dim))
-
-
-# The per-row training fold as the library first wrote it, kept as the
-# reference the chunked fold must match bit for bit.
-
-
-def per_row_corrupt_window(window, start_index, cfg, salt):
-    noisy = np.empty_like(window)
-    for j in range(window.shape[0]):
-        rng = noise_rng(cfg.seed, start_index + j, salt)
-        noisy[j] = corrupt(window[j], cfg.noise_sigma, rng)
-    return noisy
-
-
-def per_row_accumulate_pairs(stats, noisy, clean, model):
-    if noisy.shape != clean.shape:
-        raise DimensionError(f"noisy shape {noisy.shape} != clean shape {clean.shape}")
-    if noisy.ndim == 1:
-        noisy = noisy.reshape(1, -1)
-        clean = clean.reshape(1, -1)
-    G, C = stats.G.copy(), stats.C.copy()
-    for j in range(noisy.shape[0]):
-        h = model.hidden(noisy[j])
-        G += np.outer(h, h)
-        C += np.outer(h, clean[j])
-    return SufficientStats(G, C, stats.n + noisy.shape[0])
 
 
 # -- corruption -------------------------------------------------------------------
@@ -326,16 +240,15 @@ def test_chunked_fold_equals_per_row_oracle(dim):
         empty = SufficientStats.empty(dim)
         noisy = per_row_corrupt_window(X, 0, cfg, salt)
         expected = per_row_accumulate_pairs(empty, noisy, X, model)
-        got = accumulate_pairs(empty, noisy, X, model)
-        assert np.array_equal(got.G, expected.G) and np.array_equal(got.C, expected.C)
-        # Folding on top of existing statistics adds onto them in row order too.
-        again = per_row_accumulate_pairs(expected, noisy[:5], X[:5], model)
-        got = accumulate_pairs(expected, noisy[:5], X[:5], model)
-        assert np.array_equal(got.G, again.G) and np.array_equal(got.C, again.C)
         stats, fitted = fit_batch_with_stats(model, X, cfg, salt)
         assert stats.n == expected.n == 600
         assert np.array_equal(stats.G, expected.G) and np.array_equal(stats.C, expected.C)
         assert np.array_equal(fitted.readout, solve_readout(expected, cfg.ridge_lambda))
+        # Folding on top of existing statistics adds onto them in row order too.
+        again = per_row_accumulate_pairs(expected, per_row_corrupt_window(X[:5], 600, cfg, salt),
+                                         X[:5], model)
+        got = update_incremental(stats, X[:5], model, cfg, salt)[0]
+        assert np.array_equal(got.G, again.G) and np.array_equal(got.C, again.C)
 
 
 def same_bits(a, b):
@@ -362,12 +275,9 @@ def test_one_chunk_pass_equals_the_per_row_oracles_at_chunk_edges(dim):
             for stats in (empty, earlier):
                 noisy = per_row_corrupt_window(X, stats.n, cfg, salt)
                 expected = per_row_accumulate_pairs(stats, noisy, X, model)
-                got = accumulate_pairs(stats, noisy, X, model)
-                assert same_bits(got.G, expected.G) and same_bits(got.C, expected.C)
-                assert got.n == expected.n == stats.n + n
                 got, fitted = update_incremental(stats, X, model, cfg, salt)
                 assert same_bits(got.G, expected.G) and same_bits(got.C, expected.C)
-                assert got.n == expected.n
+                assert got.n == expected.n == stats.n + n
                 assert same_bits(fitted.readout, solve_readout(expected, cfg.ridge_lambda))
 
 
@@ -377,29 +287,22 @@ def test_hidden_equals_the_layer_by_layer_activation_and_leaves_its_input(dim):
     X = np.random.default_rng(dim).uniform(-1.0, 3.0, size=(40, dim))
     X[0] = 0.0
     X[1] = -0.0  # a signed-zero row: bits are compared, not values
-
-    def reference(x):
-        h = np.asarray(x, dtype=float)
-        for w in model.hidden_weights:
-            h = activation(h @ w.T)
-        return h
-
     for x in (X[5], X, X[:, None, :], X[:1]):
         before = x.copy()
-        assert same_bits(model.hidden(x), reference(x))
+        assert same_bits(model.hidden(x), layer_by_layer_hidden(model, x))
         assert same_bits(x, before)
 
 
 def test_accumulation_is_permutation_symmetric():
-    # G and C are sums over rows, so folding the same (noisy, clean) pairs in
-    # any order gives the same readout.
+    # G and C are sums over rows, so folding the same rows in any order gives
+    # the same readout (without noise, which is keyed to a row's position).
     rng = np.random.default_rng(19)
     model = AadrnnModel.initial(3, 4)
-    clean = random_rows(rng, 40, 3)
-    noisy = np.maximum(clean + rng.normal(0, 0.1, size=clean.shape), 0)
-    stats_fwd = accumulate_pairs(SufficientStats.empty(3), noisy, clean, model)
-    perm = rng.permutation(len(clean))
-    stats_perm = accumulate_pairs(SufficientStats.empty(3), noisy[perm], clean[perm], model)
+    rows = random_rows(rng, 40, 3)
+    cfg = TrainSection(noise_sigma=0.0)
+    stats_fwd = update_incremental(SufficientStats.empty(3), rows, model, cfg)[0]
+    perm = rng.permutation(len(rows))
+    stats_perm = update_incremental(SufficientStats.empty(3), rows[perm], model, cfg)[0]
     assert np.allclose(stats_fwd.G, stats_perm.G, rtol=1e-12, atol=1e-12)
     assert np.allclose(solve_readout(stats_fwd, 1e-4), solve_readout(stats_perm, 1e-4),
                        rtol=1e-9, atol=1e-12)
@@ -458,13 +361,6 @@ def test_fit_batch_validation():
         update_incremental(SufficientStats.empty(3),
                            np.array([[0.5, 0.5, 0.5], [0.5, np.nan, 0.5]]),
                            model, TrainSection())
-
-
-def test_accumulate_pairs_shape_mismatch():
-    model = AadrnnModel.initial(3, 0)
-    with pytest.raises(DimensionError):
-        accumulate_pairs(SufficientStats.empty(3), np.zeros((2, 3)),
-                         np.zeros((3, 3)), model)
 
 
 def test_solve_readout_validation_and_failure():
