@@ -107,14 +107,13 @@ def run_flood_benchmark(seed: int = 7, config: Optional[Config] = None) -> Flood
     trace = flood_trace(seed)
     det = Detector(3, config, online=True)
     result = run(det, trace)
-    # The scored rows again: the scaler is fixed once init ends, so this is
-    # bit-equal to what the detector judged.
+    # Every row again, scaled: the scaler is fixed once init ends, so the rows
+    # past the init window are bit-equal to what the detector judged.
     metrics = StreamMetrics(config.metrics.N, config.metrics.T_us)
-    raw = np.array([metrics.update(ts_us, size) for ts_us, _, _, size in trace])
-    values = det.scaler.apply(raw[result.skipped:])
+    values = det.scaler.apply([metrics.update(ts_us, size) for ts_us, _, _, size in trace])
 
-    theta = np.array([whisker_threshold(column) for column in det.init_values.T])
-    flags = (values > theta).any(axis=1).tolist()  # attack iff any metric exceeds its theta
+    theta = np.array([whisker_threshold(column) for column in values[:result.skipped].T])
+    flags = (values[result.skipped:] > theta).any(axis=1).tolist()  # any metric over its theta
     baseline = score([dec._replace(is_attack=flag) for dec, flag in zip(result.decisions, flags)],
                      result.labels, result.attack_types)
     return FloodBenchResult(report=result.report(), baseline=baseline)

@@ -111,25 +111,23 @@ def cmd_init(args) -> int:
         train = dataclasses.replace(config.train, init_len=len(rows))  # fit every benign row
         det = Detector(rows.shape[1], dataclasses.replace(config, train=train),
                        mode=Mode.FEATURES, online=False)
-        for _ in det.step_rows(rows):  # rows past the init window are judged: only their checks matter
-            pass
+        next(det.step_rows(rows), None)  # fits the window: rows past it need no judging
     else:
         det = Detector(3, config, mode=Mode.BOTNET, online=False)
-        seen = 0  # non-attack packets stepped
         # Blocks are parsed only up to the one in which the window completes;
         # the rest of the file is never read.
         with contextlib.closing(trace_blocks(args.trace)) as blocks:
-            benign = (pkt for block in blocks
-                      for pkt, label in zip(block, block.label) if label is not True)
-            for seen, pkt in enumerate(benign, start=1):
-                det.step(pkt)
+            for block in blocks:
+                next(det.step_rows(p for p, label in zip(block, block.label) if not label), None)
                 if det.phase != Phase.INIT:
                     break
-        if det.phase == Phase.INIT:
-            window = (f"train.init_seconds={config.train.init_seconds:g}"
-                      if config.train.init_seconds is not None
-                      else f"train.init_len={config.train.init_len}")
-            raise ValueError(f"trace has only {seen} usable benign packets, init needs {window}")
+    if det.phase == Phase.INIT:  # every benign row is in the window
+        window = (f"train.init_seconds={config.train.init_seconds:g}"
+                  if config.train.init_seconds is not None
+                  else f"train.init_len={config.train.init_len}")
+        source, unit = ("feature file", "rows") if args.features else ("trace", "packets")
+        raise ValueError(f"{source} has only {det.pending_rows} usable benign {unit}, "
+                         f"init needs {window}")
     save_state(det, args.out)
     print(f"initialized {det.mode.value} detector: {det.accepted_rows} training rows, "
           f"threshold {det.threshold:.6g} -> {args.out}")

@@ -8,9 +8,9 @@ against a threshold; traffic is flagged as attack iff d exceeds it strictly.
 The threshold is either a fixed configured value or the Tukey upper whisker
 (Q3 + 1.5 * IQR) of decision values observed on benign data.
 
-Lifecycle: a detector starts in ``init`` and only buffers raw vectors. Once
-the init window completes it fits the scaler, fits the first model, sets the
-threshold, and moves to ``online`` or ``frozen``. Online operation is
+Lifecycle: a detector starts in ``init``; rows join its init window until
+``Detector.init_cut`` closes it, a batch fit sets the scaler, the first model
+and the threshold, and it moves to ``online`` or ``frozen``. Online operation is
 semi-supervised: every decision is emitted, but only rows the detector itself
 judged benign are queued for training; at each full window the readout is
 refit incrementally and (unless frozen by config) the whisker threshold is
@@ -23,19 +23,18 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import itertools
 import json
 import math
 import os
 import zlib
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, List, NamedTuple, Optional, Sequence, TextIO, Union
+from typing import Iterator, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
 from .aadrnn import AadrnnModel, model_from_json, model_to_json
-from .config import Config
+from .config import _KIND_NAMES, Config, _is_kind
 from .metrics import (DimensionError, StreamMetrics, fit_scaling, min_max_fit,
                       scaler_from_json)
 from .traffic import Packet
@@ -120,10 +119,10 @@ def _weighted_gap(x: np.ndarray, x_hat: np.ndarray, gamma: np.ndarray):
 class Detector:
     """One anomaly detector over a fixed-dimension metric stream.
 
-    ``mode`` selects the front end: BOTNET detectors consume packets via
-    ``step`` and extract metrics in-stream; FEATURES detectors consume feature
-    rows (min-max scaling); DEVICE detectors are fed 6-value vectors by the
-    device bank via ``observe``.
+    ``mode`` selects the front end of ``step_rows``: BOTNET detectors consume
+    packets and extract metrics in-stream; FEATURES detectors consume feature
+    rows (min-max scaling). The device bank fits each DEVICE detector with
+    ``initialize`` and feeds it 6-value vectors via ``observe``.
     """
 
     state_version = STATE_VERSION  # a detector loaded from an older state says so
@@ -163,15 +162,13 @@ class Detector:
 
         self._extractor = (StreamMetrics(config.metrics.N, config.metrics.T_us)
                            if self.mode == Mode.BOTNET else None)
-        self._row_counter = 0
-        self._init_rows: List[np.ndarray] = []
-        self._init_first_us: Optional[int] = None
+        self._row_counter = 0  # rows fed: feature row i is timed i
+        self._init_rows: List[Tuple[Sequence[int], np.ndarray]] = []  # (times, rows) chunks
 
         self.scaler = None
         self.model: Optional[AadrnnModel] = None
         self.stats: Optional[SufficientStats] = None
         self.threshold: Optional[float] = None
-        self.init_values: Optional[np.ndarray] = None
 
         self._pending: List[np.ndarray] = []
         self._pending_d: List[float] = []
@@ -179,57 +176,50 @@ class Detector:
 
     # -- feeding ------------------------------------------------------------
 
-    def step(self, item: Union[Packet, np.ndarray]) -> Optional[Decision]:
-        """Consume one packet tuple ``(timestamp_us, src, dst, size_bytes)``
-        (BOTNET) or one feature row array (FEATURES)."""
-        if self.mode == Mode.BOTNET:
-            if not isinstance(item, tuple):
-                raise TypeError(f"a botnet detector takes packet tuples, not {type(item).__name__}")
-            ts_us, _, _, size_bytes = item
-            return self.observe(self._extractor.update(ts_us, size_bytes), ts_us)
+    def step_rows(self, rows: Union[Sequence[Packet], np.ndarray]) -> Iterator[Decision]:
+        """Feed packets (BOTNET: ``Trace`` or ``Packet`` tuples) or feature rows (FEATURES:
+        ``FeatureTable`` or matrix), split across calls in any way. Rows join the init window
+        until ``init_cut`` closes it and ``initialize`` fits it; yield ``observe`` of the rest."""
         if self.mode == Mode.FEATURES:
-            return self.observe(item, self._row_counter)
-        raise LifecycleError("device-mode detectors are fed by the DeviceBank")
+            start = self._join(range(self._row_counter, self._row_counter + len(rows)),
+                               rows) if self.phase == Phase.INIT else 0
+            for row in rows[start:]:
+                yield self.observe(row, self._row_counter)
+        elif self.mode == Mode.BOTNET:
+            for pkt in rows:
+                if not isinstance(pkt, tuple):
+                    raise TypeError("a botnet detector takes packet tuples, "
+                                    f"not {type(pkt).__name__}")
+                ts_us, _, _, size_bytes = pkt
+                raw = self._extractor.update(ts_us, size_bytes)
+                if self.phase == Phase.INIT and self._join((ts_us,), raw[None]):
+                    continue
+                yield self.observe(raw, ts_us)
+        else:
+            raise LifecycleError("device-mode detectors are fed by the DeviceBank")
 
-    def step_rows(self, rows: Sequence[Union[Packet, np.ndarray]]
-                  ) -> Iterator[Optional[Decision]]:
-        """``step`` over a ``Trace``, a ``FeatureTable`` or a matrix, yielding
-        each row's result; ``rows`` is iterated once. A fresh FEATURES detector
-        fits its init window with one ``initialize`` call on ``rows[:cut]`` (see
-        ``init_cut``), then steps the rest: the same detector and decisions."""
-        start = 0
-        if self.mode == Mode.FEATURES and self.phase == Phase.INIT and self._row_counter == 0:
-            cut = self.init_cut(len(rows))
-            if cut is not None:
-                self.initialize(rows[:cut])
-                self._row_counter = start = cut
-                yield from itertools.repeat(None, cut)
-        for row in itertools.islice(rows, start, None):
-            yield self.step(row)
+    def _join(self, times: Sequence[int], rows: np.ndarray) -> int:
+        """Add rows to the init window as ``init_cut`` says, fit it once closed: how many joined."""
+        cut = self.init_cut(times)
+        joined = len(times) if cut is None else cut
+        if joined:
+            self._init_rows.append((times[:joined], rows[:joined]))
+            self._row_counter += joined
+        if cut is not None:
+            window = [chunk for _, chunk in self._init_rows]
+            self.initialize(window[0] if len(window) == 1 else np.concatenate(window))
+        return joined
 
-    def observe(self, raw: np.ndarray, at_us: int) -> Optional[Decision]:
-        """Consume one raw metric vector. Returns None during init."""
+    def observe(self, raw: np.ndarray, at_us: int) -> Decision:
+        """Judge one raw metric vector: the detector must have finished init."""
+        if self.phase == Phase.INIT:
+            raise LifecycleError("detector is still in init: feed it with step_rows")
         raw = np.asarray(raw, dtype=float)
         if raw.shape != (self.dim,):
             raise DimensionError(f"raw vector shape {raw.shape}, expected ({self.dim},)")
         if not np.all(np.isfinite(raw)):
             raise ValueError("non-finite raw metric value")
         self._row_counter += 1
-
-        if self.phase == Phase.INIT:
-            if self._init_first_us is None:
-                self._init_first_us = at_us
-            time_done = (self._init_seconds is not None
-                         and at_us - self._init_first_us >= self._init_seconds * 1e6
-                         and len(self._init_rows) >= 4)
-            if not time_done:
-                self._init_rows.append(raw)
-                if self._init_seconds is None and len(self._init_rows) >= self._init_len:
-                    self.initialize(self._init_rows)
-                return None
-            self.initialize(self._init_rows)
-            # fall through: this row is the first to be judged
-
         x = self.scaler.apply(raw)
         x_hat = self.model.forward(x)
         d = float(_weighted_gap(x, x_hat, self.gamma))
@@ -245,27 +235,28 @@ class Detector:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def init_cut(self, n_rows: int) -> Optional[int]:
-        """How many of ``n_rows`` rows stepped into a fresh FEATURES detector
-        its init window takes, or None if it is still open after all of them.
-
-        Feature rows are timed by the row counter (row i at i microseconds),
-        so this is ``observe``'s rule in closed form: ``init_len`` rows, or
-        with ``init_seconds`` the rows before the first one that many
-        microseconds after row 0 with at least 4 rows buffered. That row and
-        the ones after it are judged, not trained on.
-        """
+    def init_cut(self, times: Sequence[int]) -> Optional[int]:
+        """The init rule: how many of the next rows, timed ``times``, join the open
+        init window before it closes, or None if it stays open. The window is the first
+        ``init_len`` rows or, with ``init_seconds``, the rows before the first one, from the
+        fifth on, at least ceil(init_seconds * 1e6) after the first; that row is judged. Rows
+        are timed by timestamp or feature-row index, compared as Python ints: no gap overflows."""
+        held = self._row_counter  # every row fed so far waits in the window
         if self._init_seconds is None:
-            return self._init_len if n_rows >= self._init_len else None
-        late = np.flatnonzero(np.arange(4, n_rows) >= self._init_seconds * 1e6)
-        return 4 + int(late[0]) if late.size else None
+            return max(self._init_len - held, 0) if held + len(times) >= self._init_len else None
+        # Clipped to ±2**64, past any gap of int64 times, so an infinite product cannot raise.
+        bound = math.ceil(min(max(self._init_seconds * 1e6, -2.0**64), 2.0**64))
+        first = self._init_rows[0][0] if self._init_rows else times
+        for i in range(max(4 - held, 0), len(times)):
+            if int(times[i]) - int(first[0]) >= bound:
+                return i
+        return None
 
     def initialize(self, X_raw: np.ndarray) -> None:
         """Finish init on the init window's raw rows with one batch fit: the
-        scaler, the first model and the threshold. ``observe`` calls this when
-        its init buffer fills; a caller holding all the rows at once (see
-        ``init_cut``) calls it directly. Rows are checked as ``observe``
-        checks them."""
+        scaler, the first model and the threshold. ``step_rows`` calls this
+        when the window closes, the device bank when a device's window is
+        full. Rows are checked as ``observe`` checks them."""
         if self.phase != Phase.INIT:
             raise LifecycleError("detector has already finished init")
         X_raw = np.asarray(X_raw, dtype=float)
@@ -288,8 +279,6 @@ class Detector:
             self.threshold = float(self.config.threshold.value)
         else:
             self.threshold = whisker_threshold(d_init) * self._threshold_scale
-        X.flags.writeable = False
-        self.init_values = X
         self._init_rows = []
         self.phase = Phase.ONLINE if self._online_after_init else Phase.FROZEN
 
@@ -325,7 +314,8 @@ class Detector:
 
     @property
     def pending_rows(self) -> int:
-        return len(self._pending)
+        """Rows fed but not yet trained on: the open init window, later the pending window."""
+        return self._row_counter if self.phase == Phase.INIT else len(self._pending)
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +393,23 @@ def _finite(text: str) -> float:
     return value
 
 
+def _check_types(value, key: str = "") -> None:
+    """Reject a state value of a JSON type ``save_state`` never writes at its key: an
+    int at version, M, L, seed and n, a number at any other key but mode, kind, gamma."""
+    if isinstance(value, (dict, list)):
+        for k, v in value.items() if isinstance(value, dict) else ((key, v) for v in value):
+            _check_types(v, k)
+    elif key not in ("mode", "kind", "gamma"):
+        kind = int if key in ("version", "M", "L", "seed", "n") else float
+        if not _is_kind(value, kind):
+            raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
 def _detector_from_state(doc: dict, config: Config, online: bool) -> Detector:
     if not isinstance(doc, dict):
         raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
-    version = int(doc.get("version", -1))
+    _check_types(doc)
+    version = doc.get("version", -1)
     if version < 1 or version > STATE_VERSION:
         raise ValueError(f"version {version} not supported (max {STATE_VERSION})")
     if version < STATE_VERSION and online:

@@ -133,10 +133,10 @@ def replay(engine: Union[Detector, DeviceBank], items: Union[Trace, FeatureTable
     yield ``(addr, decision)`` for every decision, in order.
 
     ``addr`` is the device a bank's decision is about, None for a single
-    detector. A fresh FEATURES detector fits its init window in one go
-    (``Detector.step_rows``). For a single detector, the items that feed
-    init form a prefix of ``items`` and every later item yields exactly one
-    decision, so n decisions belong to the last n items (``ground_truth``).
+    detector, which ``Detector.step_rows`` feeds. For a single detector, the
+    items that feed init form a prefix of ``items`` and every later item
+    yields exactly one decision, so n decisions belong to the last n items
+    (``ground_truth``).
     A row whose window refit raises was judged first: its decision, and a
     device bank's other decisions on that packet, are yielded before the
     error propagates.
@@ -147,8 +147,7 @@ def replay(engine: Union[Detector, DeviceBank], items: Union[Trace, FeatureTable
                 yield from engine.ingest(pkt)
         else:
             for decision in engine.step_rows(items):
-                if decision is not None:
-                    yield None, decision
+                yield None, decision
     except (TrainingError, ValueError) as exc:
         yield from getattr(exc, "decisions", ())
         raise

@@ -16,9 +16,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from aadetect.config import Config, apply_overrides
-from aadetect.detector import Decision, Detector, Mode, Phase, salt_for_address, save_state
+from aadetect.detector import (Decision, Detector, LifecycleError, Mode, Phase, salt_for_address,
+                               save_state)
 from aadetect.devices import DEVICE_DIM, DeviceReportRow, InfectionReport, infection_level
-from aadetect.metrics import DimensionError, DirectionalMetrics
+from aadetect.metrics import DimensionError, DirectionalMetrics, StreamMetrics
 from aadetect.traffic import (TRACE_FIELDS, Packet, TimestampOrderError, TraceParseError,
                               _parse_label, load_feature_dataset, load_trace, write_csv)
 from aadetect.training import SufficientStats, corrupt, noise_rng
@@ -237,9 +238,63 @@ def percentile_whisker(vals):
 # -- detectors, stepped one item at a time ------------------------------------------------
 
 
+class PerRowFeed:
+    """``Detector.step`` and ``observe``'s init branch as the package first wrote
+    them: the reference for ``Detector.step_rows`` and ``Detector.init_cut``.
+    Each item is checked, then buffered or judged on its own. Init rows wait in
+    a list, and the first row at least ``init_seconds`` (a float) after the
+    first buffered one, with 4 rows buffered, ends init and is judged; without
+    ``init_seconds`` the ``init_len``-th row ends it. ``det.initialize`` fits
+    the buffer and ``det.observe`` judges every later row."""
+
+    def __init__(self, det: Detector):
+        self.det = det
+        policy = det.config.device if det.mode == Mode.DEVICE else det.config.train
+        self.init_len = policy.init_len
+        self.init_seconds = None if det.mode == Mode.DEVICE else policy.init_seconds
+        self.metrics = StreamMetrics(det.config.metrics.N, det.config.metrics.T_us)
+        self.rows: List[np.ndarray] = []
+        self.first_us: Optional[int] = None
+        self.counter = 0
+
+    def step(self, item) -> Optional[Decision]:
+        """Consume one packet tuple (BOTNET) or one feature row (FEATURES)."""
+        if self.det.mode == Mode.BOTNET:
+            if not isinstance(item, tuple):
+                raise TypeError(f"a botnet detector takes packet tuples, not {type(item).__name__}")
+            ts_us, _, _, size_bytes = item
+            return self.observe(self.metrics.update(ts_us, size_bytes), ts_us)
+        if self.det.mode == Mode.FEATURES:
+            return self.observe(item, self.counter)
+        raise LifecycleError("device-mode detectors are fed by the DeviceBank")
+
+    def observe(self, raw, at_us: int) -> Optional[Decision]:
+        """Consume one raw metric vector. Returns None during init."""
+        det = self.det
+        raw = np.asarray(raw, dtype=float)
+        if raw.shape != (det.dim,):
+            raise DimensionError(f"raw vector shape {raw.shape}, expected ({det.dim},)")
+        if not np.all(np.isfinite(raw)):
+            raise ValueError("non-finite raw metric value")
+        self.counter += 1
+        if det.phase == Phase.INIT:
+            if self.first_us is None:
+                self.first_us = at_us
+            time_done = (self.init_seconds is not None
+                         and at_us - self.first_us >= self.init_seconds * 1e6
+                         and len(self.rows) >= 4)
+            if not time_done:
+                self.rows.append(raw)
+                if self.init_seconds is None and len(self.rows) >= self.init_len:
+                    det.initialize(self.rows)
+                return None
+            det.initialize(self.rows)  # this row is the first to be judged
+        return det.observe(raw, at_us)
+
+
 def stepped(det, items):
     """``replay``'s pairs for one detector, with every item stepped in turn."""
-    return [(None, d) for d in map(det.step, items) if d is not None]
+    return [(None, d) for d in map(PerRowFeed(det).step, items) if d is not None]
 
 
 def stepped_packet_init(path, overrides, out):
@@ -247,9 +302,10 @@ def stepped_packet_init(path, overrides, out):
     packet stepped until init ends."""
     trace = load_trace(path)
     det = Detector(3, apply_overrides(Config(), overrides), mode=Mode.BOTNET, online=False)
+    feed = PerRowFeed(det)
     for pkt, label in zip(trace, trace.label):
         if label is not True:
-            det.step(pkt)
+            feed.step(pkt)
             if det.phase != Phase.INIT:
                 break
     save_state(det, out)
@@ -261,15 +317,16 @@ def stepped_feature_init(data, overrides, out):
     rows = [row for row, label in zip(table, table.label) if label is not True]
     config = apply_overrides(Config(), overrides + [f"train.init_len={len(rows)}"])
     det = Detector(len(rows[0]), config, mode=Mode.FEATURES, online=False)
+    feed = PerRowFeed(det)
     for row in rows:
-        det.step(row)
+        feed.step(row)
     save_state(det, out)
 
 
 @dataclass
 class OracleRecord:
     addr: str
-    detector: Detector
+    feed: PerRowFeed
     infection_level: float = 0.0
     peak_level: float = 0.0
     last_seen_us: int = 0
@@ -279,8 +336,8 @@ class OracleRecord:
 
 class OracleBank:
     """The device bank as it was before devices in init lost their detector,
-    kept verbatim: every device steps its own DEVICE ``Detector`` from its
-    first vector."""
+    kept verbatim but for the feed: every device steps its own DEVICE
+    ``Detector`` from its first vector, through a ``PerRowFeed``."""
 
     def __init__(self, config: Config):
         self.config = config
@@ -296,7 +353,7 @@ class OracleBank:
     def _new_device(self, addr: str) -> OracleRecord:
         det = Detector(DEVICE_DIM, self.config, mode=Mode.DEVICE, online=True,
                        noise_salt=salt_for_address(addr))
-        return OracleRecord(addr=addr, detector=det)
+        return OracleRecord(addr=addr, feed=PerRowFeed(det))
 
     def ingest(self, pkt: Packet) -> List[Tuple[str, Decision]]:
         ts_us, src, dst, size_bytes = pkt
@@ -307,13 +364,13 @@ class OracleBank:
             if rec is None:
                 rec = self._devices[addr] = self._new_device(addr)
             rec.last_seen_us = ts_us
-            decision = rec.detector.observe(raw, ts_us)
+            decision = rec.feed.observe(raw, ts_us)
             if decision is None:
                 continue
             rec.decisions_count += 1
             rec.infection_level = infection_level(rec.infection_level, decision.value,
                                                   self.config.device.alpha,
-                                                  rec.detector.threshold)
+                                                  rec.feed.det.threshold)
             rec.peak_level = max(rec.peak_level, rec.infection_level)
             if rec.infection_level > self.config.device.level_threshold:
                 rec.consecutive_above += 1

@@ -14,7 +14,7 @@ import pytest
 from aadetect.aadrnn import AadrnnModel
 from aadetect.bench import (run_device_benchmark, run_drift_benchmark,
                             run_flood_benchmark)
-from aadetect.config import TrainSection, config_from_dict
+from aadetect.config import Config, TrainSection, config_from_dict
 from aadetect.detector import Decision, Detector, Mode, whisker_threshold
 from aadetect.devices import DeviceBank, infection_level
 from aadetect.evaluation import run, score
@@ -181,10 +181,8 @@ def test_criterion_7_real_dataset_accuracy():
     started = time.perf_counter()
     rows = load_feature_dataset(os.environ["AADETECT_DATASET"])
     benign = rows.features[[label is not True for label in rows.label]]
-    config = config_from_dict({"train": {"init_len": len(benign)}})
-    det = Detector(rows.features.shape[1], config, mode=Mode.FEATURES, online=False)
-    for row in benign:
-        det.step(row)
+    det = Detector(rows.features.shape[1], Config(), mode=Mode.FEATURES, online=False)
+    det.initialize(benign)
     result = run(det, rows)
     report = result.report()
     elapsed = time.perf_counter() - started
@@ -252,10 +250,8 @@ def suite_training_gate(rng):
                             "metrics": {"N": 5, "T_seconds": 1.0}})
     for _ in range(100):
         det = Detector(3, cfg, Mode.BOTNET)
-        t = 0
-        while det.phase.value == "init":
-            t += 50_000
-            det.observe(rng.uniform(0.8, 1.2, size=3), t)
+        det.initialize(rng.uniform(0.8, 1.2, size=(8, 3)))
+        t = 8 * 50_000
         benign = 0
         for _ in range(int(rng.integers(4, 16))):
             t += 50_000

@@ -580,6 +580,47 @@ def test_a_state_that_save_state_cannot_write_exits_2_naming_it_before_any_log(
     assert not log.exists()
 
 
+def _first_hidden_entry(doc, value):
+    first = doc["hidden_weights"][0]
+    return dict(doc, hidden_weights=[[[value, *first[0][1:]], *first[1:]],
+                                     *doc["hidden_weights"][1:]])
+
+
+@pytest.mark.parametrize("mutate, reason", [
+    (lambda doc: _first_readout_entry(doc, "inf"), "readout must be a number, got 'inf'"),
+    (lambda doc: dict(doc, stats=dict(doc["stats"], n=5.7)), "n must be an integer, got 5.7"),
+    (lambda doc: _first_hidden_entry(doc, "0.1"), "hidden_weights must be a number, got '0.1'"),
+    (lambda doc: _first_hidden_entry(doc, None), "hidden_weights must be a number, got None"),
+    (lambda doc: dict(doc, threshold=True), "threshold must be a number, got True"),
+    (lambda doc: dict(doc, act={"r": True, "c": 1.0}), "r must be a number, got True"),
+    (lambda doc: dict(doc, scaling_factors=dict(doc["scaling_factors"], scale=["1", 1.0, 1.0])),
+     "scale must be a number, got '1'"),
+    (lambda doc: dict(doc, stats=dict(doc["stats"], G=[[None] * 3] * 3)),
+     "G must be a number, got None"),
+    (lambda doc: dict(doc, M=3.0), "M must be an integer, got 3.0"),
+    (lambda doc: dict(doc, L=3.0), "L must be an integer, got 3.0"),
+    (lambda doc: dict(doc, seed=False), "seed must be an integer, got False"),
+    (lambda doc: dict(doc, version="2"), "version must be an integer, got '2'"),
+], ids=["readout-str", "stats-n-float", "hidden-str", "hidden-null", "threshold-bool",
+        "act-bool", "scale-str", "stats-G-null", "M-float", "L-float",
+        "seed-bool", "version-str"])
+def test_a_state_value_of_a_json_type_save_state_never_writes_exits_2_naming_it(
+        flood_trace_file, tmp_path, capsys, mutate, reason):
+    # No parse hook sees a wrong JSON type, and np.asarray, float() and int()
+    # convert it: "inf" in the readout would judge every packet an attack, and
+    # a stats.n of 5.7 would be saved back as 5.
+    state, bad, log = tmp_path / "state.json", tmp_path / "bad.json", tmp_path / "never.csv"
+    assert cli.main(["init", str(flood_trace_file), "--out", str(state),
+                     "--set", "train.init_len=100"]) == 0
+    bad.write_text(json.dumps(mutate(json.loads(state.read_text()))))
+    capsys.readouterr()
+    rc = cli.main(["replay", str(flood_trace_file), "--state", str(bad), "--log", str(log),
+                   "--save-state", str(tmp_path / "saved.json")])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: state file {bad}: {reason}\n")
+    assert not log.exists() and not (tmp_path / "saved.json").exists()
+
+
 @pytest.mark.parametrize("flags", [["--state", "s.json"], [], ["--devices"]],
                          ids=["state", "cold-start", "devices"])
 def test_a_header_only_trace_exits_2_before_any_output(flood_trace_file, tmp_path, capsys,
@@ -1145,7 +1186,10 @@ def test_feature_init_equals_stepping_the_rows(tmp_path, capsys, init_seconds):
     set_args = [a for o in overrides for a in ("--set", o)]
     rc = cli.main(["init", str(data), "--features", "--out", str(state)] + set_args)
     if init_seconds == "0.001":  # 1000 row ticks: the window never closes on 80 rows
-        assert rc == 2 and "not finished init" in capsys.readouterr().err
+        assert rc == 2 and capsys.readouterr().err == (
+            "error: feature file has only 80 usable benign rows, "
+            "init needs train.init_seconds=0.001\n")
+        assert not state.exists()
         with pytest.raises(LifecycleError):
             stepped_feature_init(data, overrides, expected)
         return

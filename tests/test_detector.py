@@ -14,7 +14,7 @@ from aadetect.detector import (Decision, Detector, LifecycleError, Mode, Phase,
                                load_state, salt_for_address, save_state, whisker_threshold)
 from aadetect.metrics import DimensionError, ScalingFactors
 from aadetect.traffic import FeatureTable, Trace
-from oracles import oracle_whisker
+from oracles import PerRowFeed, oracle_whisker, stepped
 
 
 def small_config(**train_overrides):
@@ -28,13 +28,16 @@ def benign_row(rng):
 
 
 def warmed_detector(rng, config=None, **kwargs):
-    """A detector past init, fed 8 well-behaved rows."""
+    """A detector past init, fitted on its init_len well-behaved rows, and the
+    time of the last one (rows come every 100 ms)."""
     det = Detector(3, config or small_config(), Mode.BOTNET, **kwargs)
-    t = 0
-    while det.phase == Phase.INIT:
-        t += 100_000
-        det.observe(benign_row(rng), t)
-    return det, t
+    n = det.config.train.init_len
+    det.initialize([benign_row(rng) for _ in range(n)])
+    return det, n * 100_000
+
+
+def packets(times, size=100):
+    return [(t, "a", "b", size + i) for i, t in enumerate(times)]
 
 
 # -- decision value ---------------------------------------------------------------
@@ -162,51 +165,49 @@ def test_whisker_degenerate_fallbacks():
 
 
 def test_init_buffers_then_first_decision():
-    rng = np.random.default_rng(79)
     det = Detector(3, small_config(), Mode.BOTNET)
-    for i in range(8):
+    for pkt in packets(range(8)):
         assert det.phase == Phase.INIT
-        assert det.observe(benign_row(rng), i) is None
+        with pytest.raises(LifecycleError):
+            det.observe(np.ones(3), pkt[0])  # only step_rows feeds the init window
+        assert list(det.step_rows([pkt])) == []
     assert det.phase == Phase.ONLINE
     assert det.threshold > 0 and det.accepted_rows == 8
-    dec = det.observe(benign_row(rng), 99)
+    [dec] = det.step_rows([(99, "a", "b", 100)])
     assert isinstance(dec, Decision) and dec.at_us == 99
 
 
 def test_init_by_stream_time_judges_the_boundary_row():
-    rng = np.random.default_rng(83)
     det = Detector(3, small_config(init_seconds=1.0), Mode.BOTNET)
-    for t in (0, 300_000, 600_000, 900_000):
-        assert det.observe(benign_row(rng), t) is None
-    dec = det.observe(benign_row(rng), 1_000_000)
-    assert dec is not None and det.accepted_rows >= 4
+    decisions = det.step_rows(packets([0, 300_000, 600_000, 900_000, 1_000_000]))
+    assert [dec.at_us for dec in decisions] == [1_000_000] and det.accepted_rows == 4
 
 
 def test_init_by_time_still_needs_four_rows():
-    rng = np.random.default_rng(89)
     det = Detector(3, small_config(init_seconds=0.5), Mode.BOTNET)
-    assert det.observe(benign_row(rng), 0) is None
-    assert det.observe(benign_row(rng), 10_000_000) is None  # past the time, too few rows
+    assert list(det.step_rows(packets([0, 10_000_000]))) == []  # past the time, too few rows
     assert det.phase == Phase.INIT
 
 
 def test_botnet_step_consumes_packets_only():
     det = Detector(3, small_config(), Mode.BOTNET)
-    assert det.step((0, "a", "b", 100)) is None
+    assert list(det.step_rows([(0, "a", "b", 100)])) == []
     trace = Trace([1, 2], ["a", "b"], ["b", "a"], [60, 70])
-    assert [det.step(pkt) for pkt in trace] == [None, None]  # a trace yields packet tuples
+    assert list(det.step_rows(trace)) == []  # a trace yields packet tuples
     for item in (np.zeros(3), [3, "a", "b", 100], trace[:1]):
         with pytest.raises(TypeError):
-            det.step(item)
+            list(det.step_rows([item]))
+    with pytest.raises(TypeError):
+        list(det.step_rows(np.zeros((2, 3))))
 
 
 def test_features_step_counts_rows_and_defaults_frozen():
     det = Detector(2, small_config(init_len=4), Mode.FEATURES)
     rng = np.random.default_rng(97)
     for i in range(4):
-        assert det.step(rng.uniform(0, 1, size=2)) is None
+        assert list(det.step_rows(rng.uniform(0, 1, size=(1, 2)))) == []
     assert det.phase == Phase.FROZEN  # feature mode defaults to offline
-    dec = det.step(np.array([0.5, 0.5]))
+    [dec] = det.step_rows(np.array([[0.5, 0.5]]))
     assert dec.at_us == 4  # row index stands in for a timestamp
     assert det.accepted_rows == 4  # frozen: nothing new is learned
 
@@ -217,11 +218,12 @@ def test_init_cut_matches_stepping_feature_rows(init_seconds):
     cfg = small_config(init_seconds=init_seconds)
     for n in range(4, 13):
         det = Detector(2, cfg, Mode.FEATURES)
+        feed = PerRowFeed(det)
         for _ in range(n):
-            det.step(rng.uniform(0, 1, size=2))
-        stepped = None if det.phase == Phase.INIT else det.accepted_rows
+            feed.step(rng.uniform(0, 1, size=2))
+        per_row = None if det.phase == Phase.INIT else det.accepted_rows
         fresh = Detector(2, cfg, Mode.FEATURES)
-        assert fresh.init_cut(n) == stepped, (init_seconds, n)
+        assert fresh.init_cut(range(n)) == per_row, (init_seconds, n)
 
 
 def test_initialize_checks_rows_as_observe_does():
@@ -235,11 +237,13 @@ def test_initialize_checks_rows_as_observe_does():
     bad[5, 1] = np.inf
     with pytest.raises(ValueError) as bulk:
         det.initialize(bad)
-    stepped = Detector(3, small_config(), Mode.FEATURES)
+    feed = PerRowFeed(Detector(3, small_config(), Mode.FEATURES))
     with pytest.raises(ValueError) as per_row:
         for row in bad:
-            stepped.step(row)
-    assert str(bulk.value) == str(per_row.value)
+            feed.step(row)
+    with pytest.raises(ValueError) as fed:
+        list(Detector(3, small_config(), Mode.FEATURES).step_rows(bad))
+    assert str(bulk.value) == str(per_row.value) == str(fed.value)
     assert det.phase == Phase.INIT
     det.initialize(rows)
     assert det.phase == Phase.FROZEN and det.accepted_rows == 8
@@ -250,11 +254,11 @@ def test_initialize_checks_rows_as_observe_does():
 def test_device_mode_rejects_step():
     det = Detector(6, small_config(), Mode.DEVICE)
     with pytest.raises(LifecycleError):
-        det.step((0, "a", "b", 1))
+        list(det.step_rows([(0, "a", "b", 1)]))
 
 
 def test_observe_validation():
-    det = Detector(3, small_config(), Mode.BOTNET)
+    det, _ = warmed_detector(np.random.default_rng(89))
     with pytest.raises(DimensionError):
         det.observe(np.zeros(4), 0)
     with pytest.raises(ValueError):
@@ -278,10 +282,10 @@ def test_a_mode_that_fixes_the_width_rejects_another_at_construction(mode, fixed
 def test_step_rows_steps_a_feature_table_and_yields_results_only():
     rng = np.random.default_rng(107)
     table = FeatureTable(rng.uniform(0, 1, size=(12, 2)))
-    bulk, stepped = (Detector(2, small_config(init_len=5), Mode.FEATURES) for _ in range(2))
+    bulk, per_row = (Detector(2, small_config(init_len=5), Mode.FEATURES) for _ in range(2))
     results = list(bulk.step_rows(table))
-    assert results[:5] == [None] * 5
-    assert results == [stepped.step(row) for row in table.features]
+    assert len(results) == 7 and [dec.at_us for dec in results] == list(range(5, 12))
+    assert [(None, dec) for dec in results] == stepped(per_row, table.features)
 
 
 def test_freeze_stops_learning_but_not_deciding(tmp_path):
@@ -431,12 +435,13 @@ def test_rescaled_streams_make_identical_decisions():
         raws = rng.uniform(0.5, 2.0, size=(14, 3))
         a = Detector(3, small_config(), Mode.BOTNET)
         b = Detector(3, small_config(), Mode.BOTNET)
-        for i, raw in enumerate(raws):
+        a.initialize(raws[:8])
+        b.initialize(c * raws[:8])
+        assert b.threshold == a.threshold
+        for i, raw in enumerate(raws[8:], 8):
             da = a.observe(raw, i)
             db = b.observe(c * raw, i)
-            assert (da is None) == (db is None)
-            if da is not None:
-                assert db.value == da.value and db.is_attack == da.is_attack
+            assert db.value == da.value and db.is_attack == da.is_attack
         assert b.threshold == a.threshold
 
 
@@ -496,13 +501,15 @@ def test_interrupted_run_equals_uninterrupted(tmp_path):
     times = [i * 100_000 for i in range(30)]
 
     straight = Detector(3, cfg, Mode.BOTNET)
-    straight_vals = [straight.observe(r, t) for r, t in zip(rows, times)]
+    straight.initialize(rows[:8])
+    straight_vals = [None] * 8 + [straight.observe(r, t) for r, t in zip(rows[8:], times[8:])]
 
     # Cut right after a window flush: pending rows are not persisted, so a
     # clean-cut save captures the complete training state.
     first = Detector(3, cfg, Mode.BOTNET)
+    first.initialize(rows[:8])
     cut = None
-    for i, (r, t) in enumerate(zip(rows, times)):
+    for i, (r, t) in enumerate(zip(rows[8:], times[8:]), 8):
         first.observe(r, t)
         if i >= 12 and first.pending_rows == 0:
             cut = i + 1

@@ -13,13 +13,20 @@ from aadetect.detector import Phase, whisker_threshold
 from aadetect.devices import DEVICE_DIM, DeviceBank, InfectionReport, infection_level
 from aadetect.metrics import DimensionError
 from aadetect.traffic import Trace
-from oracles import OracleBank
+from oracles import OracleBank, oracle_directional
 
 
 def device_config(**overrides):
     device = {"init_len": 6, "window_seconds": 2.0, "ttl_seconds": 3600.0}
     device.update(overrides)
     return config_from_dict({"device": device, "metrics": {"N": 5, "T_seconds": 1.0}})
+
+
+def init_window(trace, addr, cfg):
+    """A device's raw init vectors, from the directional oracle."""
+    vectors = [v[addr] for v in oracle_directional(trace, cfg.metrics.N, cfg.metrics.T_us)
+               if addr in v]
+    return np.array(vectors[:cfg.device.init_len])
 
 
 def benign_device_trace(rng, n, hosts, mean_gap_us=50_000):
@@ -145,7 +152,7 @@ def test_device_policy_comes_from_the_device_section():
         assert bank.ingest(pkt) == []
     first = dict(bank.ingest(trace[6]))["a"]
     det = bank.device("a").detector
-    X = det.init_values
+    X = det.scaler.apply(init_window(trace, "a", cfg))
     assert X.shape[0] == 6
     assert first.threshold == whisker_threshold(np.abs(X - det.model.forward(X)) @ det.gamma) * 4
     for pkt in trace[7:]:
@@ -154,18 +161,20 @@ def test_device_policy_comes_from_the_device_section():
 
 
 def test_receive_only_device_is_still_monitored():
-    rng = np.random.default_rng(233)
-    bank = DeviceBank(device_config())
-    t = 0
+    cfg = device_config()
+    bank = DeviceBank(cfg)
     senders = ["s1", "s2", "s3"]
-    for i in range(30):
-        t += 20_000
-        bank.ingest((t, senders[i % 3], "sink", 200 + i))
+    trace = [(20_000 * (i + 1), senders[i % 3], "sink", 200 + i) for i in range(30)]
+    for pkt in trace:
+        bank.ingest(pkt)
     rec = bank.device("sink")
     assert rec is not None and rec.decisions_count > 0
     # The sink never transmits: its fitted init window is all-zero on the
-    # transmitted-substream half of the vector.
-    assert np.all(rec.detector.init_values[:, :3] == 0.0)
+    # transmitted-substream half of the vector, so that half scales by 1.
+    window = init_window(trace, "sink", cfg)
+    assert window.shape == (6, 6) and np.all(window[:, :3] == 0.0)
+    assert np.all(rec.detector.scaler.apply(window)[:, :3] == 0.0)
+    assert np.array_equal(rec.detector.scaler.scale[:3], np.ones(3))
 
 
 def test_infection_level_and_peak_track_decisions():
@@ -307,7 +316,7 @@ def test_a_device_has_no_detector_until_its_init_completes():
     assert bank.ingest(trace[5]) == []  # the sixth vector fits the detector, unjudged
     rec = bank.device("a")
     assert rec.init_rows is None
-    assert rec.detector.phase == Phase.ONLINE and rec.detector.init_values.shape == (6, 6)
+    assert rec.detector.phase == Phase.ONLINE and rec.detector.accepted_rows == 6
     assert sorted(addr for addr, _ in bank.ingest(trace[6])) == ["a", "b"]
 
 

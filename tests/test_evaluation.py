@@ -151,8 +151,9 @@ def test_run_skips_init_and_aligns_ground_truth():
 
 
 def test_the_flood_baseline_judges_the_rows_the_detector_judged(monkeypatch):
-    # The bench rebuilds the scored rows from a fresh metric pass over the
-    # trace; they must be, bit for bit, the rows the detector scaled and judged.
+    # The bench rebuilds every row from a fresh metric pass over the trace;
+    # they must be, bit for bit, the rows the detector scaled to fit its init
+    # window and then judged.
     calls = []
     apply = ScalingFactors.apply
 
@@ -165,7 +166,7 @@ def test_the_flood_baseline_judges_the_rows_the_detector_judged(monkeypatch):
     init_rows, *judged, rebuilt = calls  # init's batch, one row per decision, the rebuild
     assert init_rows.ndim == rebuilt.ndim == 2 and {x.ndim for x in judged} == {1}
     assert len(judged) == len(result.report.decisions) == len(result.baseline.decisions)
-    assert np.array_equal(rebuilt, np.array(judged))
+    assert np.array_equal(rebuilt, np.concatenate([init_rows, judged]))
     theta = np.array([whisker_threshold(column) for column in init_rows.T])
     # Metric-wise thresholding: attack iff any value exceeds its theta, strictly.
     assert [d.is_attack for d in result.baseline.decisions] == \
