@@ -110,7 +110,7 @@ def run_flood_benchmark(seed: int = 7, config: Optional[Config] = None) -> Flood
     # Every row again, scaled: the scaler is fixed once init ends, so the rows
     # past the init window are bit-equal to what the detector judged.
     metrics = StreamMetrics(config.metrics.N, config.metrics.T_us)
-    values = det.scaler.apply([metrics.update(ts_us, size) for ts_us, _, _, size in trace])
+    values = det.scaler.apply(metrics.update_block(trace.timestamp_us, trace.size_bytes))
 
     theta = np.array([whisker_threshold(column) for column in values[:result.skipped].T])
     flags = (values[result.skipped:] > theta).any(axis=1).tolist()  # any metric over its theta

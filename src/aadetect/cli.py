@@ -118,7 +118,7 @@ def cmd_init(args) -> int:
         # the rest of the file is never read.
         with contextlib.closing(trace_blocks(args.trace)) as blocks:
             for block in blocks:
-                next(det.step_rows(p for p, label in zip(block, block.label) if not label), None)
+                next(det.step_rows(block[[label is not True for label in block.label]]), None)
                 if det.phase != Phase.INIT:
                     break
     if det.phase == Phase.INIT:  # every benign row is in the window
@@ -200,13 +200,14 @@ def cmd_replay(args) -> int:
     if args.devices:
         _report_devices(args, config, engine.report())
         return 0
-    if not decisions:
+    if engine.phase == Phase.INIT:
         raise ValueError(f"{source} ended before init completed; no decisions were made")
     labels, types = ground_truth(items, len(decisions))
-    if None not in labels:
+    if decisions and None not in labels:
         _print_report(args, config, score(decisions, labels, types))
     else:
-        print(f"{len(decisions)} decisions (trace unlabeled; no scoring)")
+        reason = "trace unlabeled" if decisions else "init ended on the last row"
+        print(f"{len(decisions)} decisions ({reason}; no scoring)")
         _print_report(args, config, None)
     if args.save_state:
         save_state(engine, args.save_state)
@@ -227,12 +228,12 @@ def _write_outputs(args, config: Config, report: Union[EvalReport, InfectionRepo
 
 
 def _print_report(args, config: Config, report: Optional[EvalReport]) -> None:
-    """Print a scored run and write its outputs; None (an unlabeled replay)
-    allows neither ``--report`` nor ``--plots``."""
+    """Print a scored run and write its outputs; None (an unlabeled replay, or
+    one with no decisions) allows neither ``--report`` nor ``--plots``."""
     if report is None:
         if args.report or args.plots:
             raise ValueError(f"{'--report' if args.report else '--plots'} "
-                             "needs a fully labeled input")
+                             "needs decisions on a fully labeled input")
         return
     print(report.summary())
     if report.per_attack_type:

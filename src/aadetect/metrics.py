@@ -14,6 +14,10 @@ to:
 ``StreamMetrics`` and ``DirectionalMetrics`` take the windows as ``(N, T_us)``,
 T in whole microseconds (a run passes the checked ``config.metrics.N`` and
 ``.T_us``). Their ``update`` takes a packet's plain values, not a packet object.
+``StreamMetrics.update_block`` takes a block of packets as int64 columns and
+returns their rows, bit for bit what ``update`` returns packet by packet, on
+the same state; a packet detector is fed that way. ``DirectionalMetrics``
+updates per packet, because its substreams interleave packet by packet.
 A stream's state grows with the stream (see ``StreamMetrics``), so a stream
 of one packet costs a few hundred bytes.
 
@@ -30,12 +34,15 @@ post-init traffic may legitimately exceed the observed range.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .traffic import TimestampOrderError
+
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 
 class DimensionError(ValueError):
@@ -49,7 +56,9 @@ class StreamMetrics:
     ``min(n, N)`` packets as flat ``ts, size`` pairs, a ring from ``_pos`` once
     full. ``_window[_head:]`` are the timestamps in the trailing ``T`` window;
     the expired ones before ``_head`` are deleted once they make up an eighth
-    of the list. Each update is O(1) amortized. ``last`` is the latest triple.
+    of the list. Each update is O(1) amortized, and a block of n packets
+    costs O(n + N) numpy work plus a search over the carried window.
+    ``last`` is the latest triple.
     """
 
     __slots__ = ("N", "T_us", "_recent", "_pos", "_recent_bytes", "_window", "_head", "last")
@@ -95,6 +104,79 @@ class StreamMetrics:
 
         self.last = np.array([m1, m2, m3])
         return self.last
+
+    def update_block(self, ts_us: np.ndarray, size_bytes: np.ndarray) -> np.ndarray:
+        """Advance the buffers with a block of packets, given as int64 columns,
+        and return their (n, 3) metric rows: bit for bit what n calls of
+        ``update`` return, leaving the state they would leave.
+
+        Packet i's window is the last ``min(seen + i + 1, N)`` packets, so the
+        ``N - 1`` carried ones and the block's suffice. m1 is a difference of
+        int64 prefix sums; m2 divides an int64 span below 2**53, which float64
+        holds exactly, so the quotient rounds once as ``update``'s int division
+        does; m3 counts the carried and block timestamps past ``t - T`` with
+        ``searchsorted``. A block where a sum or a difference could leave
+        int64, or a span could reach 2**53, goes through ``update`` row by row.
+        A timestamp earlier than the one before it raises before any state
+        changes."""
+        ts_us = np.asarray(ts_us, dtype=np.int64)
+        size_bytes = np.asarray(size_bytes, dtype=np.int64)
+        n = len(ts_us)
+        if n == 0:
+            return np.empty((0, 3))
+        window = self._window
+        first, last = int(ts_us[0]), int(ts_us[-1])
+        if window and first < window[-1]:
+            raise TimestampOrderError(f"timestamp {first} precedes previous {window[-1]}")
+        back = np.flatnonzero(ts_us[1:] < ts_us[:-1])
+        if len(back):
+            i = back[0] + 1
+            raise TimestampOrderError(f"timestamp {ts_us[i]} precedes previous {ts_us[i - 1]}")
+
+        recent, pos = self._recent, self._pos
+        held = len(recent) // 2  # min(seen, N)
+        carry = min(held, self.N - 1)
+        chrono = recent[pos:] + recent[:pos]
+        carried = chrono[len(chrono) - 2 * carry:]
+        oldest = carried[0] if carried else first
+        biggest = max(-int(size_bytes.min()), int(size_bytes.max()), *map(abs, carried[1::2]))
+        if (oldest < _INT64_MIN or last - oldest >= 2**53 or self.T_us > _INT64_MAX
+                or first - self.T_us < _INT64_MIN or biggest * (carry + n) > _INT64_MAX):
+            return np.array([self.update(t, s) for t, s in zip(ts_us.tolist(),
+                                                              size_bytes.tolist())])
+
+        all_ts = np.concatenate([np.array(carried[0::2], dtype=np.int64), ts_us])
+        all_sizes = np.concatenate([np.array(carried[1::2], dtype=np.int64), size_bytes])
+        sums = np.zeros(carry + n + 1, dtype=np.int64)
+        np.cumsum(all_sizes, out=sums[1:])
+        count = np.minimum(np.arange(held + 1, held + n + 1), self.N)  # packets in each window
+        end = np.arange(carry, carry + n)
+        start = end + 1 - count
+        out = np.empty((n, 3))
+        out[:, 0] = sums[end + 1] - sums[start]
+        out[:, 1] = (all_ts[end] - all_ts[start]) / np.maximum(count - 1, 1) / 1e6
+
+        # Carried timestamps at or before the first cutoff count for no packet,
+        # those past the last cutoff for every one; only the rest are searched.
+        cutoff = ts_us - self.T_us
+        lo = bisect_right(window, int(cutoff[0]), self._head)
+        hi = bisect_right(window, int(cutoff[-1]), lo)
+        searched = np.concatenate([np.array(window[lo:hi], dtype=np.int64), ts_us])
+        out[:, 2] = (len(window) - lo) + np.arange(1, n + 1) - np.searchsorted(
+            searched, cutoff, side="right")
+
+        keep = min(carry + n, self.N)  # the new last min(seen, N), oldest first
+        recent[:] = np.column_stack([all_ts[-keep:], all_sizes[-keep:]]).ravel().tolist()
+        self._pos = 0
+        self._recent_bytes = int(sums[-1] - sums[-keep - 1])
+        window += ts_us.tolist()
+        head = bisect_right(window, last - self.T_us, hi)
+        if head > len(window) >> 3:
+            del window[:head]
+            head = 0
+        self._head = head
+        self.last = out[-1].copy()
+        return out
 
 
 class DirectionalMetrics:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -65,8 +65,9 @@ class Trace:
     ``dst``, ``label`` (True for attack, False for benign, None if unknown)
     and ``attack_type`` are tuples, the last two all None when not given, as
     in ``FeatureTable``. Iteration yields ``Packet`` tuples with plain
-    ``int`` fields, one ``_TRACE_BLOCK`` slice at a time; a slice is a
-    ``Trace``, and an int index is a ``TypeError``."""
+    ``int`` fields, one ``_TRACE_BLOCK`` slice at a time; a slice, or a
+    boolean mask of the trace's length, is a ``Trace``, and an int index is a
+    ``TypeError``."""
 
     __slots__ = TRACE_FIELDS
 
@@ -94,10 +95,17 @@ class Trace:
             yield from zip(self.timestamp_us[part].tolist(), self.src[part], self.dst[part],
                            self.size_bytes[part].tolist())
 
-    def __getitem__(self, idx: slice) -> "Trace":
-        if not isinstance(idx, slice):
-            raise TypeError(f"a Trace takes slices, not {type(idx).__name__}")
-        return Trace(*(getattr(self, field)[idx] for field in TRACE_FIELDS))
+    def __getitem__(self, idx: Union[slice, Sequence[bool]]) -> "Trace":
+        if isinstance(idx, slice):
+            return Trace(*(getattr(self, field)[idx] for field in TRACE_FIELDS))
+        mask = np.asarray(idx)
+        if mask.dtype != bool or mask.shape != (len(self),):
+            raise TypeError(f"a Trace takes slices or a boolean mask of its length, "
+                            f"not {type(idx).__name__}")
+        keep = mask.tolist()
+        columns = (getattr(self, field) for field in TRACE_FIELDS)
+        return Trace(*(column[mask] if isinstance(column, np.ndarray) else compress(column, keep)
+                       for column in columns))
 
 
 class FeatureTable:

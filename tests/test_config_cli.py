@@ -1268,6 +1268,22 @@ def test_feature_replay_ending_in_init_leaves_a_header_only_log(tmp_path, capsys
     assert log.read_text() == "timestamp_us,decision_value,threshold,is_attack,mode\n"
 
 
+def test_replay_whose_init_closes_on_the_last_row_exits_0_and_saves(flood_trace_file, tmp_path,
+                                                                    capsys):
+    head = tmp_path / "t30.csv"
+    head.write_text("".join(flood_trace_file.read_text().splitlines(keepends=True)[:31]))
+    log, saved, fitted = tmp_path / "x.csv", tmp_path / "s30.json", tmp_path / "init.json"
+    capsys.readouterr()
+    assert cli.main(["replay", str(head), "--set", "train.init_len=30", "--log", str(log),
+                     "--save-state", str(saved)]) == 0
+    assert capsys.readouterr().out.splitlines()[0].startswith("0 decisions")
+    assert log.read_text() == "timestamp_us,decision_value,threshold,is_attack,mode\n"
+    assert cli.main(["init", str(head), "--set", "train.init_len=30", "--out", str(fitted)]) == 0
+    assert saved.read_bytes() == fitted.read_bytes()  # the window init fits, saved as it fits it
+    assert cli.main(["replay", str(head), "--set", "train.init_len=31"]) == 2
+    assert "trace ended before init completed" in capsys.readouterr().err
+
+
 def test_replay_without_enough_packets(tmp_path, capsys):
     short = tmp_path / "short.csv"
     assert cli.main(["synth", "--out", str(short), "--duration", "1", "--rate", "20"]) == 0

@@ -201,6 +201,19 @@ def test_botnet_step_consumes_packets_only():
         list(det.step_rows(np.zeros((2, 3))))
 
 
+@pytest.mark.parametrize("bad, error", [(np.zeros(3), TypeError), ((12, "a", "b"), ValueError),
+                                        ((12, "a", "b", 2**63), OverflowError)])
+def test_packets_ahead_of_a_bad_item_are_judged_before_it_raises(bad, error):
+    det = Detector(3, small_config(), Mode.BOTNET)
+    judged = []
+    with pytest.raises(error):
+        for decision in det.step_rows(packets(range(10)) + [bad] + packets([13])):
+            judged.append(decision.at_us)
+    # Tuples are gathered as int64 columns a slice at a time, so a size past
+    # int64 fails the slice it is in, not only its own packet.
+    assert judged == ([] if error is OverflowError else [8, 9])
+
+
 def test_features_step_counts_rows_and_defaults_frozen():
     det = Detector(2, small_config(init_len=4), Mode.FEATURES)
     rng = np.random.default_rng(97)

@@ -3,6 +3,7 @@ it replaced, plus scaling behavior."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from aadetect.config import MetricsSection, config_from_dict
 from aadetect.metrics import (DimensionError, DirectionalMetrics,
@@ -84,6 +85,70 @@ def test_streaming_is_bit_equal_to_the_deque_extractor(N, T_us):
     assert compactions > 100
     with pytest.raises(TimestampOrderError):
         sm.update(packets[-1][0] - 1, 10)
+
+
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+# Small steps, gaps past 2**53, and values next to either int64 bound.
+timestamps = st.one_of(st.integers(0, 3_000_000), st.integers(2**53, 2**55),
+                       st.integers(INT64_MIN, INT64_MIN + 2**20),
+                       st.integers(INT64_MAX - 2**20, INT64_MAX),
+                       st.integers(INT64_MIN, INT64_MAX))
+# Packet sizes, and sizes whose sum over a few packets passes int64.
+sizes = st.one_of(st.integers(0, 1500), st.integers(2**61, 2**62 + 2**10),
+                  st.integers(INT64_MAX - 2**10, INT64_MAX), st.integers(INT64_MIN, INT64_MAX))
+
+
+@st.composite
+def block_streams(draw):
+    """An ordered stream with runs of equal timestamps, and the pieces it is fed in:
+    each piece is ``(start, end, by_block)``."""
+    stamps = sorted(draw(st.lists(timestamps, max_size=60)))
+    repeats = draw(st.lists(st.booleans(), min_size=len(stamps), max_size=len(stamps)))
+    stamps = [stamps[i - 1] if i and again else t
+              for i, (t, again) in enumerate(zip(stamps, repeats))]
+    lengths = draw(st.lists(sizes, min_size=len(stamps), max_size=len(stamps)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(stamps)), max_size=6)))
+    edges = [0, *cuts, len(stamps)]
+    pieces = [(a, b, draw(st.booleans())) for a, b in zip(edges, edges[1:])]
+    return list(zip(stamps, lengths)), pieces
+
+
+@given(stream=block_streams(), N=st.sampled_from([1, 2, 3, 5, 30]),
+       T_us=st.sampled_from([1, 2, 1_000_000, 2**53, INT64_MAX, 2**63 + 5]))
+@example(stream=([(t, 1) for t in (0, 0, 0, 1, 1, 2)], [(0, 2, True), (2, 6, True)]),
+         N=1, T_us=1)
+@example(stream=([(INT64_MIN, 5), (INT64_MIN + 1, 5), (2**53 + INT64_MIN + 1, 5),
+                  (INT64_MAX, 5)], [(0, 2, False), (2, 4, True)]), N=3, T_us=2**53)
+@example(stream=([(0, 2**62), (1, 2**62), (2, 2**62 - 1)], [(0, 1, True), (1, 3, True)]),
+         N=3, T_us=5)
+def test_blocks_and_rows_mixed_on_one_stream_equal_the_deque_extractor(stream, N, T_us):
+    packets, pieces = stream
+    sm, oracle = StreamMetrics(N, T_us), DequeStreamMetrics(N, T_us)
+    for start, end, by_block in pieces:
+        part = packets[start:end]
+        if by_block:
+            got = sm.update_block(np.array([t for t, _ in part], dtype=np.int64),
+                                  np.array([s for _, s in part], dtype=np.int64))
+        else:
+            got = np.array([sm.update(t, s) for t, s in part]).reshape(-1, 3)
+        want = np.array([oracle.update(t, s) for t, s in part]).reshape(-1, 3)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if len(part):
+            assert sm.last.tobytes() == want[-1].tobytes()
+
+
+def test_a_block_that_goes_back_in_time_raises_before_any_state_changes():
+    sm, oracle = StreamMetrics(3, 1_000_000), DequeStreamMetrics(3, 1_000_000)
+    for t in (10, 20):
+        oracle.update(t, 7)
+    sm.update_block(np.array([10, 20]), np.array([7, 7]))
+    for bad in ([19, 30], [20, 30, 25]):
+        with pytest.raises(TimestampOrderError) as err:
+            sm.update_block(np.array(bad), np.ones(len(bad), dtype=np.int64))
+        assert str(err.value) in ("timestamp 19 precedes previous 20",
+                                  "timestamp 25 precedes previous 30")
+    got = sm.update_block(np.array([20, 900_000]), np.array([1, 2]))
+    assert got.tobytes() == np.array([oracle.update(20, 1), oracle.update(900_000, 2)]).tobytes()
 
 
 def test_m3_counts_half_open_window_boundary():

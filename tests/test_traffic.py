@@ -302,9 +302,12 @@ def test_trace_from_records_indexes_slices_and_iterates():
     part = trace[5:12]
     assert isinstance(part, Trace) and columns(part) == columns(trace_of(rows[5:12]))
     assert columns(trace[::-1][:3]) == columns(trace_of(rows[:-4:-1]))
-    for idx in (0, -1, np.int64(3)):
+    mask = [i % 3 == 0 for i in range(30)]
+    assert columns(trace[mask]) == columns(trace_of(rows[::3]))
+    assert columns(trace[np.array(mask)]) == columns(trace_of(rows[::3]))
+    for idx in (0, -1, np.int64(3), mask[1:], [1] * 30):
         with pytest.raises(TypeError):
-            trace[idx]  # a single packet is read from the columns
+            trace[idx]  # a single packet is read from the columns; a mask is one bool a packet
     assert list(trace.label) == [row[4] for row in rows]
     with pytest.raises(ValueError):
         trace.timestamp_us[0] = 1  # the columns are read-only
