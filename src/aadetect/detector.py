@@ -9,12 +9,12 @@ The threshold is either a fixed configured value or the Tukey upper whisker
 (Q3 + 1.5 * IQR) of decision values observed on benign data.
 
 Rows reach a detector as ``(times, raw rows)`` slices: a feature input whole,
-packets up to ``_TRACE_BLOCK`` at a time, their metrics computed for the
-whole slice by ``StreamMetrics.update_block``. Lifecycle: a detector starts
-in ``init``; each slice joins its init window until ``Detector.init_cut``
-closes it, a batch fit sets the scaler, the first model and the threshold,
-and it moves to ``online`` or ``frozen``; ``observe`` judges every row after
-the cut, one at a time. Online operation is
+a ``Trace`` (the one packet input) up to ``_TRACE_BLOCK`` packets at a time,
+their metrics computed for the whole slice by ``StreamMetrics.update_block``.
+Lifecycle: a detector starts in ``init``; each slice joins its init window
+until ``Detector.init_cut`` closes it, a batch fit sets the scaler, the first
+model and the threshold, and it moves to ``online`` or ``frozen``; ``observe``
+judges every row after the cut, one at a time. Online operation is
 semi-supervised: every decision is emitted, but only rows the detector itself
 judged benign are queued for training; at each full window the readout is
 refit incrementally and (unless frozen by config) the whisker threshold is
@@ -33,7 +33,7 @@ import os
 import zlib
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .aadrnn import AadrnnModel, model_from_json, model_to_json
 from .config import _KIND_NAMES, Config, _is_kind
 from .metrics import (DimensionError, StreamMetrics, fit_scaling, min_max_fit,
                       scaler_from_json)
-from .traffic import _TRACE_BLOCK, Packet, Trace
+from .traffic import _TRACE_BLOCK, FeatureTable, Trace
 from .training import (SufficientStats, TrainingError, fit_batch_with_stats,
                        update_incremental)
 
@@ -180,11 +180,12 @@ class Detector:
 
     # -- feeding ------------------------------------------------------------
 
-    def step_rows(self, rows: Union[Sequence[Packet], np.ndarray]) -> Iterator[Decision]:
-        """Feed packets (BOTNET: ``Trace`` or ``Packet`` tuples) or feature rows (FEATURES:
-        ``FeatureTable`` or matrix), split across calls in any way, and yield one decision
-        per judged row. Each slice of ``_slices`` joins the init window as ``init_cut``
-        says, ``initialize`` fits the window once it closes, and ``observe`` judges the rest."""
+    def step_rows(self, rows: Union[Trace, FeatureTable, np.ndarray]) -> Iterator[Decision]:
+        """Feed packets (BOTNET: a ``Trace``) or feature rows (FEATURES: a ``FeatureTable``
+        or matrix), split across calls in any way, and yield one decision per judged row.
+        Each slice of ``_slices`` joins the init window as ``init_cut`` says, ``initialize``
+        fits the window once it closes, and ``observe`` judges the rest. A BOTNET detector
+        fed anything but a ``Trace`` raises ``TypeError`` before its state changes."""
         for times, raws in self._slices(rows):
             start = self._join(times, raws) if self.phase == Phase.INIT else 0
             for at_us, raw in zip(times[start:], raws[start:]):
@@ -192,12 +193,14 @@ class Detector:
 
     def _slices(self, rows) -> Iterator[Tuple[Sequence[int], np.ndarray]]:
         """The input as ``(times, raw rows)`` slices. Feature rows come whole,
-        timed by row index. Packets come a ``_packet_columns`` slice at a time,
-        their metrics computed by one ``update_block`` call when the slice is
-        pulled, before any of its rows is judged."""
+        timed by row index. A trace's packets come a ``_packet_columns`` slice
+        at a time, their metrics computed by one ``update_block`` call when the
+        slice is pulled, before any of its rows is judged."""
         if self.mode == Mode.FEATURES:
             yield range(self._row_counter, self._row_counter + len(rows)), rows
         elif self.mode == Mode.BOTNET:
+            if not isinstance(rows, Trace):
+                raise TypeError(f"a botnet detector takes a Trace, not {type(rows).__name__}")
             for ts, sizes in _packet_columns(rows):
                 yield ts.tolist(), self._extractor.update_block(ts, sizes)
         else:
@@ -323,47 +326,18 @@ class Detector:
         return self._row_counter if self.phase == Phase.INIT else len(self._pending)
 
 
-def _packet_columns(packets) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """The timestamps and sizes of a ``Trace`` or of ``Packet`` tuples as int64
-    columns, up to ``_TRACE_BLOCK`` packets a slice: a trace's are sliced, and
-    tuples' gathered, so their ints must fit int64. A slice ends before a
-    timestamp that goes back, so the packets ahead of it are judged before
-    ``update_block`` rejects it. An item that is not a ``Packet`` raises once
-    the packets ahead of it are yielded."""
-    if isinstance(packets, Trace):
-        stamps, lengths = packets.timestamp_us, packets.size_bytes
-        columns = ((stamps[a:a + _TRACE_BLOCK], lengths[a:a + _TRACE_BLOCK])
-                   for a in range(0, len(packets), _TRACE_BLOCK))
-    else:
-        columns = (block.T for block in _gathered(packets))
-    for ts, sizes in columns:
+def _packet_columns(trace: Trace) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """A trace's int64 timestamp and size columns, sliced up to ``_TRACE_BLOCK``
+    packets at a time. A slice ends before a timestamp that goes back, so the
+    packets ahead of it are judged before ``update_block`` rejects it."""
+    stamps, lengths = trace.timestamp_us, trace.size_bytes
+    for a in range(0, len(trace), _TRACE_BLOCK):
+        ts, sizes = stamps[a:a + _TRACE_BLOCK], lengths[a:a + _TRACE_BLOCK]
         back = np.flatnonzero(ts[1:] < ts[:-1])
         if len(back):
             yield ts[:back[0] + 1], sizes[:back[0] + 1]
             ts, sizes = ts[back[0] + 1:], sizes[back[0] + 1:]
         yield ts, sizes
-
-
-def _gathered(packets: Iterable[Packet]) -> Iterator[np.ndarray]:
-    """Packet tuples as ``(timestamp, size)`` int64 rows, up to ``_TRACE_BLOCK``
-    a block; an item that is not a ``Packet`` raises once the block ahead of
-    it is yielded."""
-    block: List[Tuple[int, int]] = []
-    for pkt in packets:
-        try:
-            if not isinstance(pkt, tuple):
-                raise TypeError(f"a botnet detector takes packet tuples, not {type(pkt).__name__}")
-            ts_us, _, _, size_bytes = pkt
-        except (TypeError, ValueError):
-            if block:
-                yield np.array(block, dtype=np.int64)
-            raise
-        block.append((ts_us, size_bytes))
-        if len(block) == _TRACE_BLOCK:
-            yield np.array(block, dtype=np.int64)
-            block = []
-    if block:
-        yield np.array(block, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -61,21 +61,22 @@ Packet = Tuple[int, str, str, int]  # a packet in flight: (timestamp_us, src, ds
 class Trace:
     """An ordered packet sequence: its six columns and nothing else.
 
-    ``timestamp_us`` and ``size_bytes`` are read-only int64 arrays; ``src``,
-    ``dst``, ``label`` (True for attack, False for benign, None if unknown)
-    and ``attack_type`` are tuples, the last two all None when not given, as
-    in ``FeatureTable``. Iteration yields ``Packet`` tuples with plain
-    ``int`` fields, one ``_TRACE_BLOCK`` slice at a time; a slice, or a
-    boolean mask of the trace's length, is a ``Trace``, and an int index is a
-    ``TypeError``."""
+    ``timestamp_us`` and ``size_bytes`` are read-only int64 arrays, given as
+    integers that fit int64 (``_int64_column``); ``src``, ``dst``, ``label``
+    (True for attack, False for benign, None if unknown) and ``attack_type``
+    are tuples, the last two all None when not given, as in
+    ``FeatureTable``. Iteration yields ``Packet`` tuples with plain ``int``
+    fields, one ``_TRACE_BLOCK`` slice at a time; a slice, or a boolean mask
+    of the trace's length, is a ``Trace``, and an int index is a
+    ``TypeError``. A detector takes packets only as a ``Trace``, so this
+    constructor is where packet integers become int64."""
 
     __slots__ = TRACE_FIELDS
 
     def __init__(self, timestamp_us=(), src=(), dst=(), size_bytes=(), label=None,
                  attack_type=None):
-        self.timestamp_us = np.asarray(timestamp_us, dtype=np.int64).view()
-        self.size_bytes = np.asarray(size_bytes, dtype=np.int64).view()
-        self.timestamp_us.flags.writeable = self.size_bytes.flags.writeable = False
+        self.timestamp_us = _int64_column(timestamp_us, "timestamp_us")
+        self.size_bytes = _int64_column(size_bytes, "size_bytes")
         self.src, self.dst = tuple(src), tuple(dst)
         n = len(self.timestamp_us)
         self.label = (None,) * n if label is None else tuple(label)
@@ -106,6 +107,21 @@ class Trace:
         columns = (getattr(self, field) for field in TRACE_FIELDS)
         return Trace(*(column[mask] if isinstance(column, np.ndarray) else compress(column, keep)
                        for column in columns))
+
+
+def _int64_column(values, name: str) -> np.ndarray:
+    """A read-only int64 view of a trace column, whose values it keeps exactly:
+    integers that fit int64, or a ``ValueError`` naming the column. A float,
+    string or bool is not converted. An int64 array (the parser's, a slice's,
+    a mask's) costs a dtype test; only an unsigned one is scanned for range."""
+    column = np.asarray(values)
+    if column.size and column.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers that fit int64, got {column.dtype} values")
+    if column.dtype.kind == "u" and column.size and int(column.max()) > _INT64.max:
+        raise ValueError(f"{name} must hold integers that fit int64, got {int(column.max())}")
+    column = column.astype(np.int64, copy=False).view()
+    column.flags.writeable = False
+    return column
 
 
 class FeatureTable:

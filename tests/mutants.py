@@ -1,0 +1,171 @@
+"""Mutation check: every exactness guard and fast path in the table matters.
+
+    python tests/mutants.py
+
+Each row of ``MUTANTS`` replaces one exact piece of text in a file of
+``src/`` with another and names the test files that should fail on it. The
+script copies ``src/`` and ``tests/`` to a temporary directory, runs each
+row's test files once on the unmutated copy, then applies each mutant in
+turn and runs its files with ``pytest -x`` under the ``ci`` Hypothesis
+profile. A mutant is killed when a test fails on it (pytest exits 1); a
+mutant that breaks the run (a syntax error, say) is not a kill, and counts
+as not as expected. Warnings stay warnings here, unlike in the tier-1 run:
+when Hypothesis reports a failing example its pytest plugin may import a
+module that warns, and ``-W error`` turns that failure into a pytest
+internal error (exit 3).
+
+It exits 1 if a mutant expected to be killed survives, if one recorded as
+equivalent is killed (the record is then wrong), if a row's old text is not
+in its file exactly once, or if a row's tests fail on the unmutated copy.
+pytest does not collect this file: its name does not start with ``test_``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+KILLED, EQUIVALENT = "killed", "equivalent"
+METRICS, DETECTOR, TRAFFIC = (f"src/aadetect/{name}.py"
+                              for name in ("metrics", "detector", "traffic"))
+BLOCK_TESTS = ("tests/test_metrics.py", "tests/test_feed.py")
+FEED_TESTS = ("tests/test_feed.py",)
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: Tuple[str, ...]
+    expected: str = KILLED
+
+
+MUTANTS = [
+    # StreamMetrics.update_block: each guard that sends a block through update row by row.
+    Mutant("update_block: m2 without the 2**53 span guard", METRICS,
+           "if (oldest < _INT64_MIN or last - oldest >= 2**53 or",
+           "if (oldest < _INT64_MIN or", BLOCK_TESTS),
+    Mutant("update_block: no guard on t - T below int64", METRICS,
+           "or first - self.T_us < _INT64_MIN or biggest", "or biggest", BLOCK_TESTS),
+    Mutant("update_block: no guard on T_us above int64", METRICS,
+           "or last - oldest >= 2**53 or self.T_us > _INT64_MAX", "or last - oldest >= 2**53",
+           BLOCK_TESTS),
+    Mutant("update_block: no guard on the size sum", METRICS,
+           "or biggest * (carry + n) > _INT64_MAX):", "):", BLOCK_TESTS),
+    # StreamMetrics.update_block: the window arithmetic.
+    Mutant("update_block: m3 searched with side='left'", METRICS,
+           'cutoff, side="right")', 'cutoff, side="left")', BLOCK_TESTS),
+    Mutant("update_block: N - 2 packets carried", METRICS,
+           "carry = min(held, self.N - 1)", "carry = min(held, self.N - 2)", BLOCK_TESTS),
+    Mutant("update_block: the first cutoff one too high", METRICS,
+           "lo = bisect_right(window, int(cutoff[0]), self._head)",
+           "lo = bisect_right(window, int(cutoff[0]) + 1, self._head)", BLOCK_TESTS),
+    # Windows are indexed by position: the extra carried packet is copied, never read.
+    Mutant("update_block: N packets carried, not N - 1", METRICS,
+           "carry = min(held, self.N - 1)", "carry = min(held, self.N)", BLOCK_TESTS,
+           EQUIVALENT),
+    # Detector.init_cut, the one init rule.
+    Mutant("init_cut: > for >=", DETECTOR,
+           "int(times[i]) - int(first[0]) >= bound", "int(times[i]) - int(first[0]) > bound",
+           FEED_TESTS),
+    Mutant("init_cut: three rows for four", DETECTOR,
+           "range(max(4 - held, 0), len(times))", "range(max(3 - held, 0), len(times))",
+           FEED_TESTS),
+    Mutant("init_cut: float differences", DETECTOR,
+           "int(times[i]) - int(first[0]) >= bound", "float(times[i]) - float(first[0]) >= bound",
+           FEED_TESTS),
+    Mutant("init_cut: the first time taken per call", DETECTOR,
+           "first = self._init_rows[0][0] if self._init_rows else times", "first = times",
+           FEED_TESTS),
+    Mutant("init_cut: the bound not clipped", DETECTOR,
+           "math.ceil(min(max(self._init_seconds * 1e6, -2.0**64), 2.0**64))",
+           "math.ceil(self._init_seconds * 1e6)", FEED_TESTS),
+    Mutant("init_cut: the count window one row long", DETECTOR,
+           "held + len(times) >= self._init_len", "held + len(times) > self._init_len",
+           FEED_TESTS),
+    # Detector._join and the feature-row clock.
+    Mutant("_join: joined rows not counted", DETECTOR,
+           "self._row_counter += joined", "pass", FEED_TESTS),
+    Mutant("_join: the window reset per call", DETECTOR,
+           "self._init_rows.append((times[:joined], rows[:joined]))",
+           "self._init_rows = [(times[:joined], rows[:joined])]", FEED_TESTS),
+    Mutant("_slices: feature rows timed one late", DETECTOR,
+           "yield range(self._row_counter, self._row_counter + len(rows)), rows",
+           "yield range(self._row_counter + 1, self._row_counter + len(rows) + 1), rows",
+           FEED_TESTS),
+    # The packet front end: a Trace is the one input, sliced before a step back.
+    Mutant("_packet_columns: no slice end before a timestamp that goes back", DETECTOR,
+           "        back = np.flatnonzero(ts[1:] < ts[:-1])\n"
+           "        if len(back):\n"
+           "            yield ts[:back[0] + 1], sizes[:back[0] + 1]\n"
+           "            ts, sizes = ts[back[0] + 1:], sizes[back[0] + 1:]\n",
+           "", FEED_TESTS),
+    Mutant("_slices: a botnet detector takes any input", DETECTOR,
+           "if not isinstance(rows, Trace):", "if False:", ("tests/test_detector.py",)),
+    # Trace, where packet integers become int64.
+    Mutant("Trace: columns converted without the int64 check", TRAFFIC,
+           "    column = np.asarray(values)\n",
+           "    column = np.asarray(values, dtype=np.int64)\n", ("tests/test_traffic.py",)),
+    Mutant("Trace: unsigned columns not range-checked", TRAFFIC,
+           'if column.dtype.kind == "u" and column.size and', "if False and",
+           ("tests/test_traffic.py",)),
+]
+
+
+def pytest_exit(tree: Path, tests: Tuple[str, ...]) -> int:
+    """pytest's exit code on ``tests`` in ``tree``, stopping at the first failure:
+    0 when all pass, 1 when a test fails, more when the run itself broke."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+               "--hypothesis-profile=ci", *tests]
+    return subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="aadetect-mutants-") as tmp:
+        tree = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        for tests in sorted({mutant.tests for mutant in MUTANTS}):
+            if pytest_exit(tree, tests) != 0:
+                print(f"FAIL  the unmutated tree fails {' '.join(tests)}")
+                failures += 1
+        if failures:
+            return 1
+        for mutant in MUTANTS:
+            target = tree / mutant.path
+            text = target.read_text(encoding="utf-8")
+            if text.count(mutant.old) != 1:
+                print(f"FAIL  {mutant.name}: its old text is in {mutant.path} "
+                      f"{text.count(mutant.old)} times, not once")
+                failures += 1
+                continue
+            start = time.perf_counter()
+            target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+            try:
+                code = pytest_exit(tree, mutant.tests)
+            finally:
+                target.write_text(text, encoding="utf-8")
+            outcome = {0: "survived", 1: KILLED}.get(code, f"broken (pytest exit {code})")
+            ok = outcome == (KILLED if mutant.expected == KILLED else "survived")
+            failures += not ok
+            seconds = time.perf_counter() - start
+            print(f"{'ok   ' if ok else 'FAIL '} {outcome:<9} {seconds:5.1f} s  "
+                  f"{mutant.name}" + ("" if ok else f" (expected {mutant.expected})"), flush=True)
+    print(f"{len(MUTANTS)} mutants, {failures} not as expected")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -260,8 +260,6 @@ class PerRowFeed:
     def step(self, item) -> Optional[Decision]:
         """Consume one packet tuple (BOTNET) or one feature row (FEATURES)."""
         if self.det.mode == Mode.BOTNET:
-            if not isinstance(item, tuple):
-                raise TypeError(f"a botnet detector takes packet tuples, not {type(item).__name__}")
             ts_us, _, _, size_bytes = item
             return self.observe(self.metrics.update(ts_us, size_bytes), ts_us)
         if self.det.mode == Mode.FEATURES:

@@ -37,7 +37,8 @@ def warmed_detector(rng, config=None, **kwargs):
 
 
 def packets(times, size=100):
-    return [(t, "a", "b", size + i) for i, t in enumerate(times)]
+    times = list(times)
+    return Trace(times, ["a"] * len(times), ["b"] * len(times), range(size, size + len(times)))
 
 
 # -- decision value ---------------------------------------------------------------
@@ -166,14 +167,15 @@ def test_whisker_degenerate_fallbacks():
 
 def test_init_buffers_then_first_decision():
     det = Detector(3, small_config(), Mode.BOTNET)
-    for pkt in packets(range(8)):
+    trace = packets(range(8))
+    for i in range(len(trace)):
         assert det.phase == Phase.INIT
         with pytest.raises(LifecycleError):
-            det.observe(np.ones(3), pkt[0])  # only step_rows feeds the init window
-        assert list(det.step_rows([pkt])) == []
+            det.observe(np.ones(3), i)  # only step_rows feeds the init window
+        assert list(det.step_rows(trace[i:i + 1])) == []
     assert det.phase == Phase.ONLINE
     assert det.threshold > 0 and det.accepted_rows == 8
-    [dec] = det.step_rows([(99, "a", "b", 100)])
+    [dec] = det.step_rows(packets([99]))
     assert isinstance(dec, Decision) and dec.at_us == 99
 
 
@@ -190,28 +192,18 @@ def test_init_by_time_still_needs_four_rows():
 
 
 def test_botnet_step_consumes_packets_only():
+    trace = packets(range(12))  # 8 rows of init, then 4 decisions
+    tuples = list(trace)
     det = Detector(3, small_config(), Mode.BOTNET)
-    assert list(det.step_rows([(0, "a", "b", 100)])) == []
-    trace = Trace([1, 2], ["a", "b"], ["b", "a"], [60, 70])
-    assert list(det.step_rows(trace)) == []  # a trace yields packet tuples
-    for item in (np.zeros(3), [3, "a", "b", 100], trace[:1]):
-        with pytest.raises(TypeError):
-            list(det.step_rows([item]))
-    with pytest.raises(TypeError):
-        list(det.step_rows(np.zeros((2, 3))))
-
-
-@pytest.mark.parametrize("bad, error", [(np.zeros(3), TypeError), ((12, "a", "b"), ValueError),
-                                        ((12, "a", "b", 2**63), OverflowError)])
-def test_packets_ahead_of_a_bad_item_are_judged_before_it_raises(bad, error):
-    det = Detector(3, small_config(), Mode.BOTNET)
-    judged = []
-    with pytest.raises(error):
-        for decision in det.step_rows(packets(range(10)) + [bad] + packets([13])):
-            judged.append(decision.at_us)
-    # Tuples are gathered as int64 columns a slice at a time, so a size past
-    # int64 fails the slice it is in, not only its own packet.
-    assert judged == ([] if error is OverflowError else [8, 9])
+    for item in ([], tuples, iter(tuples), tuple(tuples), trace.timestamp_us, np.zeros((2, 3)),
+                 FeatureTable(np.zeros((2, 3)))):
+        with pytest.raises(TypeError) as err:
+            list(det.step_rows(item))
+        assert str(err.value) == f"a botnet detector takes a Trace, not {type(item).__name__}"
+        assert det.pending_rows == 0 and det.phase == Phase.INIT  # nothing was consumed
+    fresh = Detector(3, small_config(), Mode.BOTNET)
+    decisions = list(det.step_rows(trace))
+    assert len(decisions) == 4 and decisions == list(fresh.step_rows(trace))
 
 
 def test_features_step_counts_rows_and_defaults_frozen():
@@ -267,7 +259,7 @@ def test_initialize_checks_rows_as_observe_does():
 def test_device_mode_rejects_step():
     det = Detector(6, small_config(), Mode.DEVICE)
     with pytest.raises(LifecycleError):
-        list(det.step_rows([(0, "a", "b", 1)]))
+        list(det.step_rows(packets([0])))
 
 
 def test_observe_validation():

@@ -34,10 +34,12 @@ def packet_inputs(draw):
         times[k] = draw(st.integers(INT64_MIN, times[k]))
     sizes = draw(st.lists(st.integers(0, 1500), min_size=len(times), max_size=len(times)))
     hosts = ["10.0.0.1", "10.0.0.2"]
-    packets = [(t, hosts[i % 2], hosts[1 - i % 2], s)
-               for i, (t, s) in enumerate(zip(times, sizes))]
-    if draw(st.booleans()):
-        return packets
+    return trace([(t, hosts[i % 2], hosts[1 - i % 2], s)
+                  for i, (t, s) in enumerate(zip(times, sizes))])
+
+
+def trace(packets):
+    """Packet tuples as a ``Trace``, the one packet input of ``step_rows``."""
     return Trace(*zip(*packets)) if packets else Trace()
 
 
@@ -67,8 +69,7 @@ def configs(draw, mode):
 
 
 def split(items, cuts):
-    """``items`` in pieces at the sorted ``cuts``: ``Trace`` and matrix slices,
-    or list slices."""
+    """``items`` in pieces at the sorted ``cuts``: ``Trace`` or matrix slices."""
     edges = [0, *sorted(min(c, len(items)) for c in cuts), len(items)]
     if isinstance(items, FeatureTable):
         items = items.features
@@ -128,9 +129,9 @@ def plain(**train):
 
 @given(items=packet_inputs(), config=configs(Mode.BOTNET), online=st.booleans(),
        cuts=st.lists(st.integers(0, 40), max_size=6))
-@example(items=[(t, "a", "b", 100) for t in SHORT_BY_ONE], config=plain(init_seconds=9.3e12),
-         online=True, cuts=[4])
-@example(items=[(t, "a", "b", 100) for t in WIDEST], config=plain(init_seconds=9.3e12),
+@example(items=trace([(t, "a", "b", 100) for t in SHORT_BY_ONE]),
+         config=plain(init_seconds=9.3e12), online=True, cuts=[4])
+@example(items=trace([(t, "a", "b", 100) for t in WIDEST]), config=plain(init_seconds=9.3e12),
          online=False, cuts=[1, 2, 3])
 def test_packets_in_any_split_decide_as_the_per_row_oracle(items, config, online, cuts):
     check_partition(Mode.BOTNET, items, config, online, cuts)

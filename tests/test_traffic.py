@@ -64,6 +64,37 @@ def test_trace_constructor_rejects_columns_of_unequal_length():
     assert Trace.__slots__ == TRACE_FIELDS
 
 
+@pytest.mark.parametrize("values, shown", [
+    (np.array([2**63, 2**63 + 5], dtype=np.uint64), "9223372036854775813"),
+    ([2**63, 2**63 + 5], "9223372036854775813"),
+    ([2**64, 1], None),  # numpy picks the dtype of these two by release
+    ([-1, 2**63], None),
+    ([1.7, 2.9], "float64 values"),
+    ([1, 2.0], "float64 values"),
+    (["5", "6"], "<U1 values"),
+    ([True, False], "bool values"),
+])
+@pytest.mark.parametrize("column", ["timestamp_us", "size_bytes"])
+def test_trace_columns_take_integers_that_fit_int64_exactly(values, shown, column):
+    fields = {"timestamp_us": [1, 2], "src": ["a"] * 2, "dst": ["b"] * 2, "size_bytes": [1, 2]}
+    fields[column] = values
+    with pytest.raises(ValueError) as err:
+        Trace(**fields)
+    message = f"{column} must hold integers that fit int64, got "
+    assert str(err.value).startswith(message) and shown in (None, str(err.value)[len(message):])
+
+
+def test_trace_columns_keep_every_int64_and_share_an_int64_array():
+    edges = [-2**63, -1, 0, 2**63 - 1]
+    trace = Trace(edges, ["a"] * 4, ["b"] * 4, np.array([0, 1, 2**32, 2**63 - 1], np.uint64))
+    assert trace.timestamp_us.tolist() == edges
+    assert trace.size_bytes.tolist() == [0, 1, 2**32, 2**63 - 1]
+    assert Trace(np.int32([5, 6]), "ab", "ba", np.uint8([7, 8])).size_bytes.dtype == np.int64
+    parsed = np.arange(4, dtype=np.int64)
+    assert np.shares_memory(Trace(parsed, "abcd", "dcba", parsed).timestamp_us, parsed)
+    assert len(Trace([], [], [], [])) == 0 == len(Trace(np.empty(0), (), (), np.empty(0)))
+
+
 def test_trace_iterates_as_the_zip_of_its_four_columns():
     rows = random_rows(np.random.default_rng(6), 2500)  # past two _TRACE_BLOCK edges
     trace = trace_of(rows)
