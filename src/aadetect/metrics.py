@@ -14,12 +14,13 @@ to:
 ``StreamMetrics`` and ``DirectionalMetrics`` take the windows as ``(N, T_us)``,
 T in whole microseconds (a run passes the checked ``config.metrics.N`` and
 ``.T_us``). Their ``update`` takes a packet's plain values, not a packet object.
-``StreamMetrics.update_block`` takes a block of packets as int64 columns and
-returns their rows, bit for bit what ``update`` returns packet by packet, on
-the same state; a packet detector is fed that way. ``DirectionalMetrics``
-updates per packet, because its substreams interleave packet by packet.
-A stream's state grows with the stream (see ``StreamMetrics``), so a stream
-of one packet costs a few hundred bytes.
+``StreamMetrics.update_block`` takes a block of packets as integer columns,
+as ``Trace`` does, and returns their rows, bit for bit what ``update``
+returns packet by packet, on the same arrival-order state; a packet detector
+is fed that way. ``DirectionalMetrics`` updates per packet, because its
+substreams interleave packet by packet. A stream's state grows with the
+stream (see ``StreamMetrics``), so a stream of one packet costs a few
+hundred bytes.
 
 The per-address extension keeps two independent substreams per address
 (packets it sent, packets it received) and concatenates their metric triples
@@ -36,11 +37,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .traffic import TimestampOrderError
+from .traffic import TimestampOrderError, _int64_column
 
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
@@ -52,26 +53,25 @@ class DimensionError(ValueError):
 class StreamMetrics:
     """Streaming computation of (m1, m2, m3) for one packet stream.
 
-    State is two lists that grow with the stream. ``_recent`` holds the last
-    ``min(n, N)`` packets as flat ``ts, size`` pairs, a ring from ``_pos`` once
-    full. ``_window[_head:]`` are the timestamps in the trailing ``T`` window;
-    the expired ones before ``_head`` are deleted once they make up an eighth
-    of the list. Each update is O(1) amortized, and a block of n packets
-    costs O(n + N) numpy work plus a search over the carried window.
-    ``last`` is the latest triple.
+    State is two lists that grow with the stream, both in arrival order.
+    ``_recent`` holds the last ``min(n, N)`` packets as flat ``ts, size``
+    pairs, oldest first, and ``_recent_bytes`` their sizes' sum.
+    ``_window[_head:]`` are the timestamps in the trailing ``T`` window; the
+    expired ones before ``_head`` are deleted once they make up an eighth of
+    the list. ``triple`` reads the latest packet's metrics from this state.
+    Each update is O(N) list work at worst, and a block of n packets costs
+    O(n + N) numpy work plus a search over the carried window.
     """
 
-    __slots__ = ("N", "T_us", "_recent", "_pos", "_recent_bytes", "_window", "_head", "last")
+    __slots__ = ("N", "T_us", "_recent", "_recent_bytes", "_window", "_head")
 
     def __init__(self, N: int, T_us: int):
         self.N = N
         self.T_us = T_us
         self._recent: List[int] = []
-        self._pos = 0
         self._recent_bytes = 0
         self._window: List[int] = []
         self._head = 0
-        self.last: Optional[np.ndarray] = None
 
     def update(self, ts_us: int, size_bytes: int) -> np.ndarray:
         """Advance the buffers with one packet and return its metric triple."""
@@ -79,17 +79,12 @@ class StreamMetrics:
         if window and ts_us < window[-1]:
             raise TimestampOrderError(f"timestamp {ts_us} precedes previous {window[-1]}")
 
-        recent, pos = self._recent, self._pos
-        if len(recent) == 2 * self.N:  # full: the new pair replaces the oldest
-            self._recent_bytes -= recent[pos + 1]
-            recent[pos:pos + 2] = ts_us, size_bytes
-            self._pos = pos = (pos + 2) % len(recent)
-        else:
-            recent += (ts_us, size_bytes)
+        recent = self._recent
+        recent += (ts_us, size_bytes)
         self._recent_bytes += size_bytes
-        n = len(recent) // 2
-        m1 = float(self._recent_bytes)
-        m2 = max(ts_us - recent[pos], 0) / (n - 1) / 1e6 if n >= 2 else 0.0
+        if len(recent) > 2 * self.N:  # the oldest pair leaves the N-packet window
+            self._recent_bytes -= recent[1]
+            del recent[:2]
 
         window.append(ts_us)
         head = self._head
@@ -100,15 +95,21 @@ class StreamMetrics:
             del window[:head]
             head = 0
         self._head = head
-        m3 = float(len(window) - head)
+        return self.triple()
 
-        self.last = np.array([m1, m2, m3])
-        return self.last
+    def triple(self) -> np.ndarray:
+        """The latest packet's (m1, m2, m3), read from the state: zeros before
+        the first packet."""
+        recent = self._recent
+        n = len(recent) // 2
+        m2 = (recent[-2] - recent[0]) / (n - 1) / 1e6 if n >= 2 else 0.0
+        return np.array([float(self._recent_bytes), m2, float(len(self._window) - self._head)])
 
-    def update_block(self, ts_us: np.ndarray, size_bytes: np.ndarray) -> np.ndarray:
-        """Advance the buffers with a block of packets, given as int64 columns,
-        and return their (n, 3) metric rows: bit for bit what n calls of
-        ``update`` return, leaving the state they would leave.
+    def update_block(self, ts_us, size_bytes) -> np.ndarray:
+        """Advance the buffers with a block of packets, given as columns of
+        integers that fit int64 (``Trace``'s rule), and return their (n, 3)
+        metric rows: bit for bit what n calls of ``update`` return, leaving
+        the state they would leave.
 
         Packet i's window is the last ``min(seen + i + 1, N)`` packets, so the
         ``N - 1`` carried ones and the block's suffice. m1 is a difference of
@@ -118,9 +119,9 @@ class StreamMetrics:
         ``searchsorted``. A block where a sum or a difference could leave
         int64, or a span could reach 2**53, goes through ``update`` row by row.
         A timestamp earlier than the one before it raises before any state
-        changes."""
-        ts_us = np.asarray(ts_us, dtype=np.int64)
-        size_bytes = np.asarray(size_bytes, dtype=np.int64)
+        changes, as does a column that is not integers fitting int64."""
+        ts_us = _int64_column(ts_us, "ts_us")
+        size_bytes = _int64_column(size_bytes, "size_bytes")
         n = len(ts_us)
         if n == 0:
             return np.empty((0, 3))
@@ -133,11 +134,10 @@ class StreamMetrics:
             i = back[0] + 1
             raise TimestampOrderError(f"timestamp {ts_us[i]} precedes previous {ts_us[i - 1]}")
 
-        recent, pos = self._recent, self._pos
+        recent = self._recent
         held = len(recent) // 2  # min(seen, N)
         carry = min(held, self.N - 1)
-        chrono = recent[pos:] + recent[:pos]
-        carried = chrono[len(chrono) - 2 * carry:]
+        carried = recent[len(recent) - 2 * carry:]
         oldest = carried[0] if carried else first
         biggest = max(-int(size_bytes.min()), int(size_bytes.max()), *map(abs, carried[1::2]))
         if (oldest < _INT64_MIN or last - oldest >= 2**53 or self.T_us > _INT64_MAX
@@ -167,7 +167,6 @@ class StreamMetrics:
 
         keep = min(carry + n, self.N)  # the new last min(seen, N), oldest first
         recent[:] = np.column_stack([all_ts[-keep:], all_sizes[-keep:]]).ravel().tolist()
-        self._pos = 0
         self._recent_bytes = int(sums[-1] - sums[-keep - 1])
         window += ts_us.tolist()
         head = bisect_right(window, last - self.T_us, hi)
@@ -175,7 +174,6 @@ class StreamMetrics:
             del window[:head]
             head = 0
         self._head = head
-        self.last = out[-1].copy()
         return out
 
 
@@ -184,7 +182,8 @@ class DirectionalMetrics:
 
     An address's vector is (m1, m2, m3) over packets it sent followed by
     (m1, m2, m3) over packets it received; a substream's triple only moves
-    when that substream sees a packet, and is zero before its first one.
+    when that substream sees a packet, and is zero before its first one; the
+    idle ones (src's rx, dst's tx) are read back with ``triple``.
     """
 
     def __init__(self, N: int, T_us: int):
@@ -199,21 +198,18 @@ class DirectionalMetrics:
         tx = self._tx.get(src)
         if tx is None:
             tx = self._tx[src] = StreamMetrics(self.N, self.T_us)
-        tx.update(ts_us, size_bytes)
+        sent = tx.update(ts_us, size_bytes)
 
         rx = self._rx.get(dst)
         if rx is None:
             rx = self._rx[dst] = StreamMetrics(self.N, self.T_us)
-        rx.update(ts_us, size_bytes)
+        received = rx.update(ts_us, size_bytes)
 
+        # src == dst leaves one entry, the second, whose "idle" triples are the updated ones.
+        idle_rx, idle_tx = self._rx.get(src), self._tx.get(dst)
         zeros = np.zeros(3)
-        out: Dict[str, np.ndarray] = {}
-        for addr in (src, dst):
-            if addr not in out:
-                tx, rx = self._tx.get(addr), self._rx.get(addr)
-                out[addr] = np.concatenate([zeros if tx is None else tx.last,
-                                            zeros if rx is None else rx.last])
-        return out
+        return {src: np.concatenate([sent, zeros if idle_rx is None else idle_rx.triple()]),
+                dst: np.concatenate([zeros if idle_tx is None else idle_tx.triple(), received])}
 
     def drop(self, addr: str) -> None:
         """Forget an address's substream state (device eviction)."""

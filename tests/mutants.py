@@ -6,13 +6,11 @@ Each row of ``MUTANTS`` replaces one exact piece of text in a file of
 ``src/`` with another and names the test files that should fail on it. The
 script copies ``src/`` and ``tests/`` to a temporary directory, runs each
 row's test files once on the unmutated copy, then applies each mutant in
-turn and runs its files with ``pytest -x`` under the ``ci`` Hypothesis
-profile. A mutant is killed when a test fails on it (pytest exits 1); a
-mutant that breaks the run (a syntax error, say) is not a kill, and counts
-as not as expected. Warnings stay warnings here, unlike in the tier-1 run:
-when Hypothesis reports a failing example its pytest plugin may import a
-module that warns, and ``-W error`` turns that failure into a pytest
-internal error (exit 3).
+turn and runs its files with ``pytest -x -W error`` under the ``ci``
+Hypothesis profile, as the tier-1 run does. A mutant is killed when a test
+fails on it (pytest exits 1); a mutant that breaks the run (a syntax error,
+say) is not a kill, and counts as not as expected. A row's tests may be test
+files or single tests, given as pytest node ids.
 
 It exits 1 if a mutant expected to be killed survives, if one recorded as
 equivalent is killed (the record is then wrong), if a row's old text is not
@@ -33,8 +31,8 @@ from typing import NamedTuple, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 KILLED, EQUIVALENT = "killed", "equivalent"
-METRICS, DETECTOR, TRAFFIC = (f"src/aadetect/{name}.py"
-                              for name in ("metrics", "detector", "traffic"))
+METRICS, DETECTOR, TRAFFIC, TRAINING = (f"src/aadetect/{name}.py"
+                                        for name in ("metrics", "detector", "traffic", "training"))
 BLOCK_TESTS = ("tests/test_metrics.py", "tests/test_feed.py")
 FEED_TESTS = ("tests/test_feed.py",)
 
@@ -49,6 +47,20 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
+    # StreamMetrics: one arrival-order state, read by triple().
+    Mutant("update: the trim keeps N + 1 packets", METRICS,
+           "if len(recent) > 2 * self.N:", "if len(recent) > 2 * self.N + 2:", BLOCK_TESTS),
+    Mutant("triple: the newest timestamp taken as the oldest", METRICS,
+           "(recent[-2] - recent[0])", "(recent[-2] - recent[-2])", BLOCK_TESTS),
+    Mutant("DirectionalMetrics.update: the idle directions swapped", METRICS,
+           "idle_rx, idle_tx = self._rx.get(src), self._tx.get(dst)",
+           "idle_tx, idle_rx = self._rx.get(src), self._tx.get(dst)", ("tests/test_metrics.py",)),
+    Mutant("update_block: columns converted without _int64_column", METRICS,
+           '        ts_us = _int64_column(ts_us, "ts_us")\n'
+           '        size_bytes = _int64_column(size_bytes, "size_bytes")\n',
+           "        ts_us = np.asarray(ts_us, dtype=np.int64)\n"
+           "        size_bytes = np.asarray(size_bytes, dtype=np.int64)\n",
+           ("tests/test_metrics.py",)),
     # StreamMetrics.update_block: each guard that sends a block through update row by row.
     Mutant("update_block: m2 without the 2**53 span guard", METRICS,
            "if (oldest < _INT64_MIN or last - oldest >= 2**53 or",
@@ -117,6 +129,20 @@ MUTANTS = [
     Mutant("Trace: unsigned columns not range-checked", TRAFFIC,
            'if column.dtype.kind == "u" and column.size and', "if False and",
            ("tests/test_traffic.py",)),
+    # One per oracle: the parser's fast split, the training fold and noise, the whisker.
+    Mutant("_split_block: quotes, CRs and NULs split as plain text", TRAFFIC,
+           r"""if any(char in text for char in '"\r\0\x1c\x1d\x1e\x1f'):""",
+           r"""if any(char in text for char in '\x1c\x1d\x1e\x1f'):""",
+           ("tests/test_traffic.py::test_column_loader_equals_per_row_loader_on_generated_files",)),
+    Mutant("update_incremental: noise keyed by chunk, not by global row", TRAINING,
+           "noise_rng(train.seed, stats.n + lo, salt)",
+           "noise_rng(train.seed, stats.n + lo // _FOLD_CHUNK, salt)", ("tests/test_training.py",)),
+    Mutant("NoiseStream.normal: the counter offset one low", TRAINING,
+           "(3 * self.index * shape[-1] + 1) * _GAMMA", "(3 * self.index * shape[-1]) * _GAMMA",
+           ("tests/test_training.py",)),
+    Mutant("_linear_quantile: the t < 0.5 branch dropped", DETECTOR,
+           "return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)",
+           "return b - (b - a) * (1 - t)", ("tests/test_quartiles.py",)),
 ]
 
 
@@ -124,8 +150,8 @@ def pytest_exit(tree: Path, tests: Tuple[str, ...]) -> int:
     """pytest's exit code on ``tests`` in ``tree``, stopping at the first failure:
     0 when all pass, 1 when a test fails, more when the run itself broke."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-               "--hypothesis-profile=ci", *tests]
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-W", "error",
+               "-p", "no:cacheprovider", "--hypothesis-profile=ci", *tests]
     return subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL).returncode
 

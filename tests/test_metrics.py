@@ -134,7 +134,7 @@ def test_blocks_and_rows_mixed_on_one_stream_equal_the_deque_extractor(stream, N
         want = np.array([oracle.update(t, s) for t, s in part]).reshape(-1, 3)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         if len(part):
-            assert sm.last.tobytes() == want[-1].tobytes()
+            assert sm.triple().tobytes() == want[-1].tobytes()
 
 
 def test_a_block_that_goes_back_in_time_raises_before_any_state_changes():
@@ -149,6 +149,25 @@ def test_a_block_that_goes_back_in_time_raises_before_any_state_changes():
                                   "timestamp 25 precedes previous 30")
     got = sm.update_block(np.array([20, 900_000]), np.array([1, 2]))
     assert got.tobytes() == np.array([oracle.update(20, 1), oracle.update(900_000, 2)]).tobytes()
+
+
+@pytest.mark.parametrize("ts, sizes, column, shown", [
+    ([1.7, 2.9], [100, 2], "ts_us", "float64 values"),
+    ([1, 2], [100.9, 2], "size_bytes", "float64 values"),
+    (["5", "6"], [1, 2], "ts_us", "<U1 values"),
+    ([1, 2], [True, False], "size_bytes", "bool values"),
+    (np.array([2**63, 2**63 + 5], dtype=np.uint64), [1, 2], "ts_us", str(2**63 + 5)),
+])
+def test_update_block_takes_integers_that_fit_int64_before_any_state_changes(
+        ts, sizes, column, shown):
+    sm, oracle = StreamMetrics(5, 10**6), DequeStreamMetrics(5, 10**6)
+    sm.update_block([0, 3], np.array([4, 8], dtype=np.uint8))
+    with pytest.raises(ValueError) as err:
+        sm.update_block(ts, sizes)
+    assert str(err.value) == f"{column} must hold integers that fit int64, got {shown}"
+    got = sm.update_block(np.array([3, 7]), [1, 2])
+    want = [oracle.update(t, s) for t, s in ((0, 4), (3, 8), (3, 1), (7, 2))][2:]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_m3_counts_half_open_window_boundary():

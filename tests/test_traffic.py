@@ -326,6 +326,79 @@ def test_column_loader_rejects_integers_past_64_bits(tmp_path):
     assert err.value.line_no == 3 and "64 bits" in str(err.value)
 
 
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+
+
+def trace_files(st):
+    """Trace CSV texts that mix rows both loaders must read alike with rows
+    that each must reject alike: quoted fields (a quoted newline among them,
+    which a small block splits across its edge), odd integers, bad labels,
+    stray columns, blank lines, CR and CRLF endings, timestamps that go
+    back, and values at and next to either int64 bound (not past them:
+    those have their own test)."""
+    good_address = st.sampled_from(["10.0.0.1", "10.0.0.2", "a", ""])
+    odd_address = st.sampled_from(['"a"', '"a,b"', '"x\ny"', '"q""r"', 'a"b', "a\0b", '"open'])
+    odd_integer = st.sampled_from(["x", "", "1.5", "0x10", " 7 ", "+3", "1_0", "\u0663", "-0"])
+    size = st.one_of(st.integers(0, 1500), st.sampled_from([INT64_MAX, INT64_MAX - 1])).map(str)
+    odd_size = st.one_of(odd_integer, st.just("-1"))
+    label, odd_label = st.sampled_from(["0", "1", ""]), st.sampled_from([" 1 ", "2", "yes"])
+    kind, odd_kind = st.sampled_from(["", "flood", " scan "]), st.sampled_from(['"a,b"', "\0"])
+    odd_line = st.sampled_from([
+        lambda line: "", lambda line: "  ", lambda line: line + ",x",
+        lambda line: line.rsplit(",", 1)[0], lambda line: '"' + line.replace(",", '",', 1)])
+
+    @st.composite
+    def text(draw):
+        odd_in_100 = draw(st.sampled_from([0, 2, 15]))
+
+        def pick(good, odd):
+            return draw(odd if draw(st.integers(0, 99)) < odd_in_100 else good)
+
+        ts = draw(st.sampled_from([0, 10**6, INT64_MIN, INT64_MIN + 1, INT64_MAX - 40]))
+        lines = [",".join(TRACE_FIELDS) + "\n"]
+        for _ in range(draw(st.integers(0, 40))):
+            step = pick(st.integers(0, 3), st.integers(-3, -1))
+            ts = min(max(ts + step, INT64_MIN), INT64_MAX)
+            fields = [pick(st.just(str(ts)), odd_integer), pick(good_address, odd_address),
+                      pick(good_address, odd_address), pick(size, odd_size),
+                      pick(label, odd_label), pick(kind, odd_kind)]
+            line = pick(st.just(lambda line: line), odd_line)(",".join(fields))
+            lines.append(line + pick(st.just("\n"), st.sampled_from(["\r\n", "\r"])))
+        if draw(st.booleans()):
+            lines[-1] = lines[-1].rstrip("\r\n")
+        return "".join(lines)
+
+    return text()
+
+
+@pytest.mark.parametrize("block", [1024, 3])
+def test_column_loader_equals_per_row_loader_on_generated_files(tmp_path, monkeypatch, block):
+    # Every block is either split at once or parsed by the row loop; either way
+    # the columns, or the error and its line, must be the per-row loader's.
+    hypothesis = pytest.importorskip("hypothesis")
+    monkeypatch.setattr(traffic, "_TRACE_BLOCK", block)
+    path = tmp_path / "generated.csv"
+    header = ",".join(TRACE_FIELDS) + "\n"
+
+    @hypothesis.settings(deadline=None)  # a slow example on a loaded box is not a failure
+    @hypothesis.given(trace_files(hypothesis.strategies))
+    @hypothesis.example(header + '0,a,b,1,0,\n1,a,b,1,0,\n2,"multi\nline",b,1,0,\n3,a,b,1,0,\n')
+    @hypothesis.example(header + '0,"a",b,1,0,\r\n1,a,b,2,1," scan "\r\n\r\n2,a,b,3,0,\r')
+    @hypothesis.example(header + f"{INT64_MIN},a,b,{INT64_MAX},0,\n{INT64_MAX},a,b,0,1,x\n")
+    @hypothesis.example(header + "5,a,b,1,0,\n4,a,b,1,0,\n")
+    def check(text):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        (got, got_err), (rows, want_err) = load_both(path, load_trace, per_row_load_trace)
+        if want_err is not None:
+            assert type(got_err) is type(want_err) and str(got_err) == str(want_err)
+            assert getattr(got_err, "line_no", None) == getattr(want_err, "line_no", None)
+            return
+        assert got_err is None and columns(got) == columns(trace_of(rows))
+
+    check()
+
+
 def test_trace_from_records_indexes_slices_and_iterates():
     rows = random_rows(np.random.default_rng(5), 30)
     trace = trace_of(rows)
@@ -501,11 +574,10 @@ def feature_files(st):
     return text()
 
 
-def load_both(path):
-    """``(table, None)`` from the block loader and ``(rows, None)`` from the
-    per-row one, or ``(None, error)`` for a loader that raised."""
+def load_both(path, *loaders):
+    """``(result, None)`` from each loader, or ``(None, error)`` for one that raised."""
     out = []
-    for load in (load_feature_dataset, per_row_load_feature_dataset):
+    for load in loaders:
         try:
             out.append((load(path), None))
         except (TraceParseError, csv.Error) as exc:
@@ -530,7 +602,8 @@ def test_block_loader_equals_per_row_loader_on_generated_files(tmp_path, monkeyp
     def check(text):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
-        (table, got_err), (rows, want_err) = load_both(path)
+        (table, got_err), (rows, want_err) = load_both(
+            path, load_feature_dataset, per_row_load_feature_dataset)
         if want_err is not None:
             assert type(got_err) is type(want_err) and str(got_err) == str(want_err)
             assert getattr(got_err, "line_no", None) == getattr(want_err, "line_no", None)
