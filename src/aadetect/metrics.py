@@ -119,10 +119,13 @@ class StreamMetrics:
         ``searchsorted``. A block where a sum or a difference could leave
         int64, or a span could reach 2**53, goes through ``update`` row by row.
         A timestamp earlier than the one before it raises before any state
-        changes, as does a column that is not integers fitting int64."""
+        changes, as do columns of unequal length and a column that is not
+        integers fitting int64."""
         ts_us = _int64_column(ts_us, "ts_us")
         size_bytes = _int64_column(size_bytes, "size_bytes")
         n = len(ts_us)
+        if len(size_bytes) != n:
+            raise ValueError(f"ts_us has {n} values but size_bytes has {len(size_bytes)}")
         if n == 0:
             return np.empty((0, 3))
         window = self._window

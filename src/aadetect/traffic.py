@@ -11,16 +11,16 @@ A ``Trace`` is its six columns; a packet in flight is the plain tuple
 trace yields. A ``FeatureTable`` holds a feature file the same way: one
 read-only matrix of features plus label and attack-type tuples.
 
-Both files are parsed a block of lines at a time. ``_split_block`` splits a
-block into columns with ``str.split`` unless ``csv.reader`` could read it
-differently (see its docstring); a split block is converted and checked at
-once, trace integers by ``int`` and features by ``np.loadtxt``. Any other
-block goes through a row-by-row ``csv.reader`` loop (``_parse_rows``,
-``_parse_feature_rows``), which names the first bad line exactly as a
-row-by-row parse would. ``trace_blocks`` yields each block as a ``Trace``,
-reading the file no further than it is asked to, and ``init`` stops pulling
-blocks once its window is complete; ``load_trace`` and
-``load_feature_dataset`` join the blocks once.
+Both files are read by one reader, ``_blocks``, ``_TRACE_BLOCK`` lines at a
+time. ``_split_block`` splits a block into columns with ``str.split`` unless
+``csv.reader`` could read it differently (see its docstring); the file kind's
+fast converter then converts and checks a split block at once, trace
+integers by ``int`` and features by ``np.loadtxt``. Any other block goes
+through the one row-by-row ``csv.reader`` loop, whose per-row converter names
+the first bad line exactly as a row-by-row parse would. ``trace_blocks``
+yields each block as a ``Trace``, reading the file no further than it is
+asked to, and ``init`` stops pulling blocks once its window is complete;
+``load_trace`` and ``load_feature_dataset`` join the blocks once.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ class TimestampOrderError(ValueError):
     """Packet timestamps went backwards where ordering is required."""
 
 
-# Lines that trace_blocks splits into columns at once, and packets built per
-# slice when a trace is iterated: enough to amortise the numpy calls, while a
-# block's temporary strings stay small next to the trace itself.
+# Lines of a trace or feature file read and split at once, and packets built
+# per slice when a trace is iterated: enough to amortise the numpy calls,
+# while a block's temporary strings stay small next to what is loaded.
 _TRACE_BLOCK = 1024
 
 Packet = Tuple[int, str, str, int]  # a packet in flight: (timestamp_us, src, dst, size_bytes)
@@ -168,7 +168,7 @@ def _parse_label(text: str, path, line_no: int) -> Optional[bool]:
     return label
 
 
-def _split_block(lines: List[str], n_fields: int, tail: Optional[int] = None) -> Optional[list]:
+def _split_block(lines: List[str], n_fields: int, tail: Optional[int]) -> Optional[list]:
     """A block of lines as ``n_fields`` columns of field strings (the last
     ``tail`` only, when given), or None when ``csv.reader`` or ``float`` could
     read a field otherwise: a quote, a carriage return, a NUL, a character
@@ -191,58 +191,36 @@ def _split_block(lines: List[str], n_fields: int, tail: Optional[int] = None) ->
     return [fields[k::n_fields] for k in range(n_fields)]
 
 
-def _block_columns(columns: List[List[str]], prev_ts: Optional[int]):
-    """Convert a split block, checking it all at once: ``(timestamps, sizes,
-    labels)``, or None if any row is bad (the row loop then names it)."""
-    n = len(columns[0])
-    try:
-        ts = np.fromiter(map(int, columns[0]), np.int64, n)
-        size = np.fromiter(map(int, columns[3]), np.int64, n)
-    except (ValueError, OverflowError):
-        return None
-    labels = list(map(_LABELS.get, columns[4], repeat(_BAD_LABEL)))
-    if (_BAD_LABEL in labels or (size < 0).any() or (ts[1:] < ts[:-1]).any()
-            or (prev_ts is not None and ts[0] < prev_ts)):
-        return None
-    return ts, size, labels
-
-
-def _records(lines: List[str], fh, line_no: int) -> Iterator[Tuple[int, List[str]]]:
-    """``csv.reader``'s records of a block, numbered from ``line_no`` (blank
-    records count too): the exact reference for every row. A quoted field
-    that runs past the block's last line is finished from ``fh``."""
-    reader = csv.reader(chain(lines, fh))
-    for record in enumerate(reader, start=line_no):
-        yield record
-        if reader.line_num >= len(lines):  # lines pulled from the iterator
-            return
-
-
-def _parse_rows(path: Path, lines: List[str], fh, line_no: int, prev_ts: Optional[int]):
-    """The row-by-row parse of a trace block, which names its first bad line.
-    Returns the block's columns ``(timestamps, src, dst, sizes, labels, raw
-    attack types)`` and the line number of the next csv record."""
-    out: Tuple[list, ...] = ([], [], [], [], [], [])
-    for line_no, row in _records(lines, fh, line_no):
-        if row:
-            if len(row) != len(TRACE_FIELDS):
-                raise TraceParseError(path, line_no, f"expected {len(TRACE_FIELDS)} columns, got {len(row)}")
-            try:
-                ts = int(row[0])
-                size = int(row[3])
-            except ValueError as exc:
-                raise TraceParseError(path, line_no, f"bad integer field: {exc}") from None
-            label = _parse_label(row[4].strip(), path, line_no)
-            if size < 0:
-                raise TraceParseError(path, line_no, f"negative packet size: {size}")
-            if prev_ts is not None and ts < prev_ts:
-                raise TraceParseError(path, line_no, f"timestamp {ts} goes backwards (previous {prev_ts})")
-            if not (_INT64.min <= ts <= _INT64.max and size <= _INT64.max):
-                raise TraceParseError(path, line_no, "integer field does not fit in 64 bits")
-            prev_ts = ts
-            for column, value in zip(out, (ts, row[1], row[2], size, label, row[5])):
-                column.append(value)
-    return out, line_no + 1
+def _blocks(path: Path, fh, n_fields: int, tail: Optional[int], fast, row) -> Iterator[tuple]:
+    """The body of a trace or feature CSV, read ``_TRACE_BLOCK`` lines at a
+    time from ``fh`` (past its header): the columns of each block that has a
+    row. A block that ``_split_block`` splits goes to ``fast(lines,
+    columns)``, which checks it all at once and returns its columns, or None
+    if any row is bad. Any other block is read by ``csv.reader``, the exact
+    reference for every row, which finishes a quoted field that runs past the
+    block from ``fh``: each non-blank record must have ``n_fields`` fields,
+    and ``row(record, line_no)`` returns its column values or raises a
+    ``TraceParseError`` naming its line. Records are numbered from line 2,
+    blank ones too, as a row-by-row parse numbers them."""
+    line_no = 2
+    while lines := list(islice(fh, _TRACE_BLOCK)):
+        columns = _split_block(lines, n_fields, tail)
+        block = columns and fast(lines, columns)
+        if block:
+            line_no += len(lines)
+            yield block
+            continue
+        rows, reader = [], csv.reader(chain(lines, fh))
+        for line_no, record in enumerate(reader, start=line_no):
+            if record:
+                if len(record) != n_fields:
+                    raise TraceParseError(path, line_no, f"expected {n_fields} columns, got {len(record)}")
+                rows.append(row(record, line_no))
+            if reader.line_num >= len(lines):  # lines pulled from the iterator
+                break
+        line_no += 1
+        if rows:
+            yield tuple(zip(*rows))
 
 
 def trace_blocks(path: Union[str, Path]) -> Iterator[Trace]:
@@ -252,41 +230,62 @@ def trace_blocks(path: Union[str, Path]) -> Iterator[Trace]:
     goes backwards, within a block or across two, is an error naming its
     line, as is any other bad row.
 
-    Lines are split into columns a block at a time (see the module
-    docstring); the row-by-row ``_parse_rows`` takes any block the fast split
-    cannot read exactly or that fails a check. Address and attack-type
-    strings are stored once each across the blocks. The file stays open
-    until the generator is exhausted or closed.
+    The body is read by ``_blocks`` with two converters, which carry the
+    last timestamp from block to block. Address and attack-type strings are
+    stored once each across the blocks. The file stays open until the
+    generator is exhausted or closed.
     """
     path = Path(path)
     addresses: dict = {}
     type_of: dict = {}  # raw field -> attack type
     prev_ts: Optional[int] = None
+
+    def fast(lines, columns):
+        """A split block's integers by ``int``, checked at once: exact against
+        ``tests/oracles.py:per_row_load_trace``, which the property
+        ``test_column_loader_equals_per_row_loader_on_generated_files`` checks."""
+        nonlocal prev_ts
+        n = len(columns[0])
+        try:
+            ts = np.fromiter(map(int, columns[0]), np.int64, n)
+            size = np.fromiter(map(int, columns[3]), np.int64, n)
+        except (ValueError, OverflowError):
+            return None
+        labels = list(map(_LABELS.get, columns[4], repeat(_BAD_LABEL)))
+        if (_BAD_LABEL in labels or (size < 0).any() or (ts[1:] < ts[:-1]).any()
+                or (prev_ts is not None and ts[0] < prev_ts)):
+            return None
+        prev_ts = int(ts[-1])
+        return ts, columns[1], columns[2], size, labels, columns[5]
+
+    def row(record, line_no):
+        nonlocal prev_ts
+        try:
+            ts = int(record[0])
+            size = int(record[3])
+        except ValueError as exc:
+            raise TraceParseError(path, line_no, f"bad integer field: {exc}") from None
+        label = _parse_label(record[4].strip(), path, line_no)
+        if size < 0:
+            raise TraceParseError(path, line_no, f"negative packet size: {size}")
+        if prev_ts is not None and ts < prev_ts:
+            raise TraceParseError(path, line_no, f"timestamp {ts} goes backwards (previous {prev_ts})")
+        if not (_INT64.min <= ts <= _INT64.max and size <= _INT64.max):
+            raise TraceParseError(path, line_no, "integer field does not fit in 64 bits")
+        prev_ts = ts
+        return ts, record[1], record[2], size, label, record[5]
+
     with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
         if header is None or [h.strip() for h in header] != list(TRACE_FIELDS):
             raise TraceParseError(path, 1, f"expected header {','.join(TRACE_FIELDS)}")
-        line_no = 2
-        while True:
-            lines = list(islice(fh, _TRACE_BLOCK))
-            if not lines:
-                return
-            columns = _split_block(lines, len(TRACE_FIELDS))
-            checked = _block_columns(columns, prev_ts) if columns is not None else None
-            if checked is not None:
-                ts, size, labels = checked
-                line_no += len(labels)
-            else:
-                columns, line_no = _parse_rows(path, lines, fh, line_no, prev_ts)
-                ts, size, labels = columns[0], columns[3], columns[4]
-            if not len(ts):
-                continue
-            prev_ts = int(ts[-1])
-            for raw in set(columns[5]).difference(type_of):
+        for ts, src, dst, size, labels, raw_types in _blocks(path, fh, len(TRACE_FIELDS), None,
+                                                              fast, row):
+            for raw in set(raw_types).difference(type_of):
                 type_of[raw] = raw.strip() or None
-            yield Trace(ts, map(addresses.setdefault, columns[1], columns[1]),
-                        map(addresses.setdefault, columns[2], columns[2]), size, labels,
-                        map(type_of.__getitem__, columns[5]))
+            yield Trace(ts, map(addresses.setdefault, src, src),
+                        map(addresses.setdefault, dst, dst), size, labels,
+                        map(type_of.__getitem__, raw_types))
 
 
 def load_trace(path: Union[str, Path]) -> Trace:
@@ -325,43 +324,12 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
         map(_LABEL_TEXT.__getitem__, trace.label), [kind or "" for kind in trace.attack_type]))
 
 
-# Feature lines parsed per block: enough to amortise the numpy calls, while a
-# block's strings stay small next to the matrix.
-_FEATURE_BLOCK = 1024
-
-
-def _parse_feature_rows(path: Path, lines: List[str], fh, line_no: int, header: List[str],
-                        n_features: int):
-    """The row-by-row parse of a feature block, which names its first bad
-    line: ``(features, labels, raw attack types, next line number)``."""
-    feats, labels, types = [], [], []
-    for line_no, row in _records(lines, fh, line_no):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise TraceParseError(path, line_no, f"expected {len(header)} columns, got {len(row)}")
-        try:
-            feats.append([float(v) for v in row[:n_features]])
-        except ValueError as exc:
-            raise TraceParseError(path, line_no, f"bad feature value: {exc}") from None
-        if not all(map(math.isfinite, feats[-1])):
-            raise TraceParseError(path, line_no, "non-finite feature value")
-        labels.append(_parse_label(row[n_features].strip(), path, line_no))
-        types.append(row[-1])
-    return np.array(feats, dtype=float).reshape(-1, n_features), labels, types, line_no + 1
-
-
 def load_feature_dataset(path: Union[str, Path]) -> FeatureTable:
     """Load a feature CSV (``f1,...,fM,label,attack_type``) as a table.
 
     The trailing ``attack_type`` column is optional; inconsistent feature
-    dimension raises a parse error naming the line. The file is read
-    ``_FEATURE_BLOCK`` lines at a time. A block that ``_split_block`` splits
-    is converted by one ``np.loadtxt`` call (it and ``float`` both end in
-    ``PyOS_string_to_double``, and what loadtxt rejects, such as ``1_0`` or
-    non-ASCII digits, ``float`` reads in the fallback) and kept if every
-    value is finite and every label valid. Any other block goes through
-    ``_parse_feature_rows``. The blocks are joined once at the end.
+    dimension raises a parse error naming the line. The body is read by
+    ``_blocks`` with two converters, and the blocks are joined once at the end.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -373,27 +341,36 @@ def load_feature_dataset(path: Union[str, Path]) -> FeatureTable:
         n_features = len(header) - (2 if has_type else 1)
         if n_features < 1 or header[n_features] != "label":
             raise TraceParseError(path, 1, "expected feature columns followed by label[,attack_type]")
-        blocks, labels, raw_types = [np.empty((0, n_features))], [], []
-        line_no = 2
-        while True:
-            lines = list(islice(fh, _FEATURE_BLOCK))
-            if not lines:
-                break
-            columns = _split_block(lines, len(header), len(header) - n_features)
-            try:  # the block at once, else the row loop, which names the bad line
-                if columns is None:
-                    raise ValueError("not a plain block")
-                # comments=None: the default "#" would cut "1.0#x" short.
+
+        def fast(lines, columns):
+            """A split block's features by one ``np.loadtxt`` call (it and
+            ``float`` both end in ``PyOS_string_to_double``, and what loadtxt
+            rejects, such as ``1_0`` or non-ASCII digits, ``float`` reads in
+            ``row``), kept if every value is finite and every label valid:
+            exact against ``tests/oracles.py:per_row_load_feature_dataset``,
+            which the property
+            ``test_block_loader_equals_per_row_loader_on_generated_files`` checks."""
+            try:  # comments=None: the default "#" would cut "1.0#x" short.
                 feats = np.loadtxt(lines, delimiter=",", usecols=range(n_features),
                                    comments=None, ndmin=2)
-                block_labels = [_LABELS[text.strip()] for text in columns[0]]
-                if not np.isfinite(feats).all():
-                    raise ValueError("non-finite feature value")
-                block_types, line_no = columns[-1], line_no + len(lines)
+                labels = [_LABELS[text.strip()] for text in columns[0]]
             except (ValueError, KeyError):
-                feats, block_labels, block_types, line_no = _parse_feature_rows(
-                    path, lines, fh, line_no, header, n_features)
-            blocks.append(feats)
+                return None
+            return (feats, labels, columns[-1]) if np.isfinite(feats).all() else None
+
+        def row(record, line_no):
+            try:
+                feats = [float(v) for v in record[:n_features]]
+            except ValueError as exc:
+                raise TraceParseError(path, line_no, f"bad feature value: {exc}") from None
+            if not all(map(math.isfinite, feats)):
+                raise TraceParseError(path, line_no, "non-finite feature value")
+            return feats, _parse_label(record[n_features].strip(), path, line_no), record[-1]
+
+        blocks, labels, raw_types = [np.empty((0, n_features))], [], []
+        for feats, block_labels, block_types in _blocks(path, fh, len(header),
+                                                        len(header) - n_features, fast, row):
+            blocks.append(np.asarray(feats, dtype=float))
             labels += block_labels
             raw_types += block_types
     type_of = {raw: raw.strip() or None for raw in set(raw_types)}

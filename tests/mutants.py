@@ -35,6 +35,10 @@ METRICS, DETECTOR, TRAFFIC, TRAINING = (f"src/aadetect/{name}.py"
                                         for name in ("metrics", "detector", "traffic", "training"))
 BLOCK_TESTS = ("tests/test_metrics.py", "tests/test_feed.py")
 FEED_TESTS = ("tests/test_feed.py",)
+TRACE_ERROR_TESTS = ("tests/test_traffic.py::"
+                     "test_column_loader_reports_errors_as_the_per_row_loader",)
+FEATURE_ERROR_TESTS = ("tests/test_traffic.py::"
+                       "test_block_loader_reports_errors_as_the_per_row_loader",)
 
 
 class Mutant(NamedTuple):
@@ -55,6 +59,12 @@ MUTANTS = [
     Mutant("DirectionalMetrics.update: the idle directions swapped", METRICS,
            "idle_rx, idle_tx = self._rx.get(src), self._tx.get(dst)",
            "idle_tx, idle_rx = self._rx.get(src), self._tx.get(dst)", ("tests/test_metrics.py",)),
+    Mutant("update_block: columns of unequal length not rejected", METRICS,
+           "        if len(size_bytes) != n:\n"
+           '            raise ValueError(f"ts_us has {n} values but size_bytes has '
+           '{len(size_bytes)}")\n',
+           "", ("tests/test_metrics.py::"
+                "test_update_block_rejects_columns_of_unequal_length_before_any_state_changes",)),
     Mutant("update_block: columns converted without _int64_column", METRICS,
            '        ts_us = _int64_column(ts_us, "ts_us")\n'
            '        size_bytes = _int64_column(size_bytes, "size_bytes")\n',
@@ -129,6 +139,21 @@ MUTANTS = [
     Mutant("Trace: unsigned columns not range-checked", TRAFFIC,
            'if column.dtype.kind == "u" and column.size and', "if False and",
            ("tests/test_traffic.py",)),
+    # _blocks, the one reader of trace and feature files, and each kind's fast converter.
+    Mutant("trace fast converter: no check against the previous block's last timestamp",
+           TRAFFIC, "(ts[1:] < ts[:-1]).any()\n"
+                    "                or (prev_ts is not None and ts[0] < prev_ts)):",
+           "(ts[1:] < ts[:-1]).any()):", TRACE_ERROR_TESTS),
+    Mutant("_blocks: the line number not advanced past a fast block", TRAFFIC,
+           "            line_no += len(lines)\n", "", TRACE_ERROR_TESTS),
+    Mutant("_blocks: the row loop's field count not checked", TRAFFIC,
+           "                if len(record) != n_fields:", "                if False:",
+           TRACE_ERROR_TESTS),
+    Mutant("feature fast converter: non-finite values kept", TRAFFIC,
+           "if np.isfinite(feats).all() else None", "if True else None", FEATURE_ERROR_TESTS),
+    Mutant("feature fast converter: bad labels read as unknown", TRAFFIC,
+           "labels = [_LABELS[text.strip()] for text in columns[0]]",
+           "labels = [_LABELS.get(text.strip()) for text in columns[0]]", FEATURE_ERROR_TESTS),
     # One per oracle: the parser's fast split, the training fold and noise, the whisker.
     Mutant("_split_block: quotes, CRs and NULs split as plain text", TRAFFIC,
            r"""if any(char in text for char in '"\r\0\x1c\x1d\x1e\x1f'):""",
@@ -148,7 +173,12 @@ MUTANTS = [
 
 def pytest_exit(tree: Path, tests: Tuple[str, ...]) -> int:
     """pytest's exit code on ``tests`` in ``tree``, stopping at the first failure:
-    0 when all pass, 1 when a test fails, more when the run itself broke."""
+    0 when all pass, 1 when a test fails, more when the run itself broke.
+    Each run starts without a ``.hypothesis`` directory, as a fresh checkout
+    does: Hypothesis draws some values from the literals of the local
+    modules and caches them there, and a run that reads that cache draws
+    other examples than one that does not."""
+    shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-W", "error",
                "-p", "no:cacheprovider", "--hypothesis-profile=ci", *tests]

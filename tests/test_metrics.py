@@ -170,6 +170,23 @@ def test_update_block_takes_integers_that_fit_int64_before_any_state_changes(
     assert got.tobytes() == np.array(want).tobytes()
 
 
+@pytest.mark.parametrize("ts, sizes", [
+    ([10, 15], [1]),            # the numpy path
+    ([10, 2**60], [1]),         # a span past 2**53: the row-by-row path
+    ([10], [1, 2]),
+    ([], [1]),
+])
+def test_update_block_rejects_columns_of_unequal_length_before_any_state_changes(ts, sizes):
+    sm, oracle = StreamMetrics(5, 10**6), DequeStreamMetrics(5, 10**6)
+    sm.update_block([0, 3], [4, 8])
+    with pytest.raises(ValueError) as err:
+        sm.update_block(ts, sizes)
+    assert str(err.value) == f"ts_us has {len(ts)} values but size_bytes has {len(sizes)}"
+    got = sm.update_block([3, 7], [1, 2])
+    want = [oracle.update(t, s) for t, s in ((0, 4), (3, 8), (3, 1), (7, 2))][2:]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
 def test_m3_counts_half_open_window_boundary():
     # A packet exactly T older than the current one falls outside (t-T, t].
     sm = StreamMetrics(10, 1_000_000)

@@ -591,7 +591,7 @@ def test_block_loader_equals_per_row_loader_on_generated_files(tmp_path, monkeyp
     # row loop; either way the table, or the error and its line, must be the
     # per-row loader's, bit for bit.
     hypothesis = pytest.importorskip("hypothesis")
-    monkeypatch.setattr(traffic, "_FEATURE_BLOCK", block)
+    monkeypatch.setattr(traffic, "_TRACE_BLOCK", block)
     path = tmp_path / "generated.csv"
 
     @hypothesis.settings(deadline=None)  # a slow example on a loaded box is not a failure

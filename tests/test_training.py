@@ -1,6 +1,8 @@
 """Readout fitting against a closed-form ridge oracle, corruption laws, and the
 batch/incremental equivalence."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -278,6 +280,54 @@ def test_one_chunk_pass_equals_the_per_row_oracles_at_chunk_edges(dim):
                 got, fitted = update_incremental(stats, X, model, cfg, salt)
                 assert same_bits(got.G, expected.G) and same_bits(got.C, expected.C)
                 assert got.n == expected.n == stats.n + n
+                assert same_bits(fitted.readout, solve_readout(expected, cfg.ridge_lambda))
+
+
+# Values that a plain uniform draw never gives: zeros of both signs, a
+# subnormal and magnitudes far past the noise.
+SPECIAL_VALUES = np.array([0.0, -0.0, 5e-324, 2.0**60, -1e100, 1e100])
+
+
+@st.composite
+def fold_cases(draw):
+    """Rows of width 1-20 and the window edges to cut them at, each edge at or
+    next to a multiple of the fold chunk; equal edges make empty windows. The
+    chunk is the module's ``_FOLD_CHUNK`` or a small one, so that short runs
+    cross many chunk edges too."""
+    chunk = draw(st.sampled_from([training._FOLD_CHUNK, 2, 3, 7]))
+    near_edge = st.builds(lambda m, d: max(m * chunk + d, 0), st.integers(0, 2), st.integers(-2, 2))
+    edges = sorted(draw(st.lists(near_edge, min_size=1, max_size=4)))
+    head = draw(st.sampled_from([0, 1, chunk + 1]))  # rows the per-row oracle folds first
+    width, seed = draw(st.integers(1, 20)), draw(st.integers(0, 2**32))
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, size=(head + edges[-1], width))
+    odd = rng.random(X.shape) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    X[odd] = rng.choice(SPECIAL_VALUES, size=int(odd.sum()))
+    cfg = TrainSection(noise_sigma=draw(st.sampled_from([0.1, 0.0, 2.5])), ridge_lambda=1e-4,
+                       seed=draw(st.sampled_from([3, 2**40])))
+    return chunk, X[:head], np.split(X[head:], edges[:-1]), cfg, draw(
+        st.sampled_from([None, 0, salt_for_address("10.0.0.3")]))
+
+
+@given(fold_cases())
+def test_fold_over_random_windows_equals_the_per_row_oracles(case):
+    # Any split of the rows into windows, each folded a chunk at a time,
+    # gives the bits of the per-row corrupt-and-fold oracles after every
+    # window, from empty statistics or from statistics the oracle built.
+    chunk, head, windows, cfg, salt = case
+    model = AadrnnModel.initial(head.shape[1], 5)
+    expected = stats = SufficientStats.empty(head.shape[1])
+    if len(head):
+        expected = stats = per_row_accumulate_pairs(
+            expected, per_row_corrupt_window(head, 0, cfg, salt), head, model)
+    with mock.patch.object(training, "_FOLD_CHUNK", chunk):
+        for window in windows:
+            stats, fitted = update_incremental(stats, window, model, cfg, salt)
+            expected = per_row_accumulate_pairs(
+                expected, per_row_corrupt_window(window, expected.n, cfg, salt), window, model)
+            assert same_bits(stats.G, expected.G) and same_bits(stats.C, expected.C)
+            assert stats.n == expected.n
+            if len(window):
                 assert same_bits(fitted.readout, solve_readout(expected, cfg.ridge_lambda))
 
 
