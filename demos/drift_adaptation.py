@@ -27,15 +27,15 @@ trace = synth_trace(TraceSpec(
 print(f"trace: {len(trace)} packets, benign rate ramps 40 -> 80 pps, "
       f"flood at t=115s")
 
-result = compare_online_offline(trace, config)
+offline, online = compare_online_offline(trace, config)
 
-for name, report in (("offline (frozen after init)", result.offline),
-                     ("online (incremental)", result.online)):
+for name, report in (("offline (frozen after init)", offline),
+                     ("online (incremental)", online)):
     thresholds = {d.threshold for d in report.decisions}
     print(f"{name}:")
     print(f"  {report.summary()}")
     print(f"  threshold values used: {len(thresholds)}")
 
-saved = result.offline.counts.fp - result.online.counts.fp
+saved = offline.counts.fp - online.counts.fp
 print(f"online learning removed {saved} false positives "
-      f"(fpr {result.offline.fpr:.2f}% -> {result.online.fpr:.2f}%)")
+      f"(fpr {offline.fpr:.2f}% -> {online.fpr:.2f}%)")

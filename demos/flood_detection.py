@@ -24,20 +24,19 @@ trace = synth_trace(TraceSpec(
 n_attack = trace.label.count(True)
 print(f"trace: {len(trace)} packets, {n_attack} attack, flood starts at t=60s")
 
-result = run(Detector(3, config, online=True), trace)
-report = result.report()
+report = run(Detector(3, config, online=True), trace)
 
-print(f"init consumed {result.skipped} benign packets; "
-      f"{len(result.decisions)} packets judged")
+print(f"init consumed {len(trace) - len(report.decisions)} benign packets; "
+      f"{len(report.decisions)} packets judged")
 print(report.summary())
 
 onset_us = 60_000_000
-stray = sum(1 for d in result.decisions if d.is_attack and d.at_us < onset_us)
-first_alert = next(d for d in result.decisions if d.is_attack and d.at_us >= onset_us)
+stray = sum(1 for d in report.decisions if d.is_attack and d.at_us < onset_us)
+first_alert = next(d for d in report.decisions if d.is_attack and d.at_us >= onset_us)
 print(f"flood flagged at t={first_alert.at_us / 1e6:.3f}s "
       f"(value {first_alert.value:.3f} > threshold {first_alert.threshold:.3f}); "
       f"{stray} stray alerts in the 60s before onset")
-for d in result.decisions[-3:]:
+for d in report.decisions[-3:]:
     flag = "ATTACK" if d.is_attack else "ok"
     print(f"  t={d.at_us / 1e6:8.3f}s  value {d.value:8.3f}  "
           f"threshold {d.threshold:.3f}  {flag}")

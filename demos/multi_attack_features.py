@@ -46,10 +46,10 @@ table = FeatureTable(np.vstack([benign_train, mixed[order]]),
 config = Config()
 train = dataclasses.replace(config.train, init_len=len(benign_train))  # init on every benign row
 detector = Detector(DIM, dataclasses.replace(config, train=train), mode=Mode.FEATURES)
-result = run(detector, table)
-report = result.report()
+report = run(detector, table)
 
-print(f"trained on {result.skipped} benign rows; judged {len(result.decisions)} rows")
+print(f"trained on {len(table) - len(report.decisions)} benign rows; "
+      f"judged {len(report.decisions)} rows")
 print(report.summary())
 print("accuracy per attack family (model never saw any of them):")
 for family, acc in sorted(report.per_attack_type.items()):

@@ -18,14 +18,14 @@ Three seeded synthetic scenarios exercise the headline claims end to end:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .config import Config, config_from_dict
 from .detector import Detector, whisker_threshold
-from .devices import DeviceBank
-from .evaluation import CompareResult, EvalReport, compare_online_offline, replay, run, score
+from .devices import DeviceBank, InfectionReport
+from .evaluation import EvalReport, compare_online_offline, ground_truth, replay, run, score
 from .metrics import StreamMetrics
 from .traffic import AttackSegment, Trace, TraceSpec, synth_trace
 
@@ -77,12 +77,15 @@ def drift_trace(seed: int = 11) -> Trace:
     return synth_trace(spec, seed)
 
 
+_FLOODER, _ONSET_US = "10.0.0.3", 60_000_000
+
+
 def device_trace(seed: int = 5) -> Trace:
     spec = TraceSpec(
         duration_s=120.0, rate_pps=24.0,
         hosts=("10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4"),
-        attacks=(AttackSegment(start_s=60.0, end_s=120.0, rate_multiplier=50.0,
-                               attackers=("10.0.0.3",), spray=1024,
+        attacks=(AttackSegment(start_s=_ONSET_US / 1e6, end_s=120.0, rate_multiplier=50.0,
+                               attackers=(_FLOODER,), spray=1024,
                                size_mean=80.0, size_sigma=10.0),))
     return synth_trace(spec, seed)
 
@@ -90,14 +93,10 @@ def device_trace(seed: int = 5) -> Trace:
 # -- scenario runs ----------------------------------------------------------
 
 
-@dataclass
-class FloodBenchResult:
-    report: EvalReport
-    baseline: EvalReport
-
-
-def run_flood_benchmark(seed: int = 7, config: Optional[Config] = None) -> FloodBenchResult:
-    """Flood scenario: detector vs metric-wise simple thresholding.
+def run_flood_benchmark(seed: int = 7, config: Optional[Config] = None
+                        ) -> Tuple[EvalReport, EvalReport]:
+    """Flood scenario: the detector's report and the baseline's, metric-wise
+    simple thresholding.
 
     The baseline thresholds each normalized metric at the Tukey whisker of its
     init-window values — the same calibration rule the detector applies to its
@@ -106,54 +105,42 @@ def run_flood_benchmark(seed: int = 7, config: Optional[Config] = None) -> Flood
     config = config or bench_config()
     trace = flood_trace(seed)
     det = Detector(3, config, online=True)
-    result = run(det, trace)
+    report = run(det, trace)
+    skipped = len(trace) - len(report.decisions)
     # Every row again, scaled: the scaler is fixed once init ends, so the rows
     # past the init window are bit-equal to what the detector judged.
     metrics = StreamMetrics(config.metrics.N, config.metrics.T_us)
     values = det.scaler.apply(metrics.update_block(trace.timestamp_us, trace.size_bytes))
 
-    theta = np.array([whisker_threshold(column) for column in values[:result.skipped].T])
-    flags = (values[result.skipped:] > theta).any(axis=1).tolist()  # any metric over its theta
-    baseline = score([dec._replace(is_attack=flag) for dec, flag in zip(result.decisions, flags)],
-                     result.labels, result.attack_types)
-    return FloodBenchResult(report=result.report(), baseline=baseline)
+    theta = np.array([whisker_threshold(column) for column in values[:skipped].T])
+    flags = (values[skipped:] > theta).any(axis=1).tolist()  # any metric over its theta
+    baseline = score([dec._replace(is_attack=flag) for dec, flag in zip(report.decisions, flags)],
+                     *ground_truth(trace, len(report.decisions)))
+    return report, baseline
 
 
-def run_drift_benchmark(seed: int = 11, config: Optional[Config] = None) -> CompareResult:
+def run_drift_benchmark(seed: int = 11, config: Optional[Config] = None
+                        ) -> Tuple[EvalReport, EvalReport]:
+    """Drift scenario: the ``(offline, online)`` reports."""
     return compare_online_offline(drift_trace(seed), config or bench_config())
 
 
-@dataclass
-class DeviceBenchResult:
-    flooder: str
-    flagged: List[str]
-    onset_decisions_to_flag: Optional[int]
-    clean_peaks: dict
-
-
-def run_device_benchmark(seed: int = 5, config: Optional[Config] = None) -> DeviceBenchResult:
-    """Device scenario: host 10.0.0.3 starts flooding at t=60s."""
+def run_device_benchmark(seed: int = 5, config: Optional[Config] = None
+                         ) -> Tuple[InfectionReport, Optional[int]]:
+    """Device scenario: ``_FLOODER`` starts flooding at ``_ONSET_US``. Returns
+    the bank's report and how many of the flooder's decisions from the onset on
+    it took to flag it (None if it never was)."""
     config = config or bench_config()
-    trace = device_trace(seed)
-    flooder = "10.0.0.3"
-    onset_us = 60_000_000
     bank = DeviceBank(config)
     flooder_decisions_after_onset = 0
     onset_decisions_to_flag = None
-    for addr, decision in replay(bank, trace):
-        if addr != flooder or decision.at_us < onset_us:
+    for addr, decision in replay(bank, device_trace(seed)):
+        if addr != _FLOODER or decision.at_us < _ONSET_US:
             continue
         flooder_decisions_after_onset += 1
-        rec = bank.device(flooder)
-        if onset_decisions_to_flag is None and bank.is_compromised(rec):
+        if onset_decisions_to_flag is None and bank.is_compromised(bank.device(_FLOODER)):
             onset_decisions_to_flag = flooder_decisions_after_onset
-    report = bank.report()
-    flagged = list(report.compromised)
-    clean_peaks = {row.addr: row.peak_level for row in report.devices
-                   if row.addr.startswith("10.0.0.") and row.addr != flooder}
-    return DeviceBenchResult(flooder=flooder, flagged=flagged,
-                             onset_decisions_to_flag=onset_decisions_to_flag,
-                             clean_peaks=clean_peaks)
+    return bank.report(), onset_decisions_to_flag
 
 
 # -- the full desk suite ----------------------------------------------------
@@ -162,8 +149,8 @@ def run_device_benchmark(seed: int = 5, config: Optional[Config] = None) -> Devi
 def run_all(seed: int = 7) -> List[BenchCheck]:
     checks: List[BenchCheck] = []
 
-    flood = run_flood_benchmark(seed=seed)
-    tpr, fpr = flood.report.tpr, flood.report.fpr
+    flood, baseline = run_flood_benchmark(seed=seed)
+    tpr, fpr = flood.tpr, flood.fpr
     checks.append(BenchCheck(
         "flood: TPR >= 95% on flood packets",
         tpr is not None and tpr >= 95.0,
@@ -174,32 +161,35 @@ def run_all(seed: int = 7) -> List[BenchCheck]:
         f"fpr {fpr:.2f}"))
     checks.append(BenchCheck(
         "flood: beats simple thresholding on accuracy",
-        flood.report.accuracy > flood.baseline.accuracy,
-        f"model {flood.report.accuracy:.2f} vs baseline {flood.baseline.accuracy:.2f}"))
+        flood.accuracy > baseline.accuracy,
+        f"model {flood.accuracy:.2f} vs baseline {baseline.accuracy:.2f}"))
 
-    drift = run_drift_benchmark()
+    offline, online = run_drift_benchmark()
     checks.append(BenchCheck(
         "drift: online FPR <= offline FPR",
-        drift.online.fpr <= drift.offline.fpr,
-        f"online {drift.online.fpr:.2f} vs offline {drift.offline.fpr:.2f}"))
+        online.fpr <= offline.fpr,
+        f"online {online.fpr:.2f} vs offline {offline.fpr:.2f}"))
     checks.append(BenchCheck(
         "drift: TPR >= 90% in both runs",
-        drift.online.tpr >= 90.0 and drift.offline.tpr >= 90.0,
-        f"online {drift.online.tpr:.2f}, offline {drift.offline.tpr:.2f}"))
+        online.tpr >= 90.0 and offline.tpr >= 90.0,
+        f"online {online.tpr:.2f}, offline {offline.tpr:.2f}"))
 
-    devices = run_device_benchmark()
+    devices, to_flag = run_device_benchmark()
+    flagged = list(devices.compromised)
     checks.append(BenchCheck(
         "devices: exactly the flooder is flagged",
-        devices.flagged == [devices.flooder],
-        f"flagged {devices.flagged or ['nobody']}"))
+        flagged == [_FLOODER],
+        f"flagged {flagged or ['nobody']}"))
     checks.append(BenchCheck(
         "devices: flagged within 500 decisions of onset",
-        devices.onset_decisions_to_flag is not None and devices.onset_decisions_to_flag <= 500,
-        f"took {devices.onset_decisions_to_flag}"))
-    worst_clean = max(devices.clean_peaks.values()) if devices.clean_peaks else 0.0
+        to_flag is not None and to_flag <= 500,
+        f"took {to_flag}"))
+    clean_peaks = [row.peak_level for row in devices.devices
+                   if row.addr.startswith("10.0.0.") and row.addr != _FLOODER]
+    worst_clean = max(clean_peaks, default=0.0)
     checks.append(BenchCheck(
         "devices: clean hosts stay below 0.2 infection",
-        bool(devices.clean_peaks) and worst_clean < 0.2,
+        bool(clean_peaks) and worst_clean < 0.2,
         f"worst clean peak {worst_clean:.3f}"))
 
     return checks

@@ -10,6 +10,8 @@
     aadetect bench  [--seed N]
 
 Exit codes: 0 success, 1 failed assertion or benchmark, 2 usage, I/O or training error.
+
+``replay`` logs and alerts through ``evaluation``, which also reads the log back.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .config import Config, apply_overrides, load_config
 from .detector import (STATE_VERSION, Decision, Detector, LifecycleError, Mode, Phase,
                        load_state, save_state)
 from .devices import DeviceBank, InfectionReport
-from .evaluation import (DECISION_LOG_FIELDS, EvalReport, align_with_trace, emit_plot_data,
-                         ground_truth, read_decision_log, replay, score)
+from .evaluation import (EvalReport, _DecisionLogWriter, _emit_alert, align_with_trace,
+                         emit_plot_data, ground_truth, read_decision_log, replay, score)
 from .traffic import (AttackSegment, TraceSpec, load_feature_dataset, load_trace, save_trace,
                       synth_trace, trace_blocks)
 from .training import TrainingError
@@ -50,45 +52,6 @@ def _open_alerts(spec: Optional[str]):
     if spec is None or spec == "-":
         return contextlib.nullcontext(sys.stdout if spec else None)
     return open(spec, "w", encoding="utf-8")
-
-
-def _emit_alert(fh, decision: Decision, mode: str, addr: Optional[str]) -> None:
-    doc = {"timestamp_us": decision.at_us, "decision_value": decision.value,
-           "threshold": decision.threshold, "mode": mode}
-    if addr is not None:
-        doc["addr"] = addr
-    fh.write(json.dumps(doc, sort_keys=True) + "\n")
-    fh.flush()
-
-
-_LOG_FLUSH_EVERY = 1024
-
-
-class _DecisionLogWriter:
-    """Streams a run's decision-log rows, flushed every ``_LOG_FLUSH_EVERY`` rows and at close.
-    Rows are plain lines: an int, two float reprs, 0 or 1 and a mode name never need csv quoting."""
-
-    def __init__(self, path: Optional[str], mode: str):
-        self._fh = open(path, "w", newline="\n", encoding="utf-8") if path else None
-        self._mode = mode
-        self._rows = 0
-        if self._fh:
-            self._fh.write(",".join(DECISION_LOG_FIELDS) + "\n")
-
-    def write(self, d: Decision) -> None:
-        if self._fh is None:
-            return
-        self._fh.write(f"{d.at_us},{d.value!r},{d.threshold!r},{int(d.is_attack)},{self._mode}\n")
-        self._rows += 1
-        if self._rows % _LOG_FLUSH_EVERY == 0:
-            self._fh.flush()
-
-    def __enter__(self) -> "_DecisionLogWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._fh:
-            self._fh.close()
 
 
 def write_decision_log(decisions: Iterable[Decision], mode: str, path: str) -> None:

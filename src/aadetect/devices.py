@@ -7,7 +7,8 @@ its vectors packed as doubles (48 bytes each), with no ``Detector``: the
 ``device.init_len``-th vector builds the detector, fits it on them and is
 not judged. From then on its detector judges each of the device's vectors,
 and the device's infection level moves by an exponential moving average of
-the decision value relative to the device's threshold:
+the decision value relative to the threshold it was judged against (the
+one the decision records, not one a refit in the same ``observe`` set):
 
     level' = (1 - alpha) * level + alpha * min(d / theta_dev, 1)
 
@@ -142,7 +143,7 @@ class DeviceBank:
                 raise
             rec.decisions_count += 1
             rec.infection_level = infection_level(rec.infection_level, decision.value,
-                                                  self.config.device.alpha, det.threshold)
+                                                  self.config.device.alpha, decision.threshold)
             rec.peak_level = max(rec.peak_level, rec.infection_level)
             if rec.infection_level > self.config.device.level_threshold:
                 rec.consecutive_above += 1

@@ -1,8 +1,11 @@
-"""The replay driver, scoring, decision logs and plot data.
+"""The replay driver, scoring, decision logs, alerts and plot data.
 
 ``replay`` is the one loop that feeds a ``Trace`` or a ``FeatureTable`` to a
 detector or a device bank. ``ground_truth`` slices the labels and attack
 types of a detector's decisions from its input's columns (see ``replay``).
+A run's result is its ``EvalReport`` (``run``; ``compare_online_offline``
+returns two). The decision-log format (its fields, streaming writer and
+reader) and the alert line live here, for ``cli`` to write with.
 
 Rates follow the usual confusion-matrix definitions, reported as percentages:
 accuracy, TPR (recall on attacks), FNR, TNR, FPR. Per-attack-type accuracy is
@@ -13,6 +16,7 @@ denominator is zero are reported as None.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -160,49 +164,70 @@ def ground_truth(items: Union[Trace, FeatureTable], n: int) -> Tuple[tuple, tupl
     return items.label[start:], items.attack_type[start:]
 
 
-@dataclass
-class RunResult:
-    """Decisions plus the ground truth for the rows that produced them."""
-
-    decisions: List[Decision]
-    labels: Sequence[Optional[bool]]
-    attack_types: Sequence[Optional[str]]
-    skipped: int  # rows consumed by init
-
-    def report(self) -> EvalReport:
-        return score(self.decisions, self.labels, self.attack_types)
-
-
-def run(detector: Detector, items: Union[Trace, FeatureTable]) -> RunResult:
-    """Replay a trace or a feature table through one detector, keeping every
-    decision with its item's ground truth."""
+def run(detector: Detector, items: Union[Trace, FeatureTable]) -> EvalReport:
+    """Replay a trace or a feature table through one detector and score every
+    decision against its item's ground truth; ``score`` raises on an unlabeled
+    input or a run with no decisions (``replay`` yields raw decisions)."""
     decisions = [decision for _, decision in replay(detector, items)]
-    return RunResult(decisions, *ground_truth(items, len(decisions)),
-                     len(items) - len(decisions))
+    return score(decisions, *ground_truth(items, len(decisions)))
 
 
-@dataclass
-class CompareResult:
-    offline: EvalReport
-    online: EvalReport
-
-
-def compare_online_offline(trace: Trace, config: Config) -> CompareResult:
+def compare_online_offline(trace: Trace, config: Config) -> Tuple[EvalReport, EvalReport]:
     """Run the same labeled trace twice — init then frozen, versus init then
-    windowed incremental updates — and score both runs. Every packet that
-    init consumed must be labeled benign."""
-    offline = run(Detector(3, config, online=False), trace)
-    if not offline.decisions:
+    windowed incremental updates — and return the ``(offline, online)``
+    reports. Every packet that init consumed must be labeled benign."""
+    offline = [decision for _, decision in replay(Detector(3, config, online=False), trace)]
+    if not offline:
         raise ValueError(f"trace has {len(trace)} packets and init never completed")
-    for i, label in enumerate(trace.label[:offline.skipped]):
+    for i, label in enumerate(trace.label[:len(trace) - len(offline)]):
         if label is not False:
             raise ValueError(f"packet {i} fed init but is not labeled benign")
-    online = run(Detector(3, config, online=True), trace)
-    return CompareResult(offline=offline.report(), online=online.report())
+    return (score(offline, *ground_truth(trace, len(offline))),
+            run(Detector(3, config, online=True), trace))
 
 
 # ---------------------------------------------------------------------------
 # Decision logs and plot data
+
+
+_LOG_FLUSH_EVERY = 1024
+
+
+class _DecisionLogWriter:
+    """Streams a run's decision-log rows, flushed every ``_LOG_FLUSH_EVERY`` rows and at close.
+    Rows are plain lines: an int, two float reprs, 0 or 1 and a mode name never need csv quoting."""
+
+    def __init__(self, path: Optional[str], mode: str):
+        self._fh = open(path, "w", newline="\n", encoding="utf-8") if path else None
+        self._mode = mode
+        self._rows = 0
+        if self._fh:
+            self._fh.write(",".join(DECISION_LOG_FIELDS) + "\n")
+
+    def write(self, d: Decision) -> None:
+        if self._fh is None:
+            return
+        self._fh.write(f"{d.at_us},{d.value!r},{d.threshold!r},{int(d.is_attack)},{self._mode}\n")
+        self._rows += 1
+        if self._rows % _LOG_FLUSH_EVERY == 0:
+            self._fh.flush()
+
+    def __enter__(self) -> "_DecisionLogWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._fh:
+            self._fh.close()
+
+
+def _emit_alert(fh, decision: Decision, mode: str, addr: Optional[str]) -> None:
+    """One alert as a JSON line, flushed at once; ``addr`` names a device bank's device."""
+    doc = {"timestamp_us": decision.at_us, "decision_value": decision.value,
+           "threshold": decision.threshold, "mode": mode}
+    if addr is not None:
+        doc["addr"] = addr
+    fh.write(json.dumps(doc, sort_keys=True) + "\n")
+    fh.flush()
 
 
 def read_decision_log(path: Union[str, Path], mode: Optional[str] = None) -> List[Decision]:

@@ -1,8 +1,15 @@
 """Shared test settings.
 
-``--hypothesis-profile=ci`` runs every Hypothesis property on the same
-derandomized cases (200 examples, no deadline), so two CI legs on different
-numpy releases check the same inputs.
+``--hypothesis-profile=ci`` runs every Hypothesis property derandomized (200
+examples, no deadline), so two CI legs on different numpy releases check the
+same inputs. ``derandomize`` fixes each test's seed, not its cases: Hypothesis
+also draws values from the literals of every local module it has imported,
+``src/`` included, so any edit to the text of ``src/`` can change which cases
+run. It caches those literals under ``.hypothesis``, and a run that reads that
+cache draws other cases than one that does not, so under the ``ci`` profile
+Hypothesis keeps its directory in a fresh temporary one, removed at exit: a
+run draws the same cases from the same source, cache or no cache. A case that
+must always run is pinned with ``@example``.
 
 When a property fails, Hypothesis's pytest plugin imports ``libcst`` (if it
 is installed) to print a patch, and ``libcst`` uses the deprecated
@@ -10,12 +17,14 @@ is installed) to print a patch, and ``libcst`` uses the deprecated
 turns the failure into a pytest internal error (exit 3, not 1), so
 ``libcst`` is imported here once, with that warning ignored."""
 
+import shutil
+import tempfile
 import warnings
 
 try:
-    from hypothesis import settings
+    from hypothesis import configuration, settings
 except ImportError:  # the property tests skip themselves
-    pass
+    configuration = None
 else:
     settings.register_profile("ci", derandomize=True, max_examples=200, deadline=None)
 
@@ -25,3 +34,10 @@ with warnings.catch_warnings():
         import libcst  # noqa: F401
     except ImportError:  # not installed: the plugin cannot import it either
         pass
+
+
+def pytest_configure(config):
+    if configuration is not None and config.getoption("--hypothesis-profile", None) == "ci":
+        home = tempfile.mkdtemp(prefix="aadetect-hypothesis-")
+        configuration.set_hypothesis_home_dir(home)
+        config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))

@@ -31,8 +31,9 @@ from typing import NamedTuple, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 KILLED, EQUIVALENT = "killed", "equivalent"
-METRICS, DETECTOR, TRAFFIC, TRAINING = (f"src/aadetect/{name}.py"
-                                        for name in ("metrics", "detector", "traffic", "training"))
+METRICS, DETECTOR, TRAFFIC, TRAINING, AADRNN, DEVICES = (
+    f"src/aadetect/{name}.py"
+    for name in ("metrics", "detector", "traffic", "training", "aadrnn", "devices"))
 BLOCK_TESTS = ("tests/test_metrics.py", "tests/test_feed.py")
 FEED_TESTS = ("tests/test_feed.py",)
 TRACE_ERROR_TESTS = ("tests/test_traffic.py::"
@@ -168,17 +169,31 @@ MUTANTS = [
     Mutant("_linear_quantile: the t < 0.5 branch dropped", DETECTOR,
            "return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)",
            "return b - (b - a) * (1 - t)", ("tests/test_quartiles.py",)),
+    # The network and the decision value, each exact to the last bit.
+    Mutant("update_incremental: hidden on the (k, M) chunk, not (k, 1, M) rows", TRAINING,
+           "H = model.hidden(noisy[:, None, :])[:, 0, :]", "H = model.hidden(noisy)",
+           ("tests/test_training.py",)),
+    Mutant("hidden: zeta as 1 - 1 / (1 + h)", AADRNN,
+           "np.divide(h, h + 1.0, out=h)", "h = 1.0 - 1.0 / (1.0 + h)",
+           ("tests/test_aadrnn.py::test_activation_monotone_and_bounded",)),
+    Mutant("_weighted_gap: the weighted sum in another order", DETECTOR,
+           "return np.abs(x - x_hat) @ gamma", "return (np.abs(x - x_hat) * gamma).sum(axis=-1)",
+           ("tests/test_detector.py::"
+            "test_decision_values_and_the_init_threshold_are_the_weighted_gap_bit_for_bit",)),
+    # The device bank.
+    Mutant("ingest: the level divides by the threshold after the refit", DEVICES,
+           "alpha, decision.threshold)", "alpha, det.threshold)",
+           ("tests/test_devices.py::"
+            "test_a_level_step_uses_the_threshold_its_decision_was_judged_against",)),
+    Mutant("ingest: a device's init takes one vector more", DEVICES,
+           "len(rec.init_rows) >= self._init_bytes", "len(rec.init_rows) > self._init_bytes",
+           ("tests/test_devices.py::test_decisions_start_after_per_device_init",)),
 ]
 
 
 def pytest_exit(tree: Path, tests: Tuple[str, ...]) -> int:
     """pytest's exit code on ``tests`` in ``tree``, stopping at the first failure:
-    0 when all pass, 1 when a test fails, more when the run itself broke.
-    Each run starts without a ``.hypothesis`` directory, as a fresh checkout
-    does: Hypothesis draws some values from the literals of the local
-    modules and caches them there, and a run that reads that cache draws
-    other examples than one that does not."""
-    shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
+    0 when all pass, 1 when a test fails, more when the run itself broke."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-W", "error",
                "-p", "no:cacheprovider", "--hypothesis-profile=ci", *tests]

@@ -335,7 +335,9 @@ class OracleRecord:
 class OracleBank:
     """The device bank as it was before devices in init lost their detector,
     kept verbatim but for the feed: every device steps its own DEVICE
-    ``Detector`` from its first vector, through a ``PerRowFeed``."""
+    ``Detector`` from its first vector, through a ``PerRowFeed``. A level step
+    divides by the threshold its decision was judged against, which a refit in
+    that same ``observe`` may since have moved."""
 
     def __init__(self, config: Config):
         self.config = config
@@ -367,8 +369,7 @@ class OracleBank:
                 continue
             rec.decisions_count += 1
             rec.infection_level = infection_level(rec.infection_level, decision.value,
-                                                  self.config.device.alpha,
-                                                  rec.feed.det.threshold)
+                                                  self.config.device.alpha, decision.threshold)
             rec.peak_level = max(rec.peak_level, rec.infection_level)
             if rec.infection_level > self.config.device.level_threshold:
                 rec.consecutive_above += 1

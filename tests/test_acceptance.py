@@ -124,17 +124,17 @@ def test_criterion_3_whisker_rules():
 
 def test_criterion_4_flood_detection():
     started = time.perf_counter()
-    result = run_flood_benchmark(seed=7)
+    report, baseline = run_flood_benchmark(seed=7)
     elapsed = time.perf_counter() - started
-    tpr, fpr = result.report.tpr, result.report.fpr
+    tpr, fpr = report.tpr, report.fpr
     ok = (tpr is not None and tpr >= 95.0
           and fpr is not None and fpr <= 2.0
-          and result.report.accuracy > result.baseline.accuracy
+          and report.accuracy > baseline.accuracy
           and elapsed < 30.0)
     check("criterion 4 (flood: TPR >= 95, FPR <= 2, beats per-metric baseline)", ok,
           f"tpr {tpr:.2f} fpr {fpr:.2f} "
-          f"model acc {result.report.accuracy:.2f} vs baseline "
-          f"{result.baseline.accuracy:.2f} in {elapsed:.1f}s (< 30s)")
+          f"model acc {report.accuracy:.2f} vs baseline "
+          f"{baseline.accuracy:.2f} in {elapsed:.1f}s (< 30s)")
 
 
 # -- 5. drift benchmark ---------------------------------------------------------------
@@ -142,14 +142,14 @@ def test_criterion_4_flood_detection():
 
 def test_criterion_5_drift_online_adaptation():
     started = time.perf_counter()
-    result = run_drift_benchmark(seed=11)
+    offline, online = run_drift_benchmark(seed=11)
     elapsed = time.perf_counter() - started
-    ok = (result.online.fpr <= result.offline.fpr
-          and result.online.tpr >= 90.0 and result.offline.tpr >= 90.0
+    ok = (online.fpr <= offline.fpr
+          and online.tpr >= 90.0 and offline.tpr >= 90.0
           and elapsed < 60.0)
     check("criterion 5 (drift: online FPR <= offline, both TPR >= 90)", ok,
-          f"fpr online {result.online.fpr:.2f} vs offline {result.offline.fpr:.2f}; "
-          f"tpr online {result.online.tpr:.2f}, offline {result.offline.tpr:.2f} "
+          f"fpr online {online.fpr:.2f} vs offline {offline.fpr:.2f}; "
+          f"tpr online {online.tpr:.2f}, offline {offline.tpr:.2f} "
           f"in {elapsed:.1f}s (< 60s)")
 
 
@@ -158,16 +158,17 @@ def test_criterion_5_drift_online_adaptation():
 
 def test_criterion_6_device_identification():
     started = time.perf_counter()
-    result = run_device_benchmark(seed=5)
+    report, to_flag = run_device_benchmark(seed=5)
     elapsed = time.perf_counter() - started
-    worst_clean = max(result.clean_peaks.values()) if result.clean_peaks else 1.0
-    ok = (result.flagged == [result.flooder]
-          and result.onset_decisions_to_flag is not None
-          and result.onset_decisions_to_flag <= 500
-          and len(result.clean_peaks) == 3 and worst_clean < 0.2
+    clean_peaks = [row.peak_level for row in report.devices
+                   if row.addr.startswith("10.0.0.") and row.addr != "10.0.0.3"]
+    worst_clean = max(clean_peaks, default=1.0)
+    ok = (report.compromised == ("10.0.0.3",)
+          and to_flag is not None and to_flag <= 500
+          and len(clean_peaks) == 3 and worst_clean < 0.2
           and elapsed < 30.0)
     check("criterion 6 (devices: exactly the flooder, clean peaks < 0.2)", ok,
-          f"flagged {result.flagged}, latency {result.onset_decisions_to_flag} "
+          f"flagged {list(report.compromised)}, latency {to_flag} "
           f"decisions, worst clean peak {worst_clean:.3f} in {elapsed:.1f}s (< 30s)")
 
 
@@ -183,8 +184,7 @@ def test_criterion_7_real_dataset_accuracy():
     benign = rows.features[[label is not True for label in rows.label]]
     det = Detector(rows.features.shape[1], Config(), mode=Mode.FEATURES, online=False)
     det.initialize(benign)
-    result = run(det, rows)
-    report = result.report()
+    report = run(det, rows)
     elapsed = time.perf_counter() - started
     ok = (report.accuracy >= 99.0 and report.tpr is not None and report.tpr >= 99.0
           and report.fpr is not None and report.fpr <= 1.0)

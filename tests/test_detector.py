@@ -9,12 +9,13 @@ import zlib
 import numpy as np
 import pytest
 
+from aadetect.bench import flood_trace
 from aadetect.config import Config, config_from_dict
 from aadetect.detector import (Decision, Detector, LifecycleError, Mode, Phase,
                                load_state, salt_for_address, save_state, whisker_threshold)
 from aadetect.metrics import DimensionError, ScalingFactors
 from aadetect.traffic import FeatureTable, Trace
-from oracles import PerRowFeed, oracle_whisker, stepped
+from oracles import DequeStreamMetrics, PerRowFeed, oracle_whisker, stepped
 
 
 def small_config(**train_overrides):
@@ -104,6 +105,33 @@ def test_decision_value_validation():
         config_from_dict({"metrics": {"gamma": [0.5, 0.5, 0.5]}})
     with pytest.raises(ValueError):
         config_from_dict({"metrics": {"gamma": [1.5, -0.25, -0.25]}})
+
+
+@pytest.mark.parametrize("mode", [Mode.BOTNET, Mode.FEATURES])
+def test_decision_values_and_the_init_threshold_are_the_weighted_gap_bit_for_bit(mode):
+    # Raw rows come from outside the detector: the deque extractor for
+    # packets, the table itself for features. Each decision value must be
+    # |x - x_hat| @ gamma of its 1-D scaled row, and the init threshold the
+    # whisker of the same over the 2-D init window, to the last bit: block
+    # scoring must keep this, and a reordered sum does not.
+    config = config_from_dict({"train": {"init_len": 500}, "metrics": {"N": 30}})
+    if mode == Mode.BOTNET:
+        items = flood_trace(7)
+        extractor = DequeStreamMetrics(config.metrics.N, config.metrics.T_us)
+        raw = np.array([extractor.update(ts, size) for ts, size
+                        in zip(items.timestamp_us.tolist(), items.size_bytes.tolist())])
+        det = Detector(3, config, mode, online=False)
+    else:
+        raw = np.random.default_rng(337).lognormal(0.0, 1.0, size=(3000, 20))
+        items = FeatureTable(raw)
+        det = Detector(20, config, mode, online=False)
+    decisions = list(det.step_rows(items))
+    assert len(decisions) == len(raw) - 500 and det.phase == Phase.FROZEN
+    X = det.scaler.apply(raw[:500])
+    assert det.threshold == whisker_threshold(np.abs(X - det.model.forward(X)) @ det.gamma)
+    for row, decision in zip(raw[500:], decisions):
+        x = det.scaler.apply(row)
+        assert decision.value == float(np.abs(x - det.model.forward(x)) @ det.gamma)
 
 
 def test_detector_gamma_uniform_explicit_and_length():

@@ -189,6 +189,24 @@ def test_infection_level_and_peak_track_decisions():
         assert rec.peak_level <= 1.0
 
 
+def test_a_level_step_uses_the_threshold_its_decision_was_judged_against():
+    # A window refit inside observe moves the detector's threshold after it
+    # judged the row; the level divides by the decision's own threshold, the
+    # one the log records.
+    cfg = device_config()
+    bank = DeviceBank(cfg)
+    moved = 0
+    for pkt in benign_device_trace(np.random.default_rng(241), 400, ["a", "b", "c"]):
+        before = {addr: bank.device(addr).infection_level
+                  for addr in pkt[1:3] if bank.device(addr) is not None}
+        for addr, dec in bank.ingest(pkt):
+            rec = bank.device(addr)
+            assert rec.infection_level == infection_level(before[addr], dec.value,
+                                                          cfg.device.alpha, dec.threshold)
+            moved += rec.detector.threshold != dec.threshold
+    assert moved > 0
+
+
 def test_hysteresis_requires_consecutive_exceedances():
     bank = DeviceBank(device_config())  # hysteresis_k = 3
     bank.ingest((0, "a", "b", 100))

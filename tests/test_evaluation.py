@@ -141,12 +141,11 @@ def benign_trace(seed=21, duration=6.0):
 
 def test_run_skips_init_and_aligns_ground_truth():
     trace = benign_trace()
-    result = run(Detector(3, stream_config(), online=True), trace)
-    assert result.skipped == 8
-    assert len(result.decisions) == len(trace) - 8
-    assert result.labels == trace.label[8:] == trace[8:].label
-    assert [d.at_us for d in result.decisions] == [pkt[0] for pkt in trace[8:]]
-    report = result.report()
+    report = run(Detector(3, stream_config(), online=True), trace)
+    assert len(trace) - len(report.decisions) == 8
+    assert ground_truth(trace, len(report.decisions))[0] == trace.label[8:] == trace[8:].label
+    assert [d.at_us for d in report.decisions] == [pkt[0] for pkt in trace[8:]]
+    assert report.counts.tn + report.counts.fp == len(trace) - 8
     assert report.fpr is not None and report.tpr is None  # all-benign trace
 
 
@@ -162,28 +161,31 @@ def test_the_flood_baseline_judges_the_rows_the_detector_judged(monkeypatch):
         return calls[-1]
 
     monkeypatch.setattr(ScalingFactors, "apply", recording)
-    result = run_flood_benchmark(seed=7)
+    report, baseline = run_flood_benchmark(seed=7)
     init_rows, *judged, rebuilt = calls  # init's batch, one row per decision, the rebuild
     assert init_rows.ndim == rebuilt.ndim == 2 and {x.ndim for x in judged} == {1}
-    assert len(judged) == len(result.report.decisions) == len(result.baseline.decisions)
+    assert len(judged) == len(report.decisions) == len(baseline.decisions)
     assert np.array_equal(rebuilt, np.concatenate([init_rows, judged]))
     theta = np.array([whisker_threshold(column) for column in init_rows.T])
     # Metric-wise thresholding: attack iff any value exceeds its theta, strictly.
-    assert [d.is_attack for d in result.baseline.decisions] == \
+    assert [d.is_attack for d in baseline.decisions] == \
         [any(v > th for v, th in zip(x, theta)) for x in judged]
-    assert [d[:3] for d in result.baseline.decisions] == [d[:3] for d in result.report.decisions]
+    assert [d[:3] for d in baseline.decisions] == [d[:3] for d in report.decisions]
 
 
 def test_run_feature_rows_offline_by_default():
     rng = np.random.default_rng(313)
     rows = FeatureTable(rng.uniform(0, 1, size=(30, 3)), [False] * 30)
     det = Detector(3, stream_config(init_len=10), mode=Mode.FEATURES)
-    result = run(det, rows)
-    assert result.skipped == 10 and len(result.decisions) == 20
-    assert result.labels == (False,) * 20
+    report = run(det, rows)
+    assert len(report.decisions) == 20 and report.counts.tn + report.counts.fp == 20
     assert det.phase.value == "frozen"
-    empty = run(Detector(3, stream_config(), mode=Mode.FEATURES), FeatureTable(np.empty((0, 3))))
-    assert empty.decisions == [] and empty.skipped == 0 and empty.labels == ()
+    # A run is scored, so a run with no decisions, or one on unlabeled rows, raises.
+    with pytest.raises(ValueError, match="nothing to score"):
+        run(Detector(3, stream_config(), mode=Mode.FEATURES), FeatureTable(np.empty((0, 3))))
+    with pytest.raises(ValueError, match="rows without ground-truth labels: 0, 1, 2"):
+        run(Detector(3, stream_config(init_len=10), mode=Mode.FEATURES),
+            FeatureTable(rows.features))
 
 
 def test_ground_truth_is_the_input_suffix_at_every_n():
@@ -256,14 +258,13 @@ def attack_trace(seed=23):
 def test_compare_online_offline_is_deterministic():
     trace = attack_trace()
     cfg = stream_config(init_len=64, window_len=32)
-    r1 = compare_online_offline(trace, cfg)
-    r2 = compare_online_offline(trace, cfg)
-    assert r1.offline.to_dict() == r2.offline.to_dict()
-    assert r1.online.to_dict() == r2.online.to_dict()
+    offline, online = compare_online_offline(trace, cfg)
+    assert [r.to_dict() for r in compare_online_offline(trace, cfg)] == \
+        [offline.to_dict(), online.to_dict()]
     # The offline pass keeps its init threshold; the online pass re-estimates
     # it at every completed window.
-    assert len({d.threshold for d in r1.offline.decisions}) == 1
-    assert len({d.threshold for d in r1.online.decisions}) > 1
+    assert len({d.threshold for d in offline.decisions}) == 1
+    assert len({d.threshold for d in online.decisions}) > 1
 
 
 def test_compare_without_update_policy_degenerates_to_offline():
@@ -271,8 +272,8 @@ def test_compare_without_update_policy_degenerates_to_offline():
     # produce identical decisions.
     trace = attack_trace()
     cfg = stream_config(window_len=None, window_seconds=None)
-    result = compare_online_offline(trace, cfg)
-    assert result.offline.to_dict() == result.online.to_dict()
+    offline, online = compare_online_offline(trace, cfg)
+    assert offline.to_dict() == online.to_dict()
 
 
 def test_compare_rejects_attacks_inside_the_init_prefix():
@@ -284,8 +285,8 @@ def test_compare_rejects_attacks_inside_the_init_prefix():
 
 def test_compare_checks_every_packet_init_consumed_is_benign():
     trace = benign_trace()
-    result = compare_online_offline(trace, stream_config())
-    assert result.offline.counts.total == len(trace) - 8
+    offline, _ = compare_online_offline(trace, stream_config())
+    assert offline.counts.total == len(trace) - 8
     with pytest.raises(ValueError) as err:
         compare_online_offline(trace, stream_config(init_len=len(trace) + 1))
     assert str(err.value) == f"trace has {len(trace)} packets and init never completed"
@@ -306,8 +307,8 @@ def test_compare_checks_the_init_seconds_window_not_init_len():
                                   attacks=(seg,)), seed=1)
     assert len(trace) == 1445 and trace.label[408] and not any(trace.label[:408])
     config = config_from_dict({"train": {"init_seconds": 2.0}})
-    result = compare_online_offline(trace, config)
-    assert result.offline.counts.total == result.online.counts.total == len(trace) - 97
+    offline, online = compare_online_offline(trace, config)
+    assert offline.counts.total == online.counts.total == len(trace) - 97
 
 
 # -- decision logs -----------------------------------------------------------------------
@@ -351,16 +352,16 @@ def test_decision_log_names_the_line_of_a_bad_value(tmp_path, row, message):
 
 def test_align_with_trace_suffix_and_errors():
     trace = benign_trace()
-    result = run(Detector(3, stream_config()), trace)
-    labels, types = align_with_trace(result.decisions, trace)
-    assert labels == result.labels and types == result.attack_types
+    decisions = run(Detector(3, stream_config()), trace).decisions
+    labels, types = align_with_trace(decisions, trace)
+    assert (labels, types) == ground_truth(trace, len(decisions))
 
-    shifted = [d._replace(at_us=d.at_us + 1) for d in result.decisions]
+    shifted = [d._replace(at_us=d.at_us + 1) for d in decisions]
     with pytest.raises(ValueError) as err:
         align_with_trace(shifted, trace)
     assert "decision row 0" in str(err.value)
 
-    bumped = list(result.decisions)
+    bumped = list(decisions)
     k = len(bumped) // 2
     d = bumped[k]
     bumped[k] = d._replace(at_us=d.at_us + 7)
@@ -370,7 +371,7 @@ def test_align_with_trace_suffix_and_errors():
                               f"decision timestamp {d.at_us + 7} != trace timestamp {d.at_us}")
 
     with pytest.raises(ValueError):
-        align_with_trace(result.decisions * 2, trace)
+        align_with_trace(decisions * 2, trace)
 
 
 # -- plot data ------------------------------------------------------------------------------
