@@ -9,7 +9,8 @@
     aadetect synth  --out TRACE --duration S --rate PPS [--seed N] [...]
     aadetect bench  [--seed N]
 
-Exit codes: 0 success, 1 failed assertion or benchmark, 2 usage, I/O or training error.
+Exit codes: 0 success, 1 failed assertion or benchmark, 2 usage, I/O or training
+error, or malformed input (one ``error: path:line: ...`` line for a CSV file).
 
 ``replay`` logs and alerts through ``evaluation``, which also reads the log back.
 """
@@ -249,8 +250,11 @@ def cmd_eval(args) -> int:
     _check_outputs(args.plots, ("--report", args.report))
     decisions = read_decision_log(args.log, Mode.BOTNET.value)
     trace = load_trace(args.trace)
-    labels, types = align_with_trace(decisions, trace)
-    report = score(decisions, labels, types)
+    try:
+        labels, types = align_with_trace(decisions, trace)
+        report = score(decisions, labels, types)
+    except ValueError as exc:  # two valid files that do not belong together
+        raise ValueError(f"{exc} ({args.log} against {args.trace})") from None
     _print_report(args, config, report)
     failed = False
     for name, op, expected in assertions:

@@ -76,6 +76,7 @@ _RULES: Dict[str, Tuple[Callable[[Any], bool], str]] = {
     "train.window_seconds": _POSITIVE,
     "train.seed": _at_least(0),
     "train.init_len": _at_least(4),
+    "train.init_seconds": _at_least(0),
     "threshold.mode": ((lambda v: v in ("whisker", "fixed")), "be 'whisker' or 'fixed'"),
     "threshold.value": _POSITIVE,
     "device.alpha": ((lambda v: 0 < v <= 1), "be in (0, 1]"),

@@ -252,8 +252,8 @@ class Detector:
         held = self._row_counter  # every row fed so far waits in the window
         if self._init_seconds is None:
             return max(self._init_len - held, 0) if held + len(times) >= self._init_len else None
-        # Clipped to ±2**64, past any gap of int64 times, so an infinite product cannot raise.
-        bound = math.ceil(min(max(self._init_seconds * 1e6, -2.0**64), 2.0**64))
+        # Clipped to 2**64, past any gap of int64 times, so an infinite product cannot raise.
+        bound = math.ceil(min(self._init_seconds * 1e6, 2.0**64))
         first = self._init_rows[0][0] if self._init_rows else times
         for i in range(max(4 - held, 0), len(times)):
             if int(times[i]) - int(first[0]) >= bound:

@@ -5,7 +5,8 @@ detector or a device bank. ``ground_truth`` slices the labels and attack
 types of a detector's decisions from its input's columns (see ``replay``).
 A run's result is its ``EvalReport`` (``run``; ``compare_online_offline``
 returns two). The decision-log format (its fields, streaming writer and
-reader) and the alert line live here, for ``cli`` to write with.
+reader) and the alert line live here, for ``cli`` to write with; the reader
+is a header and a row converter for ``traffic.read_csv``, the one CSV reader.
 
 Rates follow the usual confusion-matrix definitions, reported as percentages:
 accuracy, TPR (recall on attacks), FNR, TNR, FPR. Per-attack-type accuracy is
@@ -15,7 +16,6 @@ denominator is zero are reported as None.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -24,7 +24,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from .config import Config
 from .detector import Decision, Detector
 from .devices import DeviceBank, InfectionReport
-from .traffic import FeatureTable, Trace, write_csv
+from .traffic import FeatureTable, Trace, read_csv, write_csv
 from .training import TrainingError
 
 DECISION_LOG_FIELDS = ("timestamp_us", "decision_value", "threshold", "is_attack", "mode")
@@ -231,34 +231,25 @@ def _emit_alert(fh, decision: Decision, mode: str, addr: Optional[str]) -> None:
 
 
 def read_decision_log(path: Union[str, Path], mode: Optional[str] = None) -> List[Decision]:
-    """Read a decision log back; a malformed row, or one whose mode differs
-    from the first row's, is an error naming its ``path:line``. With ``mode``,
-    a log of any other mode is an error naming it."""
-    path = Path(path)
-    decisions: List[Decision] = []
+    """Read a decision log back with ``read_csv``; a malformed row, or one
+    whose mode differs from the first row's, is an error naming its
+    ``path:line``. With ``mode``, a log of any other mode is an error naming it."""
     log_mode = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != DECISION_LOG_FIELDS:
-            raise ValueError(f"{path}: expected header {','.join(DECISION_LOG_FIELDS)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(DECISION_LOG_FIELDS):
-                raise ValueError(f"{path}:{line_no}: expected {len(DECISION_LOG_FIELDS)} columns")
-            try:
-                at_us, value, threshold = int(row[0]), float(row[1]), float(row[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
-            if row[3].strip() not in ("0", "1"):
-                raise ValueError(f"{path}:{line_no}: is_attack must be 0 or 1, got {row[3]!r}")
-            if log_mode not in (None, row[4].strip()):
-                raise ValueError(f"{path}:{line_no}: mode {row[4]!r} in a {log_mode} log")
-            log_mode = row[4].strip()
-            decisions.append(Decision(at_us, value, threshold, row[3].strip() == "1"))
+
+    def row(record):
+        nonlocal log_mode
+        at_us, value, threshold = int(record[0]), float(record[1]), float(record[2])
+        if record[3].strip() not in ("0", "1"):
+            raise ValueError(f"is_attack must be 0 or 1, got {record[3]!r}")
+        if log_mode not in (None, record[4].strip()):
+            raise ValueError(f"mode {record[4]!r} in a {log_mode} log")
+        log_mode = record[4].strip()
+        return at_us, value, threshold, record[3].strip() == "1"
+
+    decisions = [Decision(*fields) for block in read_csv(path, DECISION_LOG_FIELDS, None, row)
+                 for fields in zip(*block)]
     if mode is not None and log_mode not in (None, mode):
-        raise ValueError(f"{path}: a {log_mode} decision log, expected a {mode} log")
+        raise ValueError(f"{Path(path)}: a {log_mode} decision log, expected a {mode} log")
     return decisions
 
 

@@ -11,16 +11,22 @@ A ``Trace`` is its six columns; a packet in flight is the plain tuple
 trace yields. A ``FeatureTable`` holds a feature file the same way: one
 read-only matrix of features plus label and attack-type tuples.
 
-Both files are read by one reader, ``_blocks``, ``_TRACE_BLOCK`` lines at a
-time. ``_split_block`` splits a block into columns with ``str.split`` unless
+Every CSV file the package reads (a trace, a feature file, a decision log)
+is read by one reader, ``read_csv``, ``_TRACE_BLOCK`` lines at a time.
+``_split_block`` splits a block into columns with ``str.split`` unless
 ``csv.reader`` could read it differently (see its docstring); the file kind's
 fast converter then converts and checks a split block at once, trace
 integers by ``int`` and features by ``np.loadtxt``. Any other block goes
-through the one row-by-row ``csv.reader`` loop, whose per-row converter names
-the first bad line exactly as a row-by-row parse would. ``trace_blocks``
-yields each block as a ``Trace``, reading the file no further than it is
-asked to, and ``init`` stops pulling blocks once its window is complete;
-``load_trace`` and ``load_feature_dataset`` join the blocks once.
+through the one row-by-row loop of ``csv.reader`` in strict mode, where a
+quote left open to the end of the file is an error, not a field that
+silently takes the rest of the file. Every malformed input is a
+``TraceParseError``, ``path:line: message``: a bad header, or csv's own error
+in it, on line 1; a bad record, or csv's own error in it, on that record's
+line; text that is not UTF-8 on the first line that does not decode.
+``trace_blocks`` yields each block as a ``Trace``, reading the file no
+further than it is asked to, and ``init`` stops pulling blocks once its
+window is complete; ``load_trace`` and ``load_feature_dataset`` join the
+blocks once.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,11 +44,11 @@ TRACE_FIELDS = ("timestamp_us", "src", "dst", "size_bytes", "label", "attack_typ
 
 
 class TraceParseError(ValueError):
-    """A trace or feature CSV row that cannot be parsed; carries the line number."""
+    """A CSV file that cannot be parsed, as ``path:line: message``; carries both."""
 
     def __init__(self, path: Union[str, Path], line_no: int, message: str):
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.path = str(path)
+        self.path = str(Path(path))
+        super().__init__(f"{self.path}:{line_no}: {message}")
         self.line_no = line_no
 
 
@@ -161,10 +167,10 @@ _BAD_LABEL = object()
 _INT64 = np.iinfo(np.int64)
 
 
-def _parse_label(text: str, path, line_no: int) -> Optional[bool]:
+def _parse_label(text: str) -> Optional[bool]:
     label = _LABELS.get(text, _BAD_LABEL)
     if label is _BAD_LABEL:
-        raise TraceParseError(path, line_no, f"label must be 0, 1 or empty, got {text!r}")
+        raise ValueError(f"label must be 0, 1 or empty, got {text!r}")
     return label
 
 
@@ -191,36 +197,54 @@ def _split_block(lines: List[str], n_fields: int, tail: Optional[int]) -> Option
     return [fields[k::n_fields] for k in range(n_fields)]
 
 
-def _blocks(path: Path, fh, n_fields: int, tail: Optional[int], fast, row) -> Iterator[tuple]:
-    """The body of a trace or feature CSV, read ``_TRACE_BLOCK`` lines at a
-    time from ``fh`` (past its header): the columns of each block that has a
-    row. A block that ``_split_block`` splits goes to ``fast(lines,
-    columns)``, which checks it all at once and returns its columns, or None
-    if any row is bad. Any other block is read by ``csv.reader``, the exact
-    reference for every row, which finishes a quoted field that runs past the
-    block from ``fh``: each non-blank record must have ``n_fields`` fields,
-    and ``row(record, line_no)`` returns its column values or raises a
-    ``TraceParseError`` naming its line. Records are numbered from line 2,
-    blank ones too, as a row-by-row parse numbers them."""
-    line_no = 2
-    while lines := list(islice(fh, _TRACE_BLOCK)):
-        columns = _split_block(lines, n_fields, tail)
-        block = columns and fast(lines, columns)
-        if block:
-            line_no += len(lines)
-            yield block
-            continue
-        rows, reader = [], csv.reader(chain(lines, fh))
-        for line_no, record in enumerate(reader, start=line_no):
-            if record:
-                if len(record) != n_fields:
-                    raise TraceParseError(path, line_no, f"expected {n_fields} columns, got {len(record)}")
-                rows.append(row(record, line_no))
-            if reader.line_num >= len(lines):  # lines pulled from the iterator
-                break
-        line_no += 1
-        if rows:
-            yield tuple(zip(*rows))
+def read_csv(path: Union[str, Path], header: Union[Sequence[str], Callable],
+             fast: Optional[Callable], row: Callable) -> Iterator[tuple]:
+    """The columns of each block of a CSV file that has a row, read only as
+    asked for (see the module docstring). ``header`` is the file's fields, or
+    a rule that takes the stripped fields read (None for an empty file),
+    raises a ``ValueError`` if they are wrong and returns ``_split_block``'s
+    ``tail``. ``fast(lines, columns)``, if given, returns a split block's
+    columns, or None if any row is bad. ``row(record)`` returns a csv record's
+    values or raises a ``ValueError``; a record of another field count than
+    the header's is an error. Records, blank ones too, are numbered from line
+    2, as a row-by-row parse numbers them."""
+    line_no = 1
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            fields = next(csv.reader(fh, strict=True), None)
+            fields = fields and [field.strip() for field in fields]
+            if not callable(header) and fields != list(header):
+                raise ValueError(f"expected header {','.join(header)}")
+            tail = header(fields) if callable(header) else None
+            n_fields, line_no = len(fields), 2
+            while lines := list(islice(fh, _TRACE_BLOCK)):
+                columns = fast and _split_block(lines, n_fields, tail)
+                block = columns and fast(lines, columns)
+                if block:
+                    line_no += len(lines)
+                    yield block
+                    continue
+                rows, reader = [], csv.reader(chain(lines, fh), strict=True)
+                for record in reader:
+                    if record:
+                        if len(record) != n_fields:
+                            raise ValueError(f"expected {n_fields} columns, got {len(record)}")
+                        rows.append(row(record))
+                    line_no += 1
+                    if reader.line_num >= len(lines):  # lines pulled from the iterator
+                        break
+                if rows:
+                    yield tuple(zip(*rows))
+    except UnicodeDecodeError:  # its position counts from a read chunk: find the line
+        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise TraceParseError(path, line_no, f"not UTF-8 text: {exc}") from None
+        raise
+    except (csv.Error, ValueError) as exc:
+        raise TraceParseError(path, line_no, str(exc)) from None
 
 
 def trace_blocks(path: Union[str, Path]) -> Iterator[Trace]:
@@ -230,12 +254,11 @@ def trace_blocks(path: Union[str, Path]) -> Iterator[Trace]:
     goes backwards, within a block or across two, is an error naming its
     line, as is any other bad row.
 
-    The body is read by ``_blocks`` with two converters, which carry the
+    The file is read by ``read_csv`` with two converters, which carry the
     last timestamp from block to block. Address and attack-type strings are
     stored once each across the blocks. The file stays open until the
     generator is exhausted or closed.
     """
-    path = Path(path)
     addresses: dict = {}
     type_of: dict = {}  # raw field -> attack type
     prev_ts: Optional[int] = None
@@ -258,34 +281,28 @@ def trace_blocks(path: Union[str, Path]) -> Iterator[Trace]:
         prev_ts = int(ts[-1])
         return ts, columns[1], columns[2], size, labels, columns[5]
 
-    def row(record, line_no):
+    def row(record):
         nonlocal prev_ts
         try:
-            ts = int(record[0])
-            size = int(record[3])
+            ts, size = int(record[0]), int(record[3])
         except ValueError as exc:
-            raise TraceParseError(path, line_no, f"bad integer field: {exc}") from None
-        label = _parse_label(record[4].strip(), path, line_no)
+            raise ValueError(f"bad integer field: {exc}") from None
+        label = _parse_label(record[4].strip())
         if size < 0:
-            raise TraceParseError(path, line_no, f"negative packet size: {size}")
+            raise ValueError(f"negative packet size: {size}")
         if prev_ts is not None and ts < prev_ts:
-            raise TraceParseError(path, line_no, f"timestamp {ts} goes backwards (previous {prev_ts})")
+            raise ValueError(f"timestamp {ts} goes backwards (previous {prev_ts})")
         if not (_INT64.min <= ts <= _INT64.max and size <= _INT64.max):
-            raise TraceParseError(path, line_no, "integer field does not fit in 64 bits")
+            raise ValueError("integer field does not fit in 64 bits")
         prev_ts = ts
         return ts, record[1], record[2], size, label, record[5]
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None or [h.strip() for h in header] != list(TRACE_FIELDS):
-            raise TraceParseError(path, 1, f"expected header {','.join(TRACE_FIELDS)}")
-        for ts, src, dst, size, labels, raw_types in _blocks(path, fh, len(TRACE_FIELDS), None,
-                                                              fast, row):
-            for raw in set(raw_types).difference(type_of):
-                type_of[raw] = raw.strip() or None
-            yield Trace(ts, map(addresses.setdefault, src, src),
-                        map(addresses.setdefault, dst, dst), size, labels,
-                        map(type_of.__getitem__, raw_types))
+    for ts, src, dst, size, labels, raw_types in read_csv(path, TRACE_FIELDS, fast, row):
+        for raw in set(raw_types).difference(type_of):
+            type_of[raw] = raw.strip() or None
+        yield Trace(ts, map(addresses.setdefault, src, src),
+                    map(addresses.setdefault, dst, dst), size, labels,
+                    map(type_of.__getitem__, raw_types))
 
 
 def load_trace(path: Union[str, Path]) -> Trace:
@@ -328,53 +345,53 @@ def load_feature_dataset(path: Union[str, Path]) -> FeatureTable:
     """Load a feature CSV (``f1,...,fM,label,attack_type``) as a table.
 
     The trailing ``attack_type`` column is optional; inconsistent feature
-    dimension raises a parse error naming the line. The body is read by
-    ``_blocks`` with two converters, and the blocks are joined once at the end.
+    dimension raises a parse error naming the line. The file is read by
+    ``read_csv`` with two converters, and the blocks are joined once at the end.
     """
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
+    n_features, has_type = 0, False
+
+    def header_rule(header):
+        nonlocal n_features, has_type
         if header is None:
-            raise TraceParseError(path, 1, "empty file")
-        header = [h.strip() for h in header]
-        has_type = header and header[-1] == "attack_type"
+            raise ValueError("empty file")
+        has_type = header[-1:] == ["attack_type"]
         n_features = len(header) - (2 if has_type else 1)
         if n_features < 1 or header[n_features] != "label":
-            raise TraceParseError(path, 1, "expected feature columns followed by label[,attack_type]")
+            raise ValueError("expected feature columns followed by label[,attack_type]")
+        return len(header) - n_features
 
-        def fast(lines, columns):
-            """A split block's features by one ``np.loadtxt`` call (it and
-            ``float`` both end in ``PyOS_string_to_double``, and what loadtxt
-            rejects, such as ``1_0`` or non-ASCII digits, ``float`` reads in
-            ``row``), kept if every value is finite and every label valid:
-            exact against ``tests/oracles.py:per_row_load_feature_dataset``,
-            which the property
-            ``test_block_loader_equals_per_row_loader_on_generated_files`` checks."""
-            try:  # comments=None: the default "#" would cut "1.0#x" short.
-                feats = np.loadtxt(lines, delimiter=",", usecols=range(n_features),
-                                   comments=None, ndmin=2)
-                labels = [_LABELS[text.strip()] for text in columns[0]]
-            except (ValueError, KeyError):
-                return None
-            return (feats, labels, columns[-1]) if np.isfinite(feats).all() else None
+    def fast(lines, columns):
+        """A split block's features by one ``np.loadtxt`` call (it and
+        ``float`` both end in ``PyOS_string_to_double``, and what loadtxt
+        rejects, such as ``1_0`` or non-ASCII digits, ``float`` reads in
+        ``row``), kept if every value is finite and every label valid:
+        exact against ``tests/oracles.py:per_row_load_feature_dataset``,
+        which the property
+        ``test_block_loader_equals_per_row_loader_on_generated_files`` checks."""
+        try:  # comments=None: the default "#" would cut "1.0#x" short.
+            feats = np.loadtxt(lines, delimiter=",", usecols=range(n_features),
+                               comments=None, ndmin=2)
+            labels = [_LABELS[text.strip()] for text in columns[0]]
+        except (ValueError, KeyError):
+            return None
+        return (feats, labels, columns[-1]) if np.isfinite(feats).all() else None
 
-        def row(record, line_no):
-            try:
-                feats = [float(v) for v in record[:n_features]]
-            except ValueError as exc:
-                raise TraceParseError(path, line_no, f"bad feature value: {exc}") from None
-            if not all(map(math.isfinite, feats)):
-                raise TraceParseError(path, line_no, "non-finite feature value")
-            return feats, _parse_label(record[n_features].strip(), path, line_no), record[-1]
+    def row(record):
+        try:
+            feats = [float(v) for v in record[:n_features]]
+        except ValueError as exc:
+            raise ValueError(f"bad feature value: {exc}") from None
+        if not all(map(math.isfinite, feats)):
+            raise ValueError("non-finite feature value")
+        return feats, _parse_label(record[n_features].strip()), record[-1]
 
-        blocks, labels, raw_types = [np.empty((0, n_features))], [], []
-        for feats, block_labels, block_types in _blocks(path, fh, len(header),
-                                                        len(header) - n_features, fast, row):
-            blocks.append(np.asarray(feats, dtype=float))
-            labels += block_labels
-            raw_types += block_types
+    blocks, labels, raw_types = [], [], []
+    for feats, block_labels, block_types in read_csv(path, header_rule, fast, row):
+        blocks.append(np.asarray(feats, dtype=float))
+        labels += block_labels
+        raw_types += block_types
     type_of = {raw: raw.strip() or None for raw in set(raw_types)}
-    return FeatureTable(np.concatenate(blocks), labels,
+    return FeatureTable(np.concatenate([np.empty((0, n_features)), *blocks]), labels,
                         map(type_of.__getitem__, raw_types) if has_type else None)
 
 

@@ -2,14 +2,16 @@
 
 ``--hypothesis-profile=ci`` runs every Hypothesis property derandomized (200
 examples, no deadline), so two CI legs on different numpy releases check the
-same inputs. ``derandomize`` fixes each test's seed, not its cases: Hypothesis
-also draws values from the literals of every local module it has imported,
-``src/`` included, so any edit to the text of ``src/`` can change which cases
-run. It caches those literals under ``.hypothesis``, and a run that reads that
-cache draws other cases than one that does not, so under the ``ci`` profile
-Hypothesis keeps its directory in a fresh temporary one, removed at exit: a
-run draws the same cases from the same source, cache or no cache. A case that
-must always run is pinned with ``@example``.
+same inputs. ``--hypothesis-profile=fuzz`` is the same with 2,000 examples, for
+a longer search (CI runs ``tests/test_hostile.py`` under it). ``derandomize``
+fixes each test's seed, not its cases: Hypothesis also draws values from the
+literals of every local module it has imported, ``src/`` included, so any
+edit to the text of ``src/`` can change which cases run. It caches those
+literals under ``.hypothesis``, and a run that reads that cache draws other
+cases than one that does not, so under either profile Hypothesis keeps its
+directory in a fresh temporary one, removed at exit: a run draws the same
+cases from the same source, cache or no cache. A case that must always run is
+pinned with ``@example``.
 
 When a property fails, Hypothesis's pytest plugin imports ``libcst`` (if it
 is installed) to print a patch, and ``libcst`` uses the deprecated
@@ -27,6 +29,7 @@ except ImportError:  # the property tests skip themselves
     configuration = None
 else:
     settings.register_profile("ci", derandomize=True, max_examples=200, deadline=None)
+    settings.register_profile("fuzz", derandomize=True, max_examples=2000, deadline=None)
 
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)
@@ -37,7 +40,8 @@ with warnings.catch_warnings():
 
 
 def pytest_configure(config):
-    if configuration is not None and config.getoption("--hypothesis-profile", None) == "ci":
+    profile = config.getoption("--hypothesis-profile", None)
+    if configuration is not None and profile in ("ci", "fuzz"):
         home = tempfile.mkdtemp(prefix="aadetect-hypothesis-")
         configuration.set_hypothesis_home_dir(home)
         config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))

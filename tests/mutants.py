@@ -31,15 +31,28 @@ from typing import NamedTuple, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 KILLED, EQUIVALENT = "killed", "equivalent"
-METRICS, DETECTOR, TRAFFIC, TRAINING, AADRNN, DEVICES = (
+METRICS, DETECTOR, TRAFFIC, TRAINING, AADRNN, DEVICES, CONFIG = (
     f"src/aadetect/{name}.py"
-    for name in ("metrics", "detector", "traffic", "training", "aadrnn", "devices"))
+    for name in ("metrics", "detector", "traffic", "training", "aadrnn", "devices", "config"))
 BLOCK_TESTS = ("tests/test_metrics.py", "tests/test_feed.py")
 FEED_TESTS = ("tests/test_feed.py",)
 TRACE_ERROR_TESTS = ("tests/test_traffic.py::"
                      "test_column_loader_reports_errors_as_the_per_row_loader",)
 FEATURE_ERROR_TESTS = ("tests/test_traffic.py::"
                        "test_block_loader_reports_errors_as_the_per_row_loader",)
+STRAY_QUOTE_TESTS = ("tests/test_hostile.py::"
+                     "test_a_stray_quote_before_128_kib_is_one_error_naming_its_line",)
+
+
+# The body and the end of read_csv's record loop, around the line that counts records.
+RECORD_LOOP = ("                    if record:\n"
+               "                        if len(record) != n_fields:\n"
+               '                            raise ValueError(f"expected {n_fields} columns, '
+               'got {len(record)}")\n'
+               "                        rows.append(row(record))\n")
+LOOP_END = ("                    if reader.line_num >= len(lines):"
+            "  # lines pulled from the iterator\n"
+            "                        break\n")
 
 
 class Mutant(NamedTuple):
@@ -95,7 +108,10 @@ MUTANTS = [
     Mutant("update_block: N packets carried, not N - 1", METRICS,
            "carry = min(held, self.N - 1)", "carry = min(held, self.N)", BLOCK_TESTS,
            EQUIVALENT),
-    # Detector.init_cut, the one init rule.
+    # The config rule for init_seconds; Detector.init_cut, the one init rule.
+    Mutant("config: a negative train.init_seconds accepted", CONFIG,
+           '    "train.init_seconds": _at_least(0),\n', "",
+           ("tests/test_detector.py::test_init_cut_matches_stepping_feature_rows",)),
     Mutant("init_cut: > for >=", DETECTOR,
            "int(times[i]) - int(first[0]) >= bound", "int(times[i]) - int(first[0]) > bound",
            FEED_TESTS),
@@ -109,7 +125,7 @@ MUTANTS = [
            "first = self._init_rows[0][0] if self._init_rows else times", "first = times",
            FEED_TESTS),
     Mutant("init_cut: the bound not clipped", DETECTOR,
-           "math.ceil(min(max(self._init_seconds * 1e6, -2.0**64), 2.0**64))",
+           "math.ceil(min(self._init_seconds * 1e6, 2.0**64))",
            "math.ceil(self._init_seconds * 1e6)", FEED_TESTS),
     Mutant("init_cut: the count window one row long", DETECTOR,
            "held + len(times) >= self._init_len", "held + len(times) > self._init_len",
@@ -140,16 +156,44 @@ MUTANTS = [
     Mutant("Trace: unsigned columns not range-checked", TRAFFIC,
            'if column.dtype.kind == "u" and column.size and', "if False and",
            ("tests/test_traffic.py",)),
-    # _blocks, the one reader of trace and feature files, and each kind's fast converter.
+    # read_csv, the one reader of trace, feature and decision-log files, and each kind's
+    # fast converter.
     Mutant("trace fast converter: no check against the previous block's last timestamp",
            TRAFFIC, "(ts[1:] < ts[:-1]).any()\n"
                     "                or (prev_ts is not None and ts[0] < prev_ts)):",
            "(ts[1:] < ts[:-1]).any()):", TRACE_ERROR_TESTS),
-    Mutant("_blocks: the line number not advanced past a fast block", TRAFFIC,
-           "            line_no += len(lines)\n", "", TRACE_ERROR_TESTS),
-    Mutant("_blocks: the row loop's field count not checked", TRAFFIC,
-           "                if len(record) != n_fields:", "                if False:",
-           TRACE_ERROR_TESTS),
+    Mutant("read_csv: the line number not advanced past a fast block", TRAFFIC,
+           "                    line_no += len(lines)\n", "", TRACE_ERROR_TESTS),
+    Mutant("read_csv: the row loop's field count not checked", TRAFFIC,
+           "                        if len(record) != n_fields:",
+           "                        if False:", TRACE_ERROR_TESTS),
+    Mutant("read_csv: csv's own errors not converted", TRAFFIC,
+           "except (csv.Error, ValueError) as exc:", "except ValueError as exc:",
+           ("tests/test_traffic.py::test_column_loader_keeps_csvs_field_size_limit",)),
+    Mutant("read_csv: the header read outside the conversion", TRAFFIC,
+           "    try:\n"
+           '        with open(path, newline="", encoding="utf-8") as fh:\n'
+           "            fields = next(csv.reader(fh, strict=True), None)\n",
+           '    with open(path, newline="", encoding="utf-8") as fh:\n'
+           "        fields = next(csv.reader(fh, strict=True), None)\n"
+           "    try:\n"
+           '        with open(path, newline="", encoding="utf-8") as fh:\n'
+           "            next(csv.reader(fh, strict=True), None)\n",
+           STRAY_QUOTE_TESTS),
+    Mutant("read_csv: records numbered by enumerate, so a csv error names the record before",
+           TRAFFIC, "                for record in reader:\n" + RECORD_LOOP
+           + "                    line_no += 1\n" + LOOP_END,
+           "                for line_no, record in enumerate(reader, start=line_no):\n"
+           + RECORD_LOOP + LOOP_END + "                line_no += 1\n",
+           STRAY_QUOTE_TESTS),
+    Mutant("read_csv: csv read loosely, a quote left open to the end of the file", TRAFFIC,
+           "csv.reader(chain(lines, fh), strict=True)", "csv.reader(chain(lines, fh))",
+           ("tests/test_traffic.py::"
+            "test_a_quote_left_open_or_closed_early_is_an_error_naming_its_line",)),
+    Mutant("read_csv: a file that is not UTF-8 named at line 1", TRAFFIC,
+           'raise TraceParseError(path, line_no, f"not UTF-8 text: {exc}")',
+           'raise TraceParseError(path, 1, f"not UTF-8 text: {exc}")',
+           ("tests/test_traffic.py::test_a_file_that_is_not_utf8_names_its_first_bad_line",)),
     Mutant("feature fast converter: non-finite values kept", TRAFFIC,
            "if np.isfinite(feats).all() else None", "if True else None", FEATURE_ERROR_TESTS),
     Mutant("feature fast converter: bad labels read as unknown", TRAFFIC,

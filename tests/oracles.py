@@ -10,6 +10,7 @@ import csv
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -20,8 +21,9 @@ from aadetect.detector import (Decision, Detector, LifecycleError, Mode, Phase, 
                                save_state)
 from aadetect.devices import DEVICE_DIM, DeviceReportRow, InfectionReport, infection_level
 from aadetect.metrics import DimensionError, DirectionalMetrics, StreamMetrics
+from aadetect.evaluation import DECISION_LOG_FIELDS
 from aadetect.traffic import (TRACE_FIELDS, Packet, TimestampOrderError, TraceParseError,
-                              _parse_label, load_feature_dataset, load_trace, write_csv)
+                              load_feature_dataset, load_trace, write_csv)
 from aadetect.training import SufficientStats, corrupt, noise_rng
 
 # -- metrics ------------------------------------------------------------------------
@@ -413,19 +415,42 @@ class OracleBank:
 # -- files -------------------------------------------------------------------------------
 
 
+def csv_records(fh, path):
+    """``(line_no, record)`` for each record of an open CSV file, numbered
+    from line 1 as the loaders number them, read by ``csv.reader`` in strict
+    mode: a quoted field still open at the end of the file, or text after a
+    closing quote, is csv's own error, which names the line of its record."""
+    reader = csv.reader(fh, strict=True)
+    for line_no in count(1):
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise TraceParseError(path, line_no, str(exc)) from None
+        yield line_no, record
+
+
+def parse_label(text, path, line_no):
+    """A label field as the loaders first read it: 0, 1 or empty."""
+    if text not in ("0", "1", ""):
+        raise TraceParseError(path, line_no, f"label must be 0, 1 or empty, got {text!r}")
+    return {"0": False, "1": True, "": None}[text]
+
+
 def per_row_load_trace(path):
-    """The trace loader as first written, one csv row at a time: the
-    reference for the column loader's columns and errors. Returns the rows
-    as six-column tuples."""
+    """The trace loader as first written, one csv row at a time, with csv in
+    strict mode (``csv_records``): the reference for the column loader's
+    columns and errors. Returns the rows as six-column tuples."""
     path = Path(path)
-    records = []
+    packets = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        lines = csv_records(fh, path)
+        header = next(lines, (1, None))[1]
         if header is None or [h.strip() for h in header] != list(TRACE_FIELDS):
             raise TraceParseError(path, 1, f"expected header {','.join(TRACE_FIELDS)}")
         prev_ts = None
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in lines:
             if not row:
                 continue
             if len(row) != len(TRACE_FIELDS):
@@ -435,28 +460,28 @@ def per_row_load_trace(path):
                 size = int(row[3])
             except ValueError as exc:
                 raise TraceParseError(path, line_no, f"bad integer field: {exc}") from None
-            label = _parse_label(row[4].strip(), path, line_no)
+            label = parse_label(row[4].strip(), path, line_no)
             attack_type = row[5].strip() or None
             if size < 0:
                 raise TraceParseError(path, line_no, f"negative packet size: {size}")
             if prev_ts is not None and ts < prev_ts:
                 raise TraceParseError(path, line_no, f"timestamp {ts} goes backwards (previous {prev_ts})")
             prev_ts = ts
-            records.append((ts, row[1], row[2], size, label, attack_type))
-    return tuple(records)
+            packets.append((ts, row[1], row[2], size, label, attack_type))
+    return tuple(packets)
 
 
 def per_row_load_feature_dataset(path):
-    """The feature loader as first written, one row at a time: the reference
-    for the block loader's table and errors. Returns ``(features, label,
-    attack_type)`` per row."""
+    """The feature loader as first written, one row at a time, with csv in
+    strict mode (``csv_records``): the reference for the block loader's table
+    and errors. Returns ``(features, label, attack_type)`` per row."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
+        records = csv_records(fh, path)
+        header = [h.strip() for h in next(records)[1]]
         has_type = header[-1] == "attack_type"
         label_idx = len(header) - (2 if has_type else 1)
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in records:
             if not row:
                 continue
             if len(row) != len(header):
@@ -467,10 +492,43 @@ def per_row_load_feature_dataset(path):
                 raise TraceParseError(path, line_no, f"bad feature value: {exc}") from None
             if not np.all(np.isfinite(feats)):
                 raise TraceParseError(path, line_no, "non-finite feature value")
-            label = _parse_label(row[label_idx].strip(), path, line_no)
+            label = parse_label(row[label_idx].strip(), path, line_no)
             attack_type = (row[label_idx + 1].strip() or None) if has_type else None
             rows.append((feats, label, attack_type))
     return rows
+
+
+def per_row_read_decision_log(path, mode=None):
+    """The decision-log reader as first written, one csv row at a time, with
+    csv in strict mode (``csv_records``): the reference for
+    ``read_decision_log``'s decisions and errors. Its column-count error
+    lacks the ``, got N`` that the package's reader adds."""
+    path = Path(path)
+    decisions: List[Decision] = []
+    log_mode = None
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = csv_records(fh, path)
+        header = next(records, (1, None))[1]
+        if header is None or tuple(h.strip() for h in header) != DECISION_LOG_FIELDS:
+            raise ValueError(f"{path}: expected header {','.join(DECISION_LOG_FIELDS)}")
+        for line_no, row in records:
+            if not row:
+                continue
+            if len(row) != len(DECISION_LOG_FIELDS):
+                raise ValueError(f"{path}:{line_no}: expected {len(DECISION_LOG_FIELDS)} columns")
+            try:
+                at_us, value, threshold = int(row[0]), float(row[1]), float(row[2])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+            if row[3].strip() not in ("0", "1"):
+                raise ValueError(f"{path}:{line_no}: is_attack must be 0 or 1, got {row[3]!r}")
+            if log_mode not in (None, row[4].strip()):
+                raise ValueError(f"{path}:{line_no}: mode {row[4]!r} in a {log_mode} log")
+            log_mode = row[4].strip()
+            decisions.append(Decision(at_us, value, threshold, row[3].strip() == "1"))
+    if mode is not None and log_mode not in (None, mode):
+        raise ValueError(f"{path}: a {log_mode} decision log, expected a {mode} log")
+    return decisions
 
 
 def write_feature_file(table, path):

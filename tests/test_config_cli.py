@@ -306,6 +306,19 @@ def test_eval_detects_misaligned_log(flood_trace_file, tmp_path, capsys):
     assert "misalignment" in capsys.readouterr().err
 
 
+def test_eval_names_both_files_when_they_do_not_belong_together(flood_trace_file, tmp_path,
+                                                               capsys):
+    log, short = tmp_path / "log.csv", tmp_path / "short.csv"
+    assert cli.main(["replay", str(flood_trace_file), "--set", "train.init_len=64",
+                     "--log", str(log)]) == 0
+    short.write_text("".join(flood_trace_file.read_text().splitlines(keepends=True)[:41]))
+    n = len(log.read_text().splitlines()) - 1
+    capsys.readouterr()
+    assert cli.main(["eval", "--log", str(log), "--trace", str(short)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {n} decisions but only 40 trace rows ({log} against {short})\n")
+
+
 @pytest.mark.parametrize("spec", ["tpr>=abc", "accuracy>=90, fpr<=1%"])
 def test_eval_rejects_a_bad_assertion_before_printing_anything(flood_trace_file, tmp_path,
                                                               capsys, spec):
@@ -483,6 +496,18 @@ def test_a_value_that_breaks_its_rule_exits_2_naming_the_key(flood_trace_file, t
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not log.exists()
+
+
+def test_a_negative_init_seconds_is_rejected_and_0_is_the_4_row_minimum(flood_trace_file,
+                                                                         tmp_path, capsys):
+    state = tmp_path / "s.json"
+    assert cli.main(["init", str(flood_trace_file), "--out", str(state),
+                     "--set", "train.init_seconds=-5"]) == 2
+    assert capsys.readouterr().err == "error: train.init_seconds must be >= 0, got -5\n"
+    assert not state.exists()
+    assert cli.main(["init", str(flood_trace_file), "--out", str(state),
+                     "--set", "train.init_seconds=0"]) == 0
+    assert capsys.readouterr().out.startswith("initialized botnet detector: 4 training rows")
 
 
 def test_init_checks_the_config_before_reading_the_input(tmp_path, capsys):

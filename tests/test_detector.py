@@ -247,6 +247,10 @@ def test_features_step_counts_rows_and_defaults_frozen():
 
 @pytest.mark.parametrize("init_seconds", [None, -1.0, 0.0, 3e-6, 4.5e-6, 7e-6, 1e-5, 1.0])
 def test_init_cut_matches_stepping_feature_rows(init_seconds):
+    if init_seconds is not None and init_seconds < 0:  # rejected; 0 is the 4-row minimum
+        with pytest.raises(ValueError, match=r"^train\.init_seconds must be >= 0, got -1\.0$"):
+            small_config(init_seconds=init_seconds)
+        return
     rng = np.random.default_rng(103)
     cfg = small_config(init_seconds=init_seconds)
     for n in range(4, 13):

@@ -1,9 +1,12 @@
 """Scoring against brute-force confusion counts, the replay driver,
 decision-log round-trips, and plot-data emission."""
 
+import re
+
 import numpy as np
 import pytest
 
+from aadetect import traffic
 from aadetect.bench import run_flood_benchmark
 from aadetect.cli import write_decision_log
 from aadetect.config import config_from_dict
@@ -14,7 +17,7 @@ from aadetect.evaluation import (align_with_trace, compare_online_offline,
                                  run, score)
 from aadetect.metrics import ScalingFactors
 from aadetect.traffic import AttackSegment, FeatureTable, Trace, TraceSpec, save_trace, synth_trace
-from oracles import stepped
+from oracles import per_row_read_decision_log, stepped
 
 
 def mk_decision(is_attack, at_us=0, value=None, threshold=0.5):
@@ -348,6 +351,94 @@ def test_decision_log_names_the_line_of_a_bad_value(tmp_path, row, message):
     with pytest.raises(ValueError) as err:
         read_decision_log(path)
     assert str(err.value) == f"{path}:4: {message}"
+
+
+LOG_HEADER = "timestamp_us,decision_value,threshold,is_attack,mode"
+
+
+def decision_logs(st):
+    """Decision-log texts that mix rows both readers must read alike with rows
+    that each must reject alike: blank lines, quoted fields (a quoted newline
+    among them), CR and CRLF endings, spaces around fields, ``1_0``, ``nan``,
+    integers past int64, stray columns and a change of mode."""
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                      st.sampled_from(["0.5", " 0.25 ", "1"]))
+    odd_value = st.sampled_from(["nan", "inf", "-inf", "1e309", "1_0", "x", "", '"0.5"',
+                                 '" 0.5\n"', '"1,5"', '"2'])
+    at = st.integers(0, 10**9).map(str)
+    odd_at = st.sampled_from([str(2**63), str(-2**63 - 1), str(2**70), "1_0", " 7 ", "1.5",
+                              "", '"3"', "nan"])
+    flag, odd_flag = st.sampled_from(["0", "1", " 1 "]), st.sampled_from(["2", "true", ""])
+    mode = st.sampled_from(["botnet", " botnet ", '"botnet\n"'])
+    odd_mode = st.sampled_from(["device", "features", ""])
+    odd_line = st.sampled_from([
+        lambda line: "", lambda line: "  ", lambda line: line + ",x",
+        lambda line: line.rsplit(",", 1)[0], lambda line: '"' + line.replace(",", '",', 1)])
+
+    @st.composite
+    def text(draw):
+        odd_in_100 = draw(st.sampled_from([0, 2, 15]))
+
+        def pick(good, odd):
+            return draw(odd if draw(st.integers(0, 99)) < odd_in_100 else good)
+
+        lines = [LOG_HEADER + draw(st.sampled_from(["\n", "\r\n"]))]
+        for _ in range(draw(st.integers(0, 30))):
+            fields = [pick(at, odd_at), pick(value, odd_value), pick(value, odd_value),
+                      pick(flag, odd_flag), pick(mode, odd_mode)]
+            line = pick(st.just(lambda line: line), odd_line)(",".join(fields))
+            lines.append(line + pick(st.just("\n"), st.sampled_from(["\r\n", "\r"])))
+        if draw(st.booleans()):
+            lines[-1] = lines[-1].rstrip("\r\n")
+        return "".join(lines)
+
+    return text()
+
+
+def read_both(path, mode):
+    """Each reader's decisions (as reprs, so that a nan equals a nan) or its error."""
+    out = []
+    for read in (read_decision_log, per_row_read_decision_log):
+        try:
+            out.append((list(map(repr, read(path, mode))), None))
+        except ValueError as exc:
+            out.append((None, exc))
+    return out
+
+
+@pytest.mark.parametrize("block", [1024, 3])
+def test_decision_log_reader_equals_the_per_row_reader_on_generated_files(tmp_path, monkeypatch,
+                                                                          block):
+    # The one CSV reader gives the first reader's decisions, or its error at
+    # the same line; its column-count error adds ", got N".
+    hypothesis = pytest.importorskip("hypothesis")
+    monkeypatch.setattr(traffic, "_TRACE_BLOCK", block)
+    path = tmp_path / "generated.csv"
+    header = LOG_HEADER + "\n"
+
+    @hypothesis.settings(deadline=None)  # a slow example on a loaded box is not a failure
+    @hypothesis.given(decision_logs(hypothesis.strategies))
+    # A quoted newline across a block edge, valid once the mode is stripped.
+    @hypothesis.example(header + "0,0.5,0.4,0,botnet\n1,0.5,0.4,1,botnet\n"
+                        '2,0.5,0.4,0,"botnet\n"\n3,0.5,0.4,0,botnet\n')
+    @hypothesis.example(header + "0,0.5,0.4,0,botnet\n1,0.5,0.4,0,botnet\n"
+                        '2,0.5,0.4,0,"botnet\n"\n3,0.5,0.4,0,device\n')
+    @hypothesis.example(header + f"{2**63},nan,1_0,1,botnet\r\n\r\n 5 , 0.5 ,0.4, 0 ,botnet\r\n")
+    @hypothesis.example(header + "0,0.5,0.4,0,device\n1,0.5,0.4,0,device\n")
+    @hypothesis.example(header + "0,0.5,0.4,0,botnet\n\n1,0.5,0.4\n")
+    def check(text):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        for mode in (None, "botnet"):
+            (got, got_err), (want, want_err) = read_both(path, mode)
+            if want_err is not None:
+                assert got_err is not None
+                declared = re.sub(r"(expected 5 columns), got \d+$", r"\1", str(got_err))
+                assert declared == str(want_err)
+            else:
+                assert got_err is None and got == want
+
+    check()
 
 
 def test_align_with_trace_suffix_and_errors():

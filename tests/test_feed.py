@@ -60,7 +60,7 @@ def configs(draw, mode):
     train = {
         "init_len": draw(st.integers(4, 12)),
         "init_seconds": draw(st.sampled_from(
-            [None, -1.0, 0.0, 1e-6, *spans, 9.3e12, 1e300, 1e303, -1e303])),
+            [None, 0.0, 1e-6, *spans, 9.3e12, 1e300, 1e303])),
         "window_len": draw(st.sampled_from([None, 3, 5])),
         "window_seconds": draw(st.sampled_from([None, tiny, 4 * tiny])),
         "seed": draw(st.integers(0, 3)),

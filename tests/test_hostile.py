@@ -1,0 +1,171 @@
+"""Hostile input through the whole CLI: one generated edit to a small valid
+trace, feature file or decision log, then every command that reads that file,
+run in process through ``cli.main``.
+
+The contract: a command returns 0 or 2 and raises nothing; on 2 its stderr is
+one ``error:`` line that names the edited file; a state file that existed
+before a failed ``init --out`` is unchanged. State files, config files and
+``--set`` values are not edited here.
+
+``--hypothesis-profile=fuzz`` (``tests/conftest.py``) runs the property on
+2,000 examples instead of the ``ci`` profile's 200.
+"""
+
+import io
+import shutil
+from contextlib import redirect_stderr, redirect_stdout
+
+import numpy as np
+import pytest
+
+from aadetect import cli
+from aadetect.traffic import AttackSegment, FeatureTable, TraceSpec, save_trace, synth_trace
+from oracles import write_feature_file
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+CONFIG = ["--set", "metrics.N=5", "--set", "train.init_len=20"]
+# A field replaced whole: each one a value some reader must reject or read exactly.
+FIELDS = ['"', "nan", "inf", "1e309", str(2**63), "\0", ""]
+
+
+def run(argv):
+    """``cli.main(argv)``'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([str(arg) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def commands(kind, path, base):
+    """Every command that reads a file of ``kind`` at ``path``; the other
+    inputs are ``base``'s valid files. ``init --out`` writes ``base["out"]``."""
+    return {
+        "trace": [["init", path, "--out", base["out"]] + CONFIG,
+                  ["replay", path, "--state", base["state"]] + CONFIG,
+                  ["eval", "--log", base["log"], "--trace", path]],
+        "features": [["init", path, "--features", "--out", base["out"]] + CONFIG],
+        "log": [["eval", "--log", path, "--trace", base["trace"]]],
+    }[kind]
+
+
+def check_contract(kind, path, base):
+    """Run each command on the file at ``path`` and check the contract."""
+    for argv in commands(kind, path, base):
+        shutil.copyfile(base["state"], base["out"])
+        before = base["out"].read_bytes()
+        code, _, err = run(argv)
+        assert code in (0, 2), (argv, code, err)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            assert str(path) in err, (argv, err)
+            assert base["out"].read_bytes() == before, argv
+        else:
+            assert err == "", (argv, err)
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    """A small valid trace, feature file, state and decision log; every
+    command on them exits 0."""
+    tmp = tmp_path_factory.mktemp("hostile")
+    files = {name: tmp / f"{name}.{ext}" for name, ext in
+             [("trace", "csv"), ("features", "csv"), ("state", "json"), ("log", "csv"),
+              ("out", "json"), ("edited", "csv")]}
+    spec = TraceSpec(duration_s=2.0, rate_pps=20.0, attacks=(
+        AttackSegment(1.5, 2.0, 2.0, ("198.51.100.66",), ("10.0.0.1",)),))
+    save_trace(synth_trace(spec, seed=3), files["trace"])
+    rng = np.random.default_rng(3)
+    labels = [False] * 30 + [True] * 6
+    write_feature_file(FeatureTable(rng.uniform(0, 1, size=(36, 3)), labels,
+                                    [None] * 30 + ["scan"] * 6), files["features"])
+    assert run(["init", files["trace"], "--out", files["state"]] + CONFIG)[0] == 0
+    assert run(["replay", files["trace"], "--state", files["state"], "--log", files["log"]]
+               + CONFIG)[0] == 0
+    for kind in ("trace", "features", "log"):
+        for argv in commands(kind, files[kind], files):
+            assert run(argv)[0] == 0, argv
+    return files
+
+
+def edit(data: bytes, op: str, a: int, b: int, field: str) -> bytes:
+    """``data`` with one edit; ``a`` and ``b`` pick a byte, a line or a field,
+    modulo what there is to pick from."""
+    if op == "flip":
+        a %= len(data)
+        return data[:a] + bytes([data[a] ^ (b % 255 + 1)]) + data[a + 1:]
+    if op == "insert":
+        a %= len(data) + 1
+        return data[:a] + bytes([b % 256]) + data[a:]
+    if op == "delete":
+        a %= len(data)
+        return data[:a] + data[a + 1:]
+    lines = data.split(b"\n")
+    a %= len(lines)
+    if op == "cut":
+        del lines[a]
+    elif op == "duplicate":
+        lines.insert(a, lines[a])
+    elif op == "swap":
+        b %= len(lines)
+        lines[a], lines[b] = lines[b], lines[a]
+    else:  # "field"
+        fields = lines[a].split(b",")
+        fields[b % len(fields)] = field.encode()
+        lines[a] = b",".join(fields)
+    return b"\n".join(lines)
+
+
+EDITS = st.tuples(st.sampled_from(["flip", "insert", "delete", "cut", "duplicate", "swap",
+                                   "field"]),
+                  st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from(FIELDS))
+
+
+@hypothesis.settings(deadline=None)  # a slow example on a loaded box is not a failure
+@hypothesis.given(st.sampled_from(["trace", "features", "log"]), EDITS)
+@hypothesis.example("log", ("insert", 0, ord('"'), ""))  # a quote that opens the header
+@hypothesis.example("trace", ("insert", 200, 0xff, ""))  # not UTF-8
+@hypothesis.example("trace", ("field", 30, 0, "1e309"))
+def test_one_edit_to_an_input_exits_0_or_2_naming_the_file(base, kind, one_edit):
+    base["edited"].write_bytes(edit(base[kind].read_bytes(), *one_edit))
+    check_contract(kind, base["edited"], base)
+
+
+# -- a stray quote with more than csv's field size limit after it -----------------------
+
+
+def big_inputs(tmp):
+    """A trace, feature file and decision log with more than 128 KiB after
+    their fifth line, and a state fitted on the trace."""
+    spec = TraceSpec(duration_s=100.0, rate_pps=50.0)
+    files = {"trace": tmp / "trace.csv", "features": tmp / "features.csv",
+             "state": tmp / "state.json", "log": tmp / "log.csv", "out": tmp / "out.json"}
+    save_trace(synth_trace(spec, seed=7), files["trace"])
+    rng = np.random.default_rng(7)
+    write_feature_file(FeatureTable(rng.uniform(0, 1, size=(3000, 3)), [False] * 3000),
+                       files["features"])
+    assert run(["init", files["trace"], "--out", files["state"]] + CONFIG)[0] == 0
+    assert run(["replay", files["trace"], "--state", files["state"], "--log", files["log"]]
+               + CONFIG)[0] == 0
+    for name in ("trace", "features", "log"):
+        assert files[name].stat().st_size - 200 > 128 * 1024
+    return files
+
+
+@pytest.mark.parametrize("line", [1, 6])
+def test_a_stray_quote_before_128_kib_is_one_error_naming_its_line(tmp_path, line):
+    # csv.reader reads a quoted field to the end of the file, and its own
+    # error for the field's size names neither the file nor the line.
+    files = big_inputs(tmp_path)
+    for kind in ("trace", "features", "log"):
+        path = tmp_path / f"quoted-{kind}.csv"
+        lines = files[kind].read_text().splitlines(keepends=True)
+        lines[line - 1] = '"' + lines[line - 1]
+        path.write_text("".join(lines))
+        replay = [["replay", path, "--features" if kind == "features" else "--frozen"] + CONFIG]
+        for argv in commands(kind, path, files) + (replay if kind != "log" else []):
+            shutil.copyfile(files["state"], files["out"])
+            assert run(argv) == (
+                2, "", f"error: {path}:{line}: field larger than field limit (131072)\n"), argv
+            assert files["out"].read_bytes() == files["state"].read_bytes()

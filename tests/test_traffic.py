@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from aadetect import traffic
+from aadetect.evaluation import read_decision_log
 from aadetect.traffic import (TRACE_FIELDS, AttackSegment, FeatureTable, Trace,
                               TraceParseError, TraceSpec, load_feature_dataset, load_trace,
                               save_trace, synth_trace)
@@ -308,11 +309,65 @@ def test_column_loader_keeps_csvs_field_size_limit(tmp_path):
     path = tmp_path / "long.csv"
     path.write_text("timestamp_us,src,dst,size_bytes,label,attack_type\n"
                     f"0,{'a' * (csv.field_size_limit() + 1)},b,1,0,\n")
-    with pytest.raises(csv.Error) as expected:
+    with pytest.raises(TraceParseError) as expected:
         per_row_load_trace(path)
-    with pytest.raises(csv.Error) as got:
+    with pytest.raises(TraceParseError) as got:
         load_trace(path)
     assert str(got.value) == str(expected.value)
+    assert str(got.value) == f"{path}:2: field larger than field limit (131072)"
+
+
+# Each file kind's header and a row maker, for the tests of the one reader.
+FILE_KINDS = {
+    "trace": (",".join(TRACE_FIELDS), lambda i: f"{i},10.0.0.1,10.0.0.2,{i % 1500},0,", load_trace),
+    "features": ("f1,f2,label,attack_type", lambda i: f"0.{i},{i}.5,0,", load_feature_dataset),
+    "log": ("timestamp_us,decision_value,threshold,is_attack,mode",
+            lambda i: f"{i},0.{i},0.5,0,botnet", read_decision_log),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FILE_KINDS))
+@pytest.mark.parametrize("bad_lines", [[1], [3, 7], [1500, 1900]],
+                         ids=["header", "body", "past 8 KiB"])
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_a_file_that_is_not_utf8_names_its_first_bad_line(tmp_path, kind, bad_lines, ending):
+    # The decoder's own error names neither the file nor the line, and counts
+    # its position from a read chunk; line 1500 is past the first 8 KiB. Lines
+    # end as csv ends them, at a CR too.
+    header, make_row, load = FILE_KINDS[kind]
+    lines = [line.encode() for line in [header] + [make_row(i) for i in range(2000)]]
+    for n in bad_lines:
+        lines[n - 1] = lines[n - 1][:3] + b"\xff" + lines[n - 1][3:]
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(ending.encode().join(lines) + ending.encode())
+    with pytest.raises(TraceParseError) as err:
+        load(path)
+    assert str(err.value) == (f"{path}:{bad_lines[0]}: not UTF-8 text: 'utf-8' codec can't "
+                              "decode byte 0xff in position 3: invalid start byte")
+    assert err.value.line_no == bad_lines[0]
+
+
+@pytest.mark.parametrize("kind", sorted(FILE_KINDS))
+@pytest.mark.parametrize("line, edit, message", [
+    (1, lambda text: '"' + text, "unexpected end of data"),
+    (6, lambda text: '"' + text, "unexpected end of data"),
+    (6, lambda text: text[:2] + ',"' + text[3:], "unexpected end of data"),
+    (1, lambda text: '"x"y' + text[1:], "',' expected after '\"'"),
+    (9, lambda text: '"1" ' + text[1:], "',' expected after '\"'"),
+], ids=["open in the header", "open in a row", "open in a later field",
+        "text after a closing quote in the header", "text after a closing quote in a row"])
+def test_a_quote_left_open_or_closed_early_is_an_error_naming_its_line(tmp_path, kind, line,
+                                                                       edit, message):
+    # Read loosely, csv takes the rest of the file into a quoted field that is
+    # never closed, so a small file loses its later rows without a word.
+    header, make_row, load = FILE_KINDS[kind]
+    lines = [header] + [make_row(i + 1) for i in range(40)]
+    lines[line - 1] = edit(lines[line - 1])
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceParseError) as err:
+        load(path)
+    assert str(err.value) == f"{path}:{line}: {message}"
 
 
 def test_column_loader_rejects_integers_past_64_bits(tmp_path):
