@@ -144,36 +144,3 @@ class AadrnnModel:
         readout.flags.writeable = False
         return cls(weights, readout, seed)
 
-
-def model_to_json(model: AadrnnModel) -> dict:
-    """Model fields as JSON-ready values; float lists round-trip bit-exactly.
-    ``L`` and ``act`` record the stock network, which ``model_from_json``
-    requires."""
-    return {
-        "M": model.input_dim,
-        "L": LAYERS,
-        "act": {"r": 1.0, "c": 1.0},
-        "seed": model.seed,
-        "hidden_weights": [w.tolist() for w in model.hidden_weights],
-        "readout": model.readout.tolist(),
-    }
-
-
-def model_from_json(doc: dict) -> AadrnnModel:
-    """Rebuild a model from ``model_to_json``'s fields: the stock network
-    (``L`` = 3, ``act`` = {r: 1, c: 1}) with every weight of shape (M, M)."""
-    if int(doc["L"]) != LAYERS:
-        raise ValueError(f"L={doc['L']}: only the stock {LAYERS}-layer network is supported")
-    if doc["act"] != {"r": 1.0, "c": 1.0}:
-        raise ValueError(f"act {doc['act']!r}: only the stock activation r=1, c=1 is supported")
-    m = int(doc["M"])
-    weights = [np.asarray(w, dtype=float) for w in doc["hidden_weights"]]
-    if len(weights) != LAYERS:
-        raise DimensionError(f"{len(weights)} hidden weights, expected L={LAYERS}")
-    readout = np.asarray(doc["readout"], dtype=float)
-    for name, arr in [*((f"hidden weight {i}", w) for i, w in enumerate(weights)),
-                      ("readout", readout)]:
-        if arr.shape != (m, m):
-            raise DimensionError(f"{name} has shape {arr.shape}, expected {(m, m)}")
-        arr.flags.writeable = False
-    return AadrnnModel(tuple(weights), readout, int(doc["seed"]))

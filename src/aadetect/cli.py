@@ -28,7 +28,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .config import Config, apply_overrides, load_config
 from .detector import (STATE_VERSION, Decision, Detector, LifecycleError, Mode, Phase,
-                       load_state, save_state)
+                       load_state, replace_file, save_state)
 from .devices import DeviceBank, InfectionReport
 from .evaluation import (EvalReport, _DecisionLogWriter, _emit_alert, align_with_trace,
                          emit_plot_data, ground_truth, read_decision_log, replay, score)
@@ -139,7 +139,7 @@ def cmd_replay(args) -> int:
             raise ValueError(f"--save-state: {args.state} is a version {engine.state_version} "
                              "state, which replays frozen only")
         if engine.mode != kind:
-            raise ValueError(f"state file holds a {engine.mode.value} detector, "
+            raise ValueError(f"state file {args.state} holds a {engine.mode.value} detector, "
                              f"expected {kind.value}")
         if args.features and engine.dim != items.features.shape[1]:
             raise ValueError(f"state file {args.state} holds a {engine.dim}-feature detector, "
@@ -180,11 +180,15 @@ def cmd_replay(args) -> int:
 
 
 def _write_outputs(args, config: Config, report: Union[EvalReport, InfectionReport]) -> None:
-    """Write a report's ``--report`` JSON, with the config attached, and its ``--plots``."""
+    """Write a report's ``--report`` JSON, with the config attached, and its ``--plots``.
+    The report is strict JSON, through ``replace_file``: a ``nan`` from a log leaves no file."""
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(dict(report.to_dict(), config=config.to_dict()), fh, indent=1,
-                      sort_keys=True)
+        doc = dict(report.to_dict(), config=config.to_dict())
+        with replace_file(args.report) as fh:
+            try:
+                json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
+            except ValueError as exc:  # allow_nan's
+                raise ValueError(f"--report {args.report}: {exc}") from None
             fh.write("\n")
     if args.plots:
         for path in emit_plot_data(report, args.plots):

@@ -37,10 +37,10 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .aadrnn import AadrnnModel, model_from_json, model_to_json
+from .aadrnn import LAYERS, AadrnnModel
 from .config import _KIND_NAMES, Config, _is_kind
-from .metrics import (DimensionError, StreamMetrics, fit_scaling, min_max_fit,
-                      scaler_from_json)
+from .metrics import (DimensionError, MinMaxScaler, ScalingFactors, StreamMetrics, fit_scaling,
+                      min_max_fit)
 from .traffic import _TRACE_BLOCK, FeatureTable, Trace
 from .training import (SufficientStats, TrainingError, fit_batch_with_stats,
                        update_incremental)
@@ -345,45 +345,51 @@ def _packet_columns(trace: Trace) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
 
 
 def save_state(detector: Detector, path: Union[str, Path]) -> None:
-    """Persist a detector's model, scaler, threshold, and training statistics.
-
-    The file is deterministic for a deterministic run (sorted keys, exact
-    float round-trip via repr). It is written through ``_replace_file``, so a
-    failed save leaves the previous file whole.
-    """
+    """Persist a detector's model, scaler, threshold, and training statistics:
+    with ``load_state``, the whole state format. The file is deterministic for
+    a deterministic run (sorted keys, exact float round-trip via repr). It is
+    written through ``replace_file``, so a failed save leaves the previous
+    file whole."""
     if detector.phase == Phase.INIT:
         raise LifecycleError("cannot save a detector that has not finished init")
     if detector.state_version != STATE_VERSION:
         raise ValueError(_frozen_only(detector.state_version))
-    doc = {"version": STATE_VERSION}
-    doc.update(model_to_json(detector.model))
-    doc["scaling_factors"] = detector.scaler.to_json()
-    doc["threshold"] = float(detector.threshold)
-    doc["mode"] = detector.mode.value
-    doc["gamma"] = [float(g) for g in detector.gamma]
-    doc["stats"] = {"G": detector.stats.G.tolist(), "C": detector.stats.C.tolist(),
-                    "n": detector.stats.n}
-    with _replace_file(path) as fh:
+    model, scaler, stats = detector.model, detector.scaler, detector.stats
+    doc = {"version": STATE_VERSION, "M": model.input_dim, "L": LAYERS,
+           "act": {"r": 1.0, "c": 1.0}, "seed": model.seed,
+           "hidden_weights": [w.tolist() for w in model.hidden_weights],
+           "readout": model.readout.tolist(),
+           "scaling_factors": ({"kind": "max", "scale": scaler.scale.tolist()}
+                               if isinstance(scaler, ScalingFactors) else
+                               {"kind": "minmax", "lo": scaler.lo.tolist(),
+                                "hi": scaler.hi.tolist()}),
+           "threshold": float(detector.threshold), "mode": detector.mode.value,
+           "gamma": detector.gamma.tolist(),
+           "stats": {"G": stats.G.tolist(), "C": stats.C.tolist(), "n": stats.n}}
+    with replace_file(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
 @contextlib.contextmanager
-def _replace_file(path: Union[str, Path]) -> Iterator[TextIO]:
+def replace_file(path: Union[str, Path]) -> Iterator[TextIO]:
     """A text file that replaces ``path`` only once it is written in full:
     the text goes to a temporary file in the same directory, which is fsynced
     and then ``os.replace``d over ``path``. If the write raises, ``path`` is
-    left as it was and the temporary file is removed."""
+    left as it was, the temporary file is removed, and an OSError names
+    ``path``. Used by ``save_state`` and by ``cli`` for ``--report``."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "w", encoding="utf-8")
     try:
-        with fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
+    except BaseException as exc:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 
@@ -394,17 +400,74 @@ def load_state(path: Union[str, Path], config: Optional[Config] = None, *,
     file that is not a well-formed state, with every array shaped for the
     model it holds and every value one that ``save_state`` could write, is
     rejected here with an error that names it."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
-        return _detector_from_state(doc, config or Config(), online)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.loads(fh.read(), parse_float=_finite, parse_constant=_finite)
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+        _check_types(doc)
+        version = doc.get("version", -1)
+        if version < 1 or version > STATE_VERSION:
+            raise ValueError(f"version {version} not supported (max {STATE_VERSION})")
+        if version < STATE_VERSION and online:
+            raise ValueError(_frozen_only(version))
+        if doc["L"] != LAYERS:
+            raise ValueError(f"L={doc['L']}: only the stock {LAYERS}-layer network is supported")
+        if doc["act"] != {"r": 1.0, "c": 1.0}:
+            raise ValueError(f"act {doc['act']!r}: only the stock activation r=1, c=1 "
+                             "is supported")
+        m, weights = int(doc["M"]), doc["hidden_weights"]
+        if len(weights) != LAYERS:
+            raise DimensionError(f"{len(weights)} hidden weights, expected L={LAYERS}")
+        model = AadrnnModel(tuple(_array(w, (m, m), f"hidden weight {i}")
+                                  for i, w in enumerate(weights)),
+                            _array(doc["readout"], (m, m), "readout"), int(doc["seed"]))
+        # The state's gamma is checked as a metrics.gamma is: by Config.validate, then
+        # by the Detector, which also rejects a model width the state's mode does not take.
+        config = config or Config()
+        metrics = dataclasses.replace(config.metrics, gamma=list(doc["gamma"]))
+        detector = Detector(m, dataclasses.replace(config, metrics=metrics),
+                            mode=Mode(doc["mode"]), online=online)
+        detector.model = model
+        scaling = doc["scaling_factors"]
+        kind = scaling.get("kind")
+        if kind == "max":
+            detector.scaler = ScalingFactors(_array(scaling["scale"], (m,), "scale"))
+            if not (detector.scaler.scale > 0).all():
+                raise ValueError("max scale factors must be positive")
+        elif kind == "minmax":
+            detector.scaler = MinMaxScaler(_array(scaling["lo"], (m,), "lo"),
+                                           _array(scaling["hi"], (m,), "hi"))
+            if (detector.scaler.hi < detector.scaler.lo).any():
+                raise ValueError("min-max hi is below lo")
+        else:
+            raise ValueError(f"unknown scaling kind: {kind!r}")
+        detector.threshold = float(doc["threshold"])
+        if not 0 < detector.threshold < math.inf:
+            raise ValueError(f"threshold must be positive, got {doc['threshold']!r}")
+        stats, n = doc["stats"], int(doc["stats"]["n"])
+        if n < 0:
+            raise ValueError(f"stats n must be >= 0, got {n}")
+        detector.stats = SufficientStats(_array(stats["G"], (m, m), "stats G"),
+                                         _array(stats["C"], (m, m), "stats C"), n)
+        detector.phase = Phase.ONLINE if online else Phase.FROZEN
+        detector.state_version = version
+        return detector
     except KeyError as exc:
         raise ValueError(f"state file {path} has no key {exc}") from None
     except DimensionError as exc:
         raise DimensionError(f"state file {path}: {exc}") from None
     except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"state file {path}: {exc}") from None
+
+
+def _array(value, shape: Tuple[int, ...], name: str) -> np.ndarray:
+    """A state's JSON list as a read-only float array, which must have ``shape``."""
+    array = np.asarray(value, dtype=float)
+    if array.shape != shape:
+        raise DimensionError(f"{name} has shape {array.shape}, expected {shape}")
+    array.flags.writeable = False
+    return array
 
 
 def _finite(text: str) -> float:
@@ -425,41 +488,6 @@ def _check_types(value, key: str = "") -> None:
         kind = int if key in ("version", "M", "L", "seed", "n") else float
         if not _is_kind(value, kind):
             raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
-
-
-def _detector_from_state(doc: dict, config: Config, online: bool) -> Detector:
-    if not isinstance(doc, dict):
-        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
-    _check_types(doc)
-    version = doc.get("version", -1)
-    if version < 1 or version > STATE_VERSION:
-        raise ValueError(f"version {version} not supported (max {STATE_VERSION})")
-    if version < STATE_VERSION and online:
-        raise ValueError(_frozen_only(version))
-    model = model_from_json(doc)
-    m = model.input_dim
-    # The state's gamma is checked as a metrics.gamma is: by Config.validate, then
-    # by the Detector, which also rejects a model width the state's mode does not take.
-    metrics = dataclasses.replace(config.metrics, gamma=list(doc["gamma"]))
-    detector = Detector(m, dataclasses.replace(config, metrics=metrics),
-                        mode=Mode(doc["mode"]), online=online)
-    detector.model = model
-    detector.scaler = scaler_from_json(doc["scaling_factors"])
-    detector.scaler.apply(np.zeros(m))  # raises unless it scales M values
-    detector.threshold = float(doc["threshold"])
-    if not 0 < detector.threshold < math.inf:
-        raise ValueError(f"threshold must be positive, got {doc['threshold']!r}")
-    stats = doc["stats"]
-    G = np.asarray(stats["G"], dtype=float)
-    C = np.asarray(stats["C"], dtype=float)
-    n = int(stats["n"])
-    if G.shape != (m, m) or C.shape != (m, m) or n < 0:
-        raise ValueError(f"stats G {G.shape}, C {C.shape} and n {n} do not fit the "
-                         f"model: expected G {(m, m)}, C {(m, m)} and n >= 0")
-    detector.stats = SufficientStats(G, C, n)
-    detector.phase = Phase.ONLINE if online else Phase.FROZEN
-    detector.state_version = version
-    return detector
 
 
 def _frozen_only(version: int) -> str:

@@ -238,9 +238,6 @@ class ScalingFactors:
                 f"vector has {raw.shape[-1]} metrics, scaling expects {self.scale.shape[0]}")
         return raw / self.scale
 
-    def to_json(self) -> dict:
-        return {"kind": "max", "scale": [float(v) for v in self.scale]}
-
 
 def fit_scaling(raws: Sequence[np.ndarray]) -> ScalingFactors:
     """Fit max-based scale factors over an initialization window of raw vectors."""
@@ -274,10 +271,6 @@ class MinMaxScaler:
         out[..., span == 0.0] = 0.0
         return out
 
-    def to_json(self) -> dict:
-        return {"kind": "minmax", "lo": [float(v) for v in self.lo],
-                "hi": [float(v) for v in self.hi]}
-
 
 def min_max_fit(rows: Sequence[np.ndarray]) -> MinMaxScaler:
     """Fit per-column min/max over (benign) training rows."""
@@ -292,22 +285,3 @@ def min_max_fit(rows: Sequence[np.ndarray]) -> MinMaxScaler:
     hi.flags.writeable = False
     return MinMaxScaler(lo, hi)
 
-
-def scaler_from_json(doc: dict):
-    """Rebuild either scaler kind from its JSON form."""
-    kind = doc.get("kind")
-    if kind == "max":
-        scale = np.asarray(doc["scale"], dtype=float)
-        if not (scale > 0).all():
-            raise ValueError("max scale factors must be positive")
-        scale.flags.writeable = False
-        return ScalingFactors(scale)
-    if kind == "minmax":
-        lo = np.asarray(doc["lo"], dtype=float)
-        hi = np.asarray(doc["hi"], dtype=float)
-        if (hi < lo).any():
-            raise ValueError("min-max hi is below lo")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
-        return MinMaxScaler(lo, hi)
-    raise ValueError(f"unknown scaling kind: {kind!r}")

@@ -20,9 +20,10 @@ integers by ``int`` and features by ``np.loadtxt``. Any other block goes
 through the one row-by-row loop of ``csv.reader`` in strict mode, where a
 quote left open to the end of the file is an error, not a field that
 silently takes the rest of the file. Every malformed input is a
-``TraceParseError``, ``path:line: message``: a bad header, or csv's own error
-in it, on line 1; a bad record, or csv's own error in it, on that record's
-line; text that is not UTF-8 on the first line that does not decode.
+``TraceParseError``, ``path:line: message``: a bad header (naming a UTF-8
+byte-order mark it starts with), or csv's own error in it, on line 1; a bad
+record, or csv's own error in it, on that record's line; text that is not
+UTF-8 on the first line that does not decode.
 ``trace_blocks`` yields each block as a ``Trace``, reading the file no
 further than it is asked to, and ``init`` stops pulling blocks once its
 window is complete; ``load_trace`` and ``load_feature_dataset`` join the
@@ -213,9 +214,15 @@ def read_csv(path: Union[str, Path], header: Union[Sequence[str], Callable],
         with open(path, newline="", encoding="utf-8") as fh:
             fields = next(csv.reader(fh, strict=True), None)
             fields = fields and [field.strip() for field in fields]
-            if not callable(header) and fields != list(header):
-                raise ValueError(f"expected header {','.join(header)}")
-            tail = header(fields) if callable(header) else None
+            try:
+                if not callable(header) and fields != list(header):
+                    raise ValueError(f"expected header {','.join(header)}")
+                tail = header(fields) if callable(header) else None
+            except ValueError as exc:
+                if fields and fields[0].startswith("\ufeff"):
+                    raise ValueError(f"{exc}, but the file starts with a UTF-8 "
+                                     "byte-order mark (U+FEFF)") from None
+                raise
             n_fields, line_no = len(fields), 2
             while lines := list(islice(fh, _TRACE_BLOCK)):
                 columns = fast and _split_block(lines, n_fields, tail)

@@ -1,0 +1,223 @@
+"""Output identity: every output of a fixed list of CLI calls, byte for byte,
+against another revision of the repository.
+
+    python tests/identity.py --against REV [--expect GLOB ...]
+
+REV's tree is exported with ``git archive`` into a temporary directory; the
+other tree is this checkout, as it is on disk. The inputs are generated once
+per seed of ``SEEDS`` by this checkout's ``aadbench/inputs.py``, the
+benchmark's own generators, which write the documented CSV formats without
+``aadetect``, so neither tree's ``traffic`` module shapes them. Each tree
+then runs every call of ``calls`` in order, each in a fresh interpreter on
+that tree's ``src/``, in a working directory of its own per tree and seed
+that holds the inputs and the earlier calls' outputs. A few calls first
+write a broken copy of an input or of an earlier output (``broken-*``), by
+the same edit in both trees.
+
+Each call's stdout, stderr and exit code, and every file either tree's
+directory ends up holding, are compared byte for byte; for each output that
+differs the first differing line is printed. ``--expect GLOB`` declares a
+change: every output path (``seed1/_calls/eval-nan.stderr``, say) that
+differs must match one of the globs, and each glob must match at least one
+output that differs. Exit 0 when both hold, 1 otherwise.
+
+pytest does not collect this file: its name does not start with ``test_``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import fnmatch
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import Callable, Dict, List, NamedTuple, Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "aadbench"))
+import inputs  # noqa: E402
+
+N30 = ["--set", "metrics.N=30"]
+SEEDS = (1, 2)  # ``aadetect bench`` runs at the first only
+
+
+class Call(NamedTuple):
+    name: str
+    argv: List[str]
+    prepare: Optional[Callable[[Path], None]] = None  # writes a broken-* file first
+
+
+def edit_line(source: str, target: str, line: int, change: Callable[[bytes], bytes]):
+    """A ``prepare`` step: ``target`` is ``source`` with its ``line`` (from 1) changed."""
+    def prepare(run_dir: Path) -> None:
+        lines = (run_dir / source).read_bytes().split(b"\n")
+        lines[line - 1] = change(lines[line - 1])
+        (run_dir / target).write_bytes(b"\n".join(lines))
+    return prepare
+
+
+def field(index: int, value: bytes) -> Callable[[bytes], bytes]:
+    """A line change: CSV field ``index`` replaced by ``value``."""
+    def change(text: bytes) -> bytes:
+        fields = text.split(b",")
+        fields[index] = value
+        return b",".join(fields)
+    return change
+
+
+def calls(seed: int) -> List[Call]:
+    """The CLI calls for one seed, in order."""
+    online = ["replay", "soak.csv", "--state", "init.json", "--online", "--log", "online.log",
+              "--alerts", "online.alerts", "--report", "online.report.json",
+              "--plots", "online-plots", "--save-state", "online.state.json"] + N30
+    return [
+        # Packet init by count, by a longer count, by stream time, and a window that never closes.
+        Call("init", ["init", "soak.csv", "--out", "init.json"] + N30),
+        Call("init-len", ["init", "soak.csv", "--out", "init-len.json",
+                          "--set", "train.init_len=5000"] + N30),
+        Call("init-seconds", ["init", "soak.csv", "--out", "init-seconds.json",
+                              "--set", "train.init_seconds=20"] + N30),
+        Call("init-never", ["init", "soak.csv", "--out", "init-never.json",
+                            "--set", "train.init_len=100000000"] + N30),
+        Call("replay-online", online),
+        Call("replay-resume", ["replay", "soak.csv", "--state", "online.state.json", "--online",
+                               "--log", "resume.log", "--save-state", "resume.state.json"] + N30),
+        Call("replay-frozen", ["replay", "soak.csv", "--state", "init.json", "--frozen",
+                               "--log", "frozen.log", "--alerts", "frozen.alerts",
+                               "--report", "frozen.report.json"] + N30),
+        Call("replay-seconds", ["replay", "soak.csv", "--state", "init-seconds.json", "--online",
+                                "--log", "seconds.log"] + N30),
+        Call("replay-cold", ["replay", "soak.csv", "--log", "cold.log", "--alerts", "-",
+                             "--save-state", "cold.state.json"] + N30),
+        Call("eval", ["eval", "--log", "online.log", "--trace", "soak.csv",
+                      "--report", "eval.report.json", "--plots", "eval-plots",
+                      "--assert", "tpr>=95,accuracy>=90"]),
+        Call("eval-violated", ["eval", "--log", "frozen.log", "--trace", "soak.csv",
+                               "--assert", "accuracy>=100"]),
+        # Feature init and replays, frozen, online and cold.
+        Call("features-init", ["init", "train.csv", "--features", "--out", "features.json"]),
+        Call("features-frozen", ["replay", "test.csv", "--features", "--state", "features.json",
+                                 "--log", "features.log", "--alerts", "features.alerts",
+                                 "--report", "features.report.json",
+                                 "--plots", "features-plots"]),
+        Call("features-online", ["replay", "test.csv", "--features", "--state", "features.json",
+                                 "--online", "--log", "features-online.log",
+                                 "--save-state", "features-online.state.json"]),
+        Call("features-cold", ["replay", "test.csv", "--features", "--log", "features-cold.log",
+                               "--set", "train.init_len=2000"]),
+        # The device bank on the spray and on the soak.
+        Call("devices-spray", ["replay", "spray.csv", "--devices", "--log", "devices.log",
+                               "--alerts", "devices.alerts", "--report", "devices.report.json",
+                               "--plots", "devices-plots"] + N30),
+        Call("devices-soak", ["replay", "soak.csv", "--devices", "--log", "devices-soak.log",
+                              "--report", "devices-soak.report.json"] + N30),
+        # Broken files: each an error line and exit 2, or (eval-nan) a report JSON cannot hold.
+        Call("broken-quote", ["replay", "broken-quote.csv", "--state", "init.json"] + N30,
+             edit_line("soak.csv", "broken-quote.csv", 6, lambda text: b'"' + text)),
+        Call("broken-back", ["replay", "broken-back.csv", "--state", "init.json"] + N30,
+             edit_line("soak.csv", "broken-back.csv", 1500, field(0, b"0"))),
+        Call("broken-utf8", ["init", "broken-utf8.csv", "--out", "broken-utf8.json"] + N30,
+             edit_line("soak.csv", "broken-utf8.csv", 50, lambda text: b"\xff" + text)),
+        Call("broken-bom", ["replay", "broken-bom.csv", "--log", "broken-bom.log"] + N30,
+             edit_line("soak.csv", "broken-bom.csv", 1, lambda text: b"\xef\xbb\xbf" + text)),
+        Call("broken-features", ["replay", "broken-features.csv", "--features",
+                                 "--state", "features.json"],
+             edit_line("test.csv", "broken-features.csv", 10, field(3, b"inf"))),
+        Call("broken-state", ["replay", "soak.csv", "--state", "broken-state.json"] + N30,
+             edit_line("init.json", "broken-state.json", 2, lambda text: b' "L": "x",')),
+        Call("broken-json", ["replay", "soak.csv", "--state", "broken-json.json"] + N30,
+             edit_line("init.json", "broken-json.json", 40, lambda text: b"}")),
+        Call("eval-nan", ["eval", "--log", "broken-nan.log", "--trace", "soak.csv",
+                          "--report", "eval-nan.report.json"],
+             edit_line("online.log", "broken-nan.log", 6, field(1, b"nan"))),
+    ] + ([Call("bench", ["bench"])] if seed == SEEDS[0] else [])
+
+
+def run_tree(src: Path, run_dir: Path, seed_calls: List[Call]) -> None:
+    """Run the calls in ``run_dir`` against ``src``, keeping each call's
+    stdout, stderr and exit code under ``_calls/``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    (run_dir / "_calls").mkdir()
+    for call in seed_calls:
+        if call.prepare:
+            call.prepare(run_dir)
+        done = subprocess.run([sys.executable, "-m", "aadetect.cli", *call.argv], cwd=run_dir,
+                              env=env, capture_output=True, timeout=600)
+        for suffix, data in (("stdout", done.stdout), ("stderr", done.stderr),
+                             ("exit", f"{done.returncode}\n".encode())):
+            (run_dir / "_calls" / f"{call.name}.{suffix}").write_bytes(data)
+
+
+def files_under(folder: Path) -> Dict[str, Path]:
+    return {path.relative_to(folder).as_posix(): path
+            for path in sorted(folder.rglob("*")) if path.is_file()}
+
+
+def first_difference(a: Optional[bytes], b: Optional[bytes]) -> str:
+    if a is None or b is None:
+        return f"only in {'this tree' if b is None else 'the other tree'}"
+    lines_a, lines_b = a.split(b"\n"), b.split(b"\n")
+    for number, (x, y) in enumerate(zip(lines_a, lines_b), start=1):
+        if x != y:
+            return f"line {number}: {x[:200]!r} here, {y[:200]!r} there"
+    return f"{len(lines_a)} lines here, {len(lines_b)} there"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--against", required=True, help="the git revision to compare with")
+    ap.add_argument("--expect", action="append", default=[], metavar="GLOB",
+                    help="outputs that must differ (repeatable)")
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="aadetect-identity-") as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "archive", args.against], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        (tmp / "against").mkdir()
+        subprocess.run(["tar", "-x", "-C", str(tmp / "against")], input=archive, check=True)
+        trees = {"here": ROOT / "src", "there": tmp / "against" / "src"}
+        jobs = []
+        for seed in SEEDS:
+            generated = tmp / "inputs" / f"seed{seed}"
+            generated.mkdir(parents=True)
+            for make in (inputs.botnet_soak, inputs.features_fit, inputs.device_spray):
+                make(seed, generated)
+            seed_calls = calls(seed)
+            for tree, src in trees.items():
+                run_dir = tmp / tree / f"seed{seed}"
+                shutil.copytree(generated, run_dir)
+                jobs.append((src, run_dir, seed_calls))
+        with ThreadPoolExecutor(max_workers=2) as pool:  # two children at a time
+            list(pool.map(lambda job: run_tree(*job), jobs))
+        here, there = files_under(tmp / "here"), files_under(tmp / "there")
+        for seed in SEEDS:  # what each call did here, to read the comparison by
+            calls_dir = tmp / "here" / f"seed{seed}" / "_calls"
+            exits = [f"{call.name} {(calls_dir / f'{call.name}.exit').read_text().strip()}"
+                     for call in calls(seed)]
+            print(f"seed{seed} exit codes: {', '.join(exits)}")
+        differ = {}  # output path -> its first difference
+        for path in sorted(here.keys() | there.keys()):
+            ours, theirs = (side[path].read_bytes() if path in side else None
+                            for side in (here, there))
+            if ours != theirs:
+                differ[path] = first_difference(ours, theirs)
+    failures = 0
+    for path, difference in differ.items():
+        declared = any(fnmatch.fnmatch(path, glob) for glob in args.expect)
+        failures += not declared
+        print(f"{'declared' if declared else 'DIFFERS '}  {path}: {difference}")
+    for glob in args.expect:
+        if not any(fnmatch.fnmatch(path, glob) for path in differ):
+            print(f"UNCHANGED {glob}: declared, but no output it matches differs")
+            failures += 1
+    print(f"{len(here)} outputs of {len(SEEDS)} seeds against {args.against}: "
+          f"{len(differ)} differ, {failures} not as declared")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

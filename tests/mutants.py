@@ -31,9 +31,10 @@ from typing import NamedTuple, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 KILLED, EQUIVALENT = "killed", "equivalent"
-METRICS, DETECTOR, TRAFFIC, TRAINING, AADRNN, DEVICES, CONFIG = (
+METRICS, DETECTOR, TRAFFIC, TRAINING, AADRNN, DEVICES, CONFIG, CLI = (
     f"src/aadetect/{name}.py"
-    for name in ("metrics", "detector", "traffic", "training", "aadrnn", "devices", "config"))
+    for name in ("metrics", "detector", "traffic", "training", "aadrnn", "devices", "config",
+                 "cli"))
 BLOCK_TESTS = ("tests/test_metrics.py", "tests/test_feed.py")
 FEED_TESTS = ("tests/test_feed.py",)
 TRACE_ERROR_TESTS = ("tests/test_traffic.py::"
@@ -42,6 +43,10 @@ FEATURE_ERROR_TESTS = ("tests/test_traffic.py::"
                        "test_block_loader_reports_errors_as_the_per_row_loader",)
 STRAY_QUOTE_TESTS = ("tests/test_hostile.py::"
                      "test_a_stray_quote_before_128_kib_is_one_error_naming_its_line",)
+UNWRITABLE_STATE = ("tests/test_config_cli.py::"
+                    "test_a_state_that_save_state_cannot_write_exits_2_naming_it_before_any_log")
+STOCK_NETWORK_TESTS = ("tests/test_detector.py::"
+                       "test_a_state_rejects_every_network_but_the_stock_one",)
 
 
 # The body and the end of read_csv's record loop, around the line that counts records.
@@ -224,6 +229,48 @@ MUTANTS = [
            "return np.abs(x - x_hat) @ gamma", "return (np.abs(x - x_hat) * gamma).sum(axis=-1)",
            ("tests/test_detector.py::"
             "test_decision_values_and_the_init_threshold_are_the_weighted_gap_bit_for_bit",)),
+    # load_state's guards: a file save_state could not have written is refused.
+    Mutant("load_state: _check_types skipped", DETECTOR, "        _check_types(doc)\n", "",
+           ("tests/test_config_cli.py::"
+            "test_a_state_value_of_a_json_type_save_state_never_writes_exits_2_naming_it",)),
+    Mutant("_finite: a non-finite number accepted", DETECTOR,
+           "    if not math.isfinite(value):\n", "    if False:\n",
+           (UNWRITABLE_STATE + "[gamma-nan]",)),
+    Mutant("load_state: stats G and C read without the shape check", DETECTOR,
+           'SufficientStats(_array(stats["G"], (m, m), "stats G"),\n'
+           '                                         _array(stats["C"], (m, m), "stats C"), n)',
+           'SufficientStats(np.asarray(stats["G"], dtype=float),\n'
+           '                                         np.asarray(stats["C"], dtype=float), n)',
+           ("tests/test_detector.py::"
+            "test_a_state_names_each_array_of_the_wrong_shape_and_an_unknown_scaler",)),
+    Mutant("load_state: a threshold that is not positive accepted", DETECTOR,
+           "if not 0 < detector.threshold < math.inf:", "if False:",
+           ("tests/test_detector.py::test_classify_rejects_bad_thresholds",)),
+    Mutant("load_state: max scale factors not checked for positivity", DETECTOR,
+           "if not (detector.scaler.scale > 0).all():", "if False:",
+           (UNWRITABLE_STATE + "[scale-zero]",)),
+    Mutant("load_state: a min-max hi below lo accepted", DETECTOR,
+           "if (detector.scaler.hi < detector.scaler.lo).any():", "if False:",
+           (UNWRITABLE_STATE + "[minmax-hi-below-lo]",)),
+    Mutant("load_state: a network of another L accepted", DETECTOR,
+           'if doc["L"] != LAYERS:', "if False:", STOCK_NETWORK_TESTS),
+    Mutant("load_state: another activation accepted", DETECTOR,
+           'if doc["act"] != {"r": 1.0, "c": 1.0}:', "if False:", STOCK_NETWORK_TESTS),
+    Mutant("replace_file: the target written directly, so a failed save loses it", DETECTOR,
+           'tmp = f"{path}.{os.getpid()}.tmp"', "tmp = path",
+           ("tests/test_detector.py::"
+            "test_a_save_that_fails_part_way_leaves_the_old_state_whole",)),
+    Mutant("replace_file: an OSError names the temporary file", DETECTOR,
+           "if isinstance(exc, OSError) and exc.filename == tmp:", "if False:",
+           ("tests/test_config_cli.py::"
+            "test_an_output_that_cannot_be_written_is_an_error_naming_it",)),
+    # Two errors that must name what they are about.
+    Mutant("_write_outputs: a report may hold NaN", CLI,
+           "sort_keys=True, allow_nan=False)", "sort_keys=True)",
+           ("tests/test_config_cli.py::test_a_report_is_strict_json_or_an_error_naming_it",)),
+    Mutant("read_csv: a byte-order mark before a bad header not named", TRAFFIC,
+           'if fields and fields[0].startswith("\\ufeff"):', "if False:",
+           ("tests/test_traffic.py::test_a_byte_order_mark_before_a_bad_header_is_named",)),
     # The device bank.
     Mutant("ingest: the level divides by the threshold after the refit", DEVICES,
            "alpha, decision.threshold)", "alpha, det.threshold)",

@@ -1,13 +1,11 @@
 """The stock network's forward pass against hand-written loops, activation
-laws, weight initialization, and serialization."""
-
-import json
+laws and weight initialization. A model's state-file form is checked with
+the detector's (``tests/test_detector.py``)."""
 
 import numpy as np
 import pytest
 
-from aadetect.aadrnn import (LAYERS, AadrnnModel, init_hidden_weights, model_from_json,
-                             model_to_json)
+from aadetect.aadrnn import LAYERS, AadrnnModel, init_hidden_weights
 from aadetect.metrics import DimensionError
 from oracles import hand_forward, layer_by_layer_hidden, zeta
 
@@ -171,51 +169,3 @@ def test_with_readout_shape_check_and_immutability():
     assert fitted.hidden_weights is model.hidden_weights  # the same geometry, shared
     assert (fitted.input_dim, fitted.seed) == (3, 9)
 
-
-# -- serialization --------------------------------------------------------------------
-
-
-def test_model_json_round_trip_is_exact():
-    rng = np.random.default_rng(61)
-    for case in range(20):
-        model = random_model(rng)
-        doc = json.loads(json.dumps(model_to_json(model)))
-        back = model_from_json(doc)
-        assert back.input_dim == model.input_dim and back.seed == model.seed
-        assert (doc["L"], doc["act"]) == (3, {"r": 1.0, "c": 1.0})
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(back.hidden_weights, model.hidden_weights))
-        assert np.array_equal(back.readout, model.readout)
-        x = rng.uniform(0, 2, size=model.input_dim)
-        assert np.array_equal(back.forward(x), model.forward(x))
-
-
-def test_model_json_layer_count_mismatch():
-    model = AadrnnModel.initial(3, 0)
-    doc = model_to_json(model)
-    doc["L"] = 5
-    with pytest.raises(ValueError):
-        model_from_json(doc)
-
-
-def test_model_json_rejects_every_network_but_the_stock_one():
-    doc = json.loads(json.dumps(model_to_json(AadrnnModel.initial(3, 1))))
-    weights = doc["hidden_weights"]
-    wide = [row + [0.0] for row in weights[0]]  # (M, M + 1)
-    for bad, error in [
-            (dict(doc, L=2), r"L=2: only the stock 3-layer network"),
-            (dict(doc, L=2, hidden_weights=weights[:2]), r"L=2"),
-            (dict(doc, act={"r": 2.0, "c": 1.0}), r"only the stock activation r=1, c=1"),
-            (dict(doc, act={"r": 1.0, "c": 1.0, "k": 1.0}), r"only the stock activation"),
-            (dict(doc, hidden_weights=weights[:2]), r"2 hidden weights, expected L=3"),
-            (dict(doc, hidden_weights=weights + weights[:1]), r"4 hidden weights"),
-            (dict(doc, hidden_weights=[wide] + weights[1:]),
-             r"hidden weight 0 has shape \(3, 4\), expected \(3, 3\)"),
-            (dict(doc, hidden_weights=weights[:2] + [weights[2][:2]]),
-             r"hidden weight 2 has shape \(2, 3\)"),
-            (dict(doc, readout=[row + [0.0] for row in doc["readout"]]),
-             r"readout has shape \(3, 4\)"),
-            (dict(doc, M=4), r"hidden weight 0 has shape \(3, 3\), expected \(4, 4\)")]:
-        with pytest.raises(ValueError, match=error):
-            model_from_json(bad)
-    assert model_from_json(dict(doc, act={"c": 1, "r": 1})).input_dim == 3  # ints are fine

@@ -289,6 +289,54 @@ def test_replay_alerts_stream(flood_trace_file, tmp_path):
         assert doc["mode"] == "botnet"
 
 
+def test_a_report_is_strict_json_or_an_error_naming_it(flood_trace_file, tmp_path, capsys):
+    # A nan read from a decision log used to reach the report as NaN, which
+    # strict JSON parsers reject.
+    log, nan_log, report = tmp_path / "log.csv", tmp_path / "nan.csv", tmp_path / "R.json"
+    assert cli.main(["replay", str(flood_trace_file), "--set", "train.init_len=64",
+                     "--log", str(log)]) == 0
+    lines = log.read_text().splitlines(keepends=True)
+    fields = lines[5].split(",")
+    nan_log.write_text("".join(lines[:5] + [",".join([fields[0], "nan"] + fields[2:])]
+                               + lines[6:]))
+
+    def strict(text):
+        raise ValueError(f"{text} is not JSON")
+
+    for path in (log, nan_log):
+        capsys.readouterr()
+        rc = main_closing_every_file(["eval", "--log", str(path), "--trace",
+                                      str(flood_trace_file), "--report", str(report)])
+        if path == log:
+            assert rc == 0 and json.loads(report.read_text(), parse_constant=strict)
+            report.unlink()
+        else:
+            assert rc == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: --report {report}: Out of range float values are not JSON compliant")
+            assert sorted(os.listdir(tmp_path)) == ["flood.csv", "log.csv", "nan.csv"]
+
+
+def test_an_output_that_cannot_be_written_is_an_error_naming_it(flood_trace_file, tmp_path,
+                                                                capsys):
+    # Each is written to a temporary file first, whose name holds the process
+    # id; the error names the output instead.
+    state, folder, missing = tmp_path / "s.json", tmp_path / "folder", tmp_path / "no" / "s.json"
+    init = ["init", str(flood_trace_file), "--set", "train.init_len=64", "--out"]
+    assert cli.main(init + [str(state)]) == 0
+    folder.mkdir()
+    before = sorted(os.listdir(tmp_path))
+    replay = ["replay", str(flood_trace_file), "--state", str(state)]
+    for argv, reason in [(init + [str(missing)], "[Errno 2] No such file or directory"),
+                         (init + [str(folder)], "[Errno 21] Is a directory"),
+                         (replay + ["--report", str(folder)], "[Errno 21] Is a directory"),
+                         (replay + ["--save-state", str(folder)], "[Errno 21] Is a directory")]:
+        capsys.readouterr()
+        assert main_closing_every_file(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {reason}: '{argv[-1]}'\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_eval_detects_misaligned_log(flood_trace_file, tmp_path, capsys):
     state = tmp_path / "state.json"
     log = tmp_path / "log.csv"
@@ -681,6 +729,20 @@ def test_a_state_whose_mode_does_not_fit_its_model_exits_2_before_any_log(
     assert rc == 2
     assert capsys.readouterr().err == (f"error: state file {bad}: a {mode} detector takes "
                                        f"{metrics} metrics, not 4\n")
+    assert not log.exists()
+
+
+def test_a_state_of_another_kind_exits_2_naming_it_before_any_log(flood_trace_file, tmp_path,
+                                                                  capsys):
+    data, state = tmp_path / "features.csv", tmp_path / "fstate.json"
+    write_feature_file(feature_table(np.random.default_rng(5), 3, (40, 0.5, 0.05, None)), data)
+    assert cli.main(["init", str(data), "--features", "--out", str(state)]) == 0
+    capsys.readouterr()
+    log = tmp_path / "never.csv"
+    rc = cli.main(["replay", str(flood_trace_file), "--state", str(state), "--log", str(log)])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: state file {state} holds a features detector, "
+                                       "expected botnet\n")
     assert not log.exists()
 
 

@@ -4,17 +4,20 @@ semi-supervised training gate, and state persistence."""
 import errno
 import json
 import os
+import re
 import zlib
 
 import numpy as np
 import pytest
 
+from aadetect.aadrnn import AadrnnModel
 from aadetect.bench import flood_trace
 from aadetect.config import Config, config_from_dict
 from aadetect.detector import (Decision, Detector, LifecycleError, Mode, Phase,
                                load_state, salt_for_address, save_state, whisker_threshold)
-from aadetect.metrics import DimensionError, ScalingFactors
+from aadetect.metrics import DimensionError, MinMaxScaler, ScalingFactors
 from aadetect.traffic import FeatureTable, Trace
+from aadetect.training import SufficientStats
 from oracles import DequeStreamMetrics, PerRowFeed, oracle_whisker, stepped
 
 
@@ -613,6 +616,114 @@ def test_load_state_validation(tmp_path):
     p.write_text(json.dumps(bad))
     with pytest.raises(DimensionError):
         load_state(p)
+
+
+def random_state_detector(rng, scaler_kind):
+    """A frozen detector of a random width and seed, with a random readout,
+    scaler of ``scaler_kind``, statistics and threshold: every value a state
+    file holds, none of them fitted."""
+    dim = int(rng.choice([1, 2, 3, 5, 6, 20]))
+    det = Detector(dim, Config(), Mode.FEATURES)  # the mode that takes any width
+    det.model = AadrnnModel.initial(dim, int(rng.integers(10_000))).with_readout(
+        rng.normal(0, 1, size=(dim, dim)))
+    if scaler_kind == "max":
+        det.scaler = ScalingFactors(rng.uniform(0.1, 1e4, size=dim))
+    else:
+        lo = rng.normal(0, 1, size=dim)
+        det.scaler = MinMaxScaler(lo, lo + rng.uniform(0, 3, size=dim))
+    det.stats = SufficientStats(rng.normal(0, 1, size=(dim, dim)),
+                                rng.normal(0, 1, size=(dim, dim)), int(rng.integers(10**9)))
+    det.threshold = float(rng.uniform(1e-6, 10))
+    det.phase = Phase.FROZEN
+    return det
+
+
+@pytest.mark.parametrize("scaler_kind", ["max", "minmax"])
+def test_a_state_round_trip_is_exact_for_random_models_and_both_scalers(tmp_path, scaler_kind):
+    rng = np.random.default_rng(61)
+    for case in range(20):
+        det = random_state_detector(rng, scaler_kind)
+        path, again = tmp_path / "state.json", tmp_path / "again.json"
+        save_state(det, path)
+        doc = json.loads(path.read_text())
+        assert (doc["L"], doc["act"], doc["scaling_factors"]["kind"]) == (
+            3, {"r": 1.0, "c": 1.0}, scaler_kind)
+        back = load_state(path)
+        assert (back.dim, back.model.seed, back.stats.n) == (det.dim, det.model.seed, det.stats.n)
+        arrays = [*zip(back.model.hidden_weights, det.model.hidden_weights),
+                  (back.model.readout, det.model.readout), (back.stats.G, det.stats.G),
+                  (back.stats.C, det.stats.C)]
+        arrays += ([(back.scaler.scale, det.scaler.scale)] if scaler_kind == "max" else
+                   [(back.scaler.lo, det.scaler.lo), (back.scaler.hi, det.scaler.hi)])
+        assert type(back.scaler) is type(det.scaler)
+        for loaded, saved in arrays:
+            assert np.array_equal(loaded, saved) and not loaded.flags.writeable
+        assert back.threshold == det.threshold and np.array_equal(back.gamma, det.gamma)
+        x = rng.uniform(0, 2, size=det.dim)
+        assert back.observe(x, 0) == det.observe(x, 0)
+        save_state(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+def write_state(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_a_state_rejects_every_network_but_the_stock_one(tmp_path):
+    det, _ = warmed_detector(np.random.default_rng(1))
+    save_state(det, tmp_path / "state.json")
+    doc = json.loads((tmp_path / "state.json").read_text())
+    weights = doc["hidden_weights"]
+    wide = [row + [0.0] for row in weights[0]]  # (M, M + 1)
+    for bad, error in [
+            (dict(doc, L=2), r"L=2: only the stock 3-layer network"),
+            (dict(doc, L=2, hidden_weights=weights[:2]), r"L=2"),
+            (dict(doc, act={"r": 2.0, "c": 1.0}), r"only the stock activation r=1, c=1"),
+            (dict(doc, act={"r": 1.0, "c": 1.0, "k": 1.0}), r"only the stock activation"),
+            (dict(doc, hidden_weights=weights[:2]), r"2 hidden weights, expected L=3"),
+            (dict(doc, hidden_weights=weights + weights[:1]), r"4 hidden weights"),
+            (dict(doc, hidden_weights=[wide] + weights[1:]),
+             r"hidden weight 0 has shape \(3, 4\), expected \(3, 3\)"),
+            (dict(doc, hidden_weights=weights[:2] + [weights[2][:2]]),
+             r"hidden weight 2 has shape \(2, 3\)"),
+            (dict(doc, readout=[row + [0.0] for row in doc["readout"]]),
+             r"readout has shape \(3, 4\)"),
+            (dict(doc, M=4), r"hidden weight 0 has shape \(3, 3\), expected \(4, 4\)")]:
+        with pytest.raises(ValueError, match=error):
+            load_state(write_state(tmp_path / "bad.json", bad))
+    ints = write_state(tmp_path / "ints.json", dict(doc, act={"c": 1, "r": 1}))
+    assert load_state(ints).dim == 3  # ints are fine
+
+
+def test_a_state_names_each_array_of_the_wrong_shape_and_an_unknown_scaler(tmp_path):
+    rng = np.random.default_rng(2)
+    for kind, arrays in (("max", ("scale",)), ("minmax", ("lo", "hi"))):
+        det = random_state_detector(rng, kind)
+        save_state(det, tmp_path / "state.json")
+        doc = json.loads((tmp_path / "state.json").read_text())
+        m, scaling, stats = det.dim, doc["scaling_factors"], doc["stats"]
+        bad = [(dict(doc, scaling_factors=dict(scaling, **{name: scaling[name] + [1.0]})),
+                f"{name} has shape \\({m + 1},\\), expected \\({m},\\)") for name in arrays]
+        bad += [(dict(doc, stats=dict(stats, **{name: stats[name] + [[0.0] * m]})),
+                 f"stats {name} has shape \\({m + 1}, {m}\\), expected \\({m}, {m}\\)")
+                for name in ("G", "C")]
+        bad.append((dict(doc, scaling_factors=dict(scaling, kind="other")),
+                    "unknown scaling kind: 'other'"))
+        bad.append((dict(doc, stats=dict(stats, n=-1)), "stats n must be >= 0, got -1"))
+        for edited, error in bad:
+            path = write_state(tmp_path / "bad.json", edited)
+            with pytest.raises(ValueError, match=f"^state file {re.escape(str(path))}: {error}$"):
+                load_state(path)
+
+
+def test_a_state_that_is_not_utf8_is_an_error_naming_it(tmp_path):
+    det, _ = warmed_detector(np.random.default_rng(3))
+    path = tmp_path / "state.json"
+    save_state(det, path)
+    path.write_bytes(b"\xff" + path.read_bytes())
+    with pytest.raises(ValueError, match=f"^state file {re.escape(str(path))}: 'utf-8' codec"):
+        load_state(path)
 
 
 def test_salt_for_address_is_stable_crc32():

@@ -1,17 +1,20 @@
 """Hostile input through the whole CLI: one generated edit to a small valid
-trace, feature file or decision log, then every command that reads that file,
-run in process through ``cli.main``.
+trace, feature file, decision log or state file, then every command that
+reads that file, run in process through ``cli.main``. A state file also takes
+a JSON value of the wrong type at any nested key.
 
 The contract: a command returns 0 or 2 and raises nothing; on 2 its stderr is
 one ``error:`` line that names the edited file; a state file that existed
-before a failed ``init --out`` is unchanged. State files, config files and
-``--set`` values are not edited here.
+before a failed run is unchanged, whether the run was to write it with
+``init --out`` or with ``replay --save-state``. Config files and ``--set``
+values are not edited here.
 
 ``--hypothesis-profile=fuzz`` (``tests/conftest.py``) runs the property on
 2,000 examples instead of the ``ci`` profile's 200.
 """
 
 import io
+import json
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -26,8 +29,11 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 CONFIG = ["--set", "metrics.N=5", "--set", "train.init_len=20"]
+KINDS = ["trace", "features", "log", "state"]
 # A field replaced whole: each one a value some reader must reject or read exactly.
 FIELDS = ['"', "nan", "inf", "1e309", str(2**63), "\0", ""]
+# A JSON value put at a state's key: each of a type save_state never writes at some key.
+WRONG_TYPES = [None, True, "0.5", 1, 1.5, [], [1.0], {}, {"r": 1.0}]
 
 
 def run(argv):
@@ -47,6 +53,9 @@ def commands(kind, path, base):
                   ["eval", "--log", base["log"], "--trace", path]],
         "features": [["init", path, "--features", "--out", base["out"]] + CONFIG],
         "log": [["eval", "--log", path, "--trace", base["trace"]]],
+        "state": [["replay", base["trace"], "--state", path] + CONFIG,
+                  ["replay", base["trace"], "--state", path, "--online",
+                   "--save-state", path] + CONFIG],
     }[kind]
 
 
@@ -54,21 +63,21 @@ def check_contract(kind, path, base):
     """Run each command on the file at ``path`` and check the contract."""
     for argv in commands(kind, path, base):
         shutil.copyfile(base["state"], base["out"])
-        before = base["out"].read_bytes()
+        before = base["out"].read_bytes(), path.read_bytes()
         code, _, err = run(argv)
         assert code in (0, 2), (argv, code, err)
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
             assert str(path) in err, (argv, err)
-            assert base["out"].read_bytes() == before, argv
+            assert (base["out"].read_bytes(), path.read_bytes()) == before, argv
         else:
             assert err == "", (argv, err)
 
 
 @pytest.fixture(scope="module")
 def base(tmp_path_factory):
-    """A small valid trace, feature file, state and decision log; every
-    command on them exits 0."""
+    """A small valid trace, feature file, state (``init --out``'s) and
+    decision log; every command on a copy of each exits 0."""
     tmp = tmp_path_factory.mktemp("hostile")
     files = {name: tmp / f"{name}.{ext}" for name, ext in
              [("trace", "csv"), ("features", "csv"), ("state", "json"), ("log", "csv"),
@@ -83,15 +92,44 @@ def base(tmp_path_factory):
     assert run(["init", files["trace"], "--out", files["state"]] + CONFIG)[0] == 0
     assert run(["replay", files["trace"], "--state", files["state"], "--log", files["log"]]
                + CONFIG)[0] == 0
-    for kind in ("trace", "features", "log"):
-        for argv in commands(kind, files[kind], files):
+    for kind in KINDS:  # on a copy: replay --save-state would overwrite the state
+        shutil.copyfile(files[kind], files["edited"])
+        for argv in commands(kind, files["edited"], files):
             assert run(argv)[0] == 0, argv
     return files
 
 
+def json_paths(value, path=()):
+    """The path of ``value`` and of every value nested in it: each key of a
+    dict and the first element of a list."""
+    yield path
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from json_paths(value[key], path + (key,))
+    elif isinstance(value, list) and value:
+        yield from json_paths(value[0], path + (0,))
+
+
+def put(doc, path, value):
+    """``doc`` with ``value`` at ``path``, ``doc`` itself changed in place."""
+    if not path:
+        return value
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return doc
+
+
 def edit(data: bytes, op: str, a: int, b: int, field: str) -> bytes:
     """``data`` with one edit; ``a`` and ``b`` pick a byte, a line or a field,
-    modulo what there is to pick from."""
+    or (``json``) a state's key and a value of the wrong type, modulo what
+    there is to pick from."""
+    if op == "json":
+        doc = json.loads(data)
+        paths = list(json_paths(doc))
+        doc = put(doc, paths[a % len(paths)], WRONG_TYPES[b % len(WRONG_TYPES)])
+        return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
     if op == "flip":
         a %= len(data)
         return data[:a] + bytes([data[a] ^ (b % 255 + 1)]) + data[a + 1:]
@@ -117,17 +155,23 @@ def edit(data: bytes, op: str, a: int, b: int, field: str) -> bytes:
     return b"\n".join(lines)
 
 
-EDITS = st.tuples(st.sampled_from(["flip", "insert", "delete", "cut", "duplicate", "swap",
-                                   "field"]),
-                  st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from(FIELDS))
+def edits(kind):
+    """One edit to a file of ``kind``: only a state file takes a ``json`` edit."""
+    ops = ["flip", "insert", "delete", "cut", "duplicate", "swap", "field"]
+    return st.tuples(st.just(kind), st.tuples(
+        st.sampled_from(ops + ["json"] * (kind == "state")),
+        st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from(FIELDS)))
 
 
 @hypothesis.settings(deadline=None)  # a slow example on a loaded box is not a failure
-@hypothesis.given(st.sampled_from(["trace", "features", "log"]), EDITS)
-@hypothesis.example("log", ("insert", 0, ord('"'), ""))  # a quote that opens the header
-@hypothesis.example("trace", ("insert", 200, 0xff, ""))  # not UTF-8
-@hypothesis.example("trace", ("field", 30, 0, "1e309"))
-def test_one_edit_to_an_input_exits_0_or_2_naming_the_file(base, kind, one_edit):
+@hypothesis.given(st.sampled_from(KINDS).flatmap(edits))
+@hypothesis.example(("log", ("insert", 0, ord('"'), "")))  # a quote that opens the header
+@hypothesis.example(("trace", ("insert", 200, 0xff, "")))  # not UTF-8
+@hypothesis.example(("trace", ("field", 30, 0, "1e309")))
+@hypothesis.example(("state", ("insert", 0, 0xff, "")))  # not UTF-8
+@hypothesis.example(("state", ("json", 0, 5, "")))  # a top-level list
+def test_one_edit_to_an_input_exits_0_or_2_naming_the_file(base, case):
+    kind, one_edit = case
     base["edited"].write_bytes(edit(base[kind].read_bytes(), *one_edit))
     check_contract(kind, base["edited"], base)
 

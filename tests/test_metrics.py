@@ -6,10 +6,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from aadetect.config import MetricsSection, config_from_dict
-from aadetect.metrics import (DimensionError, DirectionalMetrics,
-                              MinMaxScaler, ScalingFactors, StreamMetrics,
-                              fit_scaling, min_max_fit,
-                              scaler_from_json)
+from aadetect.metrics import (DimensionError, DirectionalMetrics, ScalingFactors,
+                              StreamMetrics, fit_scaling, min_max_fit)
 from aadetect.traffic import TimestampOrderError, Trace
 from oracles import DequeStreamMetrics, oracle_directional, oracle_triple
 
@@ -423,14 +421,3 @@ def test_metric_config_validation():
     with pytest.raises(ValueError, match="metrics.T_seconds"):
         config_from_dict({"metrics": {"T_seconds": 4e-7}})
 
-
-def test_scaler_json_round_trips_both_kinds():
-    s = fit_scaling([np.array([1.5, 2.5])])
-    s2 = scaler_from_json(s.to_json())
-    assert isinstance(s2, ScalingFactors) and np.array_equal(s2.scale, s.scale)
-    m = min_max_fit([np.array([0.0, 1.0]), np.array([2.0, 5.0])])
-    m2 = scaler_from_json(m.to_json())
-    assert isinstance(m2, MinMaxScaler)
-    assert np.array_equal(m2.lo, m.lo) and np.array_equal(m2.hi, m.hi)
-    with pytest.raises(ValueError):
-        scaler_from_json({"kind": "other"})

@@ -370,6 +370,23 @@ def test_a_quote_left_open_or_closed_early_is_an_error_naming_its_line(tmp_path,
     assert str(err.value) == f"{path}:{line}: {message}"
 
 
+@pytest.mark.parametrize("kind, header", [
+    ("trace", None), ("log", None), ("features", "f1,f2,lbl,attack_type")])
+def test_a_byte_order_mark_before_a_bad_header_is_named(tmp_path, kind, header):
+    # A UTF-8 byte-order mark is invisible in most editors, so "expected header"
+    # alone reads as wrong for a header that looks right. A feature file's own
+    # header is checked only for its label column, so its mark is named when
+    # that check fails.
+    default, make_row, load = FILE_KINDS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\ufeff" + "\n".join([header or default, make_row(1)]) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(TraceParseError) as err:
+        load(path)
+    assert str(err.value).startswith(f"{path}:1: expected ")
+    assert str(err.value).endswith(", but the file starts with a UTF-8 byte-order mark (U+FEFF)")
+
+
 def test_column_loader_rejects_integers_past_64_bits(tmp_path):
     path = tmp_path / "big.csv"
     path.write_text("timestamp_us,src,dst,size_bytes,label,attack_type\n"
