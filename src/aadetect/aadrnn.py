@@ -129,12 +129,10 @@ class AadrnnModel:
         readout = np.asarray(readout, dtype=float)
         if readout.shape != self.readout.shape:
             raise DimensionError(f"readout shape {readout.shape} != {self.readout.shape}")
-        if not readout.flags.writeable:
-            ro = readout
-        else:
-            ro = readout.copy()
-            ro.flags.writeable = False
-        return AadrnnModel(self.hidden_weights, ro, self.seed)
+        if readout.flags.writeable:
+            readout = readout.copy()
+            readout.flags.writeable = False
+        return AadrnnModel(self.hidden_weights, readout, self.seed)
 
     @classmethod
     def initial(cls, input_dim: int, seed: int) -> "AadrnnModel":

@@ -147,49 +147,30 @@ def run_device_benchmark(seed: int = 5, config: Optional[Config] = None
 
 
 def run_all(seed: int = 7) -> List[BenchCheck]:
-    checks: List[BenchCheck] = []
-
     flood, baseline = run_flood_benchmark(seed=seed)
-    tpr, fpr = flood.tpr, flood.fpr
-    checks.append(BenchCheck(
-        "flood: TPR >= 95% on flood packets",
-        tpr is not None and tpr >= 95.0,
-        f"tpr {tpr:.2f}"))
-    checks.append(BenchCheck(
-        "flood: FPR <= 2% on benign packets",
-        fpr is not None and fpr <= 2.0,
-        f"fpr {fpr:.2f}"))
-    checks.append(BenchCheck(
-        "flood: beats simple thresholding on accuracy",
-        flood.accuracy > baseline.accuracy,
-        f"model {flood.accuracy:.2f} vs baseline {baseline.accuracy:.2f}"))
-
     offline, online = run_drift_benchmark()
-    checks.append(BenchCheck(
-        "drift: online FPR <= offline FPR",
-        online.fpr <= offline.fpr,
-        f"online {online.fpr:.2f} vs offline {offline.fpr:.2f}"))
-    checks.append(BenchCheck(
-        "drift: TPR >= 90% in both runs",
-        online.tpr >= 90.0 and offline.tpr >= 90.0,
-        f"online {online.tpr:.2f}, offline {offline.tpr:.2f}"))
-
     devices, to_flag = run_device_benchmark()
-    flagged = list(devices.compromised)
-    checks.append(BenchCheck(
-        "devices: exactly the flooder is flagged",
-        flagged == [_FLOODER],
-        f"flagged {flagged or ['nobody']}"))
-    checks.append(BenchCheck(
-        "devices: flagged within 500 decisions of onset",
-        to_flag is not None and to_flag <= 500,
-        f"took {to_flag}"))
+    tpr, fpr, flagged = flood.tpr, flood.fpr, list(devices.compromised)
     clean_peaks = [row.peak_level for row in devices.devices
                    if row.addr.startswith("10.0.0.") and row.addr != _FLOODER]
     worst_clean = max(clean_peaks, default=0.0)
-    checks.append(BenchCheck(
-        "devices: clean hosts stay below 0.2 infection",
-        bool(clean_peaks) and worst_clean < 0.2,
-        f"worst clean peak {worst_clean:.3f}"))
-
-    return checks
+    return [
+        BenchCheck("flood: TPR >= 95% on flood packets", tpr is not None and tpr >= 95.0,
+                   f"tpr {tpr:.2f}"),
+        BenchCheck("flood: FPR <= 2% on benign packets", fpr is not None and fpr <= 2.0,
+                   f"fpr {fpr:.2f}"),
+        BenchCheck("flood: beats simple thresholding on accuracy",
+                   flood.accuracy > baseline.accuracy,
+                   f"model {flood.accuracy:.2f} vs baseline {baseline.accuracy:.2f}"),
+        BenchCheck("drift: online FPR <= offline FPR", online.fpr <= offline.fpr,
+                   f"online {online.fpr:.2f} vs offline {offline.fpr:.2f}"),
+        BenchCheck("drift: TPR >= 90% in both runs", online.tpr >= 90.0 and offline.tpr >= 90.0,
+                   f"online {online.tpr:.2f}, offline {offline.tpr:.2f}"),
+        BenchCheck("devices: exactly the flooder is flagged", flagged == [_FLOODER],
+                   f"flagged {flagged or ['nobody']}"),
+        BenchCheck("devices: flagged within 500 decisions of onset",
+                   to_flag is not None and to_flag <= 500, f"took {to_flag}"),
+        BenchCheck("devices: clean hosts stay below 0.2 infection",
+                   bool(clean_peaks) and worst_clean < 0.2,
+                   f"worst clean peak {worst_clean:.3f}"),
+    ]

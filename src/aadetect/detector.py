@@ -11,16 +11,15 @@ The threshold is either a fixed configured value or the Tukey upper whisker
 Rows reach a detector as ``(times, raw rows)`` slices: a feature input whole,
 a ``Trace`` (the one packet input) up to ``_TRACE_BLOCK`` packets at a time,
 their metrics computed for the whole slice by ``StreamMetrics.update_block``.
-Lifecycle: a detector starts in ``init``; each slice joins its init window
-until ``Detector.init_cut`` closes it, a batch fit sets the scaler, the first
-model and the threshold, and it moves to ``online`` or ``frozen``; ``observe``
-judges every row after the cut, one at a time. Online operation is
-semi-supervised: every decision is emitted, but only rows the detector itself
-judged benign are queued for training; at each full window the readout is
-refit incrementally and (unless frozen by config) the whisker threshold is
-re-estimated from that window's decision values. Threshold updates never
-apply retroactively — each decision records the threshold in force when it
-was made.
+A detector is the policy its config sets and one ``DetectorState`` record of
+everything feeding rows changes. Each slice joins the init window until
+``Detector.init_cut`` closes it; a batch fit installs the record's ``fit``, the
+snapshot (scaler, model, statistics, threshold) decisions are judged against,
+and ``observe`` judges every later row. The phase is ``init`` with no fit,
+then ``online`` or ``frozen`` as the ``online`` flag says. Online, only rows
+judged benign are queued, and each full window's refit, with (unless frozen
+by config) the whisker of its decision values as threshold, is installed as a
+new fit. Each decision records the threshold in force when it was made.
 """
 
 from __future__ import annotations
@@ -120,28 +119,58 @@ def _weighted_gap(x: np.ndarray, x_hat: np.ndarray, gamma: np.ndarray):
     return np.abs(x - x_hat) @ gamma
 
 
+class Fit(NamedTuple):
+    """A fitted snapshot: everything a decision is judged against."""
+
+    scaler: Union[ScalingFactors, MinMaxScaler]
+    model: AadrnnModel
+    stats: SufficientStats
+    threshold: float
+
+
+@dataclasses.dataclass
+class DetectorState:
+    """Everything a detector changes while rows are fed: the fit (None in init), the
+    init window's ``(times, rows)`` chunks, the rows fed (feature row i is timed i), the
+    pending window, the version of a loaded state, and a packet detector's metric carry."""
+
+    fit: Optional[Fit] = None
+    init_rows: List[Tuple[Sequence[int], np.ndarray]] = dataclasses.field(default_factory=list)
+    row_counter: int = 0
+    pending: List[np.ndarray] = dataclasses.field(default_factory=list)
+    pending_d: List[float] = dataclasses.field(default_factory=list)
+    window_start_us: Optional[int] = None
+    version: int = STATE_VERSION
+    metrics: Optional[StreamMetrics] = None
+
+
 class Detector:
     """One anomaly detector over a fixed-dimension metric stream.
 
     ``mode`` selects the front end of ``step_rows``: BOTNET detectors consume
     packets and extract metrics in-stream; FEATURES detectors consume feature
     rows (min-max scaling). The device bank fits each DEVICE detector with
-    ``initialize`` and feeds it 6-value vectors via ``observe``.
+    ``initialize`` and feeds it 6-value vectors via ``observe``. ``state`` is the
+    record to start from; a packet detector starts a metric carry if it has none.
     """
 
-    state_version = STATE_VERSION  # a detector loaded from an older state says so
+    # The installed fit's parts, read-only, each None until init finishes.
+    scaler = property(lambda self: self.state.fit and self.state.fit.scaler)
+    model = property(lambda self: self.state.fit and self.state.fit.model)
+    stats = property(lambda self: self.state.fit and self.state.fit.stats)
+    threshold = property(lambda self: self.state.fit and self.state.fit.threshold)
+    state_version = property(lambda self: self.state.version)  # 1 for a version-1 file
 
     def __init__(self, dim: int, config: Config, mode: Union[Mode, str] = Mode.BOTNET, *,
-                 online: Optional[bool] = None, noise_salt: Optional[int] = None):
+                 online: Optional[bool] = None, noise_salt: Optional[int] = None,
+                 state: Optional[DetectorState] = None):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.mode = Mode(mode)
         if MODE_DIM.get(self.mode, dim) != dim:
             raise DimensionError(f"a {self.mode.value} detector takes "
                                  f"{MODE_DIM[self.mode]} metrics, not {dim}")
-        self.dim = dim
-        self.config = config
-        self.phase = Phase.INIT
+        self.dim, self.config = dim, config
         gamma = config.metrics.gamma or [1.0 / dim] * dim  # validate rejects an empty list
         if len(gamma) != dim:
             raise DimensionError(f"metrics.gamma has {len(gamma)} weights, "
@@ -149,34 +178,22 @@ class Detector:
         self.gamma = np.asarray(gamma, dtype=float)
         # The one place config becomes init, window and threshold policy. Device
         # init counts rows; device retraining is time-paced (devices docstring).
-        if self.mode == Mode.DEVICE:
-            policy = config.device
-            self._init_seconds = self._window_len = None
-            self._threshold_scale = policy.threshold_scale
-        else:
-            policy = config.train
-            self._init_seconds, self._window_len = policy.init_seconds, policy.window_len
-            self._threshold_scale = 1.0
-        self._init_len = policy.init_len
-        self._window_seconds = policy.window_seconds
+        device = self.mode == Mode.DEVICE
+        policy = config.device if device else config.train
+        self._init_seconds = None if device else policy.init_seconds
+        self._window_len = None if device else policy.window_len
+        self._threshold_scale = policy.threshold_scale if device else 1.0
+        self._init_len, self._window_seconds = policy.init_len, policy.window_seconds
         self._noise_salt = noise_salt
-        if online is None:
-            online = self.mode != Mode.FEATURES
-        self._online_after_init = online
+        self.online = self.mode != Mode.FEATURES if online is None else online
+        self.state = state or DetectorState()
+        if self.mode == Mode.BOTNET and self.state.metrics is None:
+            self.state.metrics = StreamMetrics(config.metrics.N, config.metrics.T_us)
 
-        self._extractor = (StreamMetrics(config.metrics.N, config.metrics.T_us)
-                           if self.mode == Mode.BOTNET else None)
-        self._row_counter = 0  # rows fed: feature row i is timed i
-        self._init_rows: List[Tuple[Sequence[int], np.ndarray]] = []  # (times, rows) chunks
-
-        self.scaler = None
-        self.model: Optional[AadrnnModel] = None
-        self.stats: Optional[SufficientStats] = None
-        self.threshold: Optional[float] = None
-
-        self._pending: List[np.ndarray] = []
-        self._pending_d: List[float] = []
-        self._window_start_us: Optional[int] = None
+    @property
+    def phase(self) -> Phase:
+        """INIT until a fit is installed, then ONLINE or FROZEN as ``online`` says."""
+        return (Phase.ONLINE if self.online else Phase.FROZEN) if self.state.fit else Phase.INIT
 
     # -- feeding ------------------------------------------------------------
 
@@ -187,7 +204,7 @@ class Detector:
         fits the window once it closes, and ``observe`` judges the rest. A BOTNET detector
         fed anything but a ``Trace`` raises ``TypeError`` before its state changes."""
         for times, raws in self._slices(rows):
-            start = self._join(times, raws) if self.phase == Phase.INIT else 0
+            start = self._join(times, raws) if self.state.fit is None else 0
             for at_us, raw in zip(times[start:], raws[start:]):
                 yield self.observe(raw, at_us)
 
@@ -197,12 +214,12 @@ class Detector:
         at a time, their metrics computed by one ``update_block`` call when the
         slice is pulled, before any of its rows is judged."""
         if self.mode == Mode.FEATURES:
-            yield range(self._row_counter, self._row_counter + len(rows)), rows
+            yield range(self.state.row_counter, self.state.row_counter + len(rows)), rows
         elif self.mode == Mode.BOTNET:
             if not isinstance(rows, Trace):
                 raise TypeError(f"a botnet detector takes a Trace, not {type(rows).__name__}")
             for ts, sizes in _packet_columns(rows):
-                yield ts.tolist(), self._extractor.update_block(ts, sizes)
+                yield ts.tolist(), self.state.metrics.update_block(ts, sizes)
         else:
             raise LifecycleError("device-mode detectors are fed by the DeviceBank")
 
@@ -211,29 +228,30 @@ class Detector:
         cut = self.init_cut(times)
         joined = len(times) if cut is None else cut
         if joined:
-            self._init_rows.append((times[:joined], rows[:joined]))
-            self._row_counter += joined
+            self.state.init_rows.append((times[:joined], rows[:joined]))
+            self.state.row_counter += joined
         if cut is not None:
-            window = [chunk for _, chunk in self._init_rows]
+            window = [chunk for _, chunk in self.state.init_rows]
             self.initialize(window[0] if len(window) == 1 else np.concatenate(window))
         return joined
 
     def observe(self, raw: np.ndarray, at_us: int) -> Decision:
         """Judge one raw metric vector: the detector must have finished init."""
-        if self.phase == Phase.INIT:
+        state, fit = self.state, self.state.fit
+        if fit is None:
             raise LifecycleError("detector is still in init: feed it with step_rows")
         raw = np.asarray(raw, dtype=float)
         if raw.shape != (self.dim,):
             raise DimensionError(f"raw vector shape {raw.shape}, expected ({self.dim},)")
         if not np.all(np.isfinite(raw)):
             raise ValueError("non-finite raw metric value")
-        self._row_counter += 1
-        x = self.scaler.apply(raw)
-        x_hat = self.model.forward(x)
+        state.row_counter += 1
+        x = fit.scaler.apply(raw)
+        x_hat = fit.model.forward(x)
         d = float(_weighted_gap(x, x_hat, self.gamma))
-        is_attack = d > self.threshold
-        decision = Decision(at_us, d, self.threshold, is_attack)  # before a refit moves it
-        if self.phase == Phase.ONLINE and not is_attack:
+        is_attack = d > fit.threshold
+        decision = Decision(at_us, d, fit.threshold, is_attack)  # before a refit moves it
+        if self.online and not is_attack:
             try:
                 self._accept(x, d, at_us)
             except (TrainingError, ValueError) as exc:
@@ -249,23 +267,23 @@ class Detector:
         ``init_len`` rows or, with ``init_seconds``, the rows before the first one, from the
         fifth on, at least ceil(init_seconds * 1e6) after the first; that row is judged. Rows
         are timed by timestamp or feature-row index, compared as Python ints: no gap overflows."""
-        held = self._row_counter  # every row fed so far waits in the window
+        held, window = self.state.row_counter, self.state.init_rows  # every row fed waits there
         if self._init_seconds is None:
             return max(self._init_len - held, 0) if held + len(times) >= self._init_len else None
         # Clipped to 2**64, past any gap of int64 times, so an infinite product cannot raise.
         bound = math.ceil(min(self._init_seconds * 1e6, 2.0**64))
-        first = self._init_rows[0][0] if self._init_rows else times
+        first = window[0][0] if window else times
         for i in range(max(4 - held, 0), len(times)):
             if int(times[i]) - int(first[0]) >= bound:
                 return i
         return None
 
     def initialize(self, X_raw: np.ndarray) -> None:
-        """Finish init on the init window's raw rows with one batch fit: the
-        scaler, the first model and the threshold. ``step_rows`` calls this
-        when the window closes, the device bank when a device's window is
+        """Finish init on the init window's raw rows with one batch fit, installed
+        whole: the scaler, the first model and the threshold. ``step_rows`` calls
+        this when the window closes, the device bank when a device's window is
         full. Rows are checked as ``observe`` checks them."""
-        if self.phase != Phase.INIT:
+        if self.state.fit is not None:
             raise LifecycleError("detector has already finished init")
         X_raw = np.asarray(X_raw, dtype=float)
         if X_raw.ndim != 2 or X_raw.shape[1] != self.dim:
@@ -274,56 +292,53 @@ class Detector:
             raise ValueError(f"init needs >= 4 rows, got {X_raw.shape[0]}")
         if not np.all(np.isfinite(X_raw)):
             raise ValueError("non-finite raw metric value")
-        if self.mode == Mode.FEATURES:
-            self.scaler = min_max_fit(X_raw)
-        else:
-            self.scaler = fit_scaling(X_raw)
-        X = self.scaler.apply(X_raw)
-        self.stats, self.model = fit_batch_with_stats(
+        scaler = min_max_fit(X_raw) if self.mode == Mode.FEATURES else fit_scaling(X_raw)
+        X = scaler.apply(X_raw)
+        stats, model = fit_batch_with_stats(
             AadrnnModel.initial(self.dim, self.config.train.seed), X, self.config.train,
             salt=self._noise_salt)
-        d_init = _weighted_gap(X, self.model.forward(X), self.gamma)
-        if self.config.threshold.mode == "fixed":
-            self.threshold = float(self.config.threshold.value)
-        else:
-            self.threshold = whisker_threshold(d_init) * self._threshold_scale
-        self._init_rows = []
-        self.phase = Phase.ONLINE if self._online_after_init else Phase.FROZEN
+        d_init = _weighted_gap(X, model.forward(X), self.gamma)
+        threshold = (float(self.config.threshold.value) if self.config.threshold.mode == "fixed"
+                     else whisker_threshold(d_init) * self._threshold_scale)
+        self.state.init_rows = []
+        self.state.fit = Fit(scaler, model, stats, threshold)
 
     def _accept(self, x: np.ndarray, d: float, at_us: int) -> None:
         if self._window_len is None and self._window_seconds is None:
             return  # online but with no update policy: behaves frozen for training
-        self._pending.append(x)
-        self._pending_d.append(d)
-        if self._window_start_us is None:
-            self._window_start_us = at_us
-        count_done = self._window_len is not None and len(self._pending) >= self._window_len
+        state = self.state
+        state.pending.append(x)
+        state.pending_d.append(d)
+        if state.window_start_us is None:
+            state.window_start_us = at_us
+        count_done = self._window_len is not None and len(state.pending) >= self._window_len
         time_done = (self._window_seconds is not None
-                     and at_us - self._window_start_us >= self._window_seconds * 1e6)
+                     and at_us - state.window_start_us >= self._window_seconds * 1e6)
         if count_done or time_done:
             self._finish_window()
 
     def _finish_window(self) -> None:
-        window = np.asarray(self._pending, dtype=float)
-        self.stats, self.model = update_incremental(self.stats, window, self.model,
-                                                    self.config.train, salt=self._noise_salt)
+        """Refit on the pending window and install the new model, statistics and threshold."""
+        state, fit = self.state, self.state.fit
+        stats, model = update_incremental(fit.stats, np.asarray(state.pending, dtype=float),
+                                          fit.model, self.config.train, salt=self._noise_salt)
+        threshold = fit.threshold
         if (self.config.threshold.mode == "whisker"
                 and not self.config.threshold.freeze_after_init
-                and len(self._pending_d) >= 4):
-            self.threshold = whisker_threshold(self._pending_d) * self._threshold_scale
-        self._pending = []
-        self._pending_d = []
-        self._window_start_us = None
+                and len(state.pending_d) >= 4):
+            threshold = whisker_threshold(state.pending_d) * self._threshold_scale
+        state.fit = Fit(fit.scaler, model, stats, threshold)
+        state.pending, state.pending_d, state.window_start_us = [], [], None
 
     @property
     def accepted_rows(self) -> int:
         """Rows folded into training so far (init rows plus accepted windows)."""
-        return 0 if self.stats is None else self.stats.n
+        return 0 if self.state.fit is None else self.state.fit.stats.n
 
     @property
     def pending_rows(self) -> int:
         """Rows fed but not yet trained on: the open init window, later the pending window."""
-        return self._row_counter if self.phase == Phase.INIT else len(self._pending)
+        return self.state.row_counter if self.state.fit is None else len(self.state.pending)
 
 
 def _packet_columns(trace: Trace) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -345,16 +360,15 @@ def _packet_columns(trace: Trace) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
 
 
 def save_state(detector: Detector, path: Union[str, Path]) -> None:
-    """Persist a detector's model, scaler, threshold, and training statistics:
-    with ``load_state``, the whole state format. The file is deterministic for
-    a deterministic run (sorted keys, exact float round-trip via repr). It is
-    written through ``replace_file``, so a failed save leaves the previous
-    file whole."""
-    if detector.phase == Phase.INIT:
+    """Persist a detector's fit, mode and gamma: with ``load_state``, the whole state
+    format. The file is deterministic for a deterministic run (sorted keys, exact float
+    round-trip via repr), written through ``replace_file``: a failed save leaves the
+    previous file whole."""
+    if detector.state.fit is None:
         raise LifecycleError("cannot save a detector that has not finished init")
-    if detector.state_version != STATE_VERSION:
-        raise ValueError(_frozen_only(detector.state_version))
-    model, scaler, stats = detector.model, detector.scaler, detector.stats
+    if detector.state.version != STATE_VERSION:
+        raise ValueError(_frozen_only(detector.state.version))
+    scaler, model, stats, threshold = detector.state.fit
     doc = {"version": STATE_VERSION, "M": model.input_dim, "L": LAYERS,
            "act": {"r": 1.0, "c": 1.0}, "seed": model.seed,
            "hidden_weights": [w.tolist() for w in model.hidden_weights],
@@ -363,7 +377,7 @@ def save_state(detector: Detector, path: Union[str, Path]) -> None:
                                if isinstance(scaler, ScalingFactors) else
                                {"kind": "minmax", "lo": scaler.lo.tolist(),
                                 "hi": scaler.hi.tolist()}),
-           "threshold": float(detector.threshold), "mode": detector.mode.value,
+           "threshold": float(threshold), "mode": detector.mode.value,
            "gamma": detector.gamma.tolist(),
            "stats": {"G": stats.G.tolist(), "C": stats.C.tolist(), "n": stats.n}}
     with replace_file(path) as fh:
@@ -395,11 +409,10 @@ def replace_file(path: Union[str, Path]) -> Iterator[TextIO]:
 
 def load_state(path: Union[str, Path], config: Optional[Config] = None, *,
                online: bool = False) -> Detector:
-    """Rebuild a detector from a state file; it decides immediately, with no
-    re-training (phase ``frozen``, or ``online`` to continue learning). A
-    file that is not a well-formed state, with every array shaped for the
-    model it holds and every value one that ``save_state`` could write, is
-    rejected here with an error that names it."""
+    """Build a detector on the record a state file holds; it decides at once (phase
+    ``frozen``, or ``online`` to continue learning). A file that is not a well-formed
+    state, with exactly the keys ``save_state`` writes, every array shaped for its
+    model and every value one ``save_state`` could write, is an error naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.loads(fh.read(), parse_float=_finite, parse_constant=_finite)
@@ -426,33 +439,30 @@ def load_state(path: Union[str, Path], config: Optional[Config] = None, *,
         # by the Detector, which also rejects a model width the state's mode does not take.
         config = config or Config()
         metrics = dataclasses.replace(config.metrics, gamma=list(doc["gamma"]))
-        detector = Detector(m, dataclasses.replace(config, metrics=metrics),
-                            mode=Mode(doc["mode"]), online=online)
-        detector.model = model
+        config, mode = dataclasses.replace(config, metrics=metrics), Mode(doc["mode"])
         scaling = doc["scaling_factors"]
         kind = scaling.get("kind")
         if kind == "max":
-            detector.scaler = ScalingFactors(_array(scaling["scale"], (m,), "scale"))
-            if not (detector.scaler.scale > 0).all():
+            scaler = ScalingFactors(_array(scaling["scale"], (m,), "scale"))
+            if not (scaler.scale > 0).all():
                 raise ValueError("max scale factors must be positive")
         elif kind == "minmax":
-            detector.scaler = MinMaxScaler(_array(scaling["lo"], (m,), "lo"),
-                                           _array(scaling["hi"], (m,), "hi"))
-            if (detector.scaler.hi < detector.scaler.lo).any():
+            scaler = MinMaxScaler(_array(scaling["lo"], (m,), "lo"),
+                                  _array(scaling["hi"], (m,), "hi"))
+            if (scaler.hi < scaler.lo).any():
                 raise ValueError("min-max hi is below lo")
         else:
             raise ValueError(f"unknown scaling kind: {kind!r}")
-        detector.threshold = float(doc["threshold"])
-        if not 0 < detector.threshold < math.inf:
+        threshold = float(doc["threshold"])
+        if not 0 < threshold < math.inf:
             raise ValueError(f"threshold must be positive, got {doc['threshold']!r}")
         stats, n = doc["stats"], int(doc["stats"]["n"])
         if n < 0:
             raise ValueError(f"stats n must be >= 0, got {n}")
-        detector.stats = SufficientStats(_array(stats["G"], (m, m), "stats G"),
-                                         _array(stats["C"], (m, m), "stats C"), n)
-        detector.phase = Phase.ONLINE if online else Phase.FROZEN
-        detector.state_version = version
-        return detector
+        stats = SufficientStats(_array(stats["G"], (m, m), "stats G"),
+                                _array(stats["C"], (m, m), "stats C"), n)
+        return Detector(m, config, mode=mode, online=online, state=DetectorState(
+            Fit(scaler, model, stats, threshold), version=version))
     except KeyError as exc:
         raise ValueError(f"state file {path} has no key {exc}") from None
     except DimensionError as exc:
@@ -478,9 +488,21 @@ def _finite(text: str) -> float:
     return value
 
 
+# The keys of each object save_state writes, by the object's key (a scaler's with its
+# kind); ``act`` must equal the stock activation's object, so its keys are checked there.
+_KEYS = {"": {"version", "M", "L", "act", "seed", "hidden_weights", "readout", "scaling_factors",
+              "threshold", "mode", "gamma", "stats"}, "stats": {"G", "C", "n"},
+         "scaling_factors max": {"kind", "scale"}, "scaling_factors minmax": {"kind", "lo", "hi"}}
+
+
 def _check_types(value, key: str = "") -> None:
-    """Reject a state value of a JSON type ``save_state`` never writes at its key: an
-    int at version, M, L, seed and n, a number at any other key but mode, kind, gamma."""
+    """Reject a key or a value of a JSON type ``save_state`` never writes: an int at
+    version, M, L, seed and n, a number at any other key but mode, kind and gamma."""
+    if isinstance(value, dict):  # a scaler of an unknown kind is named later
+        known = _KEYS.get(f"{key} {value.get('kind')}" if key == "scaling_factors" else key, value)
+        unknown = next((k for k in value if k not in known), None)
+        if unknown is not None:
+            raise ValueError(f"unknown key {unknown!r}" + (f" in {key}" if key else ""))
     if isinstance(value, (dict, list)):
         for k, v in value.items() if isinstance(value, dict) else ((key, v) for v in value):
             _check_types(v, k)

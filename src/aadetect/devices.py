@@ -167,13 +167,9 @@ class DeviceBank:
             self._evicted.append(self._row(rec, evicted=True))
 
     def _row(self, rec: DeviceRecord, evicted: bool = False) -> DeviceReportRow:
-        return DeviceReportRow(addr=rec.addr,
-                               infection_level=rec.infection_level,
-                               peak_level=rec.peak_level,
-                               is_compromised=self.is_compromised(rec),
-                               decisions_count=rec.decisions_count,
-                               last_seen_us=rec.last_seen_us,
-                               evicted=evicted)
+        return DeviceReportRow(rec.addr, rec.infection_level, rec.peak_level,
+                               self.is_compromised(rec), rec.decisions_count,
+                               rec.last_seen_us, evicted)
 
     def report(self) -> InfectionReport:
         """A snapshot of every device (evicted ones included). Pure: calling

@@ -363,7 +363,7 @@ def load_feature_dataset(path: Union[str, Path]) -> FeatureTable:
             raise ValueError("empty file")
         has_type = header[-1:] == ["attack_type"]
         n_features = len(header) - (2 if has_type else 1)
-        if n_features < 1 or header[n_features] != "label":
+        if n_features < 1 or header[n_features] != "label" or header[0].startswith("\ufeff"):
             raise ValueError("expected feature columns followed by label[,attack_type]")
         return len(header) - n_features
 

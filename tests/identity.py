@@ -12,7 +12,9 @@ then runs every call of ``calls`` in order, each in a fresh interpreter on
 that tree's ``src/``, in a working directory of its own per tree and seed
 that holds the inputs and the earlier calls' outputs. A few calls first
 write a broken copy of an input or of an earlier output (``broken-*``), by
-the same edit in both trees.
+the same edit in both trees. At the first seed the calls end with
+``aadetect bench``, this checkout's four demos and the Python block of its
+README, each run under ``-W error`` (``demo-*`` and ``readme``).
 
 Each call's stdout, stderr and exit code, and every file either tree's
 directory ends up holding, are compared byte for byte; for each output that
@@ -35,7 +37,7 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "aadbench"))
@@ -49,6 +51,16 @@ class Call(NamedTuple):
     name: str
     argv: List[str]
     prepare: Optional[Callable[[Path], None]] = None  # writes a broken-* file first
+    program: Tuple[str, ...] = ("-m", "aadetect.cli")  # what the interpreter runs, before argv
+
+
+def programs() -> List[Call]:
+    """The four demos and the README's Python block, each under ``-W error``."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    return [Call(f"demo-{path.stem}", [], program=("-W", "error", str(path)))
+            for path in sorted((ROOT / "demos").glob("*.py"))] + [
+        Call("readme", [], program=("-W", "error", "-c", block))]
 
 
 def edit_line(source: str, target: str, line: int, change: Callable[[bytes], bytes]):
@@ -124,6 +136,10 @@ def calls(seed: int) -> List[Call]:
              edit_line("soak.csv", "broken-utf8.csv", 50, lambda text: b"\xff" + text)),
         Call("broken-bom", ["replay", "broken-bom.csv", "--log", "broken-bom.log"] + N30,
              edit_line("soak.csv", "broken-bom.csv", 1, lambda text: b"\xef\xbb\xbf" + text)),
+        Call("broken-bom-features", ["init", "broken-bom-features.csv", "--features",
+                                     "--out", "broken-bom-features.json"],
+             edit_line("train.csv", "broken-bom-features.csv", 1,
+                       lambda text: b"\xef\xbb\xbf" + text)),
         Call("broken-features", ["replay", "broken-features.csv", "--features",
                                  "--state", "features.json"],
              edit_line("test.csv", "broken-features.csv", 10, field(3, b"inf"))),
@@ -131,10 +147,14 @@ def calls(seed: int) -> List[Call]:
              edit_line("init.json", "broken-state.json", 2, lambda text: b' "L": "x",')),
         Call("broken-json", ["replay", "soak.csv", "--state", "broken-json.json"] + N30,
              edit_line("init.json", "broken-json.json", 40, lambda text: b"}")),
+        Call("broken-key", ["replay", "soak.csv", "--state", "broken-key.json", "--online",
+                            "--save-state", "broken-key.state.json"] + N30,
+             edit_line("init.json", "broken-key.json", 1,
+                       lambda text: text + b' "treshold": 5.0,')),
         Call("eval-nan", ["eval", "--log", "broken-nan.log", "--trace", "soak.csv",
                           "--report", "eval-nan.report.json"],
              edit_line("online.log", "broken-nan.log", 6, field(1, b"nan"))),
-    ] + ([Call("bench", ["bench"])] if seed == SEEDS[0] else [])
+    ] + ([Call("bench", ["bench"])] + programs() if seed == SEEDS[0] else [])
 
 
 def run_tree(src: Path, run_dir: Path, seed_calls: List[Call]) -> None:
@@ -145,7 +165,7 @@ def run_tree(src: Path, run_dir: Path, seed_calls: List[Call]) -> None:
     for call in seed_calls:
         if call.prepare:
             call.prepare(run_dir)
-        done = subprocess.run([sys.executable, "-m", "aadetect.cli", *call.argv], cwd=run_dir,
+        done = subprocess.run([sys.executable, *call.program, *call.argv], cwd=run_dir,
                               env=env, capture_output=True, timeout=600)
         for suffix, data in (("stdout", done.stdout), ("stderr", done.stderr),
                              ("exit", f"{done.returncode}\n".encode())):

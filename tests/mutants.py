@@ -47,6 +47,9 @@ UNWRITABLE_STATE = ("tests/test_config_cli.py::"
                     "test_a_state_that_save_state_cannot_write_exits_2_naming_it_before_any_log")
 STOCK_NETWORK_TESTS = ("tests/test_detector.py::"
                        "test_a_state_rejects_every_network_but_the_stock_one",)
+UNKNOWN_KEY_TESTS = ("tests/test_config_cli.py::"
+                     "test_a_state_key_save_state_never_writes_exits_2_naming_it",)
+WHISKER_TESTS = ("tests/test_detector.py::test_whisker_degenerate_fallbacks",)
 
 
 # The body and the end of read_csv's record loop, around the line that counts records.
@@ -127,7 +130,7 @@ MUTANTS = [
            "int(times[i]) - int(first[0]) >= bound", "float(times[i]) - float(first[0]) >= bound",
            FEED_TESTS),
     Mutant("init_cut: the first time taken per call", DETECTOR,
-           "first = self._init_rows[0][0] if self._init_rows else times", "first = times",
+           "first = window[0][0] if window else times", "first = times",
            FEED_TESTS),
     Mutant("init_cut: the bound not clipped", DETECTOR,
            "math.ceil(min(self._init_seconds * 1e6, 2.0**64))",
@@ -137,13 +140,13 @@ MUTANTS = [
            FEED_TESTS),
     # Detector._join and the feature-row clock.
     Mutant("_join: joined rows not counted", DETECTOR,
-           "self._row_counter += joined", "pass", FEED_TESTS),
+           "self.state.row_counter += joined", "pass", FEED_TESTS),
     Mutant("_join: the window reset per call", DETECTOR,
-           "self._init_rows.append((times[:joined], rows[:joined]))",
-           "self._init_rows = [(times[:joined], rows[:joined])]", FEED_TESTS),
+           "self.state.init_rows.append((times[:joined], rows[:joined]))",
+           "self.state.init_rows = [(times[:joined], rows[:joined])]", FEED_TESTS),
     Mutant("_slices: feature rows timed one late", DETECTOR,
-           "yield range(self._row_counter, self._row_counter + len(rows)), rows",
-           "yield range(self._row_counter + 1, self._row_counter + len(rows) + 1), rows",
+           "yield range(self.state.row_counter, self.state.row_counter + len(rows)), rows",
+           "yield range(self.state.row_counter + 1, self.state.row_counter + len(rows) + 1), rows",
            FEED_TESTS),
     # The packet front end: a Trace is the one input, sliced before a step back.
     Mutant("_packet_columns: no slice end before a timestamp that goes back", DETECTOR,
@@ -218,6 +221,42 @@ MUTANTS = [
     Mutant("_linear_quantile: the t < 0.5 branch dropped", DETECTOR,
            "return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)",
            "return b - (b - a) * (1 - t)", ("tests/test_quartiles.py",)),
+    Mutant("whisker_threshold: no fallback to the sample maximum", DETECTOR,
+           "    if whisker <= 0:\n        whisker = float(vals.max())\n", "", WHISKER_TESTS),
+    Mutant("whisker_threshold: no 1e-6 floor", DETECTOR,
+           "    if whisker <= 0:\n        whisker = 1e-6\n", "", WHISKER_TESTS),
+    Mutant("init_hidden_weights: SeedSequence's pool mix shifted by 15", AADRNN,
+           "pool[dst] = mixed ^ mixed >> 16", "pool[dst] = mixed ^ mixed >> 15",
+           ("tests/test_aadrnn.py::test_hidden_weights_equal_numpys_pcg64_draws",)),
+    Mutant("init_hidden_weights: PCG64's output rotation read from the wrong bits", AADRNN,
+           "state >> 122", "(state >> 58) & 63",
+           ("tests/test_aadrnn.py::test_hidden_weights_equal_numpys_pcg64_draws",)),
+    # The state record: each fit installed whole, the phase read from it.
+    Mutant("_finish_window: the model swapped, the old threshold kept", DETECTOR,
+           "state.fit = Fit(fit.scaler, model, stats, threshold)",
+           "state.fit = Fit(fit.scaler, model, stats, fit.threshold)",
+           ("tests/test_detector.py::test_count_window_triggers_refit_and_rethreshold",)),
+    Mutant("_finish_window: no four-value floor under the whisker", DETECTOR,
+           "\n                and len(state.pending_d) >= 4):", "):",
+           ("tests/test_detector.py::test_time_window_triggers_on_stream_time",)),
+    Mutant("_finish_window: the pending window kept", DETECTOR,
+           "state.pending, state.pending_d, state.window_start_us = [], [], None",
+           "state.pending_d, state.window_start_us = [], None",
+           ("tests/test_detector.py::test_count_window_triggers_refit_and_rethreshold",)),
+    Mutant("initialize: the init window kept after the fit", DETECTOR,
+           "        self.state.init_rows = []\n", "",
+           ("tests/test_detector.py::test_init_buffers_then_first_decision",)),
+    Mutant("load_state: a loaded detector's phase ignores online", DETECTOR,
+           "return Detector(m, config, mode=mode, online=online,",
+           "return Detector(m, config, mode=mode, online=False,",
+           ("tests/test_detector.py::test_loaded_online_detector_continues_learning",)),
+    Mutant("load_state: the state's version not kept", DETECTOR,
+           "Fit(scaler, model, stats, threshold), version=version))",
+           "Fit(scaler, model, stats, threshold)))",
+           ("tests/test_config_cli.py::test_a_version_1_state_replays_frozen_only",)),
+    Mutant("Detector: a packet detector on a record with no metric carry keeps none", DETECTOR,
+           "if self.mode == Mode.BOTNET and self.state.metrics is None:", "if False:",
+           ("tests/test_config_cli.py::test_a_version_1_state_replays_frozen_only",)),
     # The network and the decision value, each exact to the last bit.
     Mutant("update_incremental: hidden on the (k, M) chunk, not (k, 1, M) rows", TRAINING,
            "H = model.hidden(noisy[:, None, :])[:, 0, :]", "H = model.hidden(noisy)",
@@ -238,20 +277,25 @@ MUTANTS = [
            (UNWRITABLE_STATE + "[gamma-nan]",)),
     Mutant("load_state: stats G and C read without the shape check", DETECTOR,
            'SufficientStats(_array(stats["G"], (m, m), "stats G"),\n'
-           '                                         _array(stats["C"], (m, m), "stats C"), n)',
+           '                                _array(stats["C"], (m, m), "stats C"), n)',
            'SufficientStats(np.asarray(stats["G"], dtype=float),\n'
-           '                                         np.asarray(stats["C"], dtype=float), n)',
+           '                                np.asarray(stats["C"], dtype=float), n)',
            ("tests/test_detector.py::"
             "test_a_state_names_each_array_of_the_wrong_shape_and_an_unknown_scaler",)),
     Mutant("load_state: a threshold that is not positive accepted", DETECTOR,
-           "if not 0 < detector.threshold < math.inf:", "if False:",
+           "if not 0 < threshold < math.inf:", "if False:",
            ("tests/test_detector.py::test_classify_rejects_bad_thresholds",)),
     Mutant("load_state: max scale factors not checked for positivity", DETECTOR,
-           "if not (detector.scaler.scale > 0).all():", "if False:",
+           "if not (scaler.scale > 0).all():", "if False:",
            (UNWRITABLE_STATE + "[scale-zero]",)),
     Mutant("load_state: a min-max hi below lo accepted", DETECTOR,
-           "if (detector.scaler.hi < detector.scaler.lo).any():", "if False:",
+           "if (scaler.hi < scaler.lo).any():", "if False:",
            (UNWRITABLE_STATE + "[minmax-hi-below-lo]",)),
+    Mutant("_check_types: a key save_state never writes accepted", DETECTOR,
+           "        if unknown is not None:\n", "        if False:\n", UNKNOWN_KEY_TESTS),
+    Mutant("_check_types: a scaler's keys checked without its kind", DETECTOR,
+           """f"{key} {value.get('kind')}" if key == "scaling_factors" else key""", "key",
+           UNKNOWN_KEY_TESTS),
     Mutant("load_state: a network of another L accepted", DETECTOR,
            'if doc["L"] != LAYERS:', "if False:", STOCK_NETWORK_TESTS),
     Mutant("load_state: another activation accepted", DETECTOR,
@@ -268,6 +312,9 @@ MUTANTS = [
     Mutant("_write_outputs: a report may hold NaN", CLI,
            "sort_keys=True, allow_nan=False)", "sort_keys=True)",
            ("tests/test_config_cli.py::test_a_report_is_strict_json_or_an_error_naming_it",)),
+    Mutant("load_feature_dataset: a header that starts with a byte-order mark accepted",
+           TRAFFIC, ' or header[0].startswith("\\ufeff"):', ":",
+           ("tests/test_traffic.py::test_a_byte_order_mark_before_a_bad_header_is_named",)),
     Mutant("read_csv: a byte-order mark before a bad header not named", TRAFFIC,
            'if fields and fields[0].startswith("\\ufeff"):', "if False:",
            ("tests/test_traffic.py::test_a_byte_order_mark_before_a_bad_header_is_named",)),

@@ -694,6 +694,45 @@ def test_a_state_value_of_a_json_type_save_state_never_writes_exits_2_naming_it(
     assert not log.exists() and not (tmp_path / "saved.json").exists()
 
 
+def minmax_scaler(doc):
+    """``doc`` with a min-max scaler of its width in place of its max scaler."""
+    m = doc["M"]
+    return dict(doc, scaling_factors={"kind": "minmax", "lo": [0.0] * m, "hi": [1.0] * m})
+
+
+@pytest.mark.parametrize("mutate, reason", [
+    (lambda doc: dict(doc, treshold=5.0), "unknown key 'treshold'"),
+    (lambda doc: {"a_first": 1.0, **doc, "z_last": "x"}, "unknown key 'a_first'"),
+    (lambda doc: dict(doc, stats=dict(doc["stats"], N=3)), "unknown key 'N' in stats"),
+    (lambda doc: dict(doc, scaling_factors=dict(doc["scaling_factors"], lo=[0.0] * 3)),
+     "unknown key 'lo' in scaling_factors"),
+    (lambda doc: dict(minmax_scaler(doc), scaling_factors=dict(
+        minmax_scaler(doc)["scaling_factors"], scale=[1.0] * 3)),
+     "unknown key 'scale' in scaling_factors"),
+    (lambda doc: dict(doc, act=dict(doc["act"], k=1.0)),
+     "act {'c': 1.0, 'r': 1.0, 'k': 1.0}: only the stock activation r=1, c=1 is supported"),
+], ids=["top-level", "first-in-file", "stats", "max-scaler", "minmax-scaler", "act"])
+def test_a_state_key_save_state_never_writes_exits_2_naming_it(flood_trace_file, tmp_path,
+                                                               capsys, mutate, reason):
+    # A misspelt key next to the one it stands for used to load, and
+    # ``replay --online --save-state`` then dropped it without a word.
+    state, bad, log = tmp_path / "state.json", tmp_path / "bad.json", tmp_path / "never.csv"
+    assert cli.main(["init", str(flood_trace_file), "--out", str(state),
+                     "--set", "train.init_len=100"]) == 0
+    doc = json.loads(state.read_text())
+    (tmp_path / "minmax.json").write_text(json.dumps(minmax_scaler(doc)))
+    assert load_state(tmp_path / "minmax.json").dim == 3  # the min-max keys load
+    bad.write_text(json.dumps(mutate(doc)))
+    before = bad.read_bytes()
+    capsys.readouterr()
+    for flags in (["--frozen"], ["--online", "--save-state", str(bad)]):
+        rc = cli.main(["replay", str(flood_trace_file), "--state", str(bad), "--log", str(log)]
+                      + flags)
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: state file {bad}: {reason}\n")
+        assert not log.exists() and bad.read_bytes() == before
+
+
 @pytest.mark.parametrize("flags", [["--state", "s.json"], [], ["--devices"]],
                          ids=["state", "cold-start", "devices"])
 def test_a_header_only_trace_exits_2_before_any_output(flood_trace_file, tmp_path, capsys,

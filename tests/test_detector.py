@@ -5,6 +5,7 @@ import errno
 import json
 import os
 import re
+import weakref
 import zlib
 
 import numpy as np
@@ -13,8 +14,9 @@ import pytest
 from aadetect.aadrnn import AadrnnModel
 from aadetect.bench import flood_trace
 from aadetect.config import Config, config_from_dict
-from aadetect.detector import (Decision, Detector, LifecycleError, Mode, Phase,
-                               load_state, salt_for_address, save_state, whisker_threshold)
+from aadetect.detector import (Decision, Detector, DetectorState, Fit, LifecycleError, Mode,
+                               Phase, load_state, salt_for_address, save_state,
+                               whisker_threshold)
 from aadetect.metrics import DimensionError, MinMaxScaler, ScalingFactors
 from aadetect.traffic import FeatureTable, Trace
 from aadetect.training import SufficientStats
@@ -61,12 +63,11 @@ class Reconstructs:
 def judge(x, x_hat, gamma, threshold=1.0):
     """A frozen detector's decision on raw vector ``x`` under unit scaling,
     weights ``gamma`` and ``threshold``, with ``x_hat`` as the reconstruction."""
-    det = Detector(len(gamma), small_config(), Mode.FEATURES)  # the mode that takes any width
-    det.scaler = ScalingFactors(np.ones(len(gamma)))
-    det.model = Reconstructs(x_hat)
+    fit = Fit(ScalingFactors(np.ones(len(gamma))), Reconstructs(x_hat), None, threshold)
+    det = Detector(len(gamma), small_config(), Mode.FEATURES,  # the mode that takes any width
+                   state=DetectorState(fit))
     det.gamma = np.asarray(gamma, dtype=float)
-    det.threshold = threshold
-    det.phase = Phase.FROZEN
+    assert det.phase == Phase.FROZEN
     return det.observe(np.asarray(x, dtype=float), 0)
 
 
@@ -206,6 +207,7 @@ def test_init_buffers_then_first_decision():
         assert list(det.step_rows(trace[i:i + 1])) == []
     assert det.phase == Phase.ONLINE
     assert det.threshold > 0 and det.accepted_rows == 8
+    assert det.state.init_rows == [] and det.state.row_counter == 8  # no copy of the window
     [dec] = det.step_rows(packets([99]))
     assert isinstance(dec, Decision) and dec.at_us == 99
 
@@ -623,18 +625,18 @@ def random_state_detector(rng, scaler_kind):
     scaler of ``scaler_kind``, statistics and threshold: every value a state
     file holds, none of them fitted."""
     dim = int(rng.choice([1, 2, 3, 5, 6, 20]))
-    det = Detector(dim, Config(), Mode.FEATURES)  # the mode that takes any width
-    det.model = AadrnnModel.initial(dim, int(rng.integers(10_000))).with_readout(
+    model = AadrnnModel.initial(dim, int(rng.integers(10_000))).with_readout(
         rng.normal(0, 1, size=(dim, dim)))
     if scaler_kind == "max":
-        det.scaler = ScalingFactors(rng.uniform(0.1, 1e4, size=dim))
+        scaler = ScalingFactors(rng.uniform(0.1, 1e4, size=dim))
     else:
         lo = rng.normal(0, 1, size=dim)
-        det.scaler = MinMaxScaler(lo, lo + rng.uniform(0, 3, size=dim))
-    det.stats = SufficientStats(rng.normal(0, 1, size=(dim, dim)),
-                                rng.normal(0, 1, size=(dim, dim)), int(rng.integers(10**9)))
-    det.threshold = float(rng.uniform(1e-6, 10))
-    det.phase = Phase.FROZEN
+        scaler = MinMaxScaler(lo, lo + rng.uniform(0, 3, size=dim))
+    stats = SufficientStats(rng.normal(0, 1, size=(dim, dim)),
+                            rng.normal(0, 1, size=(dim, dim)), int(rng.integers(10**9)))
+    fit = Fit(scaler, model, stats, float(rng.uniform(1e-6, 10)))
+    det = Detector(dim, Config(), Mode.FEATURES, state=DetectorState(fit))  # any width
+    assert det.phase == Phase.FROZEN
     return det
 
 
@@ -724,6 +726,50 @@ def test_a_state_that_is_not_utf8_is_an_error_naming_it(tmp_path):
     path.write_bytes(b"\xff" + path.read_bytes())
     with pytest.raises(ValueError, match=f"^state file {re.escape(str(path))}: 'utf-8' codec"):
         load_state(path)
+
+
+def test_feeding_rows_and_loading_a_state_change_no_attribute_but_the_record(tmp_path,
+                                                                          monkeypatch):
+    # Everything a detector changes while rows are fed is its ``state`` record;
+    # the policy its config sets is fixed once it is built, and load_state builds
+    # a detector on the record it reads rather than assigning to one.
+    built, rebound = weakref.WeakSet(), []
+    init = Detector.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.add(self)
+
+    def recording_setattr(self, name, value):
+        if self in built:
+            rebound.append(name)
+        object.__setattr__(self, name, value)
+
+    monkeypatch.setattr(Detector, "__init__", recording_init)
+    monkeypatch.setattr(Detector, "__setattr__", recording_setattr)
+    config, trace = small_config(init_len=100, window_len=50), flood_trace()
+    det = Detector(3, config, online=True)
+    detectors = [(det, dict(vars(det)))]
+    decisions = list(det.step_rows(trace[:2000]))  # through init and window refits
+    assert det.phase == Phase.ONLINE and det.accepted_rows > 100
+    assert len({d.threshold for d in decisions}) > 1  # a refit moved the threshold
+    save_state(det, tmp_path / "state.json")
+    for online in (False, True):  # a frozen replay, then an online one
+        loaded = load_state(tmp_path / "state.json", config, online=online)
+        assert loaded.phase == (Phase.ONLINE if online else Phase.FROZEN)
+        detectors.append((loaded, dict(vars(loaded))))
+        assert len(list(loaded.step_rows(trace[2000:3000]))) == 1000
+    device = Detector(6, small_config(), Mode.DEVICE, online=True)
+    detectors.append((device, dict(vars(device))))
+    rng = np.random.default_rng(3)
+    device.initialize(rng.uniform(0.8, 1.2, size=(8, 6)))
+    for i in range(200):  # past device.window_seconds, so the device refits
+        device.observe(rng.uniform(0.8, 1.2, size=6), i * 1_000_000)
+    assert device.accepted_rows > 8
+    assert rebound == []
+    for detector, attributes in detectors:
+        assert vars(detector).keys() == attributes.keys()
+        assert all(vars(detector)[name] is value for name, value in attributes.items())
 
 
 def test_salt_for_address_is_stable_crc32():

@@ -1,13 +1,14 @@
 """Hostile input through the whole CLI: one generated edit to a small valid
 trace, feature file, decision log or state file, then every command that
 reads that file, run in process through ``cli.main``. A state file also takes
-a JSON value of the wrong type at any nested key.
+a JSON value of the wrong type at any nested key, or a key ``save_state``
+never writes in any of its objects.
 
-The contract: a command returns 0 or 2 and raises nothing; on 2 its stderr is
-one ``error:`` line that names the edited file; a state file that existed
-before a failed run is unchanged, whether the run was to write it with
-``init --out`` or with ``replay --save-state``. Config files and ``--set``
-values are not edited here.
+The contract: a command returns 0 or 2 and raises nothing (2 alone for an
+unknown key); on 2 its stderr is one ``error:`` line that names the edited
+file; a state file that existed before a failed run is unchanged, whether the
+run was to write it with ``init --out`` or with ``replay --save-state``.
+Config files and ``--set`` values are not edited here.
 
 ``--hypothesis-profile=fuzz`` (``tests/conftest.py``) runs the property on
 2,000 examples instead of the ``ci`` profile's 200.
@@ -59,13 +60,14 @@ def commands(kind, path, base):
     }[kind]
 
 
-def check_contract(kind, path, base):
-    """Run each command on the file at ``path`` and check the contract."""
+def check_contract(kind, path, base, fails=False):
+    """Run each command on the file at ``path`` and check the contract; with
+    ``fails``, each command must exit 2."""
     for argv in commands(kind, path, base):
         shutil.copyfile(base["state"], base["out"])
         before = base["out"].read_bytes(), path.read_bytes()
         code, _, err = run(argv)
-        assert code in (0, 2), (argv, code, err)
+        assert code in ((2,) if fails else (0, 2)), (argv, code, err)
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
             assert str(path) in err, (argv, err)
@@ -110,6 +112,13 @@ def json_paths(value, path=()):
         yield from json_paths(value[0], path + (0,))
 
 
+def get(doc, path):
+    """The value at ``path`` in ``doc``."""
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
 def put(doc, path, value):
     """``doc`` with ``value`` at ``path``, ``doc`` itself changed in place."""
     if not path:
@@ -123,12 +132,18 @@ def put(doc, path, value):
 
 def edit(data: bytes, op: str, a: int, b: int, field: str) -> bytes:
     """``data`` with one edit; ``a`` and ``b`` pick a byte, a line or a field,
-    or (``json``) a state's key and a value of the wrong type, modulo what
-    there is to pick from."""
-    if op == "json":
+    or a state's key and a value of the wrong type (``json``), or a state's
+    object and the value of a key put in it that ``save_state`` never writes
+    (``key``), modulo what there is to pick from."""
+    if op in ("json", "key"):
         doc = json.loads(data)
         paths = list(json_paths(doc))
-        doc = put(doc, paths[a % len(paths)], WRONG_TYPES[b % len(WRONG_TYPES)])
+        value = WRONG_TYPES[b % len(WRONG_TYPES)]
+        if op == "key":
+            objects = [path for path in paths if isinstance(get(doc, path), dict)]
+            get(doc, objects[a % len(objects)])["unknown"] = value
+        else:
+            doc = put(doc, paths[a % len(paths)], value)
         return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
     if op == "flip":
         a %= len(data)
@@ -156,10 +171,10 @@ def edit(data: bytes, op: str, a: int, b: int, field: str) -> bytes:
 
 
 def edits(kind):
-    """One edit to a file of ``kind``: only a state file takes a ``json`` edit."""
+    """One edit to a file of ``kind``: only a state file takes a ``json`` or ``key`` edit."""
     ops = ["flip", "insert", "delete", "cut", "duplicate", "swap", "field"]
     return st.tuples(st.just(kind), st.tuples(
-        st.sampled_from(ops + ["json"] * (kind == "state")),
+        st.sampled_from(ops + ["json", "key"] * (kind == "state")),
         st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from(FIELDS)))
 
 
@@ -170,10 +185,11 @@ def edits(kind):
 @hypothesis.example(("trace", ("field", 30, 0, "1e309")))
 @hypothesis.example(("state", ("insert", 0, 0xff, "")))  # not UTF-8
 @hypothesis.example(("state", ("json", 0, 5, "")))  # a top-level list
+@hypothesis.example(("state", ("key", 0, 4, "")))  # "unknown": 1.5 at the top level
 def test_one_edit_to_an_input_exits_0_or_2_naming_the_file(base, case):
     kind, one_edit = case
     base["edited"].write_bytes(edit(base[kind].read_bytes(), *one_edit))
-    check_contract(kind, base["edited"], base)
+    check_contract(kind, base["edited"], base, fails=one_edit[0] == "key")
 
 
 # -- a stray quote with more than csv's field size limit after it -----------------------

@@ -371,12 +371,12 @@ def test_a_quote_left_open_or_closed_early_is_an_error_naming_its_line(tmp_path,
 
 
 @pytest.mark.parametrize("kind, header", [
-    ("trace", None), ("log", None), ("features", "f1,f2,lbl,attack_type")])
+    ("trace", None), ("log", None), ("features", "f1,f2,lbl,attack_type"), ("features", None)])
 def test_a_byte_order_mark_before_a_bad_header_is_named(tmp_path, kind, header):
     # A UTF-8 byte-order mark is invisible in most editors, so "expected header"
-    # alone reads as wrong for a header that looks right. A feature file's own
-    # header is checked only for its label column, so its mark is named when
-    # that check fails.
+    # alone reads as wrong for a header that looks right. A feature file whose
+    # header is otherwise valid is rejected too: it used to load, naming its
+    # first feature "\ufefff1".
     default, make_row, load = FILE_KINDS[kind]
     path = tmp_path / f"{kind}.csv"
     path.write_text("\ufeff" + "\n".join([header or default, make_row(1)]) + "\n",
