@@ -49,7 +49,8 @@ def _hashmix(const: int, mult: int):
 def init_hidden_weights(input_dim: int, seed: int) -> Tuple[np.ndarray, ...]:
     """Draw the ``LAYERS`` frozen (M, M) hidden weights: bit for bit the
     ``default_rng(seed).uniform(0, 1/M, (M, M))`` draws, layer after layer
-    from one generator (see the module docstring)."""
+    from one generator (see the module docstring). Oracle: numpy.random; test:
+    tests/test_aadrnn.py::test_hidden_weights_equal_numpys_pcg64_draws."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")

@@ -55,39 +55,30 @@ def bench_config() -> Config:
 # -- scenario traces --------------------------------------------------------
 
 
-def flood_trace(seed: int = 7) -> Trace:
-    spec = TraceSpec(
-        duration_s=70.0, rate_pps=50.0,
-        hosts=("10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4"),
-        attacks=(AttackSegment(start_s=60.0, end_s=70.0, rate_multiplier=100.0,
-                               attackers=("198.51.100.66",), victims=("10.0.0.1",),
-                               size_mean=80.0, size_sigma=10.0),),
-        benign_until=60.0)
-    return synth_trace(spec, seed)
-
-
-def drift_trace(seed: int = 11) -> Trace:
-    spec = TraceSpec(
-        duration_s=125.0, rate_pps=40.0, rate_ramp=2.0,
-        hosts=("10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4"),
-        attacks=(AttackSegment(start_s=115.0, end_s=125.0, rate_multiplier=50.0,
-                               attackers=("198.51.100.66",), victims=("10.0.0.1",),
-                               size_mean=80.0, size_sigma=10.0),),
-        benign_until=115.0)
-    return synth_trace(spec, seed)
-
-
 _FLOODER, _ONSET_US = "10.0.0.3", 60_000_000
 
 
+def _scenario(seed: int, duration_s: float, rate_pps: float, onset_s: float, multiplier: float,
+              ramp: float = 1.0, flooder: Optional[str] = None) -> Trace:
+    """Four chatting hosts, then a flood of 80-byte packets from ``onset_s`` on: at one host
+    from outside, the benign traffic stopping, or sprayed by ``flooder`` over 1024 addresses."""
+    attack = AttackSegment(onset_s, duration_s, multiplier, (flooder or "198.51.100.66",),
+                           () if flooder else ("10.0.0.1",), spray=1024 if flooder else 0)
+    hosts = ("10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4")
+    return synth_trace(TraceSpec(duration_s, rate_pps, hosts, rate_ramp=ramp, attacks=(attack,),
+                                 benign_until=None if flooder else onset_s), seed)
+
+
+def flood_trace(seed: int = 7) -> Trace:
+    return _scenario(seed, 70.0, 50.0, 60.0, 100.0)
+
+
+def drift_trace(seed: int = 11) -> Trace:
+    return _scenario(seed, 125.0, 40.0, 115.0, 50.0, ramp=2.0)
+
+
 def device_trace(seed: int = 5) -> Trace:
-    spec = TraceSpec(
-        duration_s=120.0, rate_pps=24.0,
-        hosts=("10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4"),
-        attacks=(AttackSegment(start_s=_ONSET_US / 1e6, end_s=120.0, rate_multiplier=50.0,
-                               attackers=(_FLOODER,), spray=1024,
-                               size_mean=80.0, size_sigma=10.0),))
-    return synth_trace(spec, seed)
+    return _scenario(seed, 120.0, 24.0, _ONSET_US / 1e6, 50.0, flooder=_FLOODER)
 
 
 # -- scenario runs ----------------------------------------------------------

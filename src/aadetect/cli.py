@@ -27,8 +27,8 @@ import sys
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .config import Config, apply_overrides, load_config
-from .detector import (STATE_VERSION, Decision, Detector, LifecycleError, Mode, Phase,
-                       load_state, replace_file, save_state)
+from .detector import (Decision, Detector, LifecycleError, Mode, Phase, load_state,
+                       replace_file, save_state)
 from .devices import DeviceBank, InfectionReport
 from .evaluation import (EvalReport, _DecisionLogWriter, _emit_alert, align_with_trace,
                          emit_plot_data, ground_truth, read_decision_log, replay, score)
@@ -55,6 +55,17 @@ def _open_alerts(spec: Optional[str]):
     return open(spec, "w", encoding="utf-8")
 
 
+def _no_clobber(args, inputs: str, outputs: str) -> None:
+    """No output's path is an input's or another output's, but --save-state may be --state's."""
+    seen, outputs = {}, outputs.split()  # seen: real path -> the first flag naming it
+    for flag in inputs.split() + outputs:
+        path = getattr(args, flag.lstrip("-").replace("-", "_").lower())  # TRACE: args.trace
+        if path and (flag, path) != ("--alerts", "-"):
+            other = seen.setdefault(os.path.realpath(path), flag)
+            if flag in outputs and other != flag and (other, flag) != ("--state", "--save-state"):
+                raise ValueError(f"{flag} and {other} are the same file: {path}")
+
+
 def write_decision_log(decisions: Iterable[Decision], mode: str, path: str) -> None:
     """A whole decision log of one run at once, written by ``_DecisionLogWriter``."""
     with _DecisionLogWriter(path, mode) as log:
@@ -66,6 +77,7 @@ def write_decision_log(decisions: Iterable[Decision], mode: str, path: str) -> N
 
 
 def cmd_init(args) -> int:
+    _no_clobber(args, "TRACE --config", "--out")
     config = _build_config(args)
     if args.features:
         table = load_feature_dataset(args.trace)
@@ -113,6 +125,7 @@ def _check_outputs(plots: Optional[str], *outputs: Tuple[str, Optional[str]]) ->
 
 
 def cmd_replay(args) -> int:
+    _no_clobber(args, "TRACE --state --config", "--log --alerts --report --save-state")
     config = _build_config(args)
     if args.devices and args.features:
         raise ValueError("--devices and --features are mutually exclusive")
@@ -135,7 +148,7 @@ def cmd_replay(args) -> int:
         engine = DeviceBank(config)
     elif args.state:
         engine = load_state(args.state, config, online=bool(args.online))  # stays frozen unless asked
-        if args.save_state and engine.state_version != STATE_VERSION:
+        if args.save_state and engine.state_version == 1:
             raise ValueError(f"--save-state: {args.state} is a version {engine.state_version} "
                              "state, which replays frozen only")
         if engine.mode != kind:
@@ -249,6 +262,7 @@ def _parse_assertions(spec: str) -> List[tuple]:
 
 
 def cmd_eval(args) -> int:
+    _no_clobber(args, "--log --trace --config", "--report")
     assertions = _parse_assertions(args.assertions) if args.assertions else []
     config = _build_config(args)
     _check_outputs(args.plots, ("--report", args.report))

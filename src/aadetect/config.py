@@ -132,6 +132,8 @@ class Config:
                         raise ValueError(f"{key} must be finite, got {v!r}")
                 if value is not None and key in _RULES and not _RULES[key][0](value):
                     raise ValueError(f"{key} must {_RULES[key][1]}, got {value!r}")
+        if self.metrics.N >= 2**63:  # a packet count it is compared with is an int64
+            raise ValueError(f"metrics.N must be below 2**63, got {self.metrics.N}")
         if self.metrics.T_us < 1:
             raise ValueError("metrics.T_seconds must round to at least 1 microsecond, "
                              f"got {self.metrics.T_seconds!r}")
@@ -173,15 +175,16 @@ def config_from_dict(doc: Dict[str, Any]) -> Config:
 
 
 def load_config(path: Union[str, Path, None]) -> Config:
-    """Load a config JSON file; None means all defaults."""
+    """Load a config JSON file; None means all defaults. An error names the file."""
     if path is None:
         return Config()
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
-    return config_from_dict(doc)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return config_from_dict(json.load(fh))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too deep, or rejected by validate
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _coerce(text: str) -> Any:

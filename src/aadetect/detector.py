@@ -44,10 +44,12 @@ from .traffic import _TRACE_BLOCK, FeatureTable, Trace
 from .training import (SufficientStats, TrainingError, fit_batch_with_stats,
                        update_incremental)
 
-# Version 2: the readout statistics are trained on the keyed counter noise
-# (``training``). A version-1 state, trained on per-row PCG64 noise, still
-# decides as it did, but cannot be trained on or saved again.
-STATE_VERSION = 2
+# Version 3 stores no network: (M, seed) determines it, and version 2 stored it too. A
+# version-1 state, trained on per-row PCG64 noise, not the keyed counter noise
+# (``training``), still decides as it did, but cannot be trained on or saved again.
+STATE_VERSION = 3
+_FROZEN_ONLY = ("a version 1 state replays frozen only: its training statistics come from an "
+                "older noise stream, so it cannot be trained on or saved")
 
 
 class Mode(str, Enum):
@@ -98,7 +100,8 @@ def whisker_threshold(train_values: Sequence[float]) -> float:
 
     Quartiles use linear interpolation at positions q * (n - 1). A
     non-positive whisker falls back to the sample maximum, then to 1e-6.
-    """
+    Oracle: tests/oracles.py:percentile_whisker; property:
+    tests/test_quartiles.py::test_quartiles_are_np_percentile_bit_for_bit."""
     vals = np.asarray(train_values, dtype=float)
     if vals.ndim != 1 or vals.size < 4:
         raise ValueError(f"whisker threshold needs >= 4 values, got {vals.size}")
@@ -202,7 +205,9 @@ class Detector:
         or matrix), split across calls in any way, and yield one decision per judged row.
         Each slice of ``_slices`` joins the init window as ``init_cut`` says, ``initialize``
         fits the window once it closes, and ``observe`` judges the rest. A BOTNET detector
-        fed anything but a ``Trace`` raises ``TypeError`` before its state changes."""
+        fed anything but a ``Trace`` raises ``TypeError`` before its state changes. Oracle:
+        tests/oracles.py:PerRowFeed; property, with its feature-row twin:
+        tests/test_feed.py::test_packets_in_any_split_decide_as_the_per_row_oracle."""
         for times, raws in self._slices(rows):
             start = self._join(times, raws) if self.state.fit is None else 0
             for at_us, raw in zip(times[start:], raws[start:]):
@@ -366,12 +371,10 @@ def save_state(detector: Detector, path: Union[str, Path]) -> None:
     previous file whole."""
     if detector.state.fit is None:
         raise LifecycleError("cannot save a detector that has not finished init")
-    if detector.state.version != STATE_VERSION:
-        raise ValueError(_frozen_only(detector.state.version))
+    if detector.state.version == 1:
+        raise ValueError(_FROZEN_ONLY)
     scaler, model, stats, threshold = detector.state.fit
-    doc = {"version": STATE_VERSION, "M": model.input_dim, "L": LAYERS,
-           "act": {"r": 1.0, "c": 1.0}, "seed": model.seed,
-           "hidden_weights": [w.tolist() for w in model.hidden_weights],
+    doc = {"version": STATE_VERSION, "M": model.input_dim, "seed": model.seed,
            "readout": model.readout.tolist(),
            "scaling_factors": ({"kind": "max", "scale": scaler.scale.tolist()}
                                if isinstance(scaler, ScalingFactors) else
@@ -422,19 +425,16 @@ def load_state(path: Union[str, Path], config: Optional[Config] = None, *,
         version = doc.get("version", -1)
         if version < 1 or version > STATE_VERSION:
             raise ValueError(f"version {version} not supported (max {STATE_VERSION})")
-        if version < STATE_VERSION and online:
-            raise ValueError(_frozen_only(version))
-        if doc["L"] != LAYERS:
-            raise ValueError(f"L={doc['L']}: only the stock {LAYERS}-layer network is supported")
-        if doc["act"] != {"r": 1.0, "c": 1.0}:
-            raise ValueError(f"act {doc['act']!r}: only the stock activation r=1, c=1 "
-                             "is supported")
-        m, weights = int(doc["M"]), doc["hidden_weights"]
-        if len(weights) != LAYERS:
-            raise DimensionError(f"{len(weights)} hidden weights, expected L={LAYERS}")
-        model = AadrnnModel(tuple(_array(w, (m, m), f"hidden weight {i}")
-                                  for i, w in enumerate(weights)),
-                            _array(doc["readout"], (m, m), "readout"), int(doc["seed"]))
+        if version == 1 and online:
+            raise ValueError(_FROZEN_ONLY)
+        m, seed = int(doc["M"]), int(doc["seed"])
+        readout = _array(doc["readout"], (m, m), "readout")  # bounds M before the draws
+        model = AadrnnModel.initial(m, seed).with_readout(readout)
+        if version < 3:  # version 2 also wrote the network, which must be the stock one
+            stock = [LAYERS, {"r": 1.0, "c": 1.0}, [w.tolist() for w in model.hidden_weights]]
+            for key, value in zip(("L", "act", "hidden_weights"), stock):
+                if doc[key] != value:
+                    raise ValueError(f"{key} is not the stock network of M={m}, seed={seed}")
         # The state's gamma is checked as a metrics.gamma is: by Config.validate, then
         # by the Detector, which also rejects a model width the state's mode does not take.
         config = config or Config()
@@ -467,7 +467,7 @@ def load_state(path: Union[str, Path], config: Optional[Config] = None, *,
         raise ValueError(f"state file {path} has no key {exc}") from None
     except DimensionError as exc:
         raise DimensionError(f"state file {path}: {exc}") from None
-    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
+    except (ValueError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
         raise ValueError(f"state file {path}: {exc}") from None
 
 
@@ -488,18 +488,24 @@ def _finite(text: str) -> float:
     return value
 
 
-# The keys of each object save_state writes, by the object's key (a scaler's with its
-# kind); ``act`` must equal the stock activation's object, so its keys are checked there.
-_KEYS = {"": {"version", "M", "L", "act", "seed", "hidden_weights", "readout", "scaling_factors",
-              "threshold", "mode", "gamma", "stats"}, "stats": {"G", "C", "n"},
+# The keys of each object save_state writes, by its key: a scaler's with its kind, the
+# state's with its version family (``act`` is compared whole with the stock activation's).
+_KEYS = {"version 2": {"version", "M", "L", "act", "seed", "hidden_weights", "readout",
+                       "scaling_factors", "threshold", "mode", "gamma", "stats"},
+         "version 3": {"version", "M", "seed", "readout", "scaling_factors", "threshold", "mode",
+                       "gamma", "stats"}, "stats": {"G", "C", "n"},
          "scaling_factors max": {"kind", "scale"}, "scaling_factors minmax": {"kind", "lo", "hi"}}
 
 
 def _check_types(value, key: str = "") -> None:
     """Reject a key or a value of a JSON type ``save_state`` never writes: an int at
     version, M, L, seed and n, a number at any other key but mode, kind and gamma."""
-    if isinstance(value, dict):  # a scaler of an unknown kind is named later
-        known = _KEYS.get(f"{key} {value.get('kind')}" if key == "scaling_factors" else key, value)
+    if isinstance(value, dict):  # an unknown scaler kind or state version is named later
+        name = f"{key} {value.get('kind')}" if key == "scaling_factors" else key
+        if not key:  # the whole state, by its version family
+            version = value.get("version")
+            name = f"version {max(version, 2) if _is_kind(version, int) else 2}"
+        known = _KEYS.get(name, value)
         unknown = next((k for k in value if k not in known), None)
         if unknown is not None:
             raise ValueError(f"unknown key {unknown!r}" + (f" in {key}" if key else ""))
@@ -510,11 +516,6 @@ def _check_types(value, key: str = "") -> None:
         kind = int if key in ("version", "M", "L", "seed", "n") else float
         if not _is_kind(value, kind):
             raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
-
-
-def _frozen_only(version: int) -> str:
-    return (f"a version {version} state replays frozen only: its training statistics "
-            f"come from an older noise stream, so it cannot be trained on or saved")
 
 
 def salt_for_address(addr: str) -> int:

@@ -145,10 +145,8 @@ class DeviceBank:
             rec.infection_level = infection_level(rec.infection_level, decision.value,
                                                   self.config.device.alpha, decision.threshold)
             rec.peak_level = max(rec.peak_level, rec.infection_level)
-            if rec.infection_level > self.config.device.level_threshold:
-                rec.consecutive_above += 1
-            else:
-                rec.consecutive_above = 0
+            above = rec.infection_level > self.config.device.level_threshold
+            rec.consecutive_above = rec.consecutive_above + 1 if above else 0
             out.append((addr, decision))
         self._packets += 1
         if self._packets % _EVICTION_CHECK_EVERY == 0:

@@ -17,6 +17,7 @@ denominator is zero are reported as None.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -97,26 +98,14 @@ def score(decisions: Sequence[Decision], labels: Sequence[Optional[bool]],
     if attack_types is not None and len(attack_types) != len(decisions):
         raise ValueError("attack_types length does not match decisions")
 
-    tp = fn = tn = fp = 0
-    type_total: Dict[str, int] = {}
-    type_correct: Dict[str, int] = {}
-    for i, (dec, label) in enumerate(zip(decisions, labels)):
-        correct = dec.is_attack == label
-        if label:
-            tp += dec.is_attack
-            fn += not dec.is_attack
-        else:
-            tn += not dec.is_attack
-            fp += dec.is_attack
-        if attack_types is not None:
-            at = attack_types[i]
-            if at:
-                type_total[at] = type_total.get(at, 0) + 1
-                type_correct[at] = type_correct.get(at, 0) + int(correct)
-
+    outcomes = Counter((bool(label), bool(d.is_attack)) for d, label in zip(decisions, labels))
+    tp, fn, tn, fp = (outcomes[True, True], outcomes[True, False], outcomes[False, False],
+                      outcomes[False, True])
+    typed = Counter((kind, d.is_attack == label)  # (attack type, judged right): its rows
+                    for d, label, kind in zip(decisions, labels, attack_types or ()) if kind)
+    per_type = {kind: 100.0 * typed[kind, True] / (typed[kind, True] + typed[kind, False])
+                for kind in sorted({kind for kind, _ in typed})}
     counts = ConfusionCounts(tp=tp, fn=fn, tn=tn, fp=fp)
-    per_type = {name: 100.0 * type_correct[name] / type_total[name]
-                for name in sorted(type_total)}
     return EvalReport(
         counts=counts,
         accuracy=_pct(tp + tn, counts.total),
@@ -233,7 +222,10 @@ def _emit_alert(fh, decision: Decision, mode: str, addr: Optional[str]) -> None:
 def read_decision_log(path: Union[str, Path], mode: Optional[str] = None) -> List[Decision]:
     """Read a decision log back with ``read_csv``; a malformed row, or one
     whose mode differs from the first row's, is an error naming its
-    ``path:line``. With ``mode``, a log of any other mode is an error naming it."""
+    ``path:line``. With ``mode``, a log of any other mode is an error naming it.
+    Oracle: tests/oracles.py:per_row_read_decision_log; property:
+    tests/test_evaluation.py::test_decision_log_reader_equals_the_per_row_reader_on_generated_files.
+    """
     log_mode = None
 
     def row(record):

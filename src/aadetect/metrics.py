@@ -120,7 +120,9 @@ class StreamMetrics:
         int64, or a span could reach 2**53, goes through ``update`` row by row.
         A timestamp earlier than the one before it raises before any state
         changes, as do columns of unequal length and a column that is not
-        integers fitting int64."""
+        integers fitting int64. Oracle: tests/oracles.py:DequeStreamMetrics; property:
+        tests/test_metrics.py::test_blocks_and_rows_mixed_on_one_stream_equal_the_deque_extractor.
+        """
         ts_us = _int64_column(ts_us, "ts_us")
         size_bytes = _int64_column(size_bytes, "size_bytes")
         n = len(ts_us)
@@ -279,9 +281,7 @@ def min_max_fit(rows: Sequence[np.ndarray]) -> MinMaxScaler:
         raise ValueError("cannot fit min-max on an empty dataset")
     if not np.all(np.isfinite(mat)):
         raise ValueError("non-finite feature value in training rows")
-    lo = mat.min(axis=0)
-    hi = mat.max(axis=0)
-    lo.flags.writeable = False
-    hi.flags.writeable = False
+    lo, hi = mat.min(axis=0), mat.max(axis=0)
+    lo.flags.writeable = hi.flags.writeable = False
     return MinMaxScaler(lo, hi)
 

@@ -272,8 +272,8 @@ def trace_blocks(path: Union[str, Path]) -> Iterator[Trace]:
 
     def fast(lines, columns):
         """A split block's integers by ``int``, checked at once: exact against
-        ``tests/oracles.py:per_row_load_trace``, which the property
-        ``test_column_loader_equals_per_row_loader_on_generated_files`` checks."""
+        ``tests/oracles.py:per_row_load_trace``, which this property checks:
+        tests/test_traffic.py::test_column_loader_equals_per_row_loader_on_generated_files."""
         nonlocal prev_ts
         n = len(columns[0])
         try:
@@ -374,7 +374,7 @@ def load_feature_dataset(path: Union[str, Path]) -> FeatureTable:
         ``row``), kept if every value is finite and every label valid:
         exact against ``tests/oracles.py:per_row_load_feature_dataset``,
         which the property
-        ``test_block_loader_equals_per_row_loader_on_generated_files`` checks."""
+        tests/test_traffic.py::test_block_loader_equals_per_row_loader_on_generated_files checks."""
         try:  # comments=None: the default "#" would cut "1.0#x" short.
             feats = np.loadtxt(lines, delimiter=",", usecols=range(n_features),
                                comments=None, ndmin=2)
@@ -508,20 +508,15 @@ def synth_trace(spec: TraceSpec, seed: int) -> Trace:
     rows: List[tuple] = []  # (arrival time, then the six trace columns)
     for t, size in zip(benign_t, benign_sizes):
         src = hosts[rng.integers(len(hosts))]
-        if len(hosts) > 1:
-            others = [h for h in hosts if h != src]
-            dst = others[rng.integers(len(others))]
-        else:
-            dst = "0.0.0.0"
+        others = [h for h in hosts if h != src]
+        dst = others[rng.integers(len(others))] if len(hosts) > 1 else "0.0.0.0"
         rows.append((t, int(round(t * 1e6)), src, dst, int(size), False, None))
 
     for seg in spec.attacks:
         attack_t = _arrival_times(spec, rng, seg.start_s, seg.end_s, seg.rate_multiplier)
         attack_sizes = _sizes(rng, len(attack_t), seg.size_mean, seg.size_sigma)
-        if seg.spray > 0:
-            pool = [f"198.51.{i // 256}.{i % 256}" for i in range(seg.spray)]
-        else:
-            pool = list(seg.victims)
+        pool = ([f"198.51.{i // 256}.{i % 256}" for i in range(seg.spray)] if seg.spray > 0
+                else list(seg.victims))
         for t, size in zip(attack_t, attack_sizes):
             src = seg.attackers[rng.integers(len(seg.attackers))]
             dst = pool[rng.integers(len(pool))]

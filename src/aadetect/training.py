@@ -110,7 +110,9 @@ class NoiseStream(NamedTuple):
     index: int
 
     def normal(self, loc: float = 0.0, scale: float = 1.0, size=1) -> np.ndarray:
-        """Rows ``index``, ``index + 1``, ... of the field at width ``size[-1]``."""
+        """Rows ``index``, ``index + 1``, ... of the field at width ``size[-1]``. Oracle:
+        tests/oracles.py:oracle_noise; property:
+        tests/test_training.py::test_noise_equals_the_per_value_oracle."""
         shape = tuple(size) if isinstance(size, tuple) else (operator.index(size),)
         n = math.prod(shape)
         z = np.arange(3 * n, dtype=np.uint64) * np.uint64(_GAMMA)
@@ -175,7 +177,9 @@ def update_incremental(stats: SufficientStats, window: np.ndarray, model: Aadrnn
     ``H (x) [H | clean]``; ``np.add.reduce`` over its axis 0 adds them one
     after another onto row 0 (see the module docstring). ``np.einsum`` stores
     a -0.0 product as 0.0 (it adds it to 0.0), which moves no bit of sums
-    that start at +0.0: a round-to-nearest sum never returns to -0.0."""
+    that start at +0.0: a round-to-nearest sum never returns to -0.0. Oracles:
+    tests/oracles.py:per_row_corrupt_window and tests/oracles.py:per_row_accumulate_pairs;
+    property: tests/test_training.py::test_fold_over_random_windows_equals_the_per_row_oracles."""
     window = np.asarray(window, dtype=float)
     if window.ndim == 1:
         window = window.reshape(1, -1)

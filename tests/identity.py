@@ -11,8 +11,10 @@ benchmark's own generators, which write the documented CSV formats without
 then runs every call of ``calls`` in order, each in a fresh interpreter on
 that tree's ``src/``, in a working directory of its own per tree and seed
 that holds the inputs and the earlier calls' outputs. A few calls first
-write a broken copy of an input or of an earlier output (``broken-*``), by
-the same edit in both trees. At the first seed the calls end with
+write an edited copy of an input or of an earlier output, by the same edit in
+both trees: a broken one (``broken-*``), one that only csv's row-by-row loop
+reads (a quoted field, CRLF line endings, a blank line), or a state as
+versions 1 and 2 wrote it (``legacy-*``). At the first seed the calls end with
 ``aadetect bench``, this checkout's four demos and the Python block of its
 README, each run under ``-W error`` (``demo-*`` and ``readme``).
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import fnmatch
+import json
 import os
 import shutil
 import subprocess
@@ -38,6 +41,8 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "aadbench"))
@@ -73,12 +78,34 @@ def edit_line(source: str, target: str, line: int, change: Callable[[bytes], byt
 
 
 def field(index: int, value: bytes) -> Callable[[bytes], bytes]:
-    """A line change: CSV field ``index`` replaced by ``value``."""
+    """A line change: CSV field ``index`` replaced by ``value`` (``b"%s"`` is the old one)."""
     def change(text: bytes) -> bytes:
         fields = text.split(b",")
-        fields[index] = value
+        fields[index] = value.replace(b"%s", fields[index])
         return b",".join(fields)
     return change
+
+
+def crlf(source: str, target: str):
+    """A ``prepare`` step: ``target`` is ``source`` with CRLF line endings."""
+    def prepare(run_dir: Path) -> None:
+        (run_dir / target).write_bytes((run_dir / source).read_bytes().replace(b"\n", b"\r\n"))
+    return prepare
+
+
+def legacy_state(source: str, target: str, version: int):
+    """A ``prepare`` step: ``target`` is the state ``source`` as version ``version``
+    (1 or 2) wrote it, with the network too: ``L``, ``act`` and each hidden layer,
+    a ``numpy.random.default_rng(seed).uniform(0, 1/M, (M, M))`` draw. From a
+    version-2 state of the same fields, version 2 gives the same bytes."""
+    def prepare(run_dir: Path) -> None:
+        doc = json.loads((run_dir / source).read_text(encoding="utf-8"))
+        m, rng = doc["M"], np.random.default_rng(doc["seed"])
+        doc.update(version=version, L=3, act={"r": 1.0, "c": 1.0}, hidden_weights=[
+            rng.uniform(0.0, 1.0 / m, size=(m, m)).tolist() for _ in range(3)])
+        (run_dir / target).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n",
+                                      encoding="utf-8")
+    return prepare
 
 
 def calls(seed: int) -> List[Call]:
@@ -127,6 +154,39 @@ def calls(seed: int) -> List[Call]:
                                "--plots", "devices-plots"] + N30),
         Call("devices-soak", ["replay", "soak.csv", "--devices", "--log", "devices-soak.log",
                               "--report", "devices-soak.report.json"] + N30),
+        # Valid files that csv reads row by row: a quoted address, CRLF line endings,
+        # and a blank line before a quoted row.
+        Call("init-quoted", ["init", "quoted.csv", "--out", "init-quoted.json"] + N30,
+             edit_line("soak.csv", "quoted.csv", 6, field(1, b'"%s"'))),
+        Call("replay-quoted", ["replay", "quoted.csv", "--state", "init.json",
+                               "--log", "quoted.log"] + N30),
+        Call("init-crlf", ["init", "crlf.csv", "--out", "init-crlf.json"] + N30,
+             crlf("soak.csv", "crlf.csv")),
+        Call("replay-crlf", ["replay", "crlf.csv", "--state", "init.json", "--log", "crlf.log"]
+             + N30),
+        Call("init-blank", ["init", "blank.csv", "--out", "init-blank.json"] + N30,
+             edit_line("soak.csv", "blank.csv", 1500,
+                       lambda text: b"\n" + field(2, b'"%s"')(text))),
+        Call("replay-blank", ["replay", "blank.csv", "--state", "init.json", "--log", "blank.log"]
+             + N30),
+        # States as versions 1 and 2 wrote them, the network included.
+        Call("legacy-v2-frozen", ["replay", "soak.csv", "--state", "legacy-v2.json", "--frozen",
+                                  "--log", "legacy-v2.log", "--alerts", "legacy-v2.alerts",
+                                  "--report", "legacy-v2.report.json"] + N30,
+             legacy_state("init.json", "legacy-v2.json", 2)),
+        Call("legacy-v2-online", ["replay", "soak.csv", "--state", "legacy-v2.json", "--online",
+                                  "--log", "legacy-v2-online.log",
+                                  "--alerts", "legacy-v2-online.alerts",
+                                  "--report", "legacy-v2-online.report.json",
+                                  "--save-state", "legacy-v2-online.state.json"] + N30),
+        Call("legacy-v1-frozen", ["replay", "soak.csv", "--state", "legacy-v1.json", "--frozen",
+                                  "--log", "legacy-v1.log", "--alerts", "legacy-v1.alerts",
+                                  "--report", "legacy-v1.report.json"] + N30,
+             legacy_state("init.json", "legacy-v1.json", 1)),
+        Call("legacy-features", ["replay", "test.csv", "--features",
+                                 "--state", "legacy-features.json",
+                                 "--log", "legacy-features.log"],
+             legacy_state("features.json", "legacy-features.json", 2)),
         # Broken files: each an error line and exit 2, or (eval-nan) a report JSON cannot hold.
         Call("broken-quote", ["replay", "broken-quote.csv", "--state", "init.json"] + N30,
              edit_line("soak.csv", "broken-quote.csv", 6, lambda text: b'"' + text)),
@@ -143,6 +203,15 @@ def calls(seed: int) -> List[Call]:
         Call("broken-features", ["replay", "broken-features.csv", "--features",
                                  "--state", "features.json"],
              edit_line("test.csv", "broken-features.csv", 10, field(3, b"inf"))),
+        Call("broken-label", ["replay", "broken-label.csv", "--state", "init.json"] + N30,
+             edit_line("soak.csv", "broken-label.csv", 3001, field(4, b"2"))),
+        Call("broken-back-edge", ["replay", "broken-back-edge.csv", "--state", "init.json"] + N30,
+             edit_line("soak.csv", "broken-back-edge.csv", 1027, field(0, b"0"))),
+        Call("broken-column", ["replay", "broken-column.csv", "--state", "init.json"] + N30,
+             edit_line("soak.csv", "broken-column.csv", 1026, lambda text: text + b",x")),
+        Call("broken-feature-label", ["replay", "broken-feature-label.csv", "--features",
+                                      "--state", "features.json"],
+             edit_line("test.csv", "broken-feature-label.csv", 10, field(-2, b"yes"))),
         Call("broken-state", ["replay", "soak.csv", "--state", "broken-state.json"] + N30,
              edit_line("init.json", "broken-state.json", 2, lambda text: b' "L": "x",')),
         Call("broken-json", ["replay", "soak.csv", "--state", "broken-json.json"] + N30,

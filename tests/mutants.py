@@ -49,6 +49,8 @@ STOCK_NETWORK_TESTS = ("tests/test_detector.py::"
                        "test_a_state_rejects_every_network_but_the_stock_one",)
 UNKNOWN_KEY_TESTS = ("tests/test_config_cli.py::"
                      "test_a_state_key_save_state_never_writes_exits_2_naming_it",)
+DISTINCT_TESTS = ("tests/test_config_cli.py::"
+                  "test_an_output_that_is_an_input_or_another_output_exits_2_before_any_write")
 WHISKER_TESTS = ("tests/test_detector.py::test_whisker_degenerate_fallbacks",)
 
 
@@ -296,10 +298,11 @@ MUTANTS = [
     Mutant("_check_types: a scaler's keys checked without its kind", DETECTOR,
            """f"{key} {value.get('kind')}" if key == "scaling_factors" else key""", "key",
            UNKNOWN_KEY_TESTS),
-    Mutant("load_state: a network of another L accepted", DETECTOR,
-           'if doc["L"] != LAYERS:', "if False:", STOCK_NETWORK_TESTS),
-    Mutant("load_state: another activation accepted", DETECTOR,
-           'if doc["act"] != {"r": 1.0, "c": 1.0}:', "if False:", STOCK_NETWORK_TESTS),
+    Mutant("load_state: a version-2 state's network not compared with its (M, seed)'s",
+           DETECTOR, "if version < 3:  #", "if False:  #", STOCK_NETWORK_TESTS),
+    Mutant("_check_types: a version-3 state checked against version 2's keys", DETECTOR,
+           'name = f"version {max(version, 2) if _is_kind(version, int) else 2}"',
+           'name = "version 2"', UNKNOWN_KEY_TESTS),
     Mutant("replace_file: the target written directly, so a failed save loses it", DETECTOR,
            'tmp = f"{path}.{os.getpid()}.tmp"', "tmp = path",
            ("tests/test_detector.py::"
@@ -308,6 +311,20 @@ MUTANTS = [
            "if isinstance(exc, OSError) and exc.filename == tmp:", "if False:",
            ("tests/test_config_cli.py::"
             "test_an_output_that_cannot_be_written_is_an_error_naming_it",)),
+    # Config errors that must name what they are about.
+    Mutant("Config.validate: a metrics.N past int64 accepted", CONFIG,
+           "if self.metrics.N >= 2**63:", "if False:",
+           ("tests/test_hostile.py::test_one_set_value_exits_0_or_2_naming_its_key",)),
+    Mutant("load_config: a config error not naming the file", CONFIG,
+           'raise ValueError(f"{path}: {exc}") from None', "raise",
+           ("tests/test_hostile.py::test_one_edit_to_an_input_exits_0_or_2_naming_the_file",)),
+    # An output that names an input or another output.
+    Mutant("_no_clobber: paths compared as given, not as real paths", CLI,
+           "seen.setdefault(os.path.realpath(path), flag)", "seen.setdefault(path, flag)",
+           (DISTINCT_TESTS + "[log-over-state]",)),
+    Mutant("_no_clobber: --save-state may not resume --state in place", CLI,
+           ' and (other, flag) != ("--state", "--save-state"):', ":",
+           (DISTINCT_TESTS + "[log-over-trace]",)),
     # Two errors that must name what they are about.
     Mutant("_write_outputs: a report may hold NaN", CLI,
            "sort_keys=True, allow_nan=False)", "sort_keys=True)",

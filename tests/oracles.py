@@ -540,3 +540,15 @@ def write_feature_file(table, path):
     write_csv(path, header, ([*map(repr, feats), label_text[label], kind or ""]
                              for feats, label, kind in zip(table.features.tolist(), table.label,
                                                            table.attack_type)))
+
+
+# -- state files ----------------------------------------------------------------------
+
+
+def legacy_state(doc, version=2):
+    """A version-3 state document as version ``version`` (1 or 2) wrote it: the
+    same fields plus the network, ``L``, ``act`` and the hidden weights, each
+    layer a ``numpy.random.default_rng(seed).uniform(0, 1/M, (M, M))`` draw."""
+    m, rng = doc["M"], np.random.default_rng(doc["seed"])
+    weights = [rng.uniform(0.0, 1.0 / m, size=(m, m)).tolist() for _ in range(3)]
+    return dict(doc, version=version, L=3, act={"r": 1.0, "c": 1.0}, hidden_weights=weights)

@@ -25,7 +25,8 @@ from aadetect.evaluation import read_decision_log
 from aadetect.traffic import (AttackSegment, FeatureTable, TraceSpec, load_feature_dataset,
                               load_trace, save_trace, synth_trace)
 from aadetect.training import TrainingError
-from oracles import stepped, stepped_feature_init, stepped_packet_init, write_feature_file
+from oracles import (legacy_state, stepped, stepped_feature_init, stepped_packet_init,
+                     write_feature_file)
 
 
 def feature_table(rng, dim, *blocks):
@@ -569,27 +570,32 @@ def _drop_last(rows):
     return rows[:-1]
 
 
+def legacy(change):
+    """A state edit made to the version-2 form of a state, which holds its network."""
+    return lambda doc: change(legacy_state(doc))
+
+
 @pytest.mark.parametrize("mutate", [
     lambda doc: dict(doc, threshold=None),
     lambda doc: dict(doc, stats=5),
-    lambda doc: dict(doc, hidden_weights=None),
-    lambda doc: dict(doc, act=None),
+    legacy(lambda doc: dict(doc, hidden_weights=None)),
+    legacy(lambda doc: dict(doc, act=None)),
     lambda doc: [1, 2],
     lambda doc: dict(doc, readout=_drop_last(doc["readout"])),
-    lambda doc: dict(doc, hidden_weights=[_drop_last(doc["hidden_weights"][0])]
-                     + doc["hidden_weights"][1:]),
-    lambda doc: dict(doc, hidden_weights=[[row[:-1] for row in doc["hidden_weights"][0]]]
-                     + doc["hidden_weights"][1:]),
+    legacy(lambda doc: dict(doc, hidden_weights=[_drop_last(doc["hidden_weights"][0])]
+                            + doc["hidden_weights"][1:])),
+    legacy(lambda doc: dict(doc, hidden_weights=[[row[:-1] for row in doc["hidden_weights"][0]]]
+                            + doc["hidden_weights"][1:])),
     lambda doc: dict(doc, stats=dict(doc["stats"], G=_drop_last(doc["stats"]["G"]))),
     lambda doc: dict(doc, stats=dict(doc["stats"], C=[row[:-1] for row in doc["stats"]["C"]])),
     lambda doc: dict(doc, stats=dict(doc["stats"], n=-1)),
     lambda doc: dict(doc, scaling_factors={"kind": "max", "scale": [1.0, 2.0]}),
     # Only the stock network loads, and a state holds everything save_state writes.
-    lambda doc: dict(doc, L=2),
-    lambda doc: dict(doc, act=dict(doc["act"], r=2.0)),
-    lambda doc: dict(doc, hidden_weights=doc["hidden_weights"][:1]
-                     + [[row + [0.0] for row in doc["hidden_weights"][1]]]
-                     + doc["hidden_weights"][2:]),
+    legacy(lambda doc: dict(doc, L=2)),
+    legacy(lambda doc: dict(doc, act=dict(doc["act"], r=2.0))),
+    legacy(lambda doc: dict(doc, hidden_weights=doc["hidden_weights"][:1]
+                            + [[row + [0.0] for row in doc["hidden_weights"][1]]]
+                            + doc["hidden_weights"][2:])),
     lambda doc: {k: v for k, v in doc.items() if k != "stats"},
     lambda doc: {k: v for k, v in doc.items() if k != "gamma"},
 ], ids=["threshold-null", "stats-5", "hidden-null", "act-null", "top-level-list",
@@ -609,6 +615,18 @@ def test_a_malformed_state_file_exits_2_naming_it_before_any_log(flood_trace_fil
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: state file {bad}") and "Traceback" not in err, err
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("flag", ["--state", "--config"])
+def test_json_nested_past_the_recursion_limit_exits_2_naming_the_file(flood_trace_file, tmp_path,
+                                                                      capsys, flag):
+    # json raises RecursionError, which is no ValueError: it escaped as a traceback.
+    deep, log = tmp_path / "deep.json", tmp_path / "never.csv"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli.main(["replay", str(flood_trace_file), flag, str(deep), "--log", str(log)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and str(deep) in err and err.count("\n") == 1, err
     assert not log.exists()
 
 
@@ -654,6 +672,7 @@ def test_a_state_that_save_state_cannot_write_exits_2_naming_it_before_any_log(
 
 
 def _first_hidden_entry(doc, value):
+    doc = legacy_state(doc)
     first = doc["hidden_weights"][0]
     return dict(doc, hidden_weights=[[[value, *first[0][1:]], *first[1:]],
                                      *doc["hidden_weights"][1:]])
@@ -665,13 +684,13 @@ def _first_hidden_entry(doc, value):
     (lambda doc: _first_hidden_entry(doc, "0.1"), "hidden_weights must be a number, got '0.1'"),
     (lambda doc: _first_hidden_entry(doc, None), "hidden_weights must be a number, got None"),
     (lambda doc: dict(doc, threshold=True), "threshold must be a number, got True"),
-    (lambda doc: dict(doc, act={"r": True, "c": 1.0}), "r must be a number, got True"),
+    (legacy(lambda doc: dict(doc, act={"r": True, "c": 1.0})), "r must be a number, got True"),
     (lambda doc: dict(doc, scaling_factors=dict(doc["scaling_factors"], scale=["1", 1.0, 1.0])),
      "scale must be a number, got '1'"),
     (lambda doc: dict(doc, stats=dict(doc["stats"], G=[[None] * 3] * 3)),
      "G must be a number, got None"),
     (lambda doc: dict(doc, M=3.0), "M must be an integer, got 3.0"),
-    (lambda doc: dict(doc, L=3.0), "L must be an integer, got 3.0"),
+    (legacy(lambda doc: dict(doc, L=3.0)), "L must be an integer, got 3.0"),
     (lambda doc: dict(doc, seed=False), "seed must be an integer, got False"),
     (lambda doc: dict(doc, version="2"), "version must be an integer, got '2'"),
 ], ids=["readout-str", "stats-n-float", "hidden-str", "hidden-null", "threshold-bool",
@@ -709,9 +728,15 @@ def minmax_scaler(doc):
     (lambda doc: dict(minmax_scaler(doc), scaling_factors=dict(
         minmax_scaler(doc)["scaling_factors"], scale=[1.0] * 3)),
      "unknown key 'scale' in scaling_factors"),
-    (lambda doc: dict(doc, act=dict(doc["act"], k=1.0)),
-     "act {'c': 1.0, 'r': 1.0, 'k': 1.0}: only the stock activation r=1, c=1 is supported"),
-], ids=["top-level", "first-in-file", "stats", "max-scaler", "minmax-scaler", "act"])
+    (legacy(lambda doc: dict(doc, act=dict(doc["act"], k=1.0))),
+     "act is not the stock network of M=3, seed=0"),
+    # A version-3 state holds no network: (M, seed) determines it.
+    (lambda doc: dict(doc, L=3), "unknown key 'L'"),
+    (lambda doc: dict(doc, act={"r": 1.0, "c": 1.0}), "unknown key 'act'"),
+    (lambda doc: dict(doc, hidden_weights=legacy_state(doc)["hidden_weights"]),
+     "unknown key 'hidden_weights'"),
+], ids=["top-level", "first-in-file", "stats", "max-scaler", "minmax-scaler", "act",
+        "v3-L", "v3-act", "v3-hidden-weights"])
 def test_a_state_key_save_state_never_writes_exits_2_naming_it(flood_trace_file, tmp_path,
                                                                capsys, mutate, reason):
     # A misspelt key next to the one it stands for used to load, and
@@ -847,6 +872,35 @@ def test_an_output_written_after_the_replay_is_checked_before_it(flood_trace_fil
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {named}")
     assert sorted(os.listdir(tmp_path)) == ["flood.csv"]  # no log, alerts, report or state
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["replay", "flood.csv", "--log", "flood.csv"], "--log and TRACE are the same file: flood.csv"),
+    (["replay", "flood.csv", "--state", "s.json", "--log", "./s.json"],
+     "--log and --state are the same file: ./s.json"),
+    (["replay", "flood.csv", "--log", "X", "--report", "X"],
+     "--report and --log are the same file: X"),
+    (["replay", "flood.csv", "--log", "X", "--alerts", "X"],
+     "--alerts and --log are the same file: X"),
+    (["init", "flood.csv", "--out", "flood.csv"], "--out and TRACE are the same file: flood.csv"),
+    (["eval", "--log", "L.csv", "--trace", "flood.csv", "--report", "L.csv"],
+     "--report and --log are the same file: L.csv"),
+], ids=["log-over-trace", "log-over-state", "log-and-report", "log-and-alerts", "out-over-trace",
+        "report-over-log"])
+def test_an_output_that_is_an_input_or_another_output_exits_2_before_any_write(
+        flood_trace_file, tmp_path, capsys, monkeypatch, argv, error):
+    # Each of these used to exit 0, overwriting its input or mixing two outputs in one file.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["init", "flood.csv", "--out", "s.json", "--set", "train.init_len=100"]) == 0
+    assert cli.main(["replay", "flood.csv", "--state", "s.json", "--log", "L.csv"]) == 0
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main_closing_every_file(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+    # A resume in place is the one output that may name an input.
+    assert cli.main(["replay", "flood.csv", "--state", "s.json", "--online",
+                     "--save-state", "./s.json"]) == 0
 
 
 @pytest.mark.parametrize("flags, named", [
@@ -1081,12 +1135,12 @@ def test_init_and_replay_leave_numpy_random_unloaded(tmp_path):
 
 
 def version_1_state(tmp_path, trace):
-    """A packet state as a version-1 file holds it: the fields are the same."""
+    """A packet state as a version-1 file holds it: the fields version 2 wrote."""
     state, old = tmp_path / "s.json", tmp_path / "v1.json"
     assert cli.main(["init", str(trace), "--out", str(state), "--set", "train.init_len=100"]) == 0
     doc = json.loads(state.read_text())
-    assert doc["version"] == 2
-    old.write_text(json.dumps(dict(doc, version=1), sort_keys=True, indent=1) + "\n")
+    assert doc["version"] == 3
+    old.write_text(json.dumps(legacy_state(doc, 1), sort_keys=True, indent=1) + "\n")
     return state, old
 
 
@@ -1110,6 +1164,38 @@ def test_a_version_1_state_replays_frozen_only(flood_trace_file, tmp_path, capsy
         save_state(load_state(old), tmp_path / "new.json")
     with pytest.raises(ValueError, match="version 1 state replays frozen only"):
         load_state(old, online=True)
+
+
+def test_a_version_2_state_replays_as_its_version_3_state_and_saves_as_version_3(
+        tmp_path, capsys):
+    # Version 2 also held the network, which (M, seed) determines: the same
+    # fields plus the stock keys replay frozen and online as version 3 does.
+    trace, state, old = tmp_path / "trace.csv", tmp_path / "v3.json", tmp_path / "v2.json"
+    assert cli.main(["synth", "--out", str(trace), "--duration", "30", "--rate", "50",
+                     "--seed", "4", "--flood", "20:22:20"]) == 0
+    config = ["--set", "metrics.N=30", "--set", "train.window_len=200"]
+    assert cli.main(["init", str(trace), "--out", str(state), "--set", "train.init_len=300"]
+                    + config) == 0
+    doc = json.loads(state.read_text())
+    old.write_text(json.dumps(legacy_state(doc), sort_keys=True, indent=1) + "\n")
+    outputs = {}
+    for path in (state, old):
+        for flags in (["--frozen"], ["--online", "--save-state", "saved.json"]):
+            run = tmp_path / f"{path.stem}{flags[0]}"
+            run.mkdir()
+            capsys.readouterr()
+            outs = ["--log", run / "log.csv", "--alerts", run / "alerts",
+                    "--report", run / "report.json"]
+            assert cli.main([str(arg) for arg in ["replay", trace, "--state", path, *outs,
+                             *config, *(run / f if f.endswith(".json") else f
+                                        for f in flags)]]) == 0
+            out = capsys.readouterr().out.replace(str(run), "RUN")
+            outputs[path.stem, flags[0]] = out, {f.name: f.read_bytes() for f in run.iterdir()}
+    for flags in ("--frozen", "--online"):
+        assert outputs["v2", flags] == outputs["v3", flags]
+    saved = json.loads((tmp_path / "v2--online" / "saved.json").read_text())
+    assert saved["version"] == 3 and "hidden_weights" not in saved
+    assert saved["stats"]["n"] > doc["stats"]["n"]  # the online replay refitted
 
 
 def test_a_failed_device_refit_exits_2_and_logs_every_decision_judged(tmp_path, monkeypatch,

@@ -1,21 +1,24 @@
 """Hostile input through the whole CLI: one generated edit to a small valid
-trace, feature file, decision log or state file, then every command that
-reads that file, run in process through ``cli.main``. A state file also takes
-a JSON value of the wrong type at any nested key, or a key ``save_state``
-never writes in any of its objects.
+trace, feature file, decision log, state file or ``--config`` file, or one
+generated ``--set section.key=value``, then every command that reads it, run
+in process through ``cli.main``. A state or config file also takes a JSON
+value of the wrong type at any nested key, or a key its writer never writes
+in any of its objects.
 
 The contract: a command returns 0 or 2 and raises nothing (2 alone for an
 unknown key); on 2 its stderr is one ``error:`` line that names the edited
-file; a state file that existed before a failed run is unchanged, whether the
-run was to write it with ``init --out`` or with ``replay --save-state``.
-Config files and ``--set`` values are not edited here.
+file (or, for a config file, a ``section.key``) or the ``--set`` key; a state
+file that existed before a failed run is unchanged, whether the run was to
+write it with ``init --out`` or with ``replay --save-state``, and so is every
+other input.
 
-``--hypothesis-profile=fuzz`` (``tests/conftest.py``) runs the property on
+``--hypothesis-profile=fuzz`` (``tests/conftest.py``) runs each property on
 2,000 examples instead of the ``ci`` profile's 200.
 """
 
 import io
 import json
+import re
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -23,6 +26,7 @@ import numpy as np
 import pytest
 
 from aadetect import cli
+from aadetect.config import Config
 from aadetect.traffic import AttackSegment, FeatureTable, TraceSpec, save_trace, synth_trace
 from oracles import write_feature_file
 
@@ -30,7 +34,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 CONFIG = ["--set", "metrics.N=5", "--set", "train.init_len=20"]
-KINDS = ["trace", "features", "log", "state"]
+KINDS = ["trace", "features", "log", "state", "config"]
+SETTING = re.compile(r"\b(metrics|train|threshold|device)\.\w+")  # a section.key
 # A field replaced whole: each one a value some reader must reject or read exactly.
 FIELDS = ['"', "nan", "inf", "1e309", str(2**63), "\0", ""]
 # A JSON value put at a state's key: each of a type save_state never writes at some key.
@@ -57,7 +62,15 @@ def commands(kind, path, base):
         "state": [["replay", base["trace"], "--state", path] + CONFIG,
                   ["replay", base["trace"], "--state", path, "--online",
                    "--save-state", path] + CONFIG],
+        "config": [["init", base["trace"], "--out", base["out"], "--config", path],
+                   ["replay", base["trace"], "--state", base["state"], "--config", path],
+                   ["eval", "--log", base["log"], "--trace", base["trace"], "--config", path]],
     }[kind]
+
+
+def unchanged(base):
+    """The bytes of every file of ``base``."""
+    return {name: path.read_bytes() for name, path in base.items()}
 
 
 def check_contract(kind, path, base, fails=False):
@@ -65,13 +78,13 @@ def check_contract(kind, path, base, fails=False):
     ``fails``, each command must exit 2."""
     for argv in commands(kind, path, base):
         shutil.copyfile(base["state"], base["out"])
-        before = base["out"].read_bytes(), path.read_bytes()
+        before = unchanged(base)
         code, _, err = run(argv)
         assert code in ((2,) if fails else (0, 2)), (argv, code, err)
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-            assert str(path) in err, (argv, err)
-            assert (base["out"].read_bytes(), path.read_bytes()) == before, argv
+            assert str(path) in err or kind == "config" and SETTING.search(err), (argv, err)
+            assert unchanged(base) == before, argv
         else:
             assert err == "", (argv, err)
 
@@ -83,7 +96,9 @@ def base(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("hostile")
     files = {name: tmp / f"{name}.{ext}" for name, ext in
              [("trace", "csv"), ("features", "csv"), ("state", "json"), ("log", "csv"),
-              ("out", "json"), ("edited", "csv")]}
+              ("config", "json"), ("out", "json"), ("edited", "csv")]}
+    files["config"].write_text(json.dumps({"metrics": {"N": 5}, "train": {"init_len": 20}},
+                                          indent=1) + "\n")
     spec = TraceSpec(duration_s=2.0, rate_pps=20.0, attacks=(
         AttackSegment(1.5, 2.0, 2.0, ("198.51.100.66",), ("10.0.0.1",)),))
     save_trace(synth_trace(spec, seed=3), files["trace"])
@@ -171,10 +186,10 @@ def edit(data: bytes, op: str, a: int, b: int, field: str) -> bytes:
 
 
 def edits(kind):
-    """One edit to a file of ``kind``: only a state file takes a ``json`` or ``key`` edit."""
+    """One edit to a file of ``kind``: only a JSON file takes a ``json`` or ``key`` edit."""
     ops = ["flip", "insert", "delete", "cut", "duplicate", "swap", "field"]
     return st.tuples(st.just(kind), st.tuples(
-        st.sampled_from(ops + ["json", "key"] * (kind == "state")),
+        st.sampled_from(ops + ["json", "key"] * (kind in ("state", "config"))),
         st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from(FIELDS)))
 
 
@@ -186,10 +201,54 @@ def edits(kind):
 @hypothesis.example(("state", ("insert", 0, 0xff, "")))  # not UTF-8
 @hypothesis.example(("state", ("json", 0, 5, "")))  # a top-level list
 @hypothesis.example(("state", ("key", 0, 4, "")))  # "unknown": 1.5 at the top level
+@hypothesis.example(("config", ("insert", 0, 0xff, "")))  # not UTF-8
+@hypothesis.example(("config", ("key", 0, 4, "")))  # an unknown section
+@hypothesis.example(("config", ("field", 0, 0, "")))  # not JSON
 def test_one_edit_to_an_input_exits_0_or_2_naming_the_file(base, case):
     kind, one_edit = case
     base["edited"].write_bytes(edit(base[kind].read_bytes(), *one_edit))
     check_contract(kind, base["edited"], base, fails=one_edit[0] == "key")
+
+
+# -- one --set value ---------------------------------------------------------------------
+
+
+SECTIONS = Config().to_dict()
+SET_KEYS = [f"{section}.{key}" for section, body in SECTIONS.items() for key in body] + [
+    "nosuch.key", "train.nosuch", "train", "train.seed.x", ""]
+# Each of a JSON type some key rejects, not a finite number, past int64, or empty.
+SET_VALUES = ["null", "true", '"0.5"', "[]", "{}", "[1.0]", "[0.5, 0.5]", "1.5", "1", "0", "-1",
+              "nan", "inf", "1e309", "NaN", "-Infinity", str(2**63), str(-2**63 - 1), ""]
+
+
+def names_its_key(err, item):
+    """Whether ``err`` names the ``--set`` item's ``section.key``: the key
+    itself, or its section and its name, or, for a section that does not
+    exist, the section."""
+    key = item.partition("=")[0]
+    section, _, name = key.partition(".")
+    return key in err or section in err and (name in err or section not in SECTIONS)
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(st.sampled_from(SET_KEYS), st.sampled_from(SET_VALUES), st.booleans())
+@hypothesis.example("metrics.N", str(2**63), True)  # past int64: update_block overflowed
+@hypothesis.example("train.seed", "", False)  # no "="
+def test_one_set_value_exits_0_or_2_naming_its_key(base, key, value, equals):
+    item = f"{key}={value}" if equals else key
+    for argv in (["init", base["trace"], "--out", base["out"]],
+                 ["replay", base["trace"], "--state", base["state"]],
+                 ["eval", "--log", base["log"], "--trace", base["trace"]]):
+        shutil.copyfile(base["state"], base["out"])
+        before = unchanged(base)
+        code, _, err = run(argv + CONFIG + ["--set", item])
+        assert code in (0, 2), (argv, item, code, err)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, item, err)
+            assert names_its_key(err, item), (argv, item, err)
+            assert unchanged(base) == before, (argv, item)
+        else:
+            assert err == "", (argv, item, err)
 
 
 # -- a stray quote with more than csv's field size limit after it -----------------------

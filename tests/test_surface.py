@@ -4,7 +4,12 @@ defined in ``src/aadetect/`` is named somewhere in ``src/``, ``demos/`` or
 ``aadbench/``. A name counts when it appears as an AST ``Name``, an
 ``Attribute``, an import alias, or in a benchmark wrap point such as
 ``"aadetect.cli:write_decision_log"``. Reference implementations that only
-tests call belong in ``tests/oracles.py``."""
+tests call belong in ``tests/oracles.py``.
+
+Every ``tests/<file>.py::<test>`` and ``tests/oracles.py:<name>`` that a
+docstring in ``src/aadetect/`` cites is defined at the top level of its
+file, and each exact fast path of ``FAST_PATHS`` cites its oracle and the
+test that checks it against the oracle."""
 
 import ast
 import re
@@ -54,3 +59,44 @@ def test_every_package_name_is_used_outside_the_tests():
     assert "write_decision_log" in used
     unused = [f"{module}.{name}" for module, name in defined if name not in used]
     assert not unused, f"named nowhere in src, demos or aadbench: {unused}"
+
+
+# The exact fast paths: each names its oracle and the test that checks it against the oracle.
+FAST_PATHS = ("metrics.StreamMetrics.update_block", "training.update_incremental",
+              "training.NoiseStream.normal", "detector.whisker_threshold",
+              "aadrnn.init_hidden_weights", "evaluation.read_decision_log",
+              "detector.Detector.step_rows")
+CITED_TEST = re.compile(r"tests/(\w+)\.py::(\w+)")
+CITED_ORACLE = re.compile(r"tests/oracles\.py:(\w+)|numpy\.random")
+
+
+def docstrings(tree, prefix):
+    """``(qualified name, docstring)`` of each def and class under ``tree``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{node.name}"
+            yield name, ast.get_docstring(node) or ""
+            yield from docstrings(node, name)
+
+
+def cited(text):
+    """``(file under tests/, name)`` for each test and oracle ``text`` cites."""
+    yield from ((f"{m.group(1)}.py", m.group(2)) for m in CITED_TEST.finditer(text))
+    yield from (("oracles.py", m.group(1)) for m in CITED_ORACLE.finditer(text) if m.group(1))
+
+
+def test_every_test_and_oracle_a_docstring_cites_exists():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found[path.stem] = ast.get_docstring(tree) or ""
+        found.update(docstrings(tree, path.stem))
+    defined = {path.name: {node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+                           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+               for path in (ROOT / "tests").glob("*.py")}
+    missing = [f"{name}: tests/{file} {test}" for name, text in found.items()
+               for file, test in cited(text) if test not in defined.get(file, ())]
+    assert not missing, f"cited, but not defined at the top level of its file: {missing}"
+    uncited = [name for name in FAST_PATHS
+               if not (CITED_TEST.search(found[name]) and CITED_ORACLE.search(found[name]))]
+    assert not uncited, f"fast paths that name no oracle or no test: {uncited}"
