@@ -12,6 +12,7 @@
 Exit codes: 0 success, 1 failed assertion or benchmark, 2 usage, I/O or training
 error, or malformed input (one ``error: path:line: ...`` line for a CSV file).
 
+``main`` checks each command's files (``_FILES``) before the command reads anything.
 ``replay`` logs and alerts through ``evaluation``, which also reads the log back.
 """
 
@@ -24,16 +25,16 @@ import json
 import operator
 import os
 import sys
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 from .config import Config, apply_overrides, load_config
-from .detector import (Decision, Detector, LifecycleError, Mode, Phase, load_state,
-                       replace_file, save_state)
+from .detector import Decision, Detector, LifecycleError, Mode, Phase, load_state, save_state
 from .devices import DeviceBank, InfectionReport
-from .evaluation import (EvalReport, _DecisionLogWriter, _emit_alert, align_with_trace,
-                         emit_plot_data, ground_truth, read_decision_log, replay, score)
-from .traffic import (AttackSegment, TraceSpec, load_feature_dataset, load_trace, save_trace,
-                      synth_trace, trace_blocks)
+from .evaluation import (PLOT_FILES, EvalReport, _DecisionLogWriter, _emit_alert,
+                         align_with_trace, emit_plot_data, ground_truth, read_decision_log,
+                         replay, score)
+from .traffic import (AttackSegment, TraceSpec, load_feature_dataset, load_trace,
+                      replace_file, save_trace, synth_trace, trace_blocks)
 from .training import TrainingError
 
 _ASSERT_METRICS = ("accuracy", "tpr", "fnr", "tnr", "fpr")
@@ -42,11 +43,8 @@ _ASSERT_OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq,  # "<=" 
 
 
 def _build_config(args) -> Config:
-    config = load_config(getattr(args, "config", None))
-    overrides = getattr(args, "set", None) or []
-    if overrides:
-        config = apply_overrides(config, overrides)
-    return config
+    config = load_config(args.config)
+    return apply_overrides(config, args.set) if args.set else config
 
 
 def _open_alerts(spec: Optional[str]):
@@ -55,12 +53,33 @@ def _open_alerts(spec: Optional[str]):
     return open(spec, "w", encoding="utf-8")
 
 
-def _no_clobber(args, inputs: str, outputs: str) -> None:
-    """No output's path is an input's or another output's, but --save-state may be --state's."""
-    seen, outputs = {}, outputs.split()  # seen: real path -> the first flag naming it
-    for flag in inputs.split() + outputs:
-        path = getattr(args, flag.lstrip("-").replace("-", "_").lower())  # TRACE: args.trace
-        if path and (flag, path) != ("--alerts", "-"):
+# Each command's file arguments: inputs, then outputs.
+_FILES = {"init": ("TRACE --config", "--out"),
+          "replay": ("TRACE --state --config", "--log --alerts --report --save-state --plots"),
+          "eval": ("--log --trace --config", "--report --plots"),
+          "synth": ("", "--out")}
+
+
+def _check_files(args) -> None:
+    """No output is an input or another output, as real paths, but --save-state may be
+    --state's; --plots DIR counts as the ``PLOT_FILES`` it writes there and is not a
+    non-directory. Any other output is not a directory, in a directory that exists."""
+    inputs, outputs = (flags.split() for flags in _FILES.get(args.command, ("", "")))
+    seen = {}  # real path -> the first flag naming it
+    for flag in inputs + outputs:
+        given = getattr(args, flag.lstrip("-").replace("-", "_").lower())  # TRACE: args.trace
+        if not given or (flag, given) == ("--alerts", "-"):
+            continue
+        paths, folder = [given], os.path.dirname(given) or "."
+        if flag == "--plots":
+            if os.path.exists(given) and not os.path.isdir(given):
+                raise ValueError(f"--plots {given}: not a directory")
+            paths = [os.path.join(given, name) for name in PLOT_FILES[args.devices]]
+        elif flag in outputs and os.path.isdir(given):
+            raise ValueError(f"{flag} {given}: is a directory")
+        elif flag in outputs and not os.path.isdir(folder):
+            raise ValueError(f"{flag} {given}: directory {folder} does not exist")
+        for path in paths:
             other = seen.setdefault(os.path.realpath(path), flag)
             if flag in outputs and other != flag and (other, flag) != ("--state", "--save-state"):
                 raise ValueError(f"{flag} and {other} are the same file: {path}")
@@ -77,7 +96,6 @@ def write_decision_log(decisions: Iterable[Decision], mode: str, path: str) -> N
 
 
 def cmd_init(args) -> int:
-    _no_clobber(args, "TRACE --config", "--out")
     config = _build_config(args)
     if args.features:
         table = load_feature_dataset(args.trace)
@@ -98,9 +116,8 @@ def cmd_init(args) -> int:
                 if det.phase != Phase.INIT:
                     break
     if det.phase == Phase.INIT:  # every benign row is in the window
-        window = (f"train.init_seconds={config.train.init_seconds:g}"
-                  if config.train.init_seconds is not None
-                  else f"train.init_len={config.train.init_len}")
+        window = (f"train.init_len={config.train.init_len}" if config.train.init_seconds is None
+                  else f"train.init_seconds={config.train.init_seconds:g}")
         source, unit = ("feature file", "rows") if args.features else ("trace", "packets")
         raise ValueError(f"{source} has only {det.pending_rows} usable benign {unit}, "
                          f"init needs {window}")
@@ -113,19 +130,7 @@ def cmd_init(args) -> int:
 # -- replay -------------------------------------------------------------------
 
 
-def _check_outputs(plots: Optional[str], *outputs: Tuple[str, Optional[str]]) -> None:
-    """Outputs written after the input is read are checked before it is: the
-    directory of each ``(flag, path)`` output exists (``--alerts -``, stdout,
-    passes as a file in ``.``), and ``--plots`` is not an existing non-directory."""
-    for flag, path in outputs:
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
-            raise ValueError(f"{flag} {path}: directory {os.path.dirname(path)} does not exist")
-    if plots and os.path.exists(plots) and not os.path.isdir(plots):
-        raise ValueError(f"--plots {plots}: not a directory")
-
-
 def cmd_replay(args) -> int:
-    _no_clobber(args, "TRACE --state --config", "--log --alerts --report --save-state")
     config = _build_config(args)
     if args.devices and args.features:
         raise ValueError("--devices and --features are mutually exclusive")
@@ -135,8 +140,6 @@ def cmd_replay(args) -> int:
             if given:
                 raise ValueError(f"--devices does not take {flag}: "
                                  "a device bank cannot be loaded, saved or frozen")
-    _check_outputs(args.plots, ("--log", args.log), ("--alerts", args.alerts),
-                   ("--report", args.report), ("--save-state", args.save_state))
 
     if args.features:
         items, kind, source = load_feature_dataset(args.trace), Mode.FEATURES, "feature file"
@@ -239,10 +242,7 @@ def _report_devices(args, config: Config, report: InfectionReport) -> None:
 
 def _parse_assertions(spec: str) -> List[tuple]:
     out = []
-    for clause in spec.split(","):
-        clause = clause.strip()
-        if not clause:
-            continue
+    for clause in filter(None, map(str.strip, spec.split(","))):
         for op in _ASSERT_OPS:
             if op in clause:
                 name, value = clause.split(op, 1)
@@ -262,10 +262,8 @@ def _parse_assertions(spec: str) -> List[tuple]:
 
 
 def cmd_eval(args) -> int:
-    _no_clobber(args, "--log --trace --config", "--report")
     assertions = _parse_assertions(args.assertions) if args.assertions else []
     config = _build_config(args)
-    _check_outputs(args.plots, ("--report", args.report))
     decisions = read_decision_log(args.log, Mode.BOTNET.value)
     trace = load_trace(args.trace)
     try:
@@ -375,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assert", dest="assertions", metavar="SPEC",
                    help='e.g. "accuracy>=99,fpr<=1"; exit 1 on violation')
     add_config_args(p)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, devices=False)  # --plots writes a scored run's files
 
     p = sub.add_parser("synth", help="generate a labeled synthetic trace")
     p.add_argument("--out", required=True)
@@ -408,6 +406,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_files(args)
         return args.func(args)
     except BrokenPipeError:
         # Downstream consumer (e.g. `... --alerts - | head`) closed the pipe.

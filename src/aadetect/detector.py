@@ -24,15 +24,13 @@ new fit. Each decision records the threshold in force when it was made.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import math
-import os
 import zlib
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,7 +38,7 @@ from .aadrnn import LAYERS, AadrnnModel
 from .config import _KIND_NAMES, Config, _is_kind
 from .metrics import (DimensionError, MinMaxScaler, ScalingFactors, StreamMetrics, fit_scaling,
                       min_max_fit)
-from .traffic import _TRACE_BLOCK, FeatureTable, Trace
+from .traffic import _TRACE_BLOCK, FeatureTable, Trace, replace_file
 from .training import (SufficientStats, TrainingError, fit_batch_with_stats,
                        update_incremental)
 
@@ -386,28 +384,6 @@ def save_state(detector: Detector, path: Union[str, Path]) -> None:
     with replace_file(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
-
-
-@contextlib.contextmanager
-def replace_file(path: Union[str, Path]) -> Iterator[TextIO]:
-    """A text file that replaces ``path`` only once it is written in full:
-    the text goes to a temporary file in the same directory, which is fsynced
-    and then ``os.replace``d over ``path``. If the write raises, ``path`` is
-    left as it was, the temporary file is removed, and an OSError names
-    ``path``. Used by ``save_state`` and by ``cli`` for ``--report``."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException as exc:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        if isinstance(exc, OSError) and exc.filename == tmp:
-            raise OSError(exc.errno, exc.strerror, str(path)) from None
-        raise
 
 
 def load_state(path: Union[str, Path], config: Optional[Config] = None, *,

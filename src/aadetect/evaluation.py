@@ -265,22 +265,24 @@ def align_with_trace(decisions: Sequence[Decision], trace: Trace) -> Tuple[tuple
     return ground_truth(trace, len(decisions))
 
 
+# The files ``emit_plot_data`` writes, by whether its report is a device bank's.
+PLOT_FILES = {False: ("decision_series.csv", "per_type_accuracy.csv"),
+              True: ("infection_levels.csv",)}
+
+
 def emit_plot_data(report: Union[EvalReport, InfectionReport],
                    out_dir: Union[str, Path]) -> List[Path]:
     """Write plottable CSV series for a report; returns the files written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if isinstance(report, InfectionReport):
-        tables = {"infection_levels.csv": (
-            ("addr", "infection_level", "peak_level", "is_compromised", "decisions_count"),
-            ((row.addr, repr(row.infection_level), repr(row.peak_level),
-              int(row.is_compromised), row.decisions_count) for row in report.devices))}
+    devices = isinstance(report, InfectionReport)
+    if devices:
+        tables = [(("addr", "infection_level", "peak_level", "is_compromised", "decisions_count"),
+                   ((row.addr, repr(row.infection_level), repr(row.peak_level),
+                     int(row.is_compromised), row.decisions_count) for row in report.devices))]
     else:
-        tables = {
-            "decision_series.csv": (("timestamp_us", "decision_value", "threshold"),
-                                    ((d.at_us, repr(d.value), repr(d.threshold))
-                                     for d in report.decisions)),
-            "per_type_accuracy.csv": (("attack_type", "accuracy_pct"),
-                                      ((name, repr(acc))
-                                       for name, acc in report.per_attack_type.items()))}
-    return [write_csv(out_dir / name, header, rows) for name, (header, rows) in tables.items()]
+        tables = [(("timestamp_us", "decision_value", "threshold"),
+                   ((d.at_us, repr(d.value), repr(d.threshold)) for d in report.decisions)),
+                  (("attack_type", "accuracy_pct"),
+                   ((name, repr(acc)) for name, acc in report.per_attack_type.items()))]
+    return [write_csv(out_dir / name, *table) for name, table in zip(PLOT_FILES[devices], tables)]

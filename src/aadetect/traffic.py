@@ -32,12 +32,14 @@ blocks once.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -330,15 +332,36 @@ def load_trace(path: Union[str, Path]) -> Trace:
     return Trace(np.concatenate(ts_blocks), src, dst, np.concatenate(size_blocks), labels, types)
 
 
+@contextlib.contextmanager
+def replace_file(path: Union[str, Path]) -> Iterator[TextIO]:
+    """A text file (UTF-8, LF) that replaces ``path`` only once it is written in
+    full: the text goes to a temporary file in the same directory, which is fsynced
+    and then ``os.replace``d over ``path``. If the write raises, ``path`` is left as
+    it was, the temporary file is removed, and an OSError names ``path``. Every
+    whole file the package writes goes through it: states, reports and CSV files."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="\n", encoding="utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise
+
+
 def write_csv(path: Union[str, Path], header: Sequence, rows: Iterable[Sequence]) -> Path:
-    """Write a whole CSV file: UTF-8, LF line endings, the header, then the
-    rows, quoted by ``csv.writer`` only where a field needs it. Returns the path."""
-    path = Path(path)
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+    """Write a whole CSV file through ``replace_file``: the header, then the rows,
+    quoted by ``csv.writer`` only where a field needs it. Returns the path."""
+    with replace_file(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    return path
+    return Path(path)
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:

@@ -14,7 +14,8 @@ that holds the inputs and the earlier calls' outputs. A few calls first
 write an edited copy of an input or of an earlier output, by the same edit in
 both trees: a broken one (``broken-*``), one that only csv's row-by-row loop
 reads (a quoted field, CRLF line endings, a blank line), or a state as
-versions 1 and 2 wrote it (``legacy-*``). At the first seed the calls end with
+versions 1 and 2 wrote it (``legacy-*``); others copy one to where a call
+that must be refused would overwrite it (``refused-*``). At the first seed the calls end with
 ``aadetect bench``, this checkout's four demos and the Python block of its
 README, each run under ``-W error`` (``demo-*`` and ``readme``).
 
@@ -90,6 +91,17 @@ def crlf(source: str, target: str):
     """A ``prepare`` step: ``target`` is ``source`` with CRLF line endings."""
     def prepare(run_dir: Path) -> None:
         (run_dir / target).write_bytes((run_dir / source).read_bytes().replace(b"\n", b"\r\n"))
+    return prepare
+
+
+def copy(source: str, target: str):
+    """A ``prepare`` step: ``target`` is a copy of the file or directory ``source``."""
+    def prepare(run_dir: Path) -> None:
+        if (run_dir / source).is_dir():
+            shutil.copytree(run_dir / source, run_dir / target)
+        else:
+            (run_dir / target).parent.mkdir(exist_ok=True)
+            shutil.copyfile(run_dir / source, run_dir / target)
     return prepare
 
 
@@ -223,6 +235,20 @@ def calls(seed: int) -> List[Call]:
         Call("eval-nan", ["eval", "--log", "broken-nan.log", "--trace", "soak.csv",
                           "--report", "eval-nan.report.json"],
              edit_line("online.log", "broken-nan.log", 6, field(1, b"nan"))),
+        # Refused before any file is read: a file that --plots DIR would write, named by
+        # another argument (the log, the trace, eval's log), and an init --out in a
+        # directory that does not exist.
+        Call("refused-plots-log", ["replay", "soak.csv", "--state", "init.json",
+                                   "--log", "refused-plots/decision_series.csv",
+                                   "--plots", "refused-plots"] + N30,
+             copy("online-plots", "refused-plots")),
+        Call("refused-plots-trace", ["replay", "refused-trace/decision_series.csv",
+                                     "--state", "init.json", "--plots", "refused-trace"] + N30,
+             copy("soak.csv", "refused-trace/decision_series.csv")),
+        Call("refused-eval-plots", ["eval", "--log", "refused-eval/decision_series.csv",
+                                    "--trace", "soak.csv", "--plots", "refused-eval"],
+             copy("online.log", "refused-eval/decision_series.csv")),
+        Call("refused-init-out", ["init", "soak.csv", "--out", "missing/init.json"] + N30),
     ] + ([Call("bench", ["bench"])] + programs() if seed == SEEDS[0] else [])
 
 

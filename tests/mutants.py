@@ -303,11 +303,11 @@ MUTANTS = [
     Mutant("_check_types: a version-3 state checked against version 2's keys", DETECTOR,
            'name = f"version {max(version, 2) if _is_kind(version, int) else 2}"',
            'name = "version 2"', UNKNOWN_KEY_TESTS),
-    Mutant("replace_file: the target written directly, so a failed save loses it", DETECTOR,
+    Mutant("replace_file: the target written directly, so a failed save loses it", TRAFFIC,
            'tmp = f"{path}.{os.getpid()}.tmp"', "tmp = path",
            ("tests/test_detector.py::"
             "test_a_save_that_fails_part_way_leaves_the_old_state_whole",)),
-    Mutant("replace_file: an OSError names the temporary file", DETECTOR,
+    Mutant("replace_file: an OSError names the temporary file", TRAFFIC,
            "if isinstance(exc, OSError) and exc.filename == tmp:", "if False:",
            ("tests/test_config_cli.py::"
             "test_an_output_that_cannot_be_written_is_an_error_naming_it",)),
@@ -318,13 +318,27 @@ MUTANTS = [
     Mutant("load_config: a config error not naming the file", CONFIG,
            'raise ValueError(f"{path}: {exc}") from None', "raise",
            ("tests/test_hostile.py::test_one_edit_to_an_input_exits_0_or_2_naming_the_file",)),
-    # An output that names an input or another output.
-    Mutant("_no_clobber: paths compared as given, not as real paths", CLI,
+    Mutant("write_csv: the target opened directly, so a failed write loses it", TRAFFIC,
+           "    with replace_file(path) as fh:\n        writer = csv.writer(",
+           '    with open(path, "w", newline="\\n", encoding="utf-8") as fh:\n'
+           "        writer = csv.writer(",
+           ("tests/test_traffic.py::"
+            "test_a_csv_write_that_fails_part_way_leaves_the_old_file_whole",)),
+    # A command's files, checked before any is read.
+    Mutant("_check_files: paths compared as given, not as real paths", CLI,
            "seen.setdefault(os.path.realpath(path), flag)", "seen.setdefault(path, flag)",
            (DISTINCT_TESTS + "[log-over-state]",)),
-    Mutant("_no_clobber: --save-state may not resume --state in place", CLI,
+    Mutant("_check_files: --save-state may not resume --state in place", CLI,
            ' and (other, flag) != ("--state", "--save-state"):', ":",
            (DISTINCT_TESTS + "[log-over-trace]",)),
+    Mutant("_check_files: --plots DIR not counted as the files it writes", CLI,
+           "paths = [os.path.join(given, name) for name in PLOT_FILES[args.devices]]",
+           "paths = [given]", (DISTINCT_TESTS + "[plots-over-log]",)),
+    Mutant("_check_files: init's output directory not checked", CLI,
+           "elif flag in outputs and not os.path.isdir(folder):",
+           'elif flag in outputs and args.command != "init" and not os.path.isdir(folder):',
+           ("tests/test_config_cli.py::"
+            "test_an_output_that_cannot_be_written_is_an_error_naming_it",)),
     # Two errors that must name what they are about.
     Mutant("_write_outputs: a report may hold NaN", CLI,
            "sort_keys=True, allow_nan=False)", "sort_keys=True)",

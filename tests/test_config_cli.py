@@ -1,6 +1,7 @@
 """Configuration loading/validation/overrides and end-to-end CLI flows run
 in-process through ``cli.main``."""
 
+import errno
 import gc
 import hashlib
 import json
@@ -320,21 +321,34 @@ def test_a_report_is_strict_json_or_an_error_naming_it(flood_trace_file, tmp_pat
 
 def test_an_output_that_cannot_be_written_is_an_error_naming_it(flood_trace_file, tmp_path,
                                                                 capsys):
-    # Each is written to a temporary file first, whose name holds the process
-    # id; the error names the output instead.
+    # An output in a directory that does not exist, or one that is a directory, is
+    # refused before any input is read: init names --out, not a trace it never opens.
+    # An output whose name leaves no room for its temporary file's suffix (which holds
+    # the process id) gets as far as the write, and the error names the output instead.
     state, folder, missing = tmp_path / "s.json", tmp_path / "folder", tmp_path / "no" / "s.json"
+    long = tmp_path / ("x" * 250)  # 250 bytes: room left for ".tmp", not for ".<pid>.tmp"
     init = ["init", str(flood_trace_file), "--set", "train.init_len=64", "--out"]
     assert cli.main(init + [str(state)]) == 0
     folder.mkdir()
     before = sorted(os.listdir(tmp_path))
     replay = ["replay", str(flood_trace_file), "--state", str(state)]
-    for argv, reason in [(init + [str(missing)], "[Errno 2] No such file or directory"),
-                         (init + [str(folder)], "[Errno 21] Is a directory"),
-                         (replay + ["--report", str(folder)], "[Errno 21] Is a directory"),
-                         (replay + ["--save-state", str(folder)], "[Errno 21] Is a directory")]:
+    no_dir = f"{missing}: directory {missing.parent} does not exist"
+    too_long = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: '{long}'"
+    for argv, error in [(init + [str(missing)], f"--out {no_dir}"),
+                        (["init", str(tmp_path / "nosuch.csv"), "--out", str(missing)],
+                         f"--out {no_dir}"),
+                        (["synth", "--duration", "1", "--rate", "10", "--out", str(missing)],
+                         f"--out {no_dir}"),
+                        (init + [str(folder)], f"--out {folder}: is a directory"),
+                        (replay + ["--report", str(folder)], f"--report {folder}: is a directory"),
+                        (replay + ["--save-state", str(folder)],
+                         f"--save-state {folder}: is a directory"),
+                        (init + [str(long)], too_long),
+                        (replay + ["--report", str(long)], too_long),
+                        (replay + ["--save-state", str(long)], too_long)]:
         capsys.readouterr()
         assert main_closing_every_file(argv) == 2, argv
-        assert capsys.readouterr().err == f"error: {reason}: '{argv[-1]}'\n"
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert sorted(os.listdir(tmp_path)) == before
 
 
@@ -885,22 +899,39 @@ def test_an_output_written_after_the_replay_is_checked_before_it(flood_trace_fil
     (["init", "flood.csv", "--out", "flood.csv"], "--out and TRACE are the same file: flood.csv"),
     (["eval", "--log", "L.csv", "--trace", "flood.csv", "--report", "L.csv"],
      "--report and --log are the same file: L.csv"),
+    (["replay", "flood.csv", "--state", "s.json", "--log", "P/decision_series.csv",
+      "--plots", "P"], "--plots and --log are the same file: P/decision_series.csv"),
+    (["replay", "P/decision_series.csv", "--state", "s.json", "--plots", "P"],
+     "--plots and TRACE are the same file: P/decision_series.csv"),
+    (["eval", "--log", "P/decision_series.csv", "--trace", "flood.csv", "--plots", "P"],
+     "--plots and --log are the same file: P/decision_series.csv"),
 ], ids=["log-over-trace", "log-over-state", "log-and-report", "log-and-alerts", "out-over-trace",
-        "report-over-log"])
+        "report-over-log", "plots-over-log", "plots-over-trace", "eval-plots-over-log"])
 def test_an_output_that_is_an_input_or_another_output_exits_2_before_any_write(
         flood_trace_file, tmp_path, capsys, monkeypatch, argv, error):
-    # Each of these used to exit 0, overwriting its input or mixing two outputs in one file.
+    # Each of these used to exit 0, overwriting its input or mixing two outputs in one
+    # file; --plots P stands for the files it writes in P.
     monkeypatch.chdir(tmp_path)
     assert cli.main(["init", "flood.csv", "--out", "s.json", "--set", "train.init_len=100"]) == 0
     assert cli.main(["replay", "flood.csv", "--state", "s.json", "--log", "L.csv"]) == 0
-    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    (tmp_path / "P").mkdir()
+    (tmp_path / "P" / "decision_series.csv").write_bytes(flood_trace_file.read_bytes())
+
+    def files():
+        return {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+
+    before = files()
     capsys.readouterr()
     assert main_closing_every_file(argv) == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")
-    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
-    # A resume in place is the one output that may name an input.
+    assert files() == before
+    # A resume in place is the one output that may name an input, and a device replay's
+    # --plots writes only infection_levels.csv.
     assert cli.main(["replay", "flood.csv", "--state", "s.json", "--online",
                      "--save-state", "./s.json"]) == 0
+    assert cli.main(["replay", "flood.csv", "--devices", "--log", "P/decision_series.csv",
+                     "--plots", "P"]) == 0
+    assert sorted(os.listdir("P")) == ["decision_series.csv", "infection_levels.csv"]
 
 
 @pytest.mark.parametrize("flags, named", [

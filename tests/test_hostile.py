@@ -12,6 +12,13 @@ file that existed before a failed run is unchanged, whether the run was to
 write it with ``init --out`` or with ``replay --save-state``, and so is every
 other input.
 
+A third property draws every file argument of ``init``, ``replay`` (with and
+without ``--devices``) and ``eval`` from a small pool of names: valid inputs,
+fresh names, a plot directory and the files ``--plots`` writes there, and a
+name in a directory that does not exist. Every input is unchanged after any
+run; a run that exits 2 names a flag or a file it was given, and changes or
+adds no file.
+
 ``--hypothesis-profile=fuzz`` (``tests/conftest.py``) runs each property on
 2,000 examples instead of the ``ci`` profile's 200.
 """
@@ -249,6 +256,92 @@ def test_one_set_value_exits_0_or_2_naming_its_key(base, key, value, equals):
             assert unchanged(base) == before, (argv, item)
         else:
             assert err == "", (argv, item, err)
+
+
+# -- every file argument drawn from a pool of names --------------------------------------
+
+
+# Each command's file arguments, inputs then outputs; a "?" marks one that may be left out.
+FILE_ARGS = {
+    "init": ("TRACE --config?", "--out"),
+    "replay": ("TRACE --state? --config?", "--log? --alerts? --report? --save-state? --plots?"),
+    "replay --devices": ("TRACE --config?", "--log? --alerts? --report? --plots?"),
+    "eval": ("--log --trace --config?", "--report? --plots?"),
+}
+# The valid inputs, two fresh names, a directory P holding the files --plots P writes
+# (each a copy of a valid input), and a name in a directory that does not exist.
+POOL = ["trace.csv", "state.json", "log.csv", "config.json", "new.csv", "new.json", "P",
+        "P/decision_series.csv", "P/per_type_accuracy.csv", "P/infection_levels.csv",
+        "missing/x"]
+
+
+def drawn(command, **names):
+    """A drawn case: ``command`` and a name (or None) for each of its file
+    arguments, given here by flag, ``TRACE`` or ``save_state`` for ``--save-state``."""
+    return command, tuple(names.get(flag.strip("-?").replace("-", "_"))
+                          for flag in " ".join(FILE_ARGS[command]).split())
+
+
+def files_under(folder):
+    """The bytes of every file under ``folder``, by path."""
+    return {path: path.read_bytes() for path in folder.rglob("*") if path.is_file()}
+
+
+@pytest.fixture(scope="module")
+def pool(base, tmp_path_factory):
+    """A directory holding ``POOL``'s files, and one to run each case in."""
+    template = tmp_path_factory.mktemp("pool")
+    (template / "P").mkdir()
+    for name, source in [("trace.csv", "trace"), ("state.json", "state"), ("log.csv", "log"),
+                         ("config.json", "config"), ("P/decision_series.csv", "log"),
+                         ("P/per_type_accuracy.csv", "trace"),
+                         ("P/infection_levels.csv", "trace")]:
+        shutil.copyfile(base[source], template / name)
+    return template, tmp_path_factory.mktemp("pool-run") / "run"
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(st.sampled_from(sorted(FILE_ARGS)).flatmap(lambda command: st.tuples(
+    st.just(command), st.tuples(*((st.none() | st.sampled_from(POOL)) if flag.endswith("?")
+                                  else st.sampled_from(POOL)
+                                  for flag in " ".join(FILE_ARGS[command]).split())))))
+# Each of these used to replace a file it was given, leave a new file behind on exit 2,
+# or fail only after the fit.
+@hypothesis.example(drawn("replay", TRACE="P/per_type_accuracy.csv", state="state.json",
+                          plots="P"))
+@hypothesis.example(drawn("replay", TRACE="trace.csv", state="state.json",
+                          log="P/decision_series.csv", plots="P"))
+@hypothesis.example(drawn("eval", log="P/decision_series.csv", trace="trace.csv", plots="P"))
+@hypothesis.example(drawn("replay --devices", TRACE="P/infection_levels.csv", plots="P"))
+@hypothesis.example(drawn("replay", TRACE="trace.csv", log="new.csv", report="P"))
+@hypothesis.example(drawn("init", TRACE="trace.csv", out="missing/x"))
+@hypothesis.example(drawn("replay", TRACE="trace.csv", state="state.json",
+                          save_state="state.json"))  # a frozen resume in place
+def test_file_arguments_from_a_pool_of_names_exit_0_or_2_changing_no_input(pool, case):
+    # The contract: exit 0 or 2, and every input byte-identical after the run; on 2,
+    # one error line naming a flag or a file it was given, and no file changed or new.
+    template, work = pool
+    shutil.rmtree(work, ignore_errors=True)
+    shutil.copytree(template, work)
+    command, names = case
+    inputs, outputs = (flags.replace("?", "").split() for flags in FILE_ARGS[command])
+    argv, given, read = command.split() + CONFIG, [], []
+    for flag, name in zip(inputs + outputs, names):
+        if name is not None:
+            argv += [work / name] if flag == "TRACE" else [flag, work / name]
+            given += [flag, str(work / name)]
+            read += [work / name] if flag in inputs and (work / name).is_file() else []
+    before = files_under(work)
+    code, _, err = run(argv)
+    after = files_under(work)
+    assert code in (0, 2), (argv, code, err)
+    assert {path: after.get(path) for path in read} == {path: before[path] for path in read}
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert any(name in err for name in given), (argv, err)
+        assert after == before, argv
+    else:
+        assert err == "", (argv, err)
 
 
 # -- a stray quote with more than csv's field size limit after it -----------------------

@@ -1,6 +1,8 @@
 """Trace/feature I/O round-trips, parse errors, and synthetic generation."""
 
 import csv
+import errno
+import os
 
 import numpy as np
 import pytest
@@ -122,6 +124,21 @@ def test_trace_round_trip_identity(tmp_path):
     path2 = tmp_path / "t2.csv"
     save_trace(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_a_csv_write_that_fails_part_way_leaves_the_old_file_whole(tmp_path):
+    # A trace or a plot CSV replaces its file only once written in full.
+    path = tmp_path / "t.csv"
+    save_trace(trace_of(random_rows(np.random.default_rng(2), 20)), path)
+    old = path.read_bytes()
+
+    def rows():
+        yield from random_rows(np.random.default_rng(3), 5)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with pytest.raises(OSError, match="No space left"):
+        traffic.write_csv(path, TRACE_FIELDS, rows())
+    assert path.read_bytes() == old and os.listdir(tmp_path) == ["t.csv"]
 
 
 def test_trace_labels_and_blank_fields(tmp_path):
