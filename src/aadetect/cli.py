@@ -62,8 +62,9 @@ _FILES = {"init": ("TRACE --config", "--out"),
 
 def _check_files(args) -> None:
     """No output is an input or another output, as real paths, but --save-state may be
-    --state's; --plots DIR counts as the ``PLOT_FILES`` it writes there and is not a
-    non-directory. Any other output is not a directory, in a directory that exists."""
+    --state's; --plots DIR counts as the ``PLOT_FILES`` it writes there, and neither DIR
+    nor its nearest existing ancestor is a non-directory. Any other output is not a
+    directory, in a directory that exists."""
     inputs, outputs = (flags.split() for flags in _FILES.get(args.command, ("", "")))
     seen = {}  # real path -> the first flag naming it
     for flag in inputs + outputs:
@@ -72,7 +73,10 @@ def _check_files(args) -> None:
             continue
         paths, folder = [given], os.path.dirname(given) or "."
         if flag == "--plots":
-            if os.path.exists(given) and not os.path.isdir(given):
+            existing = given  # or its nearest existing ancestor: emit_plot_data makes the rest
+            while not os.path.exists(existing) and os.path.dirname(existing) not in ("", existing):
+                existing = os.path.dirname(existing)
+            if os.path.exists(existing) and not os.path.isdir(existing):
                 raise ValueError(f"--plots {given}: not a directory")
             paths = [os.path.join(given, name) for name in PLOT_FILES[args.devices]]
         elif flag in outputs and os.path.isdir(given):
@@ -166,6 +170,9 @@ def cmd_replay(args) -> int:
         engine = Detector(items.features.shape[1] if args.features else 3, config, mode=kind,
                           online=online)
 
+    if not args.devices and (args.report or args.plots) and None in items.label:
+        raise ValueError(f"{'--report' if args.report else '--plots'} needs a fully labeled "
+                         f"input, and {source} {args.trace} has unlabeled rows")
     mode = (Mode.DEVICE if args.devices else kind).value
     decisions: List[Decision] = []
     # Alerts first: a path that cannot be opened then leaves no log behind.
@@ -212,8 +219,10 @@ def _write_outputs(args, config: Config, report: Union[EvalReport, InfectionRepo
 
 
 def _print_report(args, config: Config, report: Optional[EvalReport]) -> None:
-    """Print a scored run and write its outputs; None (an unlabeled replay, or
-    one with no decisions) allows neither ``--report`` nor ``--plots``."""
+    """Print a scored run and write its outputs. None (an unlabeled replay, or one
+    with no decisions) allows neither ``--report`` nor ``--plots``; ``cmd_replay``
+    refuses both on an unlabeled input before it opens any output, so only a replay
+    that made no decisions is refused here."""
     if report is None:
         if args.report or args.plots:
             raise ValueError(f"{'--report' if args.report else '--plots'} "
@@ -330,81 +339,105 @@ def cmd_bench(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with only ``command``'s subparser when it names one.
+
+    A process runs one command, and building the other four subparsers was half
+    the cost of parsing an ``init`` call (botnet-soak ``setup_s``). Every
+    subparser is built for any other ``command`` (None, ``-h``, a name that is not
+    a command), so the top-level help, the "invalid choice" error and the
+    "required" error list all five. A lone subparser gets the five names as its
+    metavar, in argparse's own form, so the top-level usage line, which an
+    "unrecognized arguments" error prints too, reads as with all five; with all
+    five built it stays unset, so an error about the command names ``command``.
+    """
+    names = ("init", "replay", "eval", "synth", "bench")
+    built = (command,) if command in names else names
     parser = argparse.ArgumentParser(
         prog="aadetect",
         description="Auto-associative anomaly detection for network traffic")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{%s}" % ",".join(names) if len(built) == 1 else None)
 
     def add_config_args(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override one config key (repeatable)")
 
-    p = sub.add_parser("init", help="fit scaling, model, and threshold on benign data")
-    p.add_argument("trace", help="trace CSV (or feature CSV with --features)")
-    p.add_argument("--out", required=True, help="state file to write")
-    p.add_argument("--features", action="store_true", help="input is a feature CSV")
-    add_config_args(p)
-    p.set_defaults(func=cmd_init)
+    if "init" in built:
+        p = sub.add_parser("init", help="fit scaling, model, and threshold on benign data")
+        p.add_argument("trace", help="trace CSV (or feature CSV with --features)")
+        p.add_argument("--out", required=True, help="state file to write")
+        p.add_argument("--features", action="store_true", help="input is a feature CSV")
+        add_config_args(p)
+        p.set_defaults(func=cmd_init)
 
-    p = sub.add_parser("replay", help="run detection over a trace or feature file")
-    p.add_argument("trace", help="trace CSV (or feature CSV with --features)")
-    p.add_argument("--state", help="start from a saved state file")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--online", action="store_true",
-                      help="keep learning on windows of benign-judged rows")
-    mode.add_argument("--frozen", action="store_true", help="never update the model")
-    p.add_argument("--devices", action="store_true", help="per-device monitoring")
-    p.add_argument("--features", action="store_true", help="input is a feature CSV")
-    p.add_argument("--log", help="decision log CSV to write")
-    p.add_argument("--alerts", help="alert stream file, or - for stdout")
-    p.add_argument("--report", help="report JSON to write")
-    p.add_argument("--plots", help="directory for plot-data CSVs")
-    p.add_argument("--save-state", help="persist detector state after the run")
-    add_config_args(p)
-    p.set_defaults(func=cmd_replay)
+    if "replay" in built:
+        p = sub.add_parser("replay", help="run detection over a trace or feature file")
+        p.add_argument("trace", help="trace CSV (or feature CSV with --features)")
+        p.add_argument("--state", help="start from a saved state file")
+        mode = p.add_mutually_exclusive_group()
+        mode.add_argument("--online", action="store_true",
+                          help="keep learning on windows of benign-judged rows")
+        mode.add_argument("--frozen", action="store_true", help="never update the model")
+        p.add_argument("--devices", action="store_true", help="per-device monitoring")
+        p.add_argument("--features", action="store_true", help="input is a feature CSV")
+        p.add_argument("--log", help="decision log CSV to write")
+        p.add_argument("--alerts", help="alert stream file, or - for stdout")
+        p.add_argument("--report", help="report JSON to write")
+        p.add_argument("--plots", help="directory for plot-data CSVs")
+        p.add_argument("--save-state", help="persist detector state after the run")
+        add_config_args(p)
+        p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("eval", help="score a decision log against trace ground truth")
-    p.add_argument("--log", required=True, help="decision log CSV")
-    p.add_argument("--trace", required=True, help="trace CSV with labels")
-    p.add_argument("--report", help="report JSON to write")
-    p.add_argument("--plots", help="directory for plot-data CSVs")
-    p.add_argument("--assert", dest="assertions", metavar="SPEC",
-                   help='e.g. "accuracy>=99,fpr<=1"; exit 1 on violation')
-    add_config_args(p)
-    p.set_defaults(func=cmd_eval, devices=False)  # --plots writes a scored run's files
+    if "eval" in built:
+        p = sub.add_parser("eval", help="score a decision log against trace ground truth")
+        p.add_argument("--log", required=True, help="decision log CSV")
+        p.add_argument("--trace", required=True, help="trace CSV with labels")
+        p.add_argument("--report", help="report JSON to write")
+        p.add_argument("--plots", help="directory for plot-data CSVs")
+        p.add_argument("--assert", dest="assertions", metavar="SPEC",
+                       help='e.g. "accuracy>=99,fpr<=1"; exit 1 on violation')
+        add_config_args(p)
+        p.set_defaults(func=cmd_eval, devices=False)  # --plots writes a scored run's files
 
-    p = sub.add_parser("synth", help="generate a labeled synthetic trace")
-    p.add_argument("--out", required=True)
-    p.add_argument("--duration", type=float, required=True, help="seconds")
-    p.add_argument("--rate", type=float, required=True, help="benign packets/second")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hosts", help="comma-separated host addresses")
-    p.add_argument("--ramp", type=float, default=1.0,
-                   help="final/initial benign rate ratio (default 1: stationary)")
-    p.add_argument("--size-mean", type=float, default=500.0)
-    p.add_argument("--size-sigma", type=float, default=150.0)
-    p.add_argument("--flood", action="append", metavar="START:END:MULT",
-                   help="attack segment (repeatable)")
-    p.add_argument("--attacker", action="append", help="attack source address (repeatable)")
-    p.add_argument("--victim", action="append", help="attack destination address (repeatable)")
-    p.add_argument("--spray", type=int, default=0,
-                   help="spray attack traffic across N external addresses")
-    p.add_argument("--attack-size-mean", type=float, default=80.0)
-    p.add_argument("--attack-size-sigma", type=float, default=10.0)
-    p.set_defaults(func=cmd_synth)
+    if "synth" in built:
+        p = sub.add_parser("synth", help="generate a labeled synthetic trace")
+        p.add_argument("--out", required=True)
+        p.add_argument("--duration", type=float, required=True, help="seconds")
+        p.add_argument("--rate", type=float, required=True, help="benign packets/second")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--hosts", help="comma-separated host addresses")
+        p.add_argument("--ramp", type=float, default=1.0,
+                       help="final/initial benign rate ratio (default 1: stationary)")
+        p.add_argument("--size-mean", type=float, default=500.0)
+        p.add_argument("--size-sigma", type=float, default=150.0)
+        p.add_argument("--flood", action="append", metavar="START:END:MULT",
+                       help="attack segment (repeatable)")
+        p.add_argument("--attacker", action="append", help="attack source address (repeatable)")
+        p.add_argument("--victim", action="append",
+                       help="attack destination address (repeatable)")
+        p.add_argument("--spray", type=int, default=0,
+                       help="spray attack traffic across N external addresses")
+        p.add_argument("--attack-size-mean", type=float, default=80.0)
+        p.add_argument("--attack-size-sigma", type=float, default=10.0)
+        p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("bench", help="run the desk-scale benchmark checks")
-    p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(func=cmd_bench)
+    if "bench" in built:
+        p = sub.add_parser("bench", help="run the desk-scale benchmark checks")
+        p.add_argument("--seed", type=int, default=7)
+        p.set_defaults(func=cmd_bench)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code. Only the subparser of the
+    command ``argv[0]`` names is built, or all five when it names none
+    (``build_parser``); ``argv`` None means ``sys.argv[1:]``, read here so that
+    ``argv[0]`` is known before the parser is built."""
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         _check_files(args)
         return args.func(args)

@@ -15,9 +15,10 @@ write an edited copy of an input or of an earlier output, by the same edit in
 both trees: a broken one (``broken-*``), one that only csv's row-by-row loop
 reads (a quoted field, CRLF line endings, a blank line), or a state as
 versions 1 and 2 wrote it (``legacy-*``); others copy one to where a call
-that must be refused would overwrite it (``refused-*``). At the first seed the calls end with
-``aadetect bench``, this checkout's four demos and the Python block of its
-README, each run under ``-W error`` (``demo-*`` and ``readme``).
+that must be refused would overwrite it (``refused-*``). The ``help*`` and
+``usage-*`` calls print argparse's help and usage errors. At the first seed the
+calls end with ``aadetect bench``, this checkout's four demos and the Python
+block of its README, each run under ``-W error`` (``demo-*`` and ``readme``).
 
 Each call's stdout, stderr and exit code, and every file either tree's
 directory ends up holding, are compared byte for byte; for each output that
@@ -249,6 +250,22 @@ def calls(seed: int) -> List[Call]:
                                     "--trace", "soak.csv", "--plots", "refused-eval"],
              copy("online.log", "refused-eval/decision_series.csv")),
         Call("refused-init-out", ["init", "soak.csv", "--out", "missing/init.json"] + N30),
+        # Refused before the log is opened: --plots under a file, and --report on a trace
+        # with one unlabeled row.
+        Call("refused-plots-under-file", ["replay", "soak.csv", "--state", "init.json",
+                                          "--log", "refused-under-file.log",
+                                          "--plots", "soak.csv/sub"] + N30),
+        Call("refused-unlabeled-report", ["replay", "unlabeled.csv", "--state", "init.json",
+                                          "--log", "refused-unlabeled.log",
+                                          "--report", "refused-unlabeled.json"] + N30,
+             edit_line("soak.csv", "unlabeled.csv", 3001, field(4, b""))),
+        # Help and usage errors, which argparse prints.
+        Call("help", ["--help"]),
+        Call("help-init", ["init", "-h"]),
+        Call("help-replay", ["replay", "-h"]),
+        Call("usage-unknown", ["nosuch", "soak.csv"]),
+        Call("usage-unrecognized", ["init", "soak.csv", "--out", "usage.json", "--bogus"]),
+        Call("usage-missing", ["init", "soak.csv"]),
     ] + ([Call("bench", ["bench"])] + programs() if seed == SEEDS[0] else [])
 
 

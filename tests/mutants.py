@@ -52,6 +52,7 @@ UNKNOWN_KEY_TESTS = ("tests/test_config_cli.py::"
 DISTINCT_TESTS = ("tests/test_config_cli.py::"
                   "test_an_output_that_is_an_input_or_another_output_exits_2_before_any_write")
 WHISKER_TESTS = ("tests/test_detector.py::test_whisker_degenerate_fallbacks",)
+PARSER_TESTS = ("tests/test_config_cli.py::test_main_parses_as_the_parser_of_every_command",)
 
 
 # The body and the end of read_csv's record loop, around the line that counts records.
@@ -339,6 +340,21 @@ MUTANTS = [
            'elif flag in outputs and args.command != "init" and not os.path.isdir(folder):',
            ("tests/test_config_cli.py::"
             "test_an_output_that_cannot_be_written_is_an_error_naming_it",)),
+    Mutant("_check_files: --plots DIR's nearest existing ancestor not checked", CLI,
+           "while not os.path.exists(existing) and", "while False and",
+           ("tests/test_config_cli.py::"
+            "test_an_output_written_after_the_replay_is_checked_before_it",)),
+    Mutant("cmd_replay: --report on an unlabeled input refused only after the log", CLI,
+           "(args.report or args.plots) and None in items.label:",
+           "(args.report or args.plots) and False:",
+           ("tests/test_config_cli.py::"
+            "test_a_report_on_an_input_not_fully_labeled_exits_2_before_any_output",)),
+    # main builds one subparser; its help and errors are the full parser's.
+    Mutant("build_parser: metavar set when every subparser is built", CLI,
+           " if len(built) == 1 else None)", ")", PARSER_TESTS),
+    Mutant("build_parser: a non-command argv[0] builds no subparser", CLI,
+           "built = (command,) if command in names else names", "built = (command,)",
+           PARSER_TESTS),
     # Two errors that must name what they are about.
     Mutant("_write_outputs: a report may hold NaN", CLI,
            "sort_keys=True, allow_nan=False)", "sort_keys=True)",

@@ -4,6 +4,7 @@ in-process through ``cli.main``."""
 import errno
 import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import re
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -480,6 +482,48 @@ def test_replay_usage_errors(flood_trace_file, tmp_path, capsys):
         assert not log.exists() and not (tmp_path / "out.json").exists()
 
 
+def parsed(parse, argv):
+    """The exit code, stdout and stderr of ``parse(argv)``, which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        parse(argv)
+    return exit_.value.code, out.getvalue(), err.getvalue()
+
+
+# The full parser's errors without a command: they name ``command`` and list all five.
+COMMANDS = "'init', 'replay', 'eval', 'synth', 'bench'"
+COMMAND_ERRORS = {
+    (): "the following arguments are required: command",
+    ("nosuch",): f"argument command: invalid choice: 'nosuch' (choose from {COMMANDS})",
+    ("ini",): f"argument command: invalid choice: 'ini' (choose from {COMMANDS})",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["nosuch"], ["ini"],
+    *([command, "-h"] for command in ("init", "replay", "eval", "synth", "bench")),
+    ["init", "t.csv"], ["eval", "--log", "L.csv"], ["init", "t.csv", "--out", "s.json", "x"],
+    ["bench", "--seed", "q"], ["synth", "--duration", "x"],
+    ["replay", "t", "--online", "--frozen"], ["init", "--", "x"],
+])
+def test_main_parses_as_the_parser_of_every_command(monkeypatch, argv):
+    # main builds only argv[0]'s subparser; every help, usage and error output must be
+    # the full parser's, byte for byte.
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = parsed(cli.main, argv)
+    assert (code, out, err) == parsed(cli.build_parser().parse_args, argv)
+    if tuple(argv) in COMMAND_ERRORS:
+        assert err.endswith(f"\naadetect: error: {COMMAND_ERRORS[tuple(argv)]}\n")
+
+
+def test_the_module_run_as_a_script_parses_its_own_arguments(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    done = subprocess.run([sys.executable, "-m", "aadetect.cli", "init", "-h"],
+                          capture_output=True, text=True, timeout=60, env=python_env())
+    assert (done.returncode, done.stdout, done.stderr) == parsed(
+        cli.build_parser().parse_args, ["init", "-h"])
+
+
 @pytest.mark.parametrize("override", ["threshold.value=NaN", "train.window_seconds=NaN"])
 def test_non_finite_config_value_exits_2(flood_trace_file, tmp_path, capsys, override):
     # Before the check, a NaN fixed threshold judged nothing an attack and a
@@ -873,6 +917,7 @@ def test_an_alerts_path_that_cannot_be_opened_exits_2_leaving_no_log(flood_trace
     (["--report", "missing/R.json"], "--report missing/R.json"),
     (["--report", "missing/R.json", "--devices"], "--report missing/R.json"),
     (["--plots", "flood.csv"], "--plots flood.csv: not a directory"),
+    (["--plots", "flood.csv/sub"], "--plots flood.csv/sub: not a directory"),
     (["--alerts", "A.jsonl", "--log", "nodir/L.csv"],
      "--log nodir/L.csv: directory nodir does not exist"),
     (["--alerts", "nodir/A.jsonl"], "--alerts nodir/A.jsonl: directory nodir does not exist"),
@@ -937,6 +982,7 @@ def test_an_output_that_is_an_input_or_another_output_exits_2_before_any_write(
 @pytest.mark.parametrize("flags, named", [
     (["--report", "missing/R.json"], "--report missing/R.json"),
     (["--plots", "flood.csv"], "--plots flood.csv: not a directory"),
+    (["--plots", "flood.csv/sub"], "--plots flood.csv/sub: not a directory"),
 ])
 def test_eval_checks_its_outputs_before_reading_the_log(flood_trace_file, tmp_path, capsys,
                                                         monkeypatch, flags, named):
@@ -1492,6 +1538,36 @@ def test_eval_rejects_an_unlabeled_trace(flood_trace_file, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "error: rows without ground-truth labels" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--report", "--plots"])
+@pytest.mark.parametrize("kind", ["packets", "features"])
+def test_a_report_on_an_input_not_fully_labeled_exits_2_before_any_output(tmp_path, capsys,
+                                                                          monkeypatch, kind,
+                                                                          flag):
+    # One unlabeled row is enough; the refusal used to come after the whole log was written.
+    monkeypatch.chdir(tmp_path)
+    if kind == "packets":
+        trace = synth_trace(TraceSpec(duration_s=4.0, rate_pps=50.0), seed=5)
+        trace.label = trace.label[:-1] + (None,)
+        save_trace(trace, "input.csv")
+        flags = ["--set", "train.init_len=64"]
+    else:
+        table = feature_table(np.random.default_rng(5), 3, (100, 0.5, 0.1, None))
+        table.label = table.label[:-1] + (None,)
+        write_feature_file(table, "input.csv")
+        flags = ["--features", "--set", "train.init_len=40"]
+    source = "trace" if kind == "packets" else "feature file"
+    replay = ["replay", "input.csv", "--log", "L.csv", "--alerts", "A.jsonl"] + flags
+    assert main_closing_every_file(replay + [flag, "out"]) == 2
+    assert capsys.readouterr() == ("", f"error: {flag} needs a fully labeled input, and "
+                                       f"{source} input.csv has unlabeled rows\n")
+    assert sorted(os.listdir(tmp_path)) == ["input.csv"]
+    assert cli.main(replay) == 0  # without a report the replay runs, unscored
+    assert "(trace unlabeled; no scoring)" in capsys.readouterr().out
+    if kind == "packets":  # a device bank's report needs no labels
+        assert cli.main(["replay", "input.csv", "--devices", "--report", "R.json"] + flags) == 0
+        assert json.loads(Path("R.json").read_text())["summary"]["packets"] == len(trace)
 
 
 def test_replay_of_a_feature_file_without_rows(tmp_path, capsys):

@@ -14,10 +14,10 @@ other input.
 
 A third property draws every file argument of ``init``, ``replay`` (with and
 without ``--devices``) and ``eval`` from a small pool of names: valid inputs,
-fresh names, a plot directory and the files ``--plots`` writes there, and a
-name in a directory that does not exist. Every input is unchanged after any
-run; a run that exits 2 names a flag or a file it was given, and changes or
-adds no file.
+fresh names, a plot directory and the files ``--plots`` writes there, a name
+in a directory that does not exist and a name under a file. Every input is
+unchanged after any run; a run that exits 2 names a flag or a file it was
+given, and changes or adds no file.
 
 ``--hypothesis-profile=fuzz`` (``tests/conftest.py``) runs each property on
 2,000 examples instead of the ``ci`` profile's 200.
@@ -269,10 +269,11 @@ FILE_ARGS = {
     "eval": ("--log --trace --config?", "--report? --plots?"),
 }
 # The valid inputs, two fresh names, a directory P holding the files --plots P writes
-# (each a copy of a valid input), and a name in a directory that does not exist.
+# (each a copy of a valid input), a name in a directory that does not exist, and one
+# under a file.
 POOL = ["trace.csv", "state.json", "log.csv", "config.json", "new.csv", "new.json", "P",
         "P/decision_series.csv", "P/per_type_accuracy.csv", "P/infection_levels.csv",
-        "missing/x"]
+        "missing/x", "trace.csv/sub"]
 
 
 def drawn(command, **names):
@@ -315,6 +316,8 @@ def pool(base, tmp_path_factory):
 @hypothesis.example(drawn("replay --devices", TRACE="P/infection_levels.csv", plots="P"))
 @hypothesis.example(drawn("replay", TRACE="trace.csv", log="new.csv", report="P"))
 @hypothesis.example(drawn("init", TRACE="trace.csv", out="missing/x"))
+@hypothesis.example(drawn("replay", TRACE="trace.csv", state="state.json", log="new.csv",
+                          plots="trace.csv/sub"))
 @hypothesis.example(drawn("replay", TRACE="trace.csv", state="state.json",
                           save_state="state.json"))  # a frozen resume in place
 def test_file_arguments_from_a_pool_of_names_exit_0_or_2_changing_no_input(pool, case):
