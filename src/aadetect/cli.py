@@ -62,9 +62,9 @@ _FILES = {"init": ("TRACE --config", "--out"),
 
 def _check_files(args) -> None:
     """No output is an input or another output, as real paths, but --save-state may be
-    --state's; --plots DIR counts as the ``PLOT_FILES`` it writes there, and neither DIR
-    nor its nearest existing ancestor is a non-directory. Any other output is not a
-    directory, in a directory that exists."""
+    --state's; --plots DIR counts as the directories it makes and the ``PLOT_FILES`` it
+    writes there, and its nearest existing ancestor (DIR itself, or a dangling link) is a
+    directory. Any other output is not a directory, in a directory that exists."""
     inputs, outputs = (flags.split() for flags in _FILES.get(args.command, ("", "")))
     seen = {}  # real path -> the first flag naming it
     for flag in inputs + outputs:
@@ -73,12 +73,13 @@ def _check_files(args) -> None:
             continue
         paths, folder = [given], os.path.dirname(given) or "."
         if flag == "--plots":
-            existing = given  # or its nearest existing ancestor: emit_plot_data makes the rest
-            while not os.path.exists(existing) and os.path.dirname(existing) not in ("", existing):
+            made, existing = [], given  # emit_plot_data makes each directory up to existing
+            while existing and not os.path.lexists(existing):
+                made.append(existing)
                 existing = os.path.dirname(existing)
-            if os.path.exists(existing) and not os.path.isdir(existing):
+            if existing and not os.path.isdir(existing):
                 raise ValueError(f"--plots {given}: not a directory")
-            paths = [os.path.join(given, name) for name in PLOT_FILES[args.devices]]
+            paths = made + [os.path.join(given, name) for name in PLOT_FILES[args.devices]]
         elif flag in outputs and os.path.isdir(given):
             raise ValueError(f"{flag} {given}: is a directory")
         elif flag in outputs and not os.path.isdir(folder):

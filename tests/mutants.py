@@ -333,17 +333,25 @@ MUTANTS = [
            ' and (other, flag) != ("--state", "--save-state"):', ":",
            (DISTINCT_TESTS + "[log-over-trace]",)),
     Mutant("_check_files: --plots DIR not counted as the files it writes", CLI,
-           "paths = [os.path.join(given, name) for name in PLOT_FILES[args.devices]]",
-           "paths = [given]", (DISTINCT_TESTS + "[plots-over-log]",)),
+           "paths = made + [os.path.join(given, name) for name in PLOT_FILES[args.devices]]",
+           "paths = made + [given]", (DISTINCT_TESTS + "[plots-over-log]",)),
+    Mutant("_check_files: the directories --plots makes not counted", CLI,
+           "paths = made + [", "paths = [", (DISTINCT_TESTS + "[plots-dir-over-state]",)),
     Mutant("_check_files: init's output directory not checked", CLI,
            "elif flag in outputs and not os.path.isdir(folder):",
            'elif flag in outputs and args.command != "init" and not os.path.isdir(folder):',
            ("tests/test_config_cli.py::"
             "test_an_output_that_cannot_be_written_is_an_error_naming_it",)),
     Mutant("_check_files: --plots DIR's nearest existing ancestor not checked", CLI,
-           "while not os.path.exists(existing) and", "while False and",
+           "if existing and not os.path.isdir(existing):",
+           "if existing == given and not os.path.isdir(existing):",
            ("tests/test_config_cli.py::"
             "test_an_output_written_after_the_replay_is_checked_before_it",)),
+    Mutant("_check_files: a dangling link taken for a name --plots may make", CLI,
+           "while existing and not os.path.lexists(existing):",
+           "while existing and not os.path.exists(existing):",
+           ("tests/test_config_cli.py::"
+            "test_plots_in_a_dangling_link_exits_2_before_any_output",)),
     Mutant("cmd_replay: --report on an unlabeled input refused only after the log", CLI,
            "(args.report or args.plots) and None in items.label:",
            "(args.report or args.plots) and False:",

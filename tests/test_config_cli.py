@@ -950,12 +950,18 @@ def test_an_output_written_after_the_replay_is_checked_before_it(flood_trace_fil
      "--plots and TRACE are the same file: P/decision_series.csv"),
     (["eval", "--log", "P/decision_series.csv", "--trace", "flood.csv", "--plots", "P"],
      "--plots and --log are the same file: P/decision_series.csv"),
+    (["replay", "flood.csv", "--state", "s.json", "--save-state", "N", "--plots", "N"],
+     "--plots and --save-state are the same file: N"),
+    (["replay", "flood.csv", "--log", "N", "--plots", "N/sub"],
+     "--plots and --log are the same file: N"),
 ], ids=["log-over-trace", "log-over-state", "log-and-report", "log-and-alerts", "out-over-trace",
-        "report-over-log", "plots-over-log", "plots-over-trace", "eval-plots-over-log"])
+        "report-over-log", "plots-over-log", "plots-over-trace", "eval-plots-over-log",
+        "plots-dir-over-state", "plots-dir-over-log"])
 def test_an_output_that_is_an_input_or_another_output_exits_2_before_any_write(
         flood_trace_file, tmp_path, capsys, monkeypatch, argv, error):
     # Each of these used to exit 0, overwriting its input or mixing two outputs in one
-    # file; --plots P stands for the files it writes in P.
+    # file, or to write an output and then fail on a directory of that name; --plots P
+    # stands for the directories it makes and the files it writes in P.
     monkeypatch.chdir(tmp_path)
     assert cli.main(["init", "flood.csv", "--out", "s.json", "--set", "train.init_len=100"]) == 0
     assert cli.main(["replay", "flood.csv", "--state", "s.json", "--log", "L.csv"]) == 0
@@ -996,6 +1002,17 @@ def test_eval_checks_its_outputs_before_reading_the_log(flood_trace_file, tmp_pa
     assert sorted(os.listdir(tmp_path)) == ["L.csv", "flood.csv"]
     rc = cli.main(["eval", "--log", "never.csv", "--trace", "flood.csv"] + flags)
     assert rc == 2 and capsys.readouterr().err.startswith(f"error: {named}")  # not the log
+
+
+def test_plots_in_a_dangling_link_exits_2_before_any_output(flood_trace_file, tmp_path, capsys,
+                                                            monkeypatch):
+    # A dangling link does not exist to os.path.exists, so the check used to look past it
+    # to ".", and the replay wrote its whole log before making the directory failed.
+    monkeypatch.chdir(tmp_path)
+    os.symlink("nowhere", "P")
+    rc = main_closing_every_file(["replay", "flood.csv", "--log", "L.csv", "--plots", "P"])
+    assert rc == 2 and capsys.readouterr() == ("", "error: --plots P: not a directory\n")
+    assert sorted(os.listdir(tmp_path)) == ["P", "flood.csv"]
 
 
 def test_the_decision_log_is_flushed_every_1024_rows(tmp_path):

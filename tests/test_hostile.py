@@ -315,6 +315,7 @@ def pool(base, tmp_path_factory):
 @hypothesis.example(drawn("eval", log="P/decision_series.csv", trace="trace.csv", plots="P"))
 @hypothesis.example(drawn("replay --devices", TRACE="P/infection_levels.csv", plots="P"))
 @hypothesis.example(drawn("replay", TRACE="trace.csv", log="new.csv", report="P"))
+@hypothesis.example(drawn("replay", TRACE="trace.csv", save_state="new.csv", plots="new.csv"))
 @hypothesis.example(drawn("init", TRACE="trace.csv", out="missing/x"))
 @hypothesis.example(drawn("replay", TRACE="trace.csv", state="state.json", log="new.csv",
                           plots="trace.csv/sub"))
