@@ -64,26 +64,31 @@ def _check_files(args) -> None:
     """No output is an input or another output, as real paths, but --save-state may be
     --state's; --plots DIR counts as the directories it makes and the ``PLOT_FILES`` it
     writes there, and its nearest existing ancestor (DIR itself, or a dangling link) is a
-    directory. Any other output is not a directory, in a directory that exists."""
+    directory. Any other output is not a directory, in a directory that exists; when that
+    does not exist, the error names its nearest existing ancestor if that is not one."""
     inputs, outputs = (flags.split() for flags in _FILES.get(args.command, ("", "")))
     seen = {}  # real path -> the first flag naming it
     for flag in inputs + outputs:
         given = getattr(args, flag.lstrip("-").replace("-", "_").lower())  # TRACE: args.trace
         if not given or (flag, given) == ("--alerts", "-"):
             continue
-        paths, folder = [given], os.path.dirname(given) or "."
-        if flag == "--plots":
-            made, existing = [], given  # emit_plot_data makes each directory up to existing
+        paths = [given]
+        if flag in outputs:
+            # --plots makes each directory up to its nearest existing ancestor; another
+            # output's directory must exist.
+            made, existing = [], given if flag == "--plots" else os.path.dirname(given)
             while existing and not os.path.lexists(existing):
                 made.append(existing)
                 existing = os.path.dirname(existing)
             if existing and not os.path.isdir(existing):
-                raise ValueError(f"--plots {given}: not a directory")
-            paths = made + [os.path.join(given, name) for name in PLOT_FILES[args.devices]]
-        elif flag in outputs and os.path.isdir(given):
-            raise ValueError(f"{flag} {given}: is a directory")
-        elif flag in outputs and not os.path.isdir(folder):
-            raise ValueError(f"{flag} {given}: directory {folder} does not exist")
+                raise ValueError(f"--plots {given}: not a directory" if flag == "--plots"
+                                 else f"{flag} {given}: {existing} is not a directory")
+            if flag == "--plots":
+                paths = made + [os.path.join(given, name) for name in PLOT_FILES[args.devices]]
+            elif os.path.isdir(given):
+                raise ValueError(f"{flag} {given}: is a directory")
+            elif made:
+                raise ValueError(f"{flag} {given}: directory {made[0]} does not exist")
         for path in paths:
             other = seen.setdefault(os.path.realpath(path), flag)
             if flag in outputs and other != flag and (other, flag) != ("--state", "--save-state"):

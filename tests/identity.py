@@ -238,7 +238,7 @@ def calls(seed: int) -> List[Call]:
              edit_line("online.log", "broken-nan.log", 6, field(1, b"nan"))),
         # Refused before any file is read: a file that --plots DIR would write, named by
         # another argument (the log, the trace, eval's log), and an init --out in a
-        # directory that does not exist.
+        # directory that does not exist or under a file.
         Call("refused-plots-log", ["replay", "soak.csv", "--state", "init.json",
                                    "--log", "refused-plots/decision_series.csv",
                                    "--plots", "refused-plots"] + N30,
@@ -250,6 +250,7 @@ def calls(seed: int) -> List[Call]:
                                     "--trace", "soak.csv", "--plots", "refused-eval"],
              copy("online.log", "refused-eval/decision_series.csv")),
         Call("refused-init-out", ["init", "soak.csv", "--out", "missing/init.json"] + N30),
+        Call("refused-out-under-file", ["init", "soak.csv", "--out", "soak.csv/x"] + N30),
         # Refused before the log is opened: --plots under a file, and --report on a trace
         # with one unlabeled row.
         Call("refused-plots-under-file", ["replay", "soak.csv", "--state", "init.json",

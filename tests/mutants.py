@@ -338,8 +338,12 @@ MUTANTS = [
     Mutant("_check_files: the directories --plots makes not counted", CLI,
            "paths = made + [", "paths = [", (DISTINCT_TESTS + "[plots-dir-over-state]",)),
     Mutant("_check_files: init's output directory not checked", CLI,
-           "elif flag in outputs and not os.path.isdir(folder):",
-           'elif flag in outputs and args.command != "init" and not os.path.isdir(folder):',
+           "elif made:", 'elif made and args.command != "init":',
+           ("tests/test_config_cli.py::"
+            "test_an_output_that_cannot_be_written_is_an_error_naming_it",)),
+    Mutant("_check_files: an output under a file named as a missing directory", CLI,
+           'else f"{flag} {given}: {existing} is not a directory")',
+           'else f"{flag} {given}: directory {existing} does not exist")',
            ("tests/test_config_cli.py::"
             "test_an_output_that_cannot_be_written_is_an_error_naming_it",)),
     Mutant("_check_files: --plots DIR's nearest existing ancestor not checked", CLI,

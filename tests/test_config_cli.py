@@ -323,8 +323,9 @@ def test_a_report_is_strict_json_or_an_error_naming_it(flood_trace_file, tmp_pat
 
 def test_an_output_that_cannot_be_written_is_an_error_naming_it(flood_trace_file, tmp_path,
                                                                 capsys):
-    # An output in a directory that does not exist, or one that is a directory, is
-    # refused before any input is read: init names --out, not a trace it never opens.
+    # An output in a directory that does not exist, under a file, or one that is a
+    # directory, is refused before any input is read: init names --out, not a trace it
+    # never opens, and an output under a file names the file, which exists.
     # An output whose name leaves no room for its temporary file's suffix (which holds
     # the process id) gets as far as the write, and the error names the output instead.
     state, folder, missing = tmp_path / "s.json", tmp_path / "folder", tmp_path / "no" / "s.json"
@@ -335,12 +336,20 @@ def test_an_output_that_cannot_be_written_is_an_error_naming_it(flood_trace_file
     before = sorted(os.listdir(tmp_path))
     replay = ["replay", str(flood_trace_file), "--state", str(state)]
     no_dir = f"{missing}: directory {missing.parent} does not exist"
+    under, deeper = state / "x", state / "sub" / "x"
+    not_dir = f"{under}: {state} is not a directory"
     too_long = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: '{long}'"
     for argv, error in [(init + [str(missing)], f"--out {no_dir}"),
                         (["init", str(tmp_path / "nosuch.csv"), "--out", str(missing)],
                          f"--out {no_dir}"),
                         (["synth", "--duration", "1", "--rate", "10", "--out", str(missing)],
                          f"--out {no_dir}"),
+                        (init + [str(under)], f"--out {not_dir}"),
+                        (init + [str(deeper)], f"--out {deeper}: {state} is not a directory"),
+                        (["synth", "--duration", "1", "--rate", "10", "--out", str(under)],
+                         f"--out {not_dir}"),
+                        *((replay + [flag, str(under)], f"{flag} {not_dir}")
+                          for flag in ("--log", "--alerts", "--report", "--save-state")),
                         (init + [str(folder)], f"--out {folder}: is a directory"),
                         (replay + ["--report", str(folder)], f"--report {folder}: is a directory"),
                         (replay + ["--save-state", str(folder)],
