@@ -18,8 +18,7 @@ both streams unchanged across releases (NEP 19).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -87,8 +86,7 @@ def init_hidden_weights(input_dim: int, seed: int) -> Tuple[np.ndarray, ...]:
     return tuple(weights)
 
 
-@dataclass(frozen=True)
-class AadrnnModel:
+class AadrnnModel(NamedTuple):
     """An immutable model snapshot: frozen hidden weights plus one readout.
 
     ``readout`` has shape (M, M); ``forward`` maps an input vector to its

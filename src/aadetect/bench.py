@@ -17,8 +17,7 @@ Three seeded synthetic scenarios exercise the headline claims end to end:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -30,8 +29,7 @@ from .metrics import StreamMetrics
 from .traffic import AttackSegment, Trace, TraceSpec, synth_trace
 
 
-@dataclass
-class BenchCheck:
+class BenchCheck(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -28,8 +28,8 @@ learning until it looks benign again.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ class DeviceRecord:
     consecutive_above: int = 0
 
 
-@dataclass(frozen=True)
-class DeviceReportRow:
+class DeviceReportRow(NamedTuple):
     addr: str
     infection_level: float
     peak_level: float
@@ -79,8 +78,7 @@ class DeviceReportRow:
     evicted: bool = False
 
 
-@dataclass(frozen=True)
-class InfectionReport:
+class InfectionReport(NamedTuple):
     """Per-device rows (infection level descending) plus a trace-level summary."""
 
     devices: Tuple[DeviceReportRow, ...]
@@ -88,7 +86,7 @@ class InfectionReport:
     compromised: Tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {"devices": [asdict(row) for row in self.devices],
+        return {"devices": [row._asdict() for row in self.devices],
                 "summary": {"packets": self.packets,
                             "devices": len(self.devices),
                             "compromised": list(self.compromised)}}

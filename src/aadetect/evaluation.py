@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .config import Config
 from .detector import Decision, Detector
@@ -31,8 +30,7 @@ from .training import TrainingError
 DECISION_LOG_FIELDS = ("timestamp_us", "decision_value", "threshold", "is_attack", "mode")
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
     tp: int
     fn: int
     tn: int
@@ -47,8 +45,7 @@ def _pct(num: int, den: int) -> Optional[float]:
     return None if den == 0 else 100.0 * num / den
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     """Rates over ``decisions``, the very sequence ``score`` was given."""
 
     counts: ConfusionCounts
@@ -62,7 +59,7 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         return {
-            "counts": asdict(self.counts),
+            "counts": self.counts._asdict(),
             "rates": {"accuracy": self.accuracy, "tpr": self.tpr, "fnr": self.fnr,
                       "tnr": self.tnr, "fpr": self.fpr},
             "per_attack_type": dict(self.per_attack_type),

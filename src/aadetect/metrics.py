@@ -36,8 +36,7 @@ post-init traffic may legitimately exceed the observed range.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -226,8 +225,7 @@ class DirectionalMetrics:
 # Scaling
 
 
-@dataclass(frozen=True)
-class ScalingFactors:
+class ScalingFactors(NamedTuple):
     """Per-metric divisors fitted as the component-wise max of an init window
     (zero maxima replaced by 1 so all-quiet metrics pass through unchanged)."""
 
@@ -254,8 +252,7 @@ def fit_scaling(raws: Sequence[np.ndarray]) -> ScalingFactors:
     return ScalingFactors(scale)
 
 
-@dataclass(frozen=True)
-class MinMaxScaler:
+class MinMaxScaler(NamedTuple):
     """Feature-mode normalization: (x - min) / (max - min) per column, fitted
     on benign training rows; degenerate columns map to 0. Unclamped."""
 

@@ -36,10 +36,10 @@ import contextlib
 import csv
 import math
 import os
-from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import (Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, TextIO,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -429,8 +429,7 @@ def load_feature_dataset(path: Union[str, Path]) -> FeatureTable:
 # Synthetic traces
 
 
-@dataclass(frozen=True)
-class AttackSegment:
+class AttackSegment(NamedTuple):
     """A flood interval: attack packets arrive at ``rate_multiplier`` times the
     benign rate, from ``attackers``, aimed at ``victims`` or sprayed across
     ``spray`` synthetic external addresses."""
@@ -446,8 +445,7 @@ class AttackSegment:
     attack_type: str = "flood"
 
 
-@dataclass(frozen=True)
-class TraceSpec:
+class TraceSpec(NamedTuple):
     """Parameters for ``synth_trace``. Benign arrivals form a Poisson process
     at ``rate_pps`` whose intensity ramps linearly to ``rate_ramp`` times the
     initial rate by the end of the trace."""

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -58,8 +57,7 @@ class TrainingError(RuntimeError):
     """The readout system could not be solved."""
 
 
-@dataclass(frozen=True)
-class SufficientStats:
+class SufficientStats(NamedTuple):
     """Accumulated G = sum H^T H, C = sum H^T X, and the accepted-row count."""
 
     G: np.ndarray
@@ -190,9 +188,10 @@ def update_incremental(stats: SufficientStats, window: np.ndarray, model: Aadrnn
         return stats, model
     acc = np.concatenate([stats.G, stats.C], axis=1)
     buf = np.empty((min(len(window), _FOLD_CHUNK) + 1, m, 2 * m))
+    rng = noise_rng(train.seed, stats.n, salt)  # one key per fold; each chunk steps the index
     for lo in range(0, len(window), _FOLD_CHUNK):
         clean = window[lo:lo + _FOLD_CHUNK]
-        noisy = corrupt(clean, train.noise_sigma, noise_rng(train.seed, stats.n + lo, salt))
+        noisy = corrupt(clean, train.noise_sigma, rng._replace(index=stats.n + lo))
         H = model.hidden(noisy[:, None, :])[:, 0, :]
         part = buf[:len(clean) + 1]
         part[0] = acc

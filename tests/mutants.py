@@ -216,8 +216,8 @@ MUTANTS = [
            r"""if any(char in text for char in '\x1c\x1d\x1e\x1f'):""",
            ("tests/test_traffic.py::test_column_loader_equals_per_row_loader_on_generated_files",)),
     Mutant("update_incremental: noise keyed by chunk, not by global row", TRAINING,
-           "noise_rng(train.seed, stats.n + lo, salt)",
-           "noise_rng(train.seed, stats.n + lo // _FOLD_CHUNK, salt)", ("tests/test_training.py",)),
+           "rng._replace(index=stats.n + lo)",
+           "rng._replace(index=stats.n + lo // _FOLD_CHUNK)", ("tests/test_training.py",)),
     Mutant("NoiseStream.normal: the counter offset one low", TRAINING,
            "(3 * self.index * shape[-1] + 1) * _GAMMA", "(3 * self.index * shape[-1]) * _GAMMA",
            ("tests/test_training.py",)),

@@ -9,11 +9,25 @@ tests call belong in ``tests/oracles.py``.
 Every ``tests/<file>.py::<test>`` and ``tests/oracles.py:<name>`` that a
 docstring in ``src/aadetect/`` cites is defined at the top level of its
 file, and each exact fast path of ``FAST_PATHS`` cites its oracle and the
-test that checks it against the oracle."""
+test that checks it against the oracle.
+
+Immutable records are NamedTuples: no class in ``src/aadetect/`` is a frozen
+dataclass, and no field of a record can be assigned. Dataclasses hold only
+mutable state and config."""
 
 import ast
 import re
 from pathlib import Path
+
+import pytest
+
+from aadetect.aadrnn import AadrnnModel
+from aadetect.bench import BenchCheck
+from aadetect.devices import DeviceReportRow, InfectionReport
+from aadetect.evaluation import ConfusionCounts, EvalReport
+from aadetect.metrics import MinMaxScaler, ScalingFactors
+from aadetect.traffic import AttackSegment, TraceSpec
+from aadetect.training import SufficientStats
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "aadetect"
@@ -100,3 +114,24 @@ def test_every_test_and_oracle_a_docstring_cites_exists():
     uncited = [name for name in FAST_PATHS
                if not (CITED_TEST.search(found[name]) and CITED_ORACLE.search(found[name]))]
     assert not uncited, f"fast paths that name no oracle or no test: {uncited}"
+
+
+def test_no_class_in_the_package_is_a_frozen_dataclass():
+    frozen = [f"{path.name}:{node.lineno} {node.name}" for path in sorted(PACKAGE.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.ClassDef)
+              for decorator in node.decorator_list
+              if isinstance(decorator, ast.Call)
+              and any(keyword.arg == "frozen" for keyword in decorator.keywords)]
+    assert not frozen, f"frozen dataclasses, not NamedTuples: {frozen}"
+
+
+@pytest.mark.parametrize("record", [AadrnnModel, SufficientStats, ScalingFactors, MinMaxScaler,
+                                    AttackSegment, TraceSpec, DeviceReportRow, InfectionReport,
+                                    ConfusionCounts, EvalReport, BenchCheck],
+                         ids=lambda record: record.__name__)
+def test_no_field_of_a_record_can_be_assigned(record):
+    value = record._make([None] * len(record._fields))
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)

@@ -125,7 +125,8 @@ def test_noise_moments_over_30000_rows_of_20():
 
 def test_training_draws_noise_once_per_fold_chunk_through_the_module_attributes(monkeypatch):
     # The benchmark's tracer times training.noise_rng and training.corrupt by
-    # replacing them on the module; the fold must call them there, once a chunk.
+    # replacing them on the module; the fold must call them there: noise_rng once a
+    # fold, for its key, and corrupt once a chunk.
     calls = {"noise_rng": 0, "corrupt": 0}
 
     def counted(name):
@@ -143,10 +144,10 @@ def test_training_draws_noise_once_per_fold_chunk_through_the_module_attributes(
     for name in calls:
         monkeypatch.setattr(training, name, counted(name))
     stats = fit_batch_with_stats(model, X, cfg)[0]  # chunks of 256, 256 and 88 rows
-    assert calls == {"noise_rng": 3, "corrupt": 3}
+    assert calls == {"noise_rng": 1, "corrupt": 3}
     assert np.array_equal(stats.G, expected.G) and np.array_equal(stats.C, expected.C)
     update_incremental(stats, X[:257], model, cfg)
-    assert calls == {"noise_rng": 5, "corrupt": 5}
+    assert calls == {"noise_rng": 2, "corrupt": 5}
 
 
 # -- closed-form oracle ---------------------------------------------------------------
