@@ -13,7 +13,7 @@ Exit codes: 0 success, 1 failed assertion or benchmark, 2 usage, I/O or training
 error, or malformed input (one ``error: path:line: ...`` line for a CSV file).
 
 ``main`` checks each command's files (``_FILES``) before the command reads anything.
-``replay`` logs and alerts through ``evaluation``, which also reads the log back.
+A run's log, alerts and report files are written by ``evaluation``, which also reads the log back.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import operator
 import os
 import sys
@@ -30,14 +29,13 @@ from typing import Iterable, List, Optional, Sequence, Union
 from .config import Config, apply_overrides, load_config
 from .detector import Decision, Detector, LifecycleError, Mode, Phase, load_state, save_state
 from .devices import DeviceBank, InfectionReport
-from .evaluation import (PLOT_FILES, EvalReport, _DecisionLogWriter, _emit_alert,
-                         align_with_trace, emit_plot_data, ground_truth, read_decision_log,
-                         replay, score)
-from .traffic import (AttackSegment, TraceSpec, load_feature_dataset, load_trace,
-                      replace_file, save_trace, synth_trace, trace_blocks)
+from .evaluation import (PLOT_FILES, RATES, EvalReport, _DecisionLogWriter, _emit_alert,
+                         align_with_trace, ground_truth, read_decision_log, replay, score,
+                         write_report)
+from .traffic import (AttackSegment, TraceSpec, load_feature_dataset, load_trace, save_trace,
+                      synth_trace, trace_blocks)
 from .training import TrainingError
 
-_ASSERT_METRICS = ("accuracy", "tpr", "fnr", "tnr", "fpr")
 _ASSERT_OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq,  # "<=" before "<"
                "<": operator.lt, ">": operator.gt}
 
@@ -115,7 +113,10 @@ def cmd_init(args) -> int:
         train = dataclasses.replace(config.train, init_len=len(rows))  # fit every benign row
         det = Detector(rows.shape[1], dataclasses.replace(config, train=train),
                        mode=Mode.FEATURES, online=False)
-        next(det.step_rows(rows), None)  # fits the window: rows past it need no judging
+        try:
+            next(det.step_rows(rows), None)  # fits the window: rows past it need no judging
+        except ValueError as exc:  # a column too wide to scale
+            raise ValueError(f"{args.trace}: {exc}") from None
     else:
         det = Detector(3, config, mode=Mode.BOTNET, online=False)
         # Blocks are parsed only up to the one in which the window completes;
@@ -183,73 +184,58 @@ def cmd_replay(args) -> int:
     decisions: List[Decision] = []
     # Alerts first: a path that cannot be opened then leaves no log behind.
     with _open_alerts(args.alerts) as alerts, _DecisionLogWriter(args.log, mode) as log:
-        for addr, decision in replay(engine, items):
-            log.write(decision)
-            if alerts is not None and decision.is_attack:
-                _emit_alert(alerts, decision, mode, addr)
-            if addr is None:
-                decisions.append(decision)
+        try:
+            for addr, decision in replay(engine, items):
+                log.write(decision)
+                if alerts is not None and decision.is_attack:
+                    _emit_alert(alerts, decision, mode, addr)
+                if addr is None:
+                    decisions.append(decision)
+        except ValueError as exc:  # a row the detector cannot judge
+            raise ValueError(f"{args.trace}: {exc}") from None
 
     if args.devices:
-        _report_devices(args, config, engine.report())
+        _report(args, config, engine.report())
         return 0
     if engine.phase == Phase.INIT:
         raise ValueError(f"{source} ended before init completed; no decisions were made")
     labels, types = ground_truth(items, len(decisions))
     if decisions and None not in labels:
-        _print_report(args, config, score(decisions, labels, types))
+        _report(args, config, score(decisions, labels, types))
     else:
         reason = "trace unlabeled" if decisions else "init ended on the last row"
         print(f"{len(decisions)} decisions ({reason}; no scoring)")
-        _print_report(args, config, None)
+        # An unlabeled input was refused above, before any output was opened.
+        if args.report or args.plots:
+            raise ValueError(f"{'--report' if args.report else '--plots'} "
+                             "needs decisions on a fully labeled input")
     if args.save_state:
         save_state(engine, args.save_state)
         print(f"saved state -> {args.save_state}")
     return 0
 
 
-def _write_outputs(args, config: Config, report: Union[EvalReport, InfectionReport]) -> None:
-    """Write a report's ``--report`` JSON, with the config attached, and its ``--plots``.
-    The report is strict JSON, through ``replace_file``: a ``nan`` from a log leaves no file."""
-    if args.report:
-        doc = dict(report.to_dict(), config=config.to_dict())
-        with replace_file(args.report) as fh:
-            try:
-                json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
-            except ValueError as exc:  # allow_nan's
-                raise ValueError(f"--report {args.report}: {exc}") from None
-            fh.write("\n")
-    if args.plots:
-        for path in emit_plot_data(report, args.plots):
-            print(f"wrote {path}")
-
-
-def _print_report(args, config: Config, report: Optional[EvalReport]) -> None:
-    """Print a scored run and write its outputs. None (an unlabeled replay, or one
-    with no decisions) allows neither ``--report`` nor ``--plots``; ``cmd_replay``
-    refuses both on an unlabeled input before it opens any output, so only a replay
-    that made no decisions is refused here."""
-    if report is None:
-        if args.report or args.plots:
-            raise ValueError(f"{'--report' if args.report else '--plots'} "
-                             "needs decisions on a fully labeled input")
-        return
-    print(report.summary())
-    if report.per_attack_type:
-        print("per-attack-type accuracy:")
-        for name, acc in report.per_attack_type.items():
-            print(f"  {name:24s} {acc:8.2f}")
-    _write_outputs(args, config, report)
-
-
-def _report_devices(args, config: Config, report: InfectionReport) -> None:
-    print(f"{report.packets} packets, {len(report.devices)} devices, "
-          f"{len(report.compromised)} compromised")
-    for row in report.devices[:10]:
-        flag = "COMPROMISED" if row.is_compromised else ""
-        print(f"  {row.addr:18s} level {row.infection_level:.3f} "
-              f"peak {row.peak_level:.3f} decisions {row.decisions_count} {flag}")
-    _write_outputs(args, config, report)
+def _report(args, config: Config, report: Union[EvalReport, InfectionReport]) -> None:
+    """Print a run's report and write its ``--report`` and ``--plots`` (``write_report``)."""
+    if isinstance(report, InfectionReport):
+        print(f"{report.packets} packets, {len(report.devices)} devices, "
+              f"{len(report.compromised)} compromised")
+        for row in report.devices[:10]:
+            flag = "COMPROMISED" if row.is_compromised else ""
+            print(f"  {row.addr:18s} level {row.infection_level:.3f} "
+                  f"peak {row.peak_level:.3f} decisions {row.decisions_count} {flag}")
+    else:
+        print(report.summary())
+        if report.per_attack_type:
+            print("per-attack-type accuracy:")
+            for name, acc in report.per_attack_type.items():
+                print(f"  {name:24s} {acc:8.2f}")
+    try:
+        plots = write_report(report, config, args.report, args.plots)
+    except ValueError as exc:  # a value the strict JSON cannot hold
+        raise ValueError(f"--report {args.report}: {exc}") from None
+    for path in plots:
+        print(f"wrote {path}")
 
 
 # -- eval ---------------------------------------------------------------------
@@ -262,7 +248,7 @@ def _parse_assertions(spec: str) -> List[tuple]:
             if op in clause:
                 name, value = clause.split(op, 1)
                 name = name.strip().lower()
-                if name not in _ASSERT_METRICS:
+                if name not in RATES:
                     raise ValueError(f"unknown metric in assertion: {name!r}")
                 try:
                     out.append((name, op, float(value)))
@@ -286,7 +272,7 @@ def cmd_eval(args) -> int:
         report = score(decisions, labels, types)
     except ValueError as exc:  # two valid files that do not belong together
         raise ValueError(f"{exc} ({args.log} against {args.trace})") from None
-    _print_report(args, config, report)
+    _report(args, config, report)
     failed = False
     for name, op, expected in assertions:
         actual = getattr(report, name)

@@ -249,7 +249,10 @@ class Detector:
         if not np.all(np.isfinite(raw)):
             raise ValueError("non-finite raw metric value")
         state.row_counter += 1
-        x = fit.scaler.apply(raw)
+        try:
+            x = fit.scaler.apply(raw)
+        except FloatingPointError:  # only min-max scaling raises it: at_us is the row index
+            raise ValueError(f"feature row {at_us + 1} overflows the fitted scaling") from None
         x_hat = fit.model.forward(x)
         d = float(_weighted_gap(x, x_hat, self.gamma))
         is_attack = d > fit.threshold

@@ -85,12 +85,6 @@ class InfectionReport(NamedTuple):
     packets: int
     compromised: Tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {"devices": [row._asdict() for row in self.devices],
-                "summary": {"packets": self.packets,
-                            "devices": len(self.devices),
-                            "compromised": list(self.compromised)}}
-
 
 class DeviceBank:
     """The set of per-address detectors over one packet stream."""

@@ -1,12 +1,12 @@
-"""The replay driver, scoring, decision logs, alerts and plot data.
+"""The replay driver, scoring, and the files a run writes.
 
 ``replay`` is the one loop that feeds a ``Trace`` or a ``FeatureTable`` to a
 detector or a device bank. ``ground_truth`` slices the labels and attack
 types of a detector's decisions from its input's columns (see ``replay``).
 A run's result is its ``EvalReport`` (``run``; ``compare_online_offline``
-returns two). The decision-log format (its fields, streaming writer and
-reader) and the alert line live here, for ``cli`` to write with; the reader
-is a header and a row converter for ``traffic.read_csv``, the one CSV reader.
+returns two) or a device bank's ``InfectionReport``. The decision log (its
+fields, streaming writer and reader, a row converter for ``traffic.read_csv``),
+the alert line and either kind's report files (``write_report``) live here.
 
 Rates follow the usual confusion-matrix definitions, reported as percentages:
 accuracy, TPR (recall on attacks), FNR, TNR, FPR. Per-attack-type accuracy is
@@ -24,10 +24,11 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, 
 from .config import Config
 from .detector import Decision, Detector
 from .devices import DeviceBank, InfectionReport
-from .traffic import FeatureTable, Trace, read_csv, write_csv
+from .traffic import FeatureTable, Trace, read_csv, replace_file, write_csv
 from .training import TrainingError
 
 DECISION_LOG_FIELDS = ("timestamp_us", "decision_value", "threshold", "is_attack", "mode")
+RATES = ("accuracy", "tpr", "fnr", "tnr", "fpr")  # an EvalReport's rate fields
 
 
 class ConfusionCounts(NamedTuple):
@@ -56,15 +57,6 @@ class EvalReport(NamedTuple):
     fpr: Optional[float]
     per_attack_type: Dict[str, float]
     decisions: Sequence[Decision]
-
-    def to_dict(self) -> dict:
-        return {
-            "counts": self.counts._asdict(),
-            "rates": {"accuracy": self.accuracy, "tpr": self.tpr, "fnr": self.fnr,
-                      "tnr": self.tnr, "fpr": self.fpr},
-            "per_attack_type": dict(self.per_attack_type),
-            "decision_series": [[d.at_us, d.value, d.threshold] for d in self.decisions],
-        }
 
     def summary(self) -> str:
         def fmt(v):
@@ -173,7 +165,7 @@ def compare_online_offline(trace: Trace, config: Config) -> Tuple[EvalReport, Ev
 
 
 # ---------------------------------------------------------------------------
-# Decision logs and plot data
+# Decision logs, alerts and report files
 
 
 _LOG_FLUSH_EVERY = 1024
@@ -262,24 +254,42 @@ def align_with_trace(decisions: Sequence[Decision], trace: Trace) -> Tuple[tuple
     return ground_truth(trace, len(decisions))
 
 
-# The files ``emit_plot_data`` writes, by whether its report is a device bank's.
+# The plot files ``write_report`` writes, by whether its report is a device bank's.
 PLOT_FILES = {False: ("decision_series.csv", "per_type_accuracy.csv"),
               True: ("infection_levels.csv",)}
 
 
-def emit_plot_data(report: Union[EvalReport, InfectionReport],
-                   out_dir: Union[str, Path]) -> List[Path]:
-    """Write plottable CSV series for a report; returns the files written."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def write_report(report: Union[EvalReport, InfectionReport], config: Config,
+                 json_path: Optional[Union[str, Path]] = None,
+                 plots_dir: Optional[Union[str, Path]] = None) -> List[Path]:
+    """Write the report at ``json_path``, strict sorted JSON with ``config`` attached,
+    through ``replace_file`` (a value JSON cannot hold, such as a logged ``nan``, raises
+    ValueError and leaves no file), then the ``PLOT_FILES`` CSVs in ``plots_dir``, made
+    if missing; a path left None is not written. Returns the plot files written."""
     devices = isinstance(report, InfectionReport)
-    if devices:
+    if devices:  # the document is built only when it is written
+        doc = json_path and {"devices": [row._asdict() for row in report.devices],
+                             "summary": {"packets": report.packets,
+                                         "devices": len(report.devices),
+                                         "compromised": list(report.compromised)}}
         tables = [(("addr", "infection_level", "peak_level", "is_compromised", "decisions_count"),
-                   ((row.addr, repr(row.infection_level), repr(row.peak_level),
-                     int(row.is_compromised), row.decisions_count) for row in report.devices))]
+                   ((row.addr, row.infection_level, row.peak_level, int(row.is_compromised),
+                     row.decisions_count) for row in report.devices))]
     else:
-        tables = [(("timestamp_us", "decision_value", "threshold"),
-                   ((d.at_us, repr(d.value), repr(d.threshold)) for d in report.decisions)),
-                  (("attack_type", "accuracy_pct"),
-                   ((name, repr(acc)) for name, acc in report.per_attack_type.items()))]
-    return [write_csv(out_dir / name, *table) for name, table in zip(PLOT_FILES[devices], tables)]
+        doc = json_path and {
+            "counts": report.counts._asdict(),
+            "rates": {name: getattr(report, name) for name in RATES},
+            "per_attack_type": dict(report.per_attack_type),
+            "decision_series": [d[:3] for d in report.decisions]}  # the log's first columns
+        tables = [(DECISION_LOG_FIELDS[:3], (d[:3] for d in report.decisions)),
+                  (("attack_type", "accuracy_pct"), report.per_attack_type.items())]
+    if json_path:
+        with replace_file(json_path) as fh:
+            json.dump(dict(doc, config=config.to_dict()), fh, indent=1, sort_keys=True,
+                      allow_nan=False)
+            fh.write("\n")
+    if not plots_dir:
+        return []
+    plots_dir = Path(plots_dir)
+    plots_dir.mkdir(parents=True, exist_ok=True)
+    return [write_csv(plots_dir / name, *table) for name, table in zip(PLOT_FILES[devices], tables)]

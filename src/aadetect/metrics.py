@@ -253,8 +253,8 @@ def fit_scaling(raws: Sequence[np.ndarray]) -> ScalingFactors:
 
 
 class MinMaxScaler(NamedTuple):
-    """Feature-mode normalization: (x - min) / (max - min) per column, fitted
-    on benign training rows; degenerate columns map to 0. Unclamped."""
+    """Feature-mode normalization: (x - min) / (max - min) per column, fitted on benign
+    rows; degenerate columns map to 0. Unclamped: an overflow raises FloatingPointError."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -266,19 +266,25 @@ class MinMaxScaler(NamedTuple):
                 f"vector has {features.shape[-1]} features, scaler expects {self.lo.shape[0]}")
         span = self.hi - self.lo
         safe = np.where(span == 0.0, 1.0, span)
-        out = (features - self.lo) / safe
+        with np.errstate(over="raise"):
+            out = (features - self.lo) / safe
         out[..., span == 0.0] = 0.0
         return out
 
 
 def min_max_fit(rows: Sequence[np.ndarray]) -> MinMaxScaler:
-    """Fit per-column min/max over (benign) training rows."""
+    """Fit per-column min/max over (benign) training rows, each range a finite float."""
     mat = np.atleast_2d(np.asarray(rows, dtype=float))
     if mat.size == 0:
         raise ValueError("cannot fit min-max on an empty dataset")
     if not np.all(np.isfinite(mat)):
         raise ValueError("non-finite feature value in training rows")
     lo, hi = mat.min(axis=0), mat.max(axis=0)
+    with np.errstate(over="ignore"):
+        wide = np.flatnonzero(np.isinf(hi - lo))
+    for j in wide[:1]:
+        raise ValueError(f"feature column {j + 1} spans {lo[j]:g} to {hi[j]:g}, "
+                         "a range min-max scaling cannot hold")
     lo.flags.writeable = hi.flags.writeable = False
     return MinMaxScaler(lo, hi)
 

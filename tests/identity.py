@@ -216,6 +216,16 @@ def calls(seed: int) -> List[Call]:
         Call("broken-features", ["replay", "broken-features.csv", "--features",
                                  "--state", "features.json"],
              edit_line("test.csv", "broken-features.csv", 10, field(3, b"inf"))),
+        # Finite feature values that min-max scaling overflows: a training column from
+        # -1e308 to 1e308, and -1.7e308 in the tenth row of a frozen replay.
+        Call("overflow-init", ["init", "overflow-train.csv", "--features",
+                               "--out", "overflow.json"],
+             edit_line("train.csv", "overflow-train.csv", 2, lambda text: field(
+                 0, b"1e308")(text) + b"\n" + field(0, b"-1e308")(text))),
+        Call("overflow-replay", ["replay", "overflow-test.csv", "--features",
+                                 "--state", "features.json", "--frozen",
+                                 "--log", "overflow.log"],
+             edit_line("test.csv", "overflow-test.csv", 11, field(0, b"-1.7e308"))),
         Call("broken-label", ["replay", "broken-label.csv", "--state", "init.json"] + N30,
              edit_line("soak.csv", "broken-label.csv", 3001, field(4, b"2"))),
         Call("broken-back-edge", ["replay", "broken-back-edge.csv", "--state", "init.json"] + N30,

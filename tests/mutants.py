@@ -31,10 +31,10 @@ from typing import NamedTuple, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 KILLED, EQUIVALENT = "killed", "equivalent"
-METRICS, DETECTOR, TRAFFIC, TRAINING, AADRNN, DEVICES, CONFIG, CLI = (
+METRICS, DETECTOR, TRAFFIC, TRAINING, AADRNN, DEVICES, CONFIG, CLI, EVALUATION = (
     f"src/aadetect/{name}.py"
     for name in ("metrics", "detector", "traffic", "training", "aadrnn", "devices", "config",
-                 "cli"))
+                 "cli", "evaluation"))
 BLOCK_TESTS = ("tests/test_metrics.py", "tests/test_feed.py")
 FEED_TESTS = ("tests/test_feed.py",)
 TRACE_ERROR_TESTS = ("tests/test_traffic.py::"
@@ -53,6 +53,8 @@ DISTINCT_TESTS = ("tests/test_config_cli.py::"
                   "test_an_output_that_is_an_input_or_another_output_exits_2_before_any_write")
 WHISKER_TESTS = ("tests/test_detector.py::test_whisker_degenerate_fallbacks",)
 PARSER_TESTS = ("tests/test_config_cli.py::test_main_parses_as_the_parser_of_every_command",)
+OVERFLOW_TESTS = ("tests/test_config_cli.py::"
+                  "test_finite_feature_values_that_overflow_scaling_exit_2_naming_them",)
 
 
 # The body and the end of read_csv's record loop, around the line that counts records.
@@ -367,10 +369,15 @@ MUTANTS = [
     Mutant("build_parser: a non-command argv[0] builds no subparser", CLI,
            "built = (command,) if command in names else names", "built = (command,)",
            PARSER_TESTS),
-    # Two errors that must name what they are about.
-    Mutant("_write_outputs: a report may hold NaN", CLI,
-           "sort_keys=True, allow_nan=False)", "sort_keys=True)",
+    # Errors that must name what they are about.
+    Mutant("write_report: a report may hold NaN", EVALUATION,
+           "allow_nan=False)", "allow_nan=True)",
            ("tests/test_config_cli.py::test_a_report_is_strict_json_or_an_error_naming_it",)),
+    Mutant("min_max_fit: a column range that overflows accepted", METRICS,
+           "wide = np.flatnonzero(np.isinf(hi - lo))", "wide = np.flatnonzero(np.isnan(hi - lo))",
+           OVERFLOW_TESTS),
+    Mutant("MinMaxScaler.apply: a value that overflows its scaling passed on", METRICS,
+           'with np.errstate(over="raise"):', "with np.errstate():", OVERFLOW_TESTS),
     Mutant("load_feature_dataset: a header that starts with a byte-order mark accepted",
            TRAFFIC, ' or header[0].startswith("\\ufeff"):', ":",
            ("tests/test_traffic.py::test_a_byte_order_mark_before_a_bad_header_is_named",)),

@@ -1550,6 +1550,33 @@ def test_feature_init_rejects_a_non_finite_row(tmp_path, capsys):
     assert not (tmp_path / "s.json").exists()
 
 
+def test_finite_feature_values_that_overflow_scaling_exit_2_naming_them(tmp_path, capsys,
+                                                                         monkeypatch):
+    # Both used to print numpy's overflow warnings, then an error naming neither file
+    # nor column ("non-finite training row") or row ("non-finite model input"); under
+    # -W error they ended in a traceback.
+    monkeypatch.chdir(tmp_path)
+    table = feature_table(np.random.default_rng(43), 2, (50, 0.5, 0.05, None))
+    wide = table.features.copy()
+    wide[3, 0], wide[7, 0] = 1e308, -1e308
+    write_feature_file(FeatureTable(wide, table.label), "wide.csv")
+    assert cli.main(["init", "wide.csv", "--features", "--out", "s.json"]) == 2
+    assert capsys.readouterr() == ("", "error: wide.csv: feature column 1 spans -1e+308 to "
+                                       "1e+308, a range min-max scaling cannot hold\n")
+    write_feature_file(table, "train.csv")
+    assert cli.main(["init", "train.csv", "--features", "--out", "s.json"]) == 0
+    far = table.features.copy()
+    far[9, 1] = -1.7e308  # the fitted range of column 2 is below 1, so this overflows
+    write_feature_file(FeatureTable(far, table.label), "far.csv")
+    capsys.readouterr()
+    for flag in ("--frozen", "--online"):
+        assert cli.main(["replay", "far.csv", "--features", "--state", "s.json", flag,
+                         "--log", "L.csv"]) == 2
+        assert capsys.readouterr() == ("", "error: far.csv: feature row 10 overflows the "
+                                           "fitted scaling\n")
+        assert [d.at_us for d in read_decision_log("L.csv")] == list(range(9))
+
+
 def test_eval_rejects_an_unlabeled_trace(flood_trace_file, tmp_path, capsys):
     log = tmp_path / "log.csv"
     assert cli.main(["replay", str(flood_trace_file), "--set", "train.init_len=64",

@@ -306,7 +306,7 @@ def test_report_is_pure_and_sorted():
     for pkt in trace:
         bank.ingest(pkt)
     r1, r2 = bank.report(), bank.report()
-    assert r1.to_dict() == r2.to_dict()
+    assert r1 == r2
     assert isinstance(r1, InfectionReport)
     assert r1.packets == len(trace)
     levels = [row.infection_level for row in r1.devices]

@@ -1,6 +1,7 @@
 """Scoring against brute-force confusion counts, the replay driver,
-decision-log round-trips, and plot-data emission."""
+decision-log round-trips, and the report files."""
 
+import json
 import re
 
 import numpy as np
@@ -9,12 +10,11 @@ import pytest
 from aadetect import traffic
 from aadetect.bench import run_flood_benchmark
 from aadetect.cli import write_decision_log
-from aadetect.config import config_from_dict
+from aadetect.config import Config, config_from_dict
 from aadetect.detector import Decision, Detector, Mode, whisker_threshold
 from aadetect.devices import DeviceBank, DeviceReportRow, InfectionReport
-from aadetect.evaluation import (align_with_trace, compare_online_offline,
-                                 emit_plot_data, ground_truth, read_decision_log, replay,
-                                 run, score)
+from aadetect.evaluation import (align_with_trace, compare_online_offline, ground_truth,
+                                 read_decision_log, replay, run, score, write_report)
 from aadetect.metrics import ScalingFactors
 from aadetect.traffic import AttackSegment, FeatureTable, Trace, TraceSpec, save_trace, synth_trace
 from oracles import per_row_read_decision_log, stepped
@@ -122,16 +122,21 @@ def test_score_per_type_accuracy_buckets():
                for acc in report.per_attack_type.values())
 
 
-def test_report_summary_and_to_dict():
+def test_report_summary_and_json(tmp_path):
     decisions = [mk_decision(True, at_us=3, threshold=0.4), mk_decision(False, at_us=4)]
     report = score(decisions, [True, True])
     assert report.decisions is decisions  # kept, not copied
     s = report.summary()
     assert "accuracy 50.00" in s and "tpr 50.00" in s and "n/a" in s  # no benign rows
-    doc = report.to_dict()
+    assert write_report(report, Config(), tmp_path / "r.json") == []
+    text = (tmp_path / "r.json").read_text()
+    doc = json.loads(text)
     assert doc["counts"] == {"tp": 1, "fn": 1, "tn": 0, "fp": 0}
+    assert doc["rates"] == {"accuracy": 50.0, "tpr": 50.0, "fnr": 50.0, "tnr": None, "fpr": None}
     assert doc["decision_series"] == [[3, 0.9, 0.4], [4, 0.1, 0.5]]
-    assert "config" not in doc
+    assert doc["config"] == Config().to_dict()
+    assert text == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
 
 
 # -- the replay driver -------------------------------------------------------------------
@@ -262,8 +267,7 @@ def test_compare_online_offline_is_deterministic():
     trace = attack_trace()
     cfg = stream_config(init_len=64, window_len=32)
     offline, online = compare_online_offline(trace, cfg)
-    assert [r.to_dict() for r in compare_online_offline(trace, cfg)] == \
-        [offline.to_dict(), online.to_dict()]
+    assert compare_online_offline(trace, cfg) == (offline, online)
     # The offline pass keeps its init threshold; the online pass re-estimates
     # it at every completed window.
     assert len({d.threshold for d in offline.decisions}) == 1
@@ -276,7 +280,7 @@ def test_compare_without_update_policy_degenerates_to_offline():
     trace = attack_trace()
     cfg = stream_config(window_len=None, window_seconds=None)
     offline, online = compare_online_offline(trace, cfg)
-    assert offline.to_dict() == online.to_dict()
+    assert offline == online
 
 
 def test_compare_rejects_attacks_inside_the_init_prefix():
@@ -465,13 +469,13 @@ def test_align_with_trace_suffix_and_errors():
         align_with_trace(decisions * 2, trace)
 
 
-# -- plot data ------------------------------------------------------------------------------
+# -- report files ---------------------------------------------------------------------------
 
 
-def test_emit_plot_data_for_eval_report(tmp_path):
+def test_write_report_plots_for_eval_report(tmp_path):
     report = score([mk_decision(True, at_us=5), mk_decision(False, at_us=9)],
                    [True, False], ["flood", None])
-    files = emit_plot_data(report, tmp_path / "plots")
+    files = write_report(report, Config(), plots_dir=tmp_path / "plots")
     names = sorted(p.name for p in files)
     assert names == ["decision_series.csv", "per_type_accuracy.csv"]
     series = (tmp_path / "plots" / "decision_series.csv").read_text().splitlines()
@@ -482,25 +486,31 @@ def test_emit_plot_data_for_eval_report(tmp_path):
     assert float(per_type[1].split(",")[1]) == 100.0
 
 
-def test_emit_plot_data_empty_type_map_is_header_only(tmp_path):
+def test_write_report_empty_type_map_is_header_only(tmp_path):
     report = score([mk_decision(False)], [False])
-    emit_plot_data(report, tmp_path)
+    write_report(report, Config(), plots_dir=tmp_path)
     assert (tmp_path / "per_type_accuracy.csv").read_text().splitlines() == [
         "attack_type,accuracy_pct"]
 
 
-def test_emit_plot_data_for_infection_report(tmp_path):
-    from aadetect.devices import DeviceBank
-    bank = DeviceBank(config_from_dict({"device": {"init_len": 6}}))
+def test_write_report_for_infection_report(tmp_path):
+    config = config_from_dict({"device": {"init_len": 6}})
+    bank = DeviceBank(config)
     t = 0
     for i in range(30):
         t += 10_000
         bank.ingest((t, "a", "b", 400 + i))
-    files = emit_plot_data(bank.report(), tmp_path)
+    report = bank.report()
+    files = write_report(report, config, tmp_path / "r.json", tmp_path)
     assert [p.name for p in files] == ["infection_levels.csv"]
     lines = (tmp_path / "infection_levels.csv").read_text().splitlines()
     assert lines[0] == "addr,infection_level,peak_level,is_compromised,decisions_count"
     assert len(lines) == 3  # two devices
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert doc == {"devices": [row._asdict() for row in report.devices],
+                   "summary": {"packets": 30, "devices": 2,
+                               "compromised": list(report.compromised)},
+                   "config": config.to_dict()}
 
 
 def test_every_csv_the_package_writes_has_exact_bytes(tmp_path):
@@ -512,10 +522,11 @@ def test_every_csv_the_package_writes_has_exact_bytes(tmp_path):
                      [None, True, False], types), tmp_path / "trace.csv")
     decisions = [Decision(0, -0.0, 5e-324, False), Decision(5, 1e300, 0.5, True),
                  Decision(7, 5e-324, 1e300, False)]
-    emit_plot_data(score(decisions, [False, True, True], types), tmp_path)
-    emit_plot_data(InfectionReport((DeviceReportRow("10.0.0.1", -0.0, 5e-324, True, 3, 7),
-                                    DeviceReportRow("10.0.0.2", 0.5, 1e300, False, 0, 5)),
-                                   packets=3, compromised=("10.0.0.1",)), tmp_path)
+    write_report(score(decisions, [False, True, True], types), Config(), plots_dir=tmp_path)
+    write_report(InfectionReport((DeviceReportRow("10.0.0.1", -0.0, 5e-324, True, 3, 7),
+                                  DeviceReportRow("10.0.0.2", 0.5, 1e300, False, 0, 5)),
+                                 packets=3, compromised=("10.0.0.1",)), Config(),
+                 plots_dir=tmp_path)
     write_decision_log(decisions, "botnet", tmp_path / "log.csv")
     expected = {
         "trace.csv": b'timestamp_us,src,dst,size_bytes,label,attack_type\n'

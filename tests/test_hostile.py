@@ -43,8 +43,9 @@ st = hypothesis.strategies
 CONFIG = ["--set", "metrics.N=5", "--set", "train.init_len=20"]
 KINDS = ["trace", "features", "log", "state", "config"]
 SETTING = re.compile(r"\b(metrics|train|threshold|device)\.\w+")  # a section.key
-# A field replaced whole: each one a value some reader must reject or read exactly.
-FIELDS = ['"', "nan", "inf", "1e309", str(2**63), "\0", ""]
+# A field replaced whole: each one a value some reader must reject or read exactly, or a
+# finite value near the float limit, which min-max scaling must not overflow on.
+FIELDS = ['"', "nan", "inf", "1e309", "1.7e308", "-1.7e308", str(2**63), "\0", ""]
 # A JSON value put at a state's key: each of a type save_state never writes at some key.
 WRONG_TYPES = [None, True, "0.5", 1, 1.5, [], [1.0], {}, {"r": 1.0}]
 
@@ -64,7 +65,9 @@ def commands(kind, path, base):
         "trace": [["init", path, "--out", base["out"]] + CONFIG,
                   ["replay", path, "--state", base["state"]] + CONFIG,
                   ["eval", "--log", base["log"], "--trace", path]],
-        "features": [["init", path, "--features", "--out", base["out"]] + CONFIG],
+        "features": [["init", path, "--features", "--out", base["out"]] + CONFIG,
+                     ["replay", path, "--features", "--state", base["features-state"],
+                      "--frozen"]],
         "log": [["eval", "--log", path, "--trace", base["trace"]]],
         "state": [["replay", base["trace"], "--state", path] + CONFIG,
                   ["replay", base["trace"], "--state", path, "--online",
@@ -98,12 +101,15 @@ def check_contract(kind, path, base, fails=False):
 
 @pytest.fixture(scope="module")
 def base(tmp_path_factory):
-    """A small valid trace, feature file, state (``init --out``'s) and
-    decision log; every command on a copy of each exits 0."""
+    """A small valid trace, feature file, state (``init --out``'s), feature
+    state and decision log; every command on a copy of each exits 0. The
+    third feature column holds one value near the float limit, so that one
+    edit can take a column's range past what a float holds."""
     tmp = tmp_path_factory.mktemp("hostile")
     files = {name: tmp / f"{name}.{ext}" for name, ext in
              [("trace", "csv"), ("features", "csv"), ("state", "json"), ("log", "csv"),
-              ("config", "json"), ("out", "json"), ("edited", "csv")]}
+              ("config", "json"), ("out", "json"), ("edited", "csv"),
+              ("features-state", "json")]}
     files["config"].write_text(json.dumps({"metrics": {"N": 5}, "train": {"init_len": 20}},
                                           indent=1) + "\n")
     spec = TraceSpec(duration_s=2.0, rate_pps=20.0, attacks=(
@@ -111,8 +117,12 @@ def base(tmp_path_factory):
     save_trace(synth_trace(spec, seed=3), files["trace"])
     rng = np.random.default_rng(3)
     labels = [False] * 30 + [True] * 6
-    write_feature_file(FeatureTable(rng.uniform(0, 1, size=(36, 3)), labels,
-                                    [None] * 30 + ["scan"] * 6), files["features"])
+    features = rng.uniform(0, 1, size=(36, 3))
+    features[0, 2] = -1e308
+    write_feature_file(FeatureTable(features, labels, [None] * 30 + ["scan"] * 6),
+                       files["features"])
+    assert run(["init", files["features"], "--features", "--out", files["features-state"]]
+               + CONFIG)[0] == 0
     assert run(["init", files["trace"], "--out", files["state"]] + CONFIG)[0] == 0
     assert run(["replay", files["trace"], "--state", files["state"], "--log", files["log"]]
                + CONFIG)[0] == 0
@@ -211,6 +221,10 @@ def edits(kind):
 @hypothesis.example(("config", ("insert", 0, 0xff, "")))  # not UTF-8
 @hypothesis.example(("config", ("key", 0, 4, "")))  # an unknown section
 @hypothesis.example(("config", ("field", 0, 0, "")))  # not JSON
+# Finite values whose min-max scaling overflowed: a column from -1e308 to 1.7e308 (init
+# and replay), and -1.7e308 in a column whose fitted range is below 1 (replay).
+@hypothesis.example(("features", ("field", 2, 2, "1.7e308")))
+@hypothesis.example(("features", ("field", 10, 0, "-1.7e308")))
 def test_one_edit_to_an_input_exits_0_or_2_naming_the_file(base, case):
     kind, one_edit = case
     base["edited"].write_bytes(edit(base[kind].read_bytes(), *one_edit))
@@ -353,14 +367,17 @@ def test_file_arguments_from_a_pool_of_names_exit_0_or_2_changing_no_input(pool,
 
 def big_inputs(tmp):
     """A trace, feature file and decision log with more than 128 KiB after
-    their fifth line, and a state fitted on the trace."""
+    their fifth line, and a state fitted on each of the trace and the feature file."""
     spec = TraceSpec(duration_s=100.0, rate_pps=50.0)
     files = {"trace": tmp / "trace.csv", "features": tmp / "features.csv",
-             "state": tmp / "state.json", "log": tmp / "log.csv", "out": tmp / "out.json"}
+             "state": tmp / "state.json", "log": tmp / "log.csv", "out": tmp / "out.json",
+             "features-state": tmp / "features-state.json"}
     save_trace(synth_trace(spec, seed=7), files["trace"])
     rng = np.random.default_rng(7)
     write_feature_file(FeatureTable(rng.uniform(0, 1, size=(3000, 3)), [False] * 3000),
                        files["features"])
+    assert run(["init", files["features"], "--features", "--out", files["features-state"]]
+               + CONFIG)[0] == 0
     assert run(["init", files["trace"], "--out", files["state"]] + CONFIG)[0] == 0
     assert run(["replay", files["trace"], "--state", files["state"], "--log", files["log"]]
                + CONFIG)[0] == 0
