@@ -13,11 +13,9 @@ pre-extracted flow statistics; real deployments read them from a CSV via
 Run:  python3 demos/multi_attack_features.py
 """
 
-import dataclasses
-
 import numpy as np
 
-from aadetect import Config, Detector, FeatureTable, Mode, run
+from aadetect import Detector, FeatureTable, Mode, config_from_dict, run
 
 rng = np.random.default_rng(42)
 DIM = 6
@@ -43,9 +41,8 @@ table = FeatureTable(np.vstack([benign_train, mixed[order]]),
                      [False] * len(benign_train) + [kinds[i] is not None for i in order],
                      [None] * len(benign_train) + [kinds[i] for i in order])
 
-config = Config()
-train = dataclasses.replace(config.train, init_len=len(benign_train))  # init on every benign row
-detector = Detector(DIM, dataclasses.replace(config, train=train), mode=Mode.FEATURES)
+config = config_from_dict({"train": {"init_len": len(benign_train)}})  # init on every benign row
+detector = Detector(DIM, config, mode=Mode.FEATURES)
 report = run(detector, table)
 
 print(f"trained on {len(table) - len(report.decisions)} benign rows; "

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import operator
 import os
 import sys
@@ -110,9 +109,8 @@ def cmd_init(args) -> int:
         rows = table.features[[label is not True for label in table.label]]  # a boolean mask
         if len(rows) < 4:
             raise ValueError(f"feature training file has only {len(rows)} benign rows, need >= 4")
-        train = dataclasses.replace(config.train, init_len=len(rows))  # fit every benign row
-        det = Detector(rows.shape[1], dataclasses.replace(config, train=train),
-                       mode=Mode.FEATURES, online=False)
+        config = config._replace(train=config.train._replace(init_len=len(rows)))  # fit every row
+        det = Detector(rows.shape[1], config, mode=Mode.FEATURES, online=False)
         try:
             next(det.step_rows(rows), None)  # fits the window: rows past it need no judging
         except ValueError as exc:  # a column too wide to scale

@@ -8,17 +8,14 @@ fall back to plain strings.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple, Union, get_args,
-                    get_origin, get_type_hints)
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+                    get_args, get_origin, get_type_hints)
 
 
-@dataclass
-class MetricsSection:
+class MetricsSection(NamedTuple):
     N: int = 10
     T_seconds: float = 10.0
     gamma: Optional[List[float]] = None
@@ -29,8 +26,7 @@ class MetricsSection:
         return int(round(self.T_seconds * 1e6))
 
 
-@dataclass
-class TrainSection:
+class TrainSection(NamedTuple):
     noise_sigma: float = 0.1
     ridge_lambda: float = 1e-4
     window_len: Optional[int] = 500
@@ -40,15 +36,13 @@ class TrainSection:
     init_seconds: Optional[float] = None
 
 
-@dataclass
-class ThresholdSection:
+class ThresholdSection(NamedTuple):
     mode: str = "whisker"  # "whisker" or "fixed"
     value: Optional[float] = None
     freeze_after_init: bool = False
 
 
-@dataclass
-class DeviceSection:
+class DeviceSection(NamedTuple):
     alpha: float = 0.1
     level_threshold: float = 0.5
     hysteresis_k: int = 3
@@ -112,21 +106,20 @@ def _check_type(key: str, value: Any, hint: Any) -> None:
         raise ValueError(f"{key} must be {wanted}{' or null' if optional else ''}, got {value!r}")
 
 
-@dataclass
-class Config:
-    metrics: MetricsSection = field(default_factory=MetricsSection)
-    train: TrainSection = field(default_factory=TrainSection)
-    threshold: ThresholdSection = field(default_factory=ThresholdSection)
-    device: DeviceSection = field(default_factory=DeviceSection)
+class Config(NamedTuple):
+    """A run's configuration, unchecked until ``validate`` (``config_from_dict``, ``Detector``)."""
 
-    def __post_init__(self):
-        self.validate()
+    metrics: MetricsSection = MetricsSection()
+    train: TrainSection = TrainSection()
+    threshold: ThresholdSection = ThresholdSection()
+    device: DeviceSection = DeviceSection()
 
-    def validate(self) -> None:
-        for name, hints in _HINTS.items():
-            for attr, value in vars(getattr(self, name)).items():
+    def validate(self) -> Config:
+        """The config itself, unless a value has the wrong type or range: an error names its key."""
+        for name, section in zip(self._fields, self):
+            for attr, value in zip(section._fields, section):
                 key = f"{name}.{attr}"
-                _check_type(key, value, hints[attr])
+                _check_type(key, value, _HINTS[name][attr])
                 for v in value if isinstance(value, (list, tuple)) else (value,):
                     if isinstance(v, float) and not math.isfinite(v):
                         raise ValueError(f"{key} must be finite, got {v!r}")
@@ -143,9 +136,10 @@ class Config:
                 raise ValueError(f"metrics.gamma must sum to 1, got {total!r}")
         if self.threshold.mode == "fixed" and self.threshold.value is None:
             raise ValueError("threshold.mode 'fixed' requires threshold.value")
+        return self
 
     def to_dict(self) -> Dict[str, Dict[str, Any]]:
-        return dataclasses.asdict(self)
+        return {name: section._asdict() for name, section in zip(self._fields, self)}
 
 
 # Each section's class, then each key's annotation, e.g. Optional[float]: what
@@ -166,12 +160,11 @@ def config_from_dict(doc: Dict[str, Any]) -> Config:
         body = doc.get(name, {})
         if not isinstance(body, dict):
             raise ValueError(f"config section {name!r} must be an object")
-        allowed = {f.name for f in fields(cls)}
-        bad = set(body) - allowed
+        bad = set(body) - set(cls._fields)
         if bad:
             raise ValueError(f"unknown key(s) in section {name!r}: {', '.join(sorted(bad))}")
         kwargs[name] = cls(**body)
-    return Config(**kwargs)
+    return Config(**kwargs).validate()
 
 
 def load_config(path: Union[str, Path, None]) -> Config:

@@ -165,6 +165,7 @@ class Detector:
     def __init__(self, dim: int, config: Config, mode: Union[Mode, str] = Mode.BOTNET, *,
                  online: Optional[bool] = None, noise_salt: Optional[int] = None,
                  state: Optional[DetectorState] = None):
+        config = config.validate()  # a hand-built config is checked here, before any row
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.mode = Mode(mode)
@@ -185,6 +186,9 @@ class Detector:
         self._window_len = None if device else policy.window_len
         self._threshold_scale = policy.threshold_scale if device else 1.0
         self._init_len, self._window_seconds = policy.init_len, policy.window_seconds
+        fixed = config.threshold.mode == "fixed"
+        self._fixed_threshold = float(config.threshold.value) if fixed else None
+        self._refit_moves_threshold = not (fixed or config.threshold.freeze_after_init)
         self._noise_salt = noise_salt
         self.online = self.mode != Mode.FEATURES if online is None else online
         self.state = state or DetectorState()
@@ -304,8 +308,8 @@ class Detector:
             AadrnnModel.initial(self.dim, self.config.train.seed), X, self.config.train,
             salt=self._noise_salt)
         d_init = _weighted_gap(X, model.forward(X), self.gamma)
-        threshold = (float(self.config.threshold.value) if self.config.threshold.mode == "fixed"
-                     else whisker_threshold(d_init) * self._threshold_scale)
+        threshold = (whisker_threshold(d_init) * self._threshold_scale
+                     if self._fixed_threshold is None else self._fixed_threshold)
         self.state.init_rows = []
         self.state.fit = Fit(scaler, model, stats, threshold)
 
@@ -329,9 +333,7 @@ class Detector:
         stats, model = update_incremental(fit.stats, np.asarray(state.pending, dtype=float),
                                           fit.model, self.config.train, salt=self._noise_salt)
         threshold = fit.threshold
-        if (self.config.threshold.mode == "whisker"
-                and not self.config.threshold.freeze_after_init
-                and len(state.pending_d) >= 4):
+        if self._refit_moves_threshold and len(state.pending_d) >= 4:
             threshold = whisker_threshold(state.pending_d) * self._threshold_scale
         state.fit = Fit(fit.scaler, model, stats, threshold)
         state.pending, state.pending_d, state.window_start_us = [], [], None
@@ -414,11 +416,10 @@ def load_state(path: Union[str, Path], config: Optional[Config] = None, *,
             for key, value in zip(("L", "act", "hidden_weights"), stock):
                 if doc[key] != value:
                     raise ValueError(f"{key} is not the stock network of M={m}, seed={seed}")
-        # The state's gamma is checked as a metrics.gamma is: by Config.validate, then
-        # by the Detector, which also rejects a model width the state's mode does not take.
-        config = config or Config()
-        metrics = dataclasses.replace(config.metrics, gamma=list(doc["gamma"]))
-        config, mode = dataclasses.replace(config, metrics=metrics), Mode(doc["mode"])
+        # The state's gamma is checked as a metrics.gamma is, by the Detector, which
+        # also rejects a model width the state's mode does not take.
+        config, mode = config or Config(), Mode(doc["mode"])
+        config = config._replace(metrics=config.metrics._replace(gamma=list(doc["gamma"])))
         scaling = doc["scaling_factors"]
         kind = scaling.get("kind")
         if kind == "max":

@@ -90,6 +90,7 @@ class DeviceBank:
     """The set of per-address detectors over one packet stream."""
 
     def __init__(self, config: Config):
+        Detector(DEVICE_DIM, config, mode=Mode.DEVICE)  # first: rejects a config no device takes
         self.config = config
         self._metrics = DirectionalMetrics(config.metrics.N, config.metrics.T_us)
         self._devices: Dict[str, DeviceRecord] = {}
@@ -97,7 +98,6 @@ class DeviceBank:
         self._packets = 0
         self._ttl_us = int(round(config.device.ttl_seconds * 1e6))
         self._init_bytes = config.device.init_len * DEVICE_DIM * 8
-        Detector(DEVICE_DIM, config, mode=Mode.DEVICE)  # rejects a config no device could take
 
     def __len__(self) -> int:
         return len(self._devices)

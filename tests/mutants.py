@@ -53,6 +53,8 @@ DISTINCT_TESTS = ("tests/test_config_cli.py::"
                   "test_an_output_that_is_an_input_or_another_output_exits_2_before_any_write")
 WHISKER_TESTS = ("tests/test_detector.py::test_whisker_degenerate_fallbacks",)
 PARSER_TESTS = ("tests/test_config_cli.py::test_main_parses_as_the_parser_of_every_command",)
+HAND_BUILT_TESTS = ("tests/test_config_cli.py::"
+                    "test_a_hand_built_config_is_refused_naming_its_key",)
 OVERFLOW_TESTS = ("tests/test_config_cli.py::"
                   "test_finite_feature_values_that_overflow_scaling_exit_2_naming_them",)
 
@@ -242,7 +244,7 @@ MUTANTS = [
            "state.fit = Fit(fit.scaler, model, stats, fit.threshold)",
            ("tests/test_detector.py::test_count_window_triggers_refit_and_rethreshold",)),
     Mutant("_finish_window: no four-value floor under the whisker", DETECTOR,
-           "\n                and len(state.pending_d) >= 4):", "):",
+           " and len(state.pending_d) >= 4:", ":",
            ("tests/test_detector.py::test_time_window_triggers_on_stream_time",)),
     Mutant("_finish_window: the pending window kept", DETECTOR,
            "state.pending, state.pending_d, state.window_start_us = [], [], None",
@@ -315,6 +317,13 @@ MUTANTS = [
            ("tests/test_config_cli.py::"
             "test_an_output_that_cannot_be_written_is_an_error_naming_it",)),
     # Config errors that must name what they are about.
+    Mutant("Detector: a hand-built config not validated", DETECTOR,
+           "config = config.validate()  # a hand-built", "config = config  # a hand-built",
+           HAND_BUILT_TESTS),
+    Mutant("DeviceBank: a config value read before the probe detector", DEVICES,
+           "        Detector(DEVICE_DIM, config, mode=Mode.DEVICE)  # first",
+           "        int(round(config.device.ttl_seconds * 1e6))\n"
+           "        Detector(DEVICE_DIM, config, mode=Mode.DEVICE)  # first", HAND_BUILT_TESTS),
     Mutant("Config.validate: a metrics.N past int64 accepted", CONFIG,
            "if self.metrics.N >= 2**63:", "if False:",
            ("tests/test_hostile.py::test_one_set_value_exits_0_or_2_naming_its_key",)),

@@ -24,6 +24,7 @@ from aadetect import detector as detector_module
 from aadetect.config import (Config, apply_overrides, config_from_dict,
                              load_config)
 from aadetect.detector import Decision, Detector, LifecycleError, Mode, load_state, save_state
+from aadetect.devices import DeviceBank
 from aadetect.evaluation import read_decision_log
 from aadetect.traffic import (AttackSegment, FeatureTable, TraceSpec, load_feature_dataset,
                               load_trace, save_trace, synth_trace)
@@ -95,6 +96,26 @@ def test_config_validation_rules():
 def test_config_round_trip():
     cfg = config_from_dict({"train": {"init_len": 64}, "metrics": {"N": 4}})
     assert config_from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+
+def test_the_default_config_is_valid_and_validate_returns_it():
+    cfg = Config()
+    assert cfg.validate() is cfg
+
+
+@pytest.mark.parametrize("config, key", [
+    (Config(train=Config().train._replace(window_len=0)), "train.window_len"),
+    (Config(device=Config().device._replace(ttl_seconds=math.inf)), "device.ttl_seconds"),
+    (Config(metrics=Config().metrics._replace(gamma=[0.25] * 6)), "metrics.gamma"),
+], ids=["window-len-0", "ttl-inf", "gamma-sum-1.5"])
+@pytest.mark.parametrize("build", [lambda cfg: Detector(6, cfg, mode=Mode.DEVICE), DeviceBank],
+                         ids=["Detector", "DeviceBank"])
+def test_a_hand_built_config_is_refused_naming_its_key(config, key, build):
+    # A Config checks nothing when it is built; the Detector validates it first, and
+    # the bank builds its probe detector before it reads any value (an infinite TTL
+    # used to overflow there).
+    with pytest.raises(ValueError, match=re.escape(key)):
+        build(config)
 
 
 @pytest.mark.parametrize("section, key, value, message", [

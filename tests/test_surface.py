@@ -13,7 +13,7 @@ test that checks it against the oracle.
 
 Immutable records are NamedTuples: no class in ``src/aadetect/`` is a frozen
 dataclass, and no field of a record can be assigned. Dataclasses hold only
-mutable state and config."""
+mutable state (``DetectorState``, ``DeviceRecord``)."""
 
 import ast
 import re
@@ -23,6 +23,7 @@ import pytest
 
 from aadetect.aadrnn import AadrnnModel
 from aadetect.bench import BenchCheck
+from aadetect.config import Config, DeviceSection, MetricsSection, ThresholdSection, TrainSection
 from aadetect.devices import DeviceReportRow, InfectionReport
 from aadetect.evaluation import ConfusionCounts, EvalReport
 from aadetect.metrics import MinMaxScaler, ScalingFactors
@@ -128,7 +129,9 @@ def test_no_class_in_the_package_is_a_frozen_dataclass():
 
 @pytest.mark.parametrize("record", [AadrnnModel, SufficientStats, ScalingFactors, MinMaxScaler,
                                     AttackSegment, TraceSpec, DeviceReportRow, InfectionReport,
-                                    ConfusionCounts, EvalReport, BenchCheck],
+                                    ConfusionCounts, EvalReport, BenchCheck, Config,
+                                    MetricsSection, TrainSection, ThresholdSection,
+                                    DeviceSection],
                          ids=lambda record: record.__name__)
 def test_no_field_of_a_record_can_be_assigned(record):
     value = record._make([None] * len(record._fields))
