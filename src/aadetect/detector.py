@@ -37,7 +37,7 @@ import numpy as np
 from .aadrnn import LAYERS, AadrnnModel
 from .config import _KIND_NAMES, Config, _is_kind
 from .metrics import (DimensionError, MinMaxScaler, ScalingFactors, StreamMetrics, fit_scaling,
-                      min_max_fit)
+                      min_max_fit, min_max_scaler)
 from .traffic import _TRACE_BLOCK, FeatureTable, Trace, replace_file
 from .training import (SufficientStats, TrainingError, fit_batch_with_stats,
                        update_incremental)
@@ -427,10 +427,8 @@ def load_state(path: Union[str, Path], config: Optional[Config] = None, *,
             if not (scaler.scale > 0).all():
                 raise ValueError("max scale factors must be positive")
         elif kind == "minmax":
-            scaler = MinMaxScaler(_array(scaling["lo"], (m,), "lo"),
-                                  _array(scaling["hi"], (m,), "hi"))
-            if (scaler.hi < scaler.lo).any():
-                raise ValueError("min-max hi is below lo")
+            scaler = min_max_scaler(_array(scaling["lo"], (m,), "lo"),
+                                    _array(scaling["hi"], (m,), "hi"))
         else:
             raise ValueError(f"unknown scaling kind: {kind!r}")
         threshold = float(doc["threshold"])

@@ -279,7 +279,14 @@ def min_max_fit(rows: Sequence[np.ndarray]) -> MinMaxScaler:
         raise ValueError("cannot fit min-max on an empty dataset")
     if not np.all(np.isfinite(mat)):
         raise ValueError("non-finite feature value in training rows")
-    lo, hi = mat.min(axis=0), mat.max(axis=0)
+    return min_max_scaler(mat.min(axis=0), mat.max(axis=0))
+
+
+def min_max_scaler(lo: np.ndarray, hi: np.ndarray) -> MinMaxScaler:
+    """A read-only scaler on per-column bounds, fitted or loaded, unless a column's
+    hi is below its lo or its range ``hi - lo`` is not a finite float."""
+    if (hi < lo).any():
+        raise ValueError("min-max hi is below lo")
     with np.errstate(over="ignore"):
         wide = np.flatnonzero(np.isinf(hi - lo))
     for j in wide[:1]:

@@ -106,19 +106,27 @@ def copy(source: str, target: str):
     return prepare
 
 
+def edit_state(source: str, target: str, change: Callable[[dict], None]):
+    """A ``prepare`` step: ``target`` is the state ``source`` after ``change``
+    edits its document, written as ``save_state`` writes one."""
+    def prepare(run_dir: Path) -> None:
+        doc = json.loads((run_dir / source).read_text(encoding="utf-8"))
+        change(doc)
+        (run_dir / target).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n",
+                                      encoding="utf-8")
+    return prepare
+
+
 def legacy_state(source: str, target: str, version: int):
     """A ``prepare`` step: ``target`` is the state ``source`` as version ``version``
     (1 or 2) wrote it, with the network too: ``L``, ``act`` and each hidden layer,
     a ``numpy.random.default_rng(seed).uniform(0, 1/M, (M, M))`` draw. From a
     version-2 state of the same fields, version 2 gives the same bytes."""
-    def prepare(run_dir: Path) -> None:
-        doc = json.loads((run_dir / source).read_text(encoding="utf-8"))
+    def change(doc: dict) -> None:
         m, rng = doc["M"], np.random.default_rng(doc["seed"])
         doc.update(version=version, L=3, act={"r": 1.0, "c": 1.0}, hidden_weights=[
             rng.uniform(0.0, 1.0 / m, size=(m, m)).tolist() for _ in range(3)])
-        (run_dir / target).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n",
-                                      encoding="utf-8")
-    return prepare
+    return edit_state(source, target, change)
 
 
 def calls(seed: int) -> List[Call]:
@@ -226,6 +234,12 @@ def calls(seed: int) -> List[Call]:
                                  "--state", "features.json", "--frozen",
                                  "--log", "overflow.log"],
              edit_line("test.csv", "overflow-test.csv", 11, field(0, b"-1.7e308"))),
+        # A state whose first feature column spans -1e308 to 1e308, past the largest float.
+        Call("overflow-state", ["replay", "test.csv", "--features",
+                                "--state", "overflow-state.json", "--frozen"],
+             edit_state("features.json", "overflow-state.json", lambda doc: doc[
+                 "scaling_factors"].update(lo=[-1e308] + doc["scaling_factors"]["lo"][1:],
+                                           hi=[1e308] + doc["scaling_factors"]["hi"][1:]))),
         Call("broken-label", ["replay", "broken-label.csv", "--state", "init.json"] + N30,
              edit_line("soak.csv", "broken-label.csv", 3001, field(4, b"2"))),
         Call("broken-back-edge", ["replay", "broken-back-edge.csv", "--state", "init.json"] + N30,

@@ -295,9 +295,12 @@ MUTANTS = [
     Mutant("load_state: max scale factors not checked for positivity", DETECTOR,
            "if not (scaler.scale > 0).all():", "if False:",
            (UNWRITABLE_STATE + "[scale-zero]",)),
-    Mutant("load_state: a min-max hi below lo accepted", DETECTOR,
-           "if (scaler.hi < scaler.lo).any():", "if False:",
-           (UNWRITABLE_STATE + "[minmax-hi-below-lo]",)),
+    Mutant("min_max_scaler: a loaded min-max hi below lo accepted", METRICS,
+           "if (hi < lo).any():", "if False:", (UNWRITABLE_STATE + "[minmax-hi-below-lo]",)),
+    Mutant("load_state: a min-max range past the largest float accepted", DETECTOR,
+           'scaler = min_max_scaler(_array(scaling["lo"], (m,), "lo"),',
+           'scaler = MinMaxScaler(_array(scaling["lo"], (m,), "lo"),',
+           (UNWRITABLE_STATE + "[minmax-range-overflows]",)),
     Mutant("_check_types: a key save_state never writes accepted", DETECTOR,
            "        if unknown is not None:\n", "        if False:\n", UNKNOWN_KEY_TESTS),
     Mutant("_check_types: a scaler's keys checked without its kind", DETECTOR,

@@ -734,8 +734,13 @@ def _first_readout_entry(doc, text):
     ("features", lambda doc: dict(doc, scaling_factors=dict(
         doc["scaling_factors"], hi=[lo - 1.0 for lo in doc["scaling_factors"]["lo"]])),
      "min-max hi is below lo"),
+    # A range past the largest float used to load, warn on every row and scale column 1 to 0.
+    ("features", lambda doc: dict(doc, scaling_factors=dict(
+        doc["scaling_factors"], lo=[-1e308, *doc["scaling_factors"]["lo"][1:]],
+        hi=[1e308, *doc["scaling_factors"]["hi"][1:]])),
+     "feature column 1 spans -1e+308 to 1e+308, a range min-max scaling cannot hold\n"),
 ], ids=["gamma-nan", "readout-1e999", "threshold-inf", "scale-zero", "gamma-sum",
-        "gamma-negative", "minmax-hi-below-lo"])
+        "gamma-negative", "minmax-hi-below-lo", "minmax-range-overflows"])
 def test_a_state_that_save_state_cannot_write_exits_2_naming_it_before_any_log(
         flood_trace_file, tmp_path, capsys, kind, mutate, reason):
     # Such a state used to load: a NaN gamma judged nothing an attack, an
