@@ -108,7 +108,8 @@ def cmd_init(args) -> int:
         table = load_feature_dataset(args.trace)
         rows = table.features[[label is not True for label in table.label]]  # a boolean mask
         if len(rows) < 4:
-            raise ValueError(f"feature training file has only {len(rows)} benign rows, need >= 4")
+            raise ValueError(f"{args.trace}: feature training file has only {len(rows)} "
+                             "benign rows, need >= 4")
         config = config._replace(train=config.train._replace(init_len=len(rows)))  # fit every row
         det = Detector(rows.shape[1], config, mode=Mode.FEATURES, online=False)
         try:
@@ -155,7 +156,8 @@ def cmd_replay(args) -> int:
     else:
         items, kind, source = load_trace(args.trace), Mode.BOTNET, "trace"
     if not items:
-        raise ValueError(f"no {'feature rows' if args.features else 'packets'} to replay")
+        raise ValueError(f"{args.trace}: no {'feature rows' if args.features else 'packets'} "
+                         "to replay")
     if args.devices:
         engine = DeviceBank(config)
     elif args.state:

@@ -14,8 +14,9 @@ that holds the inputs and the earlier calls' outputs. A few calls first
 write an edited copy of an input or of an earlier output, by the same edit in
 both trees: a broken one (``broken-*``), one that only csv's row-by-row loop
 reads (a quoted field, CRLF line endings, a blank line), or a state as
-versions 1 and 2 wrote it (``legacy-*``); others copy one to where a call
-that must be refused would overwrite it (``refused-*``). The ``help*`` and
+versions 1 and 2 wrote it (``legacy-*``), or the first lines of an input
+(``short-*``); others copy one to where a call that must be refused would
+overwrite it (``refused-*``). The ``help*`` and
 ``usage-*`` calls print argparse's help and usage errors. At the first seed the
 calls end with ``aadetect bench``, this checkout's four demos and the Python
 block of its README, each run under ``-W error`` (``demo-*`` and ``readme``).
@@ -103,6 +104,14 @@ def copy(source: str, target: str):
         else:
             (run_dir / target).parent.mkdir(exist_ok=True)
             shutil.copyfile(run_dir / source, run_dir / target)
+    return prepare
+
+
+def head(source: str, target: str, lines: int):
+    """A ``prepare`` step: ``target`` is the first ``lines`` lines of ``source``."""
+    def prepare(run_dir: Path) -> None:
+        kept = (run_dir / source).read_bytes().split(b"\n")[:lines]
+        (run_dir / target).write_bytes(b"\n".join(kept) + b"\n")
     return prepare
 
 
@@ -240,6 +249,12 @@ def calls(seed: int) -> List[Call]:
              edit_state("features.json", "overflow-state.json", lambda doc: doc[
                  "scaling_factors"].update(lo=[-1e308] + doc["scaling_factors"]["lo"][1:],
                                            hi=[1e308] + doc["scaling_factors"]["hi"][1:]))),
+        # Inputs too short to use: three benign feature rows, and a trace of a header alone.
+        Call("short-features", ["init", "short-train.csv", "--features",
+                                "--out", "short.json"], head("train.csv", "short-train.csv", 4)),
+        Call("short-replay", ["replay", "header.csv", "--state", "init.json"] + N30,
+             head("soak.csv", "header.csv", 1)),
+        Call("short-devices", ["replay", "header.csv", "--devices"] + N30),
         Call("broken-label", ["replay", "broken-label.csv", "--state", "init.json"] + N30,
              edit_line("soak.csv", "broken-label.csv", 3001, field(4, b"2"))),
         Call("broken-back-edge", ["replay", "broken-back-edge.csv", "--state", "init.json"] + N30,

@@ -866,8 +866,21 @@ def test_a_header_only_trace_exits_2_before_any_output(flood_trace_file, tmp_pat
                                  + (["--save-state", "S.json"] if "--devices" not in flags
                                     else []))
     assert rc == 2
-    assert capsys.readouterr() == ("", "error: no packets to replay\n")
+    # The error names the file: it used to read "error: no packets to replay".
+    assert capsys.readouterr() == ("", "error: empty.csv: no packets to replay\n")
     assert sorted(os.listdir(tmp_path)) == before  # no log, alerts, report, plots or state
+
+
+def test_a_feature_training_file_of_three_benign_rows_exits_2_naming_it(tmp_path, capsys,
+                                                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_feature_file(feature_table(np.random.default_rng(3), 2, (3, 0.5, 0.1, None),
+                                     (2, 3.0, 0.1, "flood")), Path("three.csv"))
+    assert cli.main(["init", "three.csv", "--features", "--out", "s.json"]) == 2
+    # It used to name no file.
+    assert capsys.readouterr() == ("", "error: three.csv: feature training file has only 3 "
+                                       "benign rows, need >= 4\n")
+    assert sorted(os.listdir(tmp_path)) == ["three.csv"]
 
 
 @pytest.mark.parametrize("mode, metrics", [("botnet", 3), ("device", 6)])
@@ -1653,7 +1666,7 @@ def test_replay_of_a_feature_file_without_rows(tmp_path, capsys):
     data = tmp_path / "features.csv"
     data.write_text("f1,f2,label,attack_type\n")
     assert cli.main(["replay", str(data), "--features"]) == 2
-    assert "error: no feature rows to replay" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {data}: no feature rows to replay\n"
 
 
 def test_feature_replay_ending_in_init_leaves_a_header_only_log(tmp_path, capsys):
