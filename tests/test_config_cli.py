@@ -21,8 +21,8 @@ import pytest
 import aadetect
 from aadetect import cli
 from aadetect import detector as detector_module
-from aadetect.config import (Config, apply_overrides, config_from_dict,
-                             load_config)
+from aadetect.config import (Config, DeviceSection, MetricsSection, TrainSection,
+                             apply_overrides, config_from_dict, load_config)
 from aadetect.detector import Decision, Detector, LifecycleError, Mode, load_state, save_state
 from aadetect.devices import DeviceBank
 from aadetect.evaluation import read_decision_log
@@ -53,6 +53,7 @@ def test_default_config_values():
     assert cfg.device.alpha == 0.1 and cfg.device.level_threshold == 0.5
     assert cfg.device.hysteresis_k == 3
     assert cfg.device.window_seconds == 30.0 and not hasattr(cfg.device, "window_len")
+    assert cfg.validate() is cfg  # the defaults are valid, and validate returns the config
 
 
 def test_config_from_dict_rejects_unknown_names():
@@ -98,15 +99,10 @@ def test_config_round_trip():
     assert config_from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
 
 
-def test_the_default_config_is_valid_and_validate_returns_it():
-    cfg = Config()
-    assert cfg.validate() is cfg
-
-
 @pytest.mark.parametrize("config, key", [
-    (Config(train=Config().train._replace(window_len=0)), "train.window_len"),
-    (Config(device=Config().device._replace(ttl_seconds=math.inf)), "device.ttl_seconds"),
-    (Config(metrics=Config().metrics._replace(gamma=[0.25] * 6)), "metrics.gamma"),
+    (Config(train=TrainSection(window_len=0)), "train.window_len"),
+    (Config(device=DeviceSection(ttl_seconds=math.inf)), "device.ttl_seconds"),
+    (Config(metrics=MetricsSection(gamma=[0.25] * 6)), "metrics.gamma"),
 ], ids=["window-len-0", "ttl-inf", "gamma-sum-1.5"])
 @pytest.mark.parametrize("build", [lambda cfg: Detector(6, cfg, mode=Mode.DEVICE), DeviceBank],
                          ids=["Detector", "DeviceBank"])
