@@ -11,7 +11,8 @@ Three seeded synthetic scenarios exercise the headline claims end to end:
   devices    four chatting hosts, one of which starts spraying a flood
              mid-trace; exactly that host must be flagged compromised
 
-``run_all`` executes every check and returns one pass/fail line per check
+``run_all(seed)`` executes every check, the flood scenario drawn from ``seed``
+and the other two from fixed seeds, and returns one pass/fail line per check
 (the pytest suite runs the same scenarios against independent oracles).
 """
 
@@ -71,19 +72,10 @@ def flood_trace(seed: int = 7) -> Trace:
     return _scenario(seed, 70.0, 50.0, 60.0, 100.0)
 
 
-def drift_trace(seed: int = 11) -> Trace:
-    return _scenario(seed, 125.0, 40.0, 115.0, 50.0, ramp=2.0)
-
-
-def device_trace(seed: int = 5) -> Trace:
-    return _scenario(seed, 120.0, 24.0, _ONSET_US / 1e6, 50.0, flooder=_FLOODER)
-
-
 # -- scenario runs ----------------------------------------------------------
 
 
-def run_flood_benchmark(seed: int = 7, config: Optional[Config] = None
-                        ) -> Tuple[EvalReport, EvalReport]:
+def run_flood_benchmark(seed: int = 7) -> Tuple[EvalReport, EvalReport]:
     """Flood scenario: the detector's report and the baseline's, metric-wise
     simple thresholding.
 
@@ -91,7 +83,7 @@ def run_flood_benchmark(seed: int = 7, config: Optional[Config] = None
     init-window values — the same calibration rule the detector applies to its
     decision values — so the comparison isolates the model.
     """
-    config = config or bench_config()
+    config = bench_config()
     trace = flood_trace(seed)
     det = Detector(3, config, online=True)
     report = run(det, trace)
@@ -108,22 +100,21 @@ def run_flood_benchmark(seed: int = 7, config: Optional[Config] = None
     return report, baseline
 
 
-def run_drift_benchmark(seed: int = 11, config: Optional[Config] = None
-                        ) -> Tuple[EvalReport, EvalReport]:
+def run_drift_benchmark() -> Tuple[EvalReport, EvalReport]:
     """Drift scenario: the ``(offline, online)`` reports."""
-    return compare_online_offline(drift_trace(seed), config or bench_config())
+    return compare_online_offline(_scenario(11, 125.0, 40.0, 115.0, 50.0, ramp=2.0),
+                                  bench_config())
 
 
-def run_device_benchmark(seed: int = 5, config: Optional[Config] = None
-                         ) -> Tuple[InfectionReport, Optional[int]]:
+def run_device_benchmark() -> Tuple[InfectionReport, Optional[int]]:
     """Device scenario: ``_FLOODER`` starts flooding at ``_ONSET_US``. Returns
     the bank's report and how many of the flooder's decisions from the onset on
     it took to flag it (None if it never was)."""
-    config = config or bench_config()
-    bank = DeviceBank(config)
+    bank = DeviceBank(bench_config())
     flooder_decisions_after_onset = 0
     onset_decisions_to_flag = None
-    for addr, decision in replay(bank, device_trace(seed)):
+    trace = _scenario(5, 120.0, 24.0, _ONSET_US / 1e6, 50.0, flooder=_FLOODER)
+    for addr, decision in replay(bank, trace):
         if addr != _FLOODER or decision.at_us < _ONSET_US:
             continue
         flooder_decisions_after_onset += 1

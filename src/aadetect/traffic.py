@@ -442,7 +442,6 @@ class AttackSegment(NamedTuple):
     spray: int = 0
     size_mean: float = 80.0
     size_sigma: float = 10.0
-    attack_type: str = "flood"
 
 
 class TraceSpec(NamedTuple):
@@ -541,7 +540,7 @@ def synth_trace(spec: TraceSpec, seed: int) -> Trace:
         for t, size in zip(attack_t, attack_sizes):
             src = seg.attackers[rng.integers(len(seg.attackers))]
             dst = pool[rng.integers(len(pool))]
-            rows.append((t, int(round(t * 1e6)), src, dst, int(size), True, seg.attack_type))
+            rows.append((t, int(round(t * 1e6)), src, dst, int(size), True, "flood"))
 
     rows.sort(key=lambda row: row[0])  # stable: benign before attack on exact ties
     return Trace(*list(zip(*rows))[1:])

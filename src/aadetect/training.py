@@ -102,16 +102,15 @@ def _noise_key(seed: int, salt: Optional[int]) -> int:
 
 class NoiseStream(NamedTuple):
     """The noise field of ``key`` from global row ``index`` on (see the module
-    docstring); ``normal`` is called as numpy's ``Generator.normal`` is."""
+    docstring)."""
 
     key: int
     index: int
 
-    def normal(self, loc: float = 0.0, scale: float = 1.0, size=1) -> np.ndarray:
-        """Rows ``index``, ``index + 1``, ... of the field at width ``size[-1]``. Oracle:
-        tests/oracles.py:oracle_noise; property:
+    def normal(self, scale: float, shape: Tuple[int, ...]) -> np.ndarray:
+        """Rows ``index``, ``index + 1``, ... of the field at width ``shape[-1]``, times
+        ``scale``. Oracle: tests/oracles.py:oracle_noise; property:
         tests/test_training.py::test_noise_equals_the_per_value_oracle."""
-        shape = tuple(size) if isinstance(size, tuple) else (operator.index(size),)
         n = math.prod(shape)
         z = np.arange(3 * n, dtype=np.uint64) * np.uint64(_GAMMA)
         z += np.uint64((self.key + (3 * self.index * shape[-1] + 1) * _GAMMA) & _MASK64)
@@ -119,7 +118,7 @@ class NoiseStream(NamedTuple):
         total = lanes[:, 0].astype(np.int64)
         for k in range(1, 12):
             total += lanes[:, k]
-        return (loc + (total - 6 * 65536) * (scale / 65536)).reshape(shape)
+        return ((total - 6 * 65536) * (scale / 65536)).reshape(shape)
 
 
 def noise_rng(seed: int, index: int, salt: Optional[int] = None) -> NoiseStream:
@@ -139,7 +138,7 @@ def corrupt(x: np.ndarray, sigma: float, rng: NoiseStream) -> np.ndarray:
         raise ValueError("non-finite training row")
     if sigma == 0.0:
         return np.maximum(x, 0.0)
-    return np.maximum(x + rng.normal(0.0, sigma, size=x.shape), 0.0)
+    return np.maximum(x + rng.normal(sigma, x.shape), 0.0)
 
 
 # Rows per fold step: bounds the (rows + 1, M, 2M) fold buffer to about 1.6 MB
@@ -179,13 +178,9 @@ def update_incremental(stats: SufficientStats, window: np.ndarray, model: Aadrnn
     tests/oracles.py:per_row_corrupt_window and tests/oracles.py:per_row_accumulate_pairs;
     property: tests/test_training.py::test_fold_over_random_windows_equals_the_per_row_oracles."""
     window = np.asarray(window, dtype=float)
-    if window.ndim == 1:
-        window = window.reshape(1, -1)
     m = model.input_dim
-    if window.shape[1] != m:
-        raise DimensionError(f"window rows have {window.shape[1]} values, model expects {m}")
-    if window.shape[0] == 0:
-        return stats, model
+    if window.shape[1:] != (m,):
+        raise DimensionError(f"window has shape {window.shape}, model expects (n, {m})")
     acc = np.concatenate([stats.G, stats.C], axis=1)
     buf = np.empty((min(len(window), _FOLD_CHUNK) + 1, m, 2 * m))
     rng = noise_rng(train.seed, stats.n, salt)  # one key per fold; each chunk steps the index

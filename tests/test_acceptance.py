@@ -142,7 +142,7 @@ def test_criterion_4_flood_detection():
 
 def test_criterion_5_drift_online_adaptation():
     started = time.perf_counter()
-    offline, online = run_drift_benchmark(seed=11)
+    offline, online = run_drift_benchmark()
     elapsed = time.perf_counter() - started
     ok = (online.fpr <= offline.fpr
           and online.tpr >= 90.0 and offline.tpr >= 90.0
@@ -158,7 +158,7 @@ def test_criterion_5_drift_online_adaptation():
 
 def test_criterion_6_device_identification():
     started = time.perf_counter()
-    report, to_flag = run_device_benchmark(seed=5)
+    report, to_flag = run_device_benchmark()
     elapsed = time.perf_counter() - started
     clean_peaks = [row.peak_level for row in report.devices
                    if row.addr.startswith("10.0.0.") and row.addr != "10.0.0.3"]

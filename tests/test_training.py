@@ -26,41 +26,38 @@ def random_rows(rng, n, dim):
 
 
 def test_corrupt_sigma_zero_is_clipped_identity():
-    rng = np.random.default_rng(0)
     x = np.array([0.5, -0.25, 2.0])
-    out = corrupt(x, 0.0, rng)
+    # No noise is drawn at sigma 0.
+    with mock.patch.object(training.NoiseStream, "normal", side_effect=AssertionError):
+        out = corrupt(x, 0.0, noise_rng(0, 0))
     assert np.array_equal(out, [0.5, 0.0, 2.0])
-    # No draws consumed: the generator state is untouched.
-    assert rng.integers(1 << 30) == np.random.default_rng(0).integers(1 << 30)
 
 
 def test_corrupt_output_is_nonnegative():
     rng = np.random.default_rng(1)
     for case in range(100):
         x = rng.uniform(-1, 1, size=5)
-        assert np.all(corrupt(x, 0.5, rng) >= 0.0)
+        assert np.all(corrupt(x, 0.5, noise_rng(1, case)) >= 0.0)
 
 
 def test_corrupt_mean_is_centered_away_from_the_clip():
     # At x = 1 with sigma = 0.1 the clip at zero is a 10-sigma event, so the
-    # empirical mean perturbation over many draws stays within +/- 0.01.
-    rng = np.random.default_rng(2)
-    x = np.ones(1)
-    draws = np.array([corrupt(x, 0.1, rng)[0] - 1.0 for _ in range(20_000)])
+    # empirical mean perturbation over many rows stays within +/- 0.01.
+    draws = corrupt(np.ones((20_000, 1)), 0.1, noise_rng(2, 0))[:, 0] - 1.0
     assert abs(draws.mean()) < 0.01
 
 
 def test_corrupt_rejects_non_finite():
     with pytest.raises(ValueError):
-        corrupt(np.array([np.inf]), 0.1, np.random.default_rng(0))
+        corrupt(np.array([np.inf]), 0.1, noise_rng(0, 0))
 
 
 def test_noise_rng_is_keyed_by_seed_index_and_salt():
-    a = noise_rng(7, 3).normal(size=4)
-    assert np.array_equal(a, noise_rng(7, 3).normal(size=4))
-    assert not np.array_equal(a, noise_rng(7, 4).normal(size=4))
-    assert not np.array_equal(a, noise_rng(8, 3).normal(size=4))
-    assert not np.array_equal(a, noise_rng(7, 3, salt=1).normal(size=4))
+    a = noise_rng(7, 3).normal(1.0, (4,))
+    assert np.array_equal(a, noise_rng(7, 3).normal(1.0, (4,)))
+    assert not np.array_equal(a, noise_rng(7, 4).normal(1.0, (4,)))
+    assert not np.array_equal(a, noise_rng(8, 3).normal(1.0, (4,)))
+    assert not np.array_equal(a, noise_rng(7, 3, salt=1).normal(1.0, (4,)))
 
 
 # -- keyed noise: a chunk's draw is the rows' draws, value by value the oracle's -------
@@ -73,13 +70,13 @@ def test_window_noise_equals_per_row_noise_rng(seed, salt):
     # from the stream at that row, at any start and width.
     for start in (0, 1, 2**32 - 3):
         for width in (3, 6, 20):
-            expected = np.array([noise_rng(seed, start + j, salt).normal(0.0, 0.25, size=width)
+            expected = np.array([noise_rng(seed, start + j, salt).normal(0.25, (width,))
                                  for j in range(300)])
             for n_rows in (1, 255, 300):
-                got = noise_rng(seed, start, salt).normal(0.0, 0.25, size=(n_rows, width))
+                got = noise_rng(seed, start, salt).normal(0.25, (n_rows, width))
                 assert got.shape == (n_rows, width)
                 assert np.array_equal(got, expected[:n_rows]), (start, width, n_rows)
-    row = noise_rng(seed, 2**32 - 3, salt).normal(0.0, 0.25, size=3)
+    row = noise_rng(seed, 2**32 - 3, salt).normal(0.25, (3,))
     assert row.tolist() == [oracle_noise(seed, salt, 2**32 - 3, j, 3, 0.25) for j in range(3)]
 
 
@@ -109,7 +106,7 @@ def test_corrupt_window_equals_per_row_corrupt():
        index=st.integers(0, 2**40), width=st.integers(1, 20), rows=st.integers(1, 3),
        sigma=st.sampled_from([0.1, 0.25, 1.0, 3e-7]))
 def test_noise_equals_the_per_value_oracle(seed, salt, index, width, rows, sigma):
-    got = noise_rng(seed, index, salt).normal(0.0, sigma, size=(rows, width))
+    got = noise_rng(seed, index, salt).normal(sigma, (rows, width))
     expected = [[oracle_noise(seed, salt, index + i, j, width, sigma) for j in range(width)]
                 for i in range(rows)]
     assert got.tolist() == expected
@@ -117,7 +114,7 @@ def test_noise_equals_the_per_value_oracle(seed, salt, index, width, rows, sigma
 
 def test_noise_moments_over_30000_rows_of_20():
     sigma = 0.1
-    values = noise_rng(5, 0).normal(0.0, sigma, size=(30_000, 20))
+    values = noise_rng(5, 0).normal(sigma, (30_000, 20))
     assert abs(values.mean()) < 0.01 * sigma
     assert abs(values.std() - sigma) < 0.01 * sigma
     assert np.abs(values).max() <= 6 * sigma
@@ -372,17 +369,14 @@ def test_gram_matrix_is_symmetric_psd():
         assert np.linalg.eigvalsh(stats.G).min() >= -1e-10
 
 
-def test_empty_window_is_a_no_op():
+def test_a_window_is_an_n_by_m_matrix():
+    # One row is a (1, M) window; a bare row, a wider one or a stack of windows is refused.
     model = AadrnnModel.initial(3, 0)
     stats = SufficientStats.empty(3)
-    out_stats, out_model = update_incremental(stats, np.empty((0, 3)), model, TrainSection())
-    assert out_stats is stats and out_model is model
-
-
-def test_one_row_window_is_reshaped():
-    model = AadrnnModel.initial(3, 0)
-    stats = SufficientStats.empty(3)
-    stats, model = update_incremental(stats, np.array([0.5, 0.25, 1.0]), model, TrainSection())
+    for window in (np.array([0.5, 0.25, 1.0]), np.ones((2, 4)), np.ones((1, 2, 3))):
+        with pytest.raises(DimensionError, match=r"model expects \(n, 3\)"):
+            update_incremental(stats, window, model, TrainSection())
+    stats, model = update_incremental(stats, np.array([[0.5, 0.25, 1.0]]), model, TrainSection())
     assert stats.n == 1 and model.readout.shape == (3, 3)
 
 
