@@ -115,8 +115,12 @@ class Config(NamedTuple):
     device: DeviceSection = DeviceSection()
 
     def validate(self) -> Config:
-        """The config itself, unless a value has the wrong type or range: an error names its key."""
+        """The config itself, unless a section has the wrong class or a value the wrong type
+        or range: an error names the section or the key."""
         for name, section in zip(self._fields, self):
+            if not isinstance(section, _SECTIONS[name]):
+                raise ValueError(f"config section {name!r} must be a {_SECTIONS[name].__name__}, "
+                                 f"got {type(section).__name__}")
             for attr, value in zip(section._fields, section):
                 key = f"{name}.{attr}"
                 _check_type(key, value, _HINTS[name][attr])

@@ -327,6 +327,8 @@ MUTANTS = [
            "        Detector(DEVICE_DIM, config, mode=Mode.DEVICE)  # first",
            "        int(round(config.device.ttl_seconds * 1e6))\n"
            "        Detector(DEVICE_DIM, config, mode=Mode.DEVICE)  # first", HAND_BUILT_TESTS),
+    Mutant("Config.validate: a section of another class read as its own", CONFIG,
+           "if not isinstance(section, _SECTIONS[name]):", "if False:", HAND_BUILT_TESTS),
     Mutant("Config.validate: a metrics.N past int64 accepted", CONFIG,
            "if self.metrics.N >= 2**63:", "if False:",
            ("tests/test_hostile.py::test_one_set_value_exits_0_or_2_naming_its_key",)),

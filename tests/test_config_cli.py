@@ -103,13 +103,18 @@ def test_config_round_trip():
     (Config(train=TrainSection(window_len=0)), "train.window_len"),
     (Config(device=DeviceSection(ttl_seconds=math.inf)), "device.ttl_seconds"),
     (Config(metrics=MetricsSection(gamma=[0.25] * 6)), "metrics.gamma"),
-], ids=["window-len-0", "ttl-inf", "gamma-sum-1.5"])
+    (Config(metrics=TrainSection()),
+     "config section 'metrics' must be a MetricsSection, got TrainSection"),
+    (Config(metrics={"N": 3}), "config section 'metrics' must be a MetricsSection, got dict"),
+], ids=["window-len-0", "ttl-inf", "gamma-sum-1.5", "section-of-another-class",
+        "section-as-a-dict"])
 @pytest.mark.parametrize("build", [lambda cfg: Detector(6, cfg, mode=Mode.DEVICE), DeviceBank],
                          ids=["Detector", "DeviceBank"])
 def test_a_hand_built_config_is_refused_naming_its_key(config, key, build):
     # A Config checks nothing when it is built; the Detector validates it first, and
     # the bank builds its probe detector before it reads any value (an infinite TTL
-    # used to overflow there).
+    # used to overflow there). A section of the wrong class is named before its keys
+    # are read (it used to raise KeyError or AttributeError).
     with pytest.raises(ValueError, match=re.escape(key)):
         build(config)
 
