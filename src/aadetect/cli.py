@@ -128,8 +128,7 @@ def cmd_init(args) -> int:
     if det.phase == Phase.INIT:  # every benign row is in the window
         window = (f"train.init_len={config.train.init_len}" if config.train.init_seconds is None
                   else f"train.init_seconds={config.train.init_seconds:g}")
-        source, unit = ("feature file", "rows") if args.features else ("trace", "packets")
-        raise ValueError(f"{source} has only {det.pending_rows} usable benign {unit}, "
+        raise ValueError(f"{args.trace}: only {det.pending_rows} usable benign rows, "
                          f"init needs {window}")
     save_state(det, args.out)
     print(f"initialized {det.mode.value} detector: {det.accepted_rows} training rows, "
@@ -198,7 +197,7 @@ def cmd_replay(args) -> int:
         _report(args, config, engine.report())
         return 0
     if engine.phase == Phase.INIT:
-        raise ValueError(f"{source} ended before init completed; no decisions were made")
+        raise ValueError(f"{args.trace}: ended before init completed; no decisions were made")
     labels, types = ground_truth(items, len(decisions))
     if decisions and None not in labels:
         _report(args, config, score(decisions, labels, types))

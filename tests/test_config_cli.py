@@ -264,7 +264,8 @@ def test_init_fails_on_short_trace(tmp_path, capsys):
     assert cli.main(["synth", "--out", str(short), "--duration", "1", "--rate", "10"]) == 0
     rc = cli.main(["init", str(short), "--out", str(tmp_path / "s.json")])
     assert rc == 2
-    assert "benign packets" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: {short}: only 9 usable benign rows, "
+                                       "init needs train.init_len=1000\n")
 
 
 def test_replay_from_state_and_eval_assertions(flood_trace_file, tmp_path, capsys):
@@ -1160,11 +1161,11 @@ def test_short_init_names_the_window_key_in_force(tmp_path, capsys):
     rc = cli.main(["init", str(benign), "--out", str(state),
                    "--set", "train.init_seconds=100", "--set", "train.init_len=50"])
     assert rc == 2
-    assert capsys.readouterr().err == ("error: trace has only 254 usable benign packets, "
+    assert capsys.readouterr().err == (f"error: {benign}: only 254 usable benign rows, "
                                        "init needs train.init_seconds=100\n")
     rc = cli.main(["init", str(benign), "--out", str(state), "--set", "train.init_len=300"])
     assert rc == 2
-    assert capsys.readouterr().err == ("error: trace has only 254 usable benign packets, "
+    assert capsys.readouterr().err == (f"error: {benign}: only 254 usable benign rows, "
                                        "init needs train.init_len=300\n")
     assert not state.exists()
 
@@ -1542,7 +1543,7 @@ def test_feature_init_equals_stepping_the_rows(tmp_path, capsys, init_seconds):
     rc = cli.main(["init", str(data), "--features", "--out", str(state)] + set_args)
     if init_seconds == "0.001":  # 1000 row ticks: the window never closes on 80 rows
         assert rc == 2 and capsys.readouterr().err == (
-            "error: feature file has only 80 usable benign rows, "
+            f"error: {data}: only 80 usable benign rows, "
             "init needs train.init_seconds=0.001\n")
         assert not state.exists()
         with pytest.raises(LifecycleError):
@@ -1676,7 +1677,8 @@ def test_feature_replay_ending_in_init_leaves_a_header_only_log(tmp_path, capsys
     write_feature_file(FeatureTable(rng.uniform(0, 1, size=(20, 3)), [False] * 20), data)
     assert cli.main(["replay", str(data), "--features", "--log", str(log),
                      "--set", "train.init_len=30"]) == 2
-    assert "feature file ended before init completed" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: {data}: ended before init completed; "
+                                       "no decisions were made\n")
     assert log.read_text() == "timestamp_us,decision_value,threshold,is_attack,mode\n"
 
 
@@ -1693,7 +1695,8 @@ def test_replay_whose_init_closes_on_the_last_row_exits_0_and_saves(flood_trace_
     assert cli.main(["init", str(head), "--set", "train.init_len=30", "--out", str(fitted)]) == 0
     assert saved.read_bytes() == fitted.read_bytes()  # the window init fits, saved as it fits it
     assert cli.main(["replay", str(head), "--set", "train.init_len=31"]) == 2
-    assert "trace ended before init completed" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: {head}: ended before init completed; "
+                                       "no decisions were made\n")
 
 
 def test_replay_without_enough_packets(tmp_path, capsys):
