@@ -18,8 +18,9 @@ versions 1 and 2 wrote it (``legacy-*``), or the first lines of an input
 (``short-*``); others copy one to where a call that must be refused would
 overwrite it (``refused-*``). The ``help*`` and
 ``usage-*`` calls print argparse's help and usage errors. At the first seed the
-calls end with ``aadetect bench``, this checkout's four demos and the Python
-block of its README, each run under ``-W error`` (``demo-*`` and ``readme``).
+calls end with ``aadetect bench`` at its default seed and at ``--seed 8``, this
+checkout's four demos and the Python block of its README, each run under ``-W
+error`` (``demo-*`` and ``readme``).
 
 Each call's stdout, stderr and exit code, and every file either tree's
 directory ends up holding, are compared byte for byte; for each output that
@@ -111,7 +112,7 @@ def head(source: str, target: str, lines: int):
     """A ``prepare`` step: ``target`` is the first ``lines`` lines of ``source``."""
     def prepare(run_dir: Path) -> None:
         kept = (run_dir / source).read_bytes().split(b"\n")[:lines]
-        (run_dir / target).write_bytes(b"\n".join(kept) + b"\n")
+        (run_dir / target).write_bytes(b"".join(line + b"\n" for line in kept))
     return prepare
 
 
@@ -167,6 +168,14 @@ def calls(seed: int) -> List[Call]:
                       "--assert", "tpr>=95,accuracy>=90"]),
         Call("eval-violated", ["eval", "--log", "frozen.log", "--trace", "soak.csv",
                                "--assert", "accuracy>=100"]),
+        # Assertions refused before the log is read: an unknown metric, a clause
+        # without an operator, and a spec of no clauses.
+        Call("refused-assert-metric", ["eval", "--log", "frozen.log", "--trace", "soak.csv",
+                                       "--assert", "accuracy>=90,precision>=90"]),
+        Call("refused-assert-clause", ["eval", "--log", "frozen.log", "--trace", "soak.csv",
+                                       "--assert", "accuracy=90"]),
+        Call("refused-assert-empty", ["eval", "--log", "frozen.log", "--trace", "soak.csv",
+                                      "--assert", " , "]),
         # Feature init and replays, frozen, online and cold.
         Call("features-init", ["init", "train.csv", "--features", "--out", "features.json"]),
         Call("features-frozen", ["replay", "test.csv", "--features", "--state", "features.json",
@@ -249,12 +258,21 @@ def calls(seed: int) -> List[Call]:
              edit_state("features.json", "overflow-state.json", lambda doc: doc[
                  "scaling_factors"].update(lo=[-1e308] + doc["scaling_factors"]["lo"][1:],
                                            hi=[1e308] + doc["scaling_factors"]["hi"][1:]))),
-        # Inputs too short to use: three benign feature rows, and a trace of a header alone.
+        # Inputs too short to use: three benign feature rows, a trace of a header alone,
+        # an empty feature file, a trace whose init never closes, and one whose init
+        # closes on its last row, so that a --report has no decisions.
         Call("short-features", ["init", "short-train.csv", "--features",
                                 "--out", "short.json"], head("train.csv", "short-train.csv", 4)),
         Call("short-replay", ["replay", "header.csv", "--state", "init.json"] + N30,
              head("soak.csv", "header.csv", 1)),
         Call("short-devices", ["replay", "header.csv", "--devices"] + N30),
+        Call("short-empty-features", ["init", "empty.csv", "--features", "--out", "empty.json"],
+             head("train.csv", "empty.csv", 0)),
+        Call("short-init-replay", ["replay", "head.csv", "--log", "short-init.log"] + N30,
+             head("soak.csv", "head.csv", 11)),
+        Call("short-init-report", ["replay", "init-only.csv", "--log", "init-only.log",
+                                   "--report", "init-only.report.json"] + N30,
+             head("soak.csv", "init-only.csv", 1001)),
         Call("broken-label", ["replay", "broken-label.csv", "--state", "init.json"] + N30,
              edit_line("soak.csv", "broken-label.csv", 3001, field(4, b"2"))),
         Call("broken-back-edge", ["replay", "broken-back-edge.csv", "--state", "init.json"] + N30,
@@ -306,7 +324,8 @@ def calls(seed: int) -> List[Call]:
         Call("usage-unknown", ["nosuch", "soak.csv"]),
         Call("usage-unrecognized", ["init", "soak.csv", "--out", "usage.json", "--bogus"]),
         Call("usage-missing", ["init", "soak.csv"]),
-    ] + ([Call("bench", ["bench"])] + programs() if seed == SEEDS[0] else [])
+    ] + ([Call("bench", ["bench"]), Call("bench-seed-8", ["bench", "--seed", "8"])]
+         + programs() if seed == SEEDS[0] else [])
 
 
 def run_tree(src: Path, run_dir: Path, seed_calls: List[Call]) -> None:

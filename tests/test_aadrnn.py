@@ -77,10 +77,11 @@ def test_hidden_weights_distribution_and_determinism():
 
 
 @pytest.mark.parametrize("dim", [3, 6, 20])
-@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**40, 2**64 - 1, 2**70])
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**40, 2**64 - 1, 2**70, 2**130])
 def test_hidden_weights_equal_numpys_pcg64_draws(seed, dim):
     # The package computes SeedSequence and PCG64 itself, without numpy.random;
-    # 2**64 - 1 and 2**70 are 2 and 3 entropy words.
+    # 2**64 - 1, 2**70 and 2**130 are 2, 3 and 5 entropy words: past 4 words, the
+    # rest is mixed into the pool one word at a time.
     rng = np.random.default_rng(seed)
     for w in init_hidden_weights(dim, seed):
         expected = rng.uniform(0.0, 1.0 / dim, size=(dim, dim))

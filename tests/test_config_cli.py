@@ -232,6 +232,17 @@ def test_synth_rejects_malformed_flood_spec(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--ramp", "0"], "rate_ramp must be positive"),
+    (["--flood", "0:1:0"], "rate_multiplier must be positive"),
+])
+def test_synth_rejects_a_rate_that_is_not_positive(tmp_path, capsys, flags, message):
+    out = tmp_path / "x.csv"
+    assert cli.main(["synth", "--out", str(out), "--duration", "2", "--rate", "10"] + flags) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, named", [
     (["--flood", "20:30:10", "--spray", "4", "--victim", "10.9.9.9"], "--victim"),
     (["--attacker", "1.2.3.4"], "--attacker"),
@@ -416,18 +427,23 @@ def test_eval_names_both_files_when_they_do_not_belong_together(flood_trace_file
         "", f"error: {n} decisions but only 40 trace rows ({log} against {short})\n")
 
 
-@pytest.mark.parametrize("spec", ["tpr>=abc", "accuracy>=90, fpr<=1%"])
+@pytest.mark.parametrize("spec, message", [
+    ("tpr>=abc", "bad number in assertion clause 'tpr>=abc'"),
+    ("accuracy>=90, fpr<=1%", "bad number in assertion clause 'fpr<=1%'"),
+    ("accuracy>=90,precision>=90", "unknown metric in assertion: 'precision'"),
+    ("accuracy=90", "cannot parse assertion clause: 'accuracy=90'"),
+    (" , ", "empty assertion spec"),
+])
 def test_eval_rejects_a_bad_assertion_before_printing_anything(flood_trace_file, tmp_path,
-                                                              capsys, spec):
+                                                              capsys, spec, message):
     log = tmp_path / "log.csv"
     assert cli.main(["replay", str(flood_trace_file), "--set", "train.init_len=64",
                      "--log", str(log)]) == 0
     capsys.readouterr()
     rc = cli.main(["eval", "--log", str(log), "--trace", str(flood_trace_file),
                    "--assert", spec])
-    bad = spec.split(",")[-1].strip()
     assert rc == 2
-    assert capsys.readouterr() == ("", f"error: bad number in assertion clause {bad!r}\n")
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("column, value, message", [
@@ -883,6 +899,14 @@ def test_a_feature_training_file_of_three_benign_rows_exits_2_naming_it(tmp_path
     assert capsys.readouterr() == ("", "error: three.csv: feature training file has only 3 "
                                        "benign rows, need >= 4\n")
     assert sorted(os.listdir(tmp_path)) == ["three.csv"]
+
+
+def test_an_empty_feature_file_exits_2_naming_its_first_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("empty.csv").write_bytes(b"")
+    assert cli.main(["init", "empty.csv", "--features", "--out", "s.json"]) == 2
+    assert capsys.readouterr() == ("", "error: empty.csv:1: empty file\n")
+    assert sorted(os.listdir(tmp_path)) == ["empty.csv"]
 
 
 @pytest.mark.parametrize("mode, metrics", [("botnet", 3), ("device", 6)])
@@ -1697,6 +1721,39 @@ def test_replay_whose_init_closes_on_the_last_row_exits_0_and_saves(flood_trace_
     assert cli.main(["replay", str(head), "--set", "train.init_len=31"]) == 2
     assert capsys.readouterr().err == (f"error: {head}: ended before init completed; "
                                        "no decisions were made\n")
+
+
+def test_a_report_on_a_replay_whose_init_closes_on_the_last_row_exits_2(flood_trace_file,
+                                                                        tmp_path, capsys):
+    # Every row is labeled, so the refusal of an unlabeled input lets it through; with
+    # no decisions there is nothing to report, which is known only after the replay.
+    head = tmp_path / "t30.csv"
+    head.write_text("".join(flood_trace_file.read_text().splitlines(keepends=True)[:31]))
+    log, report = tmp_path / "x.csv", tmp_path / "r.json"
+    capsys.readouterr()
+    assert cli.main(["replay", str(head), "--set", "train.init_len=30", "--log", str(log),
+                     "--report", str(report)]) == 2
+    assert capsys.readouterr() == ("0 decisions (init ended on the last row; no scoring)\n",
+                                   "error: --report needs decisions on a fully labeled input\n")
+    assert log.read_text() == "timestamp_us,decision_value,threshold,is_attack,mode\n"
+    assert not report.exists()
+
+
+def test_alerts_into_a_pipe_closed_after_one_line_exit_141(flood_trace_file):
+    # Thousands of alerts, far more than the pipe holds: the replay is still writing
+    # when the reader goes, and it ends with the shell's status for SIGPIPE.
+    proc = subprocess.Popen([sys.executable, "-m", "aadetect.cli", "replay",
+                             str(flood_trace_file), "--set", "train.init_len=64", "--alerts", "-"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=python_env())
+    try:
+        assert json.loads(proc.stdout.readline())["mode"] == "botnet"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def test_replay_without_enough_packets(tmp_path, capsys):

@@ -556,6 +556,10 @@ def test_feature_table_rows_are_its_matrix_rows(tmp_path):
     path.write_text("f1,f2,label,attack_type\n")
     empty = load_feature_dataset(path)
     assert len(empty) == 0 and empty.features.shape == (0, 2)
+    path.write_bytes(b"")  # no header either
+    with pytest.raises(TraceParseError) as err:
+        load_feature_dataset(path)
+    assert str(err.value) == f"{path}:1: empty file"
 
 
 def test_feature_dataset_bad_header(tmp_path):
@@ -799,6 +803,9 @@ def test_synth_spec_validation():
     no_target = AttackSegment(0.0, 1.0, 2.0, attackers=("x",))
     with pytest.raises(ValueError):
         synth_trace(TraceSpec(duration_s=1.0, rate_pps=10.0, attacks=(no_target,)), seed=0)
+    no_attacker = AttackSegment(0.0, 1.0, 2.0, attackers=(), victims=("y",))
+    with pytest.raises(ValueError, match="^attack segment needs at least one attacker$"):
+        synth_trace(TraceSpec(duration_s=1.0, rate_pps=10.0, attacks=(no_attacker,)), seed=0)
 
 
 def test_synth_trace_round_trips_through_csv(tmp_path):
