@@ -901,14 +901,6 @@ def test_a_feature_training_file_of_three_benign_rows_exits_2_naming_it(tmp_path
     assert sorted(os.listdir(tmp_path)) == ["three.csv"]
 
 
-def test_an_empty_feature_file_exits_2_naming_its_first_line(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    Path("empty.csv").write_bytes(b"")
-    assert cli.main(["init", "empty.csv", "--features", "--out", "s.json"]) == 2
-    assert capsys.readouterr() == ("", "error: empty.csv:1: empty file\n")
-    assert sorted(os.listdir(tmp_path)) == ["empty.csv"]
-
-
 @pytest.mark.parametrize("mode, metrics", [("botnet", 3), ("device", 6)])
 def test_a_state_whose_mode_does_not_fit_its_model_exits_2_before_any_log(
         flood_trace_file, tmp_path, capsys, mode, metrics):
@@ -1721,16 +1713,10 @@ def test_replay_whose_init_closes_on_the_last_row_exits_0_and_saves(flood_trace_
     assert cli.main(["replay", str(head), "--set", "train.init_len=31"]) == 2
     assert capsys.readouterr().err == (f"error: {head}: ended before init completed; "
                                        "no decisions were made\n")
-
-
-def test_a_report_on_a_replay_whose_init_closes_on_the_last_row_exits_2(flood_trace_file,
-                                                                        tmp_path, capsys):
-    # Every row is labeled, so the refusal of an unlabeled input lets it through; with
-    # no decisions there is nothing to report, which is known only after the replay.
-    head = tmp_path / "t30.csv"
-    head.write_text("".join(flood_trace_file.read_text().splitlines(keepends=True)[:31]))
-    log, report = tmp_path / "x.csv", tmp_path / "r.json"
-    capsys.readouterr()
+    # Every row is labeled, so a --report passes the check before the log is opened;
+    # with no decisions there is nothing to report, which is known only after the replay.
+    log.unlink()
+    report = tmp_path / "r.json"
     assert cli.main(["replay", str(head), "--set", "train.init_len=30", "--log", str(log),
                      "--report", str(report)]) == 2
     assert capsys.readouterr() == ("0 decisions (init ended on the last row; no scoring)\n",
