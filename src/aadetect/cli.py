@@ -151,9 +151,9 @@ def cmd_replay(args) -> int:
                                  "a device bank cannot be loaded, saved or frozen")
 
     if args.features:
-        items, kind, source = load_feature_dataset(args.trace), Mode.FEATURES, "feature file"
+        items, kind = load_feature_dataset(args.trace), Mode.FEATURES
     else:
-        items, kind, source = load_trace(args.trace), Mode.BOTNET, "trace"
+        items, kind = load_trace(args.trace), Mode.BOTNET
     if not items:
         raise ValueError(f"{args.trace}: no {'feature rows' if args.features else 'packets'} "
                          "to replay")
@@ -177,8 +177,8 @@ def cmd_replay(args) -> int:
                           online=online)
 
     if not args.devices and (args.report or args.plots) and None in items.label:
-        raise ValueError(f"{'--report' if args.report else '--plots'} needs a fully labeled "
-                         f"input, and {source} {args.trace} has unlabeled rows")
+        raise ValueError(f"{args.trace}: unlabeled rows, and "
+                         f"{'--report' if args.report else '--plots'} needs a fully labeled input")
     mode = (Mode.DEVICE if args.devices else kind).value
     decisions: List[Decision] = []
     # Alerts first: a path that cannot be opened then leaves no log behind.

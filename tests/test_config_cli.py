@@ -1667,11 +1667,10 @@ def test_a_report_on_an_input_not_fully_labeled_exits_2_before_any_output(tmp_pa
         table.label = table.label[:-1] + (None,)
         write_feature_file(table, "input.csv")
         flags = ["--features", "--set", "train.init_len=40"]
-    source = "trace" if kind == "packets" else "feature file"
     replay = ["replay", "input.csv", "--log", "L.csv", "--alerts", "A.jsonl"] + flags
     assert main_closing_every_file(replay + [flag, "out"]) == 2
-    assert capsys.readouterr() == ("", f"error: {flag} needs a fully labeled input, and "
-                                       f"{source} input.csv has unlabeled rows\n")
+    assert capsys.readouterr() == ("", f"error: input.csv: unlabeled rows, and {flag} needs "
+                                       "a fully labeled input\n")
     assert sorted(os.listdir(tmp_path)) == ["input.csv"]
     assert cli.main(replay) == 0  # without a report the replay runs, unscored
     assert "(trace unlabeled; no scoring)" in capsys.readouterr().out
