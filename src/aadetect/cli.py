@@ -161,9 +161,6 @@ def cmd_replay(args) -> int:
         engine = DeviceBank(config)
     elif args.state:
         engine = load_state(args.state, config, online=bool(args.online))  # stays frozen unless asked
-        if args.save_state and engine.state_version == 1:
-            raise ValueError(f"--save-state: {args.state} is a version {engine.state_version} "
-                             "state, which replays frozen only")
         if engine.mode != kind:
             raise ValueError(f"state file {args.state} holds a {engine.mode.value} detector, "
                              f"expected {kind.value}")

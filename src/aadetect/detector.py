@@ -34,7 +34,7 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .aadrnn import LAYERS, AadrnnModel
+from .aadrnn import AadrnnModel
 from .config import _KIND_NAMES, Config, _is_kind
 from .metrics import (DimensionError, MinMaxScaler, ScalingFactors, StreamMetrics, fit_scaling,
                       min_max_fit, min_max_scaler)
@@ -42,12 +42,9 @@ from .traffic import _TRACE_BLOCK, FeatureTable, Trace, replace_file
 from .training import (SufficientStats, TrainingError, fit_batch_with_stats,
                        update_incremental)
 
-# Version 3 stores no network: (M, seed) determines it, and version 2 stored it too. A
-# version-1 state, trained on per-row PCG64 noise, not the keyed counter noise
-# (``training``), still decides as it did, but cannot be trained on or saved again.
-STATE_VERSION = 3
-_FROZEN_ONLY = ("a version 1 state replays frozen only: its training statistics come from an "
-                "older noise stream, so it cannot be trained on or saved")
+# A state stores no network: (M, seed) determines it. Version 4 added the metric window
+# and the training noise, which a version-3 state takes from the replay's config.
+STATE_VERSION = 4
 
 
 class Mode(str, Enum):
@@ -133,7 +130,7 @@ class Fit(NamedTuple):
 class DetectorState:
     """Everything a detector changes while rows are fed: the fit (None in init), the
     init window's ``(times, rows)`` chunks, the rows fed (feature row i is timed i), the
-    pending window, the version of a loaded state, and a packet detector's metric carry."""
+    pending window, and a packet detector's metric carry."""
 
     fit: Optional[Fit] = None
     init_rows: List[Tuple[Sequence[int], np.ndarray]] = dataclasses.field(default_factory=list)
@@ -141,7 +138,6 @@ class DetectorState:
     pending: List[np.ndarray] = dataclasses.field(default_factory=list)
     pending_d: List[float] = dataclasses.field(default_factory=list)
     window_start_us: Optional[int] = None
-    version: int = STATE_VERSION
     metrics: Optional[StreamMetrics] = None
 
 
@@ -160,7 +156,6 @@ class Detector:
     model = property(lambda self: self.state.fit and self.state.fit.model)
     stats = property(lambda self: self.state.fit and self.state.fit.stats)
     threshold = property(lambda self: self.state.fit and self.state.fit.threshold)
-    state_version = property(lambda self: self.state.version)  # 1 for a version-1 file
 
     def __init__(self, dim: int, config: Config, mode: Union[Mode, str] = Mode.BOTNET, *,
                  online: Optional[bool] = None, noise_salt: Optional[int] = None,
@@ -368,15 +363,14 @@ def _packet_columns(trace: Trace) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
 
 
 def save_state(detector: Detector, path: Union[str, Path]) -> None:
-    """Persist a detector's fit, mode and gamma: with ``load_state``, the whole state
-    format. The file is deterministic for a deterministic run (sorted keys, exact float
-    round-trip via repr), written through ``replace_file``: a failed save leaves the
-    previous file whole."""
+    """Persist a detector's fit, mode and the config values it decides and refits by: with
+    ``load_state``, the whole state format. The file is deterministic for a deterministic
+    run (sorted keys, exact float round-trip via repr), written through ``replace_file``: a
+    failed save leaves the previous file whole."""
     if detector.state.fit is None:
         raise LifecycleError("cannot save a detector that has not finished init")
-    if detector.state.version == 1:
-        raise ValueError(_FROZEN_ONLY)
     scaler, model, stats, threshold = detector.state.fit
+    metrics, train = detector.config.metrics, detector.config.train
     doc = {"version": STATE_VERSION, "M": model.input_dim, "seed": model.seed,
            "readout": model.readout.tolist(),
            "scaling_factors": ({"kind": "max", "scale": scaler.scale.tolist()}
@@ -385,6 +379,9 @@ def save_state(detector: Detector, path: Union[str, Path]) -> None:
                                 "hi": scaler.hi.tolist()}),
            "threshold": float(threshold), "mode": detector.mode.value,
            "gamma": detector.gamma.tolist(),
+           "metrics": {"N": metrics.N, "T_seconds": float(metrics.T_seconds)},
+           "train": {"noise_sigma": float(train.noise_sigma),
+                     "ridge_lambda": float(train.ridge_lambda)},
            "stats": {"G": stats.G.tolist(), "C": stats.C.tolist(), "n": stats.n}}
     with replace_file(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
@@ -394,32 +391,24 @@ def save_state(detector: Detector, path: Union[str, Path]) -> None:
 def load_state(path: Union[str, Path], config: Optional[Config] = None, *,
                online: bool = False) -> Detector:
     """Build a detector on the record a state file holds; it decides at once (phase
-    ``frozen``, or ``online`` to continue learning). A file that is not a well-formed
-    state, with exactly the keys ``save_state`` writes, every array shaped for its
-    model and every value one ``save_state`` could write, is an error naming it."""
+    ``frozen``, or ``online`` to continue learning), with the config values it holds in
+    place of ``config``'s (``_stored_config``). A file that is not a well-formed state,
+    with exactly the keys ``save_state`` writes, every array shaped for its model and
+    every value one ``save_state`` could write, is an error naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.loads(fh.read(), parse_float=_finite, parse_constant=_finite)
         if not isinstance(doc, dict):
             raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
-        _check_types(doc)
         version = doc.get("version", -1)
-        if version < 1 or version > STATE_VERSION:
-            raise ValueError(f"version {version} not supported (max {STATE_VERSION})")
-        if version == 1 and online:
-            raise ValueError(_FROZEN_ONLY)
-        m, seed = int(doc["M"]), int(doc["seed"])
+        if _is_kind(version, int) and not 3 <= version <= STATE_VERSION:
+            raise ValueError(f"version {version} not supported (only 3 to {STATE_VERSION} load)")
+        _check_types(doc)
+        m = int(doc["M"])
         readout = _array(doc["readout"], (m, m), "readout")  # bounds M before the draws
-        model = AadrnnModel.initial(m, seed).with_readout(readout)
-        if version < 3:  # version 2 also wrote the network, which must be the stock one
-            stock = [LAYERS, {"r": 1.0, "c": 1.0}, [w.tolist() for w in model.hidden_weights]]
-            for key, value in zip(("L", "act", "hidden_weights"), stock):
-                if doc[key] != value:
-                    raise ValueError(f"{key} is not the stock network of M={m}, seed={seed}")
-        # The state's gamma is checked as a metrics.gamma is, by the Detector, which
-        # also rejects a model width the state's mode does not take.
-        config, mode = config or Config(), Mode(doc["mode"])
-        config = config._replace(metrics=config.metrics._replace(gamma=list(doc["gamma"])))
+        model = AadrnnModel.initial(m, int(doc["seed"])).with_readout(readout)
+        # The Detector checks the stored values as a config's, and the width the mode takes.
+        config, mode = _stored_config(doc, config or Config()), Mode(doc["mode"])
         scaling = doc["scaling_factors"]
         kind = scaling.get("kind")
         if kind == "max":
@@ -439,14 +428,30 @@ def load_state(path: Union[str, Path], config: Optional[Config] = None, *,
             raise ValueError(f"stats n must be >= 0, got {n}")
         stats = SufficientStats(_array(stats["G"], (m, m), "stats G"),
                                 _array(stats["C"], (m, m), "stats C"), n)
-        return Detector(m, config, mode=mode, online=online, state=DetectorState(
-            Fit(scaler, model, stats, threshold), version=version))
+        return Detector(m, config, mode=mode, online=online,
+                        state=DetectorState(Fit(scaler, model, stats, threshold)))
     except KeyError as exc:
         raise ValueError(f"state file {path} has no key {exc}") from None
     except DimensionError as exc:
         raise DimensionError(f"state file {path}: {exc}") from None
     except (ValueError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
         raise ValueError(f"state file {path}: {exc}") from None
+
+
+def _stored_config(doc: dict, config: Config) -> Config:
+    """``config`` with a state's values in place of its own: gamma, ``seed`` as train.seed,
+    and the metric window and training noise, which a version-3 state does not hold. A
+    config value that is neither ``Config()``'s nor the state's is an error naming both."""
+    for name, values in ("metrics", {"gamma": doc["gamma"]}), ("train", {"seed": doc["seed"]}):
+        if doc["version"] > 3 or name in doc:
+            values.update((key, doc[name][key]) for key in sorted(_KEYS[name]))
+        given, default = getattr(config, name), getattr(Config(), name)
+        for key, value in values.items():
+            if getattr(given, key) not in (getattr(default, key), value):
+                raise ValueError(f"{name}.{key} is {value} in the state, "
+                                 f"{getattr(given, key)} in the config")
+        config = config._replace(**{name: given._replace(**values)})
+    return config
 
 
 def _array(value, shape: Tuple[int, ...], name: str) -> np.ndarray:
@@ -466,23 +471,19 @@ def _finite(text: str) -> float:
     return value
 
 
-# The keys of each object save_state writes, by its key: a scaler's with its kind, the
-# state's with its version family (``act`` is compared whole with the stock activation's).
-_KEYS = {"version 2": {"version", "M", "L", "act", "seed", "hidden_weights", "readout",
-                       "scaling_factors", "threshold", "mode", "gamma", "stats"},
-         "version 3": {"version", "M", "seed", "readout", "scaling_factors", "threshold", "mode",
-                       "gamma", "stats"}, "stats": {"G", "C", "n"},
+# The keys of each object save_state writes, by its key (the state's is ""), a scaler's
+# with its kind.
+_KEYS = {"": {"version", "M", "seed", "readout", "scaling_factors", "threshold", "mode", "gamma",
+              "metrics", "train", "stats"}, "stats": {"G", "C", "n"},
+         "metrics": {"N", "T_seconds"}, "train": {"noise_sigma", "ridge_lambda"},
          "scaling_factors max": {"kind", "scale"}, "scaling_factors minmax": {"kind", "lo", "hi"}}
 
 
 def _check_types(value, key: str = "") -> None:
     """Reject a key or a value of a JSON type ``save_state`` never writes: an int at
-    version, M, L, seed and n, a number at any other key but mode, kind and gamma."""
-    if isinstance(value, dict):  # an unknown scaler kind or state version is named later
+    version, M, seed and n, a number at any other key but mode, kind and gamma."""
+    if isinstance(value, dict):  # an unknown scaler kind is named later
         name = f"{key} {value.get('kind')}" if key == "scaling_factors" else key
-        if not key:  # the whole state, by its version family
-            version = value.get("version")
-            name = f"version {max(version, 2) if _is_kind(version, int) else 2}"
         known = _KEYS.get(name, value)
         unknown = next((k for k in value if k not in known), None)
         if unknown is not None:
@@ -491,7 +492,7 @@ def _check_types(value, key: str = "") -> None:
         for k, v in value.items() if isinstance(value, dict) else ((key, v) for v in value):
             _check_types(v, k)
     elif key not in ("mode", "kind", "gamma"):
-        kind = int if key in ("version", "M", "L", "seed", "n") else float
+        kind = int if key in ("version", "M", "seed", "n") else float
         if not _is_kind(value, kind):
             raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 

@@ -7,7 +7,8 @@ rows against the *clean* rows:
 
 ``fit_batch_with_stats`` and ``update_incremental`` take the run's
 ``config.train``, checked by ``Config.validate``, and read its ``noise_sigma``
-(the noise's standard deviation), ``ridge_lambda`` (lambda) and ``seed``.
+(the noise's standard deviation) and ``ridge_lambda`` (lambda); the noise is
+keyed by the model's ``seed``, the one its hidden network was drawn from.
 
 Both offline and online training accumulate the same sufficient statistics
 G = sum H^T H and C = sum H^T X, so a batch fit equals any sequence of
@@ -183,7 +184,7 @@ def update_incremental(stats: SufficientStats, window: np.ndarray, model: Aadrnn
         raise DimensionError(f"window has shape {window.shape}, model expects (n, {m})")
     acc = np.concatenate([stats.G, stats.C], axis=1)
     buf = np.empty((min(len(window), _FOLD_CHUNK) + 1, m, 2 * m))
-    rng = noise_rng(train.seed, stats.n, salt)  # one key per fold; each chunk steps the index
+    rng = noise_rng(model.seed, stats.n, salt)  # one key per fold; each chunk steps the index
     for lo in range(0, len(window), _FOLD_CHUNK):
         clean = window[lo:lo + _FOLD_CHUNK]
         noisy = corrupt(clean, train.noise_sigma, rng._replace(index=stats.n + lo))

@@ -13,11 +13,11 @@ that tree's ``src/``, in a working directory of its own per tree and seed
 that holds the inputs and the earlier calls' outputs. A few calls first
 write an edited copy of an input or of an earlier output, by the same edit in
 both trees: a broken one (``broken-*``), one that only csv's row-by-row loop
-reads (a quoted field, CRLF line endings, a blank line), or a state as
-versions 1 and 2 wrote it (``legacy-*``), or the first lines of an input
-(``short-*``); others copy one to where a call that must be refused would
-overwrite it (``refused-*``). The ``help*`` and
-``usage-*`` calls print argparse's help and usage errors. At the first seed the
+reads (a quoted field, CRLF line endings, a blank line), or the first lines
+of an input (``short-*``); others copy one to where a call that must be
+refused would overwrite it (``refused-*``). The ``state-*`` calls replay a
+state without init's ``--set`` or with one that disagrees with it. The
+``help*`` and ``usage-*`` calls print argparse's help and usage errors. At the first seed the
 calls end with ``aadetect bench`` at its default seed and at ``--seed 8``, this
 checkout's four demos and the Python block of its README, each run under ``-W
 error`` (``demo-*`` and ``readme``).
@@ -45,8 +45,6 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
-
-import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "aadbench"))
@@ -127,18 +125,6 @@ def edit_state(source: str, target: str, change: Callable[[dict], None]):
     return prepare
 
 
-def legacy_state(source: str, target: str, version: int):
-    """A ``prepare`` step: ``target`` is the state ``source`` as version ``version``
-    (1 or 2) wrote it, with the network too: ``L``, ``act`` and each hidden layer,
-    a ``numpy.random.default_rng(seed).uniform(0, 1/M, (M, M))`` draw. From a
-    version-2 state of the same fields, version 2 gives the same bytes."""
-    def change(doc: dict) -> None:
-        m, rng = doc["M"], np.random.default_rng(doc["seed"])
-        doc.update(version=version, L=3, act={"r": 1.0, "c": 1.0}, hidden_weights=[
-            rng.uniform(0.0, 1.0 / m, size=(m, m)).tolist() for _ in range(3)])
-    return edit_state(source, target, change)
-
-
 def calls(seed: int) -> List[Call]:
     """The CLI calls for one seed, in order."""
     online = ["replay", "soak.csv", "--state", "init.json", "--online", "--log", "online.log",
@@ -208,24 +194,15 @@ def calls(seed: int) -> List[Call]:
                        lambda text: b"\n" + field(2, b'"%s"')(text))),
         Call("replay-blank", ["replay", "blank.csv", "--state", "init.json", "--log", "blank.log"]
              + N30),
-        # States as versions 1 and 2 wrote them, the network included.
-        Call("legacy-v2-frozen", ["replay", "soak.csv", "--state", "legacy-v2.json", "--frozen",
-                                  "--log", "legacy-v2.log", "--alerts", "legacy-v2.alerts",
-                                  "--report", "legacy-v2.report.json"] + N30,
-             legacy_state("init.json", "legacy-v2.json", 2)),
-        Call("legacy-v2-online", ["replay", "soak.csv", "--state", "legacy-v2.json", "--online",
-                                  "--log", "legacy-v2-online.log",
-                                  "--alerts", "legacy-v2-online.alerts",
-                                  "--report", "legacy-v2-online.report.json",
-                                  "--save-state", "legacy-v2-online.state.json"] + N30),
-        Call("legacy-v1-frozen", ["replay", "soak.csv", "--state", "legacy-v1.json", "--frozen",
-                                  "--log", "legacy-v1.log", "--alerts", "legacy-v1.alerts",
-                                  "--report", "legacy-v1.report.json"] + N30,
-             legacy_state("init.json", "legacy-v1.json", 1)),
-        Call("legacy-features", ["replay", "test.csv", "--features",
-                                 "--state", "legacy-features.json",
-                                 "--log", "legacy-features.log"],
-             legacy_state("features.json", "legacy-features.json", 2)),
+        # A state replayed without init's --set decides by the settings it holds; a
+        # --set that disagrees with one of them is refused before any output.
+        Call("state-bare-frozen", ["replay", "soak.csv", "--state", "init.json", "--frozen",
+                                   "--log", "bare-frozen.log", "--alerts", "bare-frozen.alerts"]),
+        Call("state-bare-online", ["replay", "soak.csv", "--state", "init.json", "--online",
+                                   "--log", "bare-online.log",
+                                   "--save-state", "bare-online.state.json"]),
+        Call("state-disagree", ["replay", "soak.csv", "--state", "init.json",
+                                "--log", "disagree.log", "--set", "metrics.N=20"]),
         # Broken files: each an error line and exit 2, or (eval-nan) a report JSON cannot hold.
         Call("broken-quote", ["replay", "broken-quote.csv", "--state", "init.json"] + N30,
              edit_line("soak.csv", "broken-quote.csv", 6, lambda text: b'"' + text)),

@@ -45,8 +45,8 @@ STRAY_QUOTE_TESTS = ("tests/test_hostile.py::"
                      "test_a_stray_quote_before_128_kib_is_one_error_naming_its_line",)
 UNWRITABLE_STATE = ("tests/test_config_cli.py::"
                     "test_a_state_that_save_state_cannot_write_exits_2_naming_it_before_any_log")
-STOCK_NETWORK_TESTS = ("tests/test_detector.py::"
-                       "test_a_state_rejects_every_network_but_the_stock_one",)
+STORED_CONFIG_TESTS = ("tests/test_config_cli.py::test_a_replay_decides_by_the_states_"
+                       "settings_and_a_version_3_state_by_the_config",)
 UNKNOWN_KEY_TESTS = ("tests/test_config_cli.py::"
                      "test_a_state_key_save_state_never_writes_exits_2_naming_it",)
 DISTINCT_TESTS = ("tests/test_config_cli.py::"
@@ -257,13 +257,25 @@ MUTANTS = [
            "return Detector(m, config, mode=mode, online=online,",
            "return Detector(m, config, mode=mode, online=False,",
            ("tests/test_detector.py::test_loaded_online_detector_continues_learning",)),
-    Mutant("load_state: the state's version not kept", DETECTOR,
-           "Fit(scaler, model, stats, threshold), version=version))",
-           "Fit(scaler, model, stats, threshold)))",
-           ("tests/test_config_cli.py::test_a_version_1_state_replays_frozen_only",)),
     Mutant("Detector: a packet detector on a record with no metric carry keeps none", DETECTOR,
            "if self.mode == Mode.BOTNET and self.state.metrics is None:", "if False:",
-           ("tests/test_config_cli.py::test_a_version_1_state_replays_frozen_only",)),
+           ("tests/test_detector.py::"
+            "test_feeding_rows_and_loading_a_state_change_no_attribute_but_the_record",)),
+    # A state's settings: the values it holds override the config, which may not disagree.
+    Mutant("_stored_config: the stored metrics.N ignored", DETECTOR,
+           "for key in sorted(_KEYS[name]))", "for key in sorted(_KEYS[name] - {'N'}))",
+           STORED_CONFIG_TESTS),
+    Mutant("_stored_config: a version-3 state asked for the objects it does not hold",
+           DETECTOR, 'if doc["version"] > 3 or name in doc:', "if True:", STORED_CONFIG_TESTS),
+    Mutant("_stored_config: a config value that disagrees with the state's accepted", DETECTOR,
+           "if getattr(given, key) not in (getattr(default, key), value):", "if False:",
+           ("tests/test_config_cli.py::test_a_config_value_that_disagrees_with_the_state_"
+            "exits_2_naming_both_before_any_log",)),
+    Mutant("update_incremental: the noise keyed by train.seed, not the model's seed", TRAINING,
+           "rng = noise_rng(model.seed, stats.n, salt)",
+           "rng = noise_rng(train.seed, stats.n, salt)",
+           ("tests/test_training.py::"
+            "test_the_noise_is_keyed_by_the_models_seed_not_by_train_seed",)),
     # The network and the decision value, each exact to the last bit.
     Mutant("update_incremental: hidden on the (k, M) chunk, not (k, 1, M) rows", TRAINING,
            "H = model.hidden(noisy[:, None, :])[:, 0, :]", "H = model.hidden(noisy)",
@@ -306,11 +318,6 @@ MUTANTS = [
     Mutant("_check_types: a scaler's keys checked without its kind", DETECTOR,
            """f"{key} {value.get('kind')}" if key == "scaling_factors" else key""", "key",
            UNKNOWN_KEY_TESTS),
-    Mutant("load_state: a version-2 state's network not compared with its (M, seed)'s",
-           DETECTOR, "if version < 3:  #", "if False:  #", STOCK_NETWORK_TESTS),
-    Mutant("_check_types: a version-3 state checked against version 2's keys", DETECTOR,
-           'name = f"version {max(version, 2) if _is_kind(version, int) else 2}"',
-           'name = "version 2"', UNKNOWN_KEY_TESTS),
     Mutant("replace_file: the target written directly, so a failed save loses it", TRAFFIC,
            'tmp = f"{path}.{os.getpid()}.tmp"', "tmp = path",
            ("tests/test_detector.py::"

@@ -173,11 +173,11 @@ def oracle_noise(seed, salt, row, col, width, sigma):
 
 def oracle_readout(model, X, cfg, salt=None):
     """Closed-form (H^T H + lambda I)^{-1} H^T X with H rebuilt from scratch:
-    the per-value noise oracle, scalar-loop hidden activations, explicit
-    inverse."""
+    the per-value noise oracle keyed by the model's seed, scalar-loop hidden
+    activations, explicit inverse."""
     H = []
     for i, row in enumerate(X):
-        noise = [oracle_noise(cfg.seed, salt, i, j, len(row), cfg.noise_sigma)
+        noise = [oracle_noise(model.seed, salt, i, j, len(row), cfg.noise_sigma)
                  for j in range(len(row))]
         noisy = np.maximum(row + np.array(noise), 0.0)
         H.append(hand_hidden(model, noisy))
@@ -545,10 +545,9 @@ def write_feature_file(table, path):
 # -- state files ----------------------------------------------------------------------
 
 
-def legacy_state(doc, version=2):
-    """A version-3 state document as version ``version`` (1 or 2) wrote it: the
-    same fields plus the network, ``L``, ``act`` and the hidden weights, each
-    layer a ``numpy.random.default_rng(seed).uniform(0, 1/M, (M, M))`` draw."""
-    m, rng = doc["M"], np.random.default_rng(doc["seed"])
-    weights = [rng.uniform(0.0, 1.0 / m, size=(m, m)).tolist() for _ in range(3)]
-    return dict(doc, version=version, L=3, act={"r": 1.0, "c": 1.0}, hidden_weights=weights)
+def legacy_state(doc):
+    """A version-4 state document as version 3 wrote it: the same fields but the
+    ``metrics`` and ``train`` objects, which a version-3 state takes from the
+    replay's config."""
+    return {key: value for key, value in dict(doc, version=3).items()
+            if key not in ("metrics", "train")}

@@ -21,6 +21,7 @@ import pytest
 import aadetect
 from aadetect import cli
 from aadetect import detector as detector_module
+from aadetect.aadrnn import AadrnnModel
 from aadetect.config import (Config, DeviceSection, MetricsSection, TrainSection,
                              apply_overrides, config_from_dict, load_config)
 from aadetect.detector import Decision, Detector, LifecycleError, Mode, load_state, save_state
@@ -676,37 +677,23 @@ def _drop_last(rows):
     return rows[:-1]
 
 
-def legacy(change):
-    """A state edit made to the version-2 form of a state, which holds its network."""
-    return lambda doc: change(legacy_state(doc))
-
-
 @pytest.mark.parametrize("mutate", [
     lambda doc: dict(doc, threshold=None),
     lambda doc: dict(doc, stats=5),
-    legacy(lambda doc: dict(doc, hidden_weights=None)),
-    legacy(lambda doc: dict(doc, act=None)),
     lambda doc: [1, 2],
     lambda doc: dict(doc, readout=_drop_last(doc["readout"])),
-    legacy(lambda doc: dict(doc, hidden_weights=[_drop_last(doc["hidden_weights"][0])]
-                            + doc["hidden_weights"][1:])),
-    legacy(lambda doc: dict(doc, hidden_weights=[[row[:-1] for row in doc["hidden_weights"][0]]]
-                            + doc["hidden_weights"][1:])),
     lambda doc: dict(doc, stats=dict(doc["stats"], G=_drop_last(doc["stats"]["G"]))),
     lambda doc: dict(doc, stats=dict(doc["stats"], C=[row[:-1] for row in doc["stats"]["C"]])),
     lambda doc: dict(doc, stats=dict(doc["stats"], n=-1)),
     lambda doc: dict(doc, scaling_factors={"kind": "max", "scale": [1.0, 2.0]}),
-    # Only the stock network loads, and a state holds everything save_state writes.
-    legacy(lambda doc: dict(doc, L=2)),
-    legacy(lambda doc: dict(doc, act=dict(doc["act"], r=2.0))),
-    legacy(lambda doc: dict(doc, hidden_weights=doc["hidden_weights"][:1]
-                            + [[row + [0.0] for row in doc["hidden_weights"][1]]]
-                            + doc["hidden_weights"][2:])),
+    # A state holds everything save_state writes.
     lambda doc: {k: v for k, v in doc.items() if k != "stats"},
     lambda doc: {k: v for k, v in doc.items() if k != "gamma"},
-], ids=["threshold-null", "stats-5", "hidden-null", "act-null", "top-level-list",
-        "readout-rows", "hidden-rows", "hidden-columns", "stats-G", "stats-C", "stats-n",
-        "scale-length", "L-2", "act-r-2", "hidden-M-by-M+1", "no-stats", "no-gamma"])
+    lambda doc: {k: v for k, v in doc.items() if k != "metrics"},
+    lambda doc: dict(doc, train={"noise_sigma": doc["train"]["noise_sigma"]}),
+], ids=["threshold-null", "stats-5", "top-level-list", "readout-rows", "stats-G", "stats-C",
+        "stats-n", "scale-length", "no-stats", "no-gamma", "no-metrics",
+        "no-ridge-lambda"])
 def test_a_malformed_state_file_exits_2_naming_it_before_any_log(flood_trace_file, tmp_path,
                                                                  capsys, mutate):
     state = tmp_path / "state.json"
@@ -757,8 +744,20 @@ def _first_readout_entry(doc, text):
         doc["scaling_factors"], lo=[-1e308, *doc["scaling_factors"]["lo"][1:]],
         hi=[1e308, *doc["scaling_factors"]["hi"][1:]])),
      "feature column 1 spans -1e+308 to 1e+308, a range min-max scaling cannot hold\n"),
+    # The stored window and noise are checked as a config's are, by the Detector.
+    ("packets", lambda doc: dict(doc, metrics=dict(doc["metrics"], N=1)),
+     "metrics.N must be >= 2, got 1\n"),
+    ("packets", lambda doc: dict(doc, metrics=dict(doc["metrics"], T_seconds=0)),
+     "metrics.T_seconds must round to at least 1 microsecond, got 0\n"),
+    ("features", lambda doc: dict(doc, train=dict(doc["train"], noise_sigma=-1)),
+     "train.noise_sigma must be >= 0, got -1\n"),
+    ("packets", lambda doc: dict(doc, train=dict(doc["train"], ridge_lambda=0)),
+     "train.ridge_lambda must be positive, got 0\n"),
+    ("packets", lambda doc: dict(doc, metrics=dict(doc["metrics"], N=3.0)),
+     "metrics.N must be an integer, got 3.0\n"),
 ], ids=["gamma-nan", "readout-1e999", "threshold-inf", "scale-zero", "gamma-sum",
-        "gamma-negative", "minmax-hi-below-lo", "minmax-range-overflows"])
+        "gamma-negative", "minmax-hi-below-lo", "minmax-range-overflows", "N-1", "T-0",
+        "noise-negative", "ridge-0", "N-float"])
 def test_a_state_that_save_state_cannot_write_exits_2_naming_it_before_any_log(
         flood_trace_file, tmp_path, capsys, kind, mutate, reason):
     # Such a state used to load: a NaN gamma judged nothing an attack, an
@@ -782,31 +781,22 @@ def test_a_state_that_save_state_cannot_write_exits_2_naming_it_before_any_log(
     assert not log.exists()
 
 
-def _first_hidden_entry(doc, value):
-    doc = legacy_state(doc)
-    first = doc["hidden_weights"][0]
-    return dict(doc, hidden_weights=[[[value, *first[0][1:]], *first[1:]],
-                                     *doc["hidden_weights"][1:]])
-
-
 @pytest.mark.parametrize("mutate, reason", [
     (lambda doc: _first_readout_entry(doc, "inf"), "readout must be a number, got 'inf'"),
     (lambda doc: dict(doc, stats=dict(doc["stats"], n=5.7)), "n must be an integer, got 5.7"),
-    (lambda doc: _first_hidden_entry(doc, "0.1"), "hidden_weights must be a number, got '0.1'"),
-    (lambda doc: _first_hidden_entry(doc, None), "hidden_weights must be a number, got None"),
     (lambda doc: dict(doc, threshold=True), "threshold must be a number, got True"),
-    (legacy(lambda doc: dict(doc, act={"r": True, "c": 1.0})), "r must be a number, got True"),
+    (lambda doc: dict(doc, metrics=dict(doc["metrics"], N="10")), "N must be a number, got '10'"),
+    (lambda doc: dict(doc, train=dict(doc["train"], noise_sigma=None)),
+     "noise_sigma must be a number, got None"),
     (lambda doc: dict(doc, scaling_factors=dict(doc["scaling_factors"], scale=["1", 1.0, 1.0])),
      "scale must be a number, got '1'"),
     (lambda doc: dict(doc, stats=dict(doc["stats"], G=[[None] * 3] * 3)),
      "G must be a number, got None"),
     (lambda doc: dict(doc, M=3.0), "M must be an integer, got 3.0"),
-    (legacy(lambda doc: dict(doc, L=3.0)), "L must be an integer, got 3.0"),
     (lambda doc: dict(doc, seed=False), "seed must be an integer, got False"),
     (lambda doc: dict(doc, version="2"), "version must be an integer, got '2'"),
-], ids=["readout-str", "stats-n-float", "hidden-str", "hidden-null", "threshold-bool",
-        "act-bool", "scale-str", "stats-G-null", "M-float", "L-float",
-        "seed-bool", "version-str"])
+], ids=["readout-str", "stats-n-float", "threshold-bool", "N-str", "noise-null", "scale-str",
+        "stats-G-null", "M-float", "seed-bool", "version-str"])
 def test_a_state_value_of_a_json_type_save_state_never_writes_exits_2_naming_it(
         flood_trace_file, tmp_path, capsys, mutate, reason):
     # No parse hook sees a wrong JSON type, and np.asarray, float() and int()
@@ -839,15 +829,17 @@ def minmax_scaler(doc):
     (lambda doc: dict(minmax_scaler(doc), scaling_factors=dict(
         minmax_scaler(doc)["scaling_factors"], scale=[1.0] * 3)),
      "unknown key 'scale' in scaling_factors"),
-    (legacy(lambda doc: dict(doc, act=dict(doc["act"], k=1.0))),
-     "act is not the stock network of M=3, seed=0"),
-    # A version-3 state holds no network: (M, seed) determines it.
+    # The seed is the state's own key, not one of train's.
+    (lambda doc: dict(doc, train=dict(doc["train"], seed=0)), "unknown key 'seed' in train"),
+    (lambda doc: dict(doc, metrics=dict(doc["metrics"], gamma=doc["gamma"])),
+     "unknown key 'gamma' in metrics"),
+    # A state holds no network: (M, seed) determines it.
     (lambda doc: dict(doc, L=3), "unknown key 'L'"),
     (lambda doc: dict(doc, act={"r": 1.0, "c": 1.0}), "unknown key 'act'"),
-    (lambda doc: dict(doc, hidden_weights=legacy_state(doc)["hidden_weights"]),
-     "unknown key 'hidden_weights'"),
-], ids=["top-level", "first-in-file", "stats", "max-scaler", "minmax-scaler", "act",
-        "v3-L", "v3-act", "v3-hidden-weights"])
+    (lambda doc: dict(doc, hidden_weights=[w.tolist() for w in AadrnnModel.initial(
+        doc["M"], doc["seed"]).hidden_weights]), "unknown key 'hidden_weights'"),
+], ids=["top-level", "first-in-file", "stats", "max-scaler", "minmax-scaler", "train-seed",
+        "metrics-gamma", "network-L", "network-act", "network-hidden-weights"])
 def test_a_state_key_save_state_never_writes_exits_2_naming_it(flood_trace_file, tmp_path,
                                                                capsys, mutate, reason):
     # A misspelt key next to the one it stands for used to load, and
@@ -1294,68 +1286,94 @@ def test_init_and_replay_leave_numpy_random_unloaded(tmp_path):
         == ["run init 0 []", "run init 0 []", "run replay 0 []", "run replay 0 []"]
 
 
-def version_1_state(tmp_path, trace):
-    """A packet state as a version-1 file holds it: the fields version 2 wrote."""
-    state, old = tmp_path / "s.json", tmp_path / "v1.json"
-    assert cli.main(["init", str(trace), "--out", str(state), "--set", "train.init_len=100"]) == 0
-    doc = json.loads(state.read_text())
-    assert doc["version"] == 3
-    old.write_text(json.dumps(legacy_state(doc, 1), sort_keys=True, indent=1) + "\n")
-    return state, old
-
-
-def test_a_version_1_state_replays_frozen_only(flood_trace_file, tmp_path, capsys):
-    state, old = version_1_state(tmp_path, flood_trace_file)
-    for path in (state, old):
-        assert cli.main(["replay", str(flood_trace_file), "--state", str(path), "--frozen",
-                         "--log", str(path.with_suffix(".log"))]) == 0
-    assert (tmp_path / "v1.log").read_bytes() == (tmp_path / "s.log").read_bytes()
-    capsys.readouterr()
-    for flags in (["--online"], ["--frozen", "--save-state", str(tmp_path / "new.json")]):
-        log = tmp_path / "refused.log"
-        rc = main_closing_every_file(["replay", str(flood_trace_file), "--state", str(old),
-                                      "--log", str(log)] + flags)
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "version 1" in err and "frozen only" in err
-        assert not log.exists() and not (tmp_path / "new.json").exists()
-    assert load_state(old).state_version == 1
-    with pytest.raises(ValueError, match="version 1 state replays frozen only"):
-        save_state(load_state(old), tmp_path / "new.json")
-    with pytest.raises(ValueError, match="version 1 state replays frozen only"):
-        load_state(old, online=True)
-
-
-def test_a_version_2_state_replays_as_its_version_3_state_and_saves_as_version_3(
+def test_a_replay_decides_by_the_states_settings_and_a_version_3_state_by_the_config(
         tmp_path, capsys):
-    # Version 2 also held the network, which (M, seed) determines: the same
-    # fields plus the stock keys replay frozen and online as version 3 does.
-    trace, state, old = tmp_path / "trace.csv", tmp_path / "v3.json", tmp_path / "v2.json"
+    # A state holds the metric window, the training noise and the seed its network was
+    # drawn from, so a replay that leaves out init's --set decides, refits and saves as
+    # one that repeats it. A version-3 state holds only the seed: the replay's config
+    # gives the rest, and --save-state writes it as version 4.
+    trace, state, old = tmp_path / "trace.csv", tmp_path / "v4.json", tmp_path / "v3.json"
     assert cli.main(["synth", "--out", str(trace), "--duration", "30", "--rate", "50",
                      "--seed", "4", "--flood", "20:22:20"]) == 0
-    config = ["--set", "metrics.N=30", "--set", "train.window_len=200"]
+    held = ["--set", "metrics.N=30", "--set", "train.seed=5", "--set", "train.noise_sigma=0.5"]
+    window = ["--set", "train.window_len=200"]
     assert cli.main(["init", str(trace), "--out", str(state), "--set", "train.init_len=300"]
-                    + config) == 0
+                    + held + window) == 0
     doc = json.loads(state.read_text())
+    assert (doc["version"], doc["seed"], doc["metrics"], doc["train"]) == (
+        4, 5, {"N": 30, "T_seconds": 10.0}, {"noise_sigma": 0.5, "ridge_lambda": 1e-4})
     old.write_text(json.dumps(legacy_state(doc), sort_keys=True, indent=1) + "\n")
     outputs = {}
-    for path in (state, old):
+    for name, path, config in (("held", state, held + window), ("bare", state, window),
+                               ("v3", old, held + window)):
         for flags in (["--frozen"], ["--online", "--save-state", "saved.json"]):
-            run = tmp_path / f"{path.stem}{flags[0]}"
+            run = tmp_path / f"{name}{flags[0]}"
             run.mkdir()
             capsys.readouterr()
-            outs = ["--log", run / "log.csv", "--alerts", run / "alerts",
-                    "--report", run / "report.json"]
+            outs = ["--log", run / "log.csv", "--alerts", run / "alerts"]
             assert cli.main([str(arg) for arg in ["replay", trace, "--state", path, *outs,
                              *config, *(run / f if f.endswith(".json") else f
                                         for f in flags)]]) == 0
             out = capsys.readouterr().out.replace(str(run), "RUN")
-            outputs[path.stem, flags[0]] = out, {f.name: f.read_bytes() for f in run.iterdir()}
+            outputs[name, flags[0]] = out, {f.name: f.read_bytes() for f in run.iterdir()}
     for flags in ("--frozen", "--online"):
-        assert outputs["v2", flags] == outputs["v3", flags]
-    saved = json.loads((tmp_path / "v2--online" / "saved.json").read_text())
-    assert saved["version"] == 3 and "hidden_weights" not in saved
+        assert outputs["bare", flags] == outputs["held", flags] == outputs["v3", flags]
+    saved = json.loads((tmp_path / "v3--online" / "saved.json").read_text())
+    assert {k: v for k, v in saved.items() if k not in ("readout", "stats", "threshold")} == {
+        k: v for k, v in doc.items() if k not in ("readout", "stats", "threshold")}
     assert saved["stats"]["n"] > doc["stats"]["n"]  # the online replay refitted
+
+
+@pytest.fixture
+def held_state(flood_trace_file, tmp_path):
+    """A packet state whose window, noise and seed are not the defaults."""
+    state = tmp_path / "held.json"
+    assert cli.main(["init", str(flood_trace_file), "--out", str(state), "--set",
+                     "train.init_len=100", "--set", "metrics.N=30", "--set", "train.seed=5",
+                     "--set", "train.noise_sigma=0.5"]) == 0
+    return state
+
+
+@pytest.mark.parametrize("flags, key, held, given", [
+    (["--set", "metrics.N=20"], "metrics.N", "30", "20"),
+    (["--set", "metrics.T_seconds=5"], "metrics.T_seconds", "10.0", "5"),
+    (["--set", "train.seed=0", "--set", "train.seed=6"], "train.seed", "5", "6"),
+    (["--set", "train.noise_sigma=0.2"], "train.noise_sigma", "0.5", "0.2"),
+    (["--set", "train.ridge_lambda=0.01"], "train.ridge_lambda", "0.0001", "0.01"),
+    (["--set", "metrics.gamma=[0.2,0.3,0.5]"], "metrics.gamma",
+     "[0.3333333333333333, 0.3333333333333333, 0.3333333333333333]", "[0.2, 0.3, 0.5]"),
+    (["--config", "config.json"], "metrics.N", "30", "20"),
+], ids=["N", "T_seconds", "seed", "noise_sigma", "ridge_lambda", "gamma", "config-file"])
+def test_a_config_value_that_disagrees_with_the_state_exits_2_naming_both_before_any_log(
+        flood_trace_file, tmp_path, capsys, held_state, flags, key, held, given):
+    # Each used to exit 0, deciding or refitting by the replay's value, not init's.
+    (tmp_path / "config.json").write_text('{"metrics": {"N": 20}}')
+    log = tmp_path / "never.csv"
+    capsys.readouterr()
+    rc = cli.main(["replay", str(flood_trace_file), "--state", str(held_state), "--online",
+                   "--log", str(log)] + [str(tmp_path / f) if f.endswith(".json") else f
+                                         for f in flags])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: state file {held_state}: {key} is {held} in "
+                                       f"the state, {given} in the config\n")
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_a_version_1_or_2_state_exits_2_naming_it_and_its_version(flood_trace_file, tmp_path,
+                                                                  capsys, held_state, version):
+    # Both held the network too; they used to load, and version 1 replayed frozen only.
+    doc = legacy_state(json.loads(held_state.read_text()))
+    weights = AadrnnModel.initial(doc["M"], doc["seed"]).hidden_weights
+    old, log = tmp_path / "old.json", tmp_path / "never.csv"
+    old.write_text(json.dumps(dict(doc, version=version, L=3, act={"r": 1.0, "c": 1.0},
+                                   hidden_weights=[w.tolist() for w in weights])))
+    capsys.readouterr()
+    rc = cli.main(["replay", str(flood_trace_file), "--state", str(old), "--log", str(log)])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: state file {old}: version {version} not "
+                                       "supported (only 3 to 4 load)\n")
+    assert not log.exists()
 
 
 def test_a_failed_device_refit_exits_2_and_logs_every_decision_judged(tmp_path, monkeypatch,

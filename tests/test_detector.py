@@ -20,7 +20,7 @@ from aadetect.detector import (Decision, Detector, DetectorState, Fit, Lifecycle
 from aadetect.metrics import DimensionError, MinMaxScaler, ScalingFactors
 from aadetect.traffic import FeatureTable, Trace
 from aadetect.training import SufficientStats
-from oracles import DequeStreamMetrics, PerRowFeed, legacy_state, oracle_whisker, stepped
+from oracles import DequeStreamMetrics, PerRowFeed, oracle_whisker, stepped
 
 
 def small_config(**train_overrides):
@@ -649,8 +649,10 @@ def test_a_state_round_trip_is_exact_for_random_models_and_both_scalers(tmp_path
         save_state(det, path)
         doc = json.loads(path.read_text())
         assert doc.keys() == {"version", "M", "seed", "readout", "scaling_factors",
-                              "threshold", "mode", "gamma", "stats"}
-        assert (doc["version"], doc["scaling_factors"]["kind"]) == (3, scaler_kind)
+                              "threshold", "mode", "gamma", "metrics", "train", "stats"}
+        assert (doc["version"], doc["scaling_factors"]["kind"]) == (4, scaler_kind)
+        assert (doc["metrics"], doc["train"]) == ({"N": 10, "T_seconds": 10.0},
+                                                  {"noise_sigma": 0.1, "ridge_lambda": 1e-4})
         back = load_state(path)
         assert (back.dim, back.model.seed, back.stats.n) == (det.dim, det.model.seed, det.stats.n)
         arrays = [*zip(back.model.hidden_weights, det.model.hidden_weights),
@@ -673,50 +675,6 @@ def write_state(path, doc):
     return path
 
 
-def test_a_state_rejects_every_network_but_the_stock_one(tmp_path):
-    # Version 3 derives the network from (M, seed) and holds none; a version-2
-    # state's network must be the one version 2 wrote for its (M, seed).
-    det, _ = warmed_detector(np.random.default_rng(1))
-    save_state(det, tmp_path / "state.json")
-    doc = json.loads((tmp_path / "state.json").read_text())
-    old = legacy_state(doc)
-    weights, (m, seed) = old["hidden_weights"], (doc["M"], doc["seed"])
-    wide = [row + [0.0] for row in weights[0]]  # (M, M + 1)
-    one_ulp = [[[float(np.nextafter(weights[0][0][0], 1.0)), *weights[0][0][1:]],
-                *weights[0][1:]], *weights[1:]]
-    for bad, key in [
-            (dict(old, L=2), "L"), (dict(old, L=2, hidden_weights=weights[:2]), "L"),
-            (dict(old, act={"r": 2.0, "c": 1.0}), "act"),
-            (dict(old, act={"r": 1.0, "c": 1.0, "k": 1.0}), "act"),
-            (dict(old, hidden_weights=weights[:2]), "hidden_weights"),
-            (dict(old, hidden_weights=weights + weights[:1]), "hidden_weights"),
-            (dict(old, hidden_weights=[wide] + weights[1:]), "hidden_weights"),
-            (dict(old, hidden_weights=one_ulp), "hidden_weights"),
-            (dict(old, version=1, hidden_weights=weights[::-1]), "hidden_weights")]:
-        with pytest.raises(ValueError, match=f": {key} is not the stock network of "
-                                             f"M={m}, seed={seed}$"):
-            load_state(write_state(tmp_path / "bad.json", bad))
-    other_seed = dict(old, seed=seed + 1)  # the weights are another seed's draws
-    with pytest.raises(ValueError, match=f"hidden_weights is not .* seed={seed + 1}$"):
-        load_state(write_state(tmp_path / "bad.json", other_seed))
-    for key in ("L", "act", "hidden_weights"):
-        with pytest.raises(ValueError, match=f": unknown key '{key}'$"):
-            load_state(write_state(tmp_path / "bad.json", dict(doc, **{key: old[key]})))
-    for bad, error in [
-            (dict(doc, readout=[row + [0.0] for row in doc["readout"]]),
-             r"readout has shape \(3, 4\)"),
-            (dict(doc, M=4), r"readout has shape \(3, 3\), expected \(4, 4\)"),
-            (dict(old, M=4), r"readout has shape \(3, 3\), expected \(4, 4\)")]:
-        with pytest.raises(ValueError, match=error):
-            load_state(write_state(tmp_path / "bad.json", bad))
-    ints = write_state(tmp_path / "ints.json", dict(old, act={"c": 1, "r": 1}))
-    assert load_state(ints).dim == 3  # ints are fine
-    x, current = benign_row(np.random.default_rng(2)), load_state(tmp_path / "state.json")
-    for version in (1, 2):  # both load, and decide as the version-3 state does
-        loaded = load_state(write_state(tmp_path / "old.json", legacy_state(doc, version)))
-        assert loaded.state_version == version and loaded.observe(x, 0) == current.observe(x, 0)
-
-
 def test_a_state_names_each_array_of_the_wrong_shape_and_an_unknown_scaler(tmp_path):
     rng = np.random.default_rng(2)
     for kind, arrays in (("max", ("scale",)), ("minmax", ("lo", "hi"))):
@@ -731,6 +689,10 @@ def test_a_state_names_each_array_of_the_wrong_shape_and_an_unknown_scaler(tmp_p
                 for name in ("G", "C")]
         bad.append((dict(doc, scaling_factors=dict(scaling, kind="other")),
                     "unknown scaling kind: 'other'"))
+        bad.append((dict(doc, readout=[row + [0.0] for row in doc["readout"]]),
+                    f"readout has shape \\({m}, {m + 1}\\), expected \\({m}, {m}\\)"))
+        bad.append((dict(doc, M=m + 1),
+                    f"readout has shape \\({m}, {m}\\), expected \\({m + 1}, {m + 1}\\)"))
         bad.append((dict(doc, stats=dict(stats, n=-1)), "stats n must be >= 0, got -1"))
         for edited, error in bad:
             path = write_state(tmp_path / "bad.json", edited)

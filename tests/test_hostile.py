@@ -3,7 +3,8 @@ trace, feature file, decision log, state file or ``--config`` file, or one
 generated ``--set section.key=value``, then every command that reads it, run
 in process through ``cli.main``. A state or config file also takes a JSON
 value of the wrong type at any nested key, or a key its writer never writes
-in any of its objects.
+in any of its objects: a state's ``metrics`` and ``train`` objects too, whose
+values a replay decides and refits by unless its config gives others.
 
 The contract: a command returns 0 or 2 and raises nothing (2 alone for an
 unknown key); on 2 its stderr is one ``error:`` line that names the edited
@@ -218,6 +219,10 @@ def edits(kind):
 @hypothesis.example(("state", ("insert", 0, 0xff, "")))  # not UTF-8
 @hypothesis.example(("state", ("json", 0, 5, "")))  # a top-level list
 @hypothesis.example(("state", ("key", 0, 4, "")))  # "unknown": 1.5 at the top level
+@hypothesis.example(("state", ("key", 1, 4, "")))  # "unknown": 1.5 in metrics
+@hypothesis.example(("state", ("key", 4, 4, "")))  # "unknown": 1.5 in train
+@hypothesis.example(("state", ("json", 5, 3, "")))  # metrics.N 1, and --set metrics.N=5
+@hypothesis.example(("state", ("json", 27, 4, "")))  # train.ridge_lambda 1.5: refits by it
 @hypothesis.example(("config", ("insert", 0, 0xff, "")))  # not UTF-8
 @hypothesis.example(("config", ("key", 0, 4, "")))  # an unknown section
 @hypothesis.example(("config", ("field", 0, 0, "")))  # not JSON

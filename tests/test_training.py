@@ -87,9 +87,9 @@ def test_window_noise_rejects_a_negative_seed_as_noise_rng_does():
         noise_rng(0, 0, salt=-1)
     with pytest.raises(ValueError):
         noise_rng(0, -1)
-    with pytest.raises(ValueError):
-        fit_batch_with_stats(AadrnnModel.initial(3, 1), np.ones((5, 3)),
-                             TrainSection(seed=-1))
+    with pytest.raises(ValueError):  # the noise is keyed by the model's seed
+        fit_batch_with_stats(AadrnnModel.initial(3, 1)._replace(seed=-1), np.ones((5, 3)),
+                             TrainSection())
 
 
 def test_corrupt_window_equals_per_row_corrupt():
@@ -216,6 +216,18 @@ def test_noise_is_keyed_to_global_row_index_not_window_position():
     assert np.array_equal(model.readout, whole.readout)
 
 
+def test_the_noise_is_keyed_by_the_models_seed_not_by_train_seed():
+    # A resumed run refits with the noise of the seed its network was drawn
+    # from, whatever the replay's train.seed: train.seed only draws a network.
+    model = AadrnnModel.initial(3, 5)
+    X = random_rows(np.random.default_rng(19), 40, 3)
+    expected = per_row_accumulate_pairs(SufficientStats.empty(3), per_row_corrupt_window(
+        X, 0, TrainSection(seed=5), None), X, model)
+    for seed in (0, 5, 6):
+        stats = fit_batch_with_stats(model, X, TrainSection(seed=seed))[0]
+        assert np.array_equal(stats.G, expected.G) and np.array_equal(stats.C, expected.C)
+
+
 @pytest.mark.parametrize("dim", [3, 6, 20])
 def test_stacked_hidden_equals_per_row_hidden(dim):
     # The chunked fold relies on a stacked (n, 1, M) forward doing one
@@ -236,7 +248,7 @@ def test_chunked_fold_equals_per_row_oracle(dim):
     model = AadrnnModel.initial(dim, dim)
     X = random_rows(rng, 600, dim)
     for sigma, salt in ((0.1, None), (0.1, 12345), (0.0, None)):
-        cfg = TrainSection(noise_sigma=sigma, ridge_lambda=1e-4, seed=7)
+        cfg = TrainSection(noise_sigma=sigma, ridge_lambda=1e-4, seed=model.seed)
         empty = SufficientStats.empty(dim)
         noisy = per_row_corrupt_window(X, 0, cfg, salt)
         expected = per_row_accumulate_pairs(empty, noisy, X, model)
@@ -266,7 +278,7 @@ def test_one_chunk_pass_equals_the_per_row_oracles_at_chunk_edges(dim):
     rng = np.random.default_rng(60 + dim)
     head = random_rows(rng, 37, dim)
     for salt in (None, 4321):
-        cfg = TrainSection(noise_sigma=0.1, ridge_lambda=1e-4, seed=11)
+        cfg = TrainSection(noise_sigma=0.1, ridge_lambda=1e-4, seed=model.seed)
         empty = SufficientStats.empty(dim)
         earlier = per_row_accumulate_pairs(empty, per_row_corrupt_window(head, 0, cfg, salt),
                                            head, model)
@@ -313,7 +325,7 @@ def test_fold_over_random_windows_equals_the_per_row_oracles(case):
     # gives the bits of the per-row corrupt-and-fold oracles after every
     # window, from empty statistics or from statistics the oracle built.
     chunk, head, windows, cfg, salt = case
-    model = AadrnnModel.initial(head.shape[1], 5)
+    model = AadrnnModel.initial(head.shape[1], cfg.seed)
     expected = stats = SufficientStats.empty(head.shape[1])
     if len(head):
         expected = stats = per_row_accumulate_pairs(
