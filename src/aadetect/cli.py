@@ -161,6 +161,8 @@ def cmd_replay(args) -> int:
         engine = DeviceBank(config)
     elif args.state:
         engine = load_state(args.state, config, online=bool(args.online))  # stays frozen unless asked
+        run = engine.config  # the report names the state's settings, but the replay's gamma
+        config = run._replace(metrics=run.metrics._replace(gamma=config.metrics.gamma))
         if engine.mode != kind:
             raise ValueError(f"state file {args.state} holds a {engine.mode.value} detector, "
                              f"expected {kind.value}")

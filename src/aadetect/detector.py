@@ -42,8 +42,7 @@ from .traffic import _TRACE_BLOCK, FeatureTable, Trace, replace_file
 from .training import (SufficientStats, TrainingError, fit_batch_with_stats,
                        update_incremental)
 
-# A state stores no network: (M, seed) determines it. Version 4 added the metric window
-# and the training noise, which a version-3 state takes from the replay's config.
+# A state stores no network, which (M, seed) determines; version 4 added metrics and train.
 STATE_VERSION = 4
 
 
@@ -390,11 +389,10 @@ def save_state(detector: Detector, path: Union[str, Path]) -> None:
 
 def load_state(path: Union[str, Path], config: Optional[Config] = None, *,
                online: bool = False) -> Detector:
-    """Build a detector on the record a state file holds; it decides at once (phase
-    ``frozen``, or ``online`` to continue learning), with the config values it holds in
-    place of ``config``'s (``_stored_config``). A file that is not a well-formed state,
-    with exactly the keys ``save_state`` writes, every array shaped for its model and
-    every value one ``save_state`` could write, is an error naming it."""
+    """Build a detector on the record a state file holds, deciding at once (``frozen``, or
+    ``online`` to keep learning) by the config values it holds (``_stored_config``). A file
+    that is not a well-formed state, with exactly the keys ``save_state`` writes, every array
+    shaped for its model and every value ``save_state`` could write, is an error naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.loads(fh.read(), parse_float=_finite, parse_constant=_finite)
@@ -439,9 +437,8 @@ def load_state(path: Union[str, Path], config: Optional[Config] = None, *,
 
 
 def _stored_config(doc: dict, config: Config) -> Config:
-    """``config`` with a state's values in place of its own: gamma, ``seed`` as train.seed,
-    and the metric window and training noise, which a version-3 state does not hold. A
-    config value that is neither ``Config()``'s nor the state's is an error naming both."""
+    """``config`` with a state's gamma, seed (as train.seed), metric window and training noise
+    (not in a version-3 state); a value neither ``Config()``'s nor the state's is an error."""
     for name, values in ("metrics", {"gamma": doc["gamma"]}), ("train", {"seed": doc["seed"]}):
         if doc["version"] > 3 or name in doc:
             values.update((key, doc[name][key]) for key in sorted(_KEYS[name]))
@@ -471,8 +468,7 @@ def _finite(text: str) -> float:
     return value
 
 
-# The keys of each object save_state writes, by its key (the state's is ""), a scaler's
-# with its kind.
+# The keys of each object save_state writes, by key: the state's is "", a scaler's has its kind.
 _KEYS = {"": {"version", "M", "seed", "readout", "scaling_factors", "threshold", "mode", "gamma",
               "metrics", "train", "stats"}, "stats": {"G", "C", "n"},
          "metrics": {"N", "T_seconds"}, "train": {"noise_sigma", "ridge_lambda"},
@@ -480,8 +476,10 @@ _KEYS = {"": {"version", "M", "seed", "readout", "scaling_factors", "threshold",
 
 
 def _check_types(value, key: str = "") -> None:
-    """Reject a key or a value of a JSON type ``save_state`` never writes: an int at
-    version, M, seed and n, a number at any other key but mode, kind and gamma."""
+    """Reject a key or a value of a JSON type ``save_state`` never writes: an object at a key
+    of ``_KEYS``, an int at version, M, seed and n, a number elsewhere but mode, kind, gamma."""
+    if (key in _KEYS or key == "scaling_factors") and not isinstance(value, dict):
+        raise ValueError(f"{key} must be an object")
     if isinstance(value, dict):  # an unknown scaler kind is named later
         name = f"{key} {value.get('kind')}" if key == "scaling_factors" else key
         known = _KEYS.get(name, value)

@@ -194,10 +194,11 @@ def calls(seed: int) -> List[Call]:
                        lambda text: b"\n" + field(2, b'"%s"')(text))),
         Call("replay-blank", ["replay", "blank.csv", "--state", "init.json", "--log", "blank.log"]
              + N30),
-        # A state replayed without init's --set decides by the settings it holds; a
-        # --set that disagrees with one of them is refused before any output.
+        # A state replayed without init's --set decides, and reports, by the settings it
+        # holds; a --set that disagrees with one of them is refused before any output.
         Call("state-bare-frozen", ["replay", "soak.csv", "--state", "init.json", "--frozen",
-                                   "--log", "bare-frozen.log", "--alerts", "bare-frozen.alerts"]),
+                                   "--log", "bare-frozen.log", "--alerts", "bare-frozen.alerts",
+                                   "--report", "bare-frozen.report.json"]),
         Call("state-bare-online", ["replay", "soak.csv", "--state", "init.json", "--online",
                                    "--log", "bare-online.log",
                                    "--save-state", "bare-online.state.json"]),

@@ -271,6 +271,9 @@ MUTANTS = [
            "if getattr(given, key) not in (getattr(default, key), value):", "if False:",
            ("tests/test_config_cli.py::test_a_config_value_that_disagrees_with_the_state_"
             "exits_2_naming_both_before_any_log",)),
+    Mutant("cmd_replay: the report names the replay's config, not the state's settings", CLI,
+           "config = run._replace(metrics=run.metrics._replace(gamma=config.metrics.gamma))",
+           "run = config", STORED_CONFIG_TESTS),
     Mutant("update_incremental: the noise keyed by train.seed, not the model's seed", TRAINING,
            "rng = noise_rng(model.seed, stats.n, salt)",
            "rng = noise_rng(train.seed, stats.n, salt)",
@@ -313,6 +316,12 @@ MUTANTS = [
            'scaler = min_max_scaler(_array(scaling["lo"], (m,), "lo"),',
            'scaler = MinMaxScaler(_array(scaling["lo"], (m,), "lo"),',
            (UNWRITABLE_STATE + "[minmax-range-overflows]",)),
+    Mutant("_check_types: a list or a number accepted where an object belongs", DETECTOR,
+           '    if (key in _KEYS or key == "scaling_factors") and '
+           'not isinstance(value, dict):\n',
+           "    if False:\n",
+           ("tests/test_config_cli.py::"
+            "test_a_state_value_of_a_json_type_save_state_never_writes_exits_2_naming_it",)),
     Mutant("_check_types: a key save_state never writes accepted", DETECTOR,
            "        if unknown is not None:\n", "        if False:\n", UNKNOWN_KEY_TESTS),
     Mutant("_check_types: a scaler's keys checked without its kind", DETECTOR,

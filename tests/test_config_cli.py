@@ -795,8 +795,13 @@ def test_a_state_that_save_state_cannot_write_exits_2_naming_it_before_any_log(
     (lambda doc: dict(doc, M=3.0), "M must be an integer, got 3.0"),
     (lambda doc: dict(doc, seed=False), "seed must be an integer, got False"),
     (lambda doc: dict(doc, version="2"), "version must be an integer, got '2'"),
+    (lambda doc: dict(doc, metrics=[1.0]), "metrics must be an object"),
+    (lambda doc: dict(doc, train=0.5), "train must be an object"),
+    (lambda doc: dict(doc, stats=[[1.0]]), "stats must be an object"),
+    (lambda doc: dict(doc, scaling_factors=None), "scaling_factors must be an object"),
 ], ids=["readout-str", "stats-n-float", "threshold-bool", "N-str", "noise-null", "scale-str",
-        "stats-G-null", "M-float", "seed-bool", "version-str"])
+        "stats-G-null", "M-float", "seed-bool", "version-str", "metrics-list", "train-number",
+        "stats-list", "scaling-null"])
 def test_a_state_value_of_a_json_type_save_state_never_writes_exits_2_naming_it(
         flood_trace_file, tmp_path, capsys, mutate, reason):
     # No parse hook sees a wrong JSON type, and np.asarray, float() and int()
@@ -1289,9 +1294,9 @@ def test_init_and_replay_leave_numpy_random_unloaded(tmp_path):
 def test_a_replay_decides_by_the_states_settings_and_a_version_3_state_by_the_config(
         tmp_path, capsys):
     # A state holds the metric window, the training noise and the seed its network was
-    # drawn from, so a replay that leaves out init's --set decides, refits and saves as
-    # one that repeats it. A version-3 state holds only the seed: the replay's config
-    # gives the rest, and --save-state writes it as version 4.
+    # drawn from, so a replay that leaves out init's --set decides, refits, reports (the
+    # report's config too) and saves as one that repeats it. A version-3 state holds only
+    # the seed: the replay's config gives the rest, and --save-state writes it as version 4.
     trace, state, old = tmp_path / "trace.csv", tmp_path / "v4.json", tmp_path / "v3.json"
     assert cli.main(["synth", "--out", str(trace), "--duration", "30", "--rate", "50",
                      "--seed", "4", "--flood", "20:22:20"]) == 0
@@ -1310,7 +1315,8 @@ def test_a_replay_decides_by_the_states_settings_and_a_version_3_state_by_the_co
             run = tmp_path / f"{name}{flags[0]}"
             run.mkdir()
             capsys.readouterr()
-            outs = ["--log", run / "log.csv", "--alerts", run / "alerts"]
+            outs = ["--log", run / "log.csv", "--alerts", run / "alerts",
+                    "--report", run / "report.json"]
             assert cli.main([str(arg) for arg in ["replay", trace, "--state", path, *outs,
                              *config, *(run / f if f.endswith(".json") else f
                                         for f in flags)]]) == 0
@@ -1318,6 +1324,9 @@ def test_a_replay_decides_by_the_states_settings_and_a_version_3_state_by_the_co
             outputs[name, flags[0]] = out, {f.name: f.read_bytes() for f in run.iterdir()}
     for flags in ("--frozen", "--online"):
         assert outputs["bare", flags] == outputs["held", flags] == outputs["v3", flags]
+    report = json.loads(outputs["bare", "--frozen"][1]["report.json"])["config"]
+    assert (report["metrics"]["N"], report["train"]["seed"], report["train"]["noise_sigma"],
+            report["metrics"]["gamma"]) == (30, 5, 0.5, None)
     saved = json.loads((tmp_path / "v3--online" / "saved.json").read_text())
     assert {k: v for k, v in saved.items() if k not in ("readout", "stats", "threshold")} == {
         k: v for k, v in doc.items() if k not in ("readout", "stats", "threshold")}
